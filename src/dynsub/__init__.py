@@ -9,7 +9,6 @@ from .coupling import (
     CouplingError,
     CouplingTopology,
     InterfaceOperator,
-    compatibility_matrix,
     locator_matrix,
     steklov_poincare,
 )
@@ -19,7 +18,6 @@ from .models import (
     LinearSubstructure,
     ModelError,
     NonlinearSubstructure,
-    StateVector,
     SuspensionElement,
     assemble_first_order,
     finite_difference_tangent,
@@ -49,7 +47,6 @@ from .solver import (
     effective_matrix,
     free_step,
     simulate,
-    simulate_subcycled,
 )
 
 __version__ = "0.1.0"
@@ -75,13 +72,11 @@ __all__ = [
     "Smoothness",
     "SolverConfig",
     "SolverError",
-    "StateVector",
     "SuspensionElement",
     "Trajectory",
     "analytic_sdof",
     "assemble_first_order",
     "assemble_global",
-    "compatibility_matrix",
     "constraint_modes",
     "coupling_step",
     "effective_matrix",
@@ -97,7 +92,6 @@ __all__ = [
     "reduce",
     "restoring_force",
     "simulate",
-    "simulate_subcycled",
     "smoothness",
     "solve_monolithic",
     "solve_newmark",

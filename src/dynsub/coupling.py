@@ -2,8 +2,9 @@
 
 Substructures are coupled pairwise at interface DOFs.  Each constraint links
 one DOF of one substructure to one DOF of another with opposite signs; the
-signed boolean matrices built here select boundary velocity rows (G) and
-inject interface-force intensities into the matching momentum rows (L).
+signed boolean locator L built here injects interface-force intensities into
+the matching momentum rows, and its transpose G selects the boundary velocity
+rows.
 """
 
 from __future__ import annotations
@@ -84,15 +85,6 @@ def locator_matrix(topology: CouplingTopology, sub_id, n_dofs: int) -> np.ndarra
             raise CouplingError(f"constraint {c} references DOF {dof} of {sub_id!r} (has {n_dofs})")
         l[n_dofs + dof, c] = sign
     return l
-
-
-def compatibility_matrix(topology: CouplingTopology, sub_id, n_dofs: int) -> np.ndarray:
-    """G: selects signed boundary velocity rows of a state.
-
-    Shape (n_constraints, 2*n_dofs); the G-weighted sum of coupled states over
-    all substructures vanishes when interface velocities match.
-    """
-    return locator_matrix(topology, sub_id, n_dofs).T
 
 
 @dataclass(frozen=True)

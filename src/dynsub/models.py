@@ -42,40 +42,6 @@ def _check_symmetric(m: np.ndarray, name: str, rtol: float = 1e-10) -> None:
 
 
 @dataclass(frozen=True)
-class StateVector:
-    """Displacements and velocities of one substructure, Y = [u; v]."""
-
-    displacements: np.ndarray
-    velocities: np.ndarray
-
-    def __post_init__(self):
-        u = np.asarray(self.displacements, dtype=float)
-        v = np.asarray(self.velocities, dtype=float)
-        if u.shape != v.shape or u.ndim != 1:
-            raise ModelError("displacements and velocities must be 1-D and of equal length")
-        object.__setattr__(self, "displacements", u)
-        object.__setattr__(self, "velocities", v)
-
-    @property
-    def stacked(self) -> np.ndarray:
-        return np.concatenate([self.displacements, self.velocities])
-
-    @classmethod
-    def from_stacked(cls, y: np.ndarray) -> "StateVector":
-        y = np.asarray(y, dtype=float)
-        if y.ndim != 1 or y.size % 2:
-            raise ModelError(f"stacked state must have even length, got {y.shape}")
-        n = y.size // 2
-        return cls(y[:n], y[n:])
-
-
-def _stacked(y: Union[StateVector, np.ndarray]) -> np.ndarray:
-    if isinstance(y, StateVector):
-        return y.stacked
-    return np.asarray(y, dtype=float)
-
-
-@dataclass(frozen=True)
 class LinearSubstructure:
     """Linear substructure defined by mass, damping and stiffness matrices.
 
@@ -247,15 +213,6 @@ class FirstOrderForm:
         a[n:, n:] = self.mass
         return a
 
-    def inject_force(self, f: np.ndarray) -> np.ndarray:
-        """Map a physical force vector into the momentum rows of the state."""
-        f = np.asarray(f, dtype=float)
-        if f.shape != (self.n_dofs,):
-            raise ModelError(f"force vector must have length {self.n_dofs}, got {f.shape}")
-        out = np.zeros(2 * self.n_dofs)
-        out[self.n_dofs:] = f
-        return out
-
 
 def _linear_restoring(sub: LinearSubstructure) -> Callable[[np.ndarray], np.ndarray]:
     k, c, n = sub.stiffness, sub.damping, sub.n_dofs
@@ -299,9 +256,9 @@ def _suspension_restoring(sub: NonlinearSubstructure) -> Callable[[np.ndarray], 
     return restoring
 
 
-def restoring_force(sub: Substructure, y: Union[StateVector, np.ndarray]) -> np.ndarray:
+def restoring_force(sub: Substructure, y: np.ndarray) -> np.ndarray:
     """Evaluate R(Y) = [-v; C v + K u + f_nl(u, v)] for a substructure."""
-    yv = _stacked(y)
+    yv = np.asarray(y, dtype=float)
     n = sub.n_dofs
     if yv.shape != (2 * n,):
         raise ModelError(f"state must have length {2 * n}, got {yv.shape}")
@@ -337,8 +294,8 @@ def finite_difference_tangent(
 ) -> np.ndarray:
     """Central-difference Jacobian of a restoring-force callable.
 
-    Fallback for user-supplied force laws and cross-check for the analytic
-    tangents.  Step defaults to 1e-6 * max(1, ||Y||).
+    Cross-check for the analytic tangents; the solvers never use it.  Step
+    defaults to 1e-6 * max(1, ||Y||).
     """
     y0 = np.zeros(state_size) if at is None else np.asarray(at, dtype=float)
     h = step if step is not None else 1e-6 * max(1.0, float(np.linalg.norm(y0)))
@@ -354,8 +311,8 @@ def assemble_first_order(sub: Substructure) -> FirstOrderForm:
     """Build the first-order form of a substructure.
 
     Layout: Y = [u; v], A = blockdiag(I, M), R(Y) = [-v; C v + K u + f_nl];
-    external forces enter the velocity-block rows only (see
-    :meth:`FirstOrderForm.inject_force`).
+    external forces enter the velocity-block rows only.  Unsupported
+    substructure types raise :class:`ModelError`.
     """
     if isinstance(sub, LinearSubstructure):
         restoring = _linear_restoring(sub)

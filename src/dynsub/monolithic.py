@@ -1,9 +1,11 @@
 """Reference solvers: primal-assembled monolithic integration and closed forms.
 
 The monolithic solver merges all coupled interface DOFs into shared global
-DOFs (hard compatibility) and runs the same trapezoidal predictor-corrector
-as the partitioned solver, isolating the coupling error from integrator
-differences.  A Newmark average-acceleration variant and the closed-form
+DOFs (hard compatibility) and steps the assembled first-order form with the
+same trapezoidal kernel (:func:`~dynsub.solver.effective_matrix` and
+:func:`~dynsub.solver.free_step`) as the partitioned solver, so the gap
+between the two is coupling and reduction error, not an integrator
+difference.  A Newmark average-acceleration variant and the closed-form
 damped SDOF solution serve as independent cross-checks.
 """
 
@@ -16,64 +18,70 @@ import numpy as np
 import scipy.linalg
 
 from .coupling import CouplingError, CouplingTopology
-from .models import LinearSubstructure, ModelError, NonlinearSubstructure
-from .solver import DivergenceError, SolverConfig, Trajectory
-
-
-@dataclass(frozen=True)
-class FrictionHook:
-    """Nonlinear damper remainder acting between two global DOFs.
-
-    The tangent-linear part (slope c2/c3 at rest) lives in the assembled
-    damping matrix; this hook adds the remaining zero-slope term
-    c2*zd/(c3+|zd|) - (c2/c3)*zd so that the assembled tangent matrices stay
-    exact at the origin.
-    """
-
-    dof: int
-    other: int | None
-    c2: float
-    c3: float
-
-    def force(self, v: np.ndarray) -> float:
-        zd = v[self.dof] if self.other is None else v[self.dof] - v[self.other]
-        return self.c2 * zd / (self.c3 + abs(zd)) - (self.c2 / self.c3) * zd
+from .models import (
+    FirstOrderForm,
+    LinearSubstructure,
+    ModelError,
+    NonlinearSubstructure,
+    assemble_first_order,
+)
+from .solver import (
+    SolverConfig,
+    Trajectory,
+    _check_divergence,
+    _initial_rate,
+    effective_matrix,
+    free_step,
+)
 
 
 @dataclass(frozen=True)
 class AssembledSystem:
-    """Primal assembly of a coupled system onto shared global DOFs."""
+    """Primal assembly of a coupled system onto shared global DOFs.
+
+    ``dof_map[sid]`` gives the global DOF of each DOF of substructure ``sid``;
+    two DOFs of one substructure may share a global DOF.
+    """
 
     mass: np.ndarray
     damping: np.ndarray
     stiffness: np.ndarray
-    hooks: tuple
     dof_map: dict
+    _substructures: dict
 
     @property
     def n_dofs(self) -> int:
         return self.mass.shape[0]
 
-    def restoring(self, y: np.ndarray) -> np.ndarray:
-        n = self.n_dofs
-        u, v = y[:n], y[n:]
-        out = np.empty(2 * n)
-        out[:n] = -v
-        out[n:] = self.stiffness @ u + self.damping @ v
-        for hook in self.hooks:
-            f = hook.force(v)
-            out[n + hook.dof] += f
-            if hook.other is not None:
-                out[n + hook.other] -= f
-        return out
+    def first_order(self) -> FirstOrderForm:
+        """First-order form of the assembled system.
 
-    def tangent_at_zero(self) -> np.ndarray:
+        The momentum rows of the restoring force sum each substructure's own
+        restoring force, scattered through ``dof_map``; the tangent is
+        ``[[0, -I], [K, C]]`` of the assembled matrices.
+        """
         n = self.n_dofs
-        r0 = np.zeros((2 * n, 2 * n))
-        r0[:n, n:] = -np.eye(n)
-        r0[n:, :n] = self.stiffness
-        r0[n:, n:] = self.damping
-        return r0
+        # per substructure: global rows of its state [u; v], global momentum
+        # rows, and its own restoring force
+        parts = []
+        for sid, sub in self._substructures.items():
+            ids = self.dof_map[sid]
+            sub_restoring = assemble_first_order(sub).restoring
+            parts.append((np.concatenate([ids, n + ids]), n + ids, sub_restoring))
+
+        def restoring(y: np.ndarray) -> np.ndarray:
+            out = np.zeros(2 * n)
+            out[:n] = -y[n:]
+            for state_rows, momentum_rows, sub_restoring in parts:
+                r = sub_restoring(y[state_rows])
+                np.add.at(out, momentum_rows, r[len(momentum_rows):])
+            return out
+
+        tangent = np.zeros((2 * n, 2 * n))
+        tangent[:n, n:] = -np.eye(n)
+        tangent[n:, :n] = self.stiffness
+        tangent[n:, n:] = self.damping
+        return FirstOrderForm(n_dofs=n, mass=self.mass, restoring=restoring, tangent=tangent)
 
 
 def assemble_global(substructures: Mapping, topology: CouplingTopology) -> AssembledSystem:
@@ -122,46 +130,43 @@ def assemble_global(substructures: Mapping, topology: CouplingTopology) -> Assem
     mass = np.zeros((n_global, n_global))
     damping = np.zeros((n_global, n_global))
     stiffness = np.zeros((n_global, n_global))
-    hooks = []
     for sid, sub in substructures.items():
-        ids = dof_map[sid]
         if isinstance(sub, LinearSubstructure):
             m_s, c_s, k_s = sub.mass, sub.damping, sub.stiffness
         elif isinstance(sub, NonlinearSubstructure):
             m_s = sub.mass
             k_s, c_s = sub.tangent_matrices()
-            for i, e in enumerate(sub.elements):
-                w = int(ids[i])
-                a = int(ids[sub.n_elements + i]) if sub.relative_motion else None
-                hooks.append(FrictionHook(dof=w, other=a, c2=e.c2, c3=e.c3))
         else:
             raise ModelError(f"unsupported substructure type {type(sub).__name__}")
-        mass[np.ix_(ids, ids)] += m_s
-        damping[np.ix_(ids, ids)] += c_s
-        stiffness[np.ix_(ids, ids)] += k_s
+        # unbuffered scatter, as two DOFs of one substructure may share a
+        # global DOF; numpy's fast path takes flat indices into a 1-D view
+        ids = dof_map[sid]
+        flat = (ids[:, None] * n_global + ids).ravel()
+        for target, block in ((mass, m_s), (damping, c_s), (stiffness, k_s)):
+            np.add.at(target.reshape(-1), flat, np.ravel(block))
 
     return AssembledSystem(
         mass=mass,
         damping=damping,
         stiffness=stiffness,
-        hooks=tuple(hooks),
         dof_map=dof_map,
+        _substructures=dict(substructures),
     )
 
 
-def _gather_states(asys: AssembledSystem, traj_global: np.ndarray) -> dict:
-    """Per-substructure views of the global trajectory (shared DOFs repeat)."""
+def _global_trajectory(asys: AssembledSystem, traj_global: np.ndarray, dt: float) -> Trajectory:
+    """Per-substructure views of a global trajectory (shared DOFs repeat)."""
     n = asys.n_dofs
-    states = {}
-    for sid, ids in asys.dof_map.items():
-        states[sid] = np.concatenate(
-            [traj_global[:, ids], traj_global[:, n + ids]], axis=1
-        )
-    return states
-
-
-def _empty_multipliers(n_steps: int) -> np.ndarray:
-    return np.zeros((n_steps + 1, 0))
+    n_steps = traj_global.shape[0] - 1
+    return Trajectory(
+        times=np.arange(n_steps + 1) * dt,
+        states={
+            sid: np.concatenate([traj_global[:, ids], traj_global[:, n + ids]], axis=1)
+            for sid, ids in asys.dof_map.items()
+        },
+        multipliers=np.zeros((n_steps + 1, 0)),
+        dof_counts={sid: len(ids) for sid, ids in asys.dof_map.items()},
+    )
 
 
 def _global_forces(asys: AssembledSystem, inputs: Mapping | None, n_steps: int) -> np.ndarray:
@@ -191,39 +196,26 @@ def solve_monolithic(
     Identical stage structure to the partitioned free step, evaluated on the
     merged DOF set; serves as the fidelity oracle for the coupled solvers.
     """
-    n = asys.n_dofs
     n_steps = config.n_steps
+    dt, gamma = config.dt, config.gamma
     forces = _global_forces(asys, inputs, n_steps)
-    a = np.zeros((2 * n, 2 * n))
-    a[:n, :n] = np.eye(n)
-    a[n:, n:] = asys.mass
-    d = a + config.gamma * config.dt * asys.tangent_at_zero()
-    lu = scipy.linalg.lu_factor(d)
+    form = asys.first_order()
+    n = form.n_dofs
+    d = effective_matrix(form, dt, gamma)
 
     y = np.zeros(2 * n) if initial is None else np.asarray(initial, dtype=float).copy()
-    rhs = -asys.restoring(y)
-    rhs[n:] += forces[0]
-    ydot = np.concatenate([rhs[:n], np.linalg.solve(asys.mass, rhs[n:])])
+    ydot = _initial_rate(form, y, forces[0])
 
     traj = np.empty((n_steps + 1, 2 * n))
     traj[0] = y
+    force = np.zeros(2 * n)
     for step in range(1, n_steps + 1):
-        force = np.zeros(2 * n)
         force[n:] = forces[step]
-        y_pred = y + (1.0 - config.gamma) * config.dt * ydot
-        ydot = scipy.linalg.lu_solve(lu, force - asys.restoring(y_pred))
-        y = y_pred + config.gamma * config.dt * ydot
+        y, ydot = free_step(form, d, y, ydot, force, dt, gamma)
         traj[step] = y
-        norm = np.abs(y).max()
-        if not np.isfinite(norm) or norm > config.divergence_limit:
-            raise DivergenceError(step, "global", float(norm), config.divergence_limit)
+        _check_divergence(step, "global", y, config.divergence_limit)
 
-    return Trajectory(
-        times=np.arange(n_steps + 1) * config.dt,
-        states=_gather_states(asys, traj),
-        multipliers=_empty_multipliers(n_steps),
-        dof_counts={sid: len(ids) for sid, ids in asys.dof_map.items()},
-    )
+    return _global_trajectory(asys, traj, dt)
 
 
 def solve_newmark(
@@ -234,7 +226,7 @@ def solve_newmark(
     gamma: float = 0.5,
 ) -> Trajectory:
     """Newmark average-acceleration oracle on a linear assembled system."""
-    if asys.hooks:
+    if any(isinstance(sub, NonlinearSubstructure) for sub in asys._substructures.values()):
         raise ModelError("the Newmark oracle supports linear assembled systems only")
     n = asys.n_dofs
     n_steps = config.n_steps
@@ -256,7 +248,7 @@ def solve_newmark(
 
     u = np.zeros(n)
     v = np.zeros(n)
-    acc = np.linalg.solve(m, forces[0] - c @ v - k @ u)
+    acc = _initial_rate(asys.first_order(), np.zeros(2 * n), forces[0])[n:]
     traj = np.empty((n_steps + 1, 2 * n))
     traj[0] = np.concatenate([u, v])
     for step in range(1, n_steps + 1):
@@ -266,16 +258,9 @@ def solve_newmark(
         v = v + a6 * acc + a7 * acc_new
         u, acc = u_new, acc_new
         traj[step] = np.concatenate([u, v])
-        norm = np.abs(traj[step]).max()
-        if not np.isfinite(norm) or norm > config.divergence_limit:
-            raise DivergenceError(step, "global", float(norm), config.divergence_limit)
+        _check_divergence(step, "global", traj[step], config.divergence_limit)
 
-    return Trajectory(
-        times=np.arange(n_steps + 1) * dt,
-        states=_gather_states(asys, traj),
-        multipliers=_empty_multipliers(n_steps),
-        dof_counts={sid: len(ids) for sid, ids in asys.dof_map.items()},
-    )
+    return _global_trajectory(asys, traj, dt)
 
 
 def analytic_sdof(

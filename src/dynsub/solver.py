@@ -1,22 +1,21 @@
 """Partitioned trapezoidal time integration with dual interface coupling.
 
 Each coupled step computes a free trapezoidal solution per substructure
-(ignoring the interfaces inside the step, parallelizable), then solves one
+(ignoring the interfaces inside the step), then solves one
 small condensed interface problem for the Lagrange-multiplier intensities and
 adds the resulting link solutions.  The interface solve enforces signed
 boundary-velocity compatibility exactly at every step; displacements are
 coupled softly through the link corrections.
 
-A "physical" substructure may be sub-cycled: its free solution is replaced by
-``ss`` inner trapezoidal steps at dt/ss, each injecting the previous coupled
-step's multipliers with a linearly decaying ramp weight (1 - j/ss).
+A "physical" substructure may be sub-cycled: its free solution is ``ss``
+inner trapezoidal steps at dt/ss, each injecting the previous coupled step's
+multipliers with a linearly decaying ramp weight (1 - j/ss).  Every other
+substructure takes one step (``ss = 1``), where that weight is zero.
 """
 
 from __future__ import annotations
 
-import os
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -24,14 +23,7 @@ import numpy as np
 import scipy.linalg
 
 from .coupling import CouplingError, CouplingTopology, InterfaceOperator, locator_matrix, steklov_poincare
-from .models import (
-    FirstOrderForm,
-    NonlinearSubstructure,
-    StateVector,
-    assemble_first_order,
-)
-
-THREADS_ENV_VAR = "DYNSUB_THREADS"
+from .models import FirstOrderForm, NonlinearSubstructure, assemble_first_order
 
 
 class SolverError(RuntimeError):
@@ -142,9 +134,6 @@ class Trajectory:
     def velocity(self, sub_id, dof: int) -> np.ndarray:
         return self.states[sub_id][:, self.dof_counts[sub_id] + dof]
 
-    def state_at(self, sub_id, step: int) -> StateVector:
-        return StateVector.from_stacked(self.states[sub_id][step])
-
 
 @dataclass(frozen=True)
 class EffectiveMatrix:
@@ -219,11 +208,21 @@ def coupling_step(
     return lam, links
 
 
-def _thread_count() -> int:
-    try:
-        return max(1, int(os.environ.get(THREADS_ENV_VAR, "1")))
-    except ValueError:
-        return 1
+def _initial_rate(form: FirstOrderForm, y: np.ndarray, force: np.ndarray) -> np.ndarray:
+    """Consistent starting rate: solve A @ Ydot0 = F0 - R(Y0).
+
+    ``force`` is the physical force on the momentum rows at the first instant.
+    """
+    n = form.n_dofs
+    rhs = -form.restoring(y)
+    rhs[n:] += force
+    return np.concatenate([rhs[:n], np.linalg.solve(form.mass, rhs[n:])])
+
+
+def _check_divergence(step: int, sub_id, y: np.ndarray, limit: float) -> None:
+    norm = np.abs(y).max() if y.size else 0.0
+    if not np.isfinite(norm) or norm > limit:
+        raise DivergenceError(step, sub_id, float(norm), limit)
 
 
 def _resample_inputs(coarse: np.ndarray, ss: int) -> np.ndarray:
@@ -248,14 +247,14 @@ class PartitionedSolver:
         self.system = system
         self.config = config
         self.sub_ids = list(system.substructures)
-        # physical substructures always run the inner loop; at ss=1 it
-        # degenerates to a single plain free step with zero ramp weight
+        # physical substructures take config.subcycles inner steps per coupled
+        # step, every other substructure one
         self.subcycled = set(system.physical_ids())
         self.forms = {sid: assemble_first_order(sub) for sid, sub in system.substructures.items()}
-        self.effective = {}
-        for sid in self.sub_ids:
-            dts = config.dt / config.subcycles if sid in self.subcycled else config.dt
-            self.effective[sid] = effective_matrix(self.forms[sid], dts, config.gamma)
+        self.effective = {
+            sid: effective_matrix(self.forms[sid], config.dt / self._subcycles(sid), config.gamma)
+            for sid in self.sub_ids
+        }
         self.n_lam = system.topology.n_constraints
         self.locators = {
             sid: locator_matrix(system.topology, sid, self.forms[sid].n_dofs)
@@ -268,38 +267,41 @@ class PartitionedSolver:
                 {sid: self.effective[sid].solve for sid in self.sub_ids},
                 {sid: self.forms[sid].n_dofs for sid in self.sub_ids},
             )
-            # link-state maps: gamma*dt * D^{-1} L, shared by every coupled step
-            self.link_state = {
-                sid: config.gamma * config.dt * self.effective[sid].solve(self.locators[sid])
-                for sid in self.sub_ids
-            }
+            # link maps D^{-1} L (rate) and gamma*dt * D^{-1} L (state),
+            # shared by every coupled step
             self.link_rate = {
                 sid: self.effective[sid].solve(self.locators[sid]) for sid in self.sub_ids
+            }
+            self.link_state = {
+                sid: config.gamma * config.dt * self.link_rate[sid] for sid in self.sub_ids
             }
         else:
             self.interface = None
 
+    def _subcycles(self, sid) -> int:
+        return self.config.subcycles if sid in self.subcycled else 1
+
     def _free_solution(self, sid, y, ydot, forces_sub, step, lam):
+        """Free solution over one coupled step: ``ss`` inner steps at dt/ss.
+
+        Inner step j injects the previous multipliers with weight 1 - j/ss;
+        returns the final state, its rate and the inner states.
+        """
         cfg = self.config
         form = self.forms[sid]
         n = form.n_dofs
-        ss = cfg.subcycles if sid in self.subcycled else 1
-        if sid in self.subcycled:
-            inner = []
-            dts = cfg.dt / ss
-            yf, ydf = y, ydot
-            for j in range(1, ss + 1):
-                force = np.zeros(2 * n)
-                force[n:] = forces_sub[(step - 1) * ss + j]
-                if self.n_lam:
-                    force += self.locators[sid] @ (lam * (1.0 - j / ss))
-                yf, ydf = free_step(form, self.effective[sid], yf, ydf, force, dts, cfg.gamma)
-                inner.append(yf)
-            return yf, ydf, inner
-        force = np.zeros(2 * n)
-        force[n:] = forces_sub[step]
-        yf, ydf = free_step(form, self.effective[sid], y, ydot, force, cfg.dt, cfg.gamma)
-        return yf, ydf, None
+        ss = self._subcycles(sid)
+        dts = cfg.dt / ss
+        inner = []
+        for j in range(1, ss + 1):
+            force = np.zeros(2 * n)
+            force[n:] = forces_sub[(step - 1) * ss + j]
+            weight = 1.0 - j / ss
+            if self.n_lam and weight:
+                force += self.locators[sid] @ (lam * weight)
+            y, ydot = free_step(form, self.effective[sid], y, ydot, force, dts, cfg.gamma)
+            inner.append(y)
+        return y, ydot, inner
 
     def run(self, inputs: Mapping | None = None, initial: Mapping | None = None) -> Trajectory:
         """Step the coupled system over the configured horizon.
@@ -323,13 +325,7 @@ class PartitionedSolver:
                 y[sid] = np.asarray(initial[sid], dtype=float).copy()
                 if y[sid].shape != (n2,):
                     raise SolverError(f"initial state for {sid!r} must have length {n2}")
-            # consistent starting rate: A @ Ydot0 = F0 - R(Y0)
-            rhs = -form.restoring(y[sid])
-            rhs[form.n_dofs:] += forces[sid][0]
-            ydot[sid] = np.concatenate([
-                rhs[: form.n_dofs],
-                np.linalg.solve(form.mass, rhs[form.n_dofs:]),
-            ])
+            ydot[sid] = _initial_rate(form, y[sid], forces[sid][0])
 
         states = {sid: np.empty((n_steps + 1, self.forms[sid].state_size)) for sid in self.sub_ids}
         for sid in self.sub_ids:
@@ -345,50 +341,32 @@ class PartitionedSolver:
                 fine_times[sid] = np.arange(n_steps * ss + 1) * (cfg.dt / ss)
 
         lam = np.zeros(self.n_lam)
-        n_threads = min(_thread_count(), len(self.sub_ids))
-        pool = ThreadPoolExecutor(max_workers=n_threads) if n_threads > 1 else None
-        try:
-            for step in range(1, n_steps + 1):
-                if pool is not None:
-                    futures = {
-                        sid: pool.submit(
-                            self._free_solution, sid, y[sid], ydot[sid], forces[sid], step, lam
-                        )
-                        for sid in self.sub_ids
-                    }
-                    results = {sid: fut.result() for sid, fut in futures.items()}
-                else:
-                    results = {
-                        sid: self._free_solution(sid, y[sid], ydot[sid], forces[sid], step, lam)
-                        for sid in self.sub_ids
-                    }
-                if self.n_lam:
-                    free = {sid: results[sid][0] for sid in self.sub_ids}
-                    lam, links = coupling_step(
-                        self.interface, free, self.compat, self.link_state,
-                        cfg.gamma * cfg.dt,
-                    )
-                    for sid in self.sub_ids:
-                        y[sid] = results[sid][0] + links[sid]
-                        ydot[sid] = results[sid][1] + self.link_rate[sid] @ lam
-                else:
-                    for sid in self.sub_ids:
-                        y[sid] = results[sid][0]
-                        ydot[sid] = results[sid][1]
-                multipliers[step] = lam
+        for step in range(1, n_steps + 1):
+            results = {
+                sid: self._free_solution(sid, y[sid], ydot[sid], forces[sid], step, lam)
+                for sid in self.sub_ids
+            }
+            if self.n_lam:
+                free = {sid: results[sid][0] for sid in self.sub_ids}
+                lam, links = coupling_step(
+                    self.interface, free, self.compat, self.link_state,
+                    cfg.gamma * cfg.dt,
+                )
                 for sid in self.sub_ids:
-                    states[sid][step] = y[sid]
-                    inner = results[sid][2]
-                    if inner is not None and ss > 1:
-                        rows = fine_states[sid][(step - 1) * ss + 1: step * ss + 1]
-                        rows[:] = inner
-                        rows[-1] = y[sid]  # the coupled state closes the window
-                    norm = np.abs(y[sid]).max() if y[sid].size else 0.0
-                    if not np.isfinite(norm) or norm > cfg.divergence_limit:
-                        raise DivergenceError(step, sid, float(norm), cfg.divergence_limit)
-        finally:
-            if pool is not None:
-                pool.shutdown(wait=False, cancel_futures=True)
+                    y[sid] = results[sid][0] + links[sid]
+                    ydot[sid] = results[sid][1] + self.link_rate[sid] @ lam
+            else:
+                for sid in self.sub_ids:
+                    y[sid] = results[sid][0]
+                    ydot[sid] = results[sid][1]
+            multipliers[step] = lam
+            for sid in self.sub_ids:
+                states[sid][step] = y[sid]
+                if sid in fine_states:
+                    rows = fine_states[sid][(step - 1) * ss + 1: step * ss + 1]
+                    rows[:] = results[sid][2]
+                    rows[-1] = y[sid]  # the coupled state closes the window
+                _check_divergence(step, sid, y[sid], cfg.divergence_limit)
 
         return Trajectory(
             times=np.arange(n_steps + 1) * cfg.dt,
@@ -404,7 +382,7 @@ class PartitionedSolver:
         forces = {}
         for sid in self.sub_ids:
             n = self.forms[sid].n_dofs
-            ss = cfg.subcycles if sid in self.subcycled else 1
+            ss = self._subcycles(sid)
             need = n_steps * ss + 1
             if inputs is None or sid not in inputs or inputs[sid] is None:
                 forces[sid] = np.zeros((need, n))
@@ -440,12 +418,3 @@ def simulate(
     """
     return PartitionedSolver(system, config).run(inputs, initial)
 
-
-def simulate_subcycled(
-    system: CoupledSystem,
-    config: SolverConfig,
-    inputs: Mapping | None = None,
-    initial: Mapping | None = None,
-) -> Trajectory:
-    """Explicitly-named entry point for sub-cycled runs; see :func:`simulate`."""
-    return simulate(system, config, inputs, initial)

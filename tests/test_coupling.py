@@ -1,4 +1,4 @@
-"""Interface topology, locator/compatibility matrices, condensed operator."""
+"""Interface topology, locator matrices, condensed operator."""
 
 import numpy as np
 import pytest
@@ -9,7 +9,6 @@ from dynsub import (
     CouplingTopology,
     SolverConfig,
     assemble_first_order,
-    compatibility_matrix,
     effective_matrix,
     locator_matrix,
     simulate,
@@ -71,12 +70,6 @@ class TestBooleanMatrices:
         assert np.array_equal(l_a, [[0.0], [1.0]])
         l_b = locator_matrix(topo, "b", 1)
         assert np.array_equal(l_b, [[0.0], [-1.0]])
-
-    def test_compatibility_selects_velocity_row(self):
-        topo = pair_topology()
-        g = compatibility_matrix(topo, "a", 1)
-        assert g.shape == (1, 2)
-        assert np.array_equal(g, [[0.0, 1.0]])
 
     def test_entries_boolean_up_to_sign(self):
         topo = CouplingTopology(constraints=(

@@ -7,7 +7,6 @@ from dynsub import (
     LinearSubstructure,
     ModelError,
     NonlinearSubstructure,
-    StateVector,
     SuspensionElement,
     assemble_first_order,
     finite_difference_tangent,
@@ -102,16 +101,6 @@ class TestValidation:
         sub = two_mass_chain()
         with pytest.raises(ValueError):
             sub.stiffness[0, 0] = 99.0
-
-    def test_state_vector_roundtrip(self):
-        y = StateVector(displacements=[1.0, 2.0], velocities=[3.0, 4.0])
-        assert np.array_equal(y.stacked, [1.0, 2.0, 3.0, 4.0])
-        back = StateVector.from_stacked(y.stacked)
-        assert np.array_equal(back.displacements, [1.0, 2.0])
-
-    def test_state_vector_length_mismatch(self):
-        with pytest.raises(ModelError):
-            StateVector(displacements=[1.0], velocities=[1.0, 2.0])
 
 
 class TestRestoringForce:
@@ -238,13 +227,3 @@ class TestFirstOrderForm:
         assert np.array_equal(form.A[:n, :n], np.eye(n))
         assert np.array_equal(form.A[n:, n:], sub.mass)
         assert np.array_equal(form.A[:n, n:], np.zeros((n, n)))
-
-    def test_force_injection_momentum_rows_only(self):
-        form = assemble_first_order(two_mass_chain())
-        f = form.inject_force([3.0, -1.0])
-        assert np.array_equal(f, [0.0, 0.0, 3.0, -1.0])
-
-    def test_force_injection_length_checked(self):
-        form = assemble_first_order(two_mass_chain())
-        with pytest.raises(ModelError):
-            form.inject_force([1.0, 2.0, 3.0])

@@ -12,6 +12,8 @@ from dynsub import (
     SolverConfig,
     analytic_sdof,
     assemble_global,
+    finite_difference_tangent,
+    restoring_force,
     simulate,
     solve_monolithic,
     solve_newmark,
@@ -26,6 +28,25 @@ def sdof(m=1.0, k=1.0, c=0.0):
         mass=[[m]], damping=[[c]], stiffness=[[k]],
         internal_dofs=(), boundary_dofs=(0,),
     )
+
+
+def merged_pair():
+    """Two DOFs of "a" both tied to DOF 0 of "b" (constraints a0-b0, b0-a1)."""
+    a = LinearSubstructure(
+        mass=np.diag([1.0, 2.0]), damping=np.diag([0.2, 0.0]),
+        stiffness=[[3.0, -1.0], [-1.0, 2.0]],
+        internal_dofs=(), boundary_dofs=(0, 1),
+    )
+    b = LinearSubstructure(
+        mass=np.diag([4.0, 1.0]), damping=[[0.5, -0.5], [-0.5, 0.5]],
+        stiffness=[[10.0, -10.0], [-10.0, 10.0]],
+        internal_dofs=(1,), boundary_dofs=(0,),
+    )
+    topo = CouplingTopology(constraints=(
+        (("a", 0, 1), ("b", 0, -1)),
+        (("b", 0, 1), ("a", 1, -1)),
+    ))
+    return {"a": a, "b": b}, topo
 
 
 class TestAssembleGlobal:
@@ -63,12 +84,44 @@ class TestAssembleGlobal:
         with pytest.raises(CouplingError, match="redundant"):
             assemble_global(subs, topo)
 
-    def test_nonlinear_hooks_registered(self):
+    def test_merged_dofs_of_one_substructure_sum(self):
+        # a0-b0 and b0-a1 put both DOFs of "a" on one global DOF, so every
+        # entry of a's matrices lands on that DOF
+        subs, topo = merged_pair()
+        asys = assemble_global(subs, topo)
+        assert asys.n_dofs == 2
+        g = asys.dof_map["b"][0]
+        assert list(asys.dof_map["a"]) == [g, g]
+        assert asys.mass[g, g] == pytest.approx(1.0 + 2.0 + 4.0)
+        assert asys.stiffness[g, g] == pytest.approx(3.0 - 1.0 - 1.0 + 2.0 + 10.0)
+        assert asys.damping[g, g] == pytest.approx(0.2 + 0.5)
+
+
+class TestAssembledFirstOrderForm:
+    def test_restoring_sums_substructure_forces(self):
         subs, topo = frame_analog()
         asys = assemble_global(subs, topo)
-        assert len(asys.hooks) == 4
-        wheel_ids = asys.dof_map["suspension"][:4]
-        assert sorted(h.dof for h in asys.hooks) == sorted(int(i) for i in wheel_ids)
+        form = asys.first_order()
+        n = asys.n_dofs
+        rng = np.random.default_rng(3)
+        y = rng.normal(size=2 * n) * 1e-3
+        # wheel-minus-attachment velocities far beyond c3: friction saturates
+        wheels = asys.dof_map["suspension"][:4]
+        y[n + wheels] = [2.0, -3.0, 4.0, -5.0]
+        expected = np.zeros(n)
+        for sid, sub in subs.items():
+            ids = asys.dof_map[sid]
+            r = restoring_force(sub, np.concatenate([y[ids], y[n + ids]]))
+            np.add.at(expected, ids, r[len(ids):])
+        r = form.restoring(y)
+        assert np.allclose(r[n:], expected, rtol=1e-12, atol=1e-12 * np.abs(expected).max())
+        assert np.array_equal(r[:n], -y[n:])
+
+    def test_tangent_matches_finite_differences(self):
+        subs, topo = frame_analog(n=40)
+        form = assemble_global(subs, topo).first_order()
+        fd = finite_difference_tangent(form.restoring, form.state_size, step=1e-6)
+        assert np.abs(fd - form.tangent).max() <= 1e-6 * np.abs(form.tangent).max()
 
 
 class TestSolveMonolithic:
@@ -125,8 +178,20 @@ class TestSolveMonolithic:
         energy = 0.5 * (np.einsum("ij,ij->i", v, v) + np.einsum("ij,jk,ik->i", u, k, u))
         assert np.abs(energy - energy[0]).max() <= 1e-10 * energy[0]
 
+    def test_matches_partitioned_on_merged_dofs_of_one_substructure(self):
+        subs, topo = merged_pair()
+        system = CoupledSystem(substructures=subs, topology=topo)
+        cfg = SolverConfig(dt=1e-3, duration=2.0)
+        times = np.arange(cfg.n_steps + 1) * cfg.dt
+        inputs = {"b": np.column_stack([np.zeros_like(times), np.sin(2 * np.pi * times)])}
+        part = simulate(system, cfg, inputs)
+        mono = solve_monolithic(assemble_global(subs, topo), cfg, inputs)
+        for sid in subs:
+            scale = np.abs(mono.states[sid]).max()
+            assert np.abs(part.states[sid] - mono.states[sid]).max() <= 1e-9 * scale
+
     def test_matches_partitioned_on_nonlinear_system(self):
-        # the friction-hook path and the per-substructure evaluation agree
+        # the assembled form scatters the same suspension force law
         frame = linear_suspension_analog(n_elements=2, wheel_mass=1.0, attach_mass=0.5,
                                          k1=200.0, c_visc=1.0)
         susp = suspension_substructure(n_elements=2)
