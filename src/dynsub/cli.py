@@ -16,33 +16,31 @@ from pathlib import Path
 import numpy as np
 
 from . import io as dio
-from .coupling import CouplingError
+from .coupling import CouplingError, CouplingTopology
 from .experiment import ExperimentConfig, run_experiment
 from .generators import chain_substructure, frame_analog
 from .metrics import frequency_error_table, mac, trajectory_mse
-from .models import ModelError
+from .models import ModelError, build_from_fields
 from .monolithic import assemble_global, solve_monolithic
 from .reduction import expanded_mode_shapes, full_frequencies, reduce as cb_reduce, reduced_frequencies
 from .signals import SignalSpec, generate_signal
 from .solver import DivergenceError, SolverConfig, SolverError, simulate
 
 
-def _cmd_generate_model(args) -> int:
-    params = json.loads(args.params) if args.params else {}
-    if args.kind == "chain":
-        sub = chain_substructure(
-            n=int(params.pop("n", 3)),
-            m=params.pop("m", 1.0),
-            k=params.pop("k", 1.0),
-            c=params.pop("c", 0.0),
-            grounded=bool(params.pop("grounded", True)),
-            boundary_dofs=tuple(params.pop("boundary_dofs", ())),
-        )
-        from .coupling import CouplingTopology
+def _json_object(text: str | None, what: str) -> dict:
+    doc = json.loads(text) if text else {}
+    if not isinstance(doc, dict):
+        raise ModelError(f"{what} must be a JSON object, got {type(doc).__name__}")
+    return doc
 
+
+def _cmd_generate_model(args) -> int:
+    params = _json_object(args.params, "--params")
+    if args.kind == "chain":
+        sub = build_from_fields(chain_substructure, {"n": 3, **params}, "chain parameters")
         dio.save_system(args.out, {"chain": sub}, CouplingTopology(()), input_map={})
     elif args.kind == "frame_analog":
-        subs, topology = frame_analog(**params)
+        subs, topology = build_from_fields(frame_analog, params, "frame_analog parameters")
         dio.save_system(args.out, subs, topology, input_map={}, physical=("suspension",))
     else:
         raise ModelError(f"unknown model kind {args.kind!r}")
@@ -51,14 +49,14 @@ def _cmd_generate_model(args) -> int:
 
 
 def _cmd_generate_signal(args) -> int:
-    spec_kwargs = json.loads(args.spec) if args.spec else {}
+    spec_kwargs = _json_object(args.spec, "--spec")
     spec_kwargs.setdefault("kind", args.kind)
     spec_kwargs.setdefault("sample_rate", args.rate)
     channels = []
     for ch in range(args.channels):
         kwargs = dict(spec_kwargs)
         kwargs["seed"] = int(kwargs.get("seed", args.seed)) + ch
-        spec = SignalSpec(**kwargs)
+        spec = build_from_fields(SignalSpec, kwargs, "signal spec")
         channels.append(generate_signal(spec, args.samples))
     times = np.arange(args.samples) / args.rate
     dio.save_signals_csv(args.out, times, np.column_stack(channels))
@@ -101,10 +99,10 @@ def _cmd_reduce(args) -> int:
 
 def _cmd_simulate(args) -> int:
     system, input_map = dio.load_system(args.model)
-    cfg_doc = json.loads(Path(args.config).read_text())
+    cfg_doc = _json_object(Path(args.config).read_text(), f"solver config {args.config}")
     if args.subcycles is not None:
         cfg_doc["subcycles"] = args.subcycles
-    config = SolverConfig(**cfg_doc)
+    config = build_from_fields(SolverConfig, cfg_doc, f"solver config {args.config}")
     inputs = None
     if args.inputs:
         _, channels = dio.load_signals_csv(args.inputs)

@@ -19,7 +19,7 @@ import numpy as np
 from . import io as dio
 from .generators import frame_analog
 from .metrics import trajectory_mse
-from .models import ModelError
+from .models import ModelError, build_from_fields
 from .monolithic import assemble_global, solve_monolithic
 from .reduction import reduce as cb_reduce, reduced_topology
 from .signals import multisine_with_noise_channels
@@ -66,7 +66,8 @@ class ExperimentConfig:
 
     @classmethod
     def from_file(cls, path) -> "ExperimentConfig":
-        return cls(**json.loads(Path(path).read_text()))
+        """Read a JSON config; an unknown or missing field raises ModelError naming it."""
+        return build_from_fields(cls, json.loads(Path(path).read_text()), f"experiment config {path}")
 
 
 def run_experiment(config: ExperimentConfig, out_dir) -> dict:
@@ -78,7 +79,7 @@ def run_experiment(config: ExperimentConfig, out_dir) -> dict:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    subs, topology = frame_analog(**config.model)
+    subs, topology = build_from_fields(frame_analog, config.model, "experiment config model")
     frame, susp = subs["frame"], subs["suspension"]
     dio.save_system(out / "model.json", subs, topology, input_map={}, physical=("suspension",))
 

@@ -27,8 +27,8 @@ def chain_matrices(
     ``grounded`` the first mass is additionally tied to ground, giving the
     tridiagonal [2, -1] stiffness pattern with a free far end.
     """
-    if n < 1:
-        raise ModelError(f"chain needs at least one mass, got n={n}")
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+        raise ModelError(f"chain needs a positive integer mass count 'n', got {n!r}")
     mass = np.eye(n) * m
     stiffness = np.zeros((n, n))
     damping = np.zeros((n, n))

@@ -1,78 +1,60 @@
 """File formats: JSON system files, npz reduction artifacts, CSV tables.
 
-A system file describes substructures (dense matrices or a generator spec
-such as ``"chain{n=3, m=1, k=1, c=0}"``), the interface constraints, the
+A system file describes substructures, the interface constraints, the
 mapping of input channels to driven DOFs, and which substructures count as
-physical for sub-cycling.
+physical for sub-cycling.  A linear substructure record carries ``n_dofs``
+and stores ``mass``, ``damping`` and ``stiffness`` as sparse triplets
+``{"rows": [...], "cols": [...], "values": [...]}``; duplicate entries sum,
+as in COO storage, and a missing ``damping`` reads as zero.
 """
 
 from __future__ import annotations
 
 import json
-import re
 from pathlib import Path
 
 import numpy as np
 
 from .coupling import CouplingTopology
-from .generators import chain_substructure, frame_substructure
 from .models import LinearSubstructure, ModelError, NonlinearSubstructure, SuspensionElement
 from .reduction import CraigBamptonReduction
 from .solver import CoupledSystem, Trajectory
 
-_GENERATOR_RE = re.compile(r"^\s*(\w+)\s*\{(.*)\}\s*$")
+
+def _field(record, key: str, where: str, kind: type = object):
+    if not isinstance(record, dict) or key not in record:
+        raise ModelError(f"{where} is missing field {key!r}")
+    if not isinstance(record[key], kind):
+        raise ModelError(f"{where}: field {key!r} must be a {kind.__name__}")
+    return record[key]
 
 
-def parse_generator(spec: str) -> tuple[str, dict]:
-    """Parse a generator string like ``chain{n=200, m=1, k=1e4, c=0}``."""
-    m = _GENERATOR_RE.match(spec)
-    if not m:
-        raise ModelError(f"malformed generator spec {spec!r}")
-    kind, body = m.group(1), m.group(2)
-    params = {}
-    for part in body.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        if "=" not in part:
-            raise ModelError(f"malformed generator parameter {part!r} in {spec!r}")
-        key, val = (x.strip() for x in part.split("=", 1))
-        params[key] = float(val)
-    return kind, params
+def _to_triplets(matrix: np.ndarray) -> dict:
+    rows, cols = np.nonzero(matrix)
+    return {"rows": rows.tolist(), "cols": cols.tolist(), "values": matrix[rows, cols].tolist()}
 
 
-def _build_from_generator(spec: str, boundary_dofs: tuple) -> LinearSubstructure:
-    kind, params = parse_generator(spec)
-    if kind == "chain":
-        return chain_substructure(
-            n=int(params.pop("n")),
-            m=params.pop("m", 1.0),
-            k=params.pop("k", 1.0),
-            c=params.pop("c", 0.0),
-            grounded=bool(params.pop("grounded", 1.0)),
-            boundary_dofs=boundary_dofs,
-        )
-    if kind == "frame":
-        return frame_substructure(
-            n=int(params.pop("n", 200)),
-            k=params.pop("k", 1e4),
-            m_light=params.pop("m_light", 0.05),
-            m_heavy=params.pop("m_heavy", 2.0),
-            heavy_every=int(params.pop("heavy_every", 8)),
-            rayleigh_alpha=params.pop("alpha", 0.5),
-            rayleigh_beta=params.pop("beta", 1e-5),
-            boundary_dofs=boundary_dofs or None,
-        )
-    raise ModelError(f"unknown generator kind {kind!r}")
+def _from_triplets(entry, n: int, where: str) -> np.ndarray:
+    """Dense ``n``-by-``n`` matrix from a triplet record; duplicates sum."""
+    rows, cols, values = (_field(entry, key, where, list) for key in ("rows", "cols", "values"))
+    if not len(rows) == len(cols) == len(values):
+        raise ModelError(f"{where}: rows, cols and values must be of equal length")
+    if not (all(type(i) is int and 0 <= i < n for i in rows + cols)
+            and all(type(v) in (int, float) for v in values)):
+        raise ModelError(f"{where}: rows and cols must be integers in [0, {n}) and values numbers")
+    matrix = np.zeros((n, n))
+    np.add.at(matrix, (np.asarray(rows, dtype=np.intp), np.asarray(cols, dtype=np.intp)), values)
+    return matrix
 
 
 def substructure_to_dict(sub) -> dict:
     if isinstance(sub, LinearSubstructure):
         return {
             "kind": "linear",
-            "mass": sub.mass.tolist(),
-            "damping": sub.damping.tolist(),
-            "stiffness": sub.stiffness.tolist(),
+            "n_dofs": sub.n_dofs,
+            "mass": _to_triplets(sub.mass),
+            "damping": _to_triplets(sub.damping),
+            "stiffness": _to_triplets(sub.stiffness),
             "internal_dofs": list(sub.internal_dofs),
             "boundary_dofs": list(sub.boundary_dofs),
         }
@@ -96,40 +78,37 @@ def substructure_to_dict(sub) -> dict:
     raise ModelError(f"cannot serialize {type(sub).__name__}")
 
 
-def substructure_from_dict(data: dict):
-    kind = data.get("kind")
+def substructure_from_dict(data: dict, sid: str = "substructure"):
+    where = f"substructure {sid!r}"
+    kind = _field(data, "kind", where)
     if kind == "linear":
+        n = _field(data, "n_dofs", where)
+        if not isinstance(n, int) or n < 1:
+            raise ModelError(f"{where}: n_dofs must be a positive integer, got {n!r}")
         boundary = tuple(data.get("boundary_dofs", ()))
-        if "generator" in data:
-            return _build_from_generator(data["generator"], boundary)
-        mass = np.array(data["mass"], dtype=float)
-        n = mass.shape[0]
         internal = tuple(data.get("internal_dofs", (i for i in range(n) if i not in boundary)))
+        damping = data.get("damping", {"rows": [], "cols": [], "values": []})
         return LinearSubstructure(
-            mass=mass,
-            damping=np.array(data.get("damping", np.zeros_like(mass)), dtype=float),
-            stiffness=np.array(data["stiffness"], dtype=float),
+            mass=_from_triplets(_field(data, "mass", where), n, f"{where} mass"),
+            damping=_from_triplets(damping, n, f"{where} damping"),
+            stiffness=_from_triplets(_field(data, "stiffness", where), n, f"{where} stiffness"),
             internal_dofs=internal,
             boundary_dofs=boundary,
         )
     if kind == "suspension":
         elements = tuple(
             SuspensionElement(
-                mass=e["mass"],
-                k1=e["k1"],
-                c1=e["c1"],
-                c2=e["c2"],
-                c3=e["c3"],
+                **{key: _field(e, key, f"{where} element {i}") for key in ("mass", "k1", "c1", "c2", "c3")},
                 base_excitation_channel=int(e.get("base_excitation_channel", i)),
             )
-            for i, e in enumerate(data["elements"])
+            for i, e in enumerate(_field(data, "elements", where, list))
         )
         return NonlinearSubstructure(
             elements=elements,
             boundary_mass=float(data.get("boundary_mass", 0.016)),
             relative_motion=bool(data.get("relative_motion", True)),
         )
-    raise ModelError(f"unknown substructure kind {kind!r}")
+    raise ModelError(f"{where}: unknown kind {kind!r}")
 
 
 def save_system(
@@ -138,20 +117,10 @@ def save_system(
     topology: CouplingTopology,
     input_map: dict | None = None,
     physical: tuple = (),
-    generators: dict | None = None,
 ) -> None:
-    """Write a system file.  ``generators`` may supply compact generator
-    strings per substructure id to use instead of dense matrices."""
-    subs = {}
-    for sid, sub in substructures.items():
-        if generators and sid in generators:
-            entry = {"kind": "linear", "generator": generators[sid],
-                     "boundary_dofs": list(sub.boundary_dofs)}
-        else:
-            entry = substructure_to_dict(sub)
-        subs[sid] = entry
+    """Write a system file."""
     doc = {
-        "substructures": subs,
+        "substructures": {sid: substructure_to_dict(sub) for sid, sub in substructures.items()},
         "coupling": [
             [[sa, da, ga], [sb, db, gb]] for (sa, da, ga), (sb, db, gb) in topology.constraints
         ],
@@ -167,7 +136,8 @@ def save_system(
 def load_system(path) -> tuple[CoupledSystem, dict]:
     """Read a system file; returns (system, input channel map)."""
     doc = json.loads(Path(path).read_text())
-    subs = {sid: substructure_from_dict(d) for sid, d in doc["substructures"].items()}
+    records = _field(doc, "substructures", f"system file {path}", dict)
+    subs = {sid: substructure_from_dict(d, sid) for sid, d in records.items()}
     constraints = tuple(
         ((a[0], int(a[1]), int(a[2])), (b[0], int(b[1]), int(b[2])))
         for a, b in doc.get("coupling", [])

@@ -17,6 +17,7 @@ rows only.
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass, field
 from typing import Callable, Union
 
@@ -25,6 +26,15 @@ import numpy as np
 
 class ModelError(ValueError):
     """Raised when a substructure definition or state is inconsistent."""
+
+
+def build_from_fields(factory, fields: dict, what: str):
+    """Call ``factory(**fields)``; an unknown or missing field raises ModelError naming it."""
+    try:
+        inspect.signature(factory).bind(**fields)
+    except TypeError as exc:
+        raise ModelError(f"{what}: {exc}") from None
+    return factory(**fields)
 
 
 def _as_locked_matrix(a, name: str) -> np.ndarray:

@@ -27,6 +27,7 @@ from .models import (
 )
 from .solver import (
     SolverConfig,
+    SolverError,
     Trajectory,
     _check_divergence,
     _initial_rate,
@@ -204,6 +205,8 @@ def solve_monolithic(
     d = effective_matrix(form, dt, gamma)
 
     y = np.zeros(2 * n) if initial is None else np.asarray(initial, dtype=float).copy()
+    if y.shape != (2 * n,):
+        raise SolverError(f"initial state must have length {2 * n}, got shape {y.shape}")
     ydot = _initial_rate(form, y, forces[0])
 
     traj = np.empty((n_steps + 1, 2 * n))

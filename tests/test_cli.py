@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from dynsub.cli import main
-from dynsub.io import load_csv_columns, load_reduction, load_signals_csv
+from dynsub.io import load_csv_columns, load_reduction, load_signals_csv, load_system
 
 
 def write_config(path, **overrides):
@@ -31,16 +31,14 @@ class TestGenerate:
         rc = main(["generate-model", "--kind", "chain",
                    "--params", '{"n": 3, "m": 1, "k": 1}', "--out", str(out)])
         assert rc == 0
-        doc = json.loads(out.read_text())
-        k = np.array(doc["substructures"]["chain"]["stiffness"])
-        assert np.allclose(k, [[2, -1, 0], [-1, 2, -1], [0, -1, 1]])
+        chain = load_system(out)[0].substructures["chain"]
+        assert np.array_equal(chain.stiffness, [[2, -1, 0], [-1, 2, -1], [0, -1, 1]])
 
     def test_single_mass_chain(self, tmp_path):
         out = tmp_path / "chain1.json"
         assert main(["generate-model", "--kind", "chain",
                      "--params", '{"n": 1}', "--out", str(out)]) == 0
-        doc = json.loads(out.read_text())
-        assert np.array(doc["substructures"]["chain"]["mass"]).shape == (1, 1)
+        assert load_system(out)[0].substructures["chain"].mass.shape == (1, 1)
 
     def test_frame_analog_interfaces(self, model_file):
         doc = json.loads(model_file.read_text())
@@ -57,6 +55,37 @@ class TestGenerate:
         t, chans = load_signals_csv(out)
         assert chans.shape == (2048, 2)
         assert not np.array_equal(chans[:, 0], chans[:, 1])
+
+
+def _drop_frame_mass(model):
+    doc = json.loads(model.read_text())
+    del doc["substructures"]["frame"]["mass"]
+    model.write_text(json.dumps(doc))
+
+
+@pytest.mark.parametrize("argv, key, edit", [
+    (["generate-model", "--kind", "frame_analog", "--params", '{"nn": 50}', "--out", "{tmp}/m.json"],
+     "nn", None),
+    (["generate-model", "--kind", "chain", "--params", '{"n": 3, "kk": 2}', "--out", "{tmp}/m.json"],
+     "kk", None),
+    (["generate-model", "--kind", "chain", "--params", '{"n": 3.0}', "--out", "{tmp}/m.json"],
+     "n", None),
+    (["simulate", "--model", "{model}", "--config", "{tmp}/bad.json", "--out", "{tmp}/t.csv"],
+     "bogus", None),
+    (["run-experiment", "--config", "{tmp}/bad.json", "--out-dir", "{tmp}/out"], "bogus", None),
+    (["run-experiment", "--config", "{tmp}/bad_model.json", "--out-dir", "{tmp}/out"], "nn", None),
+    (["reduce", "--model", "{model}", "--modes", "5", "--out", "{tmp}/r.npz"], "mass", _drop_frame_mass),
+], ids=["frame_params", "chain_params", "chain_float_n", "solver_config", "experiment_config",
+          "experiment_model", "missing_mass"])
+def test_malformed_input_exits_1_naming_the_field(tmp_path, model_file, capsys, argv, key, edit):
+    write_config(tmp_path / "bad.json", bogus=1)
+    (tmp_path / "bad_model.json").write_text(json.dumps({"model": {"nn": 5}}))
+    if edit is not None:
+        edit(model_file)
+    argv = [a.replace("{tmp}", str(tmp_path)).replace("{model}", str(model_file)) for a in argv]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and repr(key) in err
 
 
 class TestReduceCommand:
@@ -138,7 +167,6 @@ class TestSimulateCommand:
         assert main(["reduce", "--model", str(model_file), "--modes", "20",
                      "--out", str(red_path)]) == 0
         # full-model shapes written as a CSV matrix (one shape per column)
-        from dynsub.io import load_system
         from dynsub.reduction import mode_shapes
 
         system, _ = load_system(model_file)

@@ -1,5 +1,7 @@
 """File formats: system JSON, reduction npz, trajectory and signal CSVs."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,6 @@ from dynsub.io import (
     load_reduction,
     load_signals_csv,
     load_system,
-    parse_generator,
     save_reduction,
     save_signals_csv,
     save_system,
@@ -21,17 +22,11 @@ from dynsub.models import NonlinearSubstructure
 from dynsub.solver import CoupledSystem
 
 
-class TestGeneratorSpec:
-    def test_parse_chain(self):
-        kind, params = parse_generator("chain{n=3, m=1, k=1e4, c=0.5}")
-        assert kind == "chain"
-        assert params == {"n": 3.0, "m": 1.0, "k": 1e4, "c": 0.5}
-
-    def test_malformed_rejected(self):
-        with pytest.raises(ModelError):
-            parse_generator("chain(n=3)")
-        with pytest.raises(ModelError):
-            parse_generator("chain{n:3}")
+def assert_same_matrices(back, orig):
+    for name in ("mass", "damping", "stiffness"):
+        assert np.array_equal(getattr(back, name), getattr(orig, name)), name
+    assert back.internal_dofs == orig.internal_dofs
+    assert back.boundary_dofs == orig.boundary_dofs
 
 
 class TestSystemRoundTrip:
@@ -41,26 +36,67 @@ class TestSystemRoundTrip:
         save_system(path, subs, topology, input_map={"frame": {3: 0}}, physical=("suspension",))
         system, input_map = load_system(path)
         assert set(system.substructures) == {"frame", "suspension"}
-        frame = system.substructures["frame"]
-        assert np.allclose(frame.stiffness, subs["frame"].stiffness)
-        assert np.allclose(frame.mass, subs["frame"].mass)
-        assert frame.boundary_dofs == subs["frame"].boundary_dofs
+        assert_same_matrices(system.substructures["frame"], subs["frame"])
         susp = system.substructures["suspension"]
         assert isinstance(susp, NonlinearSubstructure)
         assert susp.elements == subs["suspension"].elements
         assert system.topology.constraints == topology.constraints
         assert system.physical_ids() == ("suspension",)
         assert input_map == {"frame": {3: 0}}
-
-    def test_generator_backed_substructure(self, tmp_path):
-        sub = chain_substructure(n=5, m=2.0, k=3.0, boundary_dofs=(4,))
-        path = tmp_path / "model.json"
-        save_system(path, {"chain": sub}, CouplingTopology(()),
-                    generators={"chain": "chain{n=5, m=2, k=3, c=0}"})
+        # a Craig-Bampton reduced frame (dense matrices) and a damped chain
+        red = cb_reduce(subs["frame"], 6).as_substructure()
+        chain = chain_substructure(n=5, m=2.0, k=3.0, c=0.25, boundary_dofs=(4,))
+        save_system(path, {"reduced": red, "chain": chain}, CouplingTopology(()))
         system, _ = load_system(path)
-        assert np.allclose(system.substructures["chain"].stiffness, sub.stiffness)
-        # compact file: no dense matrices stored
-        assert "generator" in path.read_text()
+        assert_same_matrices(system.substructures["reduced"], red)
+        assert_same_matrices(system.substructures["chain"], chain)
+
+    def test_default_frame_file_is_compact(self, tmp_path):
+        subs, topology = frame_analog(n=1000, k=2.5e5)
+        path = tmp_path / "model.json"
+        save_system(path, subs, topology, physical=("suspension",))
+        assert path.stat().st_size < 1_000_000
+        system, _ = load_system(path)
+        assert_same_matrices(system.substructures["frame"], subs["frame"])
+
+    def test_duplicate_triplets_sum_and_damping_defaults_to_zero(self, tmp_path):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps({"substructures": {"s": {
+            "kind": "linear", "n_dofs": 2, "boundary_dofs": [1],
+            "mass": {"rows": [0, 1, 1], "cols": [0, 1, 1], "values": [1.0, 0.5, 0.5]},
+            "stiffness": {"rows": [0, 0, 1, 1], "cols": [0, 1, 0, 1], "values": [2, -1, -1, 1]},
+        }}}))
+        sub = load_system(path)[0].substructures["s"]
+        assert np.array_equal(sub.mass, np.eye(2))
+        assert np.array_equal(sub.stiffness, [[2, -1], [-1, 1]])
+        assert np.array_equal(sub.damping, np.zeros((2, 2)))
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("stiffness", {"rows": [0, 3], "cols": [0, 0], "values": [1.0, 1.0]}, r"'chain' stiffness.*\[0, 3\)"),
+        ("stiffness", {"rows": [0, -1], "cols": [0, 2], "values": [1.0, 1.0]}, r"'chain' stiffness.*\[0, 3\)"),
+        ("damping", {"rows": [0, 1], "cols": [0], "values": [1.0, 1.0]}, "'chain' damping.*equal length"),
+        ("mass", [[1, 0, 0], [0, 1, 0], [0, 0, 1]], "'chain' mass.*'rows'"),
+        ("n_dofs", None, "'chain'.*'n_dofs'"),
+        ("mass", {"rows": [[0], [1, 2]], "cols": [0, 1], "values": [1.0, 1.0]}, r"'chain' mass.*integers in \[0, 3\)"),
+    ], ids=["out_of_range", "negative", "unequal_lengths", "dense_list", "missing_n_dofs", "ragged"])
+    def test_malformed_record_rejected(self, tmp_path, field, value, message):
+        path = tmp_path / "model.json"
+        save_system(path, {"chain": chain_substructure(n=3)}, CouplingTopology(()))
+        doc = json.loads(path.read_text())
+        record = doc["substructures"]["chain"]
+        if value is None:
+            del record[field]
+        else:
+            record[field] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ModelError, match=message):
+            load_system(path)
+
+    def test_substructures_must_be_a_mapping(self, tmp_path):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps({"substructures": [{"kind": "linear"}]}))
+        with pytest.raises(ModelError, match="'substructures'"):
+            load_system(path)
 
 
 class TestReductionRoundTrip:

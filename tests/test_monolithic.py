@@ -10,6 +10,7 @@ from dynsub import (
     LinearSubstructure,
     ModelError,
     SolverConfig,
+    SolverError,
     analytic_sdof,
     assemble_global,
     finite_difference_tangent,
@@ -142,6 +143,11 @@ class TestSolveMonolithic:
             u_exact, _ = analytic_sdof(1.0, 0.0, 1.0, 1.0, 0.0, 1.0)
             errs[dt] = abs(traj.states["osc"][-1, 0] - u_exact[0])
         assert 3.4 <= errs[1e-2] / errs[5e-3] <= 4.6
+
+    def test_initial_state_length_checked(self):
+        asys = assemble_global({"osc": sdof()}, CouplingTopology(()))
+        with pytest.raises(SolverError, match="length 2"):
+            solve_monolithic(asys, SolverConfig(dt=1e-2, duration=0.1), initial=np.zeros(3))
 
     def test_matches_partitioned_on_all_linear_system(self, desk_frame):
         susp = linear_suspension_analog()
