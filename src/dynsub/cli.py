@@ -9,6 +9,7 @@ abort, with the failing step index on standard error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -23,7 +24,7 @@ from .metrics import frequency_error_table, mac, trajectory_mse
 from .models import ModelError, build_from_fields
 from .monolithic import assemble_global, solve_monolithic
 from .reduction import expanded_mode_shapes, full_frequencies, reduce as cb_reduce, reduced_frequencies
-from .signals import SignalSpec, generate_signal
+from .signals import SignalError, SignalSpec, generate_signal
 from .solver import DivergenceError, SolverConfig, SolverError, simulate
 
 
@@ -52,12 +53,13 @@ def _cmd_generate_signal(args) -> int:
     spec_kwargs = _json_object(args.spec, "--spec")
     spec_kwargs.setdefault("kind", args.kind)
     spec_kwargs.setdefault("sample_rate", args.rate)
-    channels = []
-    for ch in range(args.channels):
-        kwargs = dict(spec_kwargs)
-        kwargs["seed"] = int(kwargs.get("seed", args.seed)) + ch
-        spec = build_from_fields(SignalSpec, kwargs, "signal spec")
-        channels.append(generate_signal(spec, args.samples))
+    spec_kwargs.setdefault("seed", args.seed)
+    spec = build_from_fields(SignalSpec, spec_kwargs, "signal spec")
+    # channel ch draws from seed + ch
+    channels = [
+        generate_signal(dataclasses.replace(spec, seed=spec.seed + ch), args.samples)
+        for ch in range(args.channels)
+    ]
     times = np.arange(args.samples) / args.rate
     dio.save_signals_csv(args.out, times, np.column_stack(channels))
     print(f"wrote {args.out} ({args.channels} channel(s), {args.samples} samples)")
@@ -258,7 +260,7 @@ def main(argv=None) -> int:
     except DivergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ModelError, CouplingError, SolverError, OSError, json.JSONDecodeError) as exc:
+    except (ModelError, CouplingError, SolverError, SignalError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -9,6 +9,7 @@ rows.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -87,15 +88,36 @@ def locator_matrix(topology: CouplingTopology, sub_id, n_dofs: int) -> np.ndarra
     return l
 
 
+def _lu_factors(matrix: np.ndarray, singular: Exception) -> tuple:
+    """LU factors of a square matrix and the LAPACK ``getrs`` that solves with them.
+
+    Raises ``singular`` if a factor is not finite or a pivot falls below
+    1e-14 of the largest entry.  ``getrs(lu, piv, b)[0]`` is what
+    ``scipy.linalg.lu_solve`` returns, bit for bit, without that wrapper's
+    per-call dispatch, routine lookup and finiteness check; callers check
+    their inputs once instead.
+    """
+    with warnings.catch_warnings():
+        # an exactly zero pivot only warns; the pivot check below raises
+        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
+        lu, piv = scipy.linalg.lu_factor(matrix)
+    if not np.all(np.isfinite(lu)) or np.abs(np.diag(lu)).min() < 1e-14 * max(np.abs(matrix).max(), 1e-30):
+        raise singular
+    (getrs,) = scipy.linalg.get_lapack_funcs(("getrs",), (lu,))
+    return lu, piv, getrs
+
+
 @dataclass(frozen=True)
 class InterfaceOperator:
     """Condensed interface operator H = sum_s G_s @ D_s^{-1} @ L_s, factorized."""
 
     matrix: np.ndarray
-    _lu: tuple
+    _lu: np.ndarray
+    _piv: np.ndarray
+    _getrs: object
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        return scipy.linalg.lu_solve(self._lu, rhs)
+        return self._getrs(self._lu, self._piv, rhs)[0]
 
 
 def steklov_poincare(
@@ -120,12 +142,7 @@ def steklov_poincare(
         n = n_dofs_by_sub[sub_id]
         l = locator_matrix(topology, sub_id, n)
         h += l.T @ solve_by_sub[sub_id](l)
-    try:
-        lu = scipy.linalg.lu_factor(h)
-    except scipy.linalg.LinAlgError as exc:
-        raise CouplingError(f"interface operator is singular: {exc}") from exc
-    if not np.all(np.isfinite(lu[0])) or np.abs(np.diag(lu[0])).min() < 1e-14 * np.abs(h).max():
-        raise CouplingError(
-            "interface operator is singular; check for redundant or dangling constraints"
-        )
-    return InterfaceOperator(matrix=h, _lu=lu)
+    lu, piv, getrs = _lu_factors(h, CouplingError(
+        "interface operator is singular; check for redundant or dangling constraints"
+    ))
+    return InterfaceOperator(matrix=h, _lu=lu, _piv=piv, _getrs=getrs)

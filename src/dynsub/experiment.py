@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import time
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -19,7 +20,7 @@ import numpy as np
 from . import io as dio
 from .generators import frame_analog
 from .metrics import trajectory_mse
-from .models import ModelError, build_from_fields
+from .models import ModelError, build_from_fields, number_tuple, require_numbers
 from .monolithic import assemble_global, solve_monolithic
 from .reduction import reduce as cb_reduce, reduced_topology
 from .signals import multisine_with_noise_channels
@@ -53,6 +54,15 @@ class ExperimentConfig:
     model: dict = field(default_factory=lambda: {"n": 1000, "k": 2.5e5})
 
     def __post_init__(self):
+        require_numbers(ModelError, integers=True, modes=self.modes, subcycles=self.subcycles, seed=self.seed)
+        require_numbers(
+            ModelError, dt=self.dt, duration=self.duration, gamma=self.gamma,
+            noise_variance=self.noise_variance,
+        )
+        if not isinstance(self.run_monolithic, bool):
+            raise ModelError(f"field 'run_monolithic' must be true or false, got {self.run_monolithic!r}")
+        if not isinstance(self.model, Mapping):
+            raise ModelError(f"field 'model' must be an object of frame parameters, got {self.model!r}")
         if self.modes < 1:
             raise ModelError(f"need at least one retained mode, got {self.modes}")
         n_steps = round(self.duration / self.dt)
@@ -60,8 +70,8 @@ class ExperimentConfig:
             raise ModelError(
                 f"duration {self.duration} is not within one step of a multiple of dt {self.dt}"
             )
-        object.__setattr__(self, "sine_frequencies", tuple(self.sine_frequencies))
-        object.__setattr__(self, "sine_amplitudes", tuple(self.sine_amplitudes))
+        for name in ("sine_frequencies", "sine_amplitudes"):
+            object.__setattr__(self, name, number_tuple(ModelError, name, getattr(self, name)))
         object.__setattr__(self, "model", dict(self.model))
 
     @classmethod

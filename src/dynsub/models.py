@@ -18,6 +18,8 @@ rows only.
 from __future__ import annotations
 
 import inspect
+import numbers
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 from typing import Callable, Union
 
@@ -35,6 +37,30 @@ def build_from_fields(factory, fields: dict, what: str):
     except TypeError as exc:
         raise ModelError(f"{what}: {exc}") from None
     return factory(**fields)
+
+
+def require_numbers(error, integers: bool = False, **fields) -> None:
+    """Raise ``error`` naming the first field that is not a real (or integer) number.
+
+    Booleans and strings are rejected, so a JSON value of the wrong type
+    fails here instead of in arithmetic further on.
+    """
+    kind = numbers.Integral if integers else numbers.Real
+    for name, value in fields.items():
+        if isinstance(value, bool) or not isinstance(value, kind):
+            what = "an integer" if integers else "a number"
+            raise error(f"field {name!r} must be {what}, got {value!r}")
+
+
+def number_tuple(error, name: str, value) -> tuple:
+    """``value`` as a tuple of floats; a string, a mapping or a non-number entry raises ``error``."""
+    if isinstance(value, (str, bytes, Mapping)) or not isinstance(value, Iterable):
+        raise error(f"field {name!r} must be a list of numbers, got {value!r}")
+    items = tuple(value)
+    for item in items:
+        if isinstance(item, bool) or not isinstance(item, numbers.Real):
+            raise error(f"field {name!r} must be a list of numbers, got entry {item!r}")
+    return tuple(float(item) for item in items)
 
 
 def _as_locked_matrix(a, name: str) -> np.ndarray:

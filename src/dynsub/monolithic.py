@@ -15,9 +15,8 @@ from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
-import scipy.linalg
 
-from .coupling import CouplingError, CouplingTopology
+from .coupling import CouplingError, CouplingTopology, _lu_factors
 from .models import (
     FirstOrderForm,
     LinearSubstructure,
@@ -30,6 +29,7 @@ from .solver import (
     SolverError,
     Trajectory,
     _check_divergence,
+    _check_finite_inputs,
     _initial_rate,
     effective_matrix,
     free_step,
@@ -182,6 +182,7 @@ def _global_forces(asys: AssembledSystem, inputs: Mapping | None, n_steps: int) 
                 raise ModelError(f"input table for {sid!r} must have {len(ids)} columns")
             if table.shape[0] != n_steps + 1:
                 raise ModelError(f"input table for {sid!r} must have {n_steps + 1} rows")
+            _check_finite_inputs(sid, table, ModelError)
             np.add.at(f, (slice(None), ids), table)
     return f
 
@@ -207,6 +208,8 @@ def solve_monolithic(
     y = np.zeros(2 * n) if initial is None else np.asarray(initial, dtype=float).copy()
     if y.shape != (2 * n,):
         raise SolverError(f"initial state must have length {2 * n}, got shape {y.shape}")
+    if not np.all(np.isfinite(y)):
+        raise SolverError("initial state holds a non-finite value")
     ydot = _initial_rate(form, y, forces[0])
 
     traj = np.empty((n_steps + 1, 2 * n))
@@ -247,7 +250,9 @@ def solve_newmark(
     a7 = gamma * dt
 
     k_eff = k + a0 * m + a1 * c
-    lu = scipy.linalg.lu_factor(k_eff)
+    lu, piv, getrs = _lu_factors(
+        k_eff, SolverError(f"Newmark effective stiffness singular for dt={dt}")
+    )
 
     u = np.zeros(n)
     v = np.zeros(n)
@@ -256,7 +261,7 @@ def solve_newmark(
     traj[0] = np.concatenate([u, v])
     for step in range(1, n_steps + 1):
         f_eff = forces[step] + m @ (a0 * u + a2 * v + a3 * acc) + c @ (a1 * u + a4 * v + a5 * acc)
-        u_new = scipy.linalg.lu_solve(lu, f_eff)
+        u_new = getrs(lu, piv, f_eff)[0]
         acc_new = a0 * (u_new - u) - a2 * v - a3 * acc
         v = v + a6 * acc + a7 * acc_new
         u, acc = u_new, acc_new

@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .models import number_tuple, require_numbers
+
 
 class SignalError(ValueError):
     pass
@@ -40,13 +42,18 @@ class SignalSpec:
     def __post_init__(self):
         if self.kind not in ("multisine", "bandlimited_noise"):
             raise SignalError(f"unknown signal kind {self.kind!r}")
+        require_numbers(
+            SignalError, sample_rate=self.sample_rate, variance=self.variance,
+            noise_variance=self.noise_variance,
+        )
+        require_numbers(SignalError, integers=True, seed=self.seed)
         if self.sample_rate <= 0:
             raise SignalError(f"sample rate must be positive, got {self.sample_rate}")
         if self.variance < 0 or self.noise_variance < 0:
             raise SignalError("variance must be non-negative")
         if self.kind == "multisine":
-            freqs = tuple(float(f) for f in self.frequencies)
-            amps = tuple(float(a) for a in self.amplitudes)
+            freqs = number_tuple(SignalError, "frequencies", self.frequencies)
+            amps = number_tuple(SignalError, "amplitudes", self.amplitudes)
             if len(freqs) != len(amps):
                 raise SignalError("frequencies and amplitudes must pair up")
             nyquist = self.sample_rate / 2
@@ -55,12 +62,15 @@ class SignalSpec:
             object.__setattr__(self, "frequencies", freqs)
             object.__setattr__(self, "amplitudes", amps)
             if self.phases is not None:
-                phases = tuple(float(p) for p in self.phases)
+                phases = number_tuple(SignalError, "phases", self.phases)
                 if len(phases) != len(freqs):
                     raise SignalError("phases must pair up with frequencies")
                 object.__setattr__(self, "phases", phases)
         else:
-            lo, hi = (float(x) for x in self.band)
+            band = number_tuple(SignalError, "band", self.band)
+            if len(band) != 2:
+                raise SignalError(f"field 'band' must hold two frequencies, got {len(band)}")
+            lo, hi = band
             if not 0 <= lo < hi:
                 raise SignalError(f"invalid band ({lo}, {hi})")
             if hi >= self.sample_rate / 2:

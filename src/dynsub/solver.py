@@ -15,15 +15,20 @@ substructure takes one step (``ss = 1``), where that weight is zero.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Mapping
 
 import numpy as np
-import scipy.linalg
 
-from .coupling import CouplingError, CouplingTopology, InterfaceOperator, locator_matrix, steklov_poincare
-from .models import FirstOrderForm, NonlinearSubstructure, assemble_first_order
+from .coupling import (
+    CouplingError,
+    CouplingTopology,
+    InterfaceOperator,
+    _lu_factors,
+    locator_matrix,
+    steklov_poincare,
+)
+from .models import FirstOrderForm, NonlinearSubstructure, assemble_first_order, require_numbers
 
 
 class SolverError(RuntimeError):
@@ -52,6 +57,10 @@ class SolverConfig:
     divergence_limit: float = 1e8
 
     def __post_init__(self):
+        require_numbers(
+            SolverError, dt=self.dt, duration=self.duration, gamma=self.gamma,
+            subcycles=self.subcycles, divergence_limit=self.divergence_limit,
+        )
         if self.dt <= 0:
             raise SolverError(f"dt must be positive, got {self.dt}")
         if not 0 < self.gamma <= 1:
@@ -142,10 +151,12 @@ class EffectiveMatrix:
     matrix: np.ndarray
     dt: float
     gamma: float
-    _lu: tuple
+    _lu: np.ndarray
+    _piv: np.ndarray
+    _getrs: object
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        return scipy.linalg.lu_solve(self._lu, rhs)
+        return self._getrs(self._lu, self._piv, rhs)[0]
 
 
 def effective_matrix(form: FirstOrderForm, dt: float, gamma: float) -> EffectiveMatrix:
@@ -155,15 +166,8 @@ def effective_matrix(form: FirstOrderForm, dt: float, gamma: float) -> Effective
     simulation; for sub-cycled substructures pass the inner step dt/ss.
     """
     d = form.A + gamma * dt * form.tangent
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-            lu = scipy.linalg.lu_factor(d)
-    except scipy.linalg.LinAlgError as exc:
-        raise SolverError(f"effective matrix singular for dt={dt}, gamma={gamma}: {exc}") from exc
-    if not np.all(np.isfinite(lu[0])) or np.abs(np.diag(lu[0])).min() < 1e-14 * max(np.abs(d).max(), 1e-30):
-        raise SolverError(f"effective matrix singular for dt={dt}, gamma={gamma}")
-    return EffectiveMatrix(matrix=d, dt=dt, gamma=gamma, _lu=lu)
+    lu, piv, getrs = _lu_factors(d, SolverError(f"effective matrix singular for dt={dt}, gamma={gamma}"))
+    return EffectiveMatrix(matrix=d, dt=dt, gamma=gamma, _lu=lu, _piv=piv, _getrs=getrs)
 
 
 def free_step(
@@ -223,6 +227,14 @@ def _check_divergence(step: int, sub_id, y: np.ndarray, limit: float) -> None:
     norm = np.abs(y).max() if y.size else 0.0
     if not np.isfinite(norm) or norm > limit:
         raise DivergenceError(step, sub_id, float(norm), limit)
+
+
+def _check_finite_inputs(sid, table: np.ndarray, error: type) -> None:
+    """Raise ``error`` naming the first row of an input table that holds a nan or inf."""
+    finite = np.isfinite(table).all(axis=1)
+    if not finite.all():
+        row = int(np.argmin(finite))
+        raise error(f"input table for {sid!r} holds a non-finite value in row {row}")
 
 
 def _resample_inputs(coarse: np.ndarray, ss: int) -> np.ndarray:
@@ -287,19 +299,22 @@ class PartitionedSolver:
         Inner step j injects the previous multipliers with weight 1 - j/ss;
         returns the final state, its rate and the inner states.
         """
-        cfg = self.config
-        form = self.forms[sid]
+        form, d, locator = self.forms[sid], self.effective[sid], self.locators[sid]
         n = form.n_dofs
         ss = self._subcycles(sid)
-        dts = cfg.dt / ss
+        dts, gamma = self.config.dt / ss, self.config.gamma
+        inject = self.n_lam > 0
+        first = (step - 1) * ss
+        # one force buffer per coupled step; its momentum rows are refilled
+        # at every inner step and free_step does not write to it
+        force = np.zeros(2 * n)
         inner = []
         for j in range(1, ss + 1):
-            force = np.zeros(2 * n)
-            force[n:] = forces_sub[(step - 1) * ss + j]
+            force[n:] = forces_sub[first + j]
             weight = 1.0 - j / ss
-            if self.n_lam and weight:
-                force += self.locators[sid] @ (lam * weight)
-            y, ydot = free_step(form, self.effective[sid], y, ydot, force, dts, cfg.gamma)
+            if inject and weight:
+                force += locator @ (lam * weight)
+            y, ydot = free_step(form, d, y, ydot, force, dts, gamma)
             inner.append(y)
         return y, ydot, inner
 
@@ -325,6 +340,8 @@ class PartitionedSolver:
                 y[sid] = np.asarray(initial[sid], dtype=float).copy()
                 if y[sid].shape != (n2,):
                     raise SolverError(f"initial state for {sid!r} must have length {n2}")
+                if not np.all(np.isfinite(y[sid])):
+                    raise SolverError(f"initial state for {sid!r} holds a non-finite value")
             ydot[sid] = _initial_rate(form, y[sid], forces[sid][0])
 
         states = {sid: np.empty((n_steps + 1, self.forms[sid].state_size)) for sid in self.sub_ids}
@@ -392,6 +409,7 @@ class PartitionedSolver:
                 raise SolverError(
                     f"input table for {sid!r} must have {n} columns, got {table.shape}"
                 )
+            _check_finite_inputs(sid, table, SolverError)
             if table.shape[0] == need:
                 forces[sid] = table
             elif table.shape[0] == n_steps + 1 and ss > 1:

@@ -75,17 +75,40 @@ def _drop_frame_mass(model):
     (["run-experiment", "--config", "{tmp}/bad.json", "--out-dir", "{tmp}/out"], "bogus", None),
     (["run-experiment", "--config", "{tmp}/bad_model.json", "--out-dir", "{tmp}/out"], "nn", None),
     (["reduce", "--model", "{model}", "--modes", "5", "--out", "{tmp}/r.npz"], "mass", _drop_frame_mass),
+    (["simulate", "--model", "{model}", "--config", "{tmp}/str_dt.json", "--out", "{tmp}/t.csv"],
+     "dt", None),
+    (["run-experiment", "--config", "{tmp}/str_modes.json", "--out-dir", "{tmp}/out"], "modes", None),
+    (["generate-signal", "--kind", "multisine", "--samples", "10", "--out", "{tmp}/s.csv", "--spec",
+      '{"frequencies": [2], "amplitudes": [1], "noise_variance": "0.1"}'], "noise_variance", None),
 ], ids=["frame_params", "chain_params", "chain_float_n", "solver_config", "experiment_config",
-          "experiment_model", "missing_mass"])
+          "experiment_model", "missing_mass", "solver_config_type", "experiment_config_type",
+          "signal_spec_type"])
 def test_malformed_input_exits_1_naming_the_field(tmp_path, model_file, capsys, argv, key, edit):
     write_config(tmp_path / "bad.json", bogus=1)
+    write_config(tmp_path / "str_dt.json", dt="1e-3")
     (tmp_path / "bad_model.json").write_text(json.dumps({"model": {"nn": 5}}))
+    (tmp_path / "str_modes.json").write_text(json.dumps({"modes": "5"}))
     if edit is not None:
         edit(model_file)
     argv = [a.replace("{tmp}", str(tmp_path)).replace("{model}", str(model_file)) for a in argv]
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and repr(key) in err
+
+
+@pytest.mark.parametrize("extra", [[], ["--monolithic"], ["--subcycles", "10"]],
+                         ids=["partitioned", "monolithic", "subcycled"])
+def test_non_finite_inputs_exit_1_naming_the_row(tmp_path, model_file, capsys, extra):
+    sig = tmp_path / "sig.csv"
+    rows = ["time,ch0,ch1,ch2,ch3"] + [f"{i * 1e-3},1,1,1,1" for i in range(51)]
+    rows[1 + 7] = "0.007,1,nan,1,1"
+    sig.write_text("\n".join(rows) + "\n")
+    cfg = write_config(tmp_path / "cfg.json")
+    argv = ["simulate", "--model", str(model_file), "--config", str(cfg),
+            "--inputs", str(sig), "--out", str(tmp_path / "t.csv"), *extra]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "'suspension'" in err and "row 7" in err
 
 
 class TestReduceCommand:

@@ -2,11 +2,13 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from dynsub import (
     CoupledSystem,
     CouplingError,
     CouplingTopology,
+    PartitionedSolver,
     SolverConfig,
     assemble_first_order,
     effective_matrix,
@@ -103,6 +105,28 @@ class TestSteklovPoincare:
         expected = 2.0 * d_inv[1, 1]
         assert op.matrix.shape == (1, 1)
         assert op.matrix[0, 0] == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("shape", [(4,), (4, 3)])
+    def test_solve_equals_lu_solve_and_leaves_rhs_alone(self, desk, shape):
+        op = PartitionedSolver(desk, SolverConfig(dt=1e-3, duration=0.01)).interface
+        rhs = np.random.default_rng(2).standard_normal(shape)
+        before = rhs.copy()
+        reference = scipy.linalg.lu_solve(scipy.linalg.lu_factor(op.matrix), rhs)
+        assert np.array_equal(op.solve(rhs), reference)
+        assert np.array_equal(rhs, before)
+        with pytest.raises(ValueError):
+            op.solve(np.ones(5))
+
+    def test_singular_operator_rejected(self):
+        # a closed loop a-b-c-a: the three constraint rows sum to zero
+        d = effective_matrix(assemble_first_order(sdof()), 0.1, 0.5)
+        loop = CouplingTopology(constraints=(
+            (("a", 0, 1), ("b", 0, -1)),
+            (("b", 0, 1), ("c", 0, -1)),
+            (("c", 0, 1), ("a", 0, -1)),
+        ))
+        with pytest.raises(CouplingError, match="singular"):
+            steklov_poincare(loop, dict.fromkeys("abc", d.solve), dict.fromkeys("abc", 1))
 
     def test_no_constraints_rejected(self):
         with pytest.raises(CouplingError, match="no interface constraints"):

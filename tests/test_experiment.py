@@ -26,6 +26,15 @@ class TestConfig:
         with pytest.raises(ModelError, match="mode"):
             ExperimentConfig(modes=0)
 
+    @pytest.mark.parametrize("field, value", [
+        ("modes", "5"), ("modes", 5.0), ("dt", "1e-3"), ("seed", None), ("subcycles", 1.5),
+        ("noise_variance", [0.1]), ("run_monolithic", "no"), ("model", 5),
+        ("sine_frequencies", "25"), ("sine_amplitudes", [1, "2"]),
+    ])
+    def test_field_types_checked(self, field, value):
+        with pytest.raises(ModelError, match=repr(field)):
+            ExperimentConfig(**{field: value})
+
     def test_from_file(self, tmp_path):
         path = tmp_path / "exp.json"
         path.write_text(json.dumps({"modes": 5, "duration": 0.25}))

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from dynsub import (
     CoupledSystem,
@@ -19,7 +20,7 @@ from dynsub import (
     solve_monolithic,
     solve_newmark,
 )
-from dynsub.generators import frame_analog, suspension_substructure
+from dynsub.generators import chain_substructure, frame_analog, suspension_substructure
 
 from conftest import linear_suspension_analog, wheel_forces
 
@@ -149,6 +150,19 @@ class TestSolveMonolithic:
         with pytest.raises(SolverError, match="length 2"):
             solve_monolithic(asys, SolverConfig(dt=1e-2, duration=0.1), initial=np.zeros(3))
 
+    def test_non_finite_initial_state_rejected(self):
+        asys = assemble_global({"osc": sdof()}, CouplingTopology(()))
+        with pytest.raises(SolverError, match="non-finite"):
+            solve_monolithic(asys, SolverConfig(dt=1e-2, duration=0.1), initial=np.array([0.0, np.inf]))
+
+    def test_non_finite_input_rejected_naming_the_row(self):
+        subs, topo = frame_analog(n=40, boundary_dofs=(9, 19, 29, 39))
+        asys = assemble_global(subs, topo)
+        table = np.zeros((11, 8))
+        table[6, 3] = np.nan
+        with pytest.raises(ModelError, match="'suspension'.* row 6"):
+            solve_monolithic(asys, SolverConfig(dt=1e-3, duration=0.01), {"suspension": table})
+
     def test_matches_partitioned_on_all_linear_system(self, desk_frame):
         susp = linear_suspension_analog()
         topo = CouplingTopology(constraints=tuple(
@@ -224,6 +238,30 @@ class TestNewmark:
         asys = assemble_global(subs, topo)
         with pytest.raises(ModelError, match="linear"):
             solve_newmark(asys, SolverConfig(dt=1e-3, duration=0.01))
+
+    def test_equals_lu_solve_reference_bit_for_bit(self):
+        chain = chain_substructure(n=4, m=1.5, k=30.0, c=0.2, boundary_dofs=(3,))
+        asys = assemble_global({"chain": chain}, CouplingTopology(()))
+        cfg = SolverConfig(dt=1e-2, duration=0.5)
+        forces = np.column_stack([np.zeros(cfg.n_steps + 1)] * 3 + [np.sin(np.arange(cfg.n_steps + 1) * 0.3)])
+        traj = solve_newmark(asys, cfg, {"chain": forces})
+
+        # the same average-acceleration recursion through scipy's lu_factor/lu_solve
+        dt, m, c, k = cfg.dt, asys.mass, asys.damping, asys.stiffness
+        beta, gamma = 0.25, 0.5
+        a0, a1, a2 = 1.0 / (beta * dt**2), gamma / (beta * dt), 1.0 / (beta * dt)
+        a3, a4, a5 = 1.0 / (2 * beta) - 1.0, gamma / beta - 1.0, dt / 2 * (gamma / beta - 2.0)
+        a6, a7 = dt * (1.0 - gamma), gamma * dt
+        lu = scipy.linalg.lu_factor(k + a0 * m + a1 * c)
+        u, v = np.zeros(4), np.zeros(4)
+        acc = np.linalg.solve(m, forces[0])
+        for step in range(1, cfg.n_steps + 1):
+            f_eff = forces[step] + m @ (a0 * u + a2 * v + a3 * acc) + c @ (a1 * u + a4 * v + a5 * acc)
+            u_new = scipy.linalg.lu_solve(lu, f_eff)
+            acc_new = a0 * (u_new - u) - a2 * v - a3 * acc
+            v = v + a6 * acc + a7 * acc_new
+            u, acc = u_new, acc_new
+            assert np.array_equal(traj.states["chain"][step], np.concatenate([u, v]))
 
     def test_average_acceleration_equals_trapezoidal_on_linear(self, desk_frame):
         susp = linear_suspension_analog()

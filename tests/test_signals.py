@@ -85,6 +85,22 @@ class TestBandLimitedNoise:
             SignalSpec(kind="bandlimited_noise", sample_rate=1000.0, band=(0.0, 200.0), variance=-1.0)
 
 
+@pytest.mark.parametrize("field, fields", [
+    ("frequencies", {"kind": "multisine", "frequencies": "25", "amplitudes": [1, 1]}),
+    ("amplitudes", {"kind": "multisine", "frequencies": [2], "amplitudes": 1}),
+    ("phases", {"kind": "multisine", "frequencies": [2], "amplitudes": [1], "phases": ["0"]}),
+    ("noise_variance", {"kind": "multisine", "noise_variance": "0.1"}),
+    ("sample_rate", {"kind": "multisine", "sample_rate": None}),
+    ("seed", {"kind": "multisine", "seed": 1.0}),
+    ("band", {"kind": "bandlimited_noise", "band": [0, 100, 200]}),
+    ("band", {"kind": "bandlimited_noise", "band": "ab"}),
+    ("variance", {"kind": "bandlimited_noise", "band": [0, 100], "variance": True}),
+])
+def test_field_types_checked(field, fields):
+    with pytest.raises(SignalError, match=repr(field)):
+        SignalSpec(**{"sample_rate": 1000.0, **fields})
+
+
 def test_unknown_kind_rejected():
     with pytest.raises(SignalError, match="kind"):
         SignalSpec(kind="sawtooth", sample_rate=100.0)

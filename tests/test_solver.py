@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from dynsub import (
     CoupledSystem,
@@ -50,6 +51,15 @@ class TestSolverConfig:
     def test_step_count(self):
         assert SolverConfig(dt=1e-3, duration=1.0).n_steps == 1000
 
+    @pytest.mark.parametrize("field, value", [
+        ("dt", "1e-3"), ("duration", None), ("gamma", [0.5]), ("subcycles", "10"),
+        ("divergence_limit", True),
+    ])
+    def test_field_types_checked(self, field, value):
+        kwargs = {"dt": 1e-3, "duration": 1.0, field: value}
+        with pytest.raises(SolverError, match=repr(field)):
+            SolverConfig(**kwargs)
+
 
 class TestEffectiveMatrix:
     def test_hand_assembled_sdof(self):
@@ -78,6 +88,26 @@ class TestEffectiveMatrix:
         )
         with pytest.raises(SolverError, match="dt=0.2"):
             effective_matrix(assemble_first_order(bad), dt=0.2, gamma=0.5)
+
+
+class TestSolveContract:
+    """``EffectiveMatrix.solve`` is LAPACK getrs on the stored LU factors."""
+
+    @pytest.fixture()
+    def d(self, desk_suspension):
+        return effective_matrix(assemble_first_order(desk_suspension), 1e-4, 0.5)
+
+    @pytest.mark.parametrize("shape", [(16,), (16, 4)])
+    def test_equals_lu_solve_and_leaves_rhs_alone(self, d, shape):
+        rhs = np.random.default_rng(1).standard_normal(shape)
+        before = rhs.copy()
+        reference = scipy.linalg.lu_solve(scipy.linalg.lu_factor(d.matrix), rhs)
+        assert np.array_equal(d.solve(rhs), reference)
+        assert np.array_equal(rhs, before)
+
+    def test_wrong_length_rejected(self, d):
+        with pytest.raises(ValueError):
+            d.solve(np.ones(15))
 
 
 class TestFreeStep:
@@ -215,6 +245,20 @@ class TestSimulate:
         with pytest.raises(SolverError, match="rows"):
             simulate(desk, cfg, {"suspension": np.zeros((7, 8))})
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_input_rejected_naming_the_row(self, desk, bad):
+        cfg = SolverConfig(dt=1e-3, duration=0.01)
+        table = np.zeros((11, 8))
+        table[4, 2] = bad
+        table[7, 0] = bad
+        with pytest.raises(SolverError, match="'suspension'.* row 4"):
+            simulate(desk, cfg, {"suspension": table})
+
+    def test_non_finite_initial_state_rejected(self):
+        with pytest.raises(SolverError, match="'osc'.*non-finite"):
+            simulate(sdof_system(), SolverConfig(dt=0.1, duration=1.0),
+                     initial={"osc": np.array([np.nan, 0.0])})
+
 
 class TestSubcycling:
     def _system(self):
@@ -248,6 +292,14 @@ class TestSubcycling:
         for sid in system.substructures:
             assert np.array_equal(via_inner_loop.states[sid], ref.states[sid])
         assert np.array_equal(via_inner_loop.multipliers, ref.multipliers)
+
+    def test_non_finite_fine_input_rejected_naming_the_row(self):
+        system = self._system()
+        cfg = SolverConfig(dt=1e-3, duration=0.05, subcycles=10)
+        inputs = self._inputs(system, cfg, ss=10)
+        inputs["suspension"][317, 1] = np.nan
+        with pytest.raises(SolverError, match="'suspension'.* row 317"):
+            simulate(system, cfg, inputs)
 
     def test_fine_sampling_recorded(self):
         system = self._system()
