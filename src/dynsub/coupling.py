@@ -78,7 +78,8 @@ class CouplingTopology:
 def locator_matrix(topology: CouplingTopology, sub_id, n_dofs: int) -> np.ndarray:
     """L: maps interface-force intensities into the momentum rows of a state.
 
-    Shape (2*n_dofs, n_constraints); entries in {-1, 0, +1}.
+    Shape (2*n_dofs, n_constraints); entries in {-1, 0, +1}.  Only the
+    momentum rows ``L[n_dofs:]`` (``L_v``) are nonzero.
     """
     l = np.zeros((2 * n_dofs, topology.n_constraints))
     for c, dof, sign in topology.entries_for(sub_id):
@@ -88,11 +89,13 @@ def locator_matrix(topology: CouplingTopology, sub_id, n_dofs: int) -> np.ndarra
     return l
 
 
-def _lu_factors(matrix: np.ndarray, singular: Exception) -> tuple:
+def _lu_factors(matrix: np.ndarray, singular: Exception, scale: float | None = None) -> tuple:
     """LU factors of a square matrix and the LAPACK ``getrs`` that solves with them.
 
     Raises ``singular`` if a factor is not finite or a pivot falls below
-    1e-14 of the largest entry.  ``getrs(lu, piv, b)[0]`` is what
+    1e-14 of ``scale`` (default: the largest entry).  A matrix summed from
+    terms passes the largest term as ``scale``, so a sum that cancels to
+    round-off is not judged against its own remainder.  ``getrs(lu, piv, b)[0]`` is what
     ``scipy.linalg.lu_solve`` returns, bit for bit, without that wrapper's
     per-call dispatch, routine lookup and finiteness check; callers check
     their inputs once instead.
@@ -101,7 +104,9 @@ def _lu_factors(matrix: np.ndarray, singular: Exception) -> tuple:
         # an exactly zero pivot only warns; the pivot check below raises
         warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
         lu, piv = scipy.linalg.lu_factor(matrix)
-    if not np.all(np.isfinite(lu)) or np.abs(np.diag(lu)).min() < 1e-14 * max(np.abs(matrix).max(), 1e-30):
+    if scale is None:
+        scale = np.abs(matrix).max()
+    if not np.all(np.isfinite(lu)) or np.abs(np.diag(lu)).min() < 1e-14 * max(scale, 1e-30):
         raise singular
     (getrs,) = scipy.linalg.get_lapack_funcs(("getrs",), (lu,))
     return lu, piv, getrs
@@ -109,7 +114,7 @@ def _lu_factors(matrix: np.ndarray, singular: Exception) -> tuple:
 
 @dataclass(frozen=True)
 class InterfaceOperator:
-    """Condensed interface operator H = sum_s G_s @ D_s^{-1} @ L_s, factorized."""
+    """Condensed interface operator H = sum_s L_v,s^T @ S_s^{-1} @ L_v,s, factorized."""
 
     matrix: np.ndarray
     _lu: np.ndarray
@@ -128,8 +133,10 @@ def steklov_poincare(
     """Assemble and factorize the interface operator.
 
     ``solve_by_sub`` maps substructure id to a callable applying the inverse
-    of that substructure's effective matrix to a block of columns.  The
-    operator is square (one row and column per interface constraint) and is
+    of that substructure's condensed effective matrix ``S`` to a block of
+    momentum-row columns.  Only velocity rows are coupled, so the operator
+    ``G D^{-1} L`` of the first-order form reduces to ``L_v^T S^{-1} L_v``.
+    It is square (one row and column per interface constraint) and is
     assembled once per simulation.
     """
     n_lam = topology.n_constraints
@@ -140,8 +147,8 @@ def steklov_poincare(
         if sub_id not in solve_by_sub:
             raise CouplingError(f"no effective-matrix factorization supplied for {sub_id!r}")
         n = n_dofs_by_sub[sub_id]
-        l = locator_matrix(topology, sub_id, n)
-        h += l.T @ solve_by_sub[sub_id](l)
+        l_v = locator_matrix(topology, sub_id, n)[n:]
+        h += l_v.T @ solve_by_sub[sub_id](l_v)
     lu, piv, getrs = _lu_factors(h, CouplingError(
         "interface operator is singular; check for redundant or dangling constraints"
     ))

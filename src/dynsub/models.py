@@ -4,15 +4,20 @@ Two model kinds are supported: matrix-based linear substructures and
 parametric nonlinear suspension substructures (lumped wheel mass connected
 to an attachment point through a linear spring and a dry-friction damper).
 
-Every substructure of ``n`` physical DOFs is handled by the solvers in
+Every substructure of ``n`` physical DOFs is described by its mass ``M``,
+the tangent blocks ``K`` (stiffness) and ``C`` (damping) at the zero state,
+and one momentum force law ``g(u, v) = C v + K u + f_nl(u, v)``.  Its
 first-order form with state ``Y = [u; v]`` (displacements stacked over
-velocities):
+velocities) is
 
-    A @ Ydot + R(Y) = F,      A = blockdiag(I, M)
+    A @ Ydot + R(Y) = F,      A = blockdiag(I, M),   R(Y) = [-v; g(u, v)]
 
-where ``R(Y) = [-v; C v + K u + f_nl(u, v)]`` collects the elastic and
-damping forces and external forces are injected into the momentum (velocity)
-rows only.
+where external forces enter the momentum (velocity) rows only.
+
+Every force law is affine in ``u`` with slope ``K``:
+``g(u + d, v) = g(u, v) + K d`` (the nonlinearity acts on velocities only).
+The solvers rely on this contract to condense the trapezoidal step onto the
+momentum rows (see :mod:`dynsub.solver`).
 """
 
 from __future__ import annotations
@@ -206,23 +211,24 @@ class NonlinearSubstructure:
     def mass(self) -> np.ndarray:
         return np.diag([e.mass for e in self.elements] + [self.boundary_mass] * self.n_elements)
 
+    def incidence(self) -> np.ndarray:
+        """B with deflection ``x = B @ u``: ``[I, -I]`` relative, ``[I, 0]`` absolute.
+
+        Element forces act on the DOFs through ``B.T``.
+        """
+        ne = self.n_elements
+        b = np.zeros((ne, 2 * ne))
+        b[:, :ne] = np.eye(ne)
+        if self.relative_motion:
+            b[:, ne:] = -np.eye(ne)
+        return b
+
     def tangent_matrices(self) -> tuple[np.ndarray, np.ndarray]:
         """Stiffness and damping matrices of the zero-state linearisation."""
-        n = self.n_dofs
-        kt = np.zeros((n, n))
-        ct = np.zeros((n, n))
-        for i, e in enumerate(self.elements):
-            w, a = i, self.n_elements + i
-            if self.relative_motion:
-                for mat, val in ((kt, e.k1), (ct, e.tangent_damping)):
-                    mat[w, w] += val
-                    mat[a, a] += val
-                    mat[w, a] -= val
-                    mat[a, w] -= val
-            else:
-                kt[w, w] += e.k1
-                ct[w, w] += e.tangent_damping
-        return kt, ct
+        b = self.incidence()
+        k1 = np.array([e.k1 for e in self.elements])
+        ct = np.array([e.tangent_damping for e in self.elements])
+        return b.T @ (k1[:, None] * b), b.T @ (ct[:, None] * b)
 
 
 Substructure = Union[LinearSubstructure, NonlinearSubstructure]
@@ -230,16 +236,39 @@ Substructure = Union[LinearSubstructure, NonlinearSubstructure]
 
 @dataclass(frozen=True)
 class FirstOrderForm:
-    """First-order view A @ Ydot + R(Y) = F of an n-DOF substructure."""
+    """First-order view A @ Ydot + R(Y) = F of an n-DOF substructure.
+
+    Holds the mass ``M``, the tangent blocks ``K`` (``stiffness``) and ``C``
+    (``damping``) at the zero state, and the momentum force law
+    ``momentum(u, v) = g(u, v)``, which must be affine in ``u`` with slope
+    ``K``.  The 2n-sized ``restoring``, ``tangent`` and ``A`` are derived
+    from these for checks; the solvers never build them.
+    """
 
     n_dofs: int
     mass: np.ndarray
-    restoring: Callable[[np.ndarray], np.ndarray]
-    tangent: np.ndarray = field(repr=False)
+    stiffness: np.ndarray = field(repr=False)
+    damping: np.ndarray = field(repr=False)
+    momentum: Callable[[np.ndarray, np.ndarray], np.ndarray] = field(repr=False)
 
     @property
     def state_size(self) -> int:
         return 2 * self.n_dofs
+
+    def restoring(self, y: np.ndarray) -> np.ndarray:
+        """R(Y) = [-v; g(u, v)]."""
+        n = self.n_dofs
+        return np.concatenate([-y[n:], self.momentum(y[:n], y[n:])])
+
+    @property
+    def tangent(self) -> np.ndarray:
+        """Jacobian ``[[0, -I], [K, C]]`` of R at the zero state."""
+        n = self.n_dofs
+        r0 = np.zeros((2 * n, 2 * n))
+        r0[:n, n:] = -np.eye(n)
+        r0[n:, :n] = self.stiffness
+        r0[n:, n:] = self.damping
+        return r0
 
     @property
     def A(self) -> np.ndarray:
@@ -250,46 +279,30 @@ class FirstOrderForm:
         return a
 
 
-def _linear_restoring(sub: LinearSubstructure) -> Callable[[np.ndarray], np.ndarray]:
-    k, c, n = sub.stiffness, sub.damping, sub.n_dofs
+def _linear_momentum(sub: LinearSubstructure) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+    k, c = sub.stiffness, sub.damping
 
-    def restoring(y: np.ndarray) -> np.ndarray:
-        u, v = y[:n], y[n:]
-        out = np.empty(2 * n)
-        out[:n] = -v
-        out[n:] = k @ u + c @ v
-        return out
+    def momentum(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+        return k.dot(u) + c.dot(v)
 
-    return restoring
+    return momentum
 
 
-def _suspension_restoring(sub: NonlinearSubstructure) -> Callable[[np.ndarray], np.ndarray]:
-    ne = sub.n_elements
+def _suspension_momentum(sub: NonlinearSubstructure) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+    # ndarray.dot: on these few-element blocks it costs a third of ``@``
+    b = sub.incidence()
+    bt = np.ascontiguousarray(b.T)
     k1 = np.array([e.k1 for e in sub.elements])
     c1 = np.array([e.c1 for e in sub.elements])
     c2 = np.array([e.c2 for e in sub.elements])
     c3 = np.array([e.c3 for e in sub.elements])
-    relative = sub.relative_motion
 
-    def restoring(y: np.ndarray) -> np.ndarray:
-        u, v = y[: 2 * ne], y[2 * ne:]
-        if relative:
-            x = u[:ne] - u[ne:]
-            xd = v[:ne] - v[ne:]
-        else:
-            x = u[:ne]
-            xd = v[:ne]
-        f = k1 * x + c1 * xd + c2 * xd / (c3 + np.abs(xd))
-        out = np.empty(4 * ne)
-        out[: 2 * ne] = -v
-        out[2 * ne: 3 * ne] = f
-        if relative:
-            out[3 * ne:] = -f
-        else:
-            out[3 * ne:] = 0.0
-        return out
+    def momentum(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+        x = b.dot(u)
+        xd = b.dot(v)
+        return bt.dot(k1 * x + c1 * xd + c2 * xd / (c3 + np.abs(xd)))
 
-    return restoring
+    return momentum
 
 
 def restoring_force(sub: Substructure, y: np.ndarray) -> np.ndarray:
@@ -298,9 +311,7 @@ def restoring_force(sub: Substructure, y: np.ndarray) -> np.ndarray:
     n = sub.n_dofs
     if yv.shape != (2 * n,):
         raise ModelError(f"state must have length {2 * n}, got {yv.shape}")
-    if isinstance(sub, LinearSubstructure):
-        return _linear_restoring(sub)(yv)
-    return _suspension_restoring(sub)(yv)
+    return assemble_first_order(sub).restoring(yv)
 
 
 def tangent_at_zero(sub: Substructure) -> np.ndarray:
@@ -309,17 +320,7 @@ def tangent_at_zero(sub: Substructure) -> np.ndarray:
     For a linear substructure this is exactly ``[[0, -I], [K, C]]``; for the
     suspension model the damper slope at rest is ``c1 + c2/c3`` per element.
     """
-    n = sub.n_dofs
-    r0 = np.zeros((2 * n, 2 * n))
-    r0[:n, n:] = -np.eye(n)
-    if isinstance(sub, LinearSubstructure):
-        r0[n:, :n] = sub.stiffness
-        r0[n:, n:] = sub.damping
-    else:
-        kt, ct = sub.tangent_matrices()
-        r0[n:, :n] = kt
-        r0[n:, n:] = ct
-    return r0
+    return assemble_first_order(sub).tangent
 
 
 def finite_difference_tangent(
@@ -351,18 +352,19 @@ def assemble_first_order(sub: Substructure) -> FirstOrderForm:
     substructure types raise :class:`ModelError`.
     """
     if isinstance(sub, LinearSubstructure):
-        restoring = _linear_restoring(sub)
-        mass = sub.mass
+        stiffness, damping = sub.stiffness, sub.damping
+        momentum = _linear_momentum(sub)
     elif isinstance(sub, NonlinearSubstructure):
-        restoring = _suspension_restoring(sub)
-        mass = sub.mass
+        stiffness, damping = sub.tangent_matrices()
+        momentum = _suspension_momentum(sub)
     else:
         raise ModelError(f"unsupported substructure type {type(sub).__name__}")
     return FirstOrderForm(
         n_dofs=sub.n_dofs,
-        mass=mass,
-        restoring=restoring,
-        tangent=tangent_at_zero(sub),
+        mass=sub.mass,
+        stiffness=stiffness,
+        damping=damping,
+        momentum=momentum,
     )
 
 

@@ -57,32 +57,26 @@ class AssembledSystem:
     def first_order(self) -> FirstOrderForm:
         """First-order form of the assembled system.
 
-        The momentum rows of the restoring force sum each substructure's own
-        restoring force, scattered through ``dof_map``; the tangent is
-        ``[[0, -I], [K, C]]`` of the assembled matrices.
+        The momentum force law sums each substructure's own law, scattered
+        through ``dof_map``; the tangent blocks are the assembled ``K`` and
+        ``C``, so the sum stays affine in ``u`` with slope ``K``.
         """
         n = self.n_dofs
-        # per substructure: global rows of its state [u; v], global momentum
-        # rows, and its own restoring force
-        parts = []
-        for sid, sub in self._substructures.items():
-            ids = self.dof_map[sid]
-            sub_restoring = assemble_first_order(sub).restoring
-            parts.append((np.concatenate([ids, n + ids]), n + ids, sub_restoring))
+        parts = [
+            (self.dof_map[sid], assemble_first_order(sub).momentum)
+            for sid, sub in self._substructures.items()
+        ]
 
-        def restoring(y: np.ndarray) -> np.ndarray:
-            out = np.zeros(2 * n)
-            out[:n] = -y[n:]
-            for state_rows, momentum_rows, sub_restoring in parts:
-                r = sub_restoring(y[state_rows])
-                np.add.at(out, momentum_rows, r[len(momentum_rows):])
+        def momentum(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+            out = np.zeros(n)
+            for ids, sub_momentum in parts:
+                np.add.at(out, ids, sub_momentum(u[ids], v[ids]))
             return out
 
-        tangent = np.zeros((2 * n, 2 * n))
-        tangent[:n, n:] = -np.eye(n)
-        tangent[n:, :n] = self.stiffness
-        tangent[n:, n:] = self.damping
-        return FirstOrderForm(n_dofs=n, mass=self.mass, restoring=restoring, tangent=tangent)
+        return FirstOrderForm(
+            n_dofs=n, mass=self.mass, stiffness=self.stiffness, damping=self.damping,
+            momentum=momentum,
+        )
 
 
 def assemble_global(substructures: Mapping, topology: CouplingTopology) -> AssembledSystem:
@@ -174,6 +168,8 @@ def _global_forces(asys: AssembledSystem, inputs: Mapping | None, n_steps: int) 
     f = np.zeros((n_steps + 1, asys.n_dofs))
     if inputs:
         for sid, table in inputs.items():
+            if sid not in asys.dof_map:
+                raise ModelError(f"input table for {sid!r} names no substructure")
             if table is None:
                 continue
             table = np.asarray(table, dtype=float)
@@ -214,10 +210,8 @@ def solve_monolithic(
 
     traj = np.empty((n_steps + 1, 2 * n))
     traj[0] = y
-    force = np.zeros(2 * n)
     for step in range(1, n_steps + 1):
-        force[n:] = forces[step]
-        y, ydot = free_step(form, d, y, ydot, force, dt, gamma)
+        y, ydot = free_step(form, d, y, ydot, forces[step], dt, gamma)
         traj[step] = y
         _check_divergence(step, "global", y, config.divergence_limit)
 

@@ -7,6 +7,15 @@ adds the resulting link solutions.  The interface solve enforces signed
 boundary-velocity compatibility exactly at every step; displacements are
 coupled softly through the link corrections.
 
+The trapezoidal step of the first-order form ``A Ydot + R(Y) = F`` solves
+``D = A + gamma*dt*R0 = [[I, -gamma*dt I], [gamma*dt K, M + gamma*dt C]]``.
+Its displacement rows eliminate exactly, so every solve is with the
+condensed matrix ``S = M + gamma*dt C + (gamma*dt)^2 K`` of half the size,
+applied to momentum-row right-hand sides.  The elimination moves
+``gamma*dt K v`` into the force law's displacement argument, which is exact
+because every force law is affine in ``u`` with slope ``K``
+(:mod:`dynsub.models`).
+
 A "physical" substructure may be sub-cycled: its free solution is ``ss``
 inner trapezoidal steps at dt/ss, each injecting the previous coupled step's
 multipliers with a linearly decaying ramp weight (1 - j/ss).  Every other
@@ -146,7 +155,10 @@ class Trajectory:
 
 @dataclass(frozen=True)
 class EffectiveMatrix:
-    """Factorized effective matrix D = A + gamma*dt*R0 of one substructure."""
+    """Factorized condensed effective matrix S = M + gamma*dt*C + (gamma*dt)^2*K.
+
+    ``solve`` applies ``S^{-1}`` to momentum-row right-hand sides (n rows).
+    """
 
     matrix: np.ndarray
     dt: float
@@ -160,14 +172,21 @@ class EffectiveMatrix:
 
 
 def effective_matrix(form: FirstOrderForm, dt: float, gamma: float) -> EffectiveMatrix:
-    """Assemble and factorize D = A + gamma*dt*R0 for repeated solves.
+    """Assemble and factorize S = M + gamma*dt*C + (gamma*dt)^2*K for repeated solves.
 
-    The tangent R0 is state-independent, so D is assembled once per
+    The tangent blocks are state-independent, so S is assembled once per
     simulation; for sub-cycled substructures pass the inner step dt/ss.
+    Its pivots are judged against the largest of the three terms, so a
+    stiffness that cancels the mass is reported as singular.
     """
-    d = form.A + gamma * dt * form.tangent
-    lu, piv, getrs = _lu_factors(d, SolverError(f"effective matrix singular for dt={dt}, gamma={gamma}"))
-    return EffectiveMatrix(matrix=d, dt=dt, gamma=gamma, _lu=lu, _piv=piv, _getrs=getrs)
+    gdt = gamma * dt
+    terms = (form.mass, gdt * form.damping, gdt * gdt * form.stiffness)
+    s = terms[0] + terms[1] + terms[2]
+    lu, piv, getrs = _lu_factors(
+        s, SolverError(f"effective matrix singular for dt={dt}, gamma={gamma}"),
+        scale=max(np.abs(t).max() for t in terms),
+    )
+    return EffectiveMatrix(matrix=s, dt=dt, gamma=gamma, _lu=lu, _piv=piv, _getrs=getrs)
 
 
 def free_step(
@@ -181,13 +200,19 @@ def free_step(
 ) -> tuple[np.ndarray, np.ndarray]:
     """One trapezoidal predictor-corrector step without interface forces.
 
-    Predict Y~ = Y + (1-gamma)*dt*Ydot, solve D @ Ydot+ = F - R(Y~), correct
-    Y+ = Y~ + gamma*dt*Ydot+.  ``force`` is the stacked state-space force
-    (momentum rows populated).
+    Predict Y~ = [u~; v~] = Y + (1-gamma)*dt*Ydot, solve
+    S @ a = f - g(u~ + gamma*dt*v~, v~) for the acceleration, and correct
+    with Ydot+ = [v~ + gamma*dt*a; a], Y+ = Y~ + gamma*dt*Ydot+.  This is
+    the solve D @ Ydot+ = F - R(Y~) of the first-order form, condensed onto
+    the momentum rows.  ``force`` is the physical force f (n entries).
     """
+    n = form.n_dofs
+    gdt = gamma * dt
     y_pred = y + (1.0 - gamma) * dt * ydot
-    ydot_new = d.solve(force - form.restoring(y_pred))
-    return y_pred + gamma * dt * ydot_new, ydot_new
+    u_pred, v_pred = y_pred[:n], y_pred[n:]
+    acc = d.solve(force - form.momentum(u_pred + gdt * v_pred, v_pred))
+    ydot_new = np.concatenate([v_pred + gdt * acc, acc])
+    return y_pred + gdt * ydot_new, ydot_new
 
 
 def coupling_step(
@@ -201,14 +226,14 @@ def coupling_step(
 
     The intensities annihilate the G-weighted sum of the coupled states:
     lam = -(gamma*dt*H)^{-1} sum_s G_s @ Y_s^free, and the per-substructure
-    link state is gamma*dt * D_s^{-1} @ L_s @ lam.
+    link state is gamma*dt * D_s^{-1} @ L_s @ lam, given as ``link_maps``.
     """
     residual = None
     for sub_id, g in compat.items():
-        contrib = g @ free_states[sub_id]
+        contrib = g.dot(free_states[sub_id])
         residual = contrib if residual is None else residual + contrib
     lam = -interface.solve(residual) / gamma_dt
-    links = {sub_id: link_maps[sub_id] @ lam for sub_id in free_states}
+    links = {sub_id: link_maps[sub_id].dot(lam) for sub_id in free_states}
     return lam, links
 
 
@@ -218,14 +243,13 @@ def _initial_rate(form: FirstOrderForm, y: np.ndarray, force: np.ndarray) -> np.
     ``force`` is the physical force on the momentum rows at the first instant.
     """
     n = form.n_dofs
-    rhs = -form.restoring(y)
-    rhs[n:] += force
-    return np.concatenate([rhs[:n], np.linalg.solve(form.mass, rhs[n:])])
+    u, v = y[:n], y[n:]
+    return np.concatenate([v, np.linalg.solve(form.mass, force - form.momentum(u, v))])
 
 
 def _check_divergence(step: int, sub_id, y: np.ndarray, limit: float) -> None:
     norm = np.abs(y).max() if y.size else 0.0
-    if not np.isfinite(norm) or norm > limit:
+    if not norm <= limit:  # also true for nan
         raise DivergenceError(step, sub_id, float(norm), limit)
 
 
@@ -262,6 +286,8 @@ class PartitionedSolver:
         # physical substructures take config.subcycles inner steps per coupled
         # step, every other substructure one
         self.subcycled = set(system.physical_ids())
+        # ramp weights 1 - j/ss of the inner steps j = 1..ss, as a column
+        self.ramp = (1.0 - np.arange(1, config.subcycles + 1) / config.subcycles)[:, None]
         self.forms = {sid: assemble_first_order(sub) for sid, sub in system.substructures.items()}
         self.effective = {
             sid: effective_matrix(self.forms[sid], config.dt / self._subcycles(sid), config.gamma)
@@ -273,17 +299,24 @@ class PartitionedSolver:
             for sid in self.sub_ids
         }
         self.compat = {sid: self.locators[sid].T for sid in self.sub_ids}
+        # momentum rows L_v of each locator: they inject the multipliers
+        self.injectors = {
+            sid: self.locators[sid][self.forms[sid].n_dofs:] for sid in self.sub_ids
+        }
         if self.n_lam:
             self.interface = steklov_poincare(
                 system.topology,
                 {sid: self.effective[sid].solve for sid in self.sub_ids},
                 {sid: self.forms[sid].n_dofs for sid in self.sub_ids},
             )
-            # link maps D^{-1} L (rate) and gamma*dt * D^{-1} L (state),
-            # shared by every coupled step
-            self.link_rate = {
-                sid: self.effective[sid].solve(self.locators[sid]) for sid in self.sub_ids
-            }
+            # link maps D^{-1} L = [gamma*dts b; b] with b = S^{-1} L_v at the
+            # substructure's own step dts (rate), and gamma*dt times that
+            # (state), shared by every coupled step
+            self.link_rate = {}
+            for sid in self.sub_ids:
+                d = self.effective[sid]
+                b = d.solve(self.injectors[sid])
+                self.link_rate[sid] = np.concatenate([d.gamma * d.dt * b, b])
             self.link_state = {
                 sid: config.gamma * config.dt * self.link_rate[sid] for sid in self.sub_ids
             }
@@ -299,21 +332,14 @@ class PartitionedSolver:
         Inner step j injects the previous multipliers with weight 1 - j/ss;
         returns the final state, its rate and the inner states.
         """
-        form, d, locator = self.forms[sid], self.effective[sid], self.locators[sid]
-        n = form.n_dofs
+        form, d = self.forms[sid], self.effective[sid]
         ss = self._subcycles(sid)
         dts, gamma = self.config.dt / ss, self.config.gamma
-        inject = self.n_lam > 0
-        first = (step - 1) * ss
-        # one force buffer per coupled step; its momentum rows are refilled
-        # at every inner step and free_step does not write to it
-        force = np.zeros(2 * n)
+        forces = forces_sub[(step - 1) * ss + 1: step * ss + 1]
+        if self.n_lam and ss > 1:  # at ss = 1 the ramp weight is zero
+            forces = forces + self.ramp * self.injectors[sid].dot(lam)
         inner = []
-        for j in range(1, ss + 1):
-            force[n:] = forces_sub[first + j]
-            weight = 1.0 - j / ss
-            if inject and weight:
-                force += locator @ (lam * weight)
+        for force in forces:
             y, ydot = free_step(form, d, y, ydot, force, dts, gamma)
             inner.append(y)
         return y, ydot, inner
@@ -371,7 +397,7 @@ class PartitionedSolver:
                 )
                 for sid in self.sub_ids:
                     y[sid] = results[sid][0] + links[sid]
-                    ydot[sid] = results[sid][1] + self.link_rate[sid] @ lam
+                    ydot[sid] = results[sid][1] + self.link_rate[sid].dot(lam)
             else:
                 for sid in self.sub_ids:
                     y[sid] = results[sid][0]
@@ -396,6 +422,9 @@ class PartitionedSolver:
 
     def _prepare_forces(self, inputs, n_steps):
         cfg = self.config
+        for sid in inputs or ():
+            if sid not in self.system.substructures:
+                raise SolverError(f"input table for {sid!r} names no substructure")
         forces = {}
         for sid in self.sub_ids:
             n = self.forms[sid].n_dofs

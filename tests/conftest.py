@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from dynsub import CoupledSystem, LinearSubstructure, SolverConfig
+from dynsub import CoupledSystem, LinearSubstructure, SolverConfig, assemble_first_order, assemble_global
 from dynsub.generators import chain_substructure, frame_analog, suspension_substructure
 
 
@@ -64,3 +64,25 @@ def linear_suspension_analog(n_elements=4, wheel_mass=0.16, attach_mass=0.016,
         internal_dofs=tuple(range(n_elements)),
         boundary_dofs=tuple(range(n_elements, n)),
     )
+
+
+FORCE_LAW_KINDS = ("linear", "suspension_relative", "suspension_absolute", "assembled")
+
+
+def first_order_forms():
+    """One first-order form per kind of force law, keyed by FORCE_LAW_KINDS."""
+    subs, topo = frame_analog(n=40, boundary_dofs=(9, 19, 29, 39))
+    damped = LinearSubstructure(
+        mass=np.diag([1.0, 2.0, 0.5]),
+        damping=[[0.3, -0.1, 0.0], [-0.1, 0.2, 0.0], [0.0, 0.0, 0.1]],
+        stiffness=[[4.0, -2.0, 0.0], [-2.0, 3.0, -1.0], [0.0, -1.0, 1.0]],
+        internal_dofs=(0, 1), boundary_dofs=(2,),
+    )
+    return {
+        "linear": assemble_first_order(damped),
+        "suspension_relative": assemble_first_order(suspension_substructure(n_elements=3)),
+        "suspension_absolute": assemble_first_order(
+            suspension_substructure(n_elements=3, relative_motion=False)
+        ),
+        "assembled": assemble_global(subs, topo).first_order(),
+    }

@@ -101,7 +101,9 @@ class TestSteklovPoincare:
         d = effective_matrix(form, dt=0.1, gamma=0.5)
         topo = pair_topology()
         op = steklov_poincare(topo, {"a": d.solve, "b": d.solve}, {"a": 1, "b": 1})
-        d_inv = np.linalg.inv(d.matrix)
+        # G D^-1 L of the first-order D = A + gamma*dt*R0 picks its
+        # velocity-row, velocity-column entry; two sides add
+        d_inv = np.linalg.inv(form.A + 0.05 * form.tangent)
         expected = 2.0 * d_inv[1, 1]
         assert op.matrix.shape == (1, 1)
         assert op.matrix[0, 0] == pytest.approx(expected, rel=1e-12)

@@ -14,6 +14,8 @@ from dynsub import (
     tangent_at_zero,
 )
 
+from conftest import FORCE_LAW_KINDS, first_order_forms
+
 # identified suspension coefficients used in the hand-checked examples below
 COEFF = dict(mass=0.160, k1=35.0, c1=0.65, c2=10.0, c3=0.55)
 
@@ -227,3 +229,20 @@ class TestFirstOrderForm:
         assert np.array_equal(form.A[:n, :n], np.eye(n))
         assert np.array_equal(form.A[n:, n:], sub.mass)
         assert np.array_equal(form.A[:n, n:], np.zeros((n, n)))
+
+
+class TestMomentumLaw:
+    """The condensed trapezoidal step needs every force law affine in u with slope K."""
+
+    @pytest.mark.parametrize("kind", FORCE_LAW_KINDS)
+    def test_affine_in_displacement_with_tangent_slope(self, kind):
+        form = first_order_forms()[kind]
+        rng = np.random.default_rng(11)
+        n = form.n_dofs
+        for _ in range(20):
+            u, delta = rng.standard_normal(n), rng.standard_normal(n)
+            v = 5.0 * rng.standard_normal(n)  # friction well into saturation
+            shifted, base = form.momentum(u + delta, v), form.momentum(u, v)
+            slope = form.stiffness @ delta
+            scale = max(np.abs(shifted).max(), np.abs(base).max(), np.abs(slope).max())
+            assert np.abs(shifted - base - slope).max() <= 1e-12 * scale

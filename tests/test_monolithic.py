@@ -163,6 +163,11 @@ class TestSolveMonolithic:
         with pytest.raises(ModelError, match="'suspension'.* row 6"):
             solve_monolithic(asys, SolverConfig(dt=1e-3, duration=0.01), {"suspension": table})
 
+    def test_unknown_input_id_rejected(self):
+        asys = assemble_global({"osc": sdof()}, CouplingTopology(()))
+        with pytest.raises(ModelError, match="'oscc'"):
+            solve_monolithic(asys, SolverConfig(dt=0.1, duration=0.2), {"oscc": np.ones((3, 1))})
+
     def test_matches_partitioned_on_all_linear_system(self, desk_frame):
         susp = linear_suspension_analog()
         topo = CouplingTopology(constraints=tuple(
