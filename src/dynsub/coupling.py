@@ -2,9 +2,9 @@
 
 Substructures are coupled pairwise at interface DOFs.  Each constraint links
 one DOF of one substructure to one DOF of another with opposite signs; the
-signed boolean locator L built here injects interface-force intensities into
-the matching momentum rows, and its transpose G selects the boundary velocity
-rows.
+signed boolean locator L_v built here injects interface-force intensities into
+the matching momentum rows, and its transpose selects the boundary
+velocities.  Displacement rows are never coupled.
 """
 
 from __future__ import annotations
@@ -76,16 +76,17 @@ class CouplingTopology:
 
 
 def locator_matrix(topology: CouplingTopology, sub_id, n_dofs: int) -> np.ndarray:
-    """L: maps interface-force intensities into the momentum rows of a state.
+    """L_v: maps interface-force intensities onto the momentum rows (forces) of a substructure.
 
-    Shape (2*n_dofs, n_constraints); entries in {-1, 0, +1}.  Only the
-    momentum rows ``L[n_dofs:]`` (``L_v``) are nonzero.
+    Shape (n_dofs, n_constraints); entries in {-1, 0, +1}.  Its transpose
+    maps the substructure's velocities to its signed share of each
+    constraint's velocity gap.
     """
-    l = np.zeros((2 * n_dofs, topology.n_constraints))
+    l = np.zeros((n_dofs, topology.n_constraints))
     for c, dof, sign in topology.entries_for(sub_id):
         if not 0 <= dof < n_dofs:
             raise CouplingError(f"constraint {c} references DOF {dof} of {sub_id!r} (has {n_dofs})")
-        l[n_dofs + dof, c] = sign
+        l[dof, c] = sign
     return l
 
 
@@ -146,8 +147,7 @@ def steklov_poincare(
     for sub_id in topology.substructure_ids():
         if sub_id not in solve_by_sub:
             raise CouplingError(f"no effective-matrix factorization supplied for {sub_id!r}")
-        n = n_dofs_by_sub[sub_id]
-        l_v = locator_matrix(topology, sub_id, n)[n:]
+        l_v = locator_matrix(topology, sub_id, n_dofs_by_sub[sub_id])
         h += l_v.T @ solve_by_sub[sub_id](l_v)
     lu, piv, getrs = _lu_factors(h, CouplingError(
         "interface operator is singular; check for redundant or dangling constraints"

@@ -29,6 +29,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Union
 
 import numpy as np
+import scipy.linalg
 
 
 class ModelError(ValueError):
@@ -292,15 +293,15 @@ def _suspension_momentum(sub: NonlinearSubstructure) -> Callable[[np.ndarray, np
     # ndarray.dot: on these few-element blocks it costs a third of ``@``
     b = sub.incidence()
     bt = np.ascontiguousarray(b.T)
-    k1 = np.array([e.k1 for e in sub.elements])
+    k1b = np.array([e.k1 for e in sub.elements])[:, None] * b  # spring force k1 x = k1b u
     c1 = np.array([e.c1 for e in sub.elements])
     c2 = np.array([e.c2 for e in sub.elements])
     c3 = np.array([e.c3 for e in sub.elements])
 
     def momentum(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        x = b.dot(u)
         xd = b.dot(v)
-        return bt.dot(k1 * x + c1 * xd + c2 * xd / (c3 + np.abs(xd)))
+        # k1 x + c1 xd + c2 xd / (c3 + |xd|), with xd factored out of the damper
+        return bt.dot(k1b.dot(u) + xd * (c1 + c2 / (c3 + np.abs(xd))))
 
     return momentum
 
@@ -364,6 +365,33 @@ def assemble_first_order(sub: Substructure) -> FirstOrderForm:
         mass=sub.mass,
         stiffness=stiffness,
         damping=damping,
+        momentum=momentum,
+    )
+
+
+def stack_forms(forms) -> FirstOrderForm:
+    """Block-diagonal first-order form of uncoupled forms, stepped as one.
+
+    The stacked state is ``[u_1; ...; u_k; v_1; ...; v_k]``: all
+    displacements, then all velocities, each in the order of ``forms``.  The
+    momentum law evaluates each member's own law on its rows, so it stays
+    affine in ``u`` with the block-diagonal slope.  A single form is
+    returned as it is.
+    """
+    forms = tuple(forms)
+    if len(forms) == 1:
+        return forms[0]
+    bounds = np.cumsum([0] + [f.n_dofs for f in forms])
+    laws = [(slice(a, b), f.momentum) for a, b, f in zip(bounds, bounds[1:], forms)]
+
+    def momentum(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+        return np.concatenate([law(u[rows], v[rows]) for rows, law in laws])
+
+    return FirstOrderForm(
+        n_dofs=int(bounds[-1]),
+        mass=scipy.linalg.block_diag(*(f.mass for f in forms)),
+        stiffness=scipy.linalg.block_diag(*(f.stiffness for f in forms)),
+        damping=scipy.linalg.block_diag(*(f.damping for f in forms)),
         momentum=momentum,
     )
 

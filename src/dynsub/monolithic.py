@@ -243,11 +243,9 @@ def solve_newmark(
     a6 = dt * (1.0 - gamma)
     a7 = gamma * dt
 
-    terms = (k, a0 * m, a1 * c)
-    k_eff = terms[0] + terms[1] + terms[2]
+    k_eff = k + a0 * m + a1 * c
     lu, piv, getrs = _lu_factors(
-        k_eff, SolverError(f"Newmark effective stiffness singular for dt={dt}"),
-        scale=max(np.abs(t).max() for t in terms),
+        k_eff, SolverError(f"Newmark effective stiffness singular for dt={dt}")
     )
 
     u = np.zeros(n)

@@ -20,6 +20,8 @@ A "physical" substructure may be sub-cycled: its free solution is ``ss``
 inner trapezoidal steps at dt/ss, each injecting the previous coupled step's
 multipliers with a linearly decaying ramp weight (1 - j/ss).  Every other
 substructure takes one step (``ss = 1``), where that weight is zero.
+Substructures that take the same number of inner steps are stepped together
+as one block-diagonal form (:func:`~dynsub.models.stack_forms`).
 """
 
 from __future__ import annotations
@@ -37,7 +39,13 @@ from .coupling import (
     locator_matrix,
     steklov_poincare,
 )
-from .models import FirstOrderForm, NonlinearSubstructure, assemble_first_order, require_numbers
+from .models import (
+    FirstOrderForm,
+    NonlinearSubstructure,
+    assemble_first_order,
+    require_numbers,
+    stack_forms,
+)
 
 
 class SolverError(RuntimeError):
@@ -171,6 +179,16 @@ class EffectiveMatrix:
         return self._getrs(self._lu, self._piv, rhs)[0]
 
 
+@dataclass(frozen=True)
+class _BlockSolve:
+    """``S^{-1}`` of a stacked form: each member's factorization on its own rows."""
+
+    blocks: tuple  # (rows, EffectiveMatrix) per member
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        return np.concatenate([d.solve(rhs[rows]) for rows, d in self.blocks])
+
+
 def effective_matrix(form: FirstOrderForm, dt: float, gamma: float) -> EffectiveMatrix:
     """Assemble and factorize S = M + gamma*dt*C + (gamma*dt)^2*K for repeated solves.
 
@@ -217,23 +235,25 @@ def free_step(
 
 def coupling_step(
     interface: InterfaceOperator,
-    free_states: Mapping,
+    free_velocities: Mapping,
     compat: Mapping,
     link_maps: Mapping,
     gamma_dt: float,
 ) -> tuple[np.ndarray, dict]:
     """Identify the interface-force intensities and the link states.
 
-    The intensities annihilate the G-weighted sum of the coupled states:
-    lam = -(gamma*dt*H)^{-1} sum_s G_s @ Y_s^free, and the per-substructure
-    link state is gamma*dt * D_s^{-1} @ L_s @ lam, given as ``link_maps``.
+    The intensities annihilate the signed velocity gap of the free
+    solutions: lam = -(gamma*dt*H)^{-1} sum_s L_v,s^T @ v_s^free, with
+    ``compat[s] = L_v,s^T``.  The link state of ``s`` is
+    ``link_maps[s] @ lam``, where ``link_maps[s] = gamma*dt * D_s^{-1} L_s``.
+    A key may stand for one substructure or for a stack of them.
     """
     residual = None
-    for sub_id, g in compat.items():
-        contrib = g.dot(free_states[sub_id])
+    for key, g in compat.items():
+        contrib = g @ free_velocities[key]
         residual = contrib if residual is None else residual + contrib
     lam = -interface.solve(residual) / gamma_dt
-    links = {sub_id: link_maps[sub_id].dot(lam) for sub_id in free_states}
+    links = {key: link_maps[key] @ lam for key in compat}
     return lam, links
 
 
@@ -249,7 +269,7 @@ def _initial_rate(form: FirstOrderForm, y: np.ndarray, force: np.ndarray) -> np.
 
 def _check_divergence(step: int, sub_id, y: np.ndarray, limit: float) -> None:
     norm = np.abs(y).max() if y.size else 0.0
-    if not norm <= limit:  # also true for nan
+    if not np.isfinite(norm) or norm > limit:
         raise DivergenceError(step, sub_id, float(norm), limit)
 
 
@@ -271,12 +291,34 @@ def _resample_inputs(coarse: np.ndarray, ss: int) -> np.ndarray:
     ])
 
 
+@dataclass(frozen=True)
+class _Group:
+    """Substructures with one inner-step count, stepped as one stacked form.
+
+    ``cols[sid]`` selects a member's DOFs (force and momentum rows) and
+    ``rows[sid]`` its own state ``[u; v]`` from the stacked ones.
+    ``injector`` stacks the members' ``L_v``; ``link_rate`` and
+    ``link_state`` stack their link maps (``None`` without constraints).
+    """
+
+    subcycles: int
+    form: FirstOrderForm
+    effective: object  # EffectiveMatrix of a single member, else _BlockSolve
+    cols: dict
+    rows: dict
+    injector: np.ndarray
+    link_rate: np.ndarray | None
+    link_state: np.ndarray | None
+
+
 class PartitionedSolver:
     """Prepared co-simulation: factorizations done once, stepping separate.
 
     Construction performs all offline work (first-order assembly, tangent and
     interface-operator factorizations); :meth:`run` performs the online time
-    stepping.
+    stepping.  A coupled step takes one free step per inner-step count
+    rather than one per substructure; each member of a stack keeps its own
+    law and factorization.
     """
 
     def __init__(self, system: CoupledSystem, config: SolverConfig):
@@ -298,51 +340,77 @@ class PartitionedSolver:
             sid: locator_matrix(system.topology, sid, self.forms[sid].n_dofs)
             for sid in self.sub_ids
         }
-        self.compat = {sid: self.locators[sid].T for sid in self.sub_ids}
-        # momentum rows L_v of each locator: they inject the multipliers
-        self.injectors = {
-            sid: self.locators[sid][self.forms[sid].n_dofs:] for sid in self.sub_ids
-        }
         if self.n_lam:
             self.interface = steklov_poincare(
                 system.topology,
                 {sid: self.effective[sid].solve for sid in self.sub_ids},
                 {sid: self.forms[sid].n_dofs for sid in self.sub_ids},
             )
-            # link maps D^{-1} L = [gamma*dts b; b] with b = S^{-1} L_v at the
-            # substructure's own step dts (rate), and gamma*dt times that
-            # (state), shared by every coupled step
+            # link rate D^{-1} [0; L_v] = [gamma*dts b; b] with b = S^{-1} L_v
+            # at the substructure's own step dts, shared by every coupled step
             self.link_rate = {}
             for sid in self.sub_ids:
                 d = self.effective[sid]
-                b = d.solve(self.injectors[sid])
+                b = d.solve(self.locators[sid])
                 self.link_rate[sid] = np.concatenate([d.gamma * d.dt * b, b])
-            self.link_state = {
-                sid: config.gamma * config.dt * self.link_rate[sid] for sid in self.sub_ids
-            }
         else:
             self.interface = None
 
     def _subcycles(self, sid) -> int:
         return self.config.subcycles if sid in self.subcycled else 1
 
-    def _free_solution(self, sid, y, ydot, forces_sub, step, lam):
-        """Free solution over one coupled step: ``ss`` inner steps at dt/ss.
+    def _groups(self) -> list:
+        """Substructures grouped by inner-step count, in order of first appearance."""
+        members = {}
+        for sid in self.sub_ids:
+            members.setdefault(self._subcycles(sid), []).append(sid)
+        return [self._group(ss, sids) for ss, sids in members.items()]
 
-        Inner step j injects the previous multipliers with weight 1 - j/ss;
-        returns the final state, its rate and the inner states.
+    def _group(self, ss: int, sids: list) -> _Group:
+        form = stack_forms(self.forms[sid] for sid in sids)
+        n = form.n_dofs
+        cols, rows, blocks = {}, {}, []
+        start = 0
+        for sid in sids:
+            stop = start + self.forms[sid].n_dofs
+            cols[sid] = slice(start, stop)
+            rows[sid] = np.r_[start:stop, n + start:n + stop] if len(sids) > 1 else slice(None)
+            blocks.append((cols[sid], self.effective[sid]))
+            start = stop
+        effective = blocks[0][1] if len(blocks) == 1 else _BlockSolve(tuple(blocks))
+        link_rate = link_state = None
+        if self.n_lam:
+            link_rate = np.empty((2 * n, self.n_lam))
+            for sid in sids:
+                link_rate[rows[sid]] = self.link_rate[sid]
+            link_state = self.config.gamma * self.config.dt * link_rate
+        return _Group(
+            subcycles=ss, form=form, effective=effective, cols=cols, rows=rows,
+            injector=np.vstack([self.locators[sid] for sid in sids]),
+            link_rate=link_rate, link_state=link_state,
+        )
+
+    def _free_solution(self, group: _Group, y, ydot, table, step, lam, fine_states):
+        """Free solution of a group over one coupled step: ``ss`` inner steps at dt/ss.
+
+        Inner step j injects the previous multipliers with weight 1 - j/ss
+        (zero at ss = 1); sub-cycled inner states go to ``fine_states``.
         """
-        form, d = self.forms[sid], self.effective[sid]
-        ss = self._subcycles(sid)
+        ss = group.subcycles
+        if ss == 1:
+            return free_step(
+                group.form, group.effective, y, ydot, table[step], self.config.dt, self.config.gamma
+            )
         dts, gamma = self.config.dt / ss, self.config.gamma
-        forces = forces_sub[(step - 1) * ss + 1: step * ss + 1]
-        if self.n_lam and ss > 1:  # at ss = 1 the ramp weight is zero
-            forces = forces + self.ramp * self.injectors[sid].dot(lam)
-        inner = []
-        for force in forces:
-            y, ydot = free_step(form, d, y, ydot, force, dts, gamma)
-            inner.append(y)
-        return y, ydot, inner
+        first = (step - 1) * ss + 1
+        forces = table[first: first + ss]
+        if self.n_lam:
+            forces = forces + self.ramp * (group.injector @ lam)
+        for j, force in enumerate(forces, first):
+            y, ydot = free_step(group.form, group.effective, y, ydot, force, dts, gamma)
+            for sid, rows in group.rows.items():
+                fine_states[sid][j] = y[rows]
+        return y, ydot
 
     def run(self, inputs: Mapping | None = None, initial: Mapping | None = None) -> Trajectory:
         """Step the coupled system over the configured horizon.
@@ -355,61 +423,59 @@ class PartitionedSolver:
         cfg = self.config
         n_steps = cfg.n_steps
         forces = self._prepare_forces(inputs, n_steps)
-        y = {}
-        ydot = {}
-        for sid in self.sub_ids:
-            form = self.forms[sid]
-            n2 = form.state_size
-            if initial is None or sid not in initial:
-                y[sid] = np.zeros(n2)
-            else:
-                y[sid] = np.asarray(initial[sid], dtype=float).copy()
-                if y[sid].shape != (n2,):
-                    raise SolverError(f"initial state for {sid!r} must have length {n2}")
-                if not np.all(np.isfinite(y[sid])):
-                    raise SolverError(f"initial state for {sid!r} holds a non-finite value")
-            ydot[sid] = _initial_rate(form, y[sid], forces[sid][0])
+        start = {sid: self._initial_state(sid, initial) for sid in self.sub_ids}
+        groups = self._groups()
 
-        states = {sid: np.empty((n_steps + 1, self.forms[sid].state_size)) for sid in self.sub_ids}
-        for sid in self.sub_ids:
-            states[sid][0] = y[sid]
+        y, ydot, tables = [], [], []
+        states, fine_states, fine_times = {}, {}, {}
+        for group in groups:
+            ss = group.subcycles
+            parts = [forces[sid] for sid in group.cols]
+            tables.append(parts[0] if len(parts) == 1 else np.hstack(parts))
+            y.append(np.empty(group.form.state_size))
+            ydot.append(np.empty(group.form.state_size))
+            for sid, rows in group.rows.items():
+                y[-1][rows] = start[sid]
+                ydot[-1][rows] = _initial_rate(self.forms[sid], start[sid], forces[sid][0])
+                states[sid] = np.empty((n_steps + 1, start[sid].size))
+                states[sid][0] = start[sid]
+                if ss > 1:
+                    fine_states[sid] = np.empty((n_steps * ss + 1, start[sid].size))
+                    fine_states[sid][0] = start[sid]
+                    fine_times[sid] = np.arange(n_steps * ss + 1) * (cfg.dt / ss)
         multipliers = np.zeros((n_steps + 1, self.n_lam))
-        fine_states = {}
-        fine_times = {}
-        ss = cfg.subcycles
-        for sid in self.subcycled:
-            if ss > 1:
-                fine_states[sid] = np.empty((n_steps * ss + 1, self.forms[sid].state_size))
-                fine_states[sid][0] = y[sid]
-                fine_times[sid] = np.arange(n_steps * ss + 1) * (cfg.dt / ss)
 
+        keys = range(len(groups))
+        compat = {k: groups[k].injector.T for k in keys}
+        link_state = {k: groups[k].link_state for k in keys}
         lam = np.zeros(self.n_lam)
         for step in range(1, n_steps + 1):
-            results = {
-                sid: self._free_solution(sid, y[sid], ydot[sid], forces[sid], step, lam)
-                for sid in self.sub_ids
-            }
-            if self.n_lam:
-                free = {sid: results[sid][0] for sid in self.sub_ids}
-                lam, links = coupling_step(
-                    self.interface, free, self.compat, self.link_state,
-                    cfg.gamma * cfg.dt,
+            for k in keys:
+                y[k], ydot[k] = self._free_solution(
+                    groups[k], y[k], ydot[k], tables[k], step, lam, fine_states
                 )
-                for sid in self.sub_ids:
-                    y[sid] = results[sid][0] + links[sid]
-                    ydot[sid] = results[sid][1] + self.link_rate[sid].dot(lam)
-            else:
-                for sid in self.sub_ids:
-                    y[sid] = results[sid][0]
-                    ydot[sid] = results[sid][1]
+            if self.n_lam:
+                lam, links = coupling_step(
+                    self.interface,
+                    {k: y[k][groups[k].form.n_dofs:] for k in keys},
+                    compat, link_state, cfg.gamma * cfg.dt,
+                )
+                for k in keys:
+                    y[k] = y[k] + links[k]
+                    ydot[k] = ydot[k] + groups[k].link_rate @ lam
             multipliers[step] = lam
-            for sid in self.sub_ids:
-                states[sid][step] = y[sid]
-                if sid in fine_states:
-                    rows = fine_states[sid][(step - 1) * ss + 1: step * ss + 1]
-                    rows[:] = results[sid][2]
-                    rows[-1] = y[sid]  # the coupled state closes the window
-                _check_divergence(step, sid, y[sid], cfg.divergence_limit)
+            for k in keys:
+                ss = groups[k].subcycles
+                for sid, rows in groups[k].rows.items():
+                    states[sid][step] = y[k][rows]
+                    if ss > 1:  # the coupled state closes the inner window
+                        fine_states[sid][step * ss] = states[sid][step]
+            for k in keys:
+                norm = np.abs(y[k]).max() if y[k].size else 0.0
+                if not np.isfinite(norm) or norm > cfg.divergence_limit:
+                    # name the first diverged substructure in system order
+                    for sid in self.sub_ids:
+                        _check_divergence(step, sid, states[sid][step], cfg.divergence_limit)
 
         return Trajectory(
             times=np.arange(n_steps + 1) * cfg.dt,
@@ -420,8 +486,18 @@ class PartitionedSolver:
             fine_states=fine_states,
         )
 
+    def _initial_state(self, sid, initial) -> np.ndarray:
+        n2 = self.forms[sid].state_size
+        if initial is None or sid not in initial:
+            return np.zeros(n2)
+        y0 = np.asarray(initial[sid], dtype=float).copy()
+        if y0.shape != (n2,):
+            raise SolverError(f"initial state for {sid!r} must have length {n2}")
+        if not np.all(np.isfinite(y0)):
+            raise SolverError(f"initial state for {sid!r} holds a non-finite value")
+        return y0
+
     def _prepare_forces(self, inputs, n_steps):
-        cfg = self.config
         for sid in inputs or ():
             if sid not in self.system.substructures:
                 raise SolverError(f"input table for {sid!r} names no substructure")

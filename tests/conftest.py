@@ -5,6 +5,7 @@ import pytest
 
 from dynsub import CoupledSystem, LinearSubstructure, SolverConfig, assemble_first_order, assemble_global
 from dynsub.generators import chain_substructure, frame_analog, suspension_substructure
+from dynsub.models import stack_forms
 
 
 @pytest.fixture(scope="session")
@@ -66,7 +67,7 @@ def linear_suspension_analog(n_elements=4, wheel_mass=0.16, attach_mass=0.016,
     )
 
 
-FORCE_LAW_KINDS = ("linear", "suspension_relative", "suspension_absolute", "assembled")
+FORCE_LAW_KINDS = ("linear", "suspension_relative", "suspension_absolute", "assembled", "stacked")
 
 
 def first_order_forms():
@@ -78,7 +79,7 @@ def first_order_forms():
         stiffness=[[4.0, -2.0, 0.0], [-2.0, 3.0, -1.0], [0.0, -1.0, 1.0]],
         internal_dofs=(0, 1), boundary_dofs=(2,),
     )
-    return {
+    forms = {
         "linear": assemble_first_order(damped),
         "suspension_relative": assemble_first_order(suspension_substructure(n_elements=3)),
         "suspension_absolute": assemble_first_order(
@@ -86,3 +87,5 @@ def first_order_forms():
         ),
         "assembled": assemble_global(subs, topo).first_order(),
     }
+    forms["stacked"] = stack_forms([forms["linear"], forms["suspension_relative"]])
+    return forms

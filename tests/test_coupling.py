@@ -67,11 +67,12 @@ class TestTopologyValidation:
 class TestBooleanMatrices:
     def test_locator_injects_momentum_row(self):
         topo = pair_topology()
+        # one row per DOF: the momentum rows only, displacements are not coupled
         l_a = locator_matrix(topo, "a", 1)
-        assert l_a.shape == (2, 1)
-        assert np.array_equal(l_a, [[0.0], [1.0]])
+        assert l_a.shape == (1, 1)
+        assert np.array_equal(l_a, [[1.0]])
         l_b = locator_matrix(topo, "b", 1)
-        assert np.array_equal(l_b, [[0.0], [-1.0]])
+        assert np.array_equal(l_b, [[-1.0]])
 
     def test_entries_boolean_up_to_sign(self):
         topo = CouplingTopology(constraints=(
@@ -91,7 +92,7 @@ class TestBooleanMatrices:
         f_a = locator_matrix(topo, "a", 1) @ lam
         f_b = locator_matrix(topo, "b", 1) @ lam
         assert np.allclose(f_a + f_b, 0.0)
-        assert np.abs(f_a[1]) == pytest.approx(3.7)
+        assert np.abs(f_a[0]) == pytest.approx(3.7)
 
 
 class TestSteklovPoincare:

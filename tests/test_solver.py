@@ -14,9 +14,12 @@ from dynsub import (
     SolverError,
     assemble_first_order,
     analytic_sdof,
+    coupling_step,
     effective_matrix,
     free_step,
+    locator_matrix,
     simulate,
+    steklov_poincare,
     tangent_at_zero,
 )
 from dynsub.generators import suspension_substructure
@@ -156,7 +159,6 @@ class TestFreeStep:
         energy = 0.5 * (np.einsum("ij,ij->i", v, v) + np.einsum("ij,jk,ik->i", u, k, u))
         assert np.abs(energy - energy[0]).max() <= 1e-10 * energy[0]
 
-
     @pytest.mark.parametrize("kind", FORCE_LAW_KINDS)
     def test_condensed_step_equals_first_order_solve(self, kind):
         # the 2n solve D @ Ydot+ = F - R(Y~) on the derived A and tangent
@@ -196,6 +198,49 @@ class TestSimulate:
         for step in range(1, cfg.n_steps + 1):
             y, ydot = free_step(form, d, y, ydot, forces[step], cfg.dt, cfg.gamma)
             assert np.allclose(traj.states["osc"][step], y, atol=1e-15)
+
+    def test_stacked_stepping_matches_a_step_per_substructure(self, desk):
+        # at ss = 1 the frame and the suspension bank are stepped as one
+        # stacked form; reference: a free step per substructure, coupled by hand
+        cfg = SolverConfig(dt=1e-3, duration=0.05)
+        times = np.arange(cfg.n_steps + 1) * cfg.dt
+        inputs = {"suspension": wheel_forces(desk, "suspension", times)}
+        traj = simulate(desk, cfg, inputs)
+
+        topo, gdt = desk.topology, cfg.gamma * cfg.dt
+        forms = {sid: assemble_first_order(sub) for sid, sub in desk.substructures.items()}
+        eff = {sid: effective_matrix(form, cfg.dt, cfg.gamma) for sid, form in forms.items()}
+        locators = {sid: locator_matrix(topo, sid, form.n_dofs) for sid, form in forms.items()}
+        interface = steklov_poincare(
+            topo, {sid: d.solve for sid, d in eff.items()},
+            {sid: form.n_dofs for sid, form in forms.items()},
+        )
+        link_rate = {}
+        for sid, l_v in locators.items():
+            b = eff[sid].solve(l_v)
+            link_rate[sid] = np.concatenate([gdt * b, b])
+        link_state = {sid: gdt * rate for sid, rate in link_rate.items()}
+        forces = {sid: inputs.get(sid, np.zeros((cfg.n_steps + 1, form.n_dofs)))
+                  for sid, form in forms.items()}
+        y = {sid: np.zeros(form.state_size) for sid, form in forms.items()}
+        ydot = {}
+        for sid, form in forms.items():
+            accel = np.linalg.solve(form.mass, forces[sid][0])
+            ydot[sid] = np.concatenate([np.zeros(form.n_dofs), accel])
+        for step in range(1, cfg.n_steps + 1):
+            free = {sid: free_step(form, eff[sid], y[sid], ydot[sid], forces[sid][step],
+                                   cfg.dt, cfg.gamma)
+                    for sid, form in forms.items()}
+            lam, links = coupling_step(
+                interface, {sid: free[sid][0][form.n_dofs:] for sid, form in forms.items()},
+                {sid: l_v.T for sid, l_v in locators.items()}, link_state, gdt,
+            )
+            for sid in forms:
+                y[sid] = free[sid][0] + links[sid]
+                ydot[sid] = free[sid][1] + link_rate[sid] @ lam
+                scale = np.abs(y[sid]).max()
+                assert np.abs(traj.states[sid][step] - y[sid]).max() <= 1e-12 * scale
+            assert np.abs(traj.multipliers[step] - lam).max() <= 1e-12 * np.abs(lam).max()
 
     def test_trajectory_layout(self, desk):
         cfg = SolverConfig(dt=1e-3, duration=0.01)
