@@ -109,24 +109,9 @@ def _cmd_simulate(args) -> int:
     if args.inputs:
         _, channels = dio.load_signals_csv(args.inputs)
         inputs = dio.input_tables(system, input_map, channels)
-        # the CSV is sampled at the coupled step unless its length matches the
-        # inner grid of a sub-cycled substructure exactly
-        need_fine = config.n_steps * config.subcycles + 1
-        for sid, table in inputs.items():
-            if table.shape[0] < config.n_steps + 1:
-                raise SolverError(
-                    f"inputs provide {table.shape[0]} samples, need at least {config.n_steps + 1}"
-                )
-            if (config.subcycles > 1 and sid in system.physical_ids()
-                    and table.shape[0] == need_fine):
-                continue
-            inputs[sid] = table[: config.n_steps + 1]
     if args.monolithic:
         asys = assemble_global(system.substructures, topology=system.topology)
-        coarse = None
-        if inputs is not None:
-            coarse = {sid: t[: config.n_steps + 1] for sid, t in inputs.items()}
-        traj = solve_monolithic(asys, config, coarse)
+        traj = solve_monolithic(asys, config, inputs)
     else:
         traj = simulate(system, config, inputs)
     dio.save_trajectory_csv(args.out, traj, system, all_dofs=args.all_dofs)

@@ -136,7 +136,7 @@ def run_experiment(config: ExperimentConfig, out_dir) -> dict:
     wheel = np.asarray(susp.internal_dofs, dtype=int)
     susp_forces_fine = np.zeros((fine_samples, susp.n_dofs))
     susp_forces_fine[:, wheel] = channels_fine
-    inputs = {"suspension": susp_forces_fine if ss > 1 else susp_forces_fine[::ss]}
+    inputs = {"suspension": susp_forces_fine}
 
     t0 = time.perf_counter()
     solver = PartitionedSolver(reduced_system, solver_cfg)
@@ -152,9 +152,7 @@ def run_experiment(config: ExperimentConfig, out_dir) -> dict:
         asys = assemble_global(subs, topology)
         report["offline_time"]["assembly"] = time.perf_counter() - t0
         t0 = time.perf_counter()
-        traj_mono = solve_monolithic(
-            asys, solver_cfg, {"suspension": susp_forces_fine[::ss]}
-        )
+        traj_mono = solve_monolithic(asys, solver_cfg, inputs)
         report["online_time"]["monolithic"] = time.perf_counter() - t0
         dio.save_trajectory_csv(out / "trajectory_monolithic.csv", traj_mono, full_system)
         if report["online_time"]["partitioned"] > 0:

@@ -16,17 +16,36 @@ from pathlib import Path
 import numpy as np
 
 from .coupling import CouplingTopology
-from .models import LinearSubstructure, ModelError, NonlinearSubstructure, SuspensionElement
+from .models import LinearSubstructure, ModelError, NonlinearSubstructure, SuspensionElement, require_numbers
 from .reduction import CraigBamptonReduction
 from .solver import CoupledSystem, Trajectory
 
 
-def _field(record, key: str, where: str, kind: type = object):
+_MISSING = object()
+
+
+def _field(record, key: str, where: str, kind: type = object, default=_MISSING):
+    """``record[key]``, checked to be a ``kind``; ``default``, if given, for an absent key."""
+    if isinstance(record, dict) and key not in record and default is not _MISSING:
+        return default
     if not isinstance(record, dict) or key not in record:
         raise ModelError(f"{where} is missing field {key!r}")
     if not isinstance(record[key], kind):
         raise ModelError(f"{where}: field {key!r} must be a {kind.__name__}")
     return record[key]
+
+
+def _numbers(where: str, integers: bool = False, **fields) -> None:
+    """:func:`~dynsub.models.require_numbers`, with ``where`` leading the message."""
+    require_numbers(lambda message: ModelError(f"{where}: {message}"), integers, **fields)
+
+
+def _integers(record, key: str, where: str, default) -> tuple:
+    """``record[key]`` as a tuple, checked to be a list of integers."""
+    items = tuple(_field(record, key, where, list, default=default))
+    for item in items:
+        _numbers(where, True, **{key: item})
+    return items
 
 
 def _to_triplets(matrix: np.ndarray) -> dict:
@@ -85,8 +104,9 @@ def substructure_from_dict(data: dict, sid: str = "substructure"):
         n = _field(data, "n_dofs", where)
         if not isinstance(n, int) or n < 1:
             raise ModelError(f"{where}: n_dofs must be a positive integer, got {n!r}")
-        boundary = tuple(data.get("boundary_dofs", ()))
-        internal = tuple(data.get("internal_dofs", (i for i in range(n) if i not in boundary)))
+        boundary = _integers(data, "boundary_dofs", where, default=[])
+        internal = _integers(data, "internal_dofs", where,
+                             default=[i for i in range(n) if i not in boundary])
         damping = data.get("damping", {"rows": [], "cols": [], "values": []})
         return LinearSubstructure(
             mass=_from_triplets(_field(data, "mass", where), n, f"{where} mass"),
@@ -96,17 +116,20 @@ def substructure_from_dict(data: dict, sid: str = "substructure"):
             boundary_dofs=boundary,
         )
     if kind == "suspension":
-        elements = tuple(
-            SuspensionElement(
-                **{key: _field(e, key, f"{where} element {i}") for key in ("mass", "k1", "c1", "c2", "c3")},
-                base_excitation_channel=int(e.get("base_excitation_channel", i)),
-            )
-            for i, e in enumerate(_field(data, "elements", where, list))
-        )
+        elements = []
+        for i, e in enumerate(_field(data, "elements", where, list)):
+            at = f"{where} element {i}"
+            coefficients = {key: _field(e, key, at) for key in ("mass", "k1", "c1", "c2", "c3")}
+            channel = _field(e, "base_excitation_channel", at, default=i)
+            _numbers(at, **coefficients)
+            _numbers(at, True, base_excitation_channel=channel)
+            elements.append(SuspensionElement(**coefficients, base_excitation_channel=channel))
+        boundary_mass = _field(data, "boundary_mass", where, default=0.016)
+        _numbers(where, boundary_mass=boundary_mass)
         return NonlinearSubstructure(
-            elements=elements,
-            boundary_mass=float(data.get("boundary_mass", 0.016)),
-            relative_motion=bool(data.get("relative_motion", True)),
+            elements=tuple(elements),
+            boundary_mass=float(boundary_mass),
+            relative_motion=_field(data, "relative_motion", where, bool, default=True),
         )
     raise ModelError(f"{where}: unknown kind {kind!r}")
 
@@ -136,22 +159,39 @@ def save_system(
 def load_system(path) -> tuple[CoupledSystem, dict]:
     """Read a system file; returns (system, input channel map)."""
     doc = json.loads(Path(path).read_text())
-    records = _field(doc, "substructures", f"system file {path}", dict)
+    where = f"system file {path}"
+    records = _field(doc, "substructures", where, dict)
     subs = {sid: substructure_from_dict(d, sid) for sid, d in records.items()}
-    constraints = tuple(
-        ((a[0], int(a[1]), int(a[2])), (b[0], int(b[1]), int(b[2])))
-        for a, b in doc.get("coupling", [])
-    )
-    topology = CouplingTopology(constraints=constraints)
+    constraints = []
+    for c, entry in enumerate(_field(doc, "coupling", where, list, default=[])):
+        at = f"{where}: 'coupling' entry {c}"
+        if not isinstance(entry, list) or not all(
+            isinstance(side, list) and len(side) == 3 and isinstance(side[0], str) for side in entry
+        ):
+            raise ModelError(f"{at} must be a list of [substructure, dof, sign] triples, got {entry!r}")
+        for _, dof, sign in entry:
+            _numbers(at, True, dof=dof, sign=sign)
+        constraints.append(tuple(tuple(side) for side in entry))
+    physical = _field(doc, "physical", where, list, default=[])
+    if not all(isinstance(sid, str) for sid in physical):
+        raise ModelError(f"{where}: field 'physical' must be a list of substructure ids, got {physical!r}")
     system = CoupledSystem(
         substructures=subs,
-        topology=topology,
-        physical=tuple(doc.get("physical", ())),
+        topology=CouplingTopology(constraints=tuple(constraints)),
+        physical=tuple(physical),
     )
-    input_map = {
-        sid: {int(dof): int(ch) for dof, ch in chans.items()}
-        for sid, chans in doc.get("inputs", {}).items()
-    }
+    input_map = {}
+    for sid, chans in _field(doc, "inputs", where, dict, default={}).items():
+        at = f"{where}: 'inputs' of {sid!r}"
+        if sid not in subs or not isinstance(chans, dict):
+            raise ModelError(f"{at} must map DOFs of a substructure to channels, got {chans!r}")
+        input_map[sid] = {}
+        for dof, ch in chans.items():
+            if not (dof.isdecimal() and int(dof) < subs[sid].n_dofs and type(ch) is int and ch >= 0):
+                raise ModelError(
+                    f"{at} must map DOFs below {subs[sid].n_dofs} to channel numbers, got {dof!r}: {ch!r}"
+                )
+            input_map[sid][int(dof)] = ch
     return system, input_map
 
 

@@ -155,9 +155,6 @@ class SuspensionElement:
         if self.c3 <= 0:
             raise ModelError(f"velocity-smoothing constant c3 must be positive, got {self.c3}")
 
-    def damper_force(self, xdot: float) -> float:
-        return self.c1 * xdot + self.c2 * xdot / (self.c3 + abs(xdot))
-
     @property
     def tangent_damping(self) -> float:
         """Damper slope d(f_d)/d(xdot) at rest."""

@@ -19,7 +19,6 @@ import numpy as np
 from .coupling import CouplingError, CouplingTopology, _lu_factors
 from .models import (
     FirstOrderForm,
-    LinearSubstructure,
     ModelError,
     NonlinearSubstructure,
     assemble_first_order,
@@ -29,8 +28,8 @@ from .solver import (
     SolverError,
     Trajectory,
     _check_divergence,
-    _check_finite_inputs,
     _initial_rate,
+    _input_table,
     effective_matrix,
     free_step,
 )
@@ -41,7 +40,8 @@ class AssembledSystem:
     """Primal assembly of a coupled system onto shared global DOFs.
 
     ``dof_map[sid]`` gives the global DOF of each DOF of substructure ``sid``;
-    two DOFs of one substructure may share a global DOF.
+    two DOFs of one substructure may share a global DOF.  ``_forms[sid]`` is
+    the substructure's first-order form, the source of its matrices and law.
     """
 
     mass: np.ndarray
@@ -49,6 +49,7 @@ class AssembledSystem:
     stiffness: np.ndarray
     dof_map: dict
     _substructures: dict
+    _forms: dict
 
     @property
     def n_dofs(self) -> int:
@@ -62,10 +63,7 @@ class AssembledSystem:
         ``C``, so the sum stays affine in ``u`` with slope ``K``.
         """
         n = self.n_dofs
-        parts = [
-            (self.dof_map[sid], assemble_first_order(sub).momentum)
-            for sid, sub in self._substructures.items()
-        ]
+        parts = [(self.dof_map[sid], form.momentum) for sid, form in self._forms.items()]
 
         def momentum(u: np.ndarray, v: np.ndarray) -> np.ndarray:
             out = np.zeros(n)
@@ -122,22 +120,16 @@ def assemble_global(substructures: Mapping, topology: CouplingTopology) -> Assem
         for sid, sub in substructures.items()
     }
 
+    forms = {sid: assemble_first_order(sub) for sid, sub in substructures.items()}
     mass = np.zeros((n_global, n_global))
     damping = np.zeros((n_global, n_global))
     stiffness = np.zeros((n_global, n_global))
-    for sid, sub in substructures.items():
-        if isinstance(sub, LinearSubstructure):
-            m_s, c_s, k_s = sub.mass, sub.damping, sub.stiffness
-        elif isinstance(sub, NonlinearSubstructure):
-            m_s = sub.mass
-            k_s, c_s = sub.tangent_matrices()
-        else:
-            raise ModelError(f"unsupported substructure type {type(sub).__name__}")
+    for sid, form in forms.items():
         # unbuffered scatter, as two DOFs of one substructure may share a
         # global DOF; numpy's fast path takes flat indices into a 1-D view
         ids = dof_map[sid]
         flat = (ids[:, None] * n_global + ids).ravel()
-        for target, block in ((mass, m_s), (damping, c_s), (stiffness, k_s)):
+        for target, block in ((mass, form.mass), (damping, form.damping), (stiffness, form.stiffness)):
             np.add.at(target.reshape(-1), flat, np.ravel(block))
 
     return AssembledSystem(
@@ -146,6 +138,7 @@ def assemble_global(substructures: Mapping, topology: CouplingTopology) -> Assem
         stiffness=stiffness,
         dof_map=dof_map,
         _substructures=dict(substructures),
+        _forms=forms,
     )
 
 
@@ -164,7 +157,13 @@ def _global_trajectory(asys: AssembledSystem, traj_global: np.ndarray, dt: float
     )
 
 
-def _global_forces(asys: AssembledSystem, inputs: Mapping | None, n_steps: int) -> np.ndarray:
+def _global_forces(asys: AssembledSystem, inputs: Mapping | None, config: SolverConfig) -> np.ndarray:
+    """Global force table, one row per coupled instant.
+
+    A table sampled at the inner instants of ``config.subcycles`` is
+    decimated onto the coupled ones.
+    """
+    n_steps = config.n_steps
     f = np.zeros((n_steps + 1, asys.n_dofs))
     if inputs:
         for sid, table in inputs.items():
@@ -172,13 +171,8 @@ def _global_forces(asys: AssembledSystem, inputs: Mapping | None, n_steps: int) 
                 raise ModelError(f"input table for {sid!r} names no substructure")
             if table is None:
                 continue
-            table = np.asarray(table, dtype=float)
             ids = asys.dof_map[sid]
-            if table.ndim != 2 or table.shape[1] != len(ids):
-                raise ModelError(f"input table for {sid!r} must have {len(ids)} columns")
-            if table.shape[0] != n_steps + 1:
-                raise ModelError(f"input table for {sid!r} must have {n_steps + 1} rows")
-            _check_finite_inputs(sid, table, ModelError)
+            table = _input_table(sid, table, len(ids), n_steps, config.subcycles, False, ModelError)
             np.add.at(f, (slice(None), ids), table)
     return f
 
@@ -196,7 +190,7 @@ def solve_monolithic(
     """
     n_steps = config.n_steps
     dt, gamma = config.dt, config.gamma
-    forces = _global_forces(asys, inputs, n_steps)
+    forces = _global_forces(asys, inputs, config)
     form = asys.first_order()
     n = form.n_dofs
     d = effective_matrix(form, dt, gamma)
@@ -231,7 +225,7 @@ def solve_newmark(
     n = asys.n_dofs
     n_steps = config.n_steps
     dt = config.dt
-    forces = _global_forces(asys, inputs, n_steps)
+    forces = _global_forces(asys, inputs, config)
     m, c, k = asys.mass, asys.damping, asys.stiffness
 
     a0 = 1.0 / (beta * dt**2)

@@ -19,9 +19,10 @@ because every force law is affine in ``u`` with slope ``K``
 A "physical" substructure may be sub-cycled: its free solution is ``ss``
 inner trapezoidal steps at dt/ss, each injecting the previous coupled step's
 multipliers with a linearly decaying ramp weight (1 - j/ss).  Every other
-substructure takes one step (``ss = 1``), where that weight is zero.
-Substructures that take the same number of inner steps are stepped together
-as one block-diagonal form (:func:`~dynsub.models.stack_forms`).
+substructure takes one inner step.  The solver plans the stepping once, at
+construction: substructures that take the same number of inner steps form a
+group, stepped together as one block-diagonal form
+(:func:`~dynsub.models.stack_forms`).
 """
 
 from __future__ import annotations
@@ -273,176 +274,145 @@ def _check_divergence(step: int, sub_id, y: np.ndarray, limit: float) -> None:
         raise DivergenceError(step, sub_id, float(norm), limit)
 
 
-def _check_finite_inputs(sid, table: np.ndarray, error: type) -> None:
-    """Raise ``error`` naming the first row of an input table that holds a nan or inf."""
+def _input_table(sid, table, n_dofs: int, n_steps: int, ss: int, inner: bool, error: type) -> np.ndarray:
+    """Check a force table and sample it on the inner grid if ``inner``, else on the coupled grid.
+
+    A table holds one row per coupled instant (``n_steps + 1`` rows) or one
+    per inner instant of ``ss``-fold sub-cycling (``n_steps*ss + 1`` rows).
+    Inner samples are decimated with ``[::ss]`` onto the coupled grid, and
+    coupled samples are interpolated linearly onto the inner grid; a table
+    already on the wanted grid is returned as it is.  Raises ``error`` for a
+    wrong shape and names the first row that holds a nan or inf.
+    """
+    table = np.asarray(table, dtype=float)
+    if table.ndim != 2 or table.shape[1] != n_dofs:
+        raise error(f"input table for {sid!r} must have {n_dofs} columns, got {table.shape}")
+    coupled, fine = n_steps + 1, n_steps * ss + 1
+    if table.shape[0] not in (coupled, fine):
+        also = f" (or {fine} at the inner sampling)" if ss > 1 else ""
+        raise error(f"input table for {sid!r} must have {coupled} rows{also}, got {table.shape[0]}")
     finite = np.isfinite(table).all(axis=1)
     if not finite.all():
         row = int(np.argmin(finite))
         raise error(f"input table for {sid!r} holds a non-finite value in row {row}")
-
-
-def _resample_inputs(coarse: np.ndarray, ss: int) -> np.ndarray:
-    """Linear interpolation of coarse force samples onto the inner grid."""
-    n_steps = coarse.shape[0] - 1
-    t_coarse = np.arange(n_steps + 1, dtype=float)
-    t_fine = np.arange(n_steps * ss + 1, dtype=float) / ss
-    return np.column_stack([
-        np.interp(t_fine, t_coarse, coarse[:, j]) for j in range(coarse.shape[1])
-    ])
+    if table.shape[0] == (fine if inner else coupled):
+        return table
+    if not inner:
+        return table[::ss]
+    t_fine = np.arange(fine, dtype=float) / ss
+    return np.column_stack([np.interp(t_fine, np.arange(coupled, dtype=float), col) for col in table.T])
 
 
 @dataclass(frozen=True)
 class _Group:
     """Substructures with one inner-step count, stepped as one stacked form.
 
-    ``cols[sid]`` selects a member's DOFs (force and momentum rows) and
-    ``rows[sid]`` its own state ``[u; v]`` from the stacked ones.
-    ``injector`` stacks the members' ``L_v``; ``link_rate`` and
-    ``link_state`` stack their link maps (``None`` without constraints).
+    ``rows[sid]`` selects a member's own state ``[u; v]`` from the stacked
+    one (all of it for a single member).  ``ramp`` holds the weights
+    1 - j/ss of the inner steps j = 1..ss as a column, ``injector`` stacks
+    the members' ``L_v``, and ``link_rate`` and ``link_state`` stack their
+    link maps.
     """
 
     subcycles: int
     form: FirstOrderForm
     effective: object  # EffectiveMatrix of a single member, else _BlockSolve
-    cols: dict
     rows: dict
+    ramp: np.ndarray
     injector: np.ndarray
-    link_rate: np.ndarray | None
-    link_state: np.ndarray | None
+    link_rate: np.ndarray
+    link_state: np.ndarray
 
 
 class PartitionedSolver:
-    """Prepared co-simulation: factorizations done once, stepping separate.
+    """Prepared co-simulation: factorizations and step plan done once, stepping separate.
 
-    Construction performs all offline work (first-order assembly, tangent and
-    interface-operator factorizations); :meth:`run` performs the online time
-    stepping.  A coupled step takes one free step per inner-step count
-    rather than one per substructure; each member of a stack keeps its own
-    law and factorization.
+    Construction performs all offline work: first-order assembly, tangent and
+    interface-operator factorizations, and the grouping of the substructures
+    by inner-step count.  :meth:`run` performs the online time stepping: a
+    coupled step takes one free step per inner step of each group rather
+    than one per substructure; each member of a group keeps its own law and
+    factorization.
     """
 
     def __init__(self, system: CoupledSystem, config: SolverConfig):
         self.system = system
         self.config = config
         self.sub_ids = list(system.substructures)
-        # physical substructures take config.subcycles inner steps per coupled
-        # step, every other substructure one
-        self.subcycled = set(system.physical_ids())
-        # ramp weights 1 - j/ss of the inner steps j = 1..ss, as a column
-        self.ramp = (1.0 - np.arange(1, config.subcycles + 1) / config.subcycles)[:, None]
+        physical = system.physical_ids()
+        inner = {sid: config.subcycles if sid in physical else 1 for sid in self.sub_ids}
         self.forms = {sid: assemble_first_order(sub) for sid, sub in system.substructures.items()}
         self.effective = {
-            sid: effective_matrix(self.forms[sid], config.dt / self._subcycles(sid), config.gamma)
+            sid: effective_matrix(self.forms[sid], config.dt / inner[sid], config.gamma)
             for sid in self.sub_ids
         }
         self.n_lam = system.topology.n_constraints
-        self.locators = {
-            sid: locator_matrix(system.topology, sid, self.forms[sid].n_dofs)
-            for sid in self.sub_ids
-        }
         if self.n_lam:
             self.interface = steklov_poincare(
                 system.topology,
                 {sid: self.effective[sid].solve for sid in self.sub_ids},
                 {sid: self.forms[sid].n_dofs for sid in self.sub_ids},
             )
-            # link rate D^{-1} [0; L_v] = [gamma*dts b; b] with b = S^{-1} L_v
-            # at the substructure's own step dts, shared by every coupled step
-            self.link_rate = {}
-            for sid in self.sub_ids:
-                d = self.effective[sid]
-                b = d.solve(self.locators[sid])
-                self.link_rate[sid] = np.concatenate([d.gamma * d.dt * b, b])
         else:
             self.interface = None
-
-    def _subcycles(self, sid) -> int:
-        return self.config.subcycles if sid in self.subcycled else 1
-
-    def _groups(self) -> list:
-        """Substructures grouped by inner-step count, in order of first appearance."""
         members = {}
         for sid in self.sub_ids:
-            members.setdefault(self._subcycles(sid), []).append(sid)
-        return [self._group(ss, sids) for ss, sids in members.items()]
-
-    def _group(self, ss: int, sids: list) -> _Group:
-        form = stack_forms(self.forms[sid] for sid in sids)
-        n = form.n_dofs
-        cols, rows, blocks = {}, {}, []
-        start = 0
-        for sid in sids:
-            stop = start + self.forms[sid].n_dofs
-            cols[sid] = slice(start, stop)
-            rows[sid] = np.r_[start:stop, n + start:n + stop] if len(sids) > 1 else slice(None)
-            blocks.append((cols[sid], self.effective[sid]))
-            start = stop
-        effective = blocks[0][1] if len(blocks) == 1 else _BlockSolve(tuple(blocks))
-        link_rate = link_state = None
-        if self.n_lam:
-            link_rate = np.empty((2 * n, self.n_lam))
+            members.setdefault(inner[sid], []).append(sid)
+        self._plan = []
+        for ss, sids in members.items():
+            form = stack_forms(self.forms[sid] for sid in sids)
+            n = form.n_dofs
+            rows, blocks, start = {}, [], 0
             for sid in sids:
-                link_rate[rows[sid]] = self.link_rate[sid]
-            link_state = self.config.gamma * self.config.dt * link_rate
-        return _Group(
-            subcycles=ss, form=form, effective=effective, cols=cols, rows=rows,
-            injector=np.vstack([self.locators[sid] for sid in sids]),
-            link_rate=link_rate, link_state=link_state,
-        )
-
-    def _free_solution(self, group: _Group, y, ydot, table, step, lam, fine_states):
-        """Free solution of a group over one coupled step: ``ss`` inner steps at dt/ss.
-
-        Inner step j injects the previous multipliers with weight 1 - j/ss
-        (zero at ss = 1); sub-cycled inner states go to ``fine_states``.
-        """
-        ss = group.subcycles
-        if ss == 1:
-            return free_step(
-                group.form, group.effective, y, ydot, table[step], self.config.dt, self.config.gamma
-            )
-        dts, gamma = self.config.dt / ss, self.config.gamma
-        first = (step - 1) * ss + 1
-        forces = table[first: first + ss]
-        if self.n_lam:
-            forces = forces + self.ramp * (group.injector @ lam)
-        for j, force in enumerate(forces, first):
-            y, ydot = free_step(group.form, group.effective, y, ydot, force, dts, gamma)
-            for sid, rows in group.rows.items():
-                fine_states[sid][j] = y[rows]
-        return y, ydot
+                stop = start + self.forms[sid].n_dofs
+                rows[sid] = np.r_[start:stop, n + start:n + stop] if len(sids) > 1 else slice(None)
+                blocks.append((slice(start, stop), self.effective[sid]))
+                start = stop
+            effective = blocks[0][1] if len(blocks) == 1 else _BlockSolve(tuple(blocks))
+            injector = np.vstack([
+                locator_matrix(system.topology, sid, self.forms[sid].n_dofs) for sid in sids
+            ])
+            # link rate D^{-1} [0; L_v] = [gamma*dts b; b] with b = S^{-1} L_v
+            # at the group's own step dts, shared by every coupled step; kept in
+            # C order (getrs returns Fortran order, and the layout sets the
+            # summation order of the products with it)
+            b = effective.solve(injector)
+            link_rate = np.ascontiguousarray(np.concatenate([config.gamma * (config.dt / ss) * b, b]))
+            self._plan.append(_Group(
+                subcycles=ss, form=form, effective=effective, rows=rows,
+                ramp=(1.0 - np.arange(1, ss + 1) / ss)[:, None], injector=injector,
+                link_rate=link_rate, link_state=config.gamma * config.dt * link_rate,
+            ))
 
     def run(self, inputs: Mapping | None = None, initial: Mapping | None = None) -> Trajectory:
         """Step the coupled system over the configured horizon.
 
         ``inputs`` maps substructure id to physical force samples, one row
-        per coupled instant (n_steps+1, n_dofs).  Sub-cycled substructures
-        may instead receive samples on their inner grid (n_steps*ss+1 rows);
-        coarse samples are linearly interpolated onto it.
+        per coupled instant (n_steps+1, n_dofs) or one per inner instant of
+        ``config.subcycles`` (n_steps*ss+1 rows).  Each substructure gets
+        them on its own grid: coarse samples are linearly interpolated onto
+        the inner grid of a sub-cycled one, and fine samples are decimated
+        onto the coupled grid of the others.
         """
         cfg = self.config
         n_steps = cfg.n_steps
+        groups = self._plan
         forces = self._prepare_forces(inputs, n_steps)
-        start = {sid: self._initial_state(sid, initial) for sid in self.sub_ids}
-        groups = self._groups()
 
-        y, ydot, tables = [], [], []
-        states, fine_states, fine_times = {}, {}, {}
+        # per group: stacked force table, state, rate, and a record of the
+        # stacked state with one row per inner instant
+        tables, y, ydot, records = [], [], [], []
         for group in groups:
-            ss = group.subcycles
-            parts = [forces[sid] for sid in group.cols]
+            parts = [forces[sid] for sid in group.rows]
             tables.append(parts[0] if len(parts) == 1 else np.hstack(parts))
             y.append(np.empty(group.form.state_size))
             ydot.append(np.empty(group.form.state_size))
             for sid, rows in group.rows.items():
-                y[-1][rows] = start[sid]
-                ydot[-1][rows] = _initial_rate(self.forms[sid], start[sid], forces[sid][0])
-                states[sid] = np.empty((n_steps + 1, start[sid].size))
-                states[sid][0] = start[sid]
-                if ss > 1:
-                    fine_states[sid] = np.empty((n_steps * ss + 1, start[sid].size))
-                    fine_states[sid][0] = start[sid]
-                    fine_times[sid] = np.arange(n_steps * ss + 1) * (cfg.dt / ss)
+                start = self._initial_state(sid, initial)
+                y[-1][rows] = start
+                ydot[-1][rows] = _initial_rate(self.forms[sid], start, forces[sid][0])
+            records.append(np.empty((n_steps * group.subcycles + 1, group.form.state_size)))
+            records[-1][0] = y[-1]
         multipliers = np.zeros((n_steps + 1, self.n_lam))
 
         keys = range(len(groups))
@@ -450,33 +420,45 @@ class PartitionedSolver:
         link_state = {k: groups[k].link_state for k in keys}
         lam = np.zeros(self.n_lam)
         for step in range(1, n_steps + 1):
-            for k in keys:
-                y[k], ydot[k] = self._free_solution(
-                    groups[k], y[k], ydot[k], tables[k], step, lam, fine_states
-                )
+            for k, group in enumerate(groups):
+                ss = group.subcycles
+                first = (step - 1) * ss + 1
+                step_forces = tables[k][first: first + ss]
+                if ss > 1:  # the ramp weight of the single inner step of ss = 1 is zero
+                    step_forces = step_forces + group.ramp * (group.injector @ lam)
+                for j, force in enumerate(step_forces, first):
+                    y[k], ydot[k] = free_step(
+                        group.form, group.effective, y[k], ydot[k], force, cfg.dt / ss, cfg.gamma
+                    )
+                    records[k][j] = y[k]
             if self.n_lam:
                 lam, links = coupling_step(
                     self.interface,
                     {k: y[k][groups[k].form.n_dofs:] for k in keys},
                     compat, link_state, cfg.gamma * cfg.dt,
                 )
-                for k in keys:
+                for k, group in enumerate(groups):
                     y[k] = y[k] + links[k]
-                    ydot[k] = ydot[k] + groups[k].link_rate @ lam
+                    ydot[k] = ydot[k] + group.link_rate @ lam
+                    records[k][step * group.subcycles] = y[k]  # the coupled state closes the window
             multipliers[step] = lam
-            for k in keys:
-                ss = groups[k].subcycles
-                for sid, rows in groups[k].rows.items():
-                    states[sid][step] = y[k][rows]
-                    if ss > 1:  # the coupled state closes the inner window
-                        fine_states[sid][step * ss] = states[sid][step]
             for k in keys:
                 norm = np.abs(y[k]).max() if y[k].size else 0.0
                 if not np.isfinite(norm) or norm > cfg.divergence_limit:
                     # name the first diverged substructure in system order
+                    now = {sid: y[i][rows] for i in keys for sid, rows in groups[i].rows.items()}
                     for sid in self.sub_ids:
-                        _check_divergence(step, sid, states[sid][step], cfg.divergence_limit)
+                        _check_divergence(step, sid, now[sid], cfg.divergence_limit)
 
+        states, fine_states, fine_times = {}, {}, {}
+        for group, record in zip(groups, records):
+            ss = group.subcycles
+            for sid, rows in group.rows.items():
+                fine = record[:, rows]  # a view for a single member, else a copy
+                states[sid] = fine[::ss]
+                if ss > 1:
+                    fine_states[sid] = fine
+                    fine_times[sid] = np.arange(n_steps * ss + 1) * (cfg.dt / ss)
         return Trajectory(
             times=np.arange(n_steps + 1) * cfg.dt,
             states=states,
@@ -502,27 +484,13 @@ class PartitionedSolver:
             if sid not in self.system.substructures:
                 raise SolverError(f"input table for {sid!r} names no substructure")
         forces = {}
-        for sid in self.sub_ids:
-            n = self.forms[sid].n_dofs
-            ss = self._subcycles(sid)
-            need = n_steps * ss + 1
-            if inputs is None or sid not in inputs or inputs[sid] is None:
-                forces[sid] = np.zeros((need, n))
-                continue
-            table = np.asarray(inputs[sid], dtype=float)
-            if table.ndim != 2 or table.shape[1] != n:
-                raise SolverError(
-                    f"input table for {sid!r} must have {n} columns, got {table.shape}"
-                )
-            _check_finite_inputs(sid, table, SolverError)
-            if table.shape[0] == need:
-                forces[sid] = table
-            elif table.shape[0] == n_steps + 1 and ss > 1:
-                forces[sid] = _resample_inputs(table, ss)
-            else:
-                raise SolverError(
-                    f"input table for {sid!r} must have {n_steps + 1} rows "
-                    f"(or {need} at the inner sampling), got {table.shape[0]}"
+        for group in self._plan:
+            ss = group.subcycles
+            for sid in group.rows:
+                n = self.forms[sid].n_dofs
+                table = None if inputs is None else inputs.get(sid)
+                forces[sid] = np.zeros((n_steps * ss + 1, n)) if table is None else _input_table(
+                    sid, table, n, n_steps, self.config.subcycles, ss > 1, SolverError
                 )
         return forces
 

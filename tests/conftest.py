@@ -1,5 +1,7 @@
 """Shared fixtures: desk-scale models and excitation builders."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -23,6 +25,16 @@ def desk_frame(desk):
 @pytest.fixture(scope="session")
 def desk_suspension(desk):
     return desk.substructures["suspension"]
+
+
+def set_json_entry(path, keys, value):
+    """Set the entry at ``keys`` (a sequence of keys and indices) of a JSON file to ``value``."""
+    doc = json.loads(path.read_text())
+    target = doc
+    for key in keys[:-1]:
+        target = target[key]
+    target[keys[-1]] = value
+    path.write_text(json.dumps(doc))
 
 
 def multisine_table(times, n_channels, freqs=(5.0, 12.0, 23.0, 41.0, 77.0),

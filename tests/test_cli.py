@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from dynsub.cli import main
-from dynsub.io import load_csv_columns, load_reduction, load_signals_csv, load_system
+from dynsub.io import load_csv_columns, load_reduction, load_signals_csv, load_system, save_signals_csv
+
+from conftest import set_json_entry
 
 
 def write_config(path, **overrides):
@@ -63,6 +65,11 @@ def _drop_frame_mass(model):
     model.write_text(json.dumps(doc))
 
 
+def _setting(*keys, value):
+    """Edit of a model file that sets the entry at ``keys`` to ``value``."""
+    return lambda model: set_json_entry(model, keys, value)
+
+
 @pytest.mark.parametrize("argv, key, edit", [
     (["generate-model", "--kind", "frame_analog", "--params", '{"nn": 50}', "--out", "{tmp}/m.json"],
      "nn", None),
@@ -75,14 +82,18 @@ def _drop_frame_mass(model):
     (["run-experiment", "--config", "{tmp}/bad.json", "--out-dir", "{tmp}/out"], "bogus", None),
     (["run-experiment", "--config", "{tmp}/bad_model.json", "--out-dir", "{tmp}/out"], "nn", None),
     (["reduce", "--model", "{model}", "--modes", "5", "--out", "{tmp}/r.npz"], "mass", _drop_frame_mass),
+    (["reduce", "--model", "{model}", "--modes", "5", "--out", "{tmp}/r.npz"], "relative_motion",
+     _setting("substructures", "suspension", "relative_motion", value="no")),
+    (["reduce", "--model", "{model}", "--modes", "5", "--out", "{tmp}/r.npz"], "coupling",
+     _setting("coupling", 0, 0, value=["frame", 39])),
     (["simulate", "--model", "{model}", "--config", "{tmp}/str_dt.json", "--out", "{tmp}/t.csv"],
      "dt", None),
     (["run-experiment", "--config", "{tmp}/str_modes.json", "--out-dir", "{tmp}/out"], "modes", None),
     (["generate-signal", "--kind", "multisine", "--samples", "10", "--out", "{tmp}/s.csv", "--spec",
       '{"frequencies": [2], "amplitudes": [1], "noise_variance": "0.1"}'], "noise_variance", None),
 ], ids=["frame_params", "chain_params", "chain_float_n", "solver_config", "experiment_config",
-          "experiment_model", "missing_mass", "solver_config_type", "experiment_config_type",
-          "signal_spec_type"])
+          "experiment_model", "missing_mass", "system_relative_motion", "system_coupling",
+          "solver_config_type", "experiment_config_type", "signal_spec_type"])
 def test_malformed_input_exits_1_naming_the_field(tmp_path, model_file, capsys, argv, key, edit):
     write_config(tmp_path / "bad.json", bogus=1)
     write_config(tmp_path / "str_dt.json", dt="1e-3")
@@ -164,6 +175,28 @@ class TestSimulateCommand:
         rc = main(["simulate", "--model", str(model_file), "--config", str(cfg),
                    "--out", str(out), "--subcycles", "10"])
         assert rc == 0
+
+    def test_inner_rate_csv_decimated_onto_the_coupled_grid(self, tmp_path, model_file):
+        # a 10 kHz CSV and its every-10th row drive the monolithic reference
+        # alike, on the wheels and on a frame DOF
+        set_json_entry(model_file, ["inputs"], {"frame": {"10": 0}})
+        fine = tmp_path / "fine.csv"
+        assert main(["generate-signal", "--kind", "multisine",
+                     "--spec", '{"frequencies": [5, 11], "amplitudes": [1, 1], "noise_variance": 0.01}',
+                     "--samples", "501", "--rate", "10000", "--channels", "4",
+                     "--out", str(fine)]) == 0
+        times, channels = load_signals_csv(fine)
+        coarse = tmp_path / "coarse.csv"
+        save_signals_csv(coarse, times[::10], channels[::10])
+        cfg = write_config(tmp_path / "cfg.json")
+        outs = []
+        for sig in (fine, coarse):
+            out = tmp_path / f"mono_{sig.stem}.csv"
+            assert main(["simulate", "--model", str(model_file), "--config", str(cfg),
+                         "--inputs", str(sig), "--out", str(out),
+                         "--monolithic", "--subcycles", "10"]) == 0
+            outs.append(out.read_text())
+        assert outs[0] == outs[1]
 
     def test_divergence_exit_code(self, tmp_path, capsys):
         model = tmp_path / "unstable.json"

@@ -21,6 +21,8 @@ from dynsub.io import (
 from dynsub.models import NonlinearSubstructure
 from dynsub.solver import CoupledSystem
 
+from conftest import set_json_entry
+
 
 def assert_same_matrices(back, orig):
     for name in ("mass", "damping", "stiffness"):
@@ -91,6 +93,25 @@ class TestSystemRoundTrip:
         path.write_text(json.dumps(doc))
         with pytest.raises(ModelError, match=message):
             load_system(path)
+
+    @pytest.mark.parametrize("path, value, field", [
+        (("substructures", "suspension", "relative_motion"), "no", "relative_motion"),
+        (("substructures", "suspension", "elements", 0, "k1"), "35", "k1"),
+        (("substructures", "suspension", "boundary_mass"), "x", "boundary_mass"),
+        (("coupling", 0, 0), ["frame", "x", 1], "coupling"),
+        (("coupling", 0, 0), ["frame", 23], "coupling"),
+        (("inputs",), {"frame": {"a": 0}}, "inputs"),
+        (("substructures", "frame", "boundary_dofs"), ["a"], "boundary_dofs"),
+        (("physical",), [["suspension"]], "physical"),
+    ], ids=["relative_motion", "k1", "boundary_mass", "coupling_dof", "coupling_sign", "inputs_dof",
+            "boundary_dofs", "physical"])
+    def test_wrongly_typed_field_rejected_naming_it(self, tmp_path, path, value, field):
+        subs, topology = frame_analog(n=24, boundary_dofs=(5, 11, 17, 23))
+        model = tmp_path / "model.json"
+        save_system(model, subs, topology, physical=("suspension",))
+        set_json_entry(model, path, value)
+        with pytest.raises(ModelError, match=repr(field)):
+            load_system(model)
 
     def test_substructures_must_be_a_mapping(self, tmp_path):
         path = tmp_path / "model.json"

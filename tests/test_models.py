@@ -131,21 +131,23 @@ class TestRestoringForce:
         assert np.allclose(r[3], -f_total, rtol=1e-12)
         assert np.allclose(r[:2], [-1.0, 0.0])
 
+    @staticmethod
+    def damper(xd):
+        # wheel momentum row of one relative-motion element at zero deflection
+        return restoring_force(suspension(1), [0.0, 0.0, xd, 0.0])[2]
+
     def test_element_rest_state_zero_force(self):
-        e = SuspensionElement(**COEFF)
-        assert e.damper_force(0.0) == 0.0
+        assert self.damper(0.0) == 0.0
 
     def test_damper_force_is_odd(self):
-        e = SuspensionElement(**COEFF)
         for xd in (1e-3, 0.1, 1.0, 17.3):
-            assert e.damper_force(-xd) == pytest.approx(-e.damper_force(xd), rel=1e-14)
+            assert self.damper(-xd) == pytest.approx(-self.damper(xd), rel=1e-14)
 
     def test_damper_monotone_and_friction_bounded(self):
-        e = SuspensionElement(**COEFF)
         xd = np.linspace(-50, 50, 4001)
-        f = np.array([e.damper_force(x) for x in xd])
+        f = np.array([self.damper(x) for x in xd])
         assert np.all(np.diff(f) > 0)
-        assert np.all(np.abs(f - e.c1 * xd) < e.c2)
+        assert np.all(np.abs(f - COEFF["c1"] * xd) < COEFF["c2"])
 
     def test_dimension_mismatch(self):
         with pytest.raises(ModelError, match="length"):

@@ -1,5 +1,7 @@
 """Partitioned trapezoidal solver: free steps, coupling, sub-cycling."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -36,6 +38,89 @@ def sdof(m=1.0, k=1.0, c=0.0):
 
 def sdof_system(**kwargs):
     return CoupledSystem(substructures={"osc": sdof(**kwargs)}, topology=CouplingTopology(()))
+
+
+def subcycling_system():
+    # small frame stand-in + nonlinear suspension pair
+    frame = linear_suspension_analog(n_elements=2, wheel_mass=1.0, attach_mass=0.5, k1=200.0, c_visc=1.0)
+    susp = suspension_substructure(n_elements=2)
+    topo = CouplingTopology(constraints=(
+        (("frame", 2, 1), ("suspension", 2, -1)),
+        (("frame", 3, 1), ("suspension", 3, -1)),
+    ))
+    return CoupledSystem(substructures={"frame": frame, "suspension": susp},
+                         physical=("suspension",), topology=topo)
+
+
+def subcycling_inputs(system, cfg, ss=1):
+    n_fine = cfg.n_steps * ss + 1
+    times = np.arange(n_fine) * (cfg.dt / ss)
+    susp = system.substructures["suspension"]
+    table = np.zeros((n_fine, susp.n_dofs))
+    table[:, :2] = multisine_table(times, 2, freqs=(3.0, 7.0, 13.0), amps=(1.0, 1.0, 0.5))
+    return {"suspension": table}
+
+
+def hand_stepped(system, cfg, inputs):
+    """Reference co-simulation from a free step per substructure and inner step.
+
+    Physical substructures take ``ss`` inner steps at dt/ss, inner step j
+    adding the previous multipliers with weight 1 - j/ss; the others take
+    one step at dt.  One coupling step follows each coupled step.  Returns
+    the states, the fine states of the sub-cycled substructures and the
+    multipliers, one row per instant, from a zero start.
+    """
+    topo, gdt, ss = system.topology, cfg.gamma * cfg.dt, cfg.subcycles
+    forms = {sid: assemble_first_order(sub) for sid, sub in system.substructures.items()}
+    inner = {sid: ss if sid in system.physical_ids() else 1 for sid in forms}
+    eff = {sid: effective_matrix(form, cfg.dt / inner[sid], cfg.gamma) for sid, form in forms.items()}
+    locators = {sid: locator_matrix(topo, sid, form.n_dofs) for sid, form in forms.items()}
+    interface = steklov_poincare(
+        topo, {sid: d.solve for sid, d in eff.items()},
+        {sid: form.n_dofs for sid, form in forms.items()},
+    )
+    link_rate = {}
+    for sid, l_v in locators.items():
+        b = eff[sid].solve(l_v)
+        link_rate[sid] = np.concatenate([cfg.gamma * (cfg.dt / inner[sid]) * b, b])
+    link_state = {sid: gdt * rate for sid, rate in link_rate.items()}
+    forces = {sid: inputs.get(sid, np.zeros((cfg.n_steps * inner[sid] + 1, form.n_dofs)))
+              for sid, form in forms.items()}
+    y = {sid: np.zeros(form.state_size) for sid, form in forms.items()}
+    ydot = {}
+    for sid, form in forms.items():
+        accel = np.linalg.solve(form.mass, forces[sid][0])
+        ydot[sid] = np.concatenate([np.zeros(form.n_dofs), accel])
+    states = {sid: [y[sid]] for sid in forms}
+    fine_states = {sid: [y[sid]] for sid in forms if inner[sid] > 1}
+    multipliers = [np.zeros(topo.n_constraints)]
+    lam = multipliers[0]
+    for step in range(1, cfg.n_steps + 1):
+        free = {}
+        for sid, form in forms.items():
+            n_in, yy, yd = inner[sid], y[sid], ydot[sid]
+            for j in range(1, n_in + 1):
+                force = forces[sid][(step - 1) * n_in + j] + (1 - j / n_in) * (locators[sid] @ lam)
+                yy, yd = free_step(form, eff[sid], yy, yd, force, cfg.dt / n_in, cfg.gamma)
+                if n_in > 1:
+                    fine_states[sid].append(yy)
+            free[sid] = yy, yd
+        lam, links = coupling_step(
+            interface, {sid: free[sid][0][form.n_dofs:] for sid, form in forms.items()},
+            {sid: l_v.T for sid, l_v in locators.items()}, link_state, gdt,
+        )
+        multipliers.append(lam)
+        for sid in forms:
+            y[sid] = free[sid][0] + links[sid]
+            ydot[sid] = free[sid][1] + link_rate[sid] @ lam
+            states[sid].append(y[sid])
+            if sid in fine_states:  # the coupled state closes the inner window
+                fine_states[sid][-1] = y[sid]
+    return (
+        {sid: np.array(rows) for sid, rows in states.items()},
+        {sid: np.array(rows) for sid, rows in fine_states.items()},
+        np.array(multipliers),
+    )
 
 
 class TestSolverConfig:
@@ -199,6 +284,12 @@ class TestSimulate:
             y, ydot = free_step(form, d, y, ydot, forces[step], cfg.dt, cfg.gamma)
             assert np.allclose(traj.states["osc"][step], y, atol=1e-15)
 
+    @staticmethod
+    def assert_rows_close(actual, reference):
+        # each row within 1e-12 of that row's scale
+        scale = np.abs(reference).max(axis=1)
+        assert np.all(np.abs(actual - reference).max(axis=1) <= 1e-12 * scale)
+
     def test_stacked_stepping_matches_a_step_per_substructure(self, desk):
         # at ss = 1 the frame and the suspension bank are stepped as one
         # stacked form; reference: a free step per substructure, coupled by hand
@@ -206,41 +297,24 @@ class TestSimulate:
         times = np.arange(cfg.n_steps + 1) * cfg.dt
         inputs = {"suspension": wheel_forces(desk, "suspension", times)}
         traj = simulate(desk, cfg, inputs)
+        states, _, multipliers = hand_stepped(desk, cfg, inputs)
+        for sid in desk.substructures:
+            self.assert_rows_close(traj.states[sid], states[sid])
+        self.assert_rows_close(traj.multipliers, multipliers)
 
-        topo, gdt = desk.topology, cfg.gamma * cfg.dt
-        forms = {sid: assemble_first_order(sub) for sid, sub in desk.substructures.items()}
-        eff = {sid: effective_matrix(form, cfg.dt, cfg.gamma) for sid, form in forms.items()}
-        locators = {sid: locator_matrix(topo, sid, form.n_dofs) for sid, form in forms.items()}
-        interface = steklov_poincare(
-            topo, {sid: d.solve for sid, d in eff.items()},
-            {sid: form.n_dofs for sid, form in forms.items()},
-        )
-        link_rate = {}
-        for sid, l_v in locators.items():
-            b = eff[sid].solve(l_v)
-            link_rate[sid] = np.concatenate([gdt * b, b])
-        link_state = {sid: gdt * rate for sid, rate in link_rate.items()}
-        forces = {sid: inputs.get(sid, np.zeros((cfg.n_steps + 1, form.n_dofs)))
-                  for sid, form in forms.items()}
-        y = {sid: np.zeros(form.state_size) for sid, form in forms.items()}
-        ydot = {}
-        for sid, form in forms.items():
-            accel = np.linalg.solve(form.mass, forces[sid][0])
-            ydot[sid] = np.concatenate([np.zeros(form.n_dofs), accel])
-        for step in range(1, cfg.n_steps + 1):
-            free = {sid: free_step(form, eff[sid], y[sid], ydot[sid], forces[sid][step],
-                                   cfg.dt, cfg.gamma)
-                    for sid, form in forms.items()}
-            lam, links = coupling_step(
-                interface, {sid: free[sid][0][form.n_dofs:] for sid, form in forms.items()},
-                {sid: l_v.T for sid, l_v in locators.items()}, link_state, gdt,
-            )
-            for sid in forms:
-                y[sid] = free[sid][0] + links[sid]
-                ydot[sid] = free[sid][1] + link_rate[sid] @ lam
-                scale = np.abs(y[sid]).max()
-                assert np.abs(traj.states[sid][step] - y[sid]).max() <= 1e-12 * scale
-            assert np.abs(traj.multipliers[step] - lam).max() <= 1e-12 * np.abs(lam).max()
+    def test_subcycled_stepping_matches_a_hand_stepped_reference(self):
+        # the suspension takes 5 inner steps at dt/5 with the ramped injection
+        # of the previous multipliers, the frame one step at dt
+        system = subcycling_system()
+        cfg = SolverConfig(dt=1e-3, duration=0.05, subcycles=5)
+        inputs = subcycling_inputs(system, cfg, ss=5)
+        traj = simulate(system, cfg, inputs)
+        states, fine_states, multipliers = hand_stepped(system, cfg, inputs)
+        for sid in system.substructures:
+            self.assert_rows_close(traj.states[sid], states[sid])
+        assert set(traj.fine_states) == set(fine_states) == {"suspension"}
+        self.assert_rows_close(traj.fine_states["suspension"], fine_states["suspension"])
+        self.assert_rows_close(traj.multipliers, multipliers)
 
     def test_trajectory_layout(self, desk):
         cfg = SolverConfig(dt=1e-3, duration=0.01)
@@ -330,50 +404,32 @@ class TestSimulate:
 
 
 class TestSubcycling:
-    def _system(self):
-        # small frame stand-in + nonlinear suspension pair
-        frame = linear_suspension_analog(n_elements=2, wheel_mass=1.0, attach_mass=0.5, k1=200.0, c_visc=1.0)
-        susp = suspension_substructure(n_elements=2)
-        topo = CouplingTopology(constraints=(
-            (("frame", 2, 1), ("suspension", 2, -1)),
-            (("frame", 3, 1), ("suspension", 3, -1)),
-        ))
-        return CoupledSystem(substructures={"frame": frame, "suspension": susp},
-                             physical=("suspension",), topology=topo)
-
-    def _inputs(self, system, cfg, ss=1):
-        n_fine = cfg.n_steps * ss + 1
-        times = np.arange(n_fine) * (cfg.dt / ss)
-        susp = system.substructures["suspension"]
-        table = np.zeros((n_fine, susp.n_dofs))
-        table[:, :2] = multisine_table(times, 2, freqs=(3.0, 7.0, 13.0), amps=(1.0, 1.0, 0.5))
-        return {"suspension": table}
-
     def test_ss1_identical_to_plain_run(self):
-        system = self._system()
+        system = subcycling_system()
         cfg = SolverConfig(dt=1e-3, duration=0.2, subcycles=1)
-        inputs = self._inputs(system, cfg)
+        inputs = subcycling_inputs(system, cfg)
         via_inner_loop = simulate(system, cfg, inputs)
-        # same factorizations, but force the single-free-step path
-        plain = PartitionedSolver(system, cfg)
-        plain.subcycled = set()
-        ref = plain.run(inputs)
+        # at ss = 1 every substructure takes one inner step in one group, so
+        # the run does not depend on which substructures are physical
+        plain = dataclasses.replace(system, physical=("frame",))
+        ref = PartitionedSolver(plain, cfg).run(inputs)
+        assert not via_inner_loop.fine_states and not ref.fine_states
         for sid in system.substructures:
             assert np.array_equal(via_inner_loop.states[sid], ref.states[sid])
         assert np.array_equal(via_inner_loop.multipliers, ref.multipliers)
 
     def test_non_finite_fine_input_rejected_naming_the_row(self):
-        system = self._system()
+        system = subcycling_system()
         cfg = SolverConfig(dt=1e-3, duration=0.05, subcycles=10)
-        inputs = self._inputs(system, cfg, ss=10)
+        inputs = subcycling_inputs(system, cfg, ss=10)
         inputs["suspension"][317, 1] = np.nan
         with pytest.raises(SolverError, match="'suspension'.* row 317"):
             simulate(system, cfg, inputs)
 
     def test_fine_sampling_recorded(self):
-        system = self._system()
+        system = subcycling_system()
         cfg = SolverConfig(dt=1e-3, duration=0.05, subcycles=5)
-        traj = simulate(system, cfg, self._inputs(system, cfg, ss=5))
+        traj = simulate(system, cfg, subcycling_inputs(system, cfg, ss=5))
         assert "suspension" in traj.fine_states
         assert traj.fine_states["suspension"].shape[0] == cfg.n_steps * 5 + 1
         assert len(traj.fine_times["suspension"]) == cfg.n_steps * 5 + 1
@@ -384,10 +440,10 @@ class TestSubcycling:
         assert "frame" not in traj.fine_states
 
     def test_coarse_inputs_interpolated(self):
-        system = self._system()
+        system = subcycling_system()
         cfg = SolverConfig(dt=1e-3, duration=0.05, subcycles=5)
-        fine = simulate(system, cfg, self._inputs(system, cfg, ss=5))
-        coarse_inputs = {"suspension": self._inputs(system, cfg, ss=5)["suspension"][::5]}
+        fine = simulate(system, cfg, subcycling_inputs(system, cfg, ss=5))
+        coarse_inputs = {"suspension": subcycling_inputs(system, cfg, ss=5)["suspension"][::5]}
         interp = simulate(system, cfg, coarse_inputs)
         # interpolated forcing approximates the exact fine samples
         err = np.abs(fine.states["suspension"] - interp.states["suspension"]).max()
@@ -395,9 +451,9 @@ class TestSubcycling:
         assert err <= 0.05 * scale
 
     def test_velocity_compatibility_holds_when_subcycled(self):
-        system = self._system()
+        system = subcycling_system()
         cfg = SolverConfig(dt=1e-3, duration=0.1, subcycles=10)
-        traj = simulate(system, cfg, self._inputs(system, cfg, ss=10))
+        traj = simulate(system, cfg, subcycling_inputs(system, cfg, ss=10))
         v_frame = np.column_stack([traj.velocity("frame", 2), traj.velocity("frame", 3)])
         v_susp = np.column_stack([traj.velocity("suspension", 2), traj.velocity("suspension", 3)])
         scale = max(np.abs(v_susp).max(), 1e-30)
@@ -405,12 +461,12 @@ class TestSubcycling:
 
     def test_ss10_similar_to_fine_step_run_with_some_loss(self):
         # 10 sub-cycles at dt vs a plain run at dt/10: close but not identical
-        system = self._system()
+        system = subcycling_system()
         duration = 0.3
         cfg_ss = SolverConfig(dt=1e-3, duration=duration, subcycles=10)
-        traj_ss = simulate(system, cfg_ss, self._inputs(system, cfg_ss, ss=10))
+        traj_ss = simulate(system, cfg_ss, subcycling_inputs(system, cfg_ss, ss=10))
         cfg_fine = SolverConfig(dt=1e-4, duration=duration)
-        traj_fine = simulate(system, cfg_fine, self._inputs(system, cfg_fine))
+        traj_fine = simulate(system, cfg_fine, subcycling_inputs(system, cfg_fine))
         wheel_ss = traj_ss.fine_states["suspension"][:, 0]
         wheel_fine = traj_fine.displacement("suspension", 0)
         assert wheel_ss.shape == wheel_fine.shape
