@@ -24,7 +24,7 @@ from .models import ModelError, build_from_fields, number_tuple, require_numbers
 from .monolithic import assemble_global, solve_monolithic
 from .reduction import reduce as cb_reduce, reduced_topology
 from .signals import multisine_with_noise_channels
-from .solver import CoupledSystem, PartitionedSolver, SolverConfig
+from .solver import CoupledSystem, PartitionedSolver, SolverConfig, SolverError
 
 # arbitrary default multisine content, kept inside the band the default
 # 30-mode reduction reproduces to 0.1% (first 20 modes, up to ~9 Hz)
@@ -65,11 +65,10 @@ class ExperimentConfig:
             raise ModelError(f"field 'model' must be an object of frame parameters, got {self.model!r}")
         if self.modes < 1:
             raise ModelError(f"need at least one retained mode, got {self.modes}")
-        n_steps = round(self.duration / self.dt)
-        if n_steps < 1 or abs(n_steps * self.dt - self.duration) > self.dt:
-            raise ModelError(
-                f"duration {self.duration} is not within one step of a multiple of dt {self.dt}"
-            )
+        try:  # the solver's own rules on dt, duration, gamma and subcycles
+            SolverConfig(dt=self.dt, duration=self.duration, gamma=self.gamma, subcycles=self.subcycles)
+        except SolverError as exc:
+            raise ModelError(str(exc)) from None
         for name in ("sine_frequencies", "sine_amplitudes"):
             object.__setattr__(self, name, number_tuple(ModelError, name, getattr(self, name)))
         object.__setattr__(self, "model", dict(self.model))

@@ -6,18 +6,23 @@ to an attachment point through a linear spring and a dry-friction damper).
 
 Every substructure of ``n`` physical DOFs is described by its mass ``M``,
 the tangent blocks ``K`` (stiffness) and ``C`` (damping) at the zero state,
-and one momentum force law ``g(u, v) = C v + K u + f_nl(u, v)``.  Its
-first-order form with state ``Y = [u; v]`` (displacements stacked over
-velocities) is
+and one momentum force law
+
+    g(u, v) = K u + C v + B^T rho(B v)
+
+whose nonlinear remainder ``rho`` acts on the element rates ``B v`` only
+(``B`` has no rows for a linear substructure).  Its first-order form with
+state ``Y = [u; v]`` (displacements stacked over velocities) is
 
     A @ Ydot + R(Y) = F,      A = blockdiag(I, M),   R(Y) = [-v; g(u, v)]
 
 where external forces enter the momentum (velocity) rows only.
 
-Every force law is affine in ``u`` with slope ``K``:
-``g(u + d, v) = g(u, v) + K d`` (the nonlinearity acts on velocities only).
-The solvers rely on this contract to condense the trapezoidal step onto the
-momentum rows (see :mod:`dynsub.solver`).
+Every force law is thus affine in ``u`` with slope ``K``:
+``g(u + d, v) = g(u, v) + K d``.  The solvers rely on this to condense the
+trapezoidal step onto the momentum rows, and on the split into a linear
+part and ``rho`` to precompute the step of small substructures (see
+:mod:`dynsub.solver`).
 """
 
 from __future__ import annotations
@@ -237,21 +242,33 @@ class FirstOrderForm:
     """First-order view A @ Ydot + R(Y) = F of an n-DOF substructure.
 
     Holds the mass ``M``, the tangent blocks ``K`` (``stiffness``) and ``C``
-    (``damping``) at the zero state, and the momentum force law
-    ``momentum(u, v) = g(u, v)``, which must be affine in ``u`` with slope
-    ``K``.  The 2n-sized ``restoring``, ``tangent`` and ``A`` are derived
-    from these for checks; the solvers never build them.
+    (``damping``) at the zero state, the element-rate matrix ``B``
+    (``rates``, one row per nonlinear element, none for a linear form) and
+    the remainder ``rho`` of the element forces beyond their tangent
+    (``remainder``, ``None`` without rows).  The momentum force law is
+    ``g(u, v) = K u + C v + B^T rho(B v)``.  The 2n-sized ``restoring``,
+    ``tangent`` and ``A`` are derived from these for checks; the solvers
+    never build them.
     """
 
     n_dofs: int
     mass: np.ndarray
     stiffness: np.ndarray = field(repr=False)
     damping: np.ndarray = field(repr=False)
-    momentum: Callable[[np.ndarray, np.ndarray], np.ndarray] = field(repr=False)
+    rates: np.ndarray = field(repr=False)
+    remainder: Callable[[np.ndarray], np.ndarray] | None = field(repr=False)
 
     @property
     def state_size(self) -> int:
         return 2 * self.n_dofs
+
+    def momentum(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """g(u, v) = K u + C v + B^T rho(B v); a law without element rows also takes blocks of columns."""
+        # ndarray.dot: on the few-element blocks of a suspension it costs a third of ``@``
+        out = self.stiffness.dot(u) + self.damping.dot(v)
+        if len(self.rates):
+            out += self.rates.T.dot(self.remainder(self.rates.dot(v)))
+        return out
 
     def restoring(self, y: np.ndarray) -> np.ndarray:
         """R(Y) = [-v; g(u, v)]."""
@@ -277,30 +294,38 @@ class FirstOrderForm:
         return a
 
 
-def _linear_momentum(sub: LinearSubstructure) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
-    k, c = sub.stiffness, sub.damping
+def _friction_remainder(sub: NonlinearSubstructure) -> Callable[[np.ndarray], np.ndarray]:
+    """rho of the suspension elements: the damper force beyond its rest slope c1 + c2/c3.
 
-    def momentum(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        return k.dot(u) + c.dot(v)
-
-    return momentum
-
-
-def _suspension_momentum(sub: NonlinearSubstructure) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
-    # ndarray.dot: on these few-element blocks it costs a third of ``@``
-    b = sub.incidence()
-    bt = np.ascontiguousarray(b.T)
-    k1b = np.array([e.k1 for e in sub.elements])[:, None] * b  # spring force k1 x = k1b u
-    c1 = np.array([e.c1 for e in sub.elements])
+    The damper force is ``c1 xd + c2 xd / (c3 + |xd|)``; its slope at rest
+    is part of the tangent ``C``, so the remainder is
+    ``xd (c2 / (c3 + |xd|) - c2 / c3)``.
+    """
     c2 = np.array([e.c2 for e in sub.elements])
     c3 = np.array([e.c3 for e in sub.elements])
+    slope = c2 / c3
 
-    def momentum(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        xd = b.dot(v)
-        # k1 x + c1 xd + c2 xd / (c3 + |xd|), with xd factored out of the damper
-        return bt.dot(k1b.dot(u) + xd * (c1 + c2 / (c3 + np.abs(xd))))
+    def remainder(xd: np.ndarray) -> np.ndarray:
+        return xd * (c2 / (c3 + np.abs(xd)) - slope)
 
-    return momentum
+    return remainder
+
+
+def _stacked_remainder(forms) -> Callable[[np.ndarray], np.ndarray] | None:
+    """rho of forms whose element rows are stacked in order: each member's own rho on its rows."""
+    laws, start = [], 0
+    for form in forms:
+        stop = start + len(form.rates)
+        if stop > start:
+            laws.append((slice(start, stop), form.remainder))
+        start = stop
+    if len(laws) <= 1:
+        return laws[0][1] if laws else None
+
+    def remainder(xd: np.ndarray) -> np.ndarray:
+        return np.concatenate([law(xd[rows]) for rows, law in laws])
+
+    return remainder
 
 
 def restoring_force(sub: Substructure, y: np.ndarray) -> np.ndarray:
@@ -351,10 +376,10 @@ def assemble_first_order(sub: Substructure) -> FirstOrderForm:
     """
     if isinstance(sub, LinearSubstructure):
         stiffness, damping = sub.stiffness, sub.damping
-        momentum = _linear_momentum(sub)
+        rates, remainder = np.zeros((0, sub.n_dofs)), None
     elif isinstance(sub, NonlinearSubstructure):
         stiffness, damping = sub.tangent_matrices()
-        momentum = _suspension_momentum(sub)
+        rates, remainder = sub.incidence(), _friction_remainder(sub)
     else:
         raise ModelError(f"unsupported substructure type {type(sub).__name__}")
     return FirstOrderForm(
@@ -362,7 +387,8 @@ def assemble_first_order(sub: Substructure) -> FirstOrderForm:
         mass=sub.mass,
         stiffness=stiffness,
         damping=damping,
-        momentum=momentum,
+        rates=rates,
+        remainder=remainder,
     )
 
 
@@ -370,26 +396,21 @@ def stack_forms(forms) -> FirstOrderForm:
     """Block-diagonal first-order form of uncoupled forms, stepped as one.
 
     The stacked state is ``[u_1; ...; u_k; v_1; ...; v_k]``: all
-    displacements, then all velocities, each in the order of ``forms``.  The
-    momentum law evaluates each member's own law on its rows, so it stays
-    affine in ``u`` with the block-diagonal slope.  A single form is
+    displacements, then all velocities, each in the order of ``forms``.
+    ``M``, ``K``, ``C`` and ``B`` are block-diagonal and ``rho`` applies
+    each member's own remainder to its element rows.  A single form is
     returned as it is.
     """
     forms = tuple(forms)
     if len(forms) == 1:
         return forms[0]
-    bounds = np.cumsum([0] + [f.n_dofs for f in forms])
-    laws = [(slice(a, b), f.momentum) for a, b, f in zip(bounds, bounds[1:], forms)]
-
-    def momentum(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        return np.concatenate([law(u[rows], v[rows]) for rows, law in laws])
-
     return FirstOrderForm(
-        n_dofs=int(bounds[-1]),
+        n_dofs=sum(f.n_dofs for f in forms),
         mass=scipy.linalg.block_diag(*(f.mass for f in forms)),
         stiffness=scipy.linalg.block_diag(*(f.stiffness for f in forms)),
         damping=scipy.linalg.block_diag(*(f.damping for f in forms)),
-        momentum=momentum,
+        rates=scipy.linalg.block_diag(*(f.rates for f in forms)),
+        remainder=_stacked_remainder(forms),
     )
 
 

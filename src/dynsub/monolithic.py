@@ -21,6 +21,7 @@ from .models import (
     FirstOrderForm,
     ModelError,
     NonlinearSubstructure,
+    _stacked_remainder,
     assemble_first_order,
 )
 from .solver import (
@@ -58,22 +59,20 @@ class AssembledSystem:
     def first_order(self) -> FirstOrderForm:
         """First-order form of the assembled system.
 
-        The momentum force law sums each substructure's own law, scattered
-        through ``dof_map``; the tangent blocks are the assembled ``K`` and
-        ``C``, so the sum stays affine in ``u`` with slope ``K``.
+        The tangent blocks are the assembled ``K`` and ``C``; the element
+        rows of each substructure's ``B`` are scattered onto the global DOFs
+        through ``dof_map`` and stacked in substructure order, so the
+        assembled law applies each substructure's own remainder.
         """
         n = self.n_dofs
-        parts = [(self.dof_map[sid], form.momentum) for sid, form in self._forms.items()]
-
-        def momentum(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-            out = np.zeros(n)
-            for ids, sub_momentum in parts:
-                np.add.at(out, ids, sub_momentum(u[ids], v[ids]))
-            return out
-
+        rates = []
+        for sid, form in self._forms.items():
+            block = np.zeros((len(form.rates), n))
+            np.add.at(block, (slice(None), self.dof_map[sid]), form.rates)
+            rates.append(block)
         return FirstOrderForm(
             n_dofs=n, mass=self.mass, stiffness=self.stiffness, damping=self.damping,
-            momentum=momentum,
+            rates=np.vstack(rates), remainder=_stacked_remainder(self._forms.values()),
         )
 
 

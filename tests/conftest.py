@@ -4,10 +4,17 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import settings
+
 
 from dynsub import CoupledSystem, LinearSubstructure, SolverConfig, assemble_first_order, assemble_global
 from dynsub.generators import chain_substructure, frame_analog, suspension_substructure
 from dynsub.models import stack_forms
+
+# property tests draw the same examples on every run, so the suite stays
+# deterministic; no example database is written
+settings.register_profile("dynsub", derandomize=True, database=None, deadline=None, print_blob=False)
+settings.load_profile("dynsub")
 
 
 @pytest.fixture(scope="session")

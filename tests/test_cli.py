@@ -88,15 +88,19 @@ def _setting(*keys, value):
      _setting("coupling", 0, 0, value=["frame", 39])),
     (["simulate", "--model", "{model}", "--config", "{tmp}/str_dt.json", "--out", "{tmp}/t.csv"],
      "dt", None),
+    (["simulate", "--model", "{model}", "--config", "{tmp}/part_step.json", "--out", "{tmp}/t.csv"],
+     "duration", None),
     (["run-experiment", "--config", "{tmp}/str_modes.json", "--out-dir", "{tmp}/out"], "modes", None),
     (["generate-signal", "--kind", "multisine", "--samples", "10", "--out", "{tmp}/s.csv", "--spec",
       '{"frequencies": [2], "amplitudes": [1], "noise_variance": "0.1"}'], "noise_variance", None),
 ], ids=["frame_params", "chain_params", "chain_float_n", "solver_config", "experiment_config",
           "experiment_model", "missing_mass", "system_relative_motion", "system_coupling",
-          "solver_config_type", "experiment_config_type", "signal_spec_type"])
+          "solver_config_type", "solver_config_partial_step", "experiment_config_type",
+          "signal_spec_type"])
 def test_malformed_input_exits_1_naming_the_field(tmp_path, model_file, capsys, argv, key, edit):
     write_config(tmp_path / "bad.json", bogus=1)
     write_config(tmp_path / "str_dt.json", dt="1e-3")
+    write_config(tmp_path / "part_step.json", duration=0.0505)  # 50.5 steps of dt = 1e-3
     (tmp_path / "bad_model.json").write_text(json.dumps({"model": {"nn": 5}}))
     (tmp_path / "str_modes.json").write_text(json.dumps({"modes": "5"}))
     if edit is not None:

@@ -19,8 +19,9 @@ def small_config(**overrides):
 
 class TestConfig:
     def test_duration_must_match_step_grid(self):
-        with pytest.raises(ModelError, match="duration"):
-            ExperimentConfig(dt=1e-3, duration=4e-4)
+        for duration in (4e-4, 1.5e-3):  # 1.5 steps passed a rule of "within one step"
+            with pytest.raises(ModelError, match="'duration'"):
+                ExperimentConfig(dt=1e-3, duration=duration)
 
     def test_mode_count_validated(self):
         with pytest.raises(ModelError, match="mode"):

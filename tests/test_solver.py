@@ -5,15 +5,19 @@ import dataclasses
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings, strategies as st
 
+import dynsub.solver
 from dynsub import (
     CoupledSystem,
     CouplingTopology,
     DivergenceError,
     LinearSubstructure,
+    NonlinearSubstructure,
     PartitionedSolver,
     SolverConfig,
     SolverError,
+    SuspensionElement,
     assemble_first_order,
     analytic_sdof,
     coupling_step,
@@ -24,7 +28,8 @@ from dynsub import (
     steklov_poincare,
     tangent_at_zero,
 )
-from dynsub.generators import suspension_substructure
+from dynsub.generators import chain_substructure, frame_analog, suspension_substructure
+from dynsub.reduction import reduce as cb_reduce, reduced_topology
 
 from conftest import FORCE_LAW_KINDS, first_order_forms, linear_suspension_analog, multisine_table, wheel_forces
 
@@ -138,6 +143,21 @@ class TestSolverConfig:
 
     def test_step_count(self):
         assert SolverConfig(dt=1e-3, duration=1.0).n_steps == 1000
+
+    @pytest.mark.parametrize("dt, duration, n_steps", [
+        (1e-4, 5.0, 50000), (1e-3 / 7, 1.0, 7000), (0.05, 500.0, 10000),
+    ])
+    def test_step_count_of_an_inexact_ratio(self, dt, duration, n_steps):
+        # duration/dt is a whole number only up to round-off
+        assert SolverConfig(dt=dt, duration=duration).n_steps == n_steps
+
+    @pytest.mark.parametrize("dt, duration", [
+        (0.3, 1.0), (1e-3, 0.0025), (1e-3, 0.0004), (1e-3, 0.0015), (1e-3, 1.0 + 1e-7), (1e-3, np.inf),
+    ])
+    def test_duration_must_be_a_whole_number_of_steps(self, dt, duration):
+        # a partial last step used to be rounded away, or up to a whole step
+        with pytest.raises(SolverError, match="'duration'.*'dt'"):
+            SolverConfig(dt=dt, duration=duration)
 
     @pytest.mark.parametrize("field, value", [
         ("dt", "1e-3"), ("duration", None), ("gamma", [0.5]), ("subcycles", "10"),
@@ -473,3 +493,90 @@ class TestSubcycling:
         rel = np.mean((wheel_ss - wheel_fine) ** 2) / np.mean(wheel_fine**2)
         assert rel < 0.05       # overall response similar
         assert rel > 1e-8       # but a measurable fidelity loss remains
+
+
+@st.composite
+def small_coupled_runs(draw):
+    """A damped chain and a suspension bank on a random topology, with random forces.
+
+    Returns the system, a sub-cycled config and force tables on each
+    substructure's own grid.
+    """
+    n = draw(st.integers(1, 12))
+    real = st.floats
+    chain = chain_substructure(n, m=draw(real(0.1, 10.0)), k=draw(real(1.0, 1e4)), c=draw(real(0.0, 5.0)))
+    elements = tuple(
+        SuspensionElement(mass=draw(real(0.05, 1.0)), k1=draw(real(1.0, 100.0)), c1=draw(real(0.0, 2.0)),
+                          c2=draw(real(0.0, 20.0)), c3=draw(real(0.05, 2.0)))
+        for _ in range(draw(st.integers(1, 4)))
+    )
+    susp = NonlinearSubstructure(elements=elements, boundary_mass=draw(real(0.01, 0.5)),
+                                 relative_motion=draw(st.booleans()))
+    # each constraint ties a distinct chain DOF to a distinct suspension DOF
+    n_lam = draw(st.integers(1, min(n, susp.n_dofs)))
+    chain_dofs = draw(st.permutations(range(n)))[:n_lam]
+    susp_dofs = draw(st.permutations(range(susp.n_dofs)))[:n_lam]
+    signs = draw(st.lists(st.sampled_from((1, -1)), min_size=n_lam, max_size=n_lam))
+    topology = CouplingTopology(constraints=tuple(
+        (("chain", a, sign), ("suspension", b, -sign)) for a, b, sign in zip(chain_dofs, susp_dofs, signs)
+    ))
+    system = CoupledSystem(substructures={"chain": chain, "suspension": susp}, topology=topology)
+    cfg = SolverConfig(dt=1e-3, duration=draw(st.integers(1, 20)) * 1e-3,
+                       gamma=draw(real(0.5, 1.0)), subcycles=draw(st.integers(1, 6)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    amplitude = draw(real(0.1, 10.0))
+    inputs = {
+        "chain": amplitude * rng.standard_normal((cfg.n_steps + 1, n)),
+        "suspension": amplitude * rng.standard_normal((cfg.n_steps * cfg.subcycles + 1, susp.n_dofs)),
+    }
+    return system, cfg, inputs
+
+
+class TestPropagator:
+    """Small groups step through a propagator built from ``free_step``; larger ones call it."""
+
+    @settings(max_examples=100)
+    @given(small_coupled_runs())
+    def test_matches_the_hand_stepped_kernel(self, run):
+        system, cfg, inputs = run
+        traj = simulate(system, cfg, inputs)
+        states, fine_states, multipliers = hand_stepped(system, cfg, inputs)
+        for sid in system.substructures:
+            TestSimulate.assert_rows_close(traj.states[sid], states[sid])
+        assert set(traj.fine_states) == set(fine_states)
+        for sid, fine in fine_states.items():
+            TestSimulate.assert_rows_close(traj.fine_states[sid], fine)
+        TestSimulate.assert_rows_close(traj.multipliers, multipliers)
+
+    @staticmethod
+    def count_free_steps(monkeypatch, system, cfg, inputs):
+        solver = PartitionedSolver(system, cfg)  # builds the propagators
+        calls = []
+
+        def counted(*args):
+            calls.append(1)
+            return free_step(*args)
+
+        monkeypatch.setattr(dynsub.solver, "free_step", counted)
+        solver.run(inputs)
+        return len(calls)
+
+    def test_reduced_desk_group_takes_no_free_step(self, monkeypatch):
+        subs, topology = frame_analog()
+        red = cb_reduce(subs["frame"], 30)
+        system = CoupledSystem(
+            substructures={"frame": red.as_substructure(), "suspension": subs["suspension"]},
+            topology=reduced_topology(topology, "frame", red), physical=("suspension",),
+        )
+        cfg = SolverConfig(dt=1e-3, duration=0.02)
+        times = np.arange(cfg.n_steps + 1) * cfg.dt
+        inputs = {"suspension": wheel_forces(system, "suspension", times)}
+        assert sum(sub.n_dofs for sub in system.substructures.values()) == 42
+        assert self.count_free_steps(monkeypatch, system, cfg, inputs) == 0
+
+    def test_unreduced_frame_group_takes_a_free_step_per_coupled_step(self, monkeypatch, desk):
+        cfg = SolverConfig(dt=1e-3, duration=0.02)
+        times = np.arange(cfg.n_steps + 1) * cfg.dt
+        inputs = {"suspension": wheel_forces(desk, "suspension", times)}
+        assert sum(sub.n_dofs for sub in desk.substructures.values()) == 208
+        assert self.count_free_steps(monkeypatch, desk, cfg, inputs) == cfg.n_steps
