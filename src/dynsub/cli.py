@@ -21,7 +21,7 @@ from .coupling import CouplingError, CouplingTopology
 from .experiment import ExperimentConfig, run_experiment
 from .generators import chain_substructure, frame_analog
 from .metrics import frequency_error_table, mac, trajectory_mse
-from .models import ModelError, build_from_fields
+from .models import LinearSubstructure, ModelError, build_from_fields
 from .monolithic import assemble_global, solve_monolithic
 from .reduction import expanded_mode_shapes, full_frequencies, reduce as cb_reduce, reduced_frequencies
 from .signals import SignalError, SignalSpec, generate_signal
@@ -50,6 +50,8 @@ def _cmd_generate_model(args) -> int:
 
 
 def _cmd_generate_signal(args) -> int:
+    if args.channels < 1:
+        raise SignalError(f"option '--channels' must be a positive integer, got {args.channels}")
     spec_kwargs = _json_object(args.spec, "--spec")
     spec_kwargs.setdefault("kind", args.kind)
     spec_kwargs.setdefault("sample_rate", args.rate)
@@ -68,13 +70,14 @@ def _cmd_generate_signal(args) -> int:
 
 def _cmd_reduce(args) -> int:
     system, _ = dio.load_system(args.model)
-    if args.sub is None:
-        linear = [sid for sid, s in system.substructures.items() if hasattr(s, "stiffness")]
+    linear = [sid for sid, s in system.substructures.items() if isinstance(s, LinearSubstructure)]
+    sid = args.sub
+    if sid is None:
         if len(linear) != 1:
             raise ModelError(f"specify --sub; system has linear substructures {linear}")
         sid = linear[0]
-    else:
-        sid = args.sub
+    elif sid not in linear:
+        raise ModelError(f"option '--sub' must name a linear substructure of {linear}, got {sid!r}")
     sub = system.substructures[sid]
     red = cb_reduce(sub, args.modes)
     dio.save_reduction(args.out, red)

@@ -4,14 +4,16 @@ Substructures are coupled pairwise at interface DOFs.  Each constraint links
 one DOF of one substructure to one DOF of another with opposite signs; the
 signed boolean locator L_v built here injects interface-force intensities into
 the matching momentum rows, and its transpose selects the boundary
-velocities.  Displacement rows are never coupled.
+velocities.  Displacement rows are never coupled.  The interface operator
+``H = sum L_v^T S^{-1} L_v`` is summed from solves ``S^{-1} L_v`` that its
+caller makes with its own factorizations of ``S``; this module only adds
+and factorizes them.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Mapping
 
 import numpy as np
 import scipy.linalg
@@ -56,14 +58,6 @@ class CouplingTopology:
     @property
     def n_constraints(self) -> int:
         return len(self.constraints)
-
-    def substructure_ids(self) -> tuple:
-        ids = []
-        for entry in self.constraints:
-            for sid, _, _ in entry:
-                if sid not in ids:
-                    ids.append(sid)
-        return tuple(ids)
 
     def entries_for(self, sub_id) -> list:
         """(constraint index, dof, sign) triples touching one substructure."""
@@ -115,7 +109,7 @@ def _lu_factors(matrix: np.ndarray, singular: Exception, scale: float | None = N
 
 @dataclass(frozen=True)
 class InterfaceOperator:
-    """Condensed interface operator H = sum_s L_v,s^T @ S_s^{-1} @ L_v,s, factorized."""
+    """Condensed interface operator H = sum L_v^T @ S^{-1} @ L_v, factorized."""
 
     matrix: np.ndarray
     _lu: np.ndarray
@@ -126,29 +120,20 @@ class InterfaceOperator:
         return self._getrs(self._lu, self._piv, rhs)[0]
 
 
-def steklov_poincare(
-    topology: CouplingTopology,
-    solve_by_sub: Mapping,
-    n_dofs_by_sub: Mapping,
-) -> InterfaceOperator:
-    """Assemble and factorize the interface operator.
+def steklov_poincare(pairs) -> InterfaceOperator:
+    """Sum and factorize the interface operator H = sum L_v^T S^{-1} L_v.
 
-    ``solve_by_sub`` maps substructure id to a callable applying the inverse
-    of that substructure's condensed effective matrix ``S`` to a block of
-    momentum-row columns.  Only velocity rows are coupled, so the operator
-    ``G D^{-1} L`` of the first-order form reduces to ``L_v^T S^{-1} L_v``.
-    It is square (one row and column per interface constraint) and is
-    assembled once per simulation.
+    ``pairs`` holds one ``(L_v, b)`` per block of substructures that shares a
+    factorization of ``S``, with ``b = S^{-1} L_v`` already solved by its
+    owner, which also builds its link maps from ``b``.  Only velocity rows
+    are coupled, so the operator ``G D^{-1} L`` of the first-order form
+    reduces to ``L_v^T S^{-1} L_v``.  It is square (one row and column per
+    interface constraint) and is assembled once per simulation.
     """
-    n_lam = topology.n_constraints
-    if n_lam == 0:
+    terms = [l_v.T @ b for l_v, b in pairs]
+    if not terms or not terms[0].size:
         raise CouplingError("topology has no interface constraints to condense")
-    h = np.zeros((n_lam, n_lam))
-    for sub_id in topology.substructure_ids():
-        if sub_id not in solve_by_sub:
-            raise CouplingError(f"no effective-matrix factorization supplied for {sub_id!r}")
-        l_v = locator_matrix(topology, sub_id, n_dofs_by_sub[sub_id])
-        h += l_v.T @ solve_by_sub[sub_id](l_v)
+    h = sum(terms)
     lu, piv, getrs = _lu_factors(h, CouplingError(
         "interface operator is singular; check for redundant or dangling constraints"
     ))

@@ -28,6 +28,7 @@ part and ``rho`` to precompute the step of small substructures (see
 from __future__ import annotations
 
 import inspect
+import math
 import numbers
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
@@ -77,9 +78,18 @@ def number_tuple(error, name: str, value) -> tuple:
 def _as_locked_matrix(a, name: str) -> np.ndarray:
     m = np.array(a, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ModelError(f"{name} must be a square matrix, got shape {m.shape}")
+        raise ModelError(f"{name} matrix must be a square matrix, got shape {m.shape}")
+    if not np.all(np.isfinite(m)):
+        i, j = np.argwhere(~np.isfinite(m))[0]
+        raise ModelError(f"field {name!r} holds a non-finite value ({m[i, j]}) in row {i}, column {j}")
     m.setflags(write=False)
     return m
+
+
+def _require_finite(**fields) -> None:
+    for name, value in fields.items():
+        if not math.isfinite(value):
+            raise ModelError(f"field {name!r} must be finite, got {value}")
 
 
 def _check_symmetric(m: np.ndarray, name: str, rtol: float = 1e-10) -> None:
@@ -103,9 +113,9 @@ class LinearSubstructure:
     boundary_dofs: tuple
 
     def __post_init__(self):
-        m = _as_locked_matrix(self.mass, "mass matrix")
-        c = _as_locked_matrix(self.damping, "damping matrix")
-        k = _as_locked_matrix(self.stiffness, "stiffness matrix")
+        m = _as_locked_matrix(self.mass, "mass")
+        c = _as_locked_matrix(self.damping, "damping")
+        k = _as_locked_matrix(self.stiffness, "stiffness")
         if not (m.shape == c.shape == k.shape):
             raise ModelError(
                 f"matrix sizes disagree: mass {m.shape}, damping {c.shape}, stiffness {k.shape}"
@@ -155,6 +165,7 @@ class SuspensionElement:
     base_excitation_channel: int = 0
 
     def __post_init__(self):
+        _require_finite(mass=self.mass, k1=self.k1, c1=self.c1, c2=self.c2, c3=self.c3)
         if self.mass <= 0:
             raise ModelError(f"element mass must be positive, got {self.mass}")
         if self.c3 <= 0:
@@ -190,6 +201,7 @@ class NonlinearSubstructure:
         for e in elements:
             if not isinstance(e, SuspensionElement):
                 raise ModelError(f"expected SuspensionElement, got {type(e).__name__}")
+        _require_finite(boundary_mass=self.boundary_mass)
         if self.boundary_mass <= 0:
             raise ModelError(f"boundary (attachment) mass must be positive, got {self.boundary_mass}")
         object.__setattr__(self, "elements", elements)

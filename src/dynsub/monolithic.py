@@ -20,7 +20,6 @@ from .coupling import CouplingError, CouplingTopology, _lu_factors
 from .models import (
     FirstOrderForm,
     ModelError,
-    NonlinearSubstructure,
     _stacked_remainder,
     assemble_first_order,
 )
@@ -41,39 +40,28 @@ class AssembledSystem:
     """Primal assembly of a coupled system onto shared global DOFs.
 
     ``dof_map[sid]`` gives the global DOF of each DOF of substructure ``sid``;
-    two DOFs of one substructure may share a global DOF.  ``_forms[sid]`` is
-    the substructure's first-order form, the source of its matrices and law.
+    two DOFs of one substructure may share a global DOF.
     """
 
     mass: np.ndarray
     damping: np.ndarray
     stiffness: np.ndarray
     dof_map: dict
-    _substructures: dict
-    _forms: dict
+    _form: FirstOrderForm
 
     @property
     def n_dofs(self) -> int:
         return self.mass.shape[0]
 
     def first_order(self) -> FirstOrderForm:
-        """First-order form of the assembled system.
+        """First-order form of the assembled system, built by :func:`assemble_global`.
 
         The tangent blocks are the assembled ``K`` and ``C``; the element
         rows of each substructure's ``B`` are scattered onto the global DOFs
         through ``dof_map`` and stacked in substructure order, so the
         assembled law applies each substructure's own remainder.
         """
-        n = self.n_dofs
-        rates = []
-        for sid, form in self._forms.items():
-            block = np.zeros((len(form.rates), n))
-            np.add.at(block, (slice(None), self.dof_map[sid]), form.rates)
-            rates.append(block)
-        return FirstOrderForm(
-            n_dofs=n, mass=self.mass, stiffness=self.stiffness, damping=self.damping,
-            rates=np.vstack(rates), remainder=_stacked_remainder(self._forms.values()),
-        )
+        return self._form
 
 
 def assemble_global(substructures: Mapping, topology: CouplingTopology) -> AssembledSystem:
@@ -123,6 +111,7 @@ def assemble_global(substructures: Mapping, topology: CouplingTopology) -> Assem
     mass = np.zeros((n_global, n_global))
     damping = np.zeros((n_global, n_global))
     stiffness = np.zeros((n_global, n_global))
+    rates = []
     for sid, form in forms.items():
         # unbuffered scatter, as two DOFs of one substructure may share a
         # global DOF; numpy's fast path takes flat indices into a 1-D view
@@ -130,14 +119,19 @@ def assemble_global(substructures: Mapping, topology: CouplingTopology) -> Assem
         flat = (ids[:, None] * n_global + ids).ravel()
         for target, block in ((mass, form.mass), (damping, form.damping), (stiffness, form.stiffness)):
             np.add.at(target.reshape(-1), flat, np.ravel(block))
+        block = np.zeros((len(form.rates), n_global))
+        np.add.at(block, (slice(None), ids), form.rates)
+        rates.append(block)
 
     return AssembledSystem(
         mass=mass,
         damping=damping,
         stiffness=stiffness,
         dof_map=dof_map,
-        _substructures=dict(substructures),
-        _forms=forms,
+        _form=FirstOrderForm(
+            n_dofs=n_global, mass=mass, stiffness=stiffness, damping=damping,
+            rates=np.vstack(rates), remainder=_stacked_remainder(forms.values()),
+        ),
     )
 
 
@@ -219,7 +213,8 @@ def solve_newmark(
     gamma: float = 0.5,
 ) -> Trajectory:
     """Newmark average-acceleration oracle on a linear assembled system."""
-    if any(isinstance(sub, NonlinearSubstructure) for sub in asys._substructures.values()):
+    form = asys.first_order()
+    if len(form.rates):
         raise ModelError("the Newmark oracle supports linear assembled systems only")
     n = asys.n_dofs
     n_steps = config.n_steps
@@ -243,7 +238,7 @@ def solve_newmark(
 
     u = np.zeros(n)
     v = np.zeros(n)
-    acc = _initial_rate(asys.first_order(), np.zeros(2 * n), forces[0])[n:]
+    acc = _initial_rate(form, np.zeros(2 * n), forces[0])[n:]
     traj = np.empty((n_steps + 1, 2 * n))
     traj[0] = np.concatenate([u, v])
     for step in range(1, n_steps + 1):

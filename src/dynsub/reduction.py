@@ -121,17 +121,14 @@ def constraint_modes(sub: LinearSubstructure) -> np.ndarray:
     k_ib = sub.stiffness[np.ix_(i, b)]
     try:
         psi = scipy.linalg.solve(k_ii, -k_ib, assume_a="sym")
-    except (scipy.linalg.LinAlgError, ValueError) as exc:
-        raise ReductionError(
-            f"internal stiffness block is singular (rank {np.linalg.matrix_rank(k_ii)} "
-            f"of {k_ii.shape[0]}); constrain the structure or move boundary DOFs"
-        ) from exc
-    if not np.all(np.isfinite(psi)):
-        raise ReductionError(
-            f"internal stiffness block is singular (rank {np.linalg.matrix_rank(k_ii)} "
-            f"of {k_ii.shape[0]}); constrain the structure or move boundary DOFs"
-        )
-    return psi
+        if np.all(np.isfinite(psi)):
+            return psi
+    except (scipy.linalg.LinAlgError, ValueError):
+        pass
+    raise ReductionError(
+        f"internal stiffness block is singular (rank {np.linalg.matrix_rank(k_ii)} "
+        f"of {k_ii.shape[0]}); constrain the structure or move boundary DOFs"
+    )
 
 
 def reduce(sub: LinearSubstructure, n_modes: int) -> CraigBamptonReduction:

@@ -22,7 +22,10 @@ multipliers with a linearly decaying ramp weight (1 - j/ss).  Every other
 substructure takes one inner step.  The solver plans the stepping once, at
 construction: substructures that take the same number of inner steps form a
 group, stepped together as one block-diagonal form
-(:func:`~dynsub.models.stack_forms`).
+(:func:`~dynsub.models.stack_forms`).  Each group factorizes its stacked
+``S`` once.  Its ``b = S^{-1} L_v`` gives both the group's link maps and its
+share ``L_v^T b`` of the interface operator ``H``, and the same factors
+drive its free steps and its propagator.
 
 A group of at most ``_PROPAGATOR_MAX_DOFS`` DOFs steps through a
 precomputed affine propagator on ``z = [Y; Ydot]`` (4n entries)::
@@ -106,6 +109,8 @@ class SolverConfig:
             raise SolverError(f"subcycles must be a positive integer, got {self.subcycles}")
         if self.duration <= 0:
             raise SolverError(f"duration must be positive, got {self.duration}")
+        if not self.divergence_limit > 0:  # also rejects nan, which would switch the bound off
+            raise SolverError(f"field 'divergence_limit' must be positive, got {self.divergence_limit}")
         steps = self.duration / self.dt
         if not math.isfinite(steps) or round(steps) < 1 or abs(steps - round(steps)) > 1e-9 * steps:
             raise SolverError(
@@ -195,8 +200,6 @@ class EffectiveMatrix:
     """
 
     matrix: np.ndarray
-    dt: float
-    gamma: float
     _lu: np.ndarray
     _piv: np.ndarray
     _getrs: object
@@ -205,21 +208,12 @@ class EffectiveMatrix:
         return self._getrs(self._lu, self._piv, rhs)[0]
 
 
-@dataclass(frozen=True)
-class _BlockSolve:
-    """``S^{-1}`` of a stacked form: each member's factorization on its own rows."""
-
-    blocks: tuple  # (rows, EffectiveMatrix) per member
-
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        return np.concatenate([d.solve(rhs[rows]) for rows, d in self.blocks])
-
-
 def effective_matrix(form: FirstOrderForm, dt: float, gamma: float) -> EffectiveMatrix:
     """Assemble and factorize S = M + gamma*dt*C + (gamma*dt)^2*K for repeated solves.
 
     The tangent blocks are state-independent, so S is assembled once per
-    simulation; for sub-cycled substructures pass the inner step dt/ss.
+    simulation; the solver calls this once per step group, on the group's
+    stacked form at its inner step dt/ss.
     Its pivots are judged against the largest of the three terms, so a
     stiffness that cancels the mass is reported as singular.
     """
@@ -230,7 +224,7 @@ def effective_matrix(form: FirstOrderForm, dt: float, gamma: float) -> Effective
         s, SolverError(f"effective matrix singular for dt={dt}, gamma={gamma}"),
         scale=max(np.abs(t).max() for t in terms),
     )
-    return EffectiveMatrix(matrix=s, dt=dt, gamma=gamma, _lu=lu, _piv=piv, _getrs=getrs)
+    return EffectiveMatrix(matrix=s, _lu=lu, _piv=piv, _getrs=getrs)
 
 
 def free_step(
@@ -389,7 +383,8 @@ class _Group:
 
     The group's state is ``z = [y; ydot]`` of the stacked form.  ``rows[sid]``
     selects a member's own ``[u; v]`` from ``y`` (and its rate from
-    ``ydot``; all of it for a single member).  ``ramp`` holds the weights
+    ``ydot``; all of it for a single member).  ``effective`` factorizes the
+    stacked ``S`` at the inner step.  ``ramp`` holds the weights
     1 - j/ss of the inner steps j = 1..ss as a column, ``injector`` stacks
     the members' ``L_v``, and ``link`` maps the multipliers to the change of
     ``z`` by the link solutions.  A group of at most
@@ -401,7 +396,7 @@ class _Group:
     dt: float  # of an inner step
     gamma: float
     form: FirstOrderForm
-    effective: object  # EffectiveMatrix of a single member, else _BlockSolve
+    effective: EffectiveMatrix
     rows: dict
     ramp: np.ndarray
     injector: np.ndarray
@@ -437,9 +432,10 @@ class _Group:
 class PartitionedSolver:
     """Prepared co-simulation: factorizations and step plan done once, stepping separate.
 
-    Construction performs all offline work: first-order assembly, tangent and
-    interface-operator factorizations, the grouping of the substructures by
-    inner-step count and the propagators of the small groups.  :meth:`run`
+    Construction performs all offline work: first-order assembly, the
+    grouping of the substructures by inner-step count, one factorization of
+    ``S`` per group, the interface operator summed from the groups' solves,
+    and the propagators of the small groups.  :meth:`run`
     performs the online time stepping: a coupled step advances each group
     by its inner steps, then couples the groups' free velocities.
     """
@@ -449,45 +445,33 @@ class PartitionedSolver:
         self.config = config
         self.sub_ids = list(system.substructures)
         physical = system.physical_ids()
-        inner = {sid: config.subcycles if sid in physical else 1 for sid in self.sub_ids}
         self.forms = {sid: assemble_first_order(sub) for sid, sub in system.substructures.items()}
-        self.effective = {
-            sid: effective_matrix(self.forms[sid], config.dt / inner[sid], config.gamma)
-            for sid in self.sub_ids
-        }
         self.n_lam = system.topology.n_constraints
-        if self.n_lam:
-            self.interface = steklov_poincare(
-                system.topology,
-                {sid: self.effective[sid].solve for sid in self.sub_ids},
-                {sid: self.forms[sid].n_dofs for sid in self.sub_ids},
-            )
-        else:
-            self.interface = None
         members = {}
         for sid in self.sub_ids:
-            members.setdefault(inner[sid], []).append(sid)
-        self._plan = []
+            members.setdefault(config.subcycles if sid in physical else 1, []).append(sid)
+        self._plan, pairs = [], []
         for ss, sids in members.items():
             form = stack_forms(self.forms[sid] for sid in sids)
             n = form.n_dofs
-            rows, blocks, start = {}, [], 0
+            rows, start = {}, 0
             for sid in sids:
                 stop = start + self.forms[sid].n_dofs
                 rows[sid] = np.r_[start:stop, n + start:n + stop] if len(sids) > 1 else slice(None)
-                blocks.append((slice(start, stop), self.effective[sid]))
                 start = stop
-            effective = blocks[0][1] if len(blocks) == 1 else _BlockSolve(tuple(blocks))
+            dts = config.dt / ss
+            effective = effective_matrix(form, dts, config.gamma)
             injector = np.vstack([
                 locator_matrix(system.topology, sid, self.forms[sid].n_dofs) for sid in sids
             ])
-            # link rate D^{-1} [0; L_v] = [gamma*dts b; b] with b = S^{-1} L_v
-            # at the group's own step dts, shared by every coupled step, and the
-            # link state gamma*dt times it; kept in C order (getrs returns
-            # Fortran order, and the layout sets the summation order of the
-            # products with it)
-            dts = config.dt / ss
+            # b = S^{-1} L_v at the group's own step dts gives the group's
+            # share L_v^T b of H and its link rate D^{-1} [0; L_v] =
+            # [gamma*dts b; b], shared by every coupled step; the link state
+            # is gamma*dt times the rate.  The link map is kept in C order
+            # (getrs returns Fortran order, and the layout sets the summation
+            # order of the products with it)
             b = effective.solve(injector)
+            pairs.append((injector, b))
             link_rate = np.concatenate([config.gamma * dts * b, b])
             link = np.ascontiguousarray(np.concatenate([config.gamma * config.dt * link_rate, link_rate]))
             self._plan.append(_Group(
@@ -496,6 +480,7 @@ class PartitionedSolver:
                 propagator=_propagator(form, effective, dts, config.gamma, injector)
                 if n <= _PROPAGATOR_MAX_DOFS else None,
             ))
+        self.interface = steklov_poincare(pairs) if self.n_lam else None
 
     def run(self, inputs: Mapping | None = None, initial: Mapping | None = None) -> Trajectory:
         """Step the coupled system over the configured horizon.

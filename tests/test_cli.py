@@ -93,11 +93,34 @@ def _setting(*keys, value):
     (["run-experiment", "--config", "{tmp}/str_modes.json", "--out-dir", "{tmp}/out"], "modes", None),
     (["generate-signal", "--kind", "multisine", "--samples", "10", "--out", "{tmp}/s.csv", "--spec",
       '{"frequencies": [2], "amplitudes": [1], "noise_variance": "0.1"}'], "noise_variance", None),
+    # JSON reads NaN and Infinity; they must not reach a factorization
+    (["simulate", "--model", "{model}", "--config", "{tmp}/good.json", "--out", "{tmp}/t.csv"], "stiffness",
+     _setting("substructures", "frame", "stiffness", "values", 0, value=float("nan"))),
+    (["simulate", "--model", "{model}", "--config", "{tmp}/good.json", "--out", "{tmp}/t.csv", "--monolithic"],
+     "stiffness", _setting("substructures", "frame", "stiffness", "values", 0, value=float("inf"))),
+    (["simulate", "--model", "{model}", "--config", "{tmp}/good.json", "--out", "{tmp}/t.csv", "--monolithic"],
+     "c3", _setting("substructures", "suspension", "elements", 1, "c3", value=float("inf"))),
+    (["simulate", "--model", "{model}", "--config", "{tmp}/good.json", "--out", "{tmp}/t.csv"],
+     "boundary_mass", _setting("substructures", "suspension", "boundary_mass", value=float("nan"))),
+    (["simulate", "--model", "{model}", "--config", "{tmp}/nan_limit.json", "--out", "{tmp}/t.csv"],
+     "divergence_limit", None),
+    (["simulate", "--model", "{model}", "--config", "{tmp}/negative_limit.json", "--out", "{tmp}/t.csv",
+      "--monolithic"], "divergence_limit", None),
+    (["reduce", "--model", "{model}", "--sub", "nosuch", "--modes", "5", "--out", "{tmp}/r.npz"], "--sub", None),
+    (["reduce", "--model", "{model}", "--sub", "suspension", "--modes", "5", "--out", "{tmp}/r.npz"],
+     "--sub", None),
+    (["generate-signal", "--samples", "10", "--channels", "0", "--out", "{tmp}/s.csv"], "--channels", None),
 ], ids=["frame_params", "chain_params", "chain_float_n", "solver_config", "experiment_config",
           "experiment_model", "missing_mass", "system_relative_motion", "system_coupling",
           "solver_config_type", "solver_config_partial_step", "experiment_config_type",
-          "signal_spec_type"])
+          "signal_spec_type", "system_nan_triplet", "system_infinite_triplet_monolithic",
+          "system_infinite_c3_monolithic", "system_nan_boundary_mass", "solver_config_nan_divergence_limit",
+          "solver_config_negative_divergence_limit_monolithic", "reduce_unknown_sub", "reduce_nonlinear_sub",
+          "signal_no_channels"])
 def test_malformed_input_exits_1_naming_the_field(tmp_path, model_file, capsys, argv, key, edit):
+    write_config(tmp_path / "good.json")
+    write_config(tmp_path / "nan_limit.json", divergence_limit=float("nan"))
+    write_config(tmp_path / "negative_limit.json", divergence_limit=-1.0)
     write_config(tmp_path / "bad.json", bogus=1)
     write_config(tmp_path / "str_dt.json", dt="1e-3")
     write_config(tmp_path / "part_step.json", duration=0.0505)  # 50.5 steps of dt = 1e-3

@@ -30,6 +30,10 @@ def pair_topology(sign_a=1, sign_b=-1):
     return CouplingTopology(constraints=((("a", 0, sign_a), ("b", 0, sign_b)),))
 
 
+def locators(topology, sub_ids, n_dofs=1):
+    return [locator_matrix(topology, sid, n_dofs) for sid in sub_ids]
+
+
 class TestTopologyValidation:
     def test_two_entries_required(self):
         with pytest.raises(CouplingError, match="exactly two"):
@@ -100,8 +104,7 @@ class TestSteklovPoincare:
         sub = sdof(m=1.0, k=1.0)
         form = assemble_first_order(sub)
         d = effective_matrix(form, dt=0.1, gamma=0.5)
-        topo = pair_topology()
-        op = steklov_poincare(topo, {"a": d.solve, "b": d.solve}, {"a": 1, "b": 1})
+        op = steklov_poincare([(l_v, d.solve(l_v)) for l_v in locators(pair_topology(), "ab")])
         # G D^-1 L of the first-order D = A + gamma*dt*R0 picks its
         # velocity-row, velocity-column entry; two sides add
         d_inv = np.linalg.inv(form.A + 0.05 * form.tangent)
@@ -129,17 +132,15 @@ class TestSteklovPoincare:
             (("c", 0, 1), ("a", 0, -1)),
         ))
         with pytest.raises(CouplingError, match="singular"):
-            steklov_poincare(loop, dict.fromkeys("abc", d.solve), dict.fromkeys("abc", 1))
+            steklov_poincare([(l_v, d.solve(l_v)) for l_v in locators(loop, "abc")])
 
     def test_no_constraints_rejected(self):
         with pytest.raises(CouplingError, match="no interface constraints"):
-            steklov_poincare(CouplingTopology(()), {}, {})
-
-    def test_missing_factorization_reported(self):
-        sub = sdof()
-        d = effective_matrix(assemble_first_order(sub), 0.1, 0.5)
-        with pytest.raises(CouplingError, match="no effective-matrix"):
-            steklov_poincare(pair_topology(), {"a": d.solve}, {"a": 1, "b": 1})
+            steklov_poincare([])
+        # a substructure without interface constraints contributes a 0 x 0 block
+        l_v = locator_matrix(CouplingTopology(()), "a", 1)
+        with pytest.raises(CouplingError, match="no interface constraints"):
+            steklov_poincare([(l_v, l_v)])
 
     def test_sign_flip_leaves_coupled_trajectory_unchanged(self):
         # flipping both signs of a constraint flips the multiplier sign only

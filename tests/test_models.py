@@ -99,6 +99,26 @@ class TestValidation:
         with pytest.raises(ModelError, match="mass"):
             SuspensionElement(mass=-1.0, k1=35.0, c1=0.65, c2=10.0, c3=0.55)
 
+    @pytest.mark.parametrize("field", ["mass", "damping", "stiffness"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_matrix_entry_rejected_naming_the_matrix(self, field, bad):
+        matrices = {"mass": np.eye(2), "damping": np.zeros((2, 2)), "stiffness": np.eye(2)}
+        matrices[field][1, 0] = bad
+        with pytest.raises(ModelError, match=f"'{field}'.* row 1, column 0"):
+            LinearSubstructure(**matrices, internal_dofs=(0,), boundary_dofs=(1,))
+
+    @pytest.mark.parametrize("field", ["mass", "k1", "c1", "c2", "c3"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_suspension_coefficient_rejected(self, field, bad):
+        with pytest.raises(ModelError, match=f"'{field}'"):
+            SuspensionElement(**{**COEFF, field: bad})
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_boundary_mass_rejected(self, bad):
+        element = SuspensionElement(**COEFF)
+        with pytest.raises(ModelError, match="'boundary_mass'"):
+            NonlinearSubstructure(elements=(element,), boundary_mass=bad)
+
     def test_matrices_locked_after_construction(self):
         sub = two_mass_chain()
         with pytest.raises(ValueError):

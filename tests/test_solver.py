@@ -80,14 +80,11 @@ def hand_stepped(system, cfg, inputs):
     inner = {sid: ss if sid in system.physical_ids() else 1 for sid in forms}
     eff = {sid: effective_matrix(form, cfg.dt / inner[sid], cfg.gamma) for sid, form in forms.items()}
     locators = {sid: locator_matrix(topo, sid, form.n_dofs) for sid, form in forms.items()}
-    interface = steklov_poincare(
-        topo, {sid: d.solve for sid, d in eff.items()},
-        {sid: form.n_dofs for sid, form in forms.items()},
-    )
-    link_rate = {}
-    for sid, l_v in locators.items():
-        b = eff[sid].solve(l_v)
-        link_rate[sid] = np.concatenate([cfg.gamma * (cfg.dt / inner[sid]) * b, b])
+    solved = {sid: eff[sid].solve(l_v) for sid, l_v in locators.items()}
+    interface = steklov_poincare([(locators[sid], b) for sid, b in solved.items()])
+    link_rate = {
+        sid: np.concatenate([cfg.gamma * (cfg.dt / inner[sid]) * b, b]) for sid, b in solved.items()
+    }
     link_state = {sid: gdt * rate for sid, rate in link_rate.items()}
     forces = {sid: inputs.get(sid, np.zeros((cfg.n_steps * inner[sid] + 1, form.n_dofs)))
               for sid, form in forms.items()}
@@ -141,6 +138,12 @@ class TestSolverConfig:
         with pytest.raises(SolverError):
             SolverConfig(dt=1e-3, duration=0.0)
 
+    @pytest.mark.parametrize("limit", [np.nan, 0.0, -1.0])
+    def test_divergence_limit_must_be_positive(self, limit):
+        # nan used to switch the bound off, and -1 to report divergence at step 1
+        with pytest.raises(SolverError, match="'divergence_limit'"):
+            SolverConfig(dt=1e-3, duration=1.0, divergence_limit=limit)
+
     def test_step_count(self):
         assert SolverConfig(dt=1e-3, duration=1.0).n_steps == 1000
 
@@ -184,12 +187,13 @@ class TestEffectiveMatrix:
         assert np.allclose(d.matrix, form.mass)
 
     def test_constant_over_simulation(self):
-        # tangent-based S never changes: the solver factorizes once
+        # tangent-based S never changes: the solver factorizes each group once
         system = sdof_system()
         solver = PartitionedSolver(system, SolverConfig(dt=1e-2, duration=0.1))
-        before = solver.effective["osc"].matrix.copy()
+        (group,) = solver._plan
+        before = group.effective.matrix.copy()
         solver.run({"osc": np.ones((11, 1))})
-        assert np.array_equal(solver.effective["osc"].matrix, before)
+        assert np.array_equal(group.effective.matrix, before)
 
     def test_singular_reported_with_parameters(self):
         bad = LinearSubstructure(
@@ -198,6 +202,26 @@ class TestEffectiveMatrix:
         )
         with pytest.raises(SolverError, match="dt=0.2"):
             effective_matrix(assemble_first_order(bad), dt=0.2, gamma=0.5)
+
+    def test_singular_member_of_a_group_reported(self):
+        # both take one inner step, so they share one stacked factorization,
+        # whose pivots are judged against the larger of the two members' terms
+        system = CoupledSystem(substructures={"ok": sdof(k=4.0, c=0.3), "bad": sdof(k=-100.0)},
+                               topology=CouplingTopology(()))
+        with pytest.raises(SolverError, match="dt=0.2"):
+            PartitionedSolver(system, SolverConfig(dt=0.2, duration=1.0))
+
+    @pytest.mark.parametrize("ss, groups", [(1, 1), (5, 2)])
+    def test_factorized_once_per_group(self, monkeypatch, ss, groups):
+        calls = []
+
+        def counted(*args):
+            calls.append(1)
+            return effective_matrix(*args)
+
+        monkeypatch.setattr(dynsub.solver, "effective_matrix", counted)
+        PartitionedSolver(subcycling_system(), SolverConfig(dt=1e-3, duration=0.01, subcycles=ss))
+        assert len(calls) == groups
 
 
 class TestSolveContract:
