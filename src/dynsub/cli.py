@@ -20,11 +20,11 @@ from . import io as dio
 from .coupling import CouplingError, CouplingTopology
 from .experiment import ExperimentConfig, run_experiment
 from .generators import chain_substructure, frame_analog
-from .metrics import frequency_error_table, mac, trajectory_mse
+from .metrics import MetricsError, frequency_error_table, mac, trajectory_mse
 from .models import LinearSubstructure, ModelError, build_from_fields
 from .monolithic import assemble_global, solve_monolithic
 from .reduction import expanded_mode_shapes, full_frequencies, reduce as cb_reduce, reduced_frequencies
-from .signals import SignalError, SignalSpec, generate_signal
+from .signals import SignalError, SignalSpec, generate_signal, multisine_with_noise_channels
 from .solver import DivergenceError, SolverConfig, SolverError, simulate
 
 
@@ -53,22 +53,33 @@ def _cmd_generate_signal(args) -> int:
     if args.channels < 1:
         raise SignalError(f"option '--channels' must be a positive integer, got {args.channels}")
     spec_kwargs = _json_object(args.spec, "--spec")
-    spec_kwargs.setdefault("kind", args.kind)
-    spec_kwargs.setdefault("sample_rate", args.rate)
-    spec_kwargs.setdefault("seed", args.seed)
+    options = {"kind": ("--kind", args.kind), "sample_rate": ("--rate", args.rate), "seed": ("--seed", args.seed)}
+    for key, (option, value) in options.items():
+        if key in spec_kwargs:
+            raise SignalError(f"field {key!r} of '--spec' is set by option {option!r}")
+        spec_kwargs[key] = value
     spec = build_from_fields(SignalSpec, spec_kwargs, "signal spec")
-    # channel ch draws from seed + ch
-    channels = [
-        generate_signal(dataclasses.replace(spec, seed=spec.seed + ch), args.samples)
-        for ch in range(args.channels)
-    ]
+    if spec.kind == "multisine":
+        # one shared sine content, independent noise per channel
+        channels = multisine_with_noise_channels(
+            args.channels, args.samples, spec.sample_rate, spec.frequencies, spec.amplitudes,
+            spec.noise_variance, seed=spec.seed, phases=spec.phases,
+        )
+    else:
+        # channel ch draws from seed + ch
+        channels = np.column_stack([
+            generate_signal(dataclasses.replace(spec, seed=spec.seed + ch), args.samples)
+            for ch in range(args.channels)
+        ])
     times = np.arange(args.samples) / args.rate
-    dio.save_signals_csv(args.out, times, np.column_stack(channels))
+    dio.save_signals_csv(args.out, times, channels)
     print(f"wrote {args.out} ({args.channels} channel(s), {args.samples} samples)")
     return 0
 
 
 def _cmd_reduce(args) -> int:
+    if args.report_modes < 1:
+        raise ModelError(f"option '--report-modes' must be a positive integer, got {args.report_modes}")
     system, _ = dio.load_system(args.model)
     linear = [sid for sid, s in system.substructures.items() if isinstance(s, LinearSubstructure)]
     sid = args.sub
@@ -135,22 +146,14 @@ def _cmd_compare(args) -> int:
     if args.what == "mac":
         full = _load_modes(args.full)
         reduced = _load_modes(args.reduced)
+        if full.shape[0] != reduced.shape[0]:
+            raise MetricsError(f"options '--full' and '--reduced' hold mode shapes of "
+                               f"{full.shape[0]} and {reduced.shape[0]} DOFs")
         n = min(full.shape[1], reduced.shape[1])
         result = mac(reduced[:, :n], full[:, :n])
         np.savetxt(args.out, result.values, delimiter=",", fmt="%.17g")
         print(f"wrote {args.out}; diagonal min {result.diagonal.min():.6f}, "
               f"off-diagonal max {result.max_off_diagonal():.3e}")
-    elif args.what == "freqs":
-        _, full = dio.load_csv_columns(args.full)
-        _, reduced = dio.load_csv_columns(args.reduced)
-        n = args.modes or min(len(full), len(reduced))
-        table = frequency_error_table(full.ravel(), reduced.ravel(), n)
-        rows = np.column_stack([
-            np.arange(1, n + 1), table.full, table.reduced, table.relative_errors,
-        ])
-        np.savetxt(args.out, rows, delimiter=",",
-                   header="mode,full,reduced,relative_error", comments="", fmt="%.17g")
-        print(f"wrote {args.out} (NMSE {table.nmse:.3e})")
     else:  # traj
         header_a, data_a = dio.load_csv_columns(args.full)
         header_b, data_b = dio.load_csv_columns(args.reduced)
@@ -225,11 +228,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--all-dofs", action="store_true")
     p.set_defaults(func=_cmd_simulate)
 
-    p = sub.add_parser("compare", help="MAC / frequency / trajectory comparisons")
-    p.add_argument("what", choices=("mac", "freqs", "traj"))
+    p = sub.add_parser("compare", help="MAC / trajectory comparisons")
+    p.add_argument("what", choices=("mac", "traj"))
     p.add_argument("--full", required=True)
     p.add_argument("--reduced", required=True)
-    p.add_argument("--modes", type=int)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_compare)
 
@@ -248,7 +250,7 @@ def main(argv=None) -> int:
     except DivergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ModelError, CouplingError, SolverError, SignalError, OSError, json.JSONDecodeError) as exc:
+    except (ModelError, CouplingError, SolverError, SignalError, MetricsError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -16,7 +16,9 @@ from pathlib import Path
 import numpy as np
 
 from .coupling import CouplingTopology
-from .models import LinearSubstructure, ModelError, NonlinearSubstructure, SuspensionElement, require_numbers
+from .models import (
+    LinearSubstructure, ModelError, NonlinearSubstructure, SuspensionElement, build_from_fields, require_numbers,
+)
 from .reduction import CraigBamptonReduction
 from .solver import CoupledSystem, Trajectory
 
@@ -108,13 +110,13 @@ def substructure_from_dict(data: dict, sid: str = "substructure"):
         internal = _integers(data, "internal_dofs", where,
                              default=[i for i in range(n) if i not in boundary])
         damping = data.get("damping", {"rows": [], "cols": [], "values": []})
-        return LinearSubstructure(
+        return build_from_fields(LinearSubstructure, dict(
             mass=_from_triplets(_field(data, "mass", where), n, f"{where} mass"),
             damping=_from_triplets(damping, n, f"{where} damping"),
             stiffness=_from_triplets(_field(data, "stiffness", where), n, f"{where} stiffness"),
             internal_dofs=internal,
             boundary_dofs=boundary,
-        )
+        ), where)
     if kind == "suspension":
         elements = []
         for i, e in enumerate(_field(data, "elements", where, list)):
@@ -123,14 +125,16 @@ def substructure_from_dict(data: dict, sid: str = "substructure"):
             channel = _field(e, "base_excitation_channel", at, default=i)
             _numbers(at, **coefficients)
             _numbers(at, True, base_excitation_channel=channel)
-            elements.append(SuspensionElement(**coefficients, base_excitation_channel=channel))
+            elements.append(build_from_fields(
+                SuspensionElement, {**coefficients, "base_excitation_channel": channel}, at,
+            ))
         boundary_mass = _field(data, "boundary_mass", where, default=0.016)
         _numbers(where, boundary_mass=boundary_mass)
-        return NonlinearSubstructure(
+        return build_from_fields(NonlinearSubstructure, dict(
             elements=tuple(elements),
             boundary_mass=float(boundary_mass),
             relative_motion=_field(data, "relative_motion", where, bool, default=True),
-        )
+        ), where)
     raise ModelError(f"{where}: unknown kind {kind!r}")
 
 
@@ -269,7 +273,10 @@ def load_csv_columns(path) -> tuple[list, np.ndarray]:
     """Read a CSV written by this package; returns (header names, data)."""
     with open(path) as fh:
         header = fh.readline().strip().split(",")
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    try:
+        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    except ValueError as exc:
+        raise ModelError(f"CSV file {str(path)!r}: {exc}") from None
     return header, data
 
 

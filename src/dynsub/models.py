@@ -8,11 +8,13 @@ Every substructure of ``n`` physical DOFs is described by its mass ``M``,
 the tangent blocks ``K`` (stiffness) and ``C`` (damping) at the zero state,
 and one momentum force law
 
-    g(u, v) = K u + C v + B^T rho(B v)
+    g(u, v) = K u + C v + B^T rho(B v),    rho(xd) = slope * phi(xd, c3)
 
-whose nonlinear remainder ``rho`` acts on the element rates ``B v`` only
-(``B`` has no rows for a linear substructure).  Its first-order form with
-state ``Y = [u; v]`` (displacements stacked over velocities) is
+whose nonlinear remainder ``rho`` acts on the element rates ``xd = B v``
+only (``B`` has no rows for a linear substructure).  The law is data: each
+row of ``B`` has a ``slope = -c2/c3`` and a smoothing ``c3``, and
+:func:`friction_shape` is the one ``phi``.  Its first-order form with state
+``Y = [u; v]`` (displacements stacked over velocities) is
 
     A @ Ydot + R(Y) = F,      A = blockdiag(I, M),   R(Y) = [-v; g(u, v)]
 
@@ -21,7 +23,7 @@ where external forces enter the momentum (velocity) rows only.
 Every force law is thus affine in ``u`` with slope ``K``:
 ``g(u + d, v) = g(u, v) + K d``.  The solvers rely on this to condense the
 trapezoidal step onto the momentum rows, and on the split into a linear
-part and ``rho`` to precompute the step of small substructures (see
+part and ``phi`` to precompute the step of small substructures (see
 :mod:`dynsub.solver`).
 """
 
@@ -43,12 +45,18 @@ class ModelError(ValueError):
 
 
 def build_from_fields(factory, fields: dict, what: str):
-    """Call ``factory(**fields)``; an unknown or missing field raises ModelError naming it."""
+    """Call ``factory(**fields)``; an unknown or missing field raises ModelError naming it.
+
+    ``what`` leads the message of that error and of a ModelError that ``factory`` raises.
+    """
     try:
         inspect.signature(factory).bind(**fields)
     except TypeError as exc:
         raise ModelError(f"{what}: {exc}") from None
-    return factory(**fields)
+    try:
+        return factory(**fields)
+    except ModelError as exc:
+        raise ModelError(f"{what}: {exc}") from None
 
 
 def require_numbers(error, integers: bool = False, **fields) -> None:
@@ -249,16 +257,27 @@ class NonlinearSubstructure:
 Substructure = Union[LinearSubstructure, NonlinearSubstructure]
 
 
+def friction_shape(xd: np.ndarray, c3: np.ndarray) -> np.ndarray:
+    """phi(xd, c3) = xd |xd| / (c3 + |xd|), so that ``rho = -(c2/c3) phi``.
+
+    ``rho`` is what the friction force ``c2 xd / (c3 + |xd|)`` adds beyond
+    its slope ``c2/c3`` at rest, without cancelling two quotients near 0.
+    """
+    magnitude = np.abs(xd)
+    return xd * magnitude / (c3 + magnitude)
+
+
 @dataclass(frozen=True)
 class FirstOrderForm:
     """First-order view A @ Ydot + R(Y) = F of an n-DOF substructure.
 
     Holds the mass ``M``, the tangent blocks ``K`` (``stiffness``) and ``C``
-    (``damping``) at the zero state, the element-rate matrix ``B``
-    (``rates``, one row per nonlinear element, none for a linear form) and
-    the remainder ``rho`` of the element forces beyond their tangent
-    (``remainder``, ``None`` without rows).  The momentum force law is
-    ``g(u, v) = K u + C v + B^T rho(B v)``.  The 2n-sized ``restoring``,
+    (``damping``) at the zero state and the element-rate matrix ``B``
+    (``rates``, one row per nonlinear element, none for a linear form).
+    Each row of ``B`` has a coefficient in ``slope`` (``-c2/c3``) and in
+    ``smoothing`` (``c3``).  The momentum force law is
+    ``g(u, v) = K u + C v + B^T (slope * phi(B v, smoothing))`` with
+    :func:`friction_shape` as ``phi``.  The 2n-sized ``restoring``,
     ``tangent`` and ``A`` are derived from these for checks; the solvers
     never build them.
     """
@@ -268,7 +287,8 @@ class FirstOrderForm:
     stiffness: np.ndarray = field(repr=False)
     damping: np.ndarray = field(repr=False)
     rates: np.ndarray = field(repr=False)
-    remainder: Callable[[np.ndarray], np.ndarray] | None = field(repr=False)
+    slope: np.ndarray = field(repr=False)
+    smoothing: np.ndarray = field(repr=False)
 
     @property
     def state_size(self) -> int:
@@ -279,7 +299,7 @@ class FirstOrderForm:
         # ndarray.dot: on the few-element blocks of a suspension it costs a third of ``@``
         out = self.stiffness.dot(u) + self.damping.dot(v)
         if len(self.rates):
-            out += self.rates.T.dot(self.remainder(self.rates.dot(v)))
+            out += self.rates.T.dot(self.slope * friction_shape(self.rates.dot(v), self.smoothing))
         return out
 
     def restoring(self, y: np.ndarray) -> np.ndarray:
@@ -304,40 +324,6 @@ class FirstOrderForm:
         a[:n, :n] = np.eye(n)
         a[n:, n:] = self.mass
         return a
-
-
-def _friction_remainder(sub: NonlinearSubstructure) -> Callable[[np.ndarray], np.ndarray]:
-    """rho of the suspension elements: the damper force beyond its rest slope c1 + c2/c3.
-
-    The damper force is ``c1 xd + c2 xd / (c3 + |xd|)``; its slope at rest
-    is part of the tangent ``C``, so the remainder is
-    ``xd (c2 / (c3 + |xd|) - c2 / c3)``.
-    """
-    c2 = np.array([e.c2 for e in sub.elements])
-    c3 = np.array([e.c3 for e in sub.elements])
-    slope = c2 / c3
-
-    def remainder(xd: np.ndarray) -> np.ndarray:
-        return xd * (c2 / (c3 + np.abs(xd)) - slope)
-
-    return remainder
-
-
-def _stacked_remainder(forms) -> Callable[[np.ndarray], np.ndarray] | None:
-    """rho of forms whose element rows are stacked in order: each member's own rho on its rows."""
-    laws, start = [], 0
-    for form in forms:
-        stop = start + len(form.rates)
-        if stop > start:
-            laws.append((slice(start, stop), form.remainder))
-        start = stop
-    if len(laws) <= 1:
-        return laws[0][1] if laws else None
-
-    def remainder(xd: np.ndarray) -> np.ndarray:
-        return np.concatenate([law(xd[rows]) for rows, law in laws])
-
-    return remainder
 
 
 def restoring_force(sub: Substructure, y: np.ndarray) -> np.ndarray:
@@ -388,10 +374,12 @@ def assemble_first_order(sub: Substructure) -> FirstOrderForm:
     """
     if isinstance(sub, LinearSubstructure):
         stiffness, damping = sub.stiffness, sub.damping
-        rates, remainder = np.zeros((0, sub.n_dofs)), None
+        rates, slope, smoothing = np.zeros((0, sub.n_dofs)), np.zeros(0), np.zeros(0)
     elif isinstance(sub, NonlinearSubstructure):
         stiffness, damping = sub.tangent_matrices()
-        rates, remainder = sub.incidence(), _friction_remainder(sub)
+        rates = sub.incidence()
+        smoothing = np.array([e.c3 for e in sub.elements], dtype=float)
+        slope = -np.array([e.c2 for e in sub.elements], dtype=float) / smoothing
     else:
         raise ModelError(f"unsupported substructure type {type(sub).__name__}")
     return FirstOrderForm(
@@ -400,7 +388,8 @@ def assemble_first_order(sub: Substructure) -> FirstOrderForm:
         stiffness=stiffness,
         damping=damping,
         rates=rates,
-        remainder=remainder,
+        slope=slope,
+        smoothing=smoothing,
     )
 
 
@@ -409,9 +398,9 @@ def stack_forms(forms) -> FirstOrderForm:
 
     The stacked state is ``[u_1; ...; u_k; v_1; ...; v_k]``: all
     displacements, then all velocities, each in the order of ``forms``.
-    ``M``, ``K``, ``C`` and ``B`` are block-diagonal and ``rho`` applies
-    each member's own remainder to its element rows.  A single form is
-    returned as it is.
+    ``M``, ``K``, ``C`` and ``B`` are block-diagonal, and the element
+    coefficients ``slope`` and ``smoothing`` follow ``B``'s rows in member
+    order.  A single form is returned as it is.
     """
     forms = tuple(forms)
     if len(forms) == 1:
@@ -422,7 +411,8 @@ def stack_forms(forms) -> FirstOrderForm:
         stiffness=scipy.linalg.block_diag(*(f.stiffness for f in forms)),
         damping=scipy.linalg.block_diag(*(f.damping for f in forms)),
         rates=scipy.linalg.block_diag(*(f.rates for f in forms)),
-        remainder=_stacked_remainder(forms),
+        slope=np.concatenate([f.slope for f in forms]),
+        smoothing=np.concatenate([f.smoothing for f in forms]),
     )
 
 

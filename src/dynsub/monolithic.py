@@ -17,12 +17,7 @@ from typing import Mapping
 import numpy as np
 
 from .coupling import CouplingError, CouplingTopology, _lu_factors
-from .models import (
-    FirstOrderForm,
-    ModelError,
-    _stacked_remainder,
-    assemble_first_order,
-)
+from .models import FirstOrderForm, ModelError, assemble_first_order
 from .solver import (
     SolverConfig,
     SolverError,
@@ -58,8 +53,9 @@ class AssembledSystem:
 
         The tangent blocks are the assembled ``K`` and ``C``; the element
         rows of each substructure's ``B`` are scattered onto the global DOFs
-        through ``dof_map`` and stacked in substructure order, so the
-        assembled law applies each substructure's own remainder.
+        through ``dof_map`` and stacked in substructure order, and their
+        ``slope`` and ``smoothing`` coefficients follow in the same order,
+        so the assembled law is each substructure's own.
         """
         return self._form
 
@@ -130,7 +126,9 @@ def assemble_global(substructures: Mapping, topology: CouplingTopology) -> Assem
         dof_map=dof_map,
         _form=FirstOrderForm(
             n_dofs=n_global, mass=mass, stiffness=stiffness, damping=damping,
-            rates=np.vstack(rates), remainder=_stacked_remainder(forms.values()),
+            rates=np.vstack(rates),
+            slope=np.concatenate([form.slope for form in forms.values()]),
+            smoothing=np.concatenate([form.smoothing for form in forms.values()]),
         ),
     )
 

@@ -139,17 +139,20 @@ def multisine_with_noise_channels(
     amplitudes,
     noise_variance: float,
     seed: int = 0,
+    phases=None,
 ) -> np.ndarray:
     """Channels sharing one multisine, each with independent noise corruption.
 
-    The sine content (including phases) is drawn once from ``seed``; channel
-    ``i`` adds white noise from seed ``seed + 1 + i``.
+    The sine content is drawn once from ``seed``, with random phases unless
+    ``phases`` are given; channel ``i`` adds white noise from seed
+    ``seed + 1 + i``.
     """
     base_spec = SignalSpec(
         kind="multisine",
         sample_rate=sample_rate,
         frequencies=tuple(frequencies),
         amplitudes=tuple(amplitudes),
+        phases=phases,
         seed=seed,
     )
     base = generate_signal(base_spec, n_samples)

@@ -30,19 +30,21 @@ drive its free steps and its propagator.
 A group of at most ``_PROPAGATOR_MAX_DOFS`` DOFs steps through a
 precomputed affine propagator on ``z = [Y; Ydot]`` (4n entries)::
 
-    xd = Q z;    z+ = Phi z + Psi rho(xd) + Gamma f
+    xd = Q z;    z+ = Phi z + Psi phi(xd, c3) + Gamma f
 
-The force law is ``g(u, v) = K u + C v + B^T rho(B v)``, so a step is linear
-in ``z`` and ``f`` except for the remainder ``rho`` of the element rates.
-``Phi`` and ``Gamma`` are :func:`free_step` of the linear part, called once
-at construction on a block of unit states and unit forces; ``Q`` takes the
-element rates ``B (v + (1-gamma) dts vdot)`` at the predicted velocity
-(``dts`` is the group's inner step), and ``Psi = -Gamma B^T``.  This
-replaces about 25 small numpy calls per inner step by about 10.  Larger
-groups, such as an unreduced frame, call :func:`free_step` at every inner
-step, because their dense ``Phi`` costs more than the solve; the monolithic
-reference does too.  Propagated groups agree with :func:`free_step`
-stepping to round-off, about 1e-14 of the state scale.
+The force law is ``g(u, v) = K u + C v + B^T (slope * phi(B v, c3))``
+(:mod:`dynsub.models`), so a step is linear in ``z`` and ``f`` except for
+``phi`` of the element rates.  ``Phi`` and ``Gamma`` are :func:`free_step`
+of the linear part, called once at construction on a block of unit states
+and unit forces.  ``Q`` takes the element rates
+``B (v + (1-gamma) dts vdot)`` at the predicted velocity (``dts`` is the
+group's inner step), and ``Psi = -Gamma B^T diag(slope)`` folds each row's
+slope into the feedback.  This replaces about 25 small numpy calls per
+inner step by about 10.  Larger groups, such as an unreduced frame, call
+:func:`free_step` at every inner step, because their dense ``Phi`` costs
+more than the solve; the monolithic reference does too.  Propagated groups
+agree with :func:`free_step` stepping to round-off, about 1e-14 of the
+state scale.
 """
 
 from __future__ import annotations
@@ -66,6 +68,7 @@ from .models import (
     FirstOrderForm,
     NonlinearSubstructure,
     assemble_first_order,
+    friction_shape,
     require_numbers,
     stack_forms,
 )
@@ -336,21 +339,20 @@ _PROPAGATOR_MAX_DOFS = 48
 
 @dataclass(frozen=True)
 class _Propagator:
-    """One inner step of a group as ``z+ = Phi z + Psi rho(Q z) + Gamma f``.
+    """One inner step of a group as ``z+ = Phi z + Psi phi(Q z, c3) + Gamma f``.
 
     ``z = [y; ydot]`` stacks the state and its rate (4n entries).  ``Phi``
     and ``Gamma`` are the free step of the group's linear part applied to
     unit states and unit forces, ``Q`` maps ``z`` to the element rates at
-    the predicted velocity and ``Psi = -Gamma B^T`` feeds the remainder
-    back as a force.  ``step`` stacks ``[Phi; Q]``, so one product gives
-    both; ``forcing`` is ``Gamma^T`` for rows of forces, and ``injected``
-    is ``Gamma L_v`` for the ramped multipliers.
+    the predicted velocity and ``Psi = -Gamma B^T diag(slope)`` feeds
+    ``phi`` back as a force.  ``step`` stacks ``[Phi; Q]``, so one product
+    gives both; ``forcing`` is ``Gamma^T`` for rows of forces, and
+    ``injected`` is ``Gamma L_v`` for the ramped multipliers.
     """
 
     step: np.ndarray
     forcing: np.ndarray
     feedback: np.ndarray
-    remainder: object  # rho, or None for a linear group
     injected: np.ndarray
 
 
@@ -358,7 +360,7 @@ def _propagator(form: FirstOrderForm, effective, dt: float, gamma: float, inject
     """Build a group's propagator from :func:`free_step`, called once on unit blocks."""
     n = form.n_dofs
     size = 4 * n
-    linear = dataclasses.replace(form, rates=form.rates[:0], remainder=None)
+    linear = dataclasses.replace(form, rates=form.rates[:0], slope=form.slope[:0], smoothing=form.smoothing[:0])
     # columns: each unit state z under zero force, then each unit force from rest
     unit = np.eye(size + n)
     y, ydot = free_step(linear, effective, unit[:2 * n], unit[2 * n:size], unit[size:], dt, gamma)
@@ -371,8 +373,7 @@ def _propagator(form: FirstOrderForm, effective, dt: float, gamma: float, inject
     return _Propagator(
         step=np.ascontiguousarray(np.concatenate([phi, q])),
         forcing=np.ascontiguousarray(gam.T),
-        feedback=-gam @ b.T,
-        remainder=form.remainder if len(b) else None,
+        feedback=-gam @ (b.T * form.slope),
         injected=gam @ injector,
     )
 
@@ -419,12 +420,10 @@ class _Group:
         if self.subcycles > 1:
             forced += self.ramp * prop.injected.dot(lam)
         size = 2 * m
-        step, feedback, remainder = prop.step, prop.feedback, prop.remainder
+        step, feedback, smoothing = prop.step, prop.feedback, self.form.smoothing
         for j, f in enumerate(forced):
             w = step.dot(z)
-            z = w[:size] + f
-            if remainder is not None:
-                z += feedback.dot(remainder(w[size:]))
+            z = w[:size] + f + feedback.dot(friction_shape(w[size:], smoothing))
             record[j] = z[:m]
         return z
 

@@ -86,7 +86,18 @@ def linear_suspension_analog(n_elements=4, wheel_mass=0.16, attach_mass=0.016,
     )
 
 
-FORCE_LAW_KINDS = ("linear", "suspension_relative", "suspension_absolute", "assembled", "stacked")
+FORCE_LAW_KINDS = ("linear", "suspension_relative", "suspension_absolute", "assembled", "stacked", "two_banks")
+
+
+def two_bank_forms():
+    """First-order forms of two suspension banks with different coefficients and motion."""
+    return (
+        assemble_first_order(suspension_substructure(n_elements=3)),
+        assemble_first_order(suspension_substructure(
+            n_elements=2, relative_motion=False, boundary_mass=0.05,
+            coefficients=dict(mass=0.3, k1=80.0, c1=0.2, c2=25.0, c3=0.12),
+        )),
+    )
 
 
 def first_order_forms():
@@ -107,4 +118,5 @@ def first_order_forms():
         "assembled": assemble_global(subs, topo).first_order(),
     }
     forms["stacked"] = stack_forms([forms["linear"], forms["suspension_relative"]])
+    forms["two_banks"] = stack_forms(two_bank_forms())
     return forms

@@ -7,6 +7,7 @@ import pytest
 
 from dynsub.cli import main
 from dynsub.io import load_csv_columns, load_reduction, load_signals_csv, load_system, save_signals_csv
+from dynsub.signals import multisine_with_noise_channels
 
 from conftest import set_json_entry
 
@@ -58,10 +59,38 @@ class TestGenerate:
         assert chans.shape == (2048, 2)
         assert not np.array_equal(chans[:, 0], chans[:, 1])
 
+    def test_noise_free_multisine_channels_are_equal(self, tmp_path):
+        out = tmp_path / "sig.csv"
+        spec = {"frequencies": [2, 5], "amplitudes": [2, 1], "phases": [0.5, 1.0]}
+        assert main(["generate-signal", "--kind", "multisine", "--spec", json.dumps(spec),
+                     "--samples", "500", "--channels", "3", "--out", str(out)]) == 0
+        t, chans = load_signals_csv(out)
+        expected = 2 * np.sin(2 * np.pi * 2 * t + 0.5) + np.sin(2 * np.pi * 5 * t + 1.0)
+        assert np.allclose(chans[:, 0], expected, rtol=0, atol=1e-12)
+        assert np.array_equal(chans, np.repeat(chans[:, :1], 3, axis=1))
+
+    def test_multisine_channels_come_from_the_shared_generator(self, tmp_path):
+        out = tmp_path / "sig.csv"
+        spec = {"frequencies": [2, 5, 8], "amplitudes": [2, 2, 1], "noise_variance": 0.05}
+        assert main(["generate-signal", "--kind", "multisine", "--spec", json.dumps(spec),
+                     "--samples", "1001", "--rate", "1000", "--channels", "4", "--seed", "1",
+                     "--out", str(out)]) == 0
+        _, chans = load_signals_csv(out)
+        expected = multisine_with_noise_channels(4, 1001, 1000.0, [2, 5, 8], [2, 2, 1], 0.05, seed=1)
+        assert np.array_equal(chans, expected)
+
 
 def _drop_frame_mass(model):
     doc = json.loads(model.read_text())
     del doc["substructures"]["frame"]["mass"]
+    model.write_text(json.dumps(doc))
+
+
+def _asymmetric_frame_mass(model):
+    doc = json.loads(model.read_text())
+    mass = doc["substructures"]["frame"]["mass"]
+    for key, value in (("rows", 0), ("cols", 1), ("values", 0.5)):
+        mass[key].append(value)
     model.write_text(json.dumps(doc))
 
 
@@ -94,14 +123,18 @@ def _setting(*keys, value):
     (["generate-signal", "--kind", "multisine", "--samples", "10", "--out", "{tmp}/s.csv", "--spec",
       '{"frequencies": [2], "amplitudes": [1], "noise_variance": "0.1"}'], "noise_variance", None),
     # JSON reads NaN and Infinity; they must not reach a factorization
-    (["simulate", "--model", "{model}", "--config", "{tmp}/good.json", "--out", "{tmp}/t.csv"], "stiffness",
+    (["simulate", "--model", "{model}", "--config", "{tmp}/good.json", "--out", "{tmp}/t.csv"],
+     ("substructure 'frame'", "stiffness"),
      _setting("substructures", "frame", "stiffness", "values", 0, value=float("nan"))),
     (["simulate", "--model", "{model}", "--config", "{tmp}/good.json", "--out", "{tmp}/t.csv", "--monolithic"],
-     "stiffness", _setting("substructures", "frame", "stiffness", "values", 0, value=float("inf"))),
+     ("substructure 'frame'", "stiffness"),
+     _setting("substructures", "frame", "stiffness", "values", 0, value=float("inf"))),
     (["simulate", "--model", "{model}", "--config", "{tmp}/good.json", "--out", "{tmp}/t.csv", "--monolithic"],
-     "c3", _setting("substructures", "suspension", "elements", 1, "c3", value=float("inf"))),
+     ("substructure 'suspension' element 1", "c3"),
+     _setting("substructures", "suspension", "elements", 1, "c3", value=float("inf"))),
     (["simulate", "--model", "{model}", "--config", "{tmp}/good.json", "--out", "{tmp}/t.csv"],
-     "boundary_mass", _setting("substructures", "suspension", "boundary_mass", value=float("nan"))),
+     ("substructure 'suspension'", "boundary_mass"),
+     _setting("substructures", "suspension", "boundary_mass", value=float("nan"))),
     (["simulate", "--model", "{model}", "--config", "{tmp}/nan_limit.json", "--out", "{tmp}/t.csv"],
      "divergence_limit", None),
     (["simulate", "--model", "{model}", "--config", "{tmp}/negative_limit.json", "--out", "{tmp}/t.csv",
@@ -110,14 +143,32 @@ def _setting(*keys, value):
     (["reduce", "--model", "{model}", "--sub", "suspension", "--modes", "5", "--out", "{tmp}/r.npz"],
      "--sub", None),
     (["generate-signal", "--samples", "10", "--channels", "0", "--out", "{tmp}/s.csv"], "--channels", None),
+    (["reduce", "--model", "{model}", "--modes", "5", "--out", "{tmp}/r.npz"], "frame", _asymmetric_frame_mass),
+    (["reduce", "--model", "{model}", "--modes", "5", "--out", "{tmp}/r.npz", "--report", "{tmp}/f.csv",
+      "--report-modes", "0"], "--report-modes", None),
+    (["compare", "mac", "--full", "{tmp}/modes3.csv", "--reduced", "{tmp}/modes4.csv", "--out", "{tmp}/mac.csv"],
+     "--full", None),
+    (["compare", "traj", "--full", "{tmp}/text.csv", "--reduced", "{tmp}/text.csv", "--out", "{tmp}/mse.csv"],
+     "{tmp}/text.csv", None),
+    (["simulate", "--model", "{model}", "--config", "{tmp}/good.json", "--inputs", "{tmp}/text.csv",
+      "--out", "{tmp}/t.csv"], "{tmp}/text.csv", None),
+    (["generate-signal", "--kind", "multisine", "--samples", "10", "--out", "{tmp}/s.csv", "--spec",
+      '{"frequencies": [2], "amplitudes": [1], "sample_rate": 100}'], "--rate", None),
+    (["generate-signal", "--samples", "10", "--out", "{tmp}/s.csv", "--spec",
+      '{"band": [0, 200], "seed": 3}'], "--seed", None),
+    (["generate-signal", "--samples", "10", "--out", "{tmp}/s.csv", "--spec",
+      '{"frequencies": [2], "amplitudes": [1], "kind": "multisine"}'], "--kind", None),
 ], ids=["frame_params", "chain_params", "chain_float_n", "solver_config", "experiment_config",
           "experiment_model", "missing_mass", "system_relative_motion", "system_coupling",
           "solver_config_type", "solver_config_partial_step", "experiment_config_type",
           "signal_spec_type", "system_nan_triplet", "system_infinite_triplet_monolithic",
           "system_infinite_c3_monolithic", "system_nan_boundary_mass", "solver_config_nan_divergence_limit",
           "solver_config_negative_divergence_limit_monolithic", "reduce_unknown_sub", "reduce_nonlinear_sub",
-          "signal_no_channels"])
+          "signal_no_channels", "system_asymmetric_frame_mass", "reduce_no_report_modes", "compare_mac_sizes",
+          "compare_non_numeric_csv", "simulate_non_numeric_inputs", "signal_spec_sample_rate",
+          "signal_spec_seed", "signal_spec_kind"])
 def test_malformed_input_exits_1_naming_the_field(tmp_path, model_file, capsys, argv, key, edit):
+    """``key`` is the name the message must quote, or (location, name) for a location it must also lead with."""
     write_config(tmp_path / "good.json")
     write_config(tmp_path / "nan_limit.json", divergence_limit=float("nan"))
     write_config(tmp_path / "negative_limit.json", divergence_limit=-1.0)
@@ -126,12 +177,16 @@ def test_malformed_input_exits_1_naming_the_field(tmp_path, model_file, capsys, 
     write_config(tmp_path / "part_step.json", duration=0.0505)  # 50.5 steps of dt = 1e-3
     (tmp_path / "bad_model.json").write_text(json.dumps({"model": {"nn": 5}}))
     (tmp_path / "str_modes.json").write_text(json.dumps({"modes": "5"}))
+    (tmp_path / "modes3.csv").write_text("m0,m1\n1,0\n0,1\n1,1\n")
+    (tmp_path / "modes4.csv").write_text("m0,m1\n1,0\n0,1\n1,1\n0,1\n")
+    (tmp_path / "text.csv").write_text("time,ch0\n0,1\n0.001,one\n")
     if edit is not None:
         edit(model_file)
     argv = [a.replace("{tmp}", str(tmp_path)).replace("{model}", str(model_file)) for a in argv]
+    where, key = key if isinstance(key, tuple) else ("", key.replace("{tmp}", str(tmp_path)))
     assert main(argv) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and repr(key) in err
+    assert err.startswith(f"error: {where}") and repr(key) in err
 
 
 @pytest.mark.parametrize("extra", [[], ["--monolithic"], ["--subcycles", "10"]],

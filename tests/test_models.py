@@ -14,7 +14,7 @@ from dynsub import (
     tangent_at_zero,
 )
 
-from conftest import FORCE_LAW_KINDS, first_order_forms
+from conftest import FORCE_LAW_KINDS, first_order_forms, two_bank_forms
 
 # identified suspension coefficients used in the hand-checked examples below
 COEFF = dict(mass=0.160, k1=35.0, c1=0.65, c2=10.0, c3=0.55)
@@ -268,3 +268,19 @@ class TestMomentumLaw:
             slope = form.stiffness @ delta
             scale = max(np.abs(shifted).max(), np.abs(base).max(), np.abs(slope).max())
             assert np.abs(shifted - base - slope).max() <= 1e-12 * scale
+
+    def test_stacked_banks_each_keep_their_own_law(self):
+        # the stacked coefficient rows follow the members' element rows in order
+        members = two_bank_forms()
+        form = first_order_forms()["two_banks"]
+        assert form.n_dofs == sum(member.n_dofs for member in members)
+        rng = np.random.default_rng(5)
+        u = rng.standard_normal(form.n_dofs)
+        v = 5.0 * rng.standard_normal(form.n_dofs)  # friction well into saturation
+        stacked = form.momentum(u, v)
+        start = 0
+        for member in members:
+            rows = slice(start, start + member.n_dofs)
+            own = member.momentum(u[rows], v[rows])
+            assert np.abs(stacked[rows] - own).max() <= 1e-14 * np.abs(own).max()
+            start = rows.stop

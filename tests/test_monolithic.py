@@ -100,24 +100,46 @@ class TestAssembleGlobal:
 
 
 class TestAssembledFirstOrderForm:
+    @staticmethod
+    def assert_restoring_sums_substructure_forces(subs, asys, y):
+        n = asys.n_dofs
+        expected = np.zeros(n)
+        for sid, sub in subs.items():
+            ids = asys.dof_map[sid]
+            r = restoring_force(sub, np.concatenate([y[ids], y[n + ids]]))
+            np.add.at(expected, ids, r[len(ids):])
+        r = asys.first_order().restoring(y)
+        assert np.allclose(r[n:], expected, rtol=1e-12, atol=1e-12 * np.abs(expected).max())
+        assert np.array_equal(r[:n], -y[n:])
+
     def test_restoring_sums_substructure_forces(self):
         subs, topo = frame_analog()
         asys = assemble_global(subs, topo)
-        form = asys.first_order()
         n = asys.n_dofs
         rng = np.random.default_rng(3)
         y = rng.normal(size=2 * n) * 1e-3
         # wheel-minus-attachment velocities far beyond c3: friction saturates
         wheels = asys.dof_map["suspension"][:4]
         y[n + wheels] = [2.0, -3.0, 4.0, -5.0]
-        expected = np.zeros(n)
-        for sid, sub in subs.items():
-            ids = asys.dof_map[sid]
-            r = restoring_force(sub, np.concatenate([y[ids], y[n + ids]]))
-            np.add.at(expected, ids, r[len(ids):])
-        r = form.restoring(y)
-        assert np.allclose(r[n:], expected, rtol=1e-12, atol=1e-12 * np.abs(expected).max())
-        assert np.array_equal(r[:n], -y[n:])
+        self.assert_restoring_sums_substructure_forces(subs, asys, y)
+
+    def test_two_banks_each_keep_their_own_law(self):
+        # the assembled coefficient rows follow the banks' element rows in order
+        subs = {
+            "chain": chain_substructure(4),
+            "near": suspension_substructure(n_elements=2),
+            "far": suspension_substructure(
+                n_elements=3, relative_motion=False, coefficients=dict(c2=25.0, c3=0.12),
+            ),
+        }
+        topo = CouplingTopology(constraints=(
+            (("chain", 1, 1), ("near", 2, -1)),
+            (("chain", 3, 1), ("far", 4, -1)),
+        ))
+        asys = assemble_global(subs, topo)
+        n = asys.n_dofs
+        y = 3.0 * np.random.default_rng(4).normal(size=2 * n)  # friction well into saturation
+        self.assert_restoring_sums_substructure_forces(subs, asys, y)
 
     def test_tangent_matches_finite_differences(self):
         subs, topo = frame_analog(n=40)

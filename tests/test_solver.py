@@ -521,38 +521,42 @@ class TestSubcycling:
 
 @st.composite
 def small_coupled_runs(draw):
-    """A damped chain and a suspension bank on a random topology, with random forces.
+    """A damped chain and one or two suspension banks on a random topology, with random forces.
 
-    Returns the system, a sub-cycled config and force tables on each
-    substructure's own grid.
+    Each bank draws its own coefficients and motion, and every bank is
+    physical, so two banks share one stacked group.  Returns the system, a
+    sub-cycled config and force tables on each substructure's own grid.
     """
     n = draw(st.integers(1, 12))
     real = st.floats
     chain = chain_substructure(n, m=draw(real(0.1, 10.0)), k=draw(real(1.0, 1e4)), c=draw(real(0.0, 5.0)))
-    elements = tuple(
-        SuspensionElement(mass=draw(real(0.05, 1.0)), k1=draw(real(1.0, 100.0)), c1=draw(real(0.0, 2.0)),
-                          c2=draw(real(0.0, 20.0)), c3=draw(real(0.05, 2.0)))
-        for _ in range(draw(st.integers(1, 4)))
-    )
-    susp = NonlinearSubstructure(elements=elements, boundary_mass=draw(real(0.01, 0.5)),
-                                 relative_motion=draw(st.booleans()))
-    # each constraint ties a distinct chain DOF to a distinct suspension DOF
-    n_lam = draw(st.integers(1, min(n, susp.n_dofs)))
+    banks = {}
+    for b in range(draw(st.integers(1, 2))):
+        elements = tuple(
+            SuspensionElement(mass=draw(real(0.05, 1.0)), k1=draw(real(1.0, 100.0)), c1=draw(real(0.0, 2.0)),
+                              c2=draw(real(0.0, 20.0)), c3=draw(real(0.05, 2.0)))
+            for _ in range(draw(st.integers(1, 4)))
+        )
+        banks[f"suspension{b}"] = NonlinearSubstructure(
+            elements=elements, boundary_mass=draw(real(0.01, 0.5)), relative_motion=draw(st.booleans()),
+        )
+    # each constraint ties a distinct chain DOF to a distinct bank DOF
+    bank_dofs = [(sid, dof) for sid, bank in banks.items() for dof in range(bank.n_dofs)]
+    n_lam = draw(st.integers(1, min(n, len(bank_dofs))))
     chain_dofs = draw(st.permutations(range(n)))[:n_lam]
-    susp_dofs = draw(st.permutations(range(susp.n_dofs)))[:n_lam]
+    tied = draw(st.permutations(bank_dofs))[:n_lam]
     signs = draw(st.lists(st.sampled_from((1, -1)), min_size=n_lam, max_size=n_lam))
     topology = CouplingTopology(constraints=tuple(
-        (("chain", a, sign), ("suspension", b, -sign)) for a, b, sign in zip(chain_dofs, susp_dofs, signs)
+        (("chain", a, sign), (sid, dof, -sign)) for a, (sid, dof), sign in zip(chain_dofs, tied, signs)
     ))
-    system = CoupledSystem(substructures={"chain": chain, "suspension": susp}, topology=topology)
+    system = CoupledSystem(substructures={"chain": chain, **banks}, topology=topology, physical=tuple(banks))
     cfg = SolverConfig(dt=1e-3, duration=draw(st.integers(1, 20)) * 1e-3,
                        gamma=draw(real(0.5, 1.0)), subcycles=draw(st.integers(1, 6)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     amplitude = draw(real(0.1, 10.0))
-    inputs = {
-        "chain": amplitude * rng.standard_normal((cfg.n_steps + 1, n)),
-        "suspension": amplitude * rng.standard_normal((cfg.n_steps * cfg.subcycles + 1, susp.n_dofs)),
-    }
+    inputs = {"chain": amplitude * rng.standard_normal((cfg.n_steps + 1, n))}
+    for sid, bank in banks.items():
+        inputs[sid] = amplitude * rng.standard_normal((cfg.n_steps * cfg.subcycles + 1, bank.n_dofs))
     return system, cfg, inputs
 
 
