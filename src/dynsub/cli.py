@@ -150,7 +150,7 @@ def _cmd_compare(args) -> int:
             raise MetricsError(f"options '--full' and '--reduced' hold mode shapes of "
                                f"{full.shape[0]} and {reduced.shape[0]} DOFs")
         n = min(full.shape[1], reduced.shape[1])
-        result = mac(reduced[:, :n], full[:, :n])
+        result = mac(reduced[:, :n], full[:, :n], names=("option '--reduced'", "option '--full'"))
         np.savetxt(args.out, result.values, delimiter=",", fmt="%.17g")
         print(f"wrote {args.out}; diagonal min {result.diagonal.min():.6f}, "
               f"off-diagonal max {result.max_off_diagonal():.3e}")
@@ -158,6 +158,9 @@ def _cmd_compare(args) -> int:
         header_a, data_a = dio.load_csv_columns(args.full)
         header_b, data_b = dio.load_csv_columns(args.reduced)
         shared = [h for h in header_a if h in header_b and h != "time"]
+        if not shared:
+            raise MetricsError(f"options '--full' and '--reduced' share no channel: "
+                               f"{args.full} and {args.reduced} have no common column besides 'time'")
         rows = []
         for name in shared:
             a = data_a[:, header_a.index(name)]
@@ -167,7 +170,7 @@ def _cmd_compare(args) -> int:
             mse, rel = trajectory_mse(b, a)
             rows.append(f"{name},{mse:.17g},{rel:.17g}")
         Path(args.out).write_text("channel,mse,relative_mse\n" + "\n".join(rows) + "\n")
-        worst = max((float(r.split(",")[2]) for r in rows), default=0.0)
+        worst = max(float(r.split(",")[2]) for r in rows)
         print(f"wrote {args.out} ({len(shared)} shared channels, worst relative MSE {worst:.3e})")
     return 0
 

@@ -32,15 +32,18 @@ def chain_matrices(
     mass = np.eye(n) * m
     stiffness = np.zeros((n, n))
     damping = np.zeros((n, n))
-    for i in range(n - 1):
-        for mat, val in ((stiffness, k), (damping, c)):
-            mat[i, i] += val
-            mat[i + 1, i + 1] += val
-            mat[i, i + 1] -= val
-            mat[i + 1, i] -= val
-    if grounded:
-        stiffness[0, 0] += k
-        damping[0, 0] += c
+    i = np.arange(n)
+    for mat, val in ((stiffness, k), (damping, c)):
+        # spring j adds val to the diagonal at j and j + 1 and subtracts it
+        # from (j, j + 1) and (j + 1, j); the sums below are the ones a
+        # spring-by-spring loop makes, so the entries match it bit for bit
+        diagonal = np.zeros(n)
+        diagonal[:-1] += val
+        diagonal[1:] += val
+        if grounded:
+            diagonal[0] += val
+        mat[i, i] = diagonal
+        mat[i[:-1], i[1:]] = mat[i[1:], i[:-1]] = 0.0 - val
     return mass, damping, stiffness
 
 

@@ -31,13 +31,14 @@ class MacMatrix:
         return float(v.max()) if v.size else 0.0
 
 
-def mac(modes_a: np.ndarray, modes_b: np.ndarray) -> MacMatrix:
+def mac(modes_a: np.ndarray, modes_b: np.ndarray, names: tuple = ("modes_a", "modes_b")) -> MacMatrix:
     """Cross modal assurance criterion between two mode-shape sets.
 
     Entry (i, j) is |phi_a_i . phi_b_j|^2 normalized by the squared norms, so
     it is invariant to the scaling of either shape and equals 1 for collinear
     shapes.  Modes are the columns; both sets must share the physical
-    dimension.
+    dimension.  A zero column raises :class:`MetricsError` naming its set
+    (by ``names``) and its index.
     """
     a = np.atleast_2d(np.asarray(modes_a, dtype=float))
     b = np.atleast_2d(np.asarray(modes_b, dtype=float))
@@ -45,8 +46,10 @@ def mac(modes_a: np.ndarray, modes_b: np.ndarray) -> MacMatrix:
         raise MetricsError(f"mode sets must share the physical dimension: {a.shape} vs {b.shape}")
     norm_a = np.sum(a * a, axis=0)
     norm_b = np.sum(b * b, axis=0)
-    if np.any(norm_a == 0) or np.any(norm_b == 0):
-        raise MetricsError("zero-norm mode shape")
+    for name, norms in zip(names, (norm_a, norm_b)):
+        zero = np.flatnonzero(norms == 0)
+        if zero.size:
+            raise MetricsError(f"{name}: column {zero[0]} is a zero-norm mode shape")
     cross = a.T @ b
     values = cross**2 / np.outer(norm_a, norm_b)
     return MacMatrix(

@@ -5,8 +5,13 @@ DOFs (hard compatibility) and steps the assembled first-order form with the
 same trapezoidal kernel (:func:`~dynsub.solver.effective_matrix` and
 :func:`~dynsub.solver.free_step`) as the partitioned solver, so the gap
 between the two is coupling and reduction error, not an integrator
-difference.  A Newmark average-acceleration variant and the closed-form
-damped SDOF solution serve as independent cross-checks.
+difference.  The assembly is dense by default, which the CLI and the
+acceptance criteria use; ``assemble_global(..., sparse=True)`` stores
+``M``, ``C`` and ``K`` as CSR arrays, and the kernel then factorizes ``S``
+once with SuperLU.  ``run_experiment`` uses the sparse one, the fair
+full-order baseline for a banded frame.  A Newmark average-acceleration
+variant (dense only) and the closed-form damped SDOF solution serve as
+independent cross-checks.
 """
 
 from __future__ import annotations
@@ -35,7 +40,9 @@ class AssembledSystem:
     """Primal assembly of a coupled system onto shared global DOFs.
 
     ``dof_map[sid]`` gives the global DOF of each DOF of substructure ``sid``;
-    two DOFs of one substructure may share a global DOF.
+    two DOFs of one substructure may share a global DOF.  ``mass``,
+    ``damping`` and ``stiffness`` are dense arrays, or CSR arrays for a
+    sparse assembly.
     """
 
     mass: np.ndarray
@@ -60,11 +67,16 @@ class AssembledSystem:
         return self._form
 
 
-def assemble_global(substructures: Mapping, topology: CouplingTopology) -> AssembledSystem:
+def assemble_global(substructures: Mapping, topology: CouplingTopology, sparse: bool = False) -> AssembledSystem:
     """Merge coupled interface DOFs and sum the substructure matrices.
 
     The global DOF count is the sum of substructure DOF counts minus the
-    number of interface constraints.
+    number of interface constraints.  ``M``, ``C`` and ``K`` are dense
+    arrays by default; with ``sparse`` they are CSR arrays summed from each
+    substructure's nonzero entries, so no ``n_global**2`` array is built
+    and the reference steps on a sparse factorization of ``S``
+    (:func:`~dynsub.solver.effective_matrix`).  ``B`` and the element
+    coefficients stay dense rows either way.
     """
     offsets = {}
     total = 0
@@ -104,20 +116,15 @@ def assemble_global(substructures: Mapping, topology: CouplingTopology) -> Assem
     }
 
     forms = {sid: assemble_first_order(sub) for sid, sub in substructures.items()}
-    mass = np.zeros((n_global, n_global))
-    damping = np.zeros((n_global, n_global))
-    stiffness = np.zeros((n_global, n_global))
     rates = []
     for sid, form in forms.items():
-        # unbuffered scatter, as two DOFs of one substructure may share a
-        # global DOF; numpy's fast path takes flat indices into a 1-D view
-        ids = dof_map[sid]
-        flat = (ids[:, None] * n_global + ids).ravel()
-        for target, block in ((mass, form.mass), (damping, form.damping), (stiffness, form.stiffness)):
-            np.add.at(target.reshape(-1), flat, np.ravel(block))
         block = np.zeros((len(form.rates), n_global))
-        np.add.at(block, (slice(None), ids), form.rates)
+        np.add.at(block, (slice(None), dof_map[sid]), form.rates)
         rates.append(block)
+    mass, damping, stiffness = (
+        _scatter([(dof_map[sid], getattr(form, name)) for sid, form in forms.items()], n_global, sparse)
+        for name in ("mass", "damping", "stiffness")
+    )
 
     return AssembledSystem(
         mass=mass,
@@ -131,6 +138,29 @@ def assemble_global(substructures: Mapping, topology: CouplingTopology) -> Assem
             smoothing=np.concatenate([form.smoothing for form in forms.values()]),
         ),
     )
+
+
+def _scatter(blocks, n_global: int, sparse: bool):
+    """Sum square blocks onto the global DOFs; ``blocks`` holds ``(global ids, block)`` pairs.
+
+    Two DOFs of one block may share a global DOF, so the entries that land
+    on one global entry add up: through an unbuffered scatter into a dense
+    array, or as duplicate COO triplets, which the conversion to CSR sums.
+    """
+    if not sparse:
+        out = np.zeros((n_global, n_global))
+        for ids, block in blocks:
+            # numpy's fast path takes flat indices into a 1-D view
+            np.add.at(out.reshape(-1), (ids[:, None] * n_global + ids).ravel(), np.ravel(block))
+        return out
+    import scipy.sparse  # only the sparse reference pays for this import
+
+    triplets = []
+    for ids, block in blocks:
+        rows, cols = np.nonzero(block != 0)  # a boolean mask scans about twice as fast
+        triplets.append((ids[rows], ids[cols], block[rows, cols]))
+    rows, cols, values = (np.concatenate(part) for part in zip(*triplets))
+    return scipy.sparse.coo_array((values, (rows, cols)), shape=(n_global, n_global)).tocsr()
 
 
 def _global_trajectory(asys: AssembledSystem, traj_global: np.ndarray, dt: float) -> Trajectory:
@@ -178,6 +208,8 @@ def solve_monolithic(
 
     Identical stage structure to the partitioned free step, evaluated on the
     merged DOF set; serves as the fidelity oracle for the coupled solvers.
+    A sparse ``asys`` steps the same kernel on CSR products and one SuperLU
+    factorization of ``S``; it agrees with the dense one to round-off.
     """
     n_steps = config.n_steps
     dt, gamma = config.dt, config.gamma
@@ -214,6 +246,8 @@ def solve_newmark(
     form = asys.first_order()
     if len(form.rates):
         raise ModelError("the Newmark oracle supports linear assembled systems only")
+    if not isinstance(asys.mass, np.ndarray):
+        raise ModelError("the Newmark oracle needs a dense assembly (sparse=False)")
     n = asys.n_dofs
     n_steps = config.n_steps
     dt = config.dt

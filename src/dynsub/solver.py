@@ -200,15 +200,14 @@ class EffectiveMatrix:
     """Factorized condensed effective matrix S = M + gamma*dt*C + (gamma*dt)^2*K.
 
     ``solve`` applies ``S^{-1}`` to momentum-row right-hand sides (n rows).
+    ``matrix`` is a dense array or, for a sparse form, a CSR array.
     """
 
     matrix: np.ndarray
-    _lu: np.ndarray
-    _piv: np.ndarray
-    _getrs: object
+    _solve: object  # rhs -> S^{-1} rhs
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        return self._getrs(self._lu, self._piv, rhs)[0]
+        return self._solve(rhs)
 
 
 def effective_matrix(form: FirstOrderForm, dt: float, gamma: float) -> EffectiveMatrix:
@@ -216,18 +215,40 @@ def effective_matrix(form: FirstOrderForm, dt: float, gamma: float) -> Effective
 
     The tangent blocks are state-independent, so S is assembled once per
     simulation; the solver calls this once per step group, on the group's
-    stacked form at its inner step dt/ss.
-    Its pivots are judged against the largest of the three terms, so a
+    stacked form at its inner step dt/ss.  A dense form gets LAPACK LU
+    factors; a sparse one (CSR blocks, :func:`~dynsub.monolithic.assemble_global`
+    with ``sparse=True``) gets one SuperLU factorization of ``S`` in CSC
+    order, with SuperLU's fill-reducing column ordering.  Either way the
+    pivots are judged against the largest of the three terms, so a
     stiffness that cancels the mass is reported as singular.
     """
     gdt = gamma * dt
     terms = (form.mass, gdt * form.damping, gdt * gdt * form.stiffness)
     s = terms[0] + terms[1] + terms[2]
-    lu, piv, getrs = _lu_factors(
-        s, SolverError(f"effective matrix singular for dt={dt}, gamma={gamma}"),
-        scale=max(np.abs(t).max() for t in terms),
-    )
-    return EffectiveMatrix(matrix=s, _lu=lu, _piv=piv, _getrs=getrs)
+    singular = SolverError(f"effective matrix singular for dt={dt}, gamma={gamma}")
+    scale = max(abs(t).max() for t in terms)
+    if isinstance(s, np.ndarray):
+        lu, piv, getrs = _lu_factors(s, singular, scale=scale)
+        return EffectiveMatrix(matrix=s, _solve=lambda rhs: getrs(lu, piv, rhs)[0])
+    return EffectiveMatrix(matrix=s, _solve=_sparse_factors(s, singular, scale))
+
+
+def _sparse_factors(s, singular: Exception, scale: float):
+    """SuperLU ``solve`` of a sparse matrix under the rule of :func:`~dynsub.coupling._lu_factors`.
+
+    Raises ``singular`` if SuperLU finds ``s`` exactly singular, or if a
+    factor is not finite or a pivot of ``U`` falls below 1e-14 of ``scale``.
+    """
+    import scipy.sparse.linalg  # only sparse forms pay for this import
+
+    try:
+        lu = scipy.sparse.linalg.splu(s.tocsc())
+    except RuntimeError:  # "Factor is exactly singular"
+        raise singular from None
+    finite = np.isfinite(lu.L.data).all() and np.isfinite(lu.U.data).all()
+    if not finite or np.abs(lu.U.diagonal()).min() < 1e-14 * max(scale, 1e-30):
+        raise singular
+    return lu.solve
 
 
 def free_step(
@@ -283,11 +304,19 @@ def coupling_step(
 def _initial_rate(form: FirstOrderForm, y: np.ndarray, force: np.ndarray) -> np.ndarray:
     """Consistent starting rate: solve A @ Ydot0 = F0 - R(Y0).
 
-    ``force`` is the physical force on the momentum rows at the first instant.
+    ``force`` is the physical force on the momentum rows at the first instant;
+    a sparse ``M`` is solved with a sparse direct solve.
     """
     n = form.n_dofs
     u, v = y[:n], y[n:]
-    return np.concatenate([v, np.linalg.solve(form.mass, force - form.momentum(u, v))])
+    rhs = force - form.momentum(u, v)
+    if isinstance(form.mass, np.ndarray):
+        acc = np.linalg.solve(form.mass, rhs)
+    else:
+        import scipy.sparse.linalg  # only sparse forms pay for this import
+
+        acc = scipy.sparse.linalg.spsolve(form.mass.tocsc(), rhs)
+    return np.concatenate([v, acc])
 
 
 def _check_divergence(step: int, sub_id, y: np.ndarray, limit: float) -> None:

@@ -158,6 +158,10 @@ def _setting(*keys, value):
       '{"band": [0, 200], "seed": 3}'], "--seed", None),
     (["generate-signal", "--samples", "10", "--out", "{tmp}/s.csv", "--spec",
       '{"frequencies": [2], "amplitudes": [1], "kind": "multisine"}'], "--kind", None),
+    (["compare", "traj", "--full", "{tmp}/traj_a.csv", "--reduced", "{tmp}/traj_b.csv", "--out", "{tmp}/mse.csv"],
+     ("options '--full' and '--reduced'", "--reduced"), None),
+    (["compare", "mac", "--full", "{tmp}/modes3_zero.csv", "--reduced", "{tmp}/modes3.csv", "--out", "{tmp}/mac.csv"],
+     ("option '--full'", "--full"), None),
 ], ids=["frame_params", "chain_params", "chain_float_n", "solver_config", "experiment_config",
           "experiment_model", "missing_mass", "system_relative_motion", "system_coupling",
           "solver_config_type", "solver_config_partial_step", "experiment_config_type",
@@ -166,7 +170,7 @@ def _setting(*keys, value):
           "solver_config_negative_divergence_limit_monolithic", "reduce_unknown_sub", "reduce_nonlinear_sub",
           "signal_no_channels", "system_asymmetric_frame_mass", "reduce_no_report_modes", "compare_mac_sizes",
           "compare_non_numeric_csv", "simulate_non_numeric_inputs", "signal_spec_sample_rate",
-          "signal_spec_seed", "signal_spec_kind"])
+          "signal_spec_seed", "signal_spec_kind", "compare_traj_no_shared_channel", "compare_mac_zero_column"])
 def test_malformed_input_exits_1_naming_the_field(tmp_path, model_file, capsys, argv, key, edit):
     """``key`` is the name the message must quote, or (location, name) for a location it must also lead with."""
     write_config(tmp_path / "good.json")
@@ -180,6 +184,9 @@ def test_malformed_input_exits_1_naming_the_field(tmp_path, model_file, capsys, 
     (tmp_path / "modes3.csv").write_text("m0,m1\n1,0\n0,1\n1,1\n")
     (tmp_path / "modes4.csv").write_text("m0,m1\n1,0\n0,1\n1,1\n0,1\n")
     (tmp_path / "text.csv").write_text("time,ch0\n0,1\n0.001,one\n")
+    (tmp_path / "modes3_zero.csv").write_text("m0,m1\n1,0\n0,0\n1,0\n")
+    (tmp_path / "traj_a.csv").write_text("time,a.u0\n0,1\n0.001,2\n")
+    (tmp_path / "traj_b.csv").write_text("time,b.u0\n0,1\n0.001,2\n")
     if edit is not None:
         edit(model_file)
     argv = [a.replace("{tmp}", str(tmp_path)).replace("{model}", str(model_file)) for a in argv]

@@ -58,6 +58,7 @@ class TestRunExperiment:
             assert (tmp_path / "out" / name).exists(), name
         saved = json.loads((tmp_path / "out" / "report.json").read_text())
         assert saved["offline_time"].keys() == report["offline_time"].keys()
+        assert saved["model"]["reference"] == "monolithic_sparse"
 
     def test_fidelity_reported_per_boundary(self, tmp_path):
         report = run_experiment(small_config(), tmp_path / "out")
@@ -68,6 +69,7 @@ class TestRunExperiment:
     def test_monolithic_optional(self, tmp_path):
         report = run_experiment(small_config(run_monolithic=False), tmp_path / "out")
         assert "monolithic" not in report["online_time"]
+        assert "reference" not in report["model"]
         assert not (tmp_path / "out" / "trajectory_monolithic.csv").exists()
 
     def test_byte_identical_reruns(self, tmp_path):

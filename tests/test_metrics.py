@@ -39,6 +39,14 @@ class TestMac:
         with pytest.raises(MetricsError, match="zero-norm"):
             mac(np.zeros((4, 1)), np.ones((4, 1)))
 
+    def test_zero_norm_mode_named_by_set_and_column(self):
+        full = np.ones((4, 3))
+        full[:, 2] = 0.0
+        with pytest.raises(MetricsError, match="^modes_b: column 2 "):
+            mac(np.ones((4, 3)), full)
+        with pytest.raises(MetricsError, match="^option '--full': column 2 "):
+            mac(np.ones((4, 3)), full, names=("option '--reduced'", "option '--full'"))
+
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(MetricsError, match="dimension"):
             mac(np.ones((4, 1)), np.ones((5, 1)))

@@ -1,9 +1,15 @@
 """Primal assembly and the reference solvers."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.linalg
 
+import dynsub
 from dynsub import (
     CoupledSystem,
     CouplingError,
@@ -257,6 +263,75 @@ class TestSolveMonolithic:
             diff = np.abs(part.displacement("susp", dof) - mono.displacement("susp", dof)).max()
             scale = np.abs(mono.displacement("susp", dof)).max()
             assert diff <= 1e-9 * max(scale, 1e-12)
+
+
+def desk_1000():
+    """The experiment's default system: the 1000-DOF frame and four suspensions."""
+    return frame_analog(n=1000, k=2.5e5)
+
+
+class TestSparseReference:
+    """``assemble_global(..., sparse=True)``: CSR matrices and one SuperLU factorization of S."""
+
+    @pytest.mark.parametrize("build", [desk_1000, merged_pair], ids=["desk_1000", "merged_dofs"])
+    def test_assembly_equals_dense_entry_for_entry(self, build):
+        subs, topo = build()
+        dense, sparse = assemble_global(subs, topo), assemble_global(subs, topo, sparse=True)
+        assert sparse.mass.format == "csr"
+        for name in ("mass", "damping", "stiffness"):
+            assert np.array_equal(getattr(sparse, name).toarray(), getattr(dense, name)), name
+        for sid in subs:
+            assert np.array_equal(sparse.dof_map[sid], dense.dof_map[sid])
+        for name in ("rates", "slope", "smoothing"):
+            assert np.array_equal(getattr(sparse.first_order(), name), getattr(dense.first_order(), name))
+
+    @staticmethod
+    def desk_run(subs, topo, duration, sparse):
+        system = CoupledSystem(substructures=subs, topology=topo)
+        cfg = SolverConfig(dt=1e-3, duration=duration)
+        inputs = {"suspension": wheel_forces(system, "suspension", np.arange(cfg.n_steps + 1) * cfg.dt)}
+        return solve_monolithic(assemble_global(subs, topo, sparse=sparse), cfg, inputs)
+
+    @pytest.mark.parametrize("build, duration", [(desk_1000, 0.2), (frame_analog, 0.5)],
+                             ids=["desk_1000", "readme_208"])
+    def test_solve_agrees_with_dense(self, build, duration):
+        subs, topo = build()
+        dense = self.desk_run(subs, topo, duration, sparse=False)
+        sparse = self.desk_run(subs, topo, duration, sparse=True)
+        for sid in subs:
+            scale = np.abs(dense.states[sid]).max()
+            assert scale > 0
+            assert np.abs(sparse.states[sid] - dense.states[sid]).max() <= 1e-12 * scale, sid
+
+    def test_reruns_are_byte_identical(self):
+        subs, topo = frame_analog()
+        first = self.desk_run(subs, topo, 0.1, sparse=True)
+        second = self.desk_run(subs, topo, 0.1, sparse=True)
+        for sid in subs:
+            assert first.states[sid].tobytes() == second.states[sid].tobytes()
+
+    @pytest.mark.parametrize("k", [-100.0, np.nextafter(-100.0, -200.0)], ids=["exact", "round_off"])
+    def test_singular_effective_matrix_names_dt(self, k):
+        # S = m + (gamma dt)^2 k = 1 - 0.1^2 * 100 = 0: SuperLU finds it exactly
+        # singular; one ulp more leaves a pivot of 2e-16, below the 1e-14 rule
+        for sparse in (False, True):
+            asys = assemble_global({"osc": sdof(k=k)}, CouplingTopology(()), sparse=sparse)
+            with pytest.raises(SolverError, match="dt=0.2"):
+                solve_monolithic(asys, SolverConfig(dt=0.2, duration=0.4))
+
+    def test_newmark_needs_the_dense_assembly(self):
+        asys = assemble_global({"osc": sdof()}, CouplingTopology(()), sparse=True)
+        with pytest.raises(ModelError, match="dense"):
+            solve_newmark(asys, SolverConfig(dt=0.1, duration=0.2))
+
+    def test_cli_import_leaves_scipy_sparse_out(self):
+        code = ("import sys, dynsub.cli; "
+                "loaded = sorted(m for m in sys.modules if m.startswith('scipy.sparse')); "
+                "sys.exit(f'imported {loaded}' if loaded else 0)")
+        src = str(Path(dynsub.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestNewmark:
