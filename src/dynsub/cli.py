@@ -97,6 +97,10 @@ def _cmd_reduce(args) -> int:
     if red.truncation_frequency is not None:
         print(f"first discarded fixed-interface mode: "
               f"{red.truncation_frequency / (2 * np.pi):.2f} Hz")
+    if red.cut_splits_cluster:
+        print(f"last retained fixed-interface mode: {red.retained_frequencies[-1] / (2 * np.pi):.2f} Hz, "
+              f"equal to the first discarded one: the cut splits a repeated frequency and keeps the modes "
+              f"nearest internal DOF 0")
     if args.report:
         n = min(args.report_modes, red.n_reduced)
         table = frequency_error_table(

@@ -130,6 +130,7 @@ def run_experiment(config: ExperimentConfig, out_dir) -> dict:
     red = cb_reduce(frame, config.modes)
     report["offline_time"]["reduction"] = time.perf_counter() - t0
     dio.save_reduction(out / "reduction.npz", red)
+    report["model"]["last_retained_frequency_hz"] = float(red.retained_frequencies[-1]) / (2 * np.pi)
     if red.truncation_frequency is not None:
         report["model"]["first_discarded_frequency_hz"] = red.truncation_frequency / (2 * np.pi)
 

@@ -50,9 +50,10 @@ def _integers(record, key: str, where: str, default) -> tuple:
     return items
 
 
-def _to_triplets(matrix: np.ndarray) -> dict:
-    rows, cols = np.nonzero(matrix)
-    return {"rows": rows.tolist(), "cols": cols.tolist(), "values": matrix[rows, cols].tolist()}
+def _to_triplets(entries: tuple) -> dict:
+    """Triplet record of one of :attr:`LinearSubstructure.nonzeros`' entries."""
+    rows, cols, values = entries
+    return {"rows": rows.tolist(), "cols": cols.tolist(), "values": values.tolist()}
 
 
 def _from_triplets(entry, n: int, where: str) -> np.ndarray:
@@ -73,9 +74,9 @@ def substructure_to_dict(sub) -> dict:
         return {
             "kind": "linear",
             "n_dofs": sub.n_dofs,
-            "mass": _to_triplets(sub.mass),
-            "damping": _to_triplets(sub.damping),
-            "stiffness": _to_triplets(sub.stiffness),
+            "mass": _to_triplets(sub.nonzeros["mass"]),
+            "damping": _to_triplets(sub.nonzeros["damping"]),
+            "stiffness": _to_triplets(sub.nonzeros["stiffness"]),
             "internal_dofs": list(sub.internal_dofs),
             "boundary_dofs": list(sub.boundary_dofs),
         }

@@ -29,6 +29,7 @@ part and ``phi`` to precompute the step of small substructures (see
 
 from __future__ import annotations
 
+import functools
 import inspect
 import math
 import numbers
@@ -152,6 +153,22 @@ class LinearSubstructure:
     @property
     def n_dofs(self) -> int:
         return self.mass.shape[0]
+
+    @functools.cached_property
+    def nonzeros(self) -> dict:
+        """``{"mass" | "damping" | "stiffness": (rows, cols, values)}`` of the nonzero entries.
+
+        The entries are in row-major order, the order of a CSR array, and are
+        found by one scan of each matrix, on first use; the matrices are
+        read-only, so the result stays valid.
+        """
+        return {name: nonzero_entries(getattr(self, name)) for name in ("mass", "damping", "stiffness")}
+
+
+def nonzero_entries(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(rows, cols, values)`` of the nonzero entries of a dense matrix, row-major."""
+    rows, cols = np.nonzero(matrix != 0)  # a boolean mask scans about twice as fast
+    return rows, cols, matrix[rows, cols]
 
 
 @dataclass(frozen=True)
@@ -298,10 +315,19 @@ class FirstOrderForm:
     def state_size(self) -> int:
         return 2 * self.n_dofs
 
+    @functools.cached_property
+    def _stiffness_damping(self):
+        """``[K C]``, built on first use, so that ``K u + C v`` is one product with ``[u; v]``."""
+        if isinstance(self.stiffness, np.ndarray):
+            return np.hstack([self.stiffness, self.damping])
+        import scipy.sparse
+
+        return scipy.sparse.hstack([self.stiffness, self.damping], format="csr")
+
     def momentum(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         """g(u, v) = K u + C v + B^T rho(B v); a law without element rows also takes blocks of columns."""
         # ndarray.dot: on the few-element blocks of a suspension it costs a third of ``@``
-        out = self.stiffness.dot(u) + self.damping.dot(v)
+        out = self._stiffness_damping.dot(np.concatenate([u, v]))
         if len(self.rates):
             out += self.rates.T.dot(self.slope * friction_shape(self.rates.dot(v), self.smoothing))
         return out

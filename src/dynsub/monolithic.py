@@ -22,7 +22,7 @@ from typing import Mapping
 import numpy as np
 
 from .coupling import CouplingError, CouplingTopology, _lu_factors
-from .models import FirstOrderForm, ModelError, assemble_first_order
+from .models import FirstOrderForm, LinearSubstructure, ModelError, assemble_first_order, nonzero_entries
 from .solver import (
     SolverConfig,
     SolverError,
@@ -122,7 +122,8 @@ def assemble_global(substructures: Mapping, topology: CouplingTopology, sparse: 
         np.add.at(block, (slice(None), dof_map[sid]), form.rates)
         rates.append(block)
     mass, damping, stiffness = (
-        _scatter([(dof_map[sid], getattr(form, name)) for sid, form in forms.items()], n_global, sparse)
+        _scatter([(dof_map[sid], _nonzeros(substructures[sid], form, name) if sparse else getattr(form, name))
+                  for sid, form in forms.items()], n_global, sparse)
         for name in ("mass", "damping", "stiffness")
     )
 
@@ -140,9 +141,22 @@ def assemble_global(substructures: Mapping, topology: CouplingTopology, sparse: 
     )
 
 
-def _scatter(blocks, n_global: int, sparse: bool):
-    """Sum square blocks onto the global DOFs; ``blocks`` holds ``(global ids, block)`` pairs.
+def _nonzeros(sub, form: FirstOrderForm, name: str) -> tuple:
+    """``(rows, cols, values)`` of the ``name`` block of a substructure's form.
 
+    A linear substructure's are cached on it (its form holds its own
+    matrices), so a dense frame matrix is scanned once per process.
+    """
+    if isinstance(sub, LinearSubstructure):
+        return sub.nonzeros[name]
+    return nonzero_entries(getattr(form, name))
+
+
+def _scatter(blocks, n_global: int, sparse: bool):
+    """Sum square blocks onto the global DOFs.
+
+    ``blocks`` holds ``(global ids, block)`` pairs, or ``(global ids,
+    (rows, cols, values))`` pairs of nonzero entries for a sparse sum.
     Two DOFs of one block may share a global DOF, so the entries that land
     on one global entry add up: through an unbuffered scatter into a dense
     array, or as duplicate COO triplets, which the conversion to CSR sums.
@@ -155,11 +169,9 @@ def _scatter(blocks, n_global: int, sparse: bool):
         return out
     import scipy.sparse  # only the sparse reference pays for this import
 
-    triplets = []
-    for ids, block in blocks:
-        rows, cols = np.nonzero(block != 0)  # a boolean mask scans about twice as fast
-        triplets.append((ids[rows], ids[cols], block[rows, cols]))
-    rows, cols, values = (np.concatenate(part) for part in zip(*triplets))
+    rows, cols, values = (
+        np.concatenate(part) for part in zip(*((ids[r], ids[c], v) for ids, (r, c, v) in blocks))
+    )
     return scipy.sparse.coo_array((values, (rows, cols)), shape=(n_global, n_global)).tocsr()
 
 

@@ -1,13 +1,20 @@
 """Shared fixtures: desk-scale models and excitation builders."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import settings
 
 
-from dynsub import CoupledSystem, LinearSubstructure, SolverConfig, assemble_first_order, assemble_global
+from dynsub import (
+    CoupledSystem, LinearSubstructure, SolverConfig, assemble_first_order, assemble_global, coupling_step,
+    effective_matrix, free_step, locator_matrix, steklov_poincare,
+)
 from dynsub.generators import chain_substructure, frame_analog, suspension_substructure
 from dynsub.models import stack_forms
 
@@ -32,6 +39,20 @@ def desk_frame(desk):
 @pytest.fixture(scope="session")
 def desk_suspension(desk):
     return desk.substructures["suspension"]
+
+
+def run_python(code: str) -> subprocess.CompletedProcess:
+    """Run ``code`` in a fresh interpreter that imports this checkout's dynsub."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+
+
+def scipy_sparse_check(statement: str) -> str:
+    """Code that runs ``statement`` and exits nonzero, naming them, if it loaded scipy.sparse modules."""
+    return (f"import sys; {statement}; "
+            "loaded = sorted(m for m in sys.modules if m.startswith('scipy.sparse')); "
+            "sys.exit(f'imported {loaded}' if loaded else 0)")
 
 
 def set_json_entry(path, keys, value):
@@ -120,3 +141,62 @@ def first_order_forms():
     forms["stacked"] = stack_forms([forms["linear"], forms["suspension_relative"]])
     forms["two_banks"] = stack_forms(two_bank_forms())
     return forms
+
+
+def hand_stepped(system, cfg, inputs):
+    """Reference co-simulation from a free step per substructure and inner step.
+
+    Physical substructures take ``ss`` inner steps at dt/ss, inner step j
+    adding the previous multipliers with weight 1 - j/ss; the others take
+    one step at dt.  One coupling step follows each coupled step.  Returns
+    the states, the fine states of the sub-cycled substructures and the
+    multipliers, one row per instant, from a zero start.
+    """
+    topo, gdt, ss = system.topology, cfg.gamma * cfg.dt, cfg.subcycles
+    forms = {sid: assemble_first_order(sub) for sid, sub in system.substructures.items()}
+    inner = {sid: ss if sid in system.physical_ids() else 1 for sid in forms}
+    eff = {sid: effective_matrix(form, cfg.dt / inner[sid], cfg.gamma) for sid, form in forms.items()}
+    locators = {sid: locator_matrix(topo, sid, form.n_dofs) for sid, form in forms.items()}
+    solved = {sid: eff[sid].solve(l_v) for sid, l_v in locators.items()}
+    interface = steklov_poincare([(locators[sid], b) for sid, b in solved.items()])
+    link_rate = {
+        sid: np.concatenate([cfg.gamma * (cfg.dt / inner[sid]) * b, b]) for sid, b in solved.items()
+    }
+    link_state = {sid: gdt * rate for sid, rate in link_rate.items()}
+    forces = {sid: inputs.get(sid, np.zeros((cfg.n_steps * inner[sid] + 1, form.n_dofs)))
+              for sid, form in forms.items()}
+    y = {sid: np.zeros(form.state_size) for sid, form in forms.items()}
+    ydot = {}
+    for sid, form in forms.items():
+        accel = np.linalg.solve(form.mass, forces[sid][0])
+        ydot[sid] = np.concatenate([np.zeros(form.n_dofs), accel])
+    states = {sid: [y[sid]] for sid in forms}
+    fine_states = {sid: [y[sid]] for sid in forms if inner[sid] > 1}
+    multipliers = [np.zeros(topo.n_constraints)]
+    lam = multipliers[0]
+    for step in range(1, cfg.n_steps + 1):
+        free = {}
+        for sid, form in forms.items():
+            n_in, yy, yd = inner[sid], y[sid], ydot[sid]
+            for j in range(1, n_in + 1):
+                force = forces[sid][(step - 1) * n_in + j] + (1 - j / n_in) * (locators[sid] @ lam)
+                yy, yd = free_step(form, eff[sid], yy, yd, force, cfg.dt / n_in, cfg.gamma)
+                if n_in > 1:
+                    fine_states[sid].append(yy)
+            free[sid] = yy, yd
+        lam, links = coupling_step(
+            interface, {sid: free[sid][0][form.n_dofs:] for sid, form in forms.items()},
+            {sid: l_v.T for sid, l_v in locators.items()}, link_state, gdt,
+        )
+        multipliers.append(lam)
+        for sid in forms:
+            y[sid] = free[sid][0] + links[sid]
+            ydot[sid] = free[sid][1] + link_rate[sid] @ lam
+            states[sid].append(y[sid])
+            if sid in fine_states:  # the coupled state closes the inner window
+                fine_states[sid][-1] = y[sid]
+    return (
+        {sid: np.array(rows) for sid, rows in states.items()},
+        {sid: np.array(rows) for sid, rows in fine_states.items()},
+        np.array(multipliers),
+    )

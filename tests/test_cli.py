@@ -9,7 +9,7 @@ from dynsub.cli import main
 from dynsub.io import load_csv_columns, load_reduction, load_signals_csv, load_system, save_signals_csv
 from dynsub.signals import multisine_with_noise_channels
 
-from conftest import set_json_entry
+from conftest import run_python, scipy_sparse_check, set_json_entry
 
 
 def write_config(path, **overrides):
@@ -224,6 +224,33 @@ class TestReduceCommand:
         header, data = load_csv_columns(report)
         assert header == ["mode", "full_rad_s", "reduced_rad_s", "relative_error"]
         assert data.shape == (8, 4)
+
+    @pytest.mark.parametrize("modes, splits", [(30, True), (31, False)])
+    def test_a_cut_inside_a_repeated_frequency_is_reported(self, tmp_path, capsys, modes, splits):
+        # the 1000-DOF frame's 30th and 31st fixed-interface frequencies are equal
+        model = tmp_path / "model.json"
+        assert main(["generate-model", "--kind", "frame_analog", "--params", '{"n": 1000}',
+                     "--out", str(model)]) == 0
+        assert main(["reduce", "--model", str(model), "--modes", str(modes),
+                     "--out", str(tmp_path / "red.npz")]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        discarded = [line for line in lines if line.startswith("first discarded fixed-interface mode:")]
+        retained = [line for line in lines if line.startswith("last retained fixed-interface mode:")]
+        assert len(discarded) == 1
+        if splits:
+            assert discarded[0].endswith(" 2.90 Hz")
+            assert retained == ["last retained fixed-interface mode: 2.90 Hz, equal to the first discarded one: "
+                                "the cut splits a repeated frequency and keeps the modes nearest internal DOF 0"]
+        else:
+            assert retained == []
+
+    def test_quick_start_reduce_imports_no_scipy_sparse(self, tmp_path):
+        # the 200-DOF frame (196 internal DOFs) stays below the sparse reduction gate
+        model = tmp_path / "model.json"
+        assert main(["generate-model", "--kind", "frame_analog", "--out", str(model)]) == 0
+        args = ["reduce", "--model", str(model), "--modes", "30", "--out", str(tmp_path / "red.npz")]
+        proc = run_python(scipy_sparse_check(f"from dynsub.cli import main; assert main({args!r}) == 0"))
+        assert proc.returncode == 0, proc.stderr
 
     def test_bad_mode_count_fails_cleanly(self, tmp_path, model_file, capsys):
         rc = main(["reduce", "--model", str(model_file), "--modes", "99",

@@ -72,10 +72,19 @@ class TestRunExperiment:
         assert "reference" not in report["model"]
         assert not (tmp_path / "out" / "trajectory_monolithic.csv").exists()
 
+    def test_cut_inside_a_repeated_frequency_is_reported(self, tmp_path):
+        # the default 1000-DOF frame's 30th and 31st fixed-interface frequencies are equal
+        report = run_experiment(ExperimentConfig(duration=0.01), tmp_path / "out")
+        model = json.loads((tmp_path / "out" / "report.json").read_text())["model"]
+        assert model == report["model"]
+        assert model["retained_modes"] == 30
+        assert model["last_retained_frequency_hz"] == pytest.approx(14.48, abs=5e-3)
+        assert model["first_discarded_frequency_hz"] == pytest.approx(model["last_retained_frequency_hz"], rel=1e-8)
+
     def test_byte_identical_reruns(self, tmp_path):
         run_experiment(small_config(), tmp_path / "a")
         run_experiment(small_config(), tmp_path / "b")
-        for name in ("model.json", "signals.csv",
+        for name in ("model.json", "signals.csv", "reduction.npz",
                      "trajectory_partitioned.csv", "trajectory_monolithic.csv"):
             assert filecmp.cmp(tmp_path / "a" / name, tmp_path / "b" / name, shallow=False), name
 

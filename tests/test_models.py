@@ -2,17 +2,26 @@
 
 import numpy as np
 import pytest
+import scipy.sparse
 
+import dynsub.models
+import dynsub.monolithic
 from dynsub import (
+    CouplingTopology,
     LinearSubstructure,
     ModelError,
     NonlinearSubstructure,
     SuspensionElement,
     assemble_first_order,
+    assemble_global,
     finite_difference_tangent,
     restoring_force,
     tangent_at_zero,
 )
+
+from dynsub import reduce as cb_reduce
+from dynsub.generators import frame_analog, frame_substructure
+from dynsub.io import save_system
 
 from conftest import FORCE_LAW_KINDS, first_order_forms, two_bank_forms
 
@@ -284,3 +293,46 @@ class TestMomentumLaw:
             own = member.momentum(u[rows], v[rows])
             assert np.abs(stacked[rows] - own).max() <= 1e-14 * np.abs(own).max()
             start = rows.stop
+
+    @pytest.mark.parametrize("sparse", [False, True])
+    def test_linear_law_takes_vectors_and_blocks_of_columns(self, sparse):
+        # K u + C v is one product of the stored [K C] with [u; v]
+        frame = frame_substructure(n=40, boundary_dofs=(9, 19, 29, 39))
+        form = assemble_global({"frame": frame}, CouplingTopology(()), sparse=sparse).first_order()
+        rng = np.random.default_rng(2)
+        for shape in ((40,), (40, 3)):
+            u, v = rng.standard_normal(shape), rng.standard_normal(shape)
+            expected = frame.stiffness @ u + frame.damping @ v
+            assert np.abs(form.momentum(u, v) - expected).max() <= 1e-14 * np.abs(expected).max()
+
+
+class TestNonzeros:
+    """``LinearSubstructure.nonzeros``: each dense matrix scanned once, entries in CSR order."""
+
+    def test_row_major_entries_of_each_matrix(self):
+        frame = frame_substructure(n=40, boundary_dofs=(9, 19, 29, 39))
+        assert frame.nonzeros is frame.nonzeros
+        for name, (rows, cols, values) in frame.nonzeros.items():
+            matrix = getattr(frame, name)
+            csr = scipy.sparse.csr_array(matrix)
+            assert np.array_equal(np.repeat(np.arange(40), np.diff(csr.indptr)), rows), name
+            assert np.array_equal(csr.indices, cols), name
+            assert np.array_equal(csr.data, values), name
+            assert np.array_equal(np.transpose(np.nonzero(matrix)), np.column_stack([rows, cols])), name
+
+    def test_each_frame_matrix_is_scanned_once(self, monkeypatch, tmp_path):
+        # the model write, the sparse assembly and the sparse reduction share one scan
+        scanned = []
+        original = dynsub.models.nonzero_entries
+
+        def counted(matrix):
+            scanned.append(matrix.shape)
+            return original(matrix)
+
+        monkeypatch.setattr(dynsub.models, "nonzero_entries", counted)
+        monkeypatch.setattr(dynsub.monolithic, "nonzero_entries", counted)
+        subs, topology = frame_analog(n=1000)
+        save_system(tmp_path / "model.json", subs, topology, input_map={})
+        assemble_global(subs, topology, sparse=True)
+        cb_reduce(subs["frame"], 30)
+        assert scanned.count((1000, 1000)) == 3

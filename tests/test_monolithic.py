@@ -1,15 +1,9 @@
 """Primal assembly and the reference solvers."""
 
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import numpy as np
 import pytest
 import scipy.linalg
 
-import dynsub
 from dynsub import (
     CoupledSystem,
     CouplingError,
@@ -28,7 +22,7 @@ from dynsub import (
 )
 from dynsub.generators import chain_substructure, frame_analog, suspension_substructure
 
-from conftest import linear_suspension_analog, wheel_forces
+from conftest import linear_suspension_analog, run_python, scipy_sparse_check, wheel_forces
 
 
 def sdof(m=1.0, k=1.0, c=0.0):
@@ -325,12 +319,7 @@ class TestSparseReference:
             solve_newmark(asys, SolverConfig(dt=0.1, duration=0.2))
 
     def test_cli_import_leaves_scipy_sparse_out(self):
-        code = ("import sys, dynsub.cli; "
-                "loaded = sorted(m for m in sys.modules if m.startswith('scipy.sparse')); "
-                "sys.exit(f'imported {loaded}' if loaded else 0)")
-        src = str(Path(dynsub.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+        proc = run_python(scipy_sparse_check("import dynsub.cli"))
         assert proc.returncode == 0, proc.stderr
 
 

@@ -1,13 +1,18 @@
 """Craig-Bampton reduction: modes, constraint shapes, projection, expansion."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse.linalg
+from hypothesis import given, settings, strategies as st
 
+import dynsub.reduction
 from dynsub import LinearSubstructure, ReductionError, constraint_modes, expand, fixed_interface_modes
 from dynsub import reduce as cb_reduce
-from dynsub.generators import chain_substructure
-from dynsub.reduction import full_frequencies, reduced_frequencies
+from dynsub.generators import chain_substructure, frame_substructure
+from dynsub.reduction import _canonical_modes, _cluster_starts, full_frequencies, reduced_frequencies
 
 
 def chain(n, boundary, m=1.0, k=1.0, grounded=True):
@@ -224,3 +229,130 @@ class TestExpand:
         fr = red.project_force(f)
         assert fr[red.n_modes + 1] == pytest.approx(2.0)
         assert np.allclose(fr[: red.n_modes], 0.0)
+
+
+def internal_mass(sub):
+    i = list(sub.internal_dofs)
+    return sub.mass[np.ix_(i, i)]
+
+
+def frame_with_internal(n_internal):
+    """Frame analog with ``n_internal`` internal DOFs and its four default boundary DOFs."""
+    return frame_substructure(n=n_internal + 4)
+
+
+def frame_with(frame, **matrices):
+    fields = dict(mass=frame.mass, damping=frame.damping, stiffness=frame.stiffness)
+    return LinearSubstructure(**{**fields, **matrices},
+                              internal_dofs=frame.internal_dofs, boundary_dofs=frame.boundary_dofs)
+
+
+@pytest.fixture
+def counted_eigsh(monkeypatch):
+    """Counts the calls of ARPACK's ``eigsh``, which only the sparse path makes."""
+    calls = []
+    original = scipy.sparse.linalg.eigsh
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", counted)
+    return calls
+
+
+def dense_reduce(monkeypatch, sub, n_modes):
+    with monkeypatch.context() as m:
+        m.setattr(dynsub.reduction, "_SPARSE_REDUCTION_MIN_DOFS", sub.n_dofs + 1)
+        return cb_reduce(sub, n_modes)
+
+
+class TestSparsePath:
+    """Internal blocks from ``_SPARSE_REDUCTION_MIN_DOFS`` on: eigsh and splu on CSR blocks."""
+
+    @pytest.mark.parametrize("n_internal, n_modes", [
+        (996, 30), (996, 31), (dynsub.reduction._SPARSE_REDUCTION_MIN_DOFS + 1, 30),
+    ])
+    def test_agrees_with_the_dense_path(self, monkeypatch, counted_eigsh, n_internal, n_modes):
+        frame = frame_with_internal(n_internal)
+        sparse = cb_reduce(frame, n_modes)
+        assert counted_eigsh
+        dense = dense_reduce(monkeypatch, frame, n_modes)
+        assert len(counted_eigsh) == 1
+
+        def assert_close(a, b, rtol):
+            assert np.abs(a - b).max() <= rtol * np.abs(b).max()
+
+        assert np.all(np.abs(sparse.retained_frequencies / dense.retained_frequencies - 1) <= 1e-11)
+        assert sparse.truncation_frequency == pytest.approx(dense.truncation_frequency, rel=1e-11)
+        assert_close(sparse.retained_modes, dense.retained_modes, 1e-9)
+        assert_close(sparse.constraint_modes, dense.constraint_modes, 1e-12)
+        for name in ("reduced_mass", "reduced_damping", "reduced_stiffness"):
+            assert_close(getattr(sparse, name), getattr(dense, name), 1e-10)
+        for red in (sparse, dense):
+            gram = red.retained_modes.T @ internal_mass(frame) @ red.retained_modes
+            assert np.abs(gram - np.eye(n_modes)).max() <= 1e-12
+
+    def test_two_reductions_are_byte_identical(self):
+        first, second = cb_reduce(frame_with_internal(996), 30), cb_reduce(frame_with_internal(996), 30)
+        for field in dataclasses.fields(first):
+            a, b = getattr(first, field.name), getattr(second, field.name)
+            assert np.asarray(a).tobytes() == np.asarray(b).tobytes(), field.name
+
+    def test_cut_inside_a_repeated_pair(self):
+        # the 30-mode cut of the 1000-DOF frame splits a pair of equal frequencies
+        red = cb_reduce(frame_with_internal(996), 30)
+        assert red.cut_splits_cluster
+        assert red.truncation_frequency == pytest.approx(red.retained_frequencies[-1], rel=1e-8)
+        assert not cb_reduce(frame_with_internal(996), 31).cut_splits_cluster
+        # the kept member is the same whichever mode count the cluster is reached from
+        phi, _ = fixed_interface_modes(frame_with_internal(996), 30)
+        assert np.abs(phi - red.retained_modes).max() <= 1e-9 * np.abs(phi).max()
+
+    @pytest.mark.parametrize("path", ["sparse", "dense"])
+    def test_singular_internal_stiffness_raises(self, monkeypatch, path):
+        frame = frame_with_internal(dynsub.reduction._SPARSE_REDUCTION_MIN_DOFS + 1)
+        stiffness = frame.stiffness.copy()
+        stiffness[10, :] = stiffness[:, 10] = 0.0  # an internal DOF held by nothing
+        singular = frame_with(frame, stiffness=stiffness)
+        if path == "dense":
+            monkeypatch.setattr(dynsub.reduction, "_SPARSE_REDUCTION_MIN_DOFS", frame.n_dofs + 1)
+        for call in (lambda: cb_reduce(singular, 30), lambda: constraint_modes(singular)):
+            with pytest.raises(ReductionError, match=r"internal stiffness block is singular \(rank"):
+                call()
+
+    @pytest.mark.parametrize("path", ["sparse", "dense"])
+    def test_indefinite_internal_mass_raises(self, monkeypatch, path):
+        frame = frame_with_internal(dynsub.reduction._SPARSE_REDUCTION_MIN_DOFS + 1)
+        mass = frame.mass.copy()
+        # positive diagonal, but the block [[m, 2m], [2m, m]] of DOFs 10, 11 is indefinite
+        mass[10, 11] = mass[11, 10] = 2 * mass[10, 10]
+        indefinite = frame_with(frame, mass=mass)
+        if path == "dense":
+            monkeypatch.setattr(dynsub.reduction, "_SPARSE_REDUCTION_MIN_DOFS", frame.n_dofs + 1)
+        with pytest.raises(ReductionError, match="internal mass matrix is not positive definite"):
+            cb_reduce(indefinite, 30)
+
+
+class TestCanonicalModes:
+    """One basis per eigenspace, whatever basis of a repeated-frequency cluster the solver returned."""
+
+    @staticmethod
+    def desk_modes():
+        frame = frame_substructure()
+        phi, freqs = fixed_interface_modes(frame, 20)
+        return phi, freqs, internal_mass(frame)
+
+    @settings(max_examples=30)
+    @given(pair=st.integers(0, 3), angle=st.floats(0.0, 2 * np.pi), reflect=st.booleans(),
+           signs=st.lists(st.sampled_from((-1.0, 1.0)), min_size=20, max_size=20),
+           scale=st.floats(0.5, 2.0))
+    def test_rotating_a_cluster_returns_the_same_modes(self, pair, angle, reflect, signs, scale):
+        phi, freqs, mass = self.desk_modes()
+        second = np.flatnonzero(~_cluster_starts(freqs))[pair]
+        c, s = np.cos(angle), np.sin(angle)
+        rotation = np.array([[c, -s], [s, c]]) @ np.diag([1.0, -1.0 if reflect else 1.0])
+        mixed = phi * np.array(signs) * scale
+        mixed[:, second - 1:second + 1] = mixed[:, second - 1:second + 1] @ rotation
+        expected = _canonical_modes(phi, freqs, mass)
+        assert np.abs(_canonical_modes(mixed, freqs, mass) - expected).max() <= 1e-10 * np.abs(expected).max()

@@ -20,18 +20,17 @@ from dynsub import (
     SuspensionElement,
     assemble_first_order,
     analytic_sdof,
-    coupling_step,
     effective_matrix,
     free_step,
-    locator_matrix,
     simulate,
-    steklov_poincare,
     tangent_at_zero,
 )
 from dynsub.generators import chain_substructure, frame_analog, suspension_substructure
 from dynsub.reduction import reduce as cb_reduce, reduced_topology
 
-from conftest import FORCE_LAW_KINDS, first_order_forms, linear_suspension_analog, multisine_table, wheel_forces
+from conftest import (
+    FORCE_LAW_KINDS, first_order_forms, hand_stepped, linear_suspension_analog, multisine_table, wheel_forces,
+)
 
 
 def sdof(m=1.0, k=1.0, c=0.0):
@@ -64,65 +63,6 @@ def subcycling_inputs(system, cfg, ss=1):
     table = np.zeros((n_fine, susp.n_dofs))
     table[:, :2] = multisine_table(times, 2, freqs=(3.0, 7.0, 13.0), amps=(1.0, 1.0, 0.5))
     return {"suspension": table}
-
-
-def hand_stepped(system, cfg, inputs):
-    """Reference co-simulation from a free step per substructure and inner step.
-
-    Physical substructures take ``ss`` inner steps at dt/ss, inner step j
-    adding the previous multipliers with weight 1 - j/ss; the others take
-    one step at dt.  One coupling step follows each coupled step.  Returns
-    the states, the fine states of the sub-cycled substructures and the
-    multipliers, one row per instant, from a zero start.
-    """
-    topo, gdt, ss = system.topology, cfg.gamma * cfg.dt, cfg.subcycles
-    forms = {sid: assemble_first_order(sub) for sid, sub in system.substructures.items()}
-    inner = {sid: ss if sid in system.physical_ids() else 1 for sid in forms}
-    eff = {sid: effective_matrix(form, cfg.dt / inner[sid], cfg.gamma) for sid, form in forms.items()}
-    locators = {sid: locator_matrix(topo, sid, form.n_dofs) for sid, form in forms.items()}
-    solved = {sid: eff[sid].solve(l_v) for sid, l_v in locators.items()}
-    interface = steklov_poincare([(locators[sid], b) for sid, b in solved.items()])
-    link_rate = {
-        sid: np.concatenate([cfg.gamma * (cfg.dt / inner[sid]) * b, b]) for sid, b in solved.items()
-    }
-    link_state = {sid: gdt * rate for sid, rate in link_rate.items()}
-    forces = {sid: inputs.get(sid, np.zeros((cfg.n_steps * inner[sid] + 1, form.n_dofs)))
-              for sid, form in forms.items()}
-    y = {sid: np.zeros(form.state_size) for sid, form in forms.items()}
-    ydot = {}
-    for sid, form in forms.items():
-        accel = np.linalg.solve(form.mass, forces[sid][0])
-        ydot[sid] = np.concatenate([np.zeros(form.n_dofs), accel])
-    states = {sid: [y[sid]] for sid in forms}
-    fine_states = {sid: [y[sid]] for sid in forms if inner[sid] > 1}
-    multipliers = [np.zeros(topo.n_constraints)]
-    lam = multipliers[0]
-    for step in range(1, cfg.n_steps + 1):
-        free = {}
-        for sid, form in forms.items():
-            n_in, yy, yd = inner[sid], y[sid], ydot[sid]
-            for j in range(1, n_in + 1):
-                force = forces[sid][(step - 1) * n_in + j] + (1 - j / n_in) * (locators[sid] @ lam)
-                yy, yd = free_step(form, eff[sid], yy, yd, force, cfg.dt / n_in, cfg.gamma)
-                if n_in > 1:
-                    fine_states[sid].append(yy)
-            free[sid] = yy, yd
-        lam, links = coupling_step(
-            interface, {sid: free[sid][0][form.n_dofs:] for sid, form in forms.items()},
-            {sid: l_v.T for sid, l_v in locators.items()}, link_state, gdt,
-        )
-        multipliers.append(lam)
-        for sid in forms:
-            y[sid] = free[sid][0] + links[sid]
-            ydot[sid] = free[sid][1] + link_rate[sid] @ lam
-            states[sid].append(y[sid])
-            if sid in fine_states:  # the coupled state closes the inner window
-                fine_states[sid][-1] = y[sid]
-    return (
-        {sid: np.array(rows) for sid, rows in states.items()},
-        {sid: np.array(rows) for sid, rows in fine_states.items()},
-        np.array(multipliers),
-    )
 
 
 class TestSolverConfig:
