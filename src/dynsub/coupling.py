@@ -8,11 +8,13 @@ velocities.  Displacement rows are never coupled.  The interface operator
 ``H = sum L_v^T S^{-1} L_v`` is summed from solves ``S^{-1} L_v`` that its
 caller makes with its own factorizations of ``S``; this module only adds
 and factorizes them.
+
+:func:`_factorize` is the package's one factorization (LAPACK LU or SuperLU,
+one singularity rule) for ``S``, ``H``, ``M``, ``K_ii`` and Newmark.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,27 +86,42 @@ def locator_matrix(topology: CouplingTopology, sub_id, n_dofs: int) -> np.ndarra
     return l
 
 
-def _lu_factors(matrix: np.ndarray, singular: Exception, scale: float | None = None) -> tuple:
-    """LU factors of a square matrix and the LAPACK ``getrs`` that solves with them.
+def _factorize(matrix, singular, scale: float | None = None):
+    """Factorize a square matrix once and return its ``solve(rhs)``: every linear solve of the package.
 
-    Raises ``singular`` if a factor is not finite or a pivot falls below
-    1e-14 of ``scale`` (default: the largest entry).  A matrix summed from
-    terms passes the largest term as ``scale``, so a sum that cancels to
-    round-off is not judged against its own remainder.  ``getrs(lu, piv, b)[0]`` is what
-    ``scipy.linalg.lu_solve`` returns, bit for bit, without that wrapper's
-    per-call dispatch, routine lookup and finiteness check; callers check
-    their inputs once instead.
+    A dense array gets LAPACK ``getrf``, and ``solve`` is ``getrs`` on its
+    factors: ``scipy.linalg.lu_solve``'s result, bit for bit, without that
+    wrapper's per-call dispatch and finiteness check (callers check their
+    inputs once).  A sparse array gets one SuperLU ``splu`` in CSC order.
+    Both raise ``singular()`` when the matrix is exactly singular, a factor
+    is not finite or a pivot falls below 1e-14 of ``scale`` (default: the
+    largest entry, floor 1e-30).  A sum of terms passes its largest term,
+    so a sum that cancels to round-off is not judged against its remainder.
+    ``singular`` is called only on failure, so its message may be costly.
     """
-    with warnings.catch_warnings():
-        # an exactly zero pivot only warns; the pivot check below raises
-        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-        lu, piv = scipy.linalg.lu_factor(matrix)
+    if not matrix.shape[0]:  # an empty block, such as a reduction without internal DOFs
+        return np.copy
     if scale is None:
-        scale = np.abs(matrix).max()
-    if not np.all(np.isfinite(lu)) or np.abs(np.diag(lu)).min() < 1e-14 * max(scale, 1e-30):
-        raise singular
-    (getrs,) = scipy.linalg.get_lapack_funcs(("getrs",), (lu,))
-    return lu, piv, getrs
+        scale = abs(matrix).max()
+    if isinstance(matrix, np.ndarray):
+        getrf, getrs = scipy.linalg.get_lapack_funcs(("getrf", "getrs"), (matrix,))
+        lu, piv, _ = getrf(matrix)  # an exactly zero pivot leaves a zero on the diagonal
+        finite = np.isfinite(lu).all()
+        pivots = np.diag(lu)
+        solve = lambda rhs: getrs(lu, piv, rhs)[0]
+    else:
+        from scipy.sparse.linalg import splu  # only sparse matrices pay for this import
+
+        try:
+            lu = splu(matrix.tocsc())
+        except RuntimeError:  # SuperLU's "Factor is exactly singular"
+            raise singular() from None
+        finite = np.isfinite(lu.L.data).all() and np.isfinite(lu.U.data).all()
+        pivots = lu.U.diagonal()
+        solve = lu.solve
+    if not finite or np.abs(pivots).min() < 1e-14 * max(scale, 1e-30):
+        raise singular()
+    return solve
 
 
 @dataclass(frozen=True)
@@ -112,12 +129,10 @@ class InterfaceOperator:
     """Condensed interface operator H = sum L_v^T @ S^{-1} @ L_v, factorized."""
 
     matrix: np.ndarray
-    _lu: np.ndarray
-    _piv: np.ndarray
-    _getrs: object
+    _solve: object  # rhs -> H^{-1} rhs
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        return self._getrs(self._lu, self._piv, rhs)[0]
+        return self._solve(rhs)
 
 
 def steklov_poincare(pairs) -> InterfaceOperator:
@@ -134,7 +149,6 @@ def steklov_poincare(pairs) -> InterfaceOperator:
     if not terms or not terms[0].size:
         raise CouplingError("topology has no interface constraints to condense")
     h = sum(terms)
-    lu, piv, getrs = _lu_factors(h, CouplingError(
+    return InterfaceOperator(matrix=h, _solve=_factorize(h, lambda: CouplingError(
         "interface operator is singular; check for redundant or dangling constraints"
-    ))
-    return InterfaceOperator(matrix=h, _lu=lu, _piv=piv, _getrs=getrs)
+    )))

@@ -7,11 +7,13 @@ same trapezoidal kernel (:func:`~dynsub.solver.effective_matrix` and
 between the two is coupling and reduction error, not an integrator
 difference.  The assembly is dense by default, which the CLI and the
 acceptance criteria use; ``assemble_global(..., sparse=True)`` stores
-``M``, ``C`` and ``K`` as CSR arrays, and the kernel then factorizes ``S``
-once with SuperLU.  ``run_experiment`` uses the sparse one, the fair
-full-order baseline for a banded frame.  A Newmark average-acceleration
-variant (dense only) and the closed-form damped SDOF solution serve as
-independent cross-checks.
+``M``, ``C`` and ``K`` as CSR arrays.  ``run_experiment`` uses the sparse
+one, the fair full-order baseline for a banded frame.  Every solve here
+(``S``, the starting rate's ``M`` and the Newmark effective stiffness) is
+factorized once by :func:`~dynsub.coupling._factorize`: LAPACK LU for the
+dense assembly, SuperLU for the sparse one, under one singularity rule.  A
+Newmark average-acceleration variant (dense only) and the closed-form
+damped SDOF solution serve as independent cross-checks.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .coupling import CouplingError, CouplingTopology, _lu_factors
+from .coupling import CouplingError, CouplingTopology, _factorize
 from .models import FirstOrderForm, LinearSubstructure, ModelError, assemble_first_order, nonzero_entries
 from .solver import (
     SolverConfig,
@@ -235,7 +237,7 @@ def solve_monolithic(
         raise SolverError(f"initial state must have length {2 * n}, got shape {y.shape}")
     if not np.all(np.isfinite(y)):
         raise SolverError("initial state holds a non-finite value")
-    ydot = _initial_rate(form, y, forces[0])
+    ydot = _initial_rate(form, y, forces[0], "the assembled system")
 
     traj = np.empty((n_steps + 1, 2 * n))
     traj[0] = y
@@ -276,18 +278,16 @@ def solve_newmark(
     a7 = gamma * dt
 
     k_eff = k + a0 * m + a1 * c
-    lu, piv, getrs = _lu_factors(
-        k_eff, SolverError(f"Newmark effective stiffness singular for dt={dt}")
-    )
+    solve = _factorize(k_eff, lambda: SolverError(f"Newmark effective stiffness singular for dt={dt}"))
 
     u = np.zeros(n)
     v = np.zeros(n)
-    acc = _initial_rate(form, np.zeros(2 * n), forces[0])[n:]
+    acc = _initial_rate(form, np.zeros(2 * n), forces[0], "the assembled system")[n:]
     traj = np.empty((n_steps + 1, 2 * n))
     traj[0] = np.concatenate([u, v])
     for step in range(1, n_steps + 1):
         f_eff = forces[step] + m @ (a0 * u + a2 * v + a3 * acc) + c @ (a1 * u + a4 * v + a5 * acc)
-        u_new = getrs(lu, piv, f_eff)[0]
+        u_new = solve(f_eff)
         acc_new = a0 * (u_new - u) - a2 * v - a3 * acc
         v = v + a6 * acc + a7 * acc_new
         u, acc = u_new, acc_new

@@ -7,13 +7,15 @@ substructures trivial after reduction.
 
 Two paths compute the basis, chosen by the size of the internal block:
 
-- below ``_SPARSE_REDUCTION_MIN_DOFS`` internal DOFs, dense LAPACK: ``eigh``
-  for the modes and ``solve`` for the constraint modes;
+- below ``_SPARSE_REDUCTION_MIN_DOFS`` internal DOFs, dense arrays and
+  LAPACK ``eigh`` for the modes;
 - from that size on, CSR blocks built from the substructure's cached
-  nonzero entries and one SuperLU factorization of ``K_ii``, which gives
-  the constraint modes and is the ``OPinv`` of shift-invert Lanczos about
-  0 (ARPACK ``eigsh``, Ericsson & Ruhe 1980) for the modes.  A request
-  ARPACK cannot serve (``k >= n_i - 1``) falls back to ``eigh``.
+  nonzero entries and shift-invert Lanczos about 0 (ARPACK ``eigsh``,
+  Ericsson & Ruhe 1980) for the modes.  A request ARPACK cannot serve
+  (``k >= n_i - 1``) falls back to ``eigh``.
+
+Either way :func:`~dynsub.coupling._factorize` factorizes ``K_ii`` once, by
+LU or SuperLU; that gives the constraint modes and the Lanczos ``OPinv``.
 
 The gate is the measured crossover.  On a 2-vCPU host with serial BLAS, a
 warm 30-mode reduction of the frame analog took, dense against sparse (the
@@ -37,6 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
+from .coupling import CouplingTopology, _factorize
 from .models import LinearSubstructure, ModelError
 
 
@@ -130,9 +133,9 @@ class _InternalProblem:
     """``M``, ``C`` and ``K`` of a substructure reordered internal-first.
 
     An internal block of at least ``_SPARSE_REDUCTION_MIN_DOFS`` DOFs is held
-    as CSR arrays built from the substructure's cached nonzero entries, and
-    its ``K_ii`` is factorized at most once, with SuperLU; a smaller block is
-    held as dense arrays.
+    as CSR arrays built from the substructure's cached nonzero entries, a
+    smaller block as dense arrays.  Either way ``K_ii`` is factorized at
+    most once (:attr:`stiffness_solve`).
     """
 
     def __init__(self, sub: LinearSubstructure):
@@ -162,21 +165,20 @@ class _InternalProblem:
         return x.toarray() if self.sparse else x
 
     def singular_stiffness(self) -> ReductionError:
-        k_ii = self.dense(self.internal(self.stiffness))
+        """The error for a singular ``K_ii``; only a dense block is given a rank (an SVD)."""
+        n_i = self.n_internal
+        if self.sparse:
+            rank = f"rank deficient, {n_i} x {n_i}"
+        else:
+            rank = f"rank {np.linalg.matrix_rank(self.internal(self.stiffness))} of {n_i}"
         return ReductionError(
-            f"internal stiffness block is singular (rank {np.linalg.matrix_rank(k_ii)} "
-            f"of {k_ii.shape[0]}); constrain the structure or move boundary DOFs"
+            f"internal stiffness block is singular ({rank}); constrain the structure or move boundary DOFs"
         )
 
     @functools.cached_property
-    def stiffness_lu(self):
-        """SuperLU factorization of the sparse ``K_ii``: the constraint modes and ``OPinv``."""
-        from scipy.sparse.linalg import splu
-
-        try:
-            return splu(self.internal(self.stiffness).tocsc())
-        except RuntimeError:  # SuperLU's "Factor is exactly singular"
-            raise self.singular_stiffness() from None
+    def stiffness_solve(self):
+        """``K_ii^{-1}``, factorized once: the constraint-mode solve and the ``OPinv`` of Lanczos."""
+        return _factorize(self.internal(self.stiffness), self.singular_stiffness)
 
     def check_mass(self) -> None:
         """Reject a sparse ``M_ii`` that is not positive definite.
@@ -210,7 +212,7 @@ class _InternalProblem:
             self.check_mass()
             lam, phi = eigsh(
                 self.internal(self.stiffness), count, self.internal(self.mass), sigma=0.0,
-                OPinv=LinearOperator((n_i, n_i), matvec=self.stiffness_lu.solve, dtype=float),
+                OPinv=LinearOperator((n_i, n_i), matvec=self.stiffness_solve, dtype=float),
                 # fixed, so runs repeat bit for bit; not constant, which
                 # would miss the antisymmetric modes of a symmetric segment
                 v0=np.random.default_rng(0).standard_normal(n_i),
@@ -303,24 +305,14 @@ def fixed_interface_modes(
 def constraint_modes(sub: LinearSubstructure, *, problem: _InternalProblem | None = None) -> np.ndarray:
     """Static deflection of the internal DOFs per unit boundary displacement.
 
-    One column per boundary DOF: psi = -K_ii^{-1} @ K_ib, from SuperLU for
-    an internal block of at least ``_SPARSE_REDUCTION_MIN_DOFS`` DOFs and
-    from a dense LAPACK solve below.
+    One column per boundary DOF: psi = -K_ii^{-1} @ K_ib, with the one
+    factorization of ``K_ii`` that ``problem`` keeps (LAPACK LU for a dense
+    block, SuperLU for one of at least ``_SPARSE_REDUCTION_MIN_DOFS`` DOFs).
     """
     if problem is None:
         problem = _InternalProblem(sub)
     n_i = problem.n_internal
-    k_ib = problem.dense(problem.stiffness[:n_i, n_i:])
-    try:
-        if problem.sparse:
-            psi = problem.stiffness_lu.solve(-k_ib)
-        else:
-            psi = scipy.linalg.solve(problem.internal(problem.stiffness), -k_ib, assume_a="sym")
-        if np.all(np.isfinite(psi)):
-            return psi
-    except (scipy.linalg.LinAlgError, ValueError):
-        pass
-    raise problem.singular_stiffness()
+    return problem.stiffness_solve(-problem.dense(problem.stiffness[:n_i, n_i:]))
 
 
 def reduce(sub: LinearSubstructure, n_modes: int) -> CraigBamptonReduction:
@@ -387,8 +379,6 @@ def reduced_topology(topology, sub_id, red: CraigBamptonReduction):
     Boundary DOFs survive reduction as the trailing physical coordinates, so
     constraints keep their meaning with remapped indices.
     """
-    from .coupling import CouplingTopology
-
     constraints = []
     for entry in topology.constraints:
         new_entry = []

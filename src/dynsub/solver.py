@@ -16,6 +16,9 @@ applied to momentum-row right-hand sides.  The elimination moves
 because every force law is affine in ``u`` with slope ``K``
 (:mod:`dynsub.models`).
 
+``S``, ``H`` and the starting rate's ``M`` are factorized once each by
+:func:`~dynsub.coupling._factorize`: LAPACK LU or SuperLU by storage.
+
 A "physical" substructure may be sub-cycled: its free solution is ``ss``
 inner trapezoidal steps at dt/ss, each injecting the previous coupled step's
 multipliers with a linearly decaying ramp weight (1 - j/ss).  Every other
@@ -60,7 +63,7 @@ from .coupling import (
     CouplingError,
     CouplingTopology,
     InterfaceOperator,
-    _lu_factors,
+    _factorize,
     locator_matrix,
     steklov_poincare,
 )
@@ -215,40 +218,19 @@ def effective_matrix(form: FirstOrderForm, dt: float, gamma: float) -> Effective
 
     The tangent blocks are state-independent, so S is assembled once per
     simulation; the solver calls this once per step group, on the group's
-    stacked form at its inner step dt/ss.  A dense form gets LAPACK LU
-    factors; a sparse one (CSR blocks, :func:`~dynsub.monolithic.assemble_global`
-    with ``sparse=True``) gets one SuperLU factorization of ``S`` in CSC
-    order, with SuperLU's fill-reducing column ordering.  Either way the
-    pivots are judged against the largest of the three terms, so a
+    stacked form at its inner step dt/ss.  :func:`~dynsub.coupling._factorize`
+    picks LAPACK LU for a dense form and SuperLU for a sparse one (CSR
+    blocks, :func:`~dynsub.monolithic.assemble_global` with ``sparse=True``).
+    The pivots are judged against the largest of the three terms, so a
     stiffness that cancels the mass is reported as singular.
     """
     gdt = gamma * dt
     terms = (form.mass, gdt * form.damping, gdt * gdt * form.stiffness)
     s = terms[0] + terms[1] + terms[2]
-    singular = SolverError(f"effective matrix singular for dt={dt}, gamma={gamma}")
-    scale = max(abs(t).max() for t in terms)
-    if isinstance(s, np.ndarray):
-        lu, piv, getrs = _lu_factors(s, singular, scale=scale)
-        return EffectiveMatrix(matrix=s, _solve=lambda rhs: getrs(lu, piv, rhs)[0])
-    return EffectiveMatrix(matrix=s, _solve=_sparse_factors(s, singular, scale))
-
-
-def _sparse_factors(s, singular: Exception, scale: float):
-    """SuperLU ``solve`` of a sparse matrix under the rule of :func:`~dynsub.coupling._lu_factors`.
-
-    Raises ``singular`` if SuperLU finds ``s`` exactly singular, or if a
-    factor is not finite or a pivot of ``U`` falls below 1e-14 of ``scale``.
-    """
-    import scipy.sparse.linalg  # only sparse forms pay for this import
-
-    try:
-        lu = scipy.sparse.linalg.splu(s.tocsc())
-    except RuntimeError:  # "Factor is exactly singular"
-        raise singular from None
-    finite = np.isfinite(lu.L.data).all() and np.isfinite(lu.U.data).all()
-    if not finite or np.abs(lu.U.diagonal()).min() < 1e-14 * max(scale, 1e-30):
-        raise singular
-    return lu.solve
+    return EffectiveMatrix(matrix=s, _solve=_factorize(
+        s, lambda: SolverError(f"effective matrix singular for dt={dt}, gamma={gamma}"),
+        scale=max(abs(t).max() for t in terms),
+    ))
 
 
 def free_step(
@@ -301,22 +283,18 @@ def coupling_step(
     return lam, links
 
 
-def _initial_rate(form: FirstOrderForm, y: np.ndarray, force: np.ndarray) -> np.ndarray:
+def _initial_rate(form: FirstOrderForm, y: np.ndarray, force: np.ndarray, what: str) -> np.ndarray:
     """Consistent starting rate: solve A @ Ydot0 = F0 - R(Y0).
 
-    ``force`` is the physical force on the momentum rows at the first instant;
-    a sparse ``M`` is solved with a sparse direct solve.
+    ``force`` is the physical force on the momentum rows at the first
+    instant.  A singular ``M`` raises :class:`SolverError` naming ``what``.
     """
     n = form.n_dofs
     u, v = y[:n], y[n:]
-    rhs = force - form.momentum(u, v)
-    if isinstance(form.mass, np.ndarray):
-        acc = np.linalg.solve(form.mass, rhs)
-    else:
-        import scipy.sparse.linalg  # only sparse forms pay for this import
-
-        acc = scipy.sparse.linalg.spsolve(form.mass.tocsc(), rhs)
-    return np.concatenate([v, acc])
+    solve = _factorize(form.mass, lambda: SolverError(
+        f"mass matrix of {what} is singular, so its starting acceleration is undefined"
+    ))
+    return np.concatenate([v, solve(force - form.momentum(u, v))])
 
 
 def _check_divergence(step: int, sub_id, y: np.ndarray, limit: float) -> None:
@@ -536,7 +514,7 @@ class PartitionedSolver:
             for sid, rows in group.rows.items():
                 start = self._initial_state(sid, initial)
                 z[-1][:m][rows] = start
-                z[-1][m:][rows] = _initial_rate(self.forms[sid], start, forces[sid][0])
+                z[-1][m:][rows] = _initial_rate(self.forms[sid], start, forces[sid][0], f"substructure {sid!r}")
             records.append(np.empty((n_steps * group.subcycles + 1, m)))
             records[-1][0] = z[-1][:m]
         multipliers = np.zeros((n_steps + 1, self.n_lam))

@@ -94,6 +94,16 @@ def _asymmetric_frame_mass(model):
     model.write_text(json.dumps(doc))
 
 
+def _singular_frame_mass(model):
+    # DOFs 1 and 2 carry equal lumped masses m; the block [[m, m], [m, m]] is symmetric but singular
+    doc = json.loads(model.read_text())
+    mass = doc["substructures"]["frame"]["mass"]
+    m = mass["values"][mass["rows"].index(1)]
+    for key, values in (("rows", (1, 2)), ("cols", (2, 1)), ("values", (m, m))):
+        mass[key].extend(values)
+    model.write_text(json.dumps(doc))
+
+
 def _setting(*keys, value):
     """Edit of a model file that sets the entry at ``keys`` to ``value``."""
     return lambda model: set_json_entry(model, keys, value)
@@ -162,6 +172,8 @@ def _setting(*keys, value):
      ("options '--full' and '--reduced'", "--reduced"), None),
     (["compare", "mac", "--full", "{tmp}/modes3_zero.csv", "--reduced", "{tmp}/modes3.csv", "--out", "{tmp}/mac.csv"],
      ("option '--full'", "--full"), None),
+    (["simulate", "--model", "{model}", "--config", "{tmp}/good.json", "--out", "{tmp}/t.csv"],
+     ("mass matrix of substructure 'frame'", "frame"), _singular_frame_mass),
 ], ids=["frame_params", "chain_params", "chain_float_n", "solver_config", "experiment_config",
           "experiment_model", "missing_mass", "system_relative_motion", "system_coupling",
           "solver_config_type", "solver_config_partial_step", "experiment_config_type",
@@ -170,7 +182,8 @@ def _setting(*keys, value):
           "solver_config_negative_divergence_limit_monolithic", "reduce_unknown_sub", "reduce_nonlinear_sub",
           "signal_no_channels", "system_asymmetric_frame_mass", "reduce_no_report_modes", "compare_mac_sizes",
           "compare_non_numeric_csv", "simulate_non_numeric_inputs", "signal_spec_sample_rate",
-          "signal_spec_seed", "signal_spec_kind", "compare_traj_no_shared_channel", "compare_mac_zero_column"])
+          "signal_spec_seed", "signal_spec_kind", "compare_traj_no_shared_channel", "compare_mac_zero_column",
+          "system_singular_frame_mass"])
 def test_malformed_input_exits_1_naming_the_field(tmp_path, model_file, capsys, argv, key, edit):
     """``key`` is the name the message must quote, or (location, name) for a location it must also lead with."""
     write_config(tmp_path / "good.json")

@@ -1,7 +1,10 @@
 """Experiment driver: report schema, determinism, sub-cycling degeneracy."""
 
 import filecmp
+import importlib
 import json
+import types
+from pathlib import Path
 
 import pytest
 
@@ -104,3 +107,23 @@ class TestRunExperiment:
         report = run_experiment(small_config(subcycles=5, duration=0.02), tmp_path / "out")
         assert report["online_time"]["partitioned"] > 0
         assert set(report["fidelity"]) == {f"boundary_{e}" for e in range(4)}
+
+
+def _load_tracer():
+    """The benchmark's ``perfbench/tracer.py``, run from its source; no patch is installed and no bytecode written."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    tracer = types.ModuleType("perfbench_tracer")
+    exec(compile(path.read_text(), str(path), "exec"), vars(tracer))
+    return tracer
+
+
+@pytest.mark.parametrize("table", ["LAYER_TARGETS", "PHASE_TARGETS"])
+def test_traced_layer_names_resolve(table):
+    # the tracer patches owner.__dict__[leaf] by name, so a renamed layer
+    # (``EffectiveMatrix.solve``, ``constraint_modes``) would break traced runs
+    for module_name, attr, _ in getattr(_load_tracer(), table):
+        owner = importlib.import_module(module_name)
+        *path, leaf = attr.split(".")
+        for part in path:
+            owner = getattr(owner, part)
+        assert callable(vars(owner).get(leaf)), f"{module_name}.{attr}"

@@ -313,6 +313,20 @@ class TestSparseReference:
             with pytest.raises(SolverError, match="dt=0.2"):
                 solve_monolithic(asys, SolverConfig(dt=0.2, duration=0.4))
 
+    @pytest.mark.parametrize("path", ["partitioned", "dense_monolithic", "sparse_monolithic"])
+    def test_singular_mass_named(self, path):
+        # symmetric with a positive diagonal, so the model is accepted; S = M + (gamma dt)^2 K is
+        # regular, but the starting rate solves with M itself
+        sub = LinearSubstructure(mass=[[1.0, 1.0], [1.0, 1.0]], damping=np.zeros((2, 2)), stiffness=np.eye(2),
+                                 internal_dofs=(0,), boundary_dofs=(1,))
+        subs, topo, cfg = {"osc": sub}, CouplingTopology(()), SolverConfig(dt=0.1, duration=0.2)
+        what = "substructure 'osc'" if path == "partitioned" else "the assembled system"
+        with pytest.raises(SolverError, match=f"mass matrix of {what} is singular"):
+            if path == "partitioned":
+                simulate(CoupledSystem(substructures=subs, topology=topo), cfg)
+            else:
+                solve_monolithic(assemble_global(subs, topo, sparse=path == "sparse_monolithic"), cfg)
+
     def test_newmark_needs_the_dense_assembly(self):
         asys = assemble_global({"osc": sdof()}, CouplingTopology(()), sparse=True)
         with pytest.raises(ModelError, match="dense"):

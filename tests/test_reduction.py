@@ -117,6 +117,15 @@ class TestConstraintModes:
         with pytest.raises(ReductionError, match="rank"):
             constraint_modes(sub)
 
+    def test_no_internal_dofs(self):
+        # every DOF on the boundary: K_ii is empty and the basis is the identity
+        sub = LinearSubstructure(
+            mass=np.eye(2), damping=np.zeros((2, 2)), stiffness=[[2.0, -1.0], [-1.0, 2.0]],
+            internal_dofs=(), boundary_dofs=(0, 1),
+        )
+        assert constraint_modes(sub).shape == (0, 2)
+        assert np.array_equal(cb_reduce(sub, 0).transform, np.eye(2))
+
 
 class TestReduce:
     def test_full_basis_is_exact_congruence(self):
@@ -319,6 +328,22 @@ class TestSparsePath:
             monkeypatch.setattr(dynsub.reduction, "_SPARSE_REDUCTION_MIN_DOFS", frame.n_dofs + 1)
         for call in (lambda: cb_reduce(singular, 30), lambda: constraint_modes(singular)):
             with pytest.raises(ReductionError, match=r"internal stiffness block is singular \(rank"):
+                call()
+
+    def test_sparse_singular_internal_stiffness_message_builds_no_dense_block(self, monkeypatch):
+        # the rank is an SVD of the dense block: 80 GB at 1e5 DOFs
+        frame = frame_with_internal(dynsub.reduction._SPARSE_REDUCTION_MIN_DOFS + 1)
+        stiffness = frame.stiffness.copy()
+        stiffness[10, :] = stiffness[:, 10] = 0.0
+        singular = frame_with(frame, stiffness=stiffness)
+
+        def no_rank(*args, **kwargs):
+            raise AssertionError("matrix_rank called on the sparse path")
+
+        monkeypatch.setattr(np.linalg, "matrix_rank", no_rank)
+        n_i = len(frame.internal_dofs)
+        for call in (lambda: cb_reduce(singular, 30), lambda: constraint_modes(singular)):
+            with pytest.raises(ReductionError, match=rf"singular \(rank deficient, {n_i} x {n_i}\)"):
                 call()
 
     @pytest.mark.parametrize("path", ["sparse", "dense"])

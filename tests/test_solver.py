@@ -5,6 +5,8 @@ import dataclasses
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse
+import scipy.sparse.linalg
 from hypothesis import given, settings, strategies as st
 
 import dynsub.solver
@@ -25,6 +27,7 @@ from dynsub import (
     simulate,
     tangent_at_zero,
 )
+from dynsub.coupling import _factorize
 from dynsub.generators import chain_substructure, frame_analog, suspension_substructure
 from dynsub.reduction import reduce as cb_reduce, reduced_topology
 
@@ -164,8 +167,18 @@ class TestEffectiveMatrix:
         assert len(calls) == groups
 
 
+def _never_singular():
+    raise AssertionError("singular() called for a regular matrix")
+
+
+def _stored(matrix, storage):
+    matrix = np.asarray(matrix, dtype=float)
+    return matrix if storage == "dense" else scipy.sparse.csr_array(matrix)
+
+
 class TestSolveContract:
-    """``EffectiveMatrix.solve`` is LAPACK getrs on the stored LU factors."""
+    """Every solve is ``coupling._factorize``: LAPACK getrs on LU factors for a dense
+    matrix, SuperLU for a sparse one, under one singularity rule."""
 
     @pytest.fixture()
     def d(self, desk_suspension):
@@ -183,6 +196,39 @@ class TestSolveContract:
     def test_wrong_length_rejected(self, d):
         with pytest.raises(ValueError):
             d.solve(np.ones(7))
+
+    @pytest.mark.parametrize("storage", ["dense", "sparse"])
+    @pytest.mark.parametrize("shape", [(8,), (8, 4)])
+    def test_factorize_equals_reference_solve(self, d, storage, shape):
+        rhs = np.random.default_rng(2).standard_normal(shape)
+        before = rhs.copy()
+        solve = _factorize(_stored(d.matrix, storage), _never_singular)
+        if storage == "dense":
+            reference = scipy.linalg.lu_solve(scipy.linalg.lu_factor(d.matrix), rhs)
+        else:
+            reference = scipy.sparse.linalg.splu(scipy.sparse.csc_array(d.matrix)).solve(rhs)
+        assert np.array_equal(solve(rhs), reference)
+        assert np.array_equal(rhs, before)
+
+    @pytest.mark.parametrize("storage", ["dense", "sparse"])
+    @pytest.mark.parametrize("matrix, scale", [
+        ([[1.0, 1.0], [1.0, 1.0]], None),
+        ([[1.0, 0.0], [0.0, 1e-15]], None),
+        ([[1.0, 0.0], [0.0, 1e-12]], 1e3),
+        # finite entries whose U overflows; every pivot is far above 1e-14 of the scale
+        ([[1e308, 1e308], [-1e308, 1e308]], None),
+    ], ids=["zero_pivot", "pivot_below_largest_entry", "pivot_below_scale", "non_finite_factor"])
+    def test_factorize_raises_what_singular_returns(self, storage, matrix, scale):
+        error = SolverError("the caller's own error")
+        with pytest.raises(SolverError) as raised:
+            _factorize(_stored(matrix, storage), lambda: error, scale=scale)
+        assert raised.value is error
+
+    @pytest.mark.parametrize("storage", ["dense", "sparse"])
+    def test_factorize_judges_pivots_against_the_largest_entry_by_default(self, storage):
+        # the pivot 1e-12 fails against scale 1e3 above, and passes against the largest entry, 1
+        solve = _factorize(_stored([[1.0, 0.0], [0.0, 1e-12]], storage), _never_singular)
+        assert np.array_equal(solve(np.array([1.0, 1e-12])), [1.0, 1.0])
 
 
 class TestFreeStep:
