@@ -5,6 +5,10 @@ grounded chain of light masses with periodic heavy masses (the heavy/light
 pattern opens a spectral gap, so a handful of fixed-interface modes covers
 the low-frequency band well) plus four designated attachment DOFs carrying
 nonlinear suspension elements.
+
+Models of ``_SPARSE_MIN_DOFS`` DOFs or more are built as CSR arrays
+straight from their entries, smaller ones as dense arrays; the two hold
+the same entries, bit for bit.
 """
 
 from __future__ import annotations
@@ -12,28 +16,29 @@ from __future__ import annotations
 import numpy as np
 
 from .coupling import CouplingTopology
-from .models import LinearSubstructure, ModelError, NonlinearSubstructure, SuspensionElement, rayleigh_damping
+from .models import (
+    LinearSubstructure, ModelError, NonlinearSubstructure, SuspensionElement, matrix_from_entries, rayleigh_damping,
+)
 
 # identified suspension coefficients used throughout the desk experiments
 SUSPENSION_DEFAULTS = dict(mass=0.160, k1=35.0, c1=0.65, c2=10.0, c3=0.55)
 
 
-def chain_matrices(
-    n: int, m: float, k: float, c: float = 0.0, grounded: bool = True
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def chain_matrices(n: int, m: float, k: float, c: float = 0.0, grounded: bool = True) -> tuple:
     """Mass, damping, stiffness of a uniform chain of ``n`` masses.
 
     Springs of stiffness ``k`` (and dampers ``c``) connect neighbours; with
     ``grounded`` the first mass is additionally tied to ground, giving the
-    tridiagonal [2, -1] stiffness pattern with a free far end.
+    tridiagonal [2, -1] stiffness pattern with a free far end.  The
+    matrices are dense arrays below ``_SPARSE_MIN_DOFS`` masses and CSR
+    arrays from there on.
     """
     if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
         raise ModelError(f"chain needs a positive integer mass count 'n', got {n!r}")
-    mass = np.eye(n) * m
-    stiffness = np.zeros((n, n))
-    damping = np.zeros((n, n))
     i = np.arange(n)
-    for mat, val in ((stiffness, k), (damping, c)):
+    rows, cols = np.concatenate([i, i[:-1], i[1:]]), np.concatenate([i, i[1:], i[:-1]])
+
+    def springs(val):
         # spring j adds val to the diagonal at j and j + 1 and subtracts it
         # from (j, j + 1) and (j + 1, j); the sums below are the ones a
         # spring-by-spring loop makes, so the entries match it bit for bit
@@ -42,9 +47,9 @@ def chain_matrices(
         diagonal[1:] += val
         if grounded:
             diagonal[0] += val
-        mat[i, i] = diagonal
-        mat[i[:-1], i[1:]] = mat[i[1:], i[:-1]] = 0.0 - val
-    return mass, damping, stiffness
+        return matrix_from_entries(n, rows, cols, np.concatenate([diagonal, np.full(2 * (n - 1), 0.0 - val)]))
+
+    return matrix_from_entries(n, i, i, np.full(n, m, dtype=float)), springs(c), springs(k)
 
 
 def chain_substructure(
@@ -81,11 +86,12 @@ def frame_substructure(
     """Grounded heavy/light chain with four attachment DOFs by default."""
     if n < 8:
         raise ModelError(f"frame analog needs at least 8 DOFs, got {n}")
-    mass, _, stiffness = chain_matrices(n, m_light, k, 0.0, grounded=True)
-    masses = np.full(n, m_light)
+    _, _, stiffness = chain_matrices(n, m_light, k, 0.0, grounded=True)
+    masses = np.full(n, m_light, dtype=float)
     if heavy_every > 0:
         masses[::heavy_every] = m_heavy
-    mass = np.diag(masses)
+    i = np.arange(n)
+    mass = matrix_from_entries(n, i, i, masses)
     damping = rayleigh_damping(mass, stiffness, rayleigh_alpha, rayleigh_beta)
     if boundary_dofs is None:
         quarter = n // 4

@@ -5,7 +5,9 @@ mapping of input channels to driven DOFs, and which substructures count as
 physical for sub-cycling.  A linear substructure record carries ``n_dofs``
 and stores ``mass``, ``damping`` and ``stiffness`` as sparse triplets
 ``{"rows": [...], "cols": [...], "values": [...]}``; duplicate entries sum,
-as in COO storage, and a missing ``damping`` reads as zero.
+as in COO storage, and a missing ``damping`` reads as zero.  A record of
+``_SPARSE_MIN_DOFS`` DOFs or more is read straight into CSR arrays, a
+smaller one into dense arrays (:func:`~dynsub.models.matrix_from_entries`).
 """
 
 from __future__ import annotations
@@ -17,7 +19,8 @@ import numpy as np
 
 from .coupling import CouplingTopology
 from .models import (
-    LinearSubstructure, ModelError, NonlinearSubstructure, SuspensionElement, build_from_fields, require_numbers,
+    LinearSubstructure, ModelError, NonlinearSubstructure, SuspensionElement, build_from_fields, matrix_from_entries,
+    require_numbers,
 )
 from .reduction import CraigBamptonReduction
 from .solver import CoupledSystem, Trajectory
@@ -56,17 +59,17 @@ def _to_triplets(entries: tuple) -> dict:
     return {"rows": rows.tolist(), "cols": cols.tolist(), "values": values.tolist()}
 
 
-def _from_triplets(entry, n: int, where: str) -> np.ndarray:
-    """Dense ``n``-by-``n`` matrix from a triplet record; duplicates sum."""
+def _from_triplets(entry, n: int, where: str):
+    """``n``-by-``n`` matrix from a triplet record (:func:`~dynsub.models.matrix_from_entries`)."""
     rows, cols, values = (_field(entry, key, where, list) for key in ("rows", "cols", "values"))
     if not len(rows) == len(cols) == len(values):
         raise ModelError(f"{where}: rows, cols and values must be of equal length")
     if not (all(type(i) is int and 0 <= i < n for i in rows + cols)
             and all(type(v) in (int, float) for v in values)):
         raise ModelError(f"{where}: rows and cols must be integers in [0, {n}) and values numbers")
-    matrix = np.zeros((n, n))
-    np.add.at(matrix, (np.asarray(rows, dtype=np.intp), np.asarray(cols, dtype=np.intp)), values)
-    return matrix
+    return matrix_from_entries(
+        n, np.asarray(rows, dtype=np.intp), np.asarray(cols, dtype=np.intp), np.asarray(values, dtype=float)
+    )
 
 
 def substructure_to_dict(sub) -> dict:

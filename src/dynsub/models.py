@@ -33,12 +33,19 @@ import functools
 import inspect
 import math
 import numbers
+import sys
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 from typing import Callable, Union
 
 import numpy as np
-import scipy.linalg
+
+# Smallest linear substructure, in DOFs, that the generators and the system
+# file reader store as CSR, and smallest internal block that the reduction
+# solves sparse whatever its storage: the crossover measured for the
+# reduction (see :mod:`dynsub.reduction`).  Below it, matrices stay dense
+# and ``scipy.sparse`` is never imported.
+_SPARSE_MIN_DOFS = 400
 
 
 class ModelError(ValueError):
@@ -84,14 +91,41 @@ def number_tuple(error, name: str, value) -> tuple:
     return tuple(float(item) for item in items)
 
 
-def _as_locked_matrix(a, name: str) -> np.ndarray:
-    m = np.array(a, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+def is_sparse(matrix) -> bool:
+    """Whether ``matrix`` is a ``scipy.sparse`` array; never imports ``scipy.sparse`` itself."""
+    sparse = sys.modules.get("scipy.sparse")  # a process without it holds no sparse array
+    return sparse is not None and sparse.issparse(matrix)
+
+
+def dense(matrix) -> np.ndarray:
+    """``matrix`` as a dense array: a sparse one is expanded, a dense one returned as it is."""
+    return matrix.toarray() if is_sparse(matrix) else matrix
+
+
+def _as_locked_matrix(a, name: str, sparse: bool):
+    """``a`` as a read-only square float matrix: dense, or canonical CSR if ``sparse``.
+
+    Canonical CSR has sorted column indices, no duplicate entry (duplicates
+    are summed) and no stored zero.  A non-finite entry is named by its
+    field, row and column, found on the stored entries of a sparse matrix.
+    """
+    m = a if is_sparse(a) else np.array(a, dtype=float)
+    if len(m.shape) != 2 or m.shape[0] != m.shape[1]:
         raise ModelError(f"{name} matrix must be a square matrix, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
-        i, j = np.argwhere(~np.isfinite(m))[0]
-        raise ModelError(f"field {name!r} holds a non-finite value ({m[i, j]}) in row {i}, column {j}")
-    m.setflags(write=False)
+    if sparse:
+        import scipy.sparse  # only a sparse model pays for this import
+
+        m = scipy.sparse.csr_array(m, dtype=float, copy=True)
+        m.sum_duplicates()  # also sorts the indices
+        m.eliminate_zeros()
+    values = m.data if sparse else m
+    bad = ~np.isfinite(values)
+    if bad.any():
+        k = int(np.argmax(bad))  # the first in row-major order
+        i, j = (np.searchsorted(m.indptr, k, side="right") - 1, m.indices[k]) if sparse else divmod(k, m.shape[1])
+        raise ModelError(f"field {name!r} holds a non-finite value ({values.flat[k]}) in row {i}, column {j}")
+    for array in (m.data, m.indices, m.indptr) if sparse else (m,):
+        array.setflags(write=False)
     return m
 
 
@@ -101,11 +135,17 @@ def _require_finite(**fields) -> None:
             raise ModelError(f"field {name!r} must be finite, got {value}")
 
 
-def _check_symmetric(m: np.ndarray, name: str, rtol: float = 1e-10) -> None:
-    if np.array_equal(m, m.T):  # the common case, at a third of the cost of the tolerance test
-        return
-    scale = np.abs(m).max()
-    if scale > 0 and np.abs(m - m.T).max() > rtol * scale:
+def _check_symmetric(m, name: str, rtol: float = 1e-10) -> None:
+    if is_sparse(m):
+        gap = abs(m - m.T)  # stores only the entries that differ
+        if not gap.nnz:
+            return
+        gap, scale = gap.data.max(), np.abs(m.data).max()
+    else:
+        if np.array_equal(m, m.T):  # the common case, at a third of the cost of the tolerance test
+            return
+        gap, scale = np.abs(m - m.T).max(), np.abs(m).max()
+    if scale > 0 and gap > rtol * scale:
         raise ModelError(f"{name} is not symmetric within relative tolerance {rtol}")
 
 
@@ -115,6 +155,14 @@ class LinearSubstructure:
 
     ``internal_dofs`` and ``boundary_dofs`` must together cover every DOF
     exactly once; boundary DOFs are the ones exposed for coupling.
+
+    The matrices are stored read-only, in the storage they are given in: if
+    any of the three is a ``scipy.sparse`` array, all three are held as
+    canonical CSR arrays (see :attr:`sparse`), else as dense arrays.  The
+    generators and the system file reader hand over CSR from
+    ``_SPARSE_MIN_DOFS`` DOFs on.  Either way the checks (square, equal
+    shapes, finite, symmetric, positive mass diagonal) read only the stored
+    entries.
     """
 
     mass: np.ndarray
@@ -124,16 +172,17 @@ class LinearSubstructure:
     boundary_dofs: tuple
 
     def __post_init__(self):
-        m = _as_locked_matrix(self.mass, "mass")
-        c = _as_locked_matrix(self.damping, "damping")
-        k = _as_locked_matrix(self.stiffness, "stiffness")
+        sparse = any(is_sparse(x) for x in (self.mass, self.damping, self.stiffness))
+        m = _as_locked_matrix(self.mass, "mass", sparse)
+        c = _as_locked_matrix(self.damping, "damping", sparse)
+        k = _as_locked_matrix(self.stiffness, "stiffness", sparse)
         if not (m.shape == c.shape == k.shape):
             raise ModelError(
                 f"matrix sizes disagree: mass {m.shape}, damping {c.shape}, stiffness {k.shape}"
             )
         _check_symmetric(m, "mass matrix")
         _check_symmetric(k, "stiffness matrix")
-        if np.any(np.diag(m) <= 0):
+        if np.any(m.diagonal() <= 0):
             raise ModelError("mass matrix must have a strictly positive diagonal")
         n = m.shape[0]
         internal = tuple(int(i) for i in self.internal_dofs)
@@ -154,15 +203,41 @@ class LinearSubstructure:
     def n_dofs(self) -> int:
         return self.mass.shape[0]
 
+    @property
+    def sparse(self) -> bool:
+        """Whether the matrices are held as CSR arrays."""
+        return not isinstance(self.mass, np.ndarray)
+
     @functools.cached_property
     def nonzeros(self) -> dict:
         """``{"mass" | "damping" | "stiffness": (rows, cols, values)}`` of the nonzero entries.
 
-        The entries are in row-major order, the order of a CSR array, and are
-        found by one scan of each matrix, on first use; the matrices are
-        read-only, so the result stays valid.
+        The entries are in row-major order, the order of a CSR array.  They
+        are the CSR arrays themselves (with the row of each entry expanded),
+        or are found by one scan of each dense matrix, on first use; the
+        matrices are read-only, so the result stays valid.
         """
-        return {name: nonzero_entries(getattr(self, name)) for name in ("mass", "damping", "stiffness")}
+        def entries(x):
+            if self.sparse:
+                return np.repeat(np.arange(self.n_dofs), np.diff(x.indptr)), x.indices, x.data
+            return nonzero_entries(x)
+
+        return {name: entries(getattr(self, name)) for name in ("mass", "damping", "stiffness")}
+
+
+def matrix_from_entries(n: int, rows: np.ndarray, cols: np.ndarray, values: np.ndarray):
+    """``n``-by-``n`` matrix of entries; entries at one position sum.
+
+    A CSR array from ``_SPARSE_MIN_DOFS`` on, a dense array below: the
+    storage rule of the generators and the system file reader.
+    """
+    if n >= _SPARSE_MIN_DOFS:
+        import scipy.sparse  # only a large model pays for this import
+
+        return scipy.sparse.csr_array((values, (rows, cols)), shape=(n, n))
+    matrix = np.zeros((n, n))
+    np.add.at(matrix, (rows, cols), values)
+    return matrix
 
 
 def nonzero_entries(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -299,8 +374,9 @@ class FirstOrderForm:
     :func:`friction_shape` as ``phi``.  The 2n-sized ``restoring``,
     ``tangent`` and ``A`` are derived from these for checks; the solvers
     never build them.  A sparse monolithic assembly holds ``M``, ``K`` and
-    ``C`` as CSR arrays, which ``momentum`` and the solvers take as they
-    are; ``tangent`` and ``A`` need dense blocks.
+    ``C`` as CSR arrays, as do the form of a CSR substructure and a stack
+    with such a member; ``momentum`` and the solvers take them as they
+    are, and ``tangent`` and ``A`` expand them.
     """
 
     n_dofs: int
@@ -339,12 +415,12 @@ class FirstOrderForm:
 
     @property
     def tangent(self) -> np.ndarray:
-        """Jacobian ``[[0, -I], [K, C]]`` of R at the zero state."""
+        """Jacobian ``[[0, -I], [K, C]]`` of R at the zero state, dense."""
         n = self.n_dofs
         r0 = np.zeros((2 * n, 2 * n))
         r0[:n, n:] = -np.eye(n)
-        r0[n:, :n] = self.stiffness
-        r0[n:, n:] = self.damping
+        r0[n:, :n] = dense(self.stiffness)
+        r0[n:, n:] = dense(self.damping)
         return r0
 
     @property
@@ -352,7 +428,7 @@ class FirstOrderForm:
         n = self.n_dofs
         a = np.zeros((2 * n, 2 * n))
         a[:n, :n] = np.eye(n)
-        a[n:, n:] = self.mass
+        a[n:, n:] = dense(self.mass)
         return a
 
 
@@ -423,6 +499,16 @@ def assemble_first_order(sub: Substructure) -> FirstOrderForm:
     )
 
 
+def _block_diag(blocks) -> np.ndarray:
+    """Dense block-diagonal matrix of 2-D arrays; a block may have no rows."""
+    out = np.zeros((sum(b.shape[0] for b in blocks), sum(b.shape[1] for b in blocks)))
+    row = col = 0
+    for b in blocks:
+        out[row:row + b.shape[0], col:col + b.shape[1]] = b
+        row, col = row + b.shape[0], col + b.shape[1]
+    return out
+
+
 def stack_forms(forms) -> FirstOrderForm:
     """Block-diagonal first-order form of uncoupled forms, stepped as one.
 
@@ -430,22 +516,35 @@ def stack_forms(forms) -> FirstOrderForm:
     displacements, then all velocities, each in the order of ``forms``.
     ``M``, ``K``, ``C`` and ``B`` are block-diagonal, and the element
     coefficients ``slope`` and ``smoothing`` follow ``B``'s rows in member
-    order.  A single form is returned as it is.
+    order.  ``M``, ``K`` and ``C`` are CSR arrays if a member's are, so an
+    unreduced large frame steps on a sparse ``S``; else they are dense, as
+    ``B`` always is.  A single form is returned as it is.
     """
     forms = tuple(forms)
     if len(forms) == 1:
         return forms[0]
+
+    def stacked(name):
+        blocks = [getattr(f, name) for f in forms]
+        if not any(is_sparse(b) for b in blocks):
+            return _block_diag(blocks)
+        import scipy.sparse
+
+        return scipy.sparse.csr_array(scipy.sparse.block_diag(blocks, format="csr"))
+
     return FirstOrderForm(
         n_dofs=sum(f.n_dofs for f in forms),
-        mass=scipy.linalg.block_diag(*(f.mass for f in forms)),
-        stiffness=scipy.linalg.block_diag(*(f.stiffness for f in forms)),
-        damping=scipy.linalg.block_diag(*(f.damping for f in forms)),
-        rates=scipy.linalg.block_diag(*(f.rates for f in forms)),
+        mass=stacked("mass"),
+        stiffness=stacked("stiffness"),
+        damping=stacked("damping"),
+        rates=_block_diag([f.rates for f in forms]),
         slope=np.concatenate([f.slope for f in forms]),
         smoothing=np.concatenate([f.smoothing for f in forms]),
     )
 
 
-def rayleigh_damping(mass: np.ndarray, stiffness: np.ndarray, alpha: float = 0.0, beta: float = 0.0) -> np.ndarray:
-    """Proportional damping C = alpha*M + beta*K."""
+def rayleigh_damping(mass, stiffness, alpha: float = 0.0, beta: float = 0.0):
+    """Proportional damping C = alpha*M + beta*K, a CSR array if ``M`` or ``K`` is sparse."""
+    if is_sparse(mass) or is_sparse(stiffness):
+        return alpha * mass + beta * stiffness
     return alpha * np.asarray(mass, dtype=float) + beta * np.asarray(stiffness, dtype=float)

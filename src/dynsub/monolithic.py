@@ -6,8 +6,9 @@ same trapezoidal kernel (:func:`~dynsub.solver.effective_matrix` and
 :func:`~dynsub.solver.free_step`) as the partitioned solver, so the gap
 between the two is coupling and reduction error, not an integrator
 difference.  The assembly is dense by default, which the CLI and the
-acceptance criteria use; ``assemble_global(..., sparse=True)`` stores
-``M``, ``C`` and ``K`` as CSR arrays.  ``run_experiment`` uses the sparse
+acceptance criteria use, whether the substructures hold dense or CSR
+matrices; ``assemble_global(..., sparse=True)`` stores ``M``, ``C`` and
+``K`` as CSR arrays.  ``run_experiment`` uses the sparse
 one, the fair full-order baseline for a banded frame.  Every solve here
 (``S``, the starting rate's ``M`` and the Newmark effective stiffness) is
 factorized once by :func:`~dynsub.coupling._factorize`: LAPACK LU for the
@@ -73,12 +74,12 @@ def assemble_global(substructures: Mapping, topology: CouplingTopology, sparse: 
     """Merge coupled interface DOFs and sum the substructure matrices.
 
     The global DOF count is the sum of substructure DOF counts minus the
-    number of interface constraints.  ``M``, ``C`` and ``K`` are dense
-    arrays by default; with ``sparse`` they are CSR arrays summed from each
-    substructure's nonzero entries, so no ``n_global**2`` array is built
-    and the reference steps on a sparse factorization of ``S``
-    (:func:`~dynsub.solver.effective_matrix`).  ``B`` and the element
-    coefficients stay dense rows either way.
+    number of interface constraints.  ``M``, ``C`` and ``K`` are summed
+    from each substructure's nonzero entries, whatever its storage, into
+    dense arrays by default; with ``sparse`` into CSR arrays, so no
+    ``n_global**2`` array is built and the reference steps on a sparse
+    factorization of ``S`` (:func:`~dynsub.solver.effective_matrix`).
+    ``B`` and the element coefficients stay dense rows either way.
     """
     offsets = {}
     total = 0
@@ -124,8 +125,8 @@ def assemble_global(substructures: Mapping, topology: CouplingTopology, sparse: 
         np.add.at(block, (slice(None), dof_map[sid]), form.rates)
         rates.append(block)
     mass, damping, stiffness = (
-        _scatter([(dof_map[sid], _nonzeros(substructures[sid], form, name) if sparse else getattr(form, name))
-                  for sid, form in forms.items()], n_global, sparse)
+        _scatter([(dof_map[sid], _nonzeros(substructures[sid], form, name)) for sid, form in forms.items()],
+                 n_global, sparse)
         for name in ("mass", "damping", "stiffness")
     )
 
@@ -147,7 +148,8 @@ def _nonzeros(sub, form: FirstOrderForm, name: str) -> tuple:
     """``(rows, cols, values)`` of the ``name`` block of a substructure's form.
 
     A linear substructure's are cached on it (its form holds its own
-    matrices), so a dense frame matrix is scanned once per process.
+    matrices), so a dense frame matrix is scanned once per process and a
+    CSR one not at all.
     """
     if isinstance(sub, LinearSubstructure):
         return sub.nonzeros[name]
@@ -155,38 +157,38 @@ def _nonzeros(sub, form: FirstOrderForm, name: str) -> tuple:
 
 
 def _scatter(blocks, n_global: int, sparse: bool):
-    """Sum square blocks onto the global DOFs.
+    """Sum the nonzero entries of square blocks onto the global DOFs.
 
-    ``blocks`` holds ``(global ids, block)`` pairs, or ``(global ids,
-    (rows, cols, values))`` pairs of nonzero entries for a sparse sum.
-    Two DOFs of one block may share a global DOF, so the entries that land
-    on one global entry add up: through an unbuffered scatter into a dense
-    array, or as duplicate COO triplets, which the conversion to CSR sums.
+    ``blocks`` holds ``(global ids, (rows, cols, values))`` pairs.  Two
+    DOFs of one block may share a global DOF, so the entries that land on
+    one global entry add up, in block order: through an unbuffered scatter
+    into a dense array, or as duplicate COO triplets, which the conversion
+    to CSR sums.
     """
-    if not sparse:
-        out = np.zeros((n_global, n_global))
-        for ids, block in blocks:
-            # numpy's fast path takes flat indices into a 1-D view
-            np.add.at(out.reshape(-1), (ids[:, None] * n_global + ids).ravel(), np.ravel(block))
-        return out
-    import scipy.sparse  # only the sparse reference pays for this import
-
     rows, cols, values = (
         np.concatenate(part) for part in zip(*((ids[r], ids[c], v) for ids, (r, c, v) in blocks))
     )
+    if not sparse:
+        out = np.zeros((n_global, n_global))
+        # numpy's fast path takes flat indices into a 1-D view
+        np.add.at(out.reshape(-1), rows * n_global + cols, values)
+        return out
+    import scipy.sparse  # only the sparse reference pays for this import
+
     return scipy.sparse.coo_array((values, (rows, cols)), shape=(n_global, n_global)).tocsr()
 
 
 def _global_trajectory(asys: AssembledSystem, traj_global: np.ndarray, dt: float) -> Trajectory:
-    """Per-substructure views of a global trajectory (shared DOFs repeat)."""
+    """Per-substructure states of a global trajectory (shared DOFs repeat).
+
+    Each substructure's ``[u; v]`` columns are gathered by one index array,
+    in one copy.
+    """
     n = asys.n_dofs
     n_steps = traj_global.shape[0] - 1
     return Trajectory(
         times=np.arange(n_steps + 1) * dt,
-        states={
-            sid: np.concatenate([traj_global[:, ids], traj_global[:, n + ids]], axis=1)
-            for sid, ids in asys.dof_map.items()
-        },
+        states={sid: traj_global[:, np.concatenate([ids, n + ids])] for sid, ids in asys.dof_map.items()},
         multipliers=np.zeros((n_steps + 1, 0)),
         dof_counts={sid: len(ids) for sid, ids in asys.dof_map.items()},
     )

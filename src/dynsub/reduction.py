@@ -5,14 +5,16 @@ internal DOF block (boundary clamped) with one static constraint mode per
 boundary DOF.  Boundary DOFs stay physical, which keeps coupling to other
 substructures trivial after reduction.
 
-Two paths compute the basis, chosen by the size of the internal block:
+Two paths compute the basis, chosen by the storage of the substructure and
+the size of its internal block:
 
-- below ``_SPARSE_REDUCTION_MIN_DOFS`` internal DOFs, dense arrays and
-  LAPACK ``eigh`` for the modes;
-- from that size on, CSR blocks built from the substructure's cached
-  nonzero entries and shift-invert Lanczos about 0 (ARPACK ``eigsh``,
-  Ericsson & Ruhe 1980) for the modes.  A request ARPACK cannot serve
-  (``k >= n_i - 1``) falls back to ``eigh``.
+- for a dense substructure with fewer than ``_SPARSE_MIN_DOFS`` internal
+  DOFs, dense arrays and LAPACK ``eigh`` for the modes;
+- for a CSR substructure, or a dense one with at least that many internal
+  DOFs, CSR blocks built from the substructure's nonzero entries and
+  shift-invert Lanczos about 0 (ARPACK ``eigsh``, Ericsson & Ruhe 1980)
+  for the modes.  A request ARPACK cannot serve (``k >= n_i - 1``) falls
+  back to ``eigh``.
 
 Either way :func:`~dynsub.coupling._factorize` factorizes ``K_ii`` once, by
 LU or SuperLU; that gives the constraint modes and the Lanczos ``OPinv``.
@@ -40,12 +42,8 @@ import numpy as np
 import scipy.linalg
 
 from .coupling import CouplingTopology, _factorize
-from .models import LinearSubstructure, ModelError
+from .models import _SPARSE_MIN_DOFS, LinearSubstructure, ModelError, dense
 
-
-# Smallest internal block reduced by shift-invert Lanczos and SuperLU instead
-# of dense LAPACK: the measured crossover, see the module docstring.
-_SPARSE_REDUCTION_MIN_DOFS = 400
 # Fixed-interface frequencies equal to this relative tolerance form one cluster.
 _CLUSTER_RTOL = 1e-8
 
@@ -132,18 +130,18 @@ class CraigBamptonReduction:
 class _InternalProblem:
     """``M``, ``C`` and ``K`` of a substructure reordered internal-first.
 
-    An internal block of at least ``_SPARSE_REDUCTION_MIN_DOFS`` DOFs is held
-    as CSR arrays built from the substructure's cached nonzero entries, a
-    smaller block as dense arrays.  Either way ``K_ii`` is factorized at
-    most once (:attr:`stiffness_solve`).
+    A CSR substructure, or an internal block of at least
+    ``_SPARSE_MIN_DOFS`` DOFs, is held as CSR arrays built from the
+    substructure's nonzero entries, a smaller dense one as dense arrays.
+    Either way ``K_ii`` is factorized at most once (:attr:`stiffness_solve`).
     """
 
     def __init__(self, sub: LinearSubstructure):
         self.n_internal = len(sub.internal_dofs)
-        self.sparse = self.n_internal >= _SPARSE_REDUCTION_MIN_DOFS
+        self.sparse = sub.sparse or self.n_internal >= _SPARSE_MIN_DOFS
         order = np.array(sub.internal_dofs + sub.boundary_dofs, dtype=int)
         if self.sparse:
-            import scipy.sparse  # only a large internal block pays for this import
+            import scipy.sparse  # only a sparse or large internal block pays for this import
 
             position = np.empty_like(order)
             position[order] = np.arange(len(order))
@@ -160,9 +158,6 @@ class _InternalProblem:
         """The internal block of one of the reordered matrices, in its own storage."""
         n_i = self.n_internal
         return x[:n_i, :n_i]
-
-    def dense(self, x) -> np.ndarray:
-        return x.toarray() if self.sparse else x
 
     def singular_stiffness(self) -> ReductionError:
         """The error for a singular ``K_ii``; only a dense block is given a rank (an SVD)."""
@@ -221,7 +216,7 @@ class _InternalProblem:
             return phi[:, order], lam[order]
         try:
             lam, phi = scipy.linalg.eigh(
-                self.dense(self.internal(self.stiffness)), self.dense(self.internal(self.mass)),
+                dense(self.internal(self.stiffness)), dense(self.internal(self.mass)),
                 subset_by_index=[0, count - 1],
             )
         except scipy.linalg.LinAlgError as exc:
@@ -269,9 +264,9 @@ def fixed_interface_modes(
     Solves the generalized symmetric eigenproblem K_ii @ phi = w^2 M_ii @ phi
     and returns (modes, frequencies) with the modes mass-normalized
     (phi.T @ M_ii @ phi = I) and frequencies in rad/s, ascending.  An
-    internal block of at least ``_SPARSE_REDUCTION_MIN_DOFS`` DOFs is solved
-    by shift-invert Lanczos on one SuperLU factorization of ``K_ii``, a
-    smaller one by dense LAPACK; their frequencies agree to about 1e-12
+    internal block of a CSR substructure, or of at least ``_SPARSE_MIN_DOFS``
+    DOFs, is solved by shift-invert Lanczos on one SuperLU factorization of
+    ``K_ii``, a smaller dense one by dense LAPACK; their frequencies agree to about 1e-12
     relative and their modes to about 1e-11.
 
     The modes are canonical (see :func:`_canonical_modes`), so both solvers
@@ -307,21 +302,21 @@ def constraint_modes(sub: LinearSubstructure, *, problem: _InternalProblem | Non
 
     One column per boundary DOF: psi = -K_ii^{-1} @ K_ib, with the one
     factorization of ``K_ii`` that ``problem`` keeps (LAPACK LU for a dense
-    block, SuperLU for one of at least ``_SPARSE_REDUCTION_MIN_DOFS`` DOFs).
+    block, SuperLU for a sparse one).
     """
     if problem is None:
         problem = _InternalProblem(sub)
     n_i = problem.n_internal
-    return problem.stiffness_solve(-problem.dense(problem.stiffness[:n_i, n_i:]))
+    return problem.stiffness_solve(-dense(problem.stiffness[:n_i, n_i:]))
 
 
 def reduce(sub: LinearSubstructure, n_modes: int) -> CraigBamptonReduction:
     """Craig-Bampton reduction keeping ``n_modes`` fixed-interface modes.
 
     Matrices are projected in internal-first ordering, from CSR arrays for
-    an internal block of at least ``_SPARSE_REDUCTION_MIN_DOFS`` DOFs (whose
-    ``K_ii`` is factorized once for the modes and the constraint modes) and
-    from dense arrays below.  The frequency of the first discarded mode is
+    a CSR substructure or an internal block of at least ``_SPARSE_MIN_DOFS``
+    DOFs (whose ``K_ii`` is factorized once for the modes and the
+    constraint modes) and from dense arrays otherwise.  The frequency of the first discarded mode is
     reported so callers can check that the retained band covers their
     region of interest.
     """
@@ -392,8 +387,8 @@ def reduced_topology(topology, sub_id, red: CraigBamptonReduction):
 
 
 def full_frequencies(sub: LinearSubstructure, n: int | None = None) -> np.ndarray:
-    """Natural frequencies (rad/s) of the unreduced substructure, ascending."""
-    lam = scipy.linalg.eigh(sub.stiffness, sub.mass, eigvals_only=True)
+    """Natural frequencies (rad/s) of the unreduced substructure, ascending (a dense eigensolve)."""
+    lam = scipy.linalg.eigh(dense(sub.stiffness), dense(sub.mass), eigvals_only=True)
     freqs = np.sqrt(np.clip(lam, 0.0, None))
     return freqs if n is None else freqs[:n]
 
@@ -416,6 +411,6 @@ def expanded_mode_shapes(red: CraigBamptonReduction, n: int) -> np.ndarray:
 
 
 def mode_shapes(sub: LinearSubstructure, n: int) -> np.ndarray:
-    """First ``n`` mass-normalized mode shapes of the full substructure."""
-    _, vecs = scipy.linalg.eigh(sub.stiffness, sub.mass)
+    """First ``n`` mass-normalized mode shapes of the full substructure (a dense eigensolve)."""
+    _, vecs = scipy.linalg.eigh(dense(sub.stiffness), dense(sub.mass))
     return vecs[:, :n]

@@ -381,3 +381,31 @@ class TestRunExperimentCommand:
         assert "offline_time" in report and "online_time" in report
         assert (out_dir / "trajectory_partitioned.csv").exists()
         assert (out_dir / "trajectory_monolithic.csv").exists()
+
+
+@pytest.mark.parametrize("command", [
+    "generate-model", "generate-signal", "simulate", "simulate-monolithic", "compare",
+])
+def test_quick_start_commands_import_no_scipy_sparse(tmp_path, command):
+    # the 200-DOF quick start stays dense end to end, so no command pays
+    # for importing scipy.sparse
+    model, signals, solver = tmp_path / "model.json", tmp_path / "signals.csv", tmp_path / "solver.json"
+    write_config(solver)
+    simulate = ["simulate", "--model", str(model), "--config", str(solver), "--inputs", str(signals)]
+    commands = {
+        "generate-model": ["generate-model", "--kind", "frame_analog", "--out", str(model)],
+        "generate-signal": ["generate-signal", "--kind", "multisine", "--spec",
+                            '{"frequencies": [2, 5, 8], "amplitudes": [2, 2, 1], "noise_variance": 0.05}',
+                            "--samples", "51", "--rate", "1000", "--channels", "4", "--out", str(signals)],
+        "simulate": simulate + ["--out", str(tmp_path / "part.csv")],
+        "simulate-monolithic": simulate + ["--out", str(tmp_path / "mono.csv"), "--monolithic"],
+        "compare": ["compare", "traj", "--full", str(tmp_path / "mono.csv"),
+                    "--reduced", str(tmp_path / "part.csv"), "--out", str(tmp_path / "mse.csv")],
+    }
+    for name, args in commands.items():  # the files the command under test reads
+        if name == command:
+            break
+        assert main(args) == 0, name
+    args = commands[command]
+    proc = run_python(scipy_sparse_check(f"from dynsub.cli import main; assert main({args!r}) == 0"))
+    assert proc.returncode == 0, proc.stderr

@@ -1,9 +1,17 @@
-"""Model builders: the chain matrices behind every frame."""
+"""Model builders: the chain matrices behind every frame, dense and CSR."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg  # imported before any tracing, so its module objects are not counted
 
-from dynsub.generators import chain_matrices
+import dynsub.models
+from dynsub.generators import chain_matrices, frame_analog, frame_substructure
+from dynsub.io import save_system
+from dynsub.models import dense
+from dynsub.monolithic import assemble_global
+from dynsub.reduction import reduce as cb_reduce
 
 
 def loop_chain(n, m, k, c, grounded):
@@ -23,10 +31,41 @@ def loop_chain(n, m, k, c, grounded):
     return mass, damping, stiffness
 
 
-@pytest.mark.parametrize("n", [1, 2, 5, 200])
+@pytest.mark.parametrize("n", [1, 2, 5, 200, 450])
 @pytest.mark.parametrize("grounded", [True, False])
 @pytest.mark.parametrize("m, k, c", [(0.05, 2.5e5, 0.3), (1.0, 1.0, 0.0), (2, 3, 0), (0.1, 1e-7, 1.3e4)])
 def test_chain_equals_the_spring_loop_bit_for_bit(n, grounded, m, k, c):
     # bytes, not values: a -0.0 where the loop writes 0.0 would also differ
     for got, want in zip(chain_matrices(n, m, k, c, grounded), loop_chain(n, m, k, c, grounded)):
-        assert got.tobytes() == want.tobytes()
+        assert isinstance(got, np.ndarray) == (n < 400)  # CSR from 400 masses on
+        assert dense(got).tobytes() == want.tobytes()
+
+
+class TestSparseFrames:
+    """Frames of 400 DOFs or more are built as CSR and stay sparse on the experiment's path."""
+
+    @pytest.mark.parametrize("n", [400, 1000])
+    def test_csr_frame_holds_the_dense_builders_entries(self, monkeypatch, n):
+        sparse = frame_substructure(n=n, k=2.5e5)
+        monkeypatch.setattr(dynsub.models, "_SPARSE_MIN_DOFS", n + 1)
+        full = frame_substructure(n=n, k=2.5e5)
+        assert sparse.sparse and not full.sparse
+        for name in ("mass", "damping", "stiffness"):
+            assert dense(getattr(sparse, name)).tobytes() == getattr(full, name).tobytes(), name
+            for got, want in zip(sparse.nonzeros[name], full.nonzeros[name]):
+                assert np.array_equal(got, want) and got.dtype.kind == want.dtype.kind, name
+            assert getattr(sparse, name).data.tobytes() == full.nonzeros[name][2].tobytes(), name
+
+    def test_desk_path_allocates_no_dense_frame_matrix(self, tmp_path):
+        # generate, write, reduce and assemble the sparse reference of the
+        # experiment's frame; one dense 1000 x 1000 float64 array is 8 MB
+        tracemalloc.start()
+        try:
+            subs, topology = frame_analog(n=1000, k=2.5e5)
+            save_system(tmp_path / "model.json", subs, topology)
+            cb_reduce(subs["frame"], 30)
+            assemble_global(subs, topology, sparse=True)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6, f"peak {peak / 1e6:.1f} MB"

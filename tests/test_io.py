@@ -18,15 +18,16 @@ from dynsub.io import (
     save_system,
     save_trajectory_csv,
 )
-from dynsub.models import NonlinearSubstructure
+from dynsub.models import NonlinearSubstructure, dense
 from dynsub.solver import CoupledSystem
 
 from conftest import set_json_entry
 
 
 def assert_same_matrices(back, orig):
+    assert back.sparse == orig.sparse
     for name in ("mass", "damping", "stiffness"):
-        assert np.array_equal(getattr(back, name), getattr(orig, name)), name
+        assert np.array_equal(dense(getattr(back, name)), dense(getattr(orig, name))), name
     assert back.internal_dofs == orig.internal_dofs
     assert back.boundary_dofs == orig.boundary_dofs
 

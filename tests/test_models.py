@@ -52,27 +52,42 @@ def suspension(n=1, **overrides):
     return NonlinearSubstructure(elements=elements)
 
 
+def stored(matrix, storage):
+    """``matrix`` as it is given, or as a CSR array: every check runs on both storages."""
+    return matrix if storage == "dense" else scipy.sparse.csr_array(np.asarray(matrix, dtype=float))
+
+
+STORAGES = ("dense", "csr")
+
+
+def linear(storage, mass, damping, stiffness, internal_dofs=(0,), boundary_dofs=(1,)):
+    return LinearSubstructure(
+        mass=stored(mass, storage), damping=stored(damping, storage), stiffness=stored(stiffness, storage),
+        internal_dofs=internal_dofs, boundary_dofs=boundary_dofs,
+    )
+
+
 class TestValidation:
     def test_asymmetric_mass_rejected(self):
-        with pytest.raises(ModelError, match="mass matrix is not symmetric"):
-            LinearSubstructure(
-                mass=[[1.0, 0.5], [0.0, 1.0]], damping=np.zeros((2, 2)),
-                stiffness=np.eye(2), internal_dofs=(0,), boundary_dofs=(1,),
-            )
+        for storage in STORAGES:
+            with pytest.raises(ModelError, match="mass matrix is not symmetric"):
+                linear(storage, [[1.0, 0.5], [0.0, 1.0]], np.zeros((2, 2)), np.eye(2))
 
     def test_asymmetric_stiffness_rejected(self):
-        with pytest.raises(ModelError, match="stiffness matrix is not symmetric"):
-            LinearSubstructure(
-                mass=np.eye(2), damping=np.zeros((2, 2)),
-                stiffness=[[1.0, 0.3], [0.0, 1.0]], internal_dofs=(0,), boundary_dofs=(1,),
-            )
+        for storage in STORAGES:
+            with pytest.raises(ModelError, match="stiffness matrix is not symmetric"):
+                linear(storage, np.eye(2), np.zeros((2, 2)), [[1.0, 0.3], [0.0, 1.0]])
+
+    def test_asymmetry_within_tolerance_accepted(self):
+        for storage in STORAGES:
+            linear(storage, np.eye(2), np.zeros((2, 2)), [[1.0, 0.3], [0.3 + 5e-11, 1.0]])
+            with pytest.raises(ModelError, match="stiffness matrix is not symmetric within relative tolerance"):
+                linear(storage, np.eye(2), np.zeros((2, 2)), [[1.0, 0.3], [0.3 + 2e-10, 1.0]])
 
     def test_nonpositive_mass_diagonal_rejected(self):
-        with pytest.raises(ModelError, match="positive diagonal"):
-            LinearSubstructure(
-                mass=np.diag([1.0, 0.0]), damping=np.zeros((2, 2)),
-                stiffness=np.eye(2), internal_dofs=(0,), boundary_dofs=(1,),
-            )
+        for storage in STORAGES:
+            with pytest.raises(ModelError, match="positive diagonal"):
+                linear(storage, np.diag([1.0, 0.0]), np.zeros((2, 2)), np.eye(2))
 
     def test_partition_must_cover_all_dofs(self):
         with pytest.raises(ModelError, match="disjointly cover"):
@@ -87,18 +102,14 @@ class TestValidation:
             )
 
     def test_dimension_mismatch_rejected(self):
-        with pytest.raises(ModelError, match="matrix sizes disagree"):
-            LinearSubstructure(
-                mass=np.eye(2), damping=np.zeros((3, 3)), stiffness=np.eye(2),
-                internal_dofs=(0,), boundary_dofs=(1,),
-            )
+        for storage in STORAGES:
+            with pytest.raises(ModelError, match=r"matrix sizes disagree: mass \(2, 2\), damping \(3, 3\)"):
+                linear(storage, np.eye(2), np.zeros((3, 3)), np.eye(2))
 
     def test_non_square_rejected(self):
-        with pytest.raises(ModelError, match="square"):
-            LinearSubstructure(
-                mass=np.ones((2, 3)), damping=np.zeros((2, 2)), stiffness=np.eye(2),
-                internal_dofs=(0,), boundary_dofs=(1,),
-            )
+        for storage in STORAGES:
+            with pytest.raises(ModelError, match=r"mass matrix must be a square matrix, got shape \(2, 3\)"):
+                linear(storage, np.ones((2, 3)), np.zeros((2, 2)), np.eye(2))
 
     def test_suspension_c3_must_be_positive(self):
         with pytest.raises(ModelError, match="c3"):
@@ -111,10 +122,11 @@ class TestValidation:
     @pytest.mark.parametrize("field", ["mass", "damping", "stiffness"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_matrix_entry_rejected_naming_the_matrix(self, field, bad):
-        matrices = {"mass": np.eye(2), "damping": np.zeros((2, 2)), "stiffness": np.eye(2)}
-        matrices[field][1, 0] = bad
-        with pytest.raises(ModelError, match=f"'{field}'.* row 1, column 0"):
-            LinearSubstructure(**matrices, internal_dofs=(0,), boundary_dofs=(1,))
+        for storage in STORAGES:
+            matrices = {"mass": np.eye(2), "damping": np.zeros((2, 2)), "stiffness": np.eye(2)}
+            matrices[field][1, 0] = bad
+            with pytest.raises(ModelError, match=rf"'{field}' holds a non-finite value \({bad}\) in row 1, column 0"):
+                linear(storage, **matrices)
 
     @pytest.mark.parametrize("field", ["mass", "k1", "c1", "c2", "c3"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -129,9 +141,11 @@ class TestValidation:
             NonlinearSubstructure(elements=(element,), boundary_mass=bad)
 
     def test_matrices_locked_after_construction(self):
-        sub = two_mass_chain()
-        with pytest.raises(ValueError):
-            sub.stiffness[0, 0] = 99.0
+        for storage in STORAGES:
+            sub = linear(storage, np.eye(2), 0.1 * np.eye(2), [[2.0, -1.0], [-1.0, 1.0]])
+            for name in ("mass", "damping", "stiffness"):
+                with pytest.raises(ValueError, match="read-only"):
+                    getattr(sub, name)[1, 1] = 99.0  # a stored entry of either storage
 
 
 class TestRestoringForce:
@@ -320,8 +334,18 @@ class TestNonzeros:
             assert np.array_equal(csr.data, values), name
             assert np.array_equal(np.transpose(np.nonzero(matrix)), np.column_stack([rows, cols])), name
 
+    def test_csr_entries_are_its_arrays(self):
+        # no scan: the column indices and values are the CSR arrays themselves
+        frame = frame_substructure(n=1000)
+        assert frame.sparse
+        for name, (rows, cols, values) in frame.nonzeros.items():
+            matrix = getattr(frame, name)
+            assert cols is matrix.indices and values is matrix.data, name
+            assert np.array_equal(np.repeat(np.arange(1000), np.diff(matrix.indptr)), rows), name
+
     def test_each_frame_matrix_is_scanned_once(self, monkeypatch, tmp_path):
-        # the model write, the sparse assembly and the sparse reduction share one scan
+        # the model write, the sparse assembly and the sparse reduction share one
+        # scan of each dense frame matrix; a CSR frame's are never scanned
         scanned = []
         original = dynsub.models.nonzero_entries
 
@@ -331,8 +355,9 @@ class TestNonzeros:
 
         monkeypatch.setattr(dynsub.models, "nonzero_entries", counted)
         monkeypatch.setattr(dynsub.monolithic, "nonzero_entries", counted)
-        subs, topology = frame_analog(n=1000)
-        save_system(tmp_path / "model.json", subs, topology, input_map={})
-        assemble_global(subs, topology, sparse=True)
-        cb_reduce(subs["frame"], 30)
-        assert scanned.count((1000, 1000)) == 3
+        for n, scans in ((200, 3), (1000, 0)):
+            subs, topology = frame_analog(n=n)
+            save_system(tmp_path / "model.json", subs, topology, input_map={})
+            assemble_global(subs, topology, sparse=True)
+            cb_reduce(subs["frame"], 30)
+            assert scanned.count((n, n)) == scans, n

@@ -10,6 +10,7 @@ from dynsub import (
     CouplingTopology,
     LinearSubstructure,
     ModelError,
+    PartitionedSolver,
     SolverConfig,
     SolverError,
     analytic_sdof,
@@ -296,6 +297,23 @@ class TestSparseReference:
             scale = np.abs(dense.states[sid]).max()
             assert scale > 0
             assert np.abs(sparse.states[sid] - dense.states[sid]).max() <= 1e-12 * scale, sid
+
+    def test_unreduced_csr_frame_partitioned_agrees(self):
+        # the CSR frame and the suspension form one step group at ss = 1,
+        # stepped on a CSR S (SuperLU); the partitioned solve then equals
+        # the sparse monolithic one to round-off
+        subs, topo = desk_1000()
+        system = CoupledSystem(substructures=subs, topology=topo, physical=("suspension",))
+        cfg = SolverConfig(dt=1e-3, duration=0.05)
+        inputs = {"suspension": wheel_forces(system, "suspension", np.arange(cfg.n_steps + 1) * cfg.dt)}
+        (group,) = PartitionedSolver(system, cfg)._plan
+        assert group.form.mass.format == "csr" and group.effective.matrix.format == "csr"
+        part = simulate(system, cfg, inputs)
+        mono = solve_monolithic(assemble_global(subs, topo, sparse=True), cfg, inputs)
+        for sid in subs:
+            scale = np.abs(mono.states[sid]).max()
+            assert scale > 0
+            assert np.abs(part.states[sid] - mono.states[sid]).max() <= 1e-12 * scale, sid
 
     def test_reruns_are_byte_identical(self):
         subs, topo = frame_analog()

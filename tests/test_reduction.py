@@ -12,6 +12,7 @@ import dynsub.reduction
 from dynsub import LinearSubstructure, ReductionError, constraint_modes, expand, fixed_interface_modes
 from dynsub import reduce as cb_reduce
 from dynsub.generators import chain_substructure, frame_substructure
+from dynsub.models import dense
 from dynsub.reduction import _canonical_modes, _cluster_starts, full_frequencies, reduced_frequencies
 
 
@@ -242,7 +243,7 @@ class TestExpand:
 
 def internal_mass(sub):
     i = list(sub.internal_dofs)
-    return sub.mass[np.ix_(i, i)]
+    return dense(sub.mass)[np.ix_(i, i)]
 
 
 def frame_with_internal(n_internal):
@@ -270,17 +271,27 @@ def counted_eigsh(monkeypatch):
     return calls
 
 
+def dense_copy(sub):
+    """``sub`` with its matrices held as dense arrays."""
+    return frame_with(sub, mass=dense(sub.mass), damping=dense(sub.damping), stiffness=dense(sub.stiffness))
+
+
+def take_dense_path(monkeypatch, sub):
+    """A dense copy of ``sub``, reduced by dense LAPACK while ``monkeypatch`` lasts."""
+    monkeypatch.setattr(dynsub.reduction, "_SPARSE_MIN_DOFS", sub.n_dofs + 1)
+    return dense_copy(sub)
+
+
 def dense_reduce(monkeypatch, sub, n_modes):
     with monkeypatch.context() as m:
-        m.setattr(dynsub.reduction, "_SPARSE_REDUCTION_MIN_DOFS", sub.n_dofs + 1)
-        return cb_reduce(sub, n_modes)
+        return cb_reduce(take_dense_path(m, sub), n_modes)
 
 
 class TestSparsePath:
-    """Internal blocks from ``_SPARSE_REDUCTION_MIN_DOFS`` on: eigsh and splu on CSR blocks."""
+    """CSR substructures and internal blocks from ``_SPARSE_MIN_DOFS`` on: eigsh and splu on CSR blocks."""
 
     @pytest.mark.parametrize("n_internal, n_modes", [
-        (996, 30), (996, 31), (dynsub.reduction._SPARSE_REDUCTION_MIN_DOFS + 1, 30),
+        (996, 30), (996, 31), (dynsub.reduction._SPARSE_MIN_DOFS + 1, 30),
     ])
     def test_agrees_with_the_dense_path(self, monkeypatch, counted_eigsh, n_internal, n_modes):
         frame = frame_with_internal(n_internal)
@@ -320,20 +331,20 @@ class TestSparsePath:
 
     @pytest.mark.parametrize("path", ["sparse", "dense"])
     def test_singular_internal_stiffness_raises(self, monkeypatch, path):
-        frame = frame_with_internal(dynsub.reduction._SPARSE_REDUCTION_MIN_DOFS + 1)
-        stiffness = frame.stiffness.copy()
+        frame = frame_with_internal(dynsub.reduction._SPARSE_MIN_DOFS + 1)
+        stiffness = dense(frame.stiffness)
         stiffness[10, :] = stiffness[:, 10] = 0.0  # an internal DOF held by nothing
         singular = frame_with(frame, stiffness=stiffness)
         if path == "dense":
-            monkeypatch.setattr(dynsub.reduction, "_SPARSE_REDUCTION_MIN_DOFS", frame.n_dofs + 1)
+            singular = take_dense_path(monkeypatch, singular)
         for call in (lambda: cb_reduce(singular, 30), lambda: constraint_modes(singular)):
             with pytest.raises(ReductionError, match=r"internal stiffness block is singular \(rank"):
                 call()
 
     def test_sparse_singular_internal_stiffness_message_builds_no_dense_block(self, monkeypatch):
         # the rank is an SVD of the dense block: 80 GB at 1e5 DOFs
-        frame = frame_with_internal(dynsub.reduction._SPARSE_REDUCTION_MIN_DOFS + 1)
-        stiffness = frame.stiffness.copy()
+        frame = frame_with_internal(dynsub.reduction._SPARSE_MIN_DOFS + 1)
+        stiffness = dense(frame.stiffness)
         stiffness[10, :] = stiffness[:, 10] = 0.0
         singular = frame_with(frame, stiffness=stiffness)
 
@@ -348,13 +359,13 @@ class TestSparsePath:
 
     @pytest.mark.parametrize("path", ["sparse", "dense"])
     def test_indefinite_internal_mass_raises(self, monkeypatch, path):
-        frame = frame_with_internal(dynsub.reduction._SPARSE_REDUCTION_MIN_DOFS + 1)
-        mass = frame.mass.copy()
+        frame = frame_with_internal(dynsub.reduction._SPARSE_MIN_DOFS + 1)
+        mass = dense(frame.mass)
         # positive diagonal, but the block [[m, 2m], [2m, m]] of DOFs 10, 11 is indefinite
         mass[10, 11] = mass[11, 10] = 2 * mass[10, 10]
         indefinite = frame_with(frame, mass=mass)
         if path == "dense":
-            monkeypatch.setattr(dynsub.reduction, "_SPARSE_REDUCTION_MIN_DOFS", frame.n_dofs + 1)
+            indefinite = take_dense_path(monkeypatch, indefinite)
         with pytest.raises(ReductionError, match="internal mass matrix is not positive definite"):
             cb_reduce(indefinite, 30)
 
