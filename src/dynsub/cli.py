@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import io as dio
-from .coupling import CouplingError, CouplingTopology
+from .coupling import CouplingError, CouplingTopology, _stores_csr
 from .experiment import ExperimentConfig, run_experiment
 from .generators import chain_substructure, frame_analog
 from .metrics import MetricsError, frequency_error_table, mac, trajectory_mse
@@ -128,7 +128,8 @@ def _cmd_simulate(args) -> int:
         _, channels = dio.load_signals_csv(args.inputs)
         inputs = dio.input_tables(system, input_map, channels)
     if args.monolithic:
-        asys = assemble_global(system.substructures, topology=system.topology)
+        # CSR if a member is, the storage rule of the partitioned solver's step groups
+        asys = assemble_global(system.substructures, system.topology, sparse=_stores_csr(system.substructures))
         traj = solve_monolithic(asys, config, inputs)
     else:
         traj = simulate(system, config, inputs)

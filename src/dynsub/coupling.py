@@ -9,6 +9,12 @@ velocities.  Displacement rows are never coupled.  The interface operator
 caller makes with its own factorizations of ``S``; this module only adds
 and factorizes them.
 
+:func:`assemble_global` places substructures on shared global DOFs by
+primal assembly.  With the coupling constraints it merges the interface
+DOFs, which gives the monolithic reference; with no constraints it is the
+block-diagonal uncoupled system that a step group of the partitioned
+solver steps as one form.
+
 :func:`_factorize` is the package's one factorization (LAPACK LU or SuperLU,
 one singularity rule) for ``S``, ``H``, ``M``, ``K_ii`` and Newmark.
 """
@@ -16,9 +22,12 @@ one singularity rule) for ``S``, ``H``, ``M``, ``K_ii`` and Newmark.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Mapping
 
 import numpy as np
 import scipy.linalg
+
+from .models import FirstOrderForm, LinearSubstructure, assemble_first_order, nonzero_entries
 
 
 class CouplingError(ValueError):
@@ -84,6 +93,148 @@ def locator_matrix(topology: CouplingTopology, sub_id, n_dofs: int) -> np.ndarra
             raise CouplingError(f"constraint {c} references DOF {dof} of {sub_id!r} (has {n_dofs})")
         l[dof, c] = sign
     return l
+
+
+@dataclass(frozen=True)
+class AssembledSystem:
+    """Primal assembly of a coupled system onto shared global DOFs.
+
+    ``dof_map[sid]`` gives the global DOF of each DOF of substructure ``sid``;
+    two DOFs of one substructure may share a global DOF.  ``mass``,
+    ``damping`` and ``stiffness`` are dense arrays, or CSR arrays for a
+    sparse assembly.
+    """
+
+    mass: np.ndarray
+    damping: np.ndarray
+    stiffness: np.ndarray
+    dof_map: dict
+    _form: FirstOrderForm
+
+    @property
+    def n_dofs(self) -> int:
+        return self.mass.shape[0]
+
+    def first_order(self) -> FirstOrderForm:
+        """First-order form of the assembled system, built by :func:`assemble_global`.
+
+        The tangent blocks are the assembled ``K`` and ``C``; the element
+        rows of each substructure's ``B`` are scattered onto the global DOFs
+        through ``dof_map`` and stacked in substructure order, and their
+        ``slope`` and ``smoothing`` coefficients follow in the same order,
+        so the assembled law is each substructure's own.
+        """
+        return self._form
+
+
+def _stores_csr(substructures: Mapping) -> bool:
+    """Whether a substructure holds CSR matrices: then an assembly that follows its members is sparse."""
+    return any(isinstance(sub, LinearSubstructure) and sub.sparse for sub in substructures.values())
+
+
+def assemble_global(substructures: Mapping, topology: CouplingTopology, sparse: bool = False) -> AssembledSystem:
+    """Merge coupled interface DOFs and sum the substructure matrices.
+
+    The global DOF count is the sum of substructure DOF counts minus the
+    number of interface constraints.  Without constraints the global DOFs
+    are the substructures' own, numbered substructure after substructure in
+    the order of ``substructures``.  ``M``, ``C`` and ``K`` are summed from
+    each substructure's nonzero entries, whatever its storage, into dense
+    arrays by default; with ``sparse`` into CSR arrays, so no
+    ``n_global**2`` array is built and the solvers step on a sparse
+    factorization of ``S`` (:func:`~dynsub.solver.effective_matrix`).
+    ``B`` and the element coefficients stay dense rows either way.
+    """
+    offsets, total = {}, 0
+    for sid, sub in substructures.items():
+        offsets[sid] = total
+        total += sub.n_dofs
+
+    # union-find over the constraints only
+    parent = np.arange(total)
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for c, entry in enumerate(topology.constraints):
+        (sa, da, _), (sb, db, _) = entry
+        for sid, dof in ((sa, da), (sb, db)):  # before any indexing: numpy takes a DOF of -1
+            if sid not in offsets:
+                raise CouplingError(f"constraint {c} references unknown substructure {sid!r}")
+            if not 0 <= dof < substructures[sid].n_dofs:
+                raise CouplingError(f"constraint {c} references DOF {dof} of {sid!r}")
+        ra, rb = find(offsets[sa] + da), find(offsets[sb] + db)
+        if ra == rb:
+            raise CouplingError(f"constraint {c} is redundant: its DOFs are already merged")
+        parent[rb] = ra
+    # point every DOF at its root by pointer jumping, then number the roots in order
+    while not np.array_equal(grand := parent[parent], parent):
+        parent = grand
+    roots, gid = np.unique(parent, return_inverse=True)
+    n_global = len(roots)
+    dof_map = {sid: gid[start:start + substructures[sid].n_dofs] for sid, start in offsets.items()}
+
+    forms = {sid: assemble_first_order(sub) for sid, sub in substructures.items()}
+    rates = []
+    for sid, form in forms.items():
+        block = np.zeros((len(form.rates), n_global))
+        np.add.at(block, (slice(None), dof_map[sid]), form.rates)
+        rates.append(block)
+    mass, damping, stiffness = (
+        _scatter([(dof_map[sid], _nonzeros(substructures[sid], form, name)) for sid, form in forms.items()],
+                 n_global, sparse)
+        for name in ("mass", "damping", "stiffness")
+    )
+
+    return AssembledSystem(
+        mass=mass,
+        damping=damping,
+        stiffness=stiffness,
+        dof_map=dof_map,
+        _form=FirstOrderForm(
+            n_dofs=n_global, mass=mass, stiffness=stiffness, damping=damping,
+            rates=np.vstack(rates),
+            slope=np.concatenate([form.slope for form in forms.values()]),
+            smoothing=np.concatenate([form.smoothing for form in forms.values()]),
+        ),
+    )
+
+
+def _nonzeros(sub, form: FirstOrderForm, name: str) -> tuple:
+    """``(rows, cols, values)`` of the ``name`` block of a substructure's form.
+
+    A linear substructure's are cached on it (its form holds its own
+    matrices), so a dense frame matrix is scanned once per process and a
+    CSR one not at all.
+    """
+    if isinstance(sub, LinearSubstructure):
+        return sub.nonzeros[name]
+    return nonzero_entries(getattr(form, name))
+
+
+def _scatter(blocks, n_global: int, sparse: bool):
+    """Sum the nonzero entries of square blocks onto the global DOFs.
+
+    ``blocks`` holds ``(global ids, (rows, cols, values))`` pairs.  Two
+    DOFs of one block may share a global DOF, so the entries that land on
+    one global entry add up, in block order: through an unbuffered scatter
+    into a dense array, or as duplicate COO triplets, which the conversion
+    to CSR sums.
+    """
+    rows, cols, values = (
+        np.concatenate(part) for part in zip(*((ids[r], ids[c], v) for ids, (r, c, v) in blocks))
+    )
+    if not sparse:
+        out = np.zeros((n_global, n_global))
+        # numpy's fast path takes flat indices into a 1-D view
+        np.add.at(out.reshape(-1), rows * n_global + cols, values)
+        return out
+    import scipy.sparse  # only a sparse assembly pays for this import
+
+    return scipy.sparse.coo_array((values, (rows, cols)), shape=(n_global, n_global)).tocsr()
 
 
 def _factorize(matrix, singular, scale: float | None = None):

@@ -161,7 +161,7 @@ def save_system(
         },
         "physical": list(physical),
     }
-    Path(path).write_text(json.dumps(doc, indent=1))
+    Path(path).write_text(json.dumps(doc))  # compact: an indent runs the pure-Python encoder
 
 
 def load_system(path) -> tuple[CoupledSystem, dict]:

@@ -373,10 +373,10 @@ class FirstOrderForm:
     ``g(u, v) = K u + C v + B^T (slope * phi(B v, smoothing))`` with
     :func:`friction_shape` as ``phi``.  The 2n-sized ``restoring``,
     ``tangent`` and ``A`` are derived from these for checks; the solvers
-    never build them.  A sparse monolithic assembly holds ``M``, ``K`` and
-    ``C`` as CSR arrays, as do the form of a CSR substructure and a stack
-    with such a member; ``momentum`` and the solvers take them as they
-    are, and ``tangent`` and ``A`` expand them.
+    never build them.  A sparse assembly holds ``M``, ``K`` and ``C`` as
+    CSR arrays, as does the form of a CSR substructure; ``momentum`` and
+    the solvers take them as they are, and ``tangent`` and ``A`` expand
+    them.
     """
 
     n_dofs: int
@@ -496,50 +496,6 @@ def assemble_first_order(sub: Substructure) -> FirstOrderForm:
         rates=rates,
         slope=slope,
         smoothing=smoothing,
-    )
-
-
-def _block_diag(blocks) -> np.ndarray:
-    """Dense block-diagonal matrix of 2-D arrays; a block may have no rows."""
-    out = np.zeros((sum(b.shape[0] for b in blocks), sum(b.shape[1] for b in blocks)))
-    row = col = 0
-    for b in blocks:
-        out[row:row + b.shape[0], col:col + b.shape[1]] = b
-        row, col = row + b.shape[0], col + b.shape[1]
-    return out
-
-
-def stack_forms(forms) -> FirstOrderForm:
-    """Block-diagonal first-order form of uncoupled forms, stepped as one.
-
-    The stacked state is ``[u_1; ...; u_k; v_1; ...; v_k]``: all
-    displacements, then all velocities, each in the order of ``forms``.
-    ``M``, ``K``, ``C`` and ``B`` are block-diagonal, and the element
-    coefficients ``slope`` and ``smoothing`` follow ``B``'s rows in member
-    order.  ``M``, ``K`` and ``C`` are CSR arrays if a member's are, so an
-    unreduced large frame steps on a sparse ``S``; else they are dense, as
-    ``B`` always is.  A single form is returned as it is.
-    """
-    forms = tuple(forms)
-    if len(forms) == 1:
-        return forms[0]
-
-    def stacked(name):
-        blocks = [getattr(f, name) for f in forms]
-        if not any(is_sparse(b) for b in blocks):
-            return _block_diag(blocks)
-        import scipy.sparse
-
-        return scipy.sparse.csr_array(scipy.sparse.block_diag(blocks, format="csr"))
-
-    return FirstOrderForm(
-        n_dofs=sum(f.n_dofs for f in forms),
-        mass=stacked("mass"),
-        stiffness=stacked("stiffness"),
-        damping=stacked("damping"),
-        rates=_block_diag([f.rates for f in forms]),
-        slope=np.concatenate([f.slope for f in forms]),
-        smoothing=np.concatenate([f.smoothing for f in forms]),
     )
 
 

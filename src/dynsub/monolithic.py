@@ -5,11 +5,13 @@ DOFs (hard compatibility) and steps the assembled first-order form with the
 same trapezoidal kernel (:func:`~dynsub.solver.effective_matrix` and
 :func:`~dynsub.solver.free_step`) as the partitioned solver, so the gap
 between the two is coupling and reduction error, not an integrator
-difference.  The assembly is dense by default, which the CLI and the
-acceptance criteria use, whether the substructures hold dense or CSR
-matrices; ``assemble_global(..., sparse=True)`` stores ``M``, ``C`` and
-``K`` as CSR arrays.  ``run_experiment`` uses the sparse
-one, the fair full-order baseline for a banded frame.  Every solve here
+difference.  :func:`~dynsub.coupling.assemble_global` builds the assembly
+and is re-exported here.  It is dense by default, which the acceptance
+criteria use, whether the substructures hold dense or CSR matrices;
+``assemble_global(..., sparse=True)`` stores ``M``, ``C`` and ``K`` as CSR
+arrays.  ``run_experiment`` uses the sparse one, the fair full-order
+baseline for a banded frame, and the CLI follows the model's storage
+(:func:`~dynsub.coupling._stores_csr`).  Every solve here
 (``S``, the starting rate's ``M`` and the Newmark effective stiffness) is
 factorized once by :func:`~dynsub.coupling._factorize`: LAPACK LU for the
 dense assembly, SuperLU for the sparse one, under one singularity rule.  A
@@ -19,13 +21,14 @@ damped SDOF solution serve as independent cross-checks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
 
-from .coupling import CouplingError, CouplingTopology, _factorize
-from .models import FirstOrderForm, LinearSubstructure, ModelError, assemble_first_order, nonzero_entries
+# the assembly lives next to the topology it consumes; the solver builds its
+# step groups with it too, and the reference's users import it from here
+from .coupling import AssembledSystem, _factorize, assemble_global
+from .models import ModelError
 from .solver import (
     SolverConfig,
     SolverError,
@@ -36,146 +39,6 @@ from .solver import (
     effective_matrix,
     free_step,
 )
-
-
-@dataclass(frozen=True)
-class AssembledSystem:
-    """Primal assembly of a coupled system onto shared global DOFs.
-
-    ``dof_map[sid]`` gives the global DOF of each DOF of substructure ``sid``;
-    two DOFs of one substructure may share a global DOF.  ``mass``,
-    ``damping`` and ``stiffness`` are dense arrays, or CSR arrays for a
-    sparse assembly.
-    """
-
-    mass: np.ndarray
-    damping: np.ndarray
-    stiffness: np.ndarray
-    dof_map: dict
-    _form: FirstOrderForm
-
-    @property
-    def n_dofs(self) -> int:
-        return self.mass.shape[0]
-
-    def first_order(self) -> FirstOrderForm:
-        """First-order form of the assembled system, built by :func:`assemble_global`.
-
-        The tangent blocks are the assembled ``K`` and ``C``; the element
-        rows of each substructure's ``B`` are scattered onto the global DOFs
-        through ``dof_map`` and stacked in substructure order, and their
-        ``slope`` and ``smoothing`` coefficients follow in the same order,
-        so the assembled law is each substructure's own.
-        """
-        return self._form
-
-
-def assemble_global(substructures: Mapping, topology: CouplingTopology, sparse: bool = False) -> AssembledSystem:
-    """Merge coupled interface DOFs and sum the substructure matrices.
-
-    The global DOF count is the sum of substructure DOF counts minus the
-    number of interface constraints.  ``M``, ``C`` and ``K`` are summed
-    from each substructure's nonzero entries, whatever its storage, into
-    dense arrays by default; with ``sparse`` into CSR arrays, so no
-    ``n_global**2`` array is built and the reference steps on a sparse
-    factorization of ``S`` (:func:`~dynsub.solver.effective_matrix`).
-    ``B`` and the element coefficients stay dense rows either way.
-    """
-    offsets = {}
-    total = 0
-    for sid, sub in substructures.items():
-        offsets[sid] = total
-        total += sub.n_dofs
-
-    parent = list(range(total))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for c, entry in enumerate(topology.constraints):
-        (sa, da, _), (sb, db, _) = entry
-        for sid, dof in ((sa, da), (sb, db)):
-            if sid not in offsets:
-                raise CouplingError(f"constraint {c} references unknown substructure {sid!r}")
-            if not 0 <= dof < substructures[sid].n_dofs:
-                raise CouplingError(f"constraint {c} references DOF {dof} of {sid!r}")
-        ra, rb = find(offsets[sa] + da), find(offsets[sb] + db)
-        if ra == rb:
-            raise CouplingError(f"constraint {c} is redundant: its DOFs are already merged")
-        parent[rb] = ra
-
-    roots = sorted({find(x) for x in range(total)})
-    if len(roots) != total - topology.n_constraints:
-        raise CouplingError("inconsistent constraint graph")
-    gid = {root: i for i, root in enumerate(roots)}
-    n_global = len(roots)
-
-    dof_map = {
-        sid: np.array([gid[find(offsets[sid] + d)] for d in range(sub.n_dofs)], dtype=int)
-        for sid, sub in substructures.items()
-    }
-
-    forms = {sid: assemble_first_order(sub) for sid, sub in substructures.items()}
-    rates = []
-    for sid, form in forms.items():
-        block = np.zeros((len(form.rates), n_global))
-        np.add.at(block, (slice(None), dof_map[sid]), form.rates)
-        rates.append(block)
-    mass, damping, stiffness = (
-        _scatter([(dof_map[sid], _nonzeros(substructures[sid], form, name)) for sid, form in forms.items()],
-                 n_global, sparse)
-        for name in ("mass", "damping", "stiffness")
-    )
-
-    return AssembledSystem(
-        mass=mass,
-        damping=damping,
-        stiffness=stiffness,
-        dof_map=dof_map,
-        _form=FirstOrderForm(
-            n_dofs=n_global, mass=mass, stiffness=stiffness, damping=damping,
-            rates=np.vstack(rates),
-            slope=np.concatenate([form.slope for form in forms.values()]),
-            smoothing=np.concatenate([form.smoothing for form in forms.values()]),
-        ),
-    )
-
-
-def _nonzeros(sub, form: FirstOrderForm, name: str) -> tuple:
-    """``(rows, cols, values)`` of the ``name`` block of a substructure's form.
-
-    A linear substructure's are cached on it (its form holds its own
-    matrices), so a dense frame matrix is scanned once per process and a
-    CSR one not at all.
-    """
-    if isinstance(sub, LinearSubstructure):
-        return sub.nonzeros[name]
-    return nonzero_entries(getattr(form, name))
-
-
-def _scatter(blocks, n_global: int, sparse: bool):
-    """Sum the nonzero entries of square blocks onto the global DOFs.
-
-    ``blocks`` holds ``(global ids, (rows, cols, values))`` pairs.  Two
-    DOFs of one block may share a global DOF, so the entries that land on
-    one global entry add up, in block order: through an unbuffered scatter
-    into a dense array, or as duplicate COO triplets, which the conversion
-    to CSR sums.
-    """
-    rows, cols, values = (
-        np.concatenate(part) for part in zip(*((ids[r], ids[c], v) for ids, (r, c, v) in blocks))
-    )
-    if not sparse:
-        out = np.zeros((n_global, n_global))
-        # numpy's fast path takes flat indices into a 1-D view
-        np.add.at(out.reshape(-1), rows * n_global + cols, values)
-        return out
-    import scipy.sparse  # only the sparse reference pays for this import
-
-    return scipy.sparse.coo_array((values, (rows, cols)), shape=(n_global, n_global)).tocsr()
 
 
 def _global_trajectory(asys: AssembledSystem, traj_global: np.ndarray, dt: float) -> Trajectory:
@@ -198,18 +61,20 @@ def _global_forces(asys: AssembledSystem, inputs: Mapping | None, config: Solver
     """Global force table, one row per coupled instant.
 
     A table sampled at the inner instants of ``config.subcycles`` is
-    decimated onto the coupled ones.
+    decimated onto the coupled ones.  A table for no substructure, or of
+    the wrong shape or with a non-finite value, raises
+    :class:`~dynsub.solver.SolverError`, as in the partitioned solver.
     """
     n_steps = config.n_steps
     f = np.zeros((n_steps + 1, asys.n_dofs))
     if inputs:
         for sid, table in inputs.items():
             if sid not in asys.dof_map:
-                raise ModelError(f"input table for {sid!r} names no substructure")
+                raise SolverError(f"input table for {sid!r} names no substructure")
             if table is None:
                 continue
             ids = asys.dof_map[sid]
-            table = _input_table(sid, table, len(ids), n_steps, config.subcycles, False, ModelError)
+            table = _input_table(sid, table, len(ids), n_steps, config.subcycles, False, SolverError)
             np.add.at(f, (slice(None), ids), table)
     return f
 

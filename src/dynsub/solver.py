@@ -24,11 +24,13 @@ inner trapezoidal steps at dt/ss, each injecting the previous coupled step's
 multipliers with a linearly decaying ramp weight (1 - j/ss).  Every other
 substructure takes one inner step.  The solver plans the stepping once, at
 construction: substructures that take the same number of inner steps form a
-group, stepped together as one block-diagonal form
-(:func:`~dynsub.models.stack_forms`).  Each group factorizes its stacked
-``S`` once.  Its ``b = S^{-1} L_v`` gives both the group's link maps and its
-share ``L_v^T b`` of the interface operator ``H``, and the same factors
-drive its free steps and its propagator.
+group, stepped together as one block-diagonal form, the primal assembly of
+its members without constraints (:func:`~dynsub.coupling.assemble_global`,
+CSR if a member is).  A group of one member steps that member's own form.
+Each group factorizes its stacked ``S`` once.  Its ``b = S^{-1} L_v``
+gives both the group's link maps and its share ``L_v^T b`` of the
+interface operator ``H``, and the same factors drive its free steps and
+its propagator.
 
 A group of at most ``_PROPAGATOR_MAX_DOFS`` DOFs steps through a
 precomputed affine propagator on ``z = [Y; Ydot]`` (4n entries)::
@@ -64,6 +66,8 @@ from .coupling import (
     CouplingTopology,
     InterfaceOperator,
     _factorize,
+    _stores_csr,
+    assemble_global,
     locator_matrix,
     steklov_poincare,
 )
@@ -73,7 +77,6 @@ from .models import (
     assemble_first_order,
     friction_shape,
     require_numbers,
-    stack_forms,
 )
 
 
@@ -220,7 +223,7 @@ def effective_matrix(form: FirstOrderForm, dt: float, gamma: float) -> Effective
     simulation; the solver calls this once per step group, on the group's
     stacked form at its inner step dt/ss.  :func:`~dynsub.coupling._factorize`
     picks LAPACK LU for a dense form and SuperLU for a sparse one (CSR
-    blocks, :func:`~dynsub.monolithic.assemble_global` with ``sparse=True``).
+    blocks, :func:`~dynsub.coupling.assemble_global` with ``sparse=True``).
     The pivots are judged against the largest of the three terms, so a
     stiffness that cancels the mass is reported as singular.
     """
@@ -389,10 +392,12 @@ def _propagator(form: FirstOrderForm, effective, dt: float, gamma: float, inject
 class _Group:
     """Substructures with one inner-step count, stepped as one stacked form.
 
-    The group's state is ``z = [y; ydot]`` of the stacked form.  ``rows[sid]``
-    selects a member's own ``[u; v]`` from ``y`` (and its rate from
-    ``ydot``; all of it for a single member).  ``effective`` factorizes the
-    stacked ``S`` at the inner step.  ``ramp`` holds the weights
+    The stacked form is the members' assembly without constraints, or a
+    single member's own form.  The group's state is ``z = [y; ydot]`` of
+    that form.  ``rows[sid]`` selects a member's own ``[u; v]`` from ``y``
+    (and its rate from ``ydot``): its assembled DOFs, or all of it for a
+    single member.  ``effective`` factorizes the stacked ``S`` at the
+    inner step.  ``ramp`` holds the weights
     1 - j/ss of the inner steps j = 1..ss as a column, ``injector`` stacks
     the members' ``L_v``, and ``link`` maps the multipliers to the change of
     ``z`` by the link solutions.  A group of at most
@@ -458,13 +463,15 @@ class PartitionedSolver:
             members.setdefault(config.subcycles if sid in physical else 1, []).append(sid)
         self._plan, pairs = [], []
         for ss, sids in members.items():
-            form = stack_forms(self.forms[sid] for sid in sids)
+            if len(sids) == 1:
+                form, rows = self.forms[sids[0]], {sids[0]: slice(None)}
+            else:
+                # the members side by side: a primal assembly without constraints
+                group = {sid: system.substructures[sid] for sid in sids}
+                asys = assemble_global(group, CouplingTopology(()), sparse=_stores_csr(group))
+                form = asys.first_order()
+                rows = {sid: np.concatenate([ids, form.n_dofs + ids]) for sid, ids in asys.dof_map.items()}
             n = form.n_dofs
-            rows, start = {}, 0
-            for sid in sids:
-                stop = start + self.forms[sid].n_dofs
-                rows[sid] = np.r_[start:stop, n + start:n + stop] if len(sids) > 1 else slice(None)
-                start = stop
             dts = config.dt / ss
             effective = effective_matrix(form, dts, config.gamma)
             injector = np.vstack([

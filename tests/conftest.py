@@ -12,11 +12,10 @@ from hypothesis import settings
 
 
 from dynsub import (
-    CoupledSystem, LinearSubstructure, SolverConfig, assemble_first_order, assemble_global, coupling_step,
-    effective_matrix, free_step, locator_matrix, steklov_poincare,
+    CoupledSystem, CouplingTopology, LinearSubstructure, SolverConfig, assemble_first_order, assemble_global,
+    coupling_step, effective_matrix, free_step, locator_matrix, steklov_poincare,
 )
 from dynsub.generators import chain_substructure, frame_analog, suspension_substructure
-from dynsub.models import stack_forms
 
 # property tests draw the same examples on every run, so the suite stays
 # deterministic; no example database is written
@@ -110,15 +109,20 @@ def linear_suspension_analog(n_elements=4, wheel_mass=0.16, attach_mass=0.016,
 FORCE_LAW_KINDS = ("linear", "suspension_relative", "suspension_absolute", "assembled", "stacked", "two_banks")
 
 
-def two_bank_forms():
-    """First-order forms of two suspension banks with different coefficients and motion."""
-    return (
-        assemble_first_order(suspension_substructure(n_elements=3)),
-        assemble_first_order(suspension_substructure(
+def two_banks():
+    """Two suspension banks with different coefficients and motion."""
+    return {
+        "bank_a": suspension_substructure(n_elements=3),
+        "bank_b": suspension_substructure(
             n_elements=2, relative_motion=False, boundary_mass=0.05,
             coefficients=dict(mass=0.3, k1=80.0, c1=0.2, c2=25.0, c3=0.12),
-        )),
-    )
+        ),
+    }
+
+
+def two_bank_forms():
+    """First-order forms of the two banks of :func:`two_banks`."""
+    return tuple(assemble_first_order(bank) for bank in two_banks().values())
 
 
 def first_order_forms():
@@ -130,17 +134,19 @@ def first_order_forms():
         stiffness=[[4.0, -2.0, 0.0], [-2.0, 3.0, -1.0], [0.0, -1.0, 1.0]],
         internal_dofs=(0, 1), boundary_dofs=(2,),
     )
-    forms = {
+    return {
         "linear": assemble_first_order(damped),
         "suspension_relative": assemble_first_order(suspension_substructure(n_elements=3)),
         "suspension_absolute": assemble_first_order(
             suspension_substructure(n_elements=3, relative_motion=False)
         ),
         "assembled": assemble_global(subs, topo).first_order(),
+        # uncoupled substructures assembled side by side, as a step group is
+        "stacked": assemble_global(
+            {"linear": damped, "suspension": suspension_substructure(n_elements=3)}, CouplingTopology(())
+        ).first_order(),
+        "two_banks": assemble_global(two_banks(), CouplingTopology(())).first_order(),
     }
-    forms["stacked"] = stack_forms([forms["linear"], forms["suspension_relative"]])
-    forms["two_banks"] = stack_forms(two_bank_forms())
-    return forms
 
 
 def hand_stepped(system, cfg, inputs):

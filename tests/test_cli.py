@@ -5,8 +5,12 @@ import json
 import numpy as np
 import pytest
 
+from dynsub import SolverConfig, assemble_global, solve_monolithic
 from dynsub.cli import main
-from dynsub.io import load_csv_columns, load_reduction, load_signals_csv, load_system, save_signals_csv
+from dynsub.io import (
+    input_tables, load_csv_columns, load_reduction, load_signals_csv, load_system, save_signals_csv,
+    save_trajectory_csv,
+)
 from dynsub.signals import multisine_with_noise_channels
 
 from conftest import run_python, scipy_sparse_check, set_json_entry
@@ -297,6 +301,26 @@ class TestSimulateCommand:
         # hard vs soft coupling agree to solver precision on this linear+friction bench
         row = next(line for line in lines if line.startswith("frame.u39,"))
         assert float(row.split(",")[2]) < 1e-12
+
+    def test_monolithic_follows_a_csr_model(self, tmp_path):
+        # a 1000-DOF model file reads into CSR, so the reference is the sparse assembly
+        model, sig, out = tmp_path / "model_1000.json", tmp_path / "sig.csv", tmp_path / "mono.csv"
+        assert main(["generate-model", "--kind", "frame_analog", "--params", '{"n": 1000}',
+                     "--out", str(model)]) == 0
+        assert main(["generate-signal", "--kind", "multisine",
+                     "--spec", '{"frequencies": [2, 5, 8], "amplitudes": [2, 2, 1], "noise_variance": 0.05}',
+                     "--samples", "51", "--rate", "1000", "--channels", "4", "--seed", "1",
+                     "--out", str(sig)]) == 0
+        cfg = write_config(tmp_path / "cfg.json")
+        assert main(["simulate", "--model", str(model), "--config", str(cfg),
+                     "--inputs", str(sig), "--out", str(out), "--monolithic"]) == 0
+        system, input_map = load_system(model)
+        inputs = input_tables(system, input_map, load_signals_csv(sig)[1])
+        asys = assemble_global(system.substructures, system.topology, sparse=True)
+        traj = solve_monolithic(asys, SolverConfig(**json.loads(cfg.read_text())), inputs)
+        expected = tmp_path / "expected.csv"
+        save_trajectory_csv(expected, traj, system)
+        assert out.read_bytes() == expected.read_bytes()
 
     def test_subcycles_flag(self, tmp_path, model_file):
         cfg = write_config(tmp_path / "cfg.json")

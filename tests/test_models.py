@@ -5,7 +5,7 @@ import pytest
 import scipy.sparse
 
 import dynsub.models
-import dynsub.monolithic
+import dynsub.coupling
 from dynsub import (
     CouplingTopology,
     LinearSubstructure,
@@ -354,7 +354,7 @@ class TestNonzeros:
             return original(matrix)
 
         monkeypatch.setattr(dynsub.models, "nonzero_entries", counted)
-        monkeypatch.setattr(dynsub.monolithic, "nonzero_entries", counted)
+        monkeypatch.setattr(dynsub.coupling, "nonzero_entries", counted)
         for n, scans in ((200, 3), (1000, 0)):
             subs, topology = frame_analog(n=n)
             save_system(tmp_path / "model.json", subs, topology, input_map={})

@@ -1,5 +1,7 @@
 """Primal assembly and the reference solvers."""
 
+import re
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -86,6 +88,28 @@ class TestAssembleGlobal:
         ))
         with pytest.raises(CouplingError, match="redundant"):
             assemble_global(subs, topo)
+
+    @pytest.mark.parametrize("entry, message", [
+        ((("a", 0, 1), ("c", 0, -1)), "constraint 1 references unknown substructure 'c'"),
+        ((("a", 0, 1), ("b", 1, -1)), "constraint 1 references DOF 1 of 'b'"),
+        ((("a", -1, 1), ("b", 0, -1)), "constraint 1 references DOF -1 of 'a'"),
+    ], ids=["unknown_substructure", "dof_past_end", "negative_dof"])
+    def test_bad_constraint_named(self, entry, message):
+        # checked before any indexing: a DOF of -1 would index the last DOF
+        topo = CouplingTopology(constraints=((("a", 0, 1), ("b", 0, -1)), entry))
+        with pytest.raises(CouplingError, match=re.escape(message)):
+            assemble_global({"a": sdof(), "b": sdof()}, topo)
+
+    def test_chained_merges_share_one_global_dof(self):
+        # a -> b -> c: each union hangs one root under another, two levels deep
+        subs = {sid: sdof(k=k) for sid, k in zip("abcd", (1.0, 2.0, 3.0, 4.0))}
+        topo = CouplingTopology(constraints=(
+            (("b", 0, 1), ("a", 0, -1)),
+            (("c", 0, 1), ("b", 0, -1)),
+        ))
+        asys = assemble_global(subs, topo)
+        assert [int(asys.dof_map[sid][0]) for sid in "abcd"] == [0, 0, 0, 1]
+        assert np.array_equal(asys.stiffness, np.diag([6.0, 4.0]))
 
     def test_merged_dofs_of_one_substructure_sum(self):
         # a0-b0 and b0-a1 put both DOFs of "a" on one global DOF, so every
@@ -183,12 +207,12 @@ class TestSolveMonolithic:
         asys = assemble_global(subs, topo)
         table = np.zeros((11, 8))
         table[6, 3] = np.nan
-        with pytest.raises(ModelError, match="'suspension'.* row 6"):
+        with pytest.raises(SolverError, match="'suspension'.* row 6"):
             solve_monolithic(asys, SolverConfig(dt=1e-3, duration=0.01), {"suspension": table})
 
     def test_unknown_input_id_rejected(self):
         asys = assemble_global({"osc": sdof()}, CouplingTopology(()))
-        with pytest.raises(ModelError, match="'oscc'"):
+        with pytest.raises(SolverError, match="'oscc'"):
             solve_monolithic(asys, SolverConfig(dt=0.1, duration=0.2), {"oscc": np.ones((3, 1))})
 
     def test_matches_partitioned_on_all_linear_system(self, desk_frame):

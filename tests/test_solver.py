@@ -22,6 +22,7 @@ from dynsub import (
     SuspensionElement,
     assemble_first_order,
     analytic_sdof,
+    assemble_global,
     effective_matrix,
     free_step,
     simulate,
@@ -455,6 +456,26 @@ class TestSubcycling:
         inputs["suspension"][317, 1] = np.nan
         with pytest.raises(SolverError, match="'suspension'.* row 317"):
             simulate(system, cfg, inputs)
+
+    @pytest.mark.parametrize("ss", [1, 5])
+    def test_groups_are_constraint_free_assemblies(self, ss):
+        # a group of two is its members' assembly without constraints; a group
+        # of one steps the member's own form, and its states are views of its record
+        system = subcycling_system()
+        solver = PartitionedSolver(system, SolverConfig(dt=1e-3, duration=0.01, subcycles=ss))
+        traj = solver.run(subcycling_inputs(system, solver.config, ss))
+        for group in solver._plan:
+            if len(group.rows) > 1:
+                members = {sid: system.substructures[sid] for sid in group.rows}
+                expected = assemble_global(members, CouplingTopology(())).first_order()
+                for name in ("mass", "damping", "stiffness", "rates", "slope", "smoothing"):
+                    assert np.array_equal(getattr(group.form, name), getattr(expected, name)), name
+                continue
+            ((sid, rows),) = group.rows.items()
+            assert group.form is solver.forms[sid] and rows == slice(None)
+            assert not traj.states[sid].flags.owndata
+            if group.subcycles > 1:
+                assert np.shares_memory(traj.states[sid], traj.fine_states[sid])
 
     def test_fine_sampling_recorded(self):
         system = subcycling_system()
