@@ -145,6 +145,8 @@ def assemble_global(substructures: Mapping, topology: CouplingTopology, sparse: 
     factorization of ``S`` (:func:`~dynsub.solver.effective_matrix`).
     ``B`` and the element coefficients stay dense rows either way.
     """
+    if not substructures:
+        raise CouplingError("the system has no substructures to assemble")
     offsets, total = {}, 0
     for sid, sub in substructures.items():
         offsets[sid] = total

@@ -14,7 +14,11 @@ baseline for a banded frame, and the CLI follows the model's storage
 (:func:`~dynsub.coupling._stores_csr`).  Every solve here
 (``S``, the starting rate's ``M`` and the Newmark effective stiffness) is
 factorized once by :func:`~dynsub.coupling._factorize`: LAPACK LU for the
-dense assembly, SuperLU for the sparse one, under one singularity rule.  A
+dense assembly, SuperLU for the sparse one, under one singularity rule.
+The reference streams: each step writes every substructure's ``[u; v]``
+columns of the global state into that substructure's own record, and of
+the forces only the driven DOFs' rows are held, scattered onto the global
+DOFs one step at a time, so no whole-run global array is allocated.  A
 Newmark average-acceleration variant (dense only) and the closed-form
 damped SDOF solution serve as independent cross-checks.
 """
@@ -41,42 +45,66 @@ from .solver import (
 )
 
 
-def _global_trajectory(asys: AssembledSystem, traj_global: np.ndarray, dt: float) -> Trajectory:
-    """Per-substructure states of a global trajectory (shared DOFs repeat).
+class _Records:
+    """Per-substructure records of a global run, written step by step.
 
-    Each substructure's ``[u; v]`` columns are gathered by one index array,
-    in one copy.
+    ``write(step, y)`` copies each substructure's ``[u; v]`` columns of the
+    global state ``y`` (shared DOFs repeat) into its own
+    ``(n_steps + 1, 2 n_s)`` record, so no global record is kept.
     """
-    n = asys.n_dofs
-    n_steps = traj_global.shape[0] - 1
-    return Trajectory(
-        times=np.arange(n_steps + 1) * dt,
-        states={sid: traj_global[:, np.concatenate([ids, n + ids])] for sid, ids in asys.dof_map.items()},
-        multipliers=np.zeros((n_steps + 1, 0)),
-        dof_counts={sid: len(ids) for sid, ids in asys.dof_map.items()},
-    )
+
+    def __init__(self, asys: AssembledSystem, n_steps: int):
+        n = asys.n_dofs
+        self._cols = [(sid, np.concatenate([ids, n + ids])) for sid, ids in asys.dof_map.items()]
+        self.states = {sid: np.empty((n_steps + 1, len(cols))) for sid, cols in self._cols}
+        self.n_steps = n_steps
+
+    def write(self, step: int, y: np.ndarray) -> None:
+        for sid, cols in self._cols:
+            self.states[sid][step] = y[cols]
+
+    def trajectory(self, dt: float) -> Trajectory:
+        return Trajectory(
+            times=np.arange(self.n_steps + 1) * dt,
+            states=self.states,
+            multipliers=np.zeros((self.n_steps + 1, 0)),
+            dof_counts={sid: len(cols) // 2 for sid, cols in self._cols},
+        )
 
 
-def _global_forces(asys: AssembledSystem, inputs: Mapping | None, config: SolverConfig) -> np.ndarray:
-    """Global force table, one row per coupled instant.
+def _global_forces(asys: AssembledSystem, inputs: Mapping | None, config: SolverConfig) -> tuple:
+    """The driven global DOFs and their force rows, one row per coupled instant.
 
-    A table sampled at the inner instants of ``config.subcycles`` is
+    Returns ``(ids, table)``: the global DOFs of every input table's
+    columns, concatenated in input order, and an ``(n_steps + 1, len(ids))``
+    table of their forces.  :func:`_force` scatters one row onto the global
+    DOFs.  A table sampled at the inner instants of ``config.subcycles`` is
     decimated onto the coupled ones.  A table for no substructure, or of
     the wrong shape or with a non-finite value, raises
     :class:`~dynsub.solver.SolverError`, as in the partitioned solver.
     """
     n_steps = config.n_steps
-    f = np.zeros((n_steps + 1, asys.n_dofs))
+    ids, tables = [np.zeros(0, dtype=np.intp)], [np.zeros((n_steps + 1, 0))]
     if inputs:
         for sid, table in inputs.items():
             if sid not in asys.dof_map:
                 raise SolverError(f"input table for {sid!r} names no substructure")
             if table is None:
                 continue
-            ids = asys.dof_map[sid]
-            table = _input_table(sid, table, len(ids), n_steps, config.subcycles, False, SolverError)
-            np.add.at(f, (slice(None), ids), table)
-    return f
+            ids.append(asys.dof_map[sid])
+            tables.append(_input_table(sid, table, len(ids[-1]), n_steps, config.subcycles, False, SolverError))
+    return np.concatenate(ids), np.hstack(tables)
+
+
+def _force(ids: np.ndarray, row: np.ndarray, n: int) -> np.ndarray:
+    """Global force vector of one row of :func:`_global_forces`.
+
+    The unbuffered scatter adds the entries onto zeros in input order, so
+    a merged DOF driven from two sides sums in a fixed order.
+    """
+    force = np.zeros(n)
+    np.add.at(force, ids, row)
+    return force
 
 
 def solve_monolithic(
@@ -94,7 +122,7 @@ def solve_monolithic(
     """
     n_steps = config.n_steps
     dt, gamma = config.dt, config.gamma
-    forces = _global_forces(asys, inputs, config)
+    force_ids, forces = _global_forces(asys, inputs, config)
     form = asys.first_order()
     n = form.n_dofs
     d = effective_matrix(form, dt, gamma)
@@ -104,16 +132,16 @@ def solve_monolithic(
         raise SolverError(f"initial state must have length {2 * n}, got shape {y.shape}")
     if not np.all(np.isfinite(y)):
         raise SolverError("initial state holds a non-finite value")
-    ydot = _initial_rate(form, y, forces[0], "the assembled system")
+    ydot = _initial_rate(form, y, _force(force_ids, forces[0], n), "the assembled system")
 
-    traj = np.empty((n_steps + 1, 2 * n))
-    traj[0] = y
+    records = _Records(asys, n_steps)
+    records.write(0, y)
     for step in range(1, n_steps + 1):
-        y, ydot = free_step(form, d, y, ydot, forces[step], dt, gamma)
-        traj[step] = y
+        y, ydot = free_step(form, d, y, ydot, _force(force_ids, forces[step], n), dt, gamma)
+        records.write(step, y)
         _check_divergence(step, "global", y, config.divergence_limit)
 
-    return _global_trajectory(asys, traj, dt)
+    return records.trajectory(dt)
 
 
 def solve_newmark(
@@ -132,7 +160,7 @@ def solve_newmark(
     n = asys.n_dofs
     n_steps = config.n_steps
     dt = config.dt
-    forces = _global_forces(asys, inputs, config)
+    force_ids, forces = _global_forces(asys, inputs, config)
     m, c, k = asys.mass, asys.damping, asys.stiffness
 
     a0 = 1.0 / (beta * dt**2)
@@ -149,19 +177,21 @@ def solve_newmark(
 
     u = np.zeros(n)
     v = np.zeros(n)
-    acc = _initial_rate(form, np.zeros(2 * n), forces[0], "the assembled system")[n:]
-    traj = np.empty((n_steps + 1, 2 * n))
-    traj[0] = np.concatenate([u, v])
+    acc = _initial_rate(form, np.zeros(2 * n), _force(force_ids, forces[0], n), "the assembled system")[n:]
+    records = _Records(asys, n_steps)
+    records.write(0, np.concatenate([u, v]))
     for step in range(1, n_steps + 1):
-        f_eff = forces[step] + m @ (a0 * u + a2 * v + a3 * acc) + c @ (a1 * u + a4 * v + a5 * acc)
+        f = _force(force_ids, forces[step], n)
+        f_eff = f + m @ (a0 * u + a2 * v + a3 * acc) + c @ (a1 * u + a4 * v + a5 * acc)
         u_new = solve(f_eff)
         acc_new = a0 * (u_new - u) - a2 * v - a3 * acc
         v = v + a6 * acc + a7 * acc_new
         u, acc = u_new, acc_new
-        traj[step] = np.concatenate([u, v])
-        _check_divergence(step, "global", traj[step], config.divergence_limit)
+        y = np.concatenate([u, v])
+        records.write(step, y)
+        _check_divergence(step, "global", y, config.divergence_limit)
 
-    return _global_trajectory(asys, traj, dt)
+    return records.trajectory(dt)
 
 
 def analytic_sdof(

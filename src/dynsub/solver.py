@@ -148,6 +148,8 @@ class CoupledSystem:
 
     def __post_init__(self):
         subs = dict(self.substructures)
+        if not subs:
+            raise CouplingError("the system has no substructures")
         object.__setattr__(self, "substructures", subs)
         for entry in self.topology.constraints:
             for sid, dof, _ in entry:

@@ -322,6 +322,15 @@ class TestSimulateCommand:
         save_trajectory_csv(expected, traj, system)
         assert out.read_bytes() == expected.read_bytes()
 
+    @pytest.mark.parametrize("extra", [[], ["--monolithic"]], ids=["partitioned", "monolithic"])
+    def test_empty_system_exits_1_naming_it(self, tmp_path, capsys, extra):
+        model, out = tmp_path / "empty.json", tmp_path / "t.csv"
+        model.write_text(json.dumps({"substructures": {}}))
+        cfg = write_config(tmp_path / "cfg.json")
+        assert main(["simulate", "--model", str(model), "--config", str(cfg), "--out", str(out), *extra]) == 1
+        assert capsys.readouterr().err == "error: the system has no substructures\n"
+        assert not out.exists()
+
     def test_subcycles_flag(self, tmp_path, model_file):
         cfg = write_config(tmp_path / "cfg.json")
         out = tmp_path / "traj10.csv"

@@ -1,6 +1,7 @@
 """Primal assembly and the reference solvers."""
 
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from dynsub import (
     solve_newmark,
 )
 from dynsub.generators import chain_substructure, frame_analog, suspension_substructure
+from dynsub.solver import _initial_rate, effective_matrix, free_step
 
 from conftest import linear_suspension_analog, run_python, scipy_sparse_check, wheel_forces
 
@@ -99,6 +101,12 @@ class TestAssembleGlobal:
         topo = CouplingTopology(constraints=((("a", 0, 1), ("b", 0, -1)), entry))
         with pytest.raises(CouplingError, match=re.escape(message)):
             assemble_global({"a": sdof(), "b": sdof()}, topo)
+
+    def test_empty_system_rejected(self):
+        with pytest.raises(CouplingError, match="no substructures"):
+            assemble_global({}, CouplingTopology(()))
+        with pytest.raises(CouplingError, match="no substructures"):
+            CoupledSystem(substructures={}, topology=CouplingTopology(()))
 
     def test_chained_merges_share_one_global_dof(self):
         # a -> b -> c: each union hangs one root under another, two levels deep
@@ -262,6 +270,41 @@ class TestSolveMonolithic:
             scale = np.abs(mono.states[sid]).max()
             assert np.abs(part.states[sid] - mono.states[sid]).max() <= 1e-9 * scale
 
+    @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "sparse"])
+    def test_merged_dof_driven_from_both_sides_sums_in_input_order(self, sparse):
+        # every DOF of "a" and DOF 0 of "b" share one global DOF, and both drive it
+        subs, topo = merged_pair()
+        asys = assemble_global(subs, topo, sparse=sparse)
+        cfg = SolverConfig(dt=1e-3, duration=0.5)
+        times = np.arange(cfg.n_steps + 1) * cfg.dt
+        rng = np.random.default_rng(5)
+        inputs = {sid: np.sin(np.outer(times, rng.uniform(5.0, 50.0, 2)) + rng.uniform(0.0, 6.0, 2))
+                  * rng.uniform(0.5, 3.0, 2) for sid in ("a", "b")}
+        traj = solve_monolithic(asys, cfg, inputs)
+
+        # a whole-run table summed by one unbuffered scatter, then the kernel stepped by hand
+        def table(order):
+            f = np.zeros((cfg.n_steps + 1, asys.n_dofs))
+            for sid in order:
+                np.add.at(f, (slice(None), asys.dof_map[sid]), inputs[sid])
+            return f
+
+        forces = table(("a", "b"))
+        # the order shows in the bytes, so the comparison below pins it
+        assert forces.tobytes() != table(("b", "a")).tobytes()
+        form = asys.first_order()
+        d = effective_matrix(form, cfg.dt, cfg.gamma)
+        y = np.zeros(2 * asys.n_dofs)
+        ydot = _initial_rate(form, y, forces[0], "the assembled system")
+        states = [y]
+        for step in range(1, cfg.n_steps + 1):
+            y, ydot = free_step(form, d, y, ydot, forces[step], cfg.dt, cfg.gamma)
+            states.append(y)
+        states = np.array(states)
+        for sid, ids in asys.dof_map.items():
+            expected = states[:, np.concatenate([ids, asys.n_dofs + ids])]
+            assert traj.states[sid].tobytes() == expected.tobytes(), sid
+
     def test_matches_partitioned_on_nonlinear_system(self):
         # the assembled form scatters the same suspension force law
         frame = linear_suspension_analog(n_elements=2, wheel_mass=1.0, attach_mass=0.5,
@@ -338,6 +381,24 @@ class TestSparseReference:
             scale = np.abs(mono.states[sid]).max()
             assert scale > 0
             assert np.abs(part.states[sid] - mono.states[sid]).max() <= 1e-12 * scale, sid
+
+    def test_peak_memory_is_the_substructure_records(self):
+        # the default desk reference: each substructure's states are recorded as
+        # the run goes, so no whole-run global record or force table is held
+        subs, topo = desk_1000()
+        asys = assemble_global(subs, topo, sparse=True)
+        system = CoupledSystem(substructures=subs, topology=topo)
+        cfg = SolverConfig(dt=1e-3, duration=1.0)
+        inputs = {"suspension": wheel_forces(system, "suspension", np.arange(cfg.n_steps + 1) * cfg.dt)}
+        tracemalloc.start()
+        try:
+            traj = solve_monolithic(asys, cfg, inputs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        states = sum(record.nbytes for record in traj.states.values())
+        global_record = (cfg.n_steps + 1) * 2 * asys.n_dofs * 8
+        assert peak - states < global_record, (peak, states)
 
     def test_reruns_are_byte_identical(self):
         subs, topo = frame_analog()
