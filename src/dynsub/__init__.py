@@ -5,13 +5,7 @@ partitioned trapezoidal co-simulation solver coupling them to nonlinear
 substructures through Lagrange-multiplier interface forces.
 """
 
-from .coupling import (
-    CouplingError,
-    CouplingTopology,
-    InterfaceOperator,
-    locator_matrix,
-    steklov_poincare,
-)
+from .coupling import CouplingError, CouplingTopology
 from .metrics import FrequencyErrorTable, MacMatrix, Smoothness, frequency_error_table, mac, smoothness, trajectory_mse
 from .models import (
     FirstOrderForm,
@@ -38,12 +32,10 @@ from .signals import SignalSpec, generate_signal
 from .solver import (
     CoupledSystem,
     DivergenceError,
-    EffectiveMatrix,
     PartitionedSolver,
     SolverConfig,
     SolverError,
     Trajectory,
-    coupling_step,
     effective_matrix,
     free_step,
     simulate,
@@ -58,10 +50,8 @@ __all__ = [
     "CouplingTopology",
     "CraigBamptonReduction",
     "DivergenceError",
-    "EffectiveMatrix",
     "FirstOrderForm",
     "FrequencyErrorTable",
-    "InterfaceOperator",
     "LinearSubstructure",
     "MacMatrix",
     "ModelError",
@@ -78,7 +68,6 @@ __all__ = [
     "assemble_first_order",
     "assemble_global",
     "constraint_modes",
-    "coupling_step",
     "effective_matrix",
     "expand",
     "finite_difference_tangent",
@@ -86,7 +75,6 @@ __all__ = [
     "frequency_error_table",
     "free_step",
     "generate_signal",
-    "locator_matrix",
     "mac",
     "rayleigh_damping",
     "reduce",
@@ -95,7 +83,6 @@ __all__ = [
     "smoothness",
     "solve_monolithic",
     "solve_newmark",
-    "steklov_poincare",
     "tangent_at_zero",
     "trajectory_mse",
 ]

@@ -13,7 +13,9 @@ and factorizes them.
 primal assembly.  With the coupling constraints it merges the interface
 DOFs, which gives the monolithic reference; with no constraints it is the
 block-diagonal uncoupled system that a step group of the partitioned
-solver steps as one form.
+solver steps as one form.  It sums the members' nonzero entries through
+the package's one scatter, :func:`~dynsub.models._scatter_entries`, into
+dense or CSR matrices.
 
 :func:`_factorize` is the package's one factorization (LAPACK LU or SuperLU,
 one singularity rule) for ``S``, ``H``, ``M``, ``K_ii`` and Newmark.
@@ -21,13 +23,14 @@ one singularity rule) for ``S``, ``H``, ``M``, ``K_ii`` and Newmark.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
 import scipy.linalg
 
-from .models import FirstOrderForm, LinearSubstructure, assemble_first_order, nonzero_entries
+from .models import FirstOrderForm, LinearSubstructure, _scatter_entries, assemble_first_order, nonzero_entries
 
 
 class CouplingError(ValueError):
@@ -115,6 +118,12 @@ class AssembledSystem:
     def n_dofs(self) -> int:
         return self.mass.shape[0]
 
+    @functools.cached_property
+    def state_columns(self) -> dict:
+        """``{sid: columns}``: where each substructure's ``[u; v]`` sits in the assembled state ``[u; v]``."""
+        n = self.n_dofs
+        return {sid: np.concatenate([ids, n + ids]) for sid, ids in self.dof_map.items()}
+
     def first_order(self) -> FirstOrderForm:
         """First-order form of the assembled system, built by :func:`assemble_global`.
 
@@ -139,8 +148,9 @@ def assemble_global(substructures: Mapping, topology: CouplingTopology, sparse: 
     number of interface constraints.  Without constraints the global DOFs
     are the substructures' own, numbered substructure after substructure in
     the order of ``substructures``.  ``M``, ``C`` and ``K`` are summed from
-    each substructure's nonzero entries, whatever its storage, into dense
-    arrays by default; with ``sparse`` into CSR arrays, so no
+    each substructure's nonzero entries, whatever its storage, by
+    :func:`~dynsub.models._scatter_entries`: into dense arrays by default;
+    with ``sparse`` into CSR arrays, so no
     ``n_global**2`` array is built and the solvers step on a sparse
     factorization of ``S`` (:func:`~dynsub.solver.effective_matrix`).
     ``B`` and the element coefficients stay dense rows either way.
@@ -180,15 +190,21 @@ def assemble_global(substructures: Mapping, topology: CouplingTopology, sparse: 
     dof_map = {sid: gid[start:start + substructures[sid].n_dofs] for sid, start in offsets.items()}
 
     forms = {sid: assemble_first_order(sub) for sid, sub in substructures.items()}
-    rates = []
+    rates, entries = [], {"mass": [], "damping": [], "stiffness": []}
     for sid, form in forms.items():
+        sub, ids = substructures[sid], dof_map[sid]
         block = np.zeros((len(form.rates), n_global))
-        np.add.at(block, (slice(None), dof_map[sid]), form.rates)
+        np.add.at(block, (slice(None), ids), form.rates)
         rates.append(block)
+        for name, parts in entries.items():
+            # a linear substructure caches its entries (its form holds its own
+            # matrices), so a dense frame matrix is scanned once per process
+            rows, cols, values = (
+                sub.nonzeros[name] if isinstance(sub, LinearSubstructure) else nonzero_entries(getattr(form, name))
+            )
+            parts.append((ids[rows], ids[cols], values))
     mass, damping, stiffness = (
-        _scatter([(dof_map[sid], _nonzeros(substructures[sid], form, name)) for sid, form in forms.items()],
-                 n_global, sparse)
-        for name in ("mass", "damping", "stiffness")
+        _scatter_entries(n_global, *map(np.concatenate, zip(*parts)), sparse) for parts in entries.values()
     )
 
     return AssembledSystem(
@@ -203,40 +219,6 @@ def assemble_global(substructures: Mapping, topology: CouplingTopology, sparse: 
             smoothing=np.concatenate([form.smoothing for form in forms.values()]),
         ),
     )
-
-
-def _nonzeros(sub, form: FirstOrderForm, name: str) -> tuple:
-    """``(rows, cols, values)`` of the ``name`` block of a substructure's form.
-
-    A linear substructure's are cached on it (its form holds its own
-    matrices), so a dense frame matrix is scanned once per process and a
-    CSR one not at all.
-    """
-    if isinstance(sub, LinearSubstructure):
-        return sub.nonzeros[name]
-    return nonzero_entries(getattr(form, name))
-
-
-def _scatter(blocks, n_global: int, sparse: bool):
-    """Sum the nonzero entries of square blocks onto the global DOFs.
-
-    ``blocks`` holds ``(global ids, (rows, cols, values))`` pairs.  Two
-    DOFs of one block may share a global DOF, so the entries that land on
-    one global entry add up, in block order: through an unbuffered scatter
-    into a dense array, or as duplicate COO triplets, which the conversion
-    to CSR sums.
-    """
-    rows, cols, values = (
-        np.concatenate(part) for part in zip(*((ids[r], ids[c], v) for ids, (r, c, v) in blocks))
-    )
-    if not sparse:
-        out = np.zeros((n_global, n_global))
-        # numpy's fast path takes flat indices into a 1-D view
-        np.add.at(out.reshape(-1), rows * n_global + cols, values)
-        return out
-    import scipy.sparse  # only a sparse assembly pays for this import
-
-    return scipy.sparse.coo_array((values, (rows, cols)), shape=(n_global, n_global)).tocsr()
 
 
 def _factorize(matrix, singular, scale: float | None = None):

@@ -7,8 +7,9 @@ the low-frequency band well) plus four designated attachment DOFs carrying
 nonlinear suspension elements.
 
 Models of ``_SPARSE_MIN_DOFS`` DOFs or more are built as CSR arrays
-straight from their entries, smaller ones as dense arrays; the two hold
-the same entries, bit for bit.
+straight from their entries, smaller ones as dense arrays, both by the
+package's one scatter of entries (:func:`~dynsub.models.matrix_from_entries`);
+the two hold the same entries, bit for bit.
 """
 
 from __future__ import annotations

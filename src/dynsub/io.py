@@ -7,11 +7,17 @@ and stores ``mass``, ``damping`` and ``stiffness`` as sparse triplets
 ``{"rows": [...], "cols": [...], "values": [...]}``; duplicate entries sum,
 as in COO storage, and a missing ``damping`` reads as zero.  A record of
 ``_SPARSE_MIN_DOFS`` DOFs or more is read straight into CSR arrays, a
-smaller one into dense arrays (:func:`~dynsub.models.matrix_from_entries`).
+smaller one into dense arrays, by the package's one scatter of entries
+(:func:`~dynsub.models.matrix_from_entries`).
+
+Every CSV table is written by :func:`_write_csv`: comma-separated, the
+header line (if any) without a comment prefix, and every number as
+``%.17g``, so it reads back exactly.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from pathlib import Path
 
@@ -203,39 +209,29 @@ def load_system(path) -> tuple[CoupledSystem, dict]:
     return system, input_map
 
 
+# the npz record holds one array per field of CraigBamptonReduction, in field order
+_REDUCTION_FIELDS = tuple(f.name for f in dataclasses.fields(CraigBamptonReduction))
+_DOF_FIELDS = ("internal_dofs", "boundary_dofs")  # tuples, stored as int arrays
+
+
 def save_reduction(path, red: CraigBamptonReduction) -> None:
-    np.savez(
-        path,
-        retained_modes=red.retained_modes,
-        constraint_modes=red.constraint_modes,
-        transform=red.transform,
-        reduced_mass=red.reduced_mass,
-        reduced_stiffness=red.reduced_stiffness,
-        reduced_damping=red.reduced_damping,
-        retained_frequencies=red.retained_frequencies,
-        internal_dofs=np.asarray(red.internal_dofs, dtype=int),
-        boundary_dofs=np.asarray(red.boundary_dofs, dtype=int),
-        truncation_frequency=np.array(
-            np.nan if red.truncation_frequency is None else red.truncation_frequency
-        ),
-    )
+    """Write a reduction as npz; ``truncation_frequency`` is stored as nan when it is None."""
+    record = {name: getattr(red, name) for name in _REDUCTION_FIELDS}
+    for name in _DOF_FIELDS:
+        record[name] = np.asarray(record[name], dtype=int)
+    trunc = record["truncation_frequency"]
+    record["truncation_frequency"] = np.array(np.nan if trunc is None else trunc)
+    np.savez(path, **record)
 
 
 def load_reduction(path) -> CraigBamptonReduction:
     with np.load(path) as data:
-        trunc = float(data["truncation_frequency"])
-        return CraigBamptonReduction(
-            retained_modes=data["retained_modes"],
-            constraint_modes=data["constraint_modes"],
-            transform=data["transform"],
-            reduced_mass=data["reduced_mass"],
-            reduced_stiffness=data["reduced_stiffness"],
-            reduced_damping=data["reduced_damping"],
-            retained_frequencies=data["retained_frequencies"],
-            internal_dofs=tuple(int(x) for x in data["internal_dofs"]),
-            boundary_dofs=tuple(int(x) for x in data["boundary_dofs"]),
-            truncation_frequency=None if np.isnan(trunc) else trunc,
-        )
+        record = {name: data[name] for name in _REDUCTION_FIELDS}
+    for name in _DOF_FIELDS:
+        record[name] = tuple(int(x) for x in record[name])
+    trunc = float(record["truncation_frequency"])
+    record["truncation_frequency"] = None if np.isnan(trunc) else trunc
+    return CraigBamptonReduction(**record)
 
 
 def trajectory_columns(traj: Trajectory, system: CoupledSystem | None = None, all_dofs: bool = False):
@@ -260,6 +256,11 @@ def trajectory_columns(traj: Trajectory, system: CoupledSystem | None = None, al
     return cols
 
 
+def _write_csv(path, header, rows: np.ndarray) -> None:
+    """Write a table as this package's CSV; an empty ``header`` writes no header line."""
+    np.savetxt(path, rows, delimiter=",", header=",".join(header), comments="", fmt="%.17g")
+
+
 def save_trajectory_csv(path, traj: Trajectory, system: CoupledSystem | None = None, all_dofs: bool = False) -> None:
     """Trajectory CSV: time, selected displacements/velocities, multipliers."""
     cols = trajectory_columns(traj, system, all_dofs)
@@ -269,8 +270,7 @@ def save_trajectory_csv(path, traj: Trajectory, system: CoupledSystem | None = N
         table.append(traj.displacement(sid, dof) if kind == "u" else traj.velocity(sid, dof))
     for i in range(traj.multipliers.shape[1]):
         table.append(traj.multipliers[:, i])
-    data = np.column_stack(table)
-    np.savetxt(path, data, delimiter=",", header=",".join(header), comments="", fmt="%.17g")
+    _write_csv(path, header, np.column_stack(table))
 
 
 def load_csv_columns(path) -> tuple[list, np.ndarray]:
@@ -289,14 +289,7 @@ def save_signals_csv(path, times: np.ndarray, channels: np.ndarray) -> None:
     if channels.shape[0] != len(times):
         channels = channels.T
     header = ["time"] + [f"ch{i}" for i in range(channels.shape[1])]
-    np.savetxt(
-        path,
-        np.column_stack([times, channels]),
-        delimiter=",",
-        header=",".join(header),
-        comments="",
-        fmt="%.17g",
-    )
+    _write_csv(path, header, np.column_stack([times, channels]))
 
 
 def load_signals_csv(path) -> tuple[np.ndarray, np.ndarray]:

@@ -13,11 +13,9 @@ class MetricsError(ValueError):
 
 @dataclass(frozen=True)
 class MacMatrix:
-    """Modal assurance criterion values with mode labels; entries in [0, 1]."""
+    """Modal assurance criterion values; entries in [0, 1]."""
 
     values: np.ndarray
-    row_labels: tuple
-    col_labels: tuple
 
     @property
     def diagonal(self) -> np.ndarray:
@@ -51,12 +49,7 @@ def mac(modes_a: np.ndarray, modes_b: np.ndarray, names: tuple = ("modes_a", "mo
         if zero.size:
             raise MetricsError(f"{name}: column {zero[0]} is a zero-norm mode shape")
     cross = a.T @ b
-    values = cross**2 / np.outer(norm_a, norm_b)
-    return MacMatrix(
-        values=values,
-        row_labels=tuple(range(1, a.shape[1] + 1)),
-        col_labels=tuple(range(1, b.shape[1] + 1)),
-    )
+    return MacMatrix(values=cross**2 / np.outer(norm_a, norm_b))
 
 
 @dataclass(frozen=True)

@@ -25,6 +25,12 @@ Every force law is thus affine in ``u`` with slope ``K``:
 trapezoidal step onto the momentum rows, and on the split into a linear
 part and ``phi`` to precompute the step of small substructures (see
 :mod:`dynsub.solver`).
+
+Every square matrix built from ``(rows, cols, values)`` entries comes from
+one scatter, :func:`_scatter_entries`, in the storage its caller picks:
+the generators and the system file reader (through
+:func:`matrix_from_entries`), :func:`~dynsub.coupling.assemble_global` and
+the sparse internal-first reorder of the Craig-Bampton reduction.
 """
 
 from __future__ import annotations
@@ -229,15 +235,28 @@ def matrix_from_entries(n: int, rows: np.ndarray, cols: np.ndarray, values: np.n
     """``n``-by-``n`` matrix of entries; entries at one position sum.
 
     A CSR array from ``_SPARSE_MIN_DOFS`` on, a dense array below: the
-    storage rule of the generators and the system file reader.
+    storage rule of the generators and the system file reader, applied to
+    :func:`_scatter_entries`.
     """
-    if n >= _SPARSE_MIN_DOFS:
-        import scipy.sparse  # only a large model pays for this import
+    return _scatter_entries(n, rows, cols, values, n >= _SPARSE_MIN_DOFS)
 
-        return scipy.sparse.csr_array((values, (rows, cols)), shape=(n, n))
-    matrix = np.zeros((n, n))
-    np.add.at(matrix, (rows, cols), values)
-    return matrix
+
+def _scatter_entries(n: int, rows: np.ndarray, cols: np.ndarray, values: np.ndarray, sparse: bool):
+    """``n``-by-``n`` matrix of ``(rows, cols, values)``: the package's one scatter of entries.
+
+    Entries at one position sum: in a dense array through an unbuffered
+    scatter onto zeros, in entry order; in a CSR array (``sparse``) as
+    duplicate COO triplets, which the conversion to CSR sums.  Two entries
+    at one position, as at a merged DOF, give the same bytes either way.
+    """
+    if not sparse:
+        matrix = np.zeros((n, n))
+        # numpy's fast path takes flat indices into a 1-D view
+        np.add.at(matrix.reshape(-1), rows * n + cols, values)
+        return matrix
+    import scipy.sparse  # only a sparse matrix pays for this import
+
+    return scipy.sparse.coo_array((values, (rows, cols)), shape=(n, n)).tocsr()
 
 
 def nonzero_entries(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

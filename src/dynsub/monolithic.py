@@ -54,13 +54,12 @@ class _Records:
     """
 
     def __init__(self, asys: AssembledSystem, n_steps: int):
-        n = asys.n_dofs
-        self._cols = [(sid, np.concatenate([ids, n + ids])) for sid, ids in asys.dof_map.items()]
-        self.states = {sid: np.empty((n_steps + 1, len(cols))) for sid, cols in self._cols}
+        self._cols = asys.state_columns
+        self.states = {sid: np.empty((n_steps + 1, len(cols))) for sid, cols in self._cols.items()}
         self.n_steps = n_steps
 
     def write(self, step: int, y: np.ndarray) -> None:
-        for sid, cols in self._cols:
+        for sid, cols in self._cols.items():
             self.states[sid][step] = y[cols]
 
     def trajectory(self, dt: float) -> Trajectory:
@@ -68,7 +67,7 @@ class _Records:
             times=np.arange(self.n_steps + 1) * dt,
             states=self.states,
             multipliers=np.zeros((self.n_steps + 1, 0)),
-            dof_counts={sid: len(cols) // 2 for sid, cols in self._cols},
+            dof_counts={sid: len(cols) // 2 for sid, cols in self._cols.items()},
         )
 
 
@@ -92,7 +91,7 @@ def _global_forces(asys: AssembledSystem, inputs: Mapping | None, config: Solver
             if table is None:
                 continue
             ids.append(asys.dof_map[sid])
-            tables.append(_input_table(sid, table, len(ids[-1]), n_steps, config.subcycles, False, SolverError))
+            tables.append(_input_table(sid, table, len(ids[-1]), n_steps, config.subcycles, False))
     return np.concatenate(ids), np.hstack(tables)
 
 

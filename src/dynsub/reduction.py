@@ -11,10 +11,11 @@ the size of its internal block:
 - for a dense substructure with fewer than ``_SPARSE_MIN_DOFS`` internal
   DOFs, dense arrays and LAPACK ``eigh`` for the modes;
 - for a CSR substructure, or a dense one with at least that many internal
-  DOFs, CSR blocks built from the substructure's nonzero entries and
-  shift-invert Lanczos about 0 (ARPACK ``eigsh``, Ericsson & Ruhe 1980)
-  for the modes.  A request ARPACK cannot serve (``k >= n_i - 1``) falls
-  back to ``eigh``.
+  DOFs, CSR blocks that the package's one scatter of entries
+  (:func:`~dynsub.models._scatter_entries`) builds from the substructure's
+  nonzero entries, and shift-invert Lanczos about 0 (ARPACK ``eigsh``,
+  Ericsson & Ruhe 1980) for the modes.  A request ARPACK cannot serve
+  (``k >= n_i - 1``) falls back to ``eigh``.
 
 Either way :func:`~dynsub.coupling._factorize` factorizes ``K_ii`` once, by
 LU or SuperLU; that gives the constraint modes and the Lanczos ``OPinv``.
@@ -42,7 +43,7 @@ import numpy as np
 import scipy.linalg
 
 from .coupling import CouplingTopology, _factorize
-from .models import _SPARSE_MIN_DOFS, LinearSubstructure, ModelError, dense
+from .models import _SPARSE_MIN_DOFS, LinearSubstructure, ModelError, _scatter_entries, dense
 
 # Fixed-interface frequencies equal to this relative tolerance form one cluster.
 _CLUSTER_RTOL = 1e-8
@@ -131,9 +132,12 @@ class _InternalProblem:
     """``M``, ``C`` and ``K`` of a substructure reordered internal-first.
 
     A CSR substructure, or an internal block of at least
-    ``_SPARSE_MIN_DOFS`` DOFs, is held as CSR arrays built from the
-    substructure's nonzero entries, a smaller dense one as dense arrays.
-    Either way ``K_ii`` is factorized at most once (:attr:`stiffness_solve`).
+    ``_SPARSE_MIN_DOFS`` DOFs, is held as CSR arrays that the package's one
+    scatter (:func:`~dynsub.models._scatter_entries`) builds from the
+    substructure's nonzero entries, renumbered internal-first.  A smaller
+    dense one is reordered by ``np.ix_``, which costs less than a scatter;
+    the two reorders give the same entries, byte for byte.  Either way
+    ``K_ii`` is factorized at most once (:attr:`stiffness_solve`).
     """
 
     def __init__(self, sub: LinearSubstructure):
@@ -141,12 +145,10 @@ class _InternalProblem:
         self.sparse = sub.sparse or self.n_internal >= _SPARSE_MIN_DOFS
         order = np.array(sub.internal_dofs + sub.boundary_dofs, dtype=int)
         if self.sparse:
-            import scipy.sparse  # only a sparse or large internal block pays for this import
-
             position = np.empty_like(order)
             position[order] = np.arange(len(order))
             self.mass, self.damping, self.stiffness = (
-                scipy.sparse.csr_array((values, (position[rows], position[cols])), shape=(len(order),) * 2)
+                _scatter_entries(len(order), position[rows], position[cols], values, True)
                 for rows, cols, values in (sub.nonzeros[name] for name in ("mass", "damping", "stiffness"))
             )
         else:

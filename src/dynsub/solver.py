@@ -308,27 +308,28 @@ def _check_divergence(step: int, sub_id, y: np.ndarray, limit: float) -> None:
         raise DivergenceError(step, sub_id, float(norm), limit)
 
 
-def _input_table(sid, table, n_dofs: int, n_steps: int, ss: int, inner: bool, error: type) -> np.ndarray:
+def _input_table(sid, table, n_dofs: int, n_steps: int, ss: int, inner: bool) -> np.ndarray:
     """Check a force table and sample it on the inner grid if ``inner``, else on the coupled grid.
 
     A table holds one row per coupled instant (``n_steps + 1`` rows) or one
     per inner instant of ``ss``-fold sub-cycling (``n_steps*ss + 1`` rows).
     Inner samples are decimated with ``[::ss]`` onto the coupled grid, and
     coupled samples are interpolated linearly onto the inner grid; a table
-    already on the wanted grid is returned as it is.  Raises ``error`` for a
-    wrong shape and names the first row that holds a nan or inf.
+    already on the wanted grid is returned as it is.  Raises
+    :class:`SolverError` for a wrong shape and names the first row that
+    holds a nan or inf.
     """
     table = np.asarray(table, dtype=float)
     if table.ndim != 2 or table.shape[1] != n_dofs:
-        raise error(f"input table for {sid!r} must have {n_dofs} columns, got {table.shape}")
+        raise SolverError(f"input table for {sid!r} must have {n_dofs} columns, got {table.shape}")
     coupled, fine = n_steps + 1, n_steps * ss + 1
     if table.shape[0] not in (coupled, fine):
         also = f" (or {fine} at the inner sampling)" if ss > 1 else ""
-        raise error(f"input table for {sid!r} must have {coupled} rows{also}, got {table.shape[0]}")
+        raise SolverError(f"input table for {sid!r} must have {coupled} rows{also}, got {table.shape[0]}")
     finite = np.isfinite(table).all(axis=1)
     if not finite.all():
         row = int(np.argmin(finite))
-        raise error(f"input table for {sid!r} holds a non-finite value in row {row}")
+        raise SolverError(f"input table for {sid!r} holds a non-finite value in row {row}")
     if table.shape[0] == (fine if inner else coupled):
         return table
     if not inner:
@@ -471,8 +472,7 @@ class PartitionedSolver:
                 # the members side by side: a primal assembly without constraints
                 group = {sid: system.substructures[sid] for sid in sids}
                 asys = assemble_global(group, CouplingTopology(()), sparse=_stores_csr(group))
-                form = asys.first_order()
-                rows = {sid: np.concatenate([ids, form.n_dofs + ids]) for sid, ids in asys.dof_map.items()}
+                form, rows = asys.first_order(), asys.state_columns
             n = form.n_dofs
             dts = config.dt / ss
             effective = effective_matrix(form, dts, config.gamma)
@@ -600,7 +600,7 @@ class PartitionedSolver:
                 n = self.forms[sid].n_dofs
                 table = None if inputs is None else inputs.get(sid)
                 forces[sid] = np.zeros((n_steps * ss + 1, n)) if table is None else _input_table(
-                    sid, table, n, n_steps, self.config.subcycles, ss > 1, SolverError
+                    sid, table, n, n_steps, self.config.subcycles, ss > 1
                 )
         return forces
 

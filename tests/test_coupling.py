@@ -12,10 +12,9 @@ from dynsub import (
     SolverConfig,
     assemble_first_order,
     effective_matrix,
-    locator_matrix,
     simulate,
-    steklov_poincare,
 )
+from dynsub.coupling import locator_matrix, steklov_poincare
 from dynsub.models import LinearSubstructure
 
 
@@ -154,3 +153,12 @@ class TestSteklovPoincare:
         for sid in subs:
             assert np.allclose(trajs[0].states[sid], trajs[1].states[sid], atol=1e-14)
         assert np.allclose(trajs[0].multipliers, -trajs[1].multipliers, atol=1e-14)
+
+
+def test_package_exports_no_solver_internals():
+    # the step's building blocks stay importable from their modules only
+    import dynsub
+
+    for name in ("coupling_step", "locator_matrix", "steklov_poincare", "InterfaceOperator", "EffectiveMatrix"):
+        assert name not in dynsub.__all__ and not hasattr(dynsub, name), name
+    assert all(hasattr(dynsub, name) for name in dynsub.__all__)

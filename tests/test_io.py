@@ -1,5 +1,6 @@
 """File formats: system JSON, reduction npz, trajectory and signal CSVs."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -133,6 +134,19 @@ class TestReductionRoundTrip:
         assert np.allclose(back.retained_frequencies, red.retained_frequencies)
         assert back.boundary_dofs == red.boundary_dofs
         assert back.truncation_frequency == pytest.approx(red.truncation_frequency)
+
+    def test_one_array_per_field_in_field_order(self, tmp_path):
+        red = cb_reduce(chain_substructure(n=12, boundary_dofs=(3, 11)), 4)
+        path = tmp_path / "red.npz"
+        save_reduction(path, red)
+        names = [field.name for field in dataclasses.fields(red)]
+        with np.load(path) as data:
+            assert list(data.keys()) == names
+            assert data["boundary_dofs"].dtype == int
+        back = load_reduction(path)
+        for name in names:
+            assert np.asarray(getattr(back, name)).tobytes() == np.asarray(getattr(red, name)).tobytes(), name
+        assert type(back.internal_dofs) is tuple and type(back.internal_dofs[0]) is int
 
     def test_full_basis_truncation_none(self, tmp_path):
         sub = chain_substructure(n=6, boundary_dofs=(5,))

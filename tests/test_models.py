@@ -6,6 +6,7 @@ import scipy.sparse
 
 import dynsub.models
 import dynsub.coupling
+import dynsub.reduction
 from dynsub import (
     CouplingTopology,
     LinearSubstructure,
@@ -21,7 +22,7 @@ from dynsub import (
 
 from dynsub import reduce as cb_reduce
 from dynsub.generators import frame_analog, frame_substructure
-from dynsub.io import save_system
+from dynsub.io import load_system, save_system
 
 from conftest import FORCE_LAW_KINDS, first_order_forms, two_bank_forms
 
@@ -318,6 +319,47 @@ class TestMomentumLaw:
             u, v = rng.standard_normal(shape), rng.standard_normal(shape)
             expected = frame.stiffness @ u + frame.damping @ v
             assert np.abs(form.momentum(u, v) - expected).max() <= 1e-14 * np.abs(expected).max()
+
+
+class TestScatterEntries:
+    """``models._scatter_entries``: the one code that builds a square matrix from entries."""
+
+    def test_two_entries_at_one_position_give_the_same_bytes_in_both_storages(self):
+        # (1, 1) is hit twice, as a merged DOF is, and 0.1 + 0.2 is not 0.3
+        rows, cols = np.array([0, 1, 1, 2, 1]), np.array([0, 1, 2, 1, 1])
+        values = np.array([1.0, 0.1, -0.5, -0.5, 0.2])
+        full = dynsub.models._scatter_entries(3, rows, cols, values, False)
+        csr = dynsub.models._scatter_entries(3, rows, cols, values, True)
+        assert isinstance(full, np.ndarray) and isinstance(csr, scipy.sparse.csr_array)
+        assert full[1, 1] == 0.1 + 0.2 != 0.3
+        assert csr.toarray().tobytes() == full.tobytes()
+
+    def test_generators_reader_assembly_and_reduction_call_it(self, monkeypatch, tmp_path):
+        calls = []
+        original = dynsub.models._scatter_entries
+
+        def counted(n, rows, cols, values, sparse):
+            calls.append((n, sparse))
+            return original(n, rows, cols, values, sparse)
+
+        for module in (dynsub.models, dynsub.coupling, dynsub.reduction):
+            monkeypatch.setattr(module, "_scatter_entries", counted)
+
+        def made_by(action):
+            calls.clear()
+            action()
+            return set(calls)
+
+        for n in (200, 1000):
+            csr = n >= dynsub.models._SPARSE_MIN_DOFS
+            subs, topology = frame_analog(n=n)
+            assert made_by(lambda: frame_analog(n=n)) == {(n, csr)}
+            save_system(tmp_path / "model.json", subs, topology, input_map={})
+            assert made_by(lambda: load_system(tmp_path / "model.json")) == {(n, csr)}
+            for sparse in (False, True):  # the frame and 8 suspension DOFs, 4 of them merged
+                assert made_by(lambda: assemble_global(subs, topology, sparse=sparse)) == {(n + 4, sparse)}
+            # a dense internal block below the size gate is reordered by np.ix_
+            assert made_by(lambda: cb_reduce(subs["frame"], 30)) == ({(n, True)} if csr else set())
 
 
 class TestNonzeros:

@@ -13,7 +13,7 @@ from dynsub import LinearSubstructure, ReductionError, constraint_modes, expand,
 from dynsub import reduce as cb_reduce
 from dynsub.generators import chain_substructure, frame_substructure
 from dynsub.models import dense
-from dynsub.reduction import _canonical_modes, _cluster_starts, full_frequencies, reduced_frequencies
+from dynsub.reduction import _InternalProblem, _canonical_modes, _cluster_starts, full_frequencies, reduced_frequencies
 
 
 def chain(n, boundary, m=1.0, k=1.0, grounded=True):
@@ -312,6 +312,17 @@ class TestSparsePath:
         for red in (sparse, dense):
             gram = red.retained_modes.T @ internal_mass(frame) @ red.retained_modes
             assert np.abs(gram - np.eye(n_modes)).max() <= 1e-12
+
+    def test_csr_reorder_equals_the_dense_reorder(self):
+        # the CSR internal-first matrices, scattered from the entries, hold the
+        # bytes of the np.ix_ reorder that a small dense substructure takes
+        frame = frame_substructure()
+        csr = frame_with(frame, **{name: scipy.sparse.csr_array(getattr(frame, name))
+                                   for name in ("mass", "damping", "stiffness")})
+        sparse, full = _InternalProblem(csr), _InternalProblem(frame)
+        assert sparse.sparse and not full.sparse
+        for name in ("mass", "damping", "stiffness"):
+            assert getattr(sparse, name).toarray().tobytes() == getattr(full, name).tobytes(), name
 
     def test_two_reductions_are_byte_identical(self):
         first, second = cb_reduce(frame_with_internal(996), 30), cb_reduce(frame_with_internal(996), 30)
