@@ -180,6 +180,9 @@ def _cmd_compare(args) -> int:
 def _cmd_run_experiment(args) -> int:
     config = ExperimentConfig.from_file(args.config) if args.config else ExperimentConfig()
     report = run_experiment(config, args.out_dir)
+    if report["model"]["cut_inside_band"]:
+        print("warning: the reduction discards a mode at {first_discarded_frequency_hz:.3g} Hz, inside the excitation "
+              "band up to {excitation_max_hz:.3g} Hz".format(**report["model"]), file=sys.stderr)
     offline = report["offline_time"]["total"]
     online = report["online_time"]["partitioned"]
     print(f"offline {offline:.3f} s, online partitioned {online:.3f} s", end="")

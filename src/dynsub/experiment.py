@@ -90,6 +90,8 @@ def run_experiment(config: ExperimentConfig, out_dir) -> dict:
     monolithic run, ``model.reference`` names the reference solve
     (``"monolithic_sparse"``) that ``online_time.monolithic``,
     ``online_time.speedup`` and ``fidelity`` refer to.
+    ``model.cut_inside_band`` says that a discarded mode lies at or below
+    the highest sine frequency, ``model.excitation_max_hz``.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -133,6 +135,8 @@ def run_experiment(config: ExperimentConfig, out_dir) -> dict:
     report["model"]["last_retained_frequency_hz"] = float(red.retained_frequencies[-1]) / (2 * np.pi)
     if red.truncation_frequency is not None:
         report["model"]["first_discarded_frequency_hz"] = red.truncation_frequency / (2 * np.pi)
+    band = report["model"]["excitation_max_hz"] = max(config.sine_frequencies, default=0.0)
+    report["model"]["cut_inside_band"] = bool(report["model"].get("first_discarded_frequency_hz", np.inf) <= band)
 
     reduced_system = CoupledSystem(
         substructures={"frame": red.as_substructure(), "suspension": susp},

@@ -244,19 +244,24 @@ def matrix_from_entries(n: int, rows: np.ndarray, cols: np.ndarray, values: np.n
 def _scatter_entries(n: int, rows: np.ndarray, cols: np.ndarray, values: np.ndarray, sparse: bool):
     """``n``-by-``n`` matrix of ``(rows, cols, values)``: the package's one scatter of entries.
 
-    Entries at one position sum: in a dense array through an unbuffered
-    scatter onto zeros, in entry order; in a CSR array (``sparse``) as
-    duplicate COO triplets, which the conversion to CSR sums.  Two entries
-    at one position, as at a merged DOF, give the same bytes either way.
+    Entries at one position sum in entry order, by an unbuffered scatter
+    onto zeros: onto a dense array by flat index, or, for a CSR array
+    (``sparse``), onto the sorted distinct positions, which become its
+    entries.  So both storages hold the same bytes.
     """
+    flat = np.asarray(rows, dtype=np.intp) * n + cols
     if not sparse:
         matrix = np.zeros((n, n))
         # numpy's fast path takes flat indices into a 1-D view
-        np.add.at(matrix.reshape(-1), rows * n + cols, values)
+        np.add.at(matrix.reshape(-1), flat, values)
         return matrix
     import scipy.sparse  # only a sparse matrix pays for this import
 
-    return scipy.sparse.coo_array((values, (rows, cols)), shape=(n, n)).tocsr()
+    positions, where = np.unique(flat, return_inverse=True)
+    sums = np.zeros(len(positions))
+    np.add.at(sums, where, values)
+    indptr = np.searchsorted(positions, np.arange(n + 1) * n)
+    return scipy.sparse.csr_array((sums, positions % n, indptr), shape=(n, n))
 
 
 def nonzero_entries(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -50,6 +50,14 @@ inner step by about 10.  Larger groups, such as an unreduced frame, call
 more than the solve; the monolithic reference does too.  Propagated groups
 agree with :func:`free_step` stepping to round-off, about 1e-14 of the
 state scale.
+
+Both solvers share one force path, the driven rows of :func:`_global_forces`
+added onto zeroed DOFs in input order by :func:`_force`, and one record
+path, :class:`_Records`.  A step group scatters its rows once per run onto
+a force table on its own grid and records each member at every inner step;
+the monolithic reference scatters one row per step.  Neither keeps a
+whole-run record of its stepped state or a force table per undriven
+substructure.
 """
 
 from __future__ import annotations
@@ -288,18 +296,22 @@ def coupling_step(
     return lam, links
 
 
-def _initial_rate(form: FirstOrderForm, y: np.ndarray, force: np.ndarray, what: str) -> np.ndarray:
-    """Consistent starting rate: solve A @ Ydot0 = F0 - R(Y0).
+def _start(form: FirstOrderForm, initial, force: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray]:
+    """Checked starting state Y0 (zeros if ``initial`` is None) and its rate: A @ Ydot0 = F0 - R(Y0).
 
-    ``force`` is the physical force on the momentum rows at the first
-    instant.  A singular ``M`` raises :class:`SolverError` naming ``what``.
+    ``force`` is the physical force at the first instant.  A bad state or a
+    singular ``M`` raises :class:`SolverError` naming ``what``.
     """
     n = form.n_dofs
-    u, v = y[:n], y[n:]
+    y = np.zeros(2 * n) if initial is None else np.asarray(initial, dtype=float).copy()
+    if y.shape != (2 * n,):
+        raise SolverError(f"initial state of {what} must have length {2 * n}, got shape {y.shape}")
+    if not np.all(np.isfinite(y)):
+        raise SolverError(f"initial state of {what} holds a non-finite value")
     solve = _factorize(form.mass, lambda: SolverError(
         f"mass matrix of {what} is singular, so its starting acceleration is undefined"
     ))
-    return np.concatenate([v, solve(force - form.momentum(u, v))])
+    return y, np.concatenate([y[n:], solve(force - form.momentum(y[:n], y[n:]))])
 
 
 def _check_divergence(step: int, sub_id, y: np.ndarray, limit: float) -> None:
@@ -336,6 +348,71 @@ def _input_table(sid, table, n_dofs: int, n_steps: int, ss: int, inner: bool) ->
         return table[::ss]
     t_fine = np.arange(fine, dtype=float) / ss
     return np.column_stack([np.interp(t_fine, np.arange(coupled, dtype=float), col) for col in table.T])
+
+
+def _known_inputs(inputs: Mapping | None, known) -> dict:
+    """The tables of ``inputs`` that are not None; an id not in ``known`` raises :class:`SolverError`."""
+    for sid in inputs or ():
+        if sid not in known:
+            raise SolverError(f"input table for {sid!r} names no substructure")
+    return {sid: table for sid, table in (inputs or {}).items() if table is not None}
+
+
+def _global_forces(dof_map: Mapping, inputs: dict, config: SolverConfig, inner: bool) -> tuple:
+    """``(ids, table)``: the DOFs that ``inputs`` drive in ``dof_map``, in input order, and their force rows.
+
+    The rows are the inner instants of ``config.subcycles`` if ``inner``,
+    else the coupled ones (:func:`_input_table` checks and resamples each
+    table), with one column per id.
+    """
+    rows = config.n_steps * (config.subcycles if inner else 1) + 1
+    ids, tables = [np.zeros(0, dtype=np.intp)], [np.zeros((rows, 0))]
+    for sid, table in inputs.items():
+        if sid in dof_map:
+            ids.append(dof_map[sid])
+            tables.append(_input_table(sid, table, len(ids[-1]), config.n_steps, config.subcycles, inner))
+    # one driven table is used as it is, with no copy
+    return np.concatenate(ids), tables[-1] if len(tables) == 2 else np.hstack(tables)
+
+
+def _force(ids: np.ndarray, rows: np.ndarray, n: int) -> np.ndarray:
+    """Force vectors on ``n`` DOFs of a row, or a block of rows, of :func:`_global_forces`.
+
+    The unbuffered scatter adds onto zeros in input order, so a DOF driven
+    from two sides sums in a fixed order.
+    """
+    force = np.zeros(rows.shape[:-1] + (n,))
+    np.add.at(force, (..., ids), rows)
+    return force
+
+
+class _Records:
+    """Per-substructure records of a stepped state, written row by row.
+
+    ``columns[sid]`` selects a substructure's ``[u; v]`` from the stepped
+    state: index arrays (``dof_counts`` then defaults to half their
+    lengths), or ``slice(None)`` for a state that is one substructure's
+    own.  ``records[row] = y`` copies each substructure's columns of ``y``
+    into that row of its own ``(rows, 2 n_s)`` record.  ``into`` takes the
+    same writes; for a lone substructure's state it is the one record,
+    which takes the state as it is, with no gather.
+    """
+
+    def __init__(self, columns: Mapping, rows: int, dof_counts: Mapping | None = None):
+        self.columns, self.rows = columns, rows
+        self.dof_counts = dof_counts or {sid: len(cols) // 2 for sid, cols in columns.items()}
+        self.states = {sid: np.empty((rows, 2 * self.dof_counts[sid])) for sid in columns}
+        (sid, cols), *others = columns.items()
+        self.into = self.states[sid] if isinstance(cols, slice) and not others else self
+
+    def __setitem__(self, row: int, y: np.ndarray) -> None:
+        for sid, cols in self.columns.items():
+            self.states[sid][row] = y[cols]
+
+    def trajectory(self, dt: float) -> Trajectory:
+        """The records as a :class:`Trajectory` at spacing ``dt``, with no multipliers."""
+        return Trajectory(times=np.arange(self.rows) * dt, states=self.states,
+                          multipliers=np.zeros((self.rows, 0)), dof_counts=self.dof_counts)
 
 
 # Largest group, in DOFs, stepped through a precomputed propagator.  A
@@ -397,10 +474,11 @@ class _Group:
 
     The stacked form is the members' assembly without constraints, or a
     single member's own form.  The group's state is ``z = [y; ydot]`` of
-    that form.  ``rows[sid]`` selects a member's own ``[u; v]`` from ``y``
-    (and its rate from ``ydot``): its assembled DOFs, or all of it for a
-    single member.  ``effective`` factorizes the stacked ``S`` at the
-    inner step.  ``ramp`` holds the weights
+    that form.  ``dofs[sid]`` gives a member's DOFs in the stacked form (its
+    ``dof_map``), and ``rows[sid]`` selects its own ``[u; v]`` from ``y``
+    (and its rate from ``ydot``): its assembled state columns, or all of
+    ``y`` for a single member.  ``effective`` factorizes the stacked ``S``
+    at the inner step.  ``ramp`` holds the weights
     1 - j/ss of the inner steps j = 1..ss as a column, ``injector`` stacks
     the members' ``L_v``, and ``link`` maps the multipliers to the change of
     ``z`` by the link solutions.  A group of at most
@@ -413,21 +491,22 @@ class _Group:
     gamma: float
     form: FirstOrderForm
     effective: EffectiveMatrix
+    dofs: dict
     rows: dict
     ramp: np.ndarray
     injector: np.ndarray
     link: np.ndarray
     propagator: _Propagator | None
 
-    def advance(self, z: np.ndarray, forces: np.ndarray, lam: np.ndarray, record: np.ndarray) -> np.ndarray:
-        """The free inner steps of one coupled step; ``record`` gets ``y`` after each."""
+    def advance(self, z: np.ndarray, forces: np.ndarray, lam: np.ndarray, record, first: int) -> np.ndarray:
+        """The free inner steps of one coupled step; ``record[first + j]`` gets ``y`` after step j."""
         m = self.form.state_size
         prop = self.propagator
         if prop is None:
             if self.subcycles > 1:  # the ramp weight of the single inner step of ss = 1 is zero
                 forces = forces + self.ramp * (self.injector @ lam)
             y, ydot = z[:m], z[m:]
-            for j, force in enumerate(forces):
+            for j, force in enumerate(forces, first):
                 y, ydot = free_step(self.form, self.effective, y, ydot, force, self.dt, self.gamma)
                 record[j] = y
             return np.concatenate([y, ydot])
@@ -436,7 +515,7 @@ class _Group:
             forced += self.ramp * prop.injected.dot(lam)
         size = 2 * m
         step, feedback, smoothing = prop.step, prop.feedback, self.form.smoothing
-        for j, f in enumerate(forced):
+        for j, f in enumerate(forced, first):
             w = step.dot(z)
             z = w[:size] + f + feedback.dot(friction_shape(w[size:], smoothing))
             record[j] = z[:m]
@@ -467,12 +546,13 @@ class PartitionedSolver:
         self._plan, pairs = [], []
         for ss, sids in members.items():
             if len(sids) == 1:
-                form, rows = self.forms[sids[0]], {sids[0]: slice(None)}
+                form = self.forms[sids[0]]
+                dofs, rows = {sids[0]: np.arange(form.n_dofs)}, {sids[0]: slice(None)}
             else:
                 # the members side by side: a primal assembly without constraints
                 group = {sid: system.substructures[sid] for sid in sids}
                 asys = assemble_global(group, CouplingTopology(()), sparse=_stores_csr(group))
-                form, rows = asys.first_order(), asys.state_columns
+                form, dofs, rows = asys.first_order(), asys.dof_map, asys.state_columns
             n = form.n_dofs
             dts = config.dt / ss
             effective = effective_matrix(form, dts, config.gamma)
@@ -490,7 +570,7 @@ class PartitionedSolver:
             link_rate = np.concatenate([config.gamma * dts * b, b])
             link = np.ascontiguousarray(np.concatenate([config.gamma * config.dt * link_rate, link_rate]))
             self._plan.append(_Group(
-                subcycles=ss, dt=dts, gamma=config.gamma, form=form, effective=effective, rows=rows,
+                subcycles=ss, dt=dts, gamma=config.gamma, form=form, effective=effective, dofs=dofs, rows=rows,
                 ramp=(1.0 - np.arange(1, ss + 1) / ss)[:, None], injector=injector, link=link,
                 propagator=_propagator(form, effective, dts, config.gamma, injector)
                 if n <= _PROPAGATOR_MAX_DOFS else None,
@@ -510,21 +590,23 @@ class PartitionedSolver:
         cfg = self.config
         n_steps = cfg.n_steps
         groups = self._plan
-        forces = self._prepare_forces(inputs, n_steps)
+        inputs = _known_inputs(inputs, self.forms)
+        initial = initial or {}
+        dof_counts = {sid: form.n_dofs for sid, form in self.forms.items()}
 
-        # per group: stacked force table, state z = [y; ydot], and a record of
-        # the stacked state y with one row per inner instant
+        # per group: a force table and a record per member on its own grid, and its state z = [y; ydot]
         tables, z, records = [], [], []
         for group in groups:
-            parts = [forces[sid] for sid in group.rows]
-            tables.append(parts[0] if len(parts) == 1 else np.hstack(parts))
-            m = group.form.state_size
+            ss, n, m = group.subcycles, group.form.n_dofs, group.form.state_size
+            ids, driven = _global_forces(group.dofs, inputs, cfg, ss > 1)
+            # rows that drive every DOF in order are the force table as they are, with no copy
+            tables.append(driven if np.array_equal(ids, np.arange(n)) else _force(ids, driven, n))
             z.append(np.empty(2 * m))
             for sid, rows in group.rows.items():
-                start = self._initial_state(sid, initial)
-                z[-1][:m][rows] = start
-                z[-1][m:][rows] = _initial_rate(self.forms[sid], start, forces[sid][0], f"substructure {sid!r}")
-            records.append(np.empty((n_steps * group.subcycles + 1, m)))
+                z[-1][:m][rows], z[-1][m:][rows] = _start(
+                    self.forms[sid], initial.get(sid), tables[-1][0][group.dofs[sid]], f"substructure {sid!r}"
+                )
+            records.append(_Records(group.rows, n_steps * ss + 1, dof_counts))
             records[-1][0] = z[-1][:m]
         multipliers = np.zeros((n_steps + 1, self.n_lam))
 
@@ -536,7 +618,7 @@ class PartitionedSolver:
             for k, group in enumerate(groups):
                 ss = group.subcycles
                 first = (step - 1) * ss + 1
-                z[k] = group.advance(z[k], tables[k][first: first + ss], lam, records[k][first: first + ss])
+                z[k] = group.advance(z[k], tables[k][first: first + ss], lam, records[k].into, first)
             if self.n_lam:
                 lam, links = coupling_step(
                     self.interface,
@@ -546,7 +628,7 @@ class PartitionedSolver:
                 for k, group in enumerate(groups):
                     z[k] = z[k] + links[k]
                     # the coupled state closes the window
-                    records[k][step * group.subcycles] = z[k][:group.form.state_size]
+                    records[k].into[step * group.subcycles] = z[k][:group.form.state_size]
             multipliers[step] = lam
             for k in keys:
                 y = z[k][:groups[k].form.state_size]
@@ -563,8 +645,7 @@ class PartitionedSolver:
         states, fine_states, fine_times = {}, {}, {}
         for group, record in zip(groups, records):
             ss = group.subcycles
-            for sid, rows in group.rows.items():
-                fine = record[:, rows]  # a view for a single member, else a copy
+            for sid, fine in record.states.items():
                 states[sid] = fine[::ss]
                 if ss > 1:
                     fine_states[sid] = fine
@@ -573,36 +654,10 @@ class PartitionedSolver:
             times=np.arange(n_steps + 1) * cfg.dt,
             states=states,
             multipliers=multipliers,
-            dof_counts={sid: self.forms[sid].n_dofs for sid in self.sub_ids},
+            dof_counts=dof_counts,
             fine_times=fine_times,
             fine_states=fine_states,
         )
-
-    def _initial_state(self, sid, initial) -> np.ndarray:
-        n2 = self.forms[sid].state_size
-        if initial is None or sid not in initial:
-            return np.zeros(n2)
-        y0 = np.asarray(initial[sid], dtype=float).copy()
-        if y0.shape != (n2,):
-            raise SolverError(f"initial state for {sid!r} must have length {n2}")
-        if not np.all(np.isfinite(y0)):
-            raise SolverError(f"initial state for {sid!r} holds a non-finite value")
-        return y0
-
-    def _prepare_forces(self, inputs, n_steps):
-        for sid in inputs or ():
-            if sid not in self.system.substructures:
-                raise SolverError(f"input table for {sid!r} names no substructure")
-        forces = {}
-        for group in self._plan:
-            ss = group.subcycles
-            for sid in group.rows:
-                n = self.forms[sid].n_dofs
-                table = None if inputs is None else inputs.get(sid)
-                forces[sid] = np.zeros((n_steps * ss + 1, n)) if table is None else _input_table(
-                    sid, table, n, n_steps, self.config.subcycles, ss > 1
-                )
-        return forces
 
 
 def simulate(

@@ -415,6 +415,19 @@ class TestRunExperimentCommand:
         assert (out_dir / "trajectory_partitioned.csv").exists()
         assert (out_dir / "trajectory_monolithic.csv").exists()
 
+    @pytest.mark.parametrize("model, flagged", [
+        ({"n": 10000}, True),  # the longer chain's spectrum slides down: last retained mode 1.48 Hz
+        ({"n": 10000, "k": 2.5e6, "m_light": 0.005, "heavy_every": 80}, False),  # refined: 14.3 Hz
+    ], ids=["plain", "refined"])
+    def test_cut_inside_the_excitation_band_is_flagged(self, tmp_path, capsys, model, flagged):
+        cfg = tmp_path / "exp.json"
+        cfg.write_text(json.dumps({"duration": 0.01, "run_monolithic": False, "model": model}))
+        assert main(["run-experiment", "--config", str(cfg), "--out-dir", str(tmp_path / "out")]) == 0
+        report = json.loads((tmp_path / "out" / "report.json").read_text())["model"]
+        assert report["excitation_max_hz"] == 8.0  # the default multisine's highest frequency
+        assert report["cut_inside_band"] is (report["first_discarded_frequency_hz"] <= 8.0) is flagged
+        assert ("warning: the reduction discards a mode" in capsys.readouterr().err) is flagged
+
 
 @pytest.mark.parametrize("command", [
     "generate-model", "generate-signal", "simulate", "simulate-monolithic", "compare",

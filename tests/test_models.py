@@ -334,6 +334,20 @@ class TestScatterEntries:
         assert full[1, 1] == 0.1 + 0.2 != 0.3
         assert csr.toarray().tobytes() == full.tobytes()
 
+    def test_many_entries_at_one_position_sum_in_entry_order_in_both_storages(self):
+        # 200 entries over 5 positions of one row: each position sums about 40
+        # values, whose rounding shows any change of the summation order
+        rng = np.random.default_rng(7)
+        rows, cols = np.full(200, 2), rng.integers(0, 5, 200)
+        values = rng.standard_normal(200) * 10.0 ** rng.integers(-8, 8, 200)
+        full = dynsub.models._scatter_entries(5, rows, cols, values, False)
+        csr = dynsub.models._scatter_entries(5, rows, cols, values, True)
+        in_order = np.zeros(5)
+        for col, value in zip(cols, values):
+            in_order[col] += value
+        assert full[2].tobytes() == in_order.tobytes()
+        assert csr.toarray().tobytes() == full.tobytes()
+
     def test_generators_reader_assembly_and_reduction_call_it(self, monkeypatch, tmp_path):
         calls = []
         original = dynsub.models._scatter_entries

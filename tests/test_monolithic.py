@@ -2,6 +2,7 @@
 
 import re
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from dynsub import (
     solve_newmark,
 )
 from dynsub.generators import chain_substructure, frame_analog, suspension_substructure
-from dynsub.solver import _initial_rate, effective_matrix, free_step
+from dynsub.solver import _start, effective_matrix, free_step
 
 from conftest import linear_suspension_analog, run_python, scipy_sparse_check, wheel_forces
 
@@ -294,8 +295,7 @@ class TestSolveMonolithic:
         assert forces.tobytes() != table(("b", "a")).tobytes()
         form = asys.first_order()
         d = effective_matrix(form, cfg.dt, cfg.gamma)
-        y = np.zeros(2 * asys.n_dofs)
-        ydot = _initial_rate(form, y, forces[0], "the assembled system")
+        y, ydot = _start(form, None, forces[0], "the assembled system")
         states = [y]
         for step in range(1, cfg.n_steps + 1):
             y, ydot = free_step(form, d, y, ydot, forces[step], cfg.dt, cfg.gamma)
@@ -382,17 +382,20 @@ class TestSparseReference:
             assert scale > 0
             assert np.abs(part.states[sid] - mono.states[sid]).max() <= 1e-12 * scale, sid
 
-    def test_peak_memory_is_the_substructure_records(self):
-        # the default desk reference: each substructure's states are recorded as
-        # the run goes, so no whole-run global record or force table is held
+    @pytest.mark.parametrize("solver", ["monolithic", "partitioned"])
+    def test_peak_memory_is_the_substructure_records(self, solver):
+        # the default desk system, unreduced: each substructure's states are
+        # recorded as the run goes, so no whole-run record of the stepped state,
+        # no zero force table per undriven substructure and no copy of either is held
         subs, topo = desk_1000()
         asys = assemble_global(subs, topo, sparse=True)
         system = CoupledSystem(substructures=subs, topology=topo)
         cfg = SolverConfig(dt=1e-3, duration=1.0)
         inputs = {"suspension": wheel_forces(system, "suspension", np.arange(cfg.n_steps + 1) * cfg.dt)}
+        run = partial(solve_monolithic, asys, cfg) if solver == "monolithic" else PartitionedSolver(system, cfg).run
         tracemalloc.start()
         try:
-            traj = solve_monolithic(asys, cfg, inputs)
+            traj = run(inputs)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
