@@ -143,10 +143,7 @@ def run_experiment(config: ExperimentConfig, out_dir) -> dict:
         topology=reduced_topology(topology, "frame", red),
         physical=("suspension",),
     )
-    wheel = np.asarray(susp.internal_dofs, dtype=int)
-    susp_forces_fine = np.zeros((fine_samples, susp.n_dofs))
-    susp_forces_fine[:, wheel] = channels_fine
-    inputs = {"suspension": susp_forces_fine}
+    inputs = dio.input_tables(reduced_system, {}, channels_fine)  # channel i drives wheel i
 
     t0 = time.perf_counter()
     solver = PartitionedSolver(reduced_system, solver_cfg)

@@ -110,8 +110,8 @@ def frame_substructure(
 
 def suspension_substructure(
     n_elements: int = 4,
-    boundary_mass: float = 0.016,
-    relative_motion: bool = True,
+    boundary_mass: float = NonlinearSubstructure.boundary_mass,
+    relative_motion: bool = NonlinearSubstructure.relative_motion,
     coefficients: dict | None = None,
 ) -> NonlinearSubstructure:
     """Suspension bank with one base-excitation channel per element."""
@@ -138,7 +138,7 @@ def frame_analog(
     rayleigh_beta: float = 1e-5,
     boundary_dofs: tuple | None = None,
     n_suspensions: int = 4,
-    boundary_mass: float = 0.016,
+    boundary_mass: float = NonlinearSubstructure.boundary_mass,
     suspension_coefficients: dict | None = None,
 ) -> tuple[dict, CouplingTopology]:
     """Frame plus suspensions plus the topology pairing their interfaces.

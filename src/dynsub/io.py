@@ -2,13 +2,17 @@
 
 A system file describes substructures, the interface constraints, the
 mapping of input channels to driven DOFs, and which substructures count as
-physical for sub-cycling.  A linear substructure record carries ``n_dofs``
-and stores ``mass``, ``damping`` and ``stiffness`` as sparse triplets
+physical for sub-cycling.  Each record is read by
+:func:`~dynsub.models.build_from_fields`, against the signatures below or
+the model class it describes, so an unknown or missing key fails with its
+name and an absent one takes the model class's own default.  A linear
+record stores ``mass``, ``damping`` and ``stiffness`` as sparse triplets
 ``{"rows": [...], "cols": [...], "values": [...]}``; duplicate entries sum,
 as in COO storage, and a missing ``damping`` reads as zero.  A record of
-``_SPARSE_MIN_DOFS`` DOFs or more is read straight into CSR arrays, a
-smaller one into dense arrays, by the package's one scatter of entries
-(:func:`~dynsub.models.matrix_from_entries`).
+``_SPARSE_MIN_DOFS`` DOFs or more is read into CSR arrays, a smaller one
+into dense arrays (:func:`~dynsub.models.matrix_from_entries`).  A
+suspension record is the ``dataclasses.asdict`` of its substructure; an
+element's ``base_excitation_channel`` defaults to its index.
 
 Every CSV table is written by :func:`_write_csv`: comma-separated, the
 header line (if any) without a comment prefix, and every number as
@@ -18,6 +22,7 @@ header line (if any) without a comment prefix, and every number as
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 from pathlib import Path
 
@@ -32,50 +37,40 @@ from .reduction import CraigBamptonReduction
 from .solver import CoupledSystem, Trajectory
 
 
-_MISSING = object()
-
-
-def _field(record, key: str, where: str, kind: type = object, default=_MISSING):
-    """``record[key]``, checked to be a ``kind``; ``default``, if given, for an absent key."""
-    if isinstance(record, dict) and key not in record and default is not _MISSING:
-        return default
-    if not isinstance(record, dict) or key not in record:
-        raise ModelError(f"{where} is missing field {key!r}")
-    if not isinstance(record[key], kind):
-        raise ModelError(f"{where}: field {key!r} must be a {kind.__name__}")
-    return record[key]
-
-
-def _numbers(where: str, integers: bool = False, **fields) -> None:
-    """:func:`~dynsub.models.require_numbers`, with ``where`` leading the message."""
-    require_numbers(lambda message: ModelError(f"{where}: {message}"), integers, **fields)
-
-
-def _integers(record, key: str, where: str, default) -> tuple:
-    """``record[key]`` as a tuple, checked to be a list of integers."""
-    items = tuple(_field(record, key, where, list, default=default))
-    for item in items:
-        _numbers(where, True, **{key: item})
-    return items
-
-
 def _to_triplets(entries: tuple) -> dict:
     """Triplet record of one of :attr:`LinearSubstructure.nonzeros`' entries."""
     rows, cols, values = entries
     return {"rows": rows.tolist(), "cols": cols.tolist(), "values": values.tolist()}
 
 
-def _from_triplets(entry, n: int, where: str):
+def _from_triplets(n: int, rows, cols, values):
     """``n``-by-``n`` matrix from a triplet record (:func:`~dynsub.models.matrix_from_entries`)."""
-    rows, cols, values = (_field(entry, key, where, list) for key in ("rows", "cols", "values"))
-    if not len(rows) == len(cols) == len(values):
-        raise ModelError(f"{where}: rows, cols and values must be of equal length")
+    if not all(isinstance(x, list) for x in (rows, cols, values)) or not len(rows) == len(cols) == len(values):
+        raise ModelError("rows, cols and values must be lists of equal length")
     if not (all(type(i) is int and 0 <= i < n for i in rows + cols)
             and all(type(v) in (int, float) for v in values)):
-        raise ModelError(f"{where}: rows and cols must be integers in [0, {n}) and values numbers")
+        raise ModelError(f"rows and cols must be integers in [0, {n}) and values numbers")
     return matrix_from_entries(
         n, np.asarray(rows, dtype=np.intp), np.asarray(cols, dtype=np.intp), np.asarray(values, dtype=float)
     )
+
+
+# The record schemas below are signatures, bound by build_from_fields; their
+# defaults are JSON values and are never mutated.
+
+def _linear_record(kind, n_dofs, mass, stiffness, damping={"rows": [], "cols": [], "values": []},
+                   internal_dofs=None, boundary_dofs=[]):
+    """The fields of a linear substructure record; ``internal_dofs`` defaults to every other DOF."""
+    if type(n_dofs) is not int or n_dofs < 1:  # a JSON true is no DOF count
+        raise ModelError(f"n_dofs must be a positive integer, got {n_dofs!r}")
+    if internal_dofs is None:  # a boundary that is not a list fails in LinearSubstructure
+        internal_dofs = [i for i in range(n_dofs) if i not in boundary_dofs] if isinstance(boundary_dofs, list) else []
+    return n_dofs, {"mass": mass, "damping": damping, "stiffness": stiffness}, internal_dofs, boundary_dofs
+
+
+def _system_record(substructures, coupling=[], inputs={}, physical=[]):
+    """The fields of a system file."""
+    return substructures, coupling, inputs, physical
 
 
 def substructure_to_dict(sub) -> dict:
@@ -90,62 +85,34 @@ def substructure_to_dict(sub) -> dict:
             "boundary_dofs": list(sub.boundary_dofs),
         }
     if isinstance(sub, NonlinearSubstructure):
-        return {
-            "kind": "suspension",
-            "elements": [
-                {
-                    "mass": e.mass,
-                    "k1": e.k1,
-                    "c1": e.c1,
-                    "c2": e.c2,
-                    "c3": e.c3,
-                    "base_excitation_channel": e.base_excitation_channel,
-                }
-                for e in sub.elements
-            ],
-            "boundary_mass": sub.boundary_mass,
-            "relative_motion": sub.relative_motion,
-        }
+        return {"kind": "suspension", **dataclasses.asdict(sub)}
     raise ModelError(f"cannot serialize {type(sub).__name__}")
 
 
 def substructure_from_dict(data: dict, sid: str = "substructure"):
+    """Substructure of a system-file record; an unknown or missing key raises ModelError naming it."""
     where = f"substructure {sid!r}"
-    kind = _field(data, "kind", where)
+    kind = data.get("kind") if isinstance(data, dict) else None
     if kind == "linear":
-        n = _field(data, "n_dofs", where)
-        if not isinstance(n, int) or n < 1:
-            raise ModelError(f"{where}: n_dofs must be a positive integer, got {n!r}")
-        boundary = _integers(data, "boundary_dofs", where, default=[])
-        internal = _integers(data, "internal_dofs", where,
-                             default=[i for i in range(n) if i not in boundary])
-        damping = data.get("damping", {"rows": [], "cols": [], "values": []})
-        return build_from_fields(LinearSubstructure, dict(
-            mass=_from_triplets(_field(data, "mass", where), n, f"{where} mass"),
-            damping=_from_triplets(damping, n, f"{where} damping"),
-            stiffness=_from_triplets(_field(data, "stiffness", where), n, f"{where} stiffness"),
-            internal_dofs=internal,
-            boundary_dofs=boundary,
-        ), where)
+        n, matrices, internal, boundary = build_from_fields(_linear_record, data, where)
+        for name, entries in matrices.items():
+            matrices[name] = build_from_fields(functools.partial(_from_triplets, n), entries, f"{where} {name}")
+        return build_from_fields(
+            LinearSubstructure, dict(matrices, internal_dofs=internal, boundary_dofs=boundary), where,
+        )
     if kind == "suspension":
-        elements = []
-        for i, e in enumerate(_field(data, "elements", where, list)):
-            at = f"{where} element {i}"
-            coefficients = {key: _field(e, key, at) for key in ("mass", "k1", "c1", "c2", "c3")}
-            channel = _field(e, "base_excitation_channel", at, default=i)
-            _numbers(at, **coefficients)
-            _numbers(at, True, base_excitation_channel=channel)
-            elements.append(build_from_fields(
-                SuspensionElement, {**coefficients, "base_excitation_channel": channel}, at,
-            ))
-        boundary_mass = _field(data, "boundary_mass", where, default=0.016)
-        _numbers(where, boundary_mass=boundary_mass)
-        return build_from_fields(NonlinearSubstructure, dict(
-            elements=tuple(elements),
-            boundary_mass=float(boundary_mass),
-            relative_motion=_field(data, "relative_motion", where, bool, default=True),
-        ), where)
-    raise ModelError(f"{where}: unknown kind {kind!r}")
+        fields = {key: value for key, value in data.items() if key != "kind"}
+        if not isinstance(fields.get("elements", []), list):
+            raise ModelError(f"{where}: field 'elements' must be a list of element records")
+        if "elements" in fields:  # an element's channel defaults to its index
+            fields["elements"] = tuple(
+                build_from_fields(
+                    functools.partial(SuspensionElement, base_excitation_channel=i), e, f"{where} element {i}",
+                )
+                for i, e in enumerate(fields["elements"])
+            )
+        return build_from_fields(NonlinearSubstructure, fields, where)
+    raise ModelError(f"{where}: field 'kind' must be 'linear' or 'suspension', got {kind!r}")
 
 
 def save_system(
@@ -174,28 +141,33 @@ def load_system(path) -> tuple[CoupledSystem, dict]:
     """Read a system file; returns (system, input channel map)."""
     doc = json.loads(Path(path).read_text())
     where = f"system file {path}"
-    records = _field(doc, "substructures", where, dict)
+    records, coupling, inputs, physical = build_from_fields(_system_record, doc, where)
+    if not isinstance(records, dict):
+        raise ModelError(f"{where}: field 'substructures' must map ids to substructure records")
     subs = {sid: substructure_from_dict(d, sid) for sid, d in records.items()}
+    if not isinstance(coupling, list):
+        raise ModelError(f"{where}: field 'coupling' must be a list of constraints, got {coupling!r}")
     constraints = []
-    for c, entry in enumerate(_field(doc, "coupling", where, list, default=[])):
+    for c, entry in enumerate(coupling):
         at = f"{where}: 'coupling' entry {c}"
         if not isinstance(entry, list) or not all(
             isinstance(side, list) and len(side) == 3 and isinstance(side[0], str) for side in entry
         ):
             raise ModelError(f"{at} must be a list of [substructure, dof, sign] triples, got {entry!r}")
         for _, dof, sign in entry:
-            _numbers(at, True, dof=dof, sign=sign)
+            require_numbers(lambda message: ModelError(f"{at}: {message}"), True, dof=dof, sign=sign)
         constraints.append(tuple(tuple(side) for side in entry))
-    physical = _field(doc, "physical", where, list, default=[])
-    if not all(isinstance(sid, str) for sid in physical):
+    if not isinstance(physical, list) or not all(isinstance(sid, str) for sid in physical):
         raise ModelError(f"{where}: field 'physical' must be a list of substructure ids, got {physical!r}")
     system = CoupledSystem(
         substructures=subs,
         topology=CouplingTopology(constraints=tuple(constraints)),
         physical=tuple(physical),
     )
+    if not isinstance(inputs, dict):
+        raise ModelError(f"{where}: field 'inputs' must map substructure ids to channel maps, got {inputs!r}")
     input_map = {}
-    for sid, chans in _field(doc, "inputs", where, dict, default={}).items():
+    for sid, chans in inputs.items():
         at = f"{where}: 'inputs' of {sid!r}"
         if sid not in subs or not isinstance(chans, dict):
             raise ModelError(f"{at} must map DOFs of a substructure to channels, got {chans!r}")

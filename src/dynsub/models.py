@@ -39,6 +39,7 @@ import functools
 import inspect
 import math
 import numbers
+import reprlib
 import sys
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
@@ -62,7 +63,12 @@ def build_from_fields(factory, fields: dict, what: str):
     """Call ``factory(**fields)``; an unknown or missing field raises ModelError naming it.
 
     ``what`` leads the message of that error and of a ModelError that ``factory`` raises.
+    ``fields`` that are not a mapping (a JSON record that is not an object) raise a
+    ModelError listing the fields of ``factory``.
     """
+    if not isinstance(fields, Mapping):
+        names = ", ".join(map(repr, inspect.signature(factory).parameters))
+        raise ModelError(f"{what} must be an object of the fields {names}, got {reprlib.repr(fields)}")
     try:
         inspect.signature(factory).bind(**fields)
     except TypeError as exc:
@@ -191,8 +197,8 @@ class LinearSubstructure:
         if np.any(m.diagonal() <= 0):
             raise ModelError("mass matrix must have a strictly positive diagonal")
         n = m.shape[0]
-        internal = tuple(int(i) for i in self.internal_dofs)
-        boundary = tuple(int(i) for i in self.boundary_dofs)
+        internal = _dof_tuple("internal_dofs", self.internal_dofs)
+        boundary = _dof_tuple("boundary_dofs", self.boundary_dofs)
         cover = sorted(internal + boundary)
         if cover != list(range(n)):
             raise ModelError(
@@ -229,6 +235,20 @@ class LinearSubstructure:
             return nonzero_entries(x)
 
         return {name: entries(getattr(self, name)) for name in ("mass", "damping", "stiffness")}
+
+
+def _dof_tuple(name: str, dofs) -> tuple:
+    """``dofs`` as a tuple of ints; anything but a collection of integers raises ModelError naming ``name``."""
+    if isinstance(dofs, (str, bytes, Mapping)) or not isinstance(dofs, Iterable):
+        raise ModelError(f"field {name!r} must be a list of integers, got {dofs!r}")
+    # an int passes on a type test; any other entry is checked once, as it comes
+    return tuple(i if type(i) is int else _dof_index(name, i) for i in dofs)
+
+
+def _dof_index(name: str, i) -> int:
+    if isinstance(i, bool) or not isinstance(i, numbers.Integral):
+        raise ModelError(f"field {name!r} must be a list of integers, got entry {i!r}")
+    return int(i)
 
 
 def matrix_from_entries(n: int, rows: np.ndarray, cols: np.ndarray, values: np.ndarray):
@@ -291,7 +311,10 @@ class SuspensionElement:
     base_excitation_channel: int = 0
 
     def __post_init__(self):
-        _require_finite(mass=self.mass, k1=self.k1, c1=self.c1, c2=self.c2, c3=self.c3)
+        coefficients = dict(mass=self.mass, k1=self.k1, c1=self.c1, c2=self.c2, c3=self.c3)
+        require_numbers(ModelError, **coefficients)
+        require_numbers(ModelError, True, base_excitation_channel=self.base_excitation_channel)
+        _require_finite(**coefficients)
         if self.mass <= 0:
             raise ModelError(f"element mass must be positive, got {self.mass}")
         if self.c3 <= 0:
@@ -327,6 +350,9 @@ class NonlinearSubstructure:
         for e in elements:
             if not isinstance(e, SuspensionElement):
                 raise ModelError(f"expected SuspensionElement, got {type(e).__name__}")
+        require_numbers(ModelError, boundary_mass=self.boundary_mass)
+        if not isinstance(self.relative_motion, bool):
+            raise ModelError(f"field 'relative_motion' must be true or false, got {self.relative_motion!r}")
         _require_finite(boundary_mass=self.boundary_mass)
         if self.boundary_mass <= 0:
             raise ModelError(f"boundary (attachment) mass must be positive, got {self.boundary_mass}")

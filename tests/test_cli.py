@@ -108,6 +108,13 @@ def _singular_frame_mass(model):
     model.write_text(json.dumps(doc))
 
 
+def _misspelled_frame_damping(model):
+    doc = json.loads(model.read_text())
+    frame = doc["substructures"]["frame"]
+    frame["dampign"] = frame.pop("damping")
+    model.write_text(json.dumps(doc))
+
+
 def _setting(*keys, value):
     """Edit of a model file that sets the entry at ``keys`` to ``value``."""
     return lambda model: set_json_entry(model, keys, value)
@@ -178,6 +185,18 @@ def _setting(*keys, value):
      ("option '--full'", "--full"), None),
     (["simulate", "--model", "{model}", "--config", "{tmp}/good.json", "--out", "{tmp}/t.csv"],
      ("mass matrix of substructure 'frame'", "frame"), _singular_frame_mass),
+    # a misspelled or unknown key, at each of the five record levels of a system file
+    (["simulate", "--model", "{model}", "--config", "{tmp}/good.json", "--out", "{tmp}/t.csv"],
+     ("system file", "extra"), _setting("extra", value=1)),
+    (["simulate", "--model", "{model}", "--config", "{tmp}/good.json", "--out", "{tmp}/t.csv"],
+     ("substructure 'frame'", "dampign"), _misspelled_frame_damping),
+    (["simulate", "--model", "{model}", "--config", "{tmp}/good.json", "--out", "{tmp}/t.csv"],
+     ("substructure 'frame' stiffness", "vals"), _setting("substructures", "frame", "stiffness", "vals", value=[])),
+    (["simulate", "--model", "{model}", "--config", "{tmp}/good.json", "--out", "{tmp}/t.csv"],
+     ("substructure 'suspension'", "boundry_mass"), _setting("substructures", "suspension", "boundry_mass", value=0.5)),
+    (["simulate", "--model", "{model}", "--config", "{tmp}/good.json", "--out", "{tmp}/t.csv"],
+     ("substructure 'suspension' element 2", "k_1"),
+     _setting("substructures", "suspension", "elements", 2, "k_1", value=35.0)),
 ], ids=["frame_params", "chain_params", "chain_float_n", "solver_config", "experiment_config",
           "experiment_model", "missing_mass", "system_relative_motion", "system_coupling",
           "solver_config_type", "solver_config_partial_step", "experiment_config_type",
@@ -187,7 +206,8 @@ def _setting(*keys, value):
           "signal_no_channels", "system_asymmetric_frame_mass", "reduce_no_report_modes", "compare_mac_sizes",
           "compare_non_numeric_csv", "simulate_non_numeric_inputs", "signal_spec_sample_rate",
           "signal_spec_seed", "signal_spec_kind", "compare_traj_no_shared_channel", "compare_mac_zero_column",
-          "system_singular_frame_mass"])
+          "system_singular_frame_mass", "system_unknown_top_level_key", "system_misspelled_damping",
+          "system_unknown_triplet_key", "system_misspelled_boundary_mass", "system_unknown_element_key"])
 def test_malformed_input_exits_1_naming_the_field(tmp_path, model_file, capsys, argv, key, edit):
     """``key`` is the name the message must quote, or (location, name) for a location it must also lead with."""
     write_config(tmp_path / "good.json")

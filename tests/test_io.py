@@ -82,7 +82,8 @@ class TestSystemRoundTrip:
         ("mass", [[1, 0, 0], [0, 1, 0], [0, 0, 1]], "'chain' mass.*'rows'"),
         ("n_dofs", None, "'chain'.*'n_dofs'"),
         ("mass", {"rows": [[0], [1, 2]], "cols": [0, 1], "values": [1.0, 1.0]}, r"'chain' mass.*integers in \[0, 3\)"),
-    ], ids=["out_of_range", "negative", "unequal_lengths", "dense_list", "missing_n_dofs", "ragged"])
+        ("n_dofs", True, "'chain'.*n_dofs must be a positive integer, got True"),
+    ], ids=["out_of_range", "negative", "unequal_lengths", "dense_list", "missing_n_dofs", "ragged", "true_n_dofs"])
     def test_malformed_record_rejected(self, tmp_path, field, value, message):
         path = tmp_path / "model.json"
         save_system(path, {"chain": chain_substructure(n=3)}, CouplingTopology(()))
@@ -105,8 +106,15 @@ class TestSystemRoundTrip:
         (("inputs",), {"frame": {"a": 0}}, "inputs"),
         (("substructures", "frame", "boundary_dofs"), ["a"], "boundary_dofs"),
         (("physical",), [["suspension"]], "physical"),
+        # a key that no field of the record has, at each of the five record levels
+        (("extra",), 1, "extra"),
+        (("substructures", "frame", "dampign"), {"rows": [], "cols": [], "values": []}, "dampign"),
+        (("substructures", "frame", "mass", "vals"), [], "vals"),
+        (("substructures", "suspension", "boundry_mass"), 0.5, "boundry_mass"),
+        (("substructures", "suspension", "elements", 0, "k_1"), 35.0, "k_1"),
     ], ids=["relative_motion", "k1", "boundary_mass", "coupling_dof", "coupling_sign", "inputs_dof",
-            "boundary_dofs", "physical"])
+            "boundary_dofs", "physical", "unknown_top_level_key", "unknown_linear_key", "unknown_triplet_key",
+            "unknown_suspension_key", "unknown_element_key"])
     def test_wrongly_typed_field_rejected_naming_it(self, tmp_path, path, value, field):
         subs, topology = frame_analog(n=24, boundary_dofs=(5, 11, 17, 23))
         model = tmp_path / "model.json"
@@ -114,6 +122,27 @@ class TestSystemRoundTrip:
         set_json_entry(model, path, value)
         with pytest.raises(ModelError, match=repr(field)):
             load_system(model)
+
+    @pytest.mark.parametrize("n", [200, 1000])
+    def test_a_loaded_frame_file_is_written_back_byte_for_byte(self, tmp_path, n):
+        subs, topology = frame_analog(n=n)
+        path, again = tmp_path / "model.json", tmp_path / "again.json"
+        save_system(path, subs, topology, input_map={"frame": {3: 0}}, physical=("suspension",))
+        system, input_map = load_system(path)
+        save_system(again, system.substructures, system.topology, input_map, system.physical)
+        assert again.read_bytes() == path.read_bytes()
+
+    def test_element_channel_defaults_to_its_index(self, tmp_path):
+        subs, topology = frame_analog(n=24, boundary_dofs=(5, 11, 17, 23))
+        path = tmp_path / "model.json"
+        save_system(path, subs, topology)
+        doc = json.loads(path.read_text())
+        for element in doc["substructures"]["suspension"]["elements"]:
+            del element["base_excitation_channel"]
+        path.write_text(json.dumps(doc))
+        susp = load_system(path)[0].substructures["suspension"]
+        assert [e.base_excitation_channel for e in susp.elements] == [0, 1, 2, 3]
+        assert susp.elements == subs["suspension"].elements
 
     def test_substructures_must_be_a_mapping(self, tmp_path):
         path = tmp_path / "model.json"

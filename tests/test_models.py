@@ -141,6 +141,25 @@ class TestValidation:
         with pytest.raises(ModelError, match="'boundary_mass'"):
             NonlinearSubstructure(elements=(element,), boundary_mass=bad)
 
+    @pytest.mark.parametrize("field, build", [
+        ("k1", lambda: SuspensionElement(**{**COEFF, "k1": "35"})),
+        ("base_excitation_channel", lambda: SuspensionElement(**COEFF, base_excitation_channel=1.0)),
+        ("relative_motion", lambda: NonlinearSubstructure(elements=suspension().elements, relative_motion="no")),
+        ("boundary_mass", lambda: NonlinearSubstructure(elements=suspension().elements, boundary_mass="0.016")),
+        ("boundary_dofs", lambda: linear("dense", np.eye(2), np.zeros((2, 2)), np.eye(2), boundary_dofs=(1.5,))),
+        ("boundary_dofs", lambda: linear("dense", np.eye(2), np.zeros((2, 2)), np.eye(2), boundary_dofs=(True,))),
+        ("internal_dofs", lambda: linear("dense", np.eye(2), np.zeros((2, 2)), np.eye(2), internal_dofs=0)),
+    ], ids=["k1", "channel", "relative_motion", "boundary_mass", "fractional_dof", "bool_dof", "dofs_not_a_list"])
+    def test_wrongly_typed_field_rejected_naming_it(self, field, build):
+        with pytest.raises(ModelError, match=repr(field)):
+            build()
+
+    def test_dof_lists_of_numpy_integers_accepted(self):
+        sub = linear("dense", np.eye(2), np.zeros((2, 2)), np.eye(2), internal_dofs=np.array([0]),
+                     boundary_dofs=(np.int64(1),))
+        assert sub.internal_dofs == (0,) and sub.boundary_dofs == (1,)
+        assert all(type(i) is int for i in sub.internal_dofs + sub.boundary_dofs)
+
     def test_matrices_locked_after_construction(self):
         for storage in STORAGES:
             sub = linear(storage, np.eye(2), 0.1 * np.eye(2), [[2.0, -1.0], [-1.0, 1.0]])
