@@ -36,8 +36,6 @@ from .solver import (
     SolverConfig,
     SolverError,
     Trajectory,
-    effective_matrix,
-    free_step,
     simulate,
 )
 
@@ -68,12 +66,10 @@ __all__ = [
     "assemble_first_order",
     "assemble_global",
     "constraint_modes",
-    "effective_matrix",
     "expand",
     "finite_difference_tangent",
     "fixed_interface_modes",
     "frequency_error_table",
-    "free_step",
     "generate_signal",
     "mac",
     "rayleigh_damping",

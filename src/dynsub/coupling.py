@@ -9,6 +9,14 @@ velocities.  Displacement rows are never coupled.  The interface operator
 caller makes with its own factorizations of ``S``; this module only adds
 and factorizes them.
 
+Each topology rule has one owner, for system files and API callers alike.
+:class:`CouplingTopology` checks each constraint alone: two ``(id, dof, sign)``
+triples on two substructures, an integer DOF (a float is refused, never
+truncated), opposite integer signs +1 and -1, and no interface pair twice.
+:func:`_check_references`, called by :class:`~dynsub.solver.CoupledSystem`
+and :func:`assemble_global`, checks that each id is known and each DOF lies
+in ``[0, n)``.
+
 :func:`assemble_global` places substructures on shared global DOFs by
 primal assembly.  With the coupling constraints it merges the interface
 DOFs, which gives the monolithic reference; with no constraints it is the
@@ -24,13 +32,15 @@ one singularity rule) for ``S``, ``H``, ``M``, ``K_ii`` and Newmark.
 from __future__ import annotations
 
 import functools
+from collections.abc import Hashable, Mapping
 from dataclasses import dataclass
-from typing import Mapping
 
 import numpy as np
 import scipy.linalg
 
-from .models import FirstOrderForm, LinearSubstructure, _scatter_entries, assemble_first_order, nonzero_entries
+from .models import (
+    FirstOrderForm, LinearSubstructure, _scatter_entries, assemble_first_order, nonzero_entries, require_numbers,
+)
 
 
 class CouplingError(ValueError):
@@ -41,21 +51,27 @@ class CouplingError(ValueError):
 class CouplingTopology:
     """Signed collocation of interface DOFs across substructures.
 
-    ``constraints`` is a sequence of interface constraints, each given as two
-    ``(substructure_id, dof_index, sign)`` triples with opposite signs.
+    ``constraints`` is a list of interface constraints, each given as two
+    ``(substructure_id, dof_index, sign)`` triples with opposite signs,
+    under the rules of the module docstring.
     """
 
     constraints: tuple
 
     def __post_init__(self):
+        if not isinstance(self.constraints, (tuple, list)):
+            raise CouplingError(f"constraints must be a list of constraints, got {self.constraints!r}")
         normalized = []
         seen = set()
         for c, entry in enumerate(self.constraints):
-            if len(entry) != 2:
-                raise CouplingError(
-                    f"constraint {c} must touch exactly two substructures, got {len(entry)}"
-                )
+            if not (isinstance(entry, (tuple, list)) and len(entry) == 2 and all(
+                isinstance(side, (tuple, list)) and len(side) == 3 and isinstance(side[0], Hashable) for side in entry
+            )):
+                raise CouplingError(f"constraint {c} must be exactly two (substructure, dof, sign) triples, "
+                                    f"got {entry!r}")
             (sa, da, ga), (sb, db, gb) = entry
+            for dof, sign in ((da, ga), (db, gb)):
+                require_numbers(lambda message: CouplingError(f"constraint {c}: {message}"), True, dof=dof, sign=sign)
             if ga not in (-1, 1) or gb not in (-1, 1):
                 raise CouplingError(f"constraint {c} signs must be +1 or -1, got {ga}, {gb}")
             if ga == gb:
@@ -73,14 +89,15 @@ class CouplingTopology:
     def n_constraints(self) -> int:
         return len(self.constraints)
 
-    def entries_for(self, sub_id) -> list:
-        """(constraint index, dof, sign) triples touching one substructure."""
-        out = []
-        for c, entry in enumerate(self.constraints):
-            for sid, dof, sign in entry:
-                if sid == sub_id:
-                    out.append((c, dof, sign))
-        return out
+
+def _check_references(topology: CouplingTopology, substructures: Mapping) -> None:
+    """Raise CouplingError, before any indexing, for a constraint naming an unknown id or a DOF outside [0, n)."""
+    for c, entry in enumerate(topology.constraints):
+        for sid, dof, _ in entry:
+            if sid not in substructures:
+                raise CouplingError(f"constraint {c} references unknown substructure {sid!r}")
+            if not 0 <= dof < substructures[sid].n_dofs:
+                raise CouplingError(f"constraint {c} references DOF {dof} of {sid!r}")
 
 
 def locator_matrix(topology: CouplingTopology, sub_id, n_dofs: int) -> np.ndarray:
@@ -88,13 +105,13 @@ def locator_matrix(topology: CouplingTopology, sub_id, n_dofs: int) -> np.ndarra
 
     Shape (n_dofs, n_constraints); entries in {-1, 0, +1}.  Its transpose
     maps the substructure's velocities to its signed share of each
-    constraint's velocity gap.
+    constraint's velocity gap.  :class:`~dynsub.solver.CoupledSystem` checks the DOFs.
     """
     l = np.zeros((n_dofs, topology.n_constraints))
-    for c, dof, sign in topology.entries_for(sub_id):
-        if not 0 <= dof < n_dofs:
-            raise CouplingError(f"constraint {c} references DOF {dof} of {sub_id!r} (has {n_dofs})")
-        l[dof, c] = sign
+    for c, entry in enumerate(topology.constraints):
+        for sid, dof, sign in entry:
+            if sid == sub_id:
+                l[dof, c] = sign
     return l
 
 
@@ -157,6 +174,7 @@ def assemble_global(substructures: Mapping, topology: CouplingTopology, sparse: 
     """
     if not substructures:
         raise CouplingError("the system has no substructures to assemble")
+    _check_references(topology, substructures)
     offsets, total = {}, 0
     for sid, sub in substructures.items():
         offsets[sid] = total
@@ -173,11 +191,6 @@ def assemble_global(substructures: Mapping, topology: CouplingTopology, sparse: 
 
     for c, entry in enumerate(topology.constraints):
         (sa, da, _), (sb, db, _) = entry
-        for sid, dof in ((sa, da), (sb, db)):  # before any indexing: numpy takes a DOF of -1
-            if sid not in offsets:
-                raise CouplingError(f"constraint {c} references unknown substructure {sid!r}")
-            if not 0 <= dof < substructures[sid].n_dofs:
-                raise CouplingError(f"constraint {c} references DOF {dof} of {sid!r}")
         ra, rb = find(offsets[sa] + da), find(offsets[sb] + db)
         if ra == rb:
             raise CouplingError(f"constraint {c} is redundant: its DOFs are already merged")

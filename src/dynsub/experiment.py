@@ -55,13 +55,11 @@ class ExperimentConfig:
     sine_frequencies: tuple = DEFAULT_SINE_FREQUENCIES
     sine_amplitudes: tuple = DEFAULT_SINE_AMPLITUDES
     model: dict = field(default_factory=lambda: {"n": 1000, "k": 2.5e5})
+    _solver: SolverConfig = field(init=False, repr=False, compare=False)  # built from dt, duration, gamma, subcycles
 
     def __post_init__(self):
         require_numbers(ModelError, integers=True, modes=self.modes, subcycles=self.subcycles, seed=self.seed)
-        require_numbers(
-            ModelError, dt=self.dt, duration=self.duration, gamma=self.gamma,
-            noise_variance=self.noise_variance,
-        )
+        require_numbers(ModelError, noise_variance=self.noise_variance)
         if not isinstance(self.run_monolithic, bool):
             raise ModelError(f"field 'run_monolithic' must be true or false, got {self.run_monolithic!r}")
         if not isinstance(self.model, Mapping):
@@ -69,12 +67,13 @@ class ExperimentConfig:
         if self.modes < 1:
             raise ModelError(f"need at least one retained mode, got {self.modes}")
         try:  # the solver's own rules on dt, duration, gamma and subcycles
-            SolverConfig(dt=self.dt, duration=self.duration, gamma=self.gamma, subcycles=self.subcycles)
+            solver = SolverConfig(dt=self.dt, duration=self.duration, gamma=self.gamma, subcycles=self.subcycles)
         except SolverError as exc:
             raise ModelError(str(exc)) from None
         for name in ("sine_frequencies", "sine_amplitudes"):
             object.__setattr__(self, name, number_tuple(ModelError, name, getattr(self, name)))
         object.__setattr__(self, "model", dict(self.model))
+        object.__setattr__(self, "_solver", solver)
 
     @classmethod
     def from_file(cls, path) -> "ExperimentConfig":
@@ -100,10 +99,7 @@ def run_experiment(config: ExperimentConfig, out_dir) -> dict:
     frame, susp = subs["frame"], subs["suspension"]
     dio.save_system(out / "model.json", subs, topology, input_map={}, physical=("suspension",))
 
-    solver_cfg = SolverConfig(
-        dt=config.dt, duration=config.duration, gamma=config.gamma,
-        subcycles=config.subcycles,
-    )
+    solver_cfg = config._solver
     n_steps = solver_cfg.n_steps
     n_channels = susp.n_elements
 

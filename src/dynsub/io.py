@@ -14,6 +14,13 @@ into dense arrays (:func:`~dynsub.models.matrix_from_entries`).  A
 suspension record is the ``dataclasses.asdict`` of its substructure; an
 element's ``base_excitation_channel`` defaults to its index.
 
+Past the records :func:`load_system` only parses JSON.  ``coupling`` and
+``physical`` are checked by their owners, :mod:`dynsub.coupling` and
+:class:`~dynsub.solver.CoupledSystem`; an input map, read from a file or passed
+to :func:`input_tables`, by :func:`_check_input_map`: each id is a substructure,
+each DOF an integer in ``[0, n)`` and each channel a non-negative integer.
+A file's errors are ModelErrors led by the file and the field name.
+
 Every CSV table is written by :func:`_write_csv`: comma-separated, the
 header line (if any) without a comment prefix, and every number as
 ``%.17g``, so it reads back exactly.
@@ -24,14 +31,15 @@ from __future__ import annotations
 import dataclasses
 import functools
 import json
+import numbers
+from collections.abc import Mapping
 from pathlib import Path
 
 import numpy as np
 
-from .coupling import CouplingTopology
+from .coupling import CouplingError, CouplingTopology, _check_references
 from .models import (
     LinearSubstructure, ModelError, NonlinearSubstructure, SuspensionElement, build_from_fields, matrix_from_entries,
-    require_numbers,
 )
 from .reduction import CraigBamptonReduction
 from .solver import CoupledSystem, Trajectory
@@ -145,40 +153,20 @@ def load_system(path) -> tuple[CoupledSystem, dict]:
     if not isinstance(records, dict):
         raise ModelError(f"{where}: field 'substructures' must map ids to substructure records")
     subs = {sid: substructure_from_dict(d, sid) for sid, d in records.items()}
-    if not isinstance(coupling, list):
-        raise ModelError(f"{where}: field 'coupling' must be a list of constraints, got {coupling!r}")
-    constraints = []
-    for c, entry in enumerate(coupling):
-        at = f"{where}: 'coupling' entry {c}"
-        if not isinstance(entry, list) or not all(
-            isinstance(side, list) and len(side) == 3 and isinstance(side[0], str) for side in entry
-        ):
-            raise ModelError(f"{at} must be a list of [substructure, dof, sign] triples, got {entry!r}")
-        for _, dof, sign in entry:
-            require_numbers(lambda message: ModelError(f"{at}: {message}"), True, dof=dof, sign=sign)
-        constraints.append(tuple(tuple(side) for side in entry))
-    if not isinstance(physical, list) or not all(isinstance(sid, str) for sid in physical):
-        raise ModelError(f"{where}: field 'physical' must be a list of substructure ids, got {physical!r}")
-    system = CoupledSystem(
-        substructures=subs,
-        topology=CouplingTopology(constraints=tuple(constraints)),
-        physical=tuple(physical),
-    )
-    if not isinstance(inputs, dict):
-        raise ModelError(f"{where}: field 'inputs' must map substructure ids to channel maps, got {inputs!r}")
-    input_map = {}
-    for sid, chans in inputs.items():
-        at = f"{where}: 'inputs' of {sid!r}"
-        if sid not in subs or not isinstance(chans, dict):
-            raise ModelError(f"{at} must map DOFs of a substructure to channels, got {chans!r}")
-        input_map[sid] = {}
-        for dof, ch in chans.items():
-            if not (dof.isdecimal() and int(dof) < subs[sid].n_dofs and type(ch) is int and ch >= 0):
-                raise ModelError(
-                    f"{at} must map DOFs below {subs[sid].n_dofs} to channel numbers, got {dof!r}: {ch!r}"
-                )
-            input_map[sid][int(dof)] = ch
-    return system, input_map
+    try:  # CoupledSystem checks the references again, without the field's name
+        topology = CouplingTopology(constraints=coupling)
+        _check_references(topology, subs)
+    except CouplingError as exc:
+        raise ModelError(f"{where}: field 'coupling': {exc}") from None
+    system = build_from_fields(CoupledSystem, dict(substructures=subs, topology=topology, physical=physical), where)
+    if isinstance(inputs, dict):  # JSON keys are strings: a decimal one is a DOF; a new map, never the default
+        inputs = {
+            sid: {int(dof) if dof.isdecimal() else dof: ch for dof, ch in chans.items()}
+            if isinstance(chans, dict) else chans
+            for sid, chans in inputs.items()
+        }
+    _check_input_map(system, inputs, f"{where}: field 'inputs'")
+    return system, inputs
 
 
 # the npz record holds one array per field of CraigBamptonReduction, in field order
@@ -206,7 +194,7 @@ def load_reduction(path) -> CraigBamptonReduction:
     return CraigBamptonReduction(**record)
 
 
-def trajectory_columns(traj: Trajectory, system: CoupledSystem | None = None, all_dofs: bool = False):
+def trajectory_columns(traj: Trajectory, system: CoupledSystem, all_dofs: bool = False):
     """Column specification (label, sub_id, kind, dof) for CSV export.
 
     Defaults to boundary DOFs of every substructure plus all DOFs of
@@ -214,9 +202,8 @@ def trajectory_columns(traj: Trajectory, system: CoupledSystem | None = None, al
     """
     cols = []
     for sid in traj.states:
-        n = traj.dof_counts[sid]
-        if all_dofs or system is None:
-            dofs = range(n)
+        if all_dofs:
+            dofs = range(traj.dof_counts[sid])
         else:
             sub = system.substructures[sid]
             dofs = list(sub.boundary_dofs)
@@ -233,7 +220,7 @@ def _write_csv(path, header, rows: np.ndarray) -> None:
     np.savetxt(path, rows, delimiter=",", header=",".join(header), comments="", fmt="%.17g")
 
 
-def save_trajectory_csv(path, traj: Trajectory, system: CoupledSystem | None = None, all_dofs: bool = False) -> None:
+def save_trajectory_csv(path, traj: Trajectory, system: CoupledSystem, all_dofs: bool = False) -> None:
     """Trajectory CSV: time, selected displacements/velocities, multipliers."""
     cols = trajectory_columns(traj, system, all_dofs)
     header = ["time"] + [c[0] for c in cols] + [f"lambda{i}" for i in range(traj.multipliers.shape[1])]
@@ -257,11 +244,9 @@ def load_csv_columns(path) -> tuple[list, np.ndarray]:
 
 
 def save_signals_csv(path, times: np.ndarray, channels: np.ndarray) -> None:
-    channels = np.atleast_2d(np.asarray(channels, dtype=float))
-    if channels.shape[0] != len(times):
-        channels = channels.T
-    header = ["time"] + [f"ch{i}" for i in range(channels.shape[1])]
-    _write_csv(path, header, np.column_stack([times, channels]))
+    """Signals CSV: ``time``, then one column per channel; ``channels`` has one row per time."""
+    table = np.column_stack([times, channels])
+    _write_csv(path, ["time"] + [f"ch{i}" for i in range(table.shape[1] - 1)], table)
 
 
 def load_signals_csv(path) -> tuple[np.ndarray, np.ndarray]:
@@ -271,12 +256,30 @@ def load_signals_csv(path) -> tuple[np.ndarray, np.ndarray]:
     return data[:, 0], data[:, 1:]
 
 
+def _check_input_map(system: CoupledSystem, input_map, where: str) -> None:
+    """Raise ModelError, led by ``where``, before any indexing, for an input map that breaks the module's rules."""
+    if not isinstance(input_map, Mapping):
+        raise ModelError(f"{where} must map substructure ids to channel maps, got {input_map!r}")
+    index = lambda x: isinstance(x, numbers.Integral) and not isinstance(x, bool) and x >= 0
+    for sid, chans in input_map.items():
+        if sid not in system.substructures:
+            raise ModelError(f"{where} references unknown substructure {sid!r}")
+        n = system.substructures[sid].n_dofs
+        if not isinstance(chans, Mapping):
+            raise ModelError(f"{where} of {sid!r} must map DOFs to channels, got {chans!r}")
+        for dof, ch in chans.items():
+            if not (index(dof) and dof < n and index(ch)):
+                raise ModelError(f"{where} of {sid!r} must map DOFs below {n} to channel numbers, got {dof!r}: {ch!r}")
+
+
 def input_tables(system: CoupledSystem, input_map: dict, channels: np.ndarray) -> dict:
     """Expand channel signals into per-substructure force tables.
 
-    ``input_map`` maps substructure id to {dof: channel}; suspension elements
-    additionally pull their ``base_excitation_channel`` onto the wheel DOF.
+    ``input_map`` maps substructure id to {dof: channel}, under the rules of
+    a system file's ``inputs``; suspension elements additionally pull their
+    ``base_excitation_channel`` onto the wheel DOF.
     """
+    _check_input_map(system, input_map, "input map")
     n_samples = channels.shape[0]
     tables = {}
     for sid, sub in system.substructures.items():
@@ -292,7 +295,7 @@ def input_tables(system: CoupledSystem, input_map: dict, channels: np.ndarray) -
                         )
                     table[:, i] = channels[:, e.base_excitation_channel]
                     used = True
-        for dof, ch in (input_map.get(sid) or {}).items():
+        for dof, ch in input_map.get(sid, {}).items():
             if ch >= channels.shape[1]:
                 raise ModelError(f"{sid!r} DOF {dof} references channel {ch}, have {channels.shape[1]}")
             table[:, dof] += channels[:, ch]

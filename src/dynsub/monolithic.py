@@ -82,8 +82,6 @@ def solve_newmark(
     asys: AssembledSystem,
     config: SolverConfig,
     inputs: Mapping | None = None,
-    beta: float = 0.25,
-    gamma: float = 0.5,
 ) -> Trajectory:
     """Newmark average-acceleration oracle on a linear assembled system."""
     form = asys.first_order()
@@ -96,14 +94,10 @@ def solve_newmark(
     records = _Records(asys.state_columns, config.n_steps + 1)
     m, c, k = asys.mass, asys.damping, asys.stiffness
 
-    a0 = 1.0 / (beta * dt**2)
-    a1 = gamma / (beta * dt)
-    a2 = 1.0 / (beta * dt)
-    a3 = 1.0 / (2 * beta) - 1.0
-    a4 = gamma / beta - 1.0
-    a5 = dt / 2 * (gamma / beta - 2.0)
-    a6 = dt * (1.0 - gamma)
-    a7 = gamma * dt
+    beta, gamma = 0.25, 0.5  # average acceleration
+    a0, a1, a2 = 1.0 / (beta * dt**2), gamma / (beta * dt), 1.0 / (beta * dt)
+    a3, a4, a5 = 1.0 / (2 * beta) - 1.0, gamma / beta - 1.0, dt / 2 * (gamma / beta - 2.0)
+    a6, a7 = dt * (1.0 - gamma), gamma * dt
 
     k_eff = k + a0 * m + a1 * c
     solve = _factorize(k_eff, lambda: SolverError(f"Newmark effective stiffness singular for dt={dt}"))

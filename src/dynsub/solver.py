@@ -64,6 +64,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+from collections.abc import Hashable
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -73,6 +74,7 @@ from .coupling import (
     CouplingError,
     CouplingTopology,
     InterfaceOperator,
+    _check_references,
     _factorize,
     _stores_csr,
     assemble_global,
@@ -81,6 +83,7 @@ from .coupling import (
 )
 from .models import (
     FirstOrderForm,
+    ModelError,
     NonlinearSubstructure,
     assemble_first_order,
     friction_shape,
@@ -147,7 +150,8 @@ class CoupledSystem:
 
     ``physical`` lists the substructure ids that run at the finer inner time
     step when sub-cycling is enabled; by default every nonlinear substructure
-    is treated as physical.
+    is treated as physical, and must name substructures.  The topology's
+    references are checked by :func:`~dynsub.coupling._check_references`.
     """
 
     substructures: Mapping
@@ -159,20 +163,11 @@ class CoupledSystem:
         if not subs:
             raise CouplingError("the system has no substructures")
         object.__setattr__(self, "substructures", subs)
-        for entry in self.topology.constraints:
-            for sid, dof, _ in entry:
-                if sid not in subs:
-                    raise CouplingError(f"topology references unknown substructure {sid!r}")
-                if not 0 <= dof < subs[sid].n_dofs:
-                    raise CouplingError(
-                        f"topology references DOF {dof} of {sid!r} "
-                        f"({subs[sid].n_dofs} DOFs)"
-                    )
-        physical = tuple(self.physical)
-        for sid in physical:
-            if sid not in subs:
-                raise CouplingError(f"physical id {sid!r} is not a substructure")
-        object.__setattr__(self, "physical", physical)
+        _check_references(self.topology, subs)
+        if not (isinstance(self.physical, (tuple, list))
+                and all(isinstance(sid, Hashable) and sid in subs for sid in self.physical)):
+            raise ModelError(f"field 'physical' must be a list of ids of its substructures, got {self.physical!r}")
+        object.__setattr__(self, "physical", tuple(self.physical))
 
     def physical_ids(self) -> tuple:
         if self.physical:

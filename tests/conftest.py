@@ -13,10 +13,9 @@ from hypothesis import settings
 
 from dynsub import (
     CoupledSystem, CouplingTopology, LinearSubstructure, SolverConfig, assemble_first_order, assemble_global,
-    effective_matrix, free_step,
 )
 from dynsub.coupling import locator_matrix, steklov_poincare
-from dynsub.solver import coupling_step
+from dynsub.solver import coupling_step, effective_matrix, free_step
 from dynsub.generators import chain_substructure, frame_analog, suspension_substructure
 
 # property tests draw the same examples on every run, so the suite stays

@@ -1,5 +1,7 @@
 """Interface topology, locator matrices, condensed operator."""
 
+import re
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -11,10 +13,10 @@ from dynsub import (
     PartitionedSolver,
     SolverConfig,
     assemble_first_order,
-    effective_matrix,
     simulate,
 )
 from dynsub.coupling import locator_matrix, steklov_poincare
+from dynsub.solver import effective_matrix
 from dynsub.models import LinearSubstructure
 
 
@@ -45,6 +47,18 @@ class TestTopologyValidation:
     def test_signs_must_be_unit(self):
         with pytest.raises(CouplingError, match=r"\+1 or -1"):
             CouplingTopology(constraints=((("a", 0, 2), ("b", 0, -1)),))
+
+    @pytest.mark.parametrize("side, message", [
+        (("a", 5.9, 1), "constraint 1: field 'dof' must be an integer, got 5.9"),
+        (("a", "5", 1), "constraint 1: field 'dof' must be an integer, got '5'"),
+        (("a", 5, True), "constraint 1: field 'sign' must be an integer, got True"),
+        (("a", 5, -1.0), "constraint 1: field 'sign' must be an integer, got -1.0"),
+        (("a", 5), "constraint 1 must be exactly two (substructure, dof, sign) triples"),
+    ], ids=["float_dof", "string_dof", "boolean_sign", "float_sign", "two_entry_side"])
+    def test_malformed_side_named_not_truncated(self, side, message):
+        # a float DOF is refused, not truncated to 5; the first constraint is well formed
+        with pytest.raises(CouplingError, match=re.escape(message)):
+            CouplingTopology(constraints=((("a", 0, 1), ("b", 0, -1)), (side, ("b", 1, 1))))
 
     def test_self_coupling_rejected(self):
         with pytest.raises(CouplingError, match="itself"):
@@ -159,6 +173,7 @@ def test_package_exports_no_solver_internals():
     # the step's building blocks stay importable from their modules only
     import dynsub
 
-    for name in ("coupling_step", "locator_matrix", "steklov_poincare", "InterfaceOperator", "EffectiveMatrix"):
+    for name in ("coupling_step", "locator_matrix", "steklov_poincare", "InterfaceOperator", "EffectiveMatrix",
+                 "effective_matrix", "free_step"):
         assert name not in dynsub.__all__ and not hasattr(dynsub, name), name
     assert all(hasattr(dynsub, name) for name in dynsub.__all__)

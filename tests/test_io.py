@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -121,6 +122,23 @@ class TestSystemRoundTrip:
         save_system(model, subs, topology, physical=("suspension",))
         set_json_entry(model, path, value)
         with pytest.raises(ModelError, match=repr(field)):
+            load_system(model)
+
+    @pytest.mark.parametrize("path, value, message", [
+        (("coupling", 0, 0), ["frame", 5.9, 1], "field 'coupling': constraint 0: field 'dof' must be an integer"),
+        (("coupling", 0, 0), ["frame", 39, 1], "field 'coupling': constraint 0 references DOF 39 of 'frame'"),
+        (("physical",), ["nosuch"], "field 'physical' must be a list of ids of its substructures, got ['nosuch']"),
+        (("inputs",), {"frame": {"-1": 0}}, "field 'inputs' of 'frame' must map DOFs below 24 to channel numbers"),
+        (("inputs",), {"nosuch": {"0": 0}}, "field 'inputs' references unknown substructure 'nosuch'"),
+    ], ids=["float_coupling_dof", "coupling_dof_past_end", "unknown_physical_id", "negative_input_dof",
+            "unknown_input_id"])
+    def test_file_held_to_the_api_rules(self, tmp_path, path, value, message):
+        # the system and input-map checks that API callers meet, led by the file and the field
+        subs, topology = frame_analog(n=24, boundary_dofs=(5, 11, 17, 23))
+        model = tmp_path / "model.json"
+        save_system(model, subs, topology, physical=("suspension",))
+        set_json_entry(model, path, value)
+        with pytest.raises(ModelError, match=re.escape(f"system file {model}: {message}")):
             load_system(model)
 
     @pytest.mark.parametrize("n", [200, 1000])
@@ -245,6 +263,18 @@ class TestInputTables:
         channels = np.ones((5, 4))
         tables = input_tables(desk, {"frame": {7: 2}}, channels)
         assert np.array_equal(tables["frame"][:, 7], channels[:, 2])
+
+    @pytest.mark.parametrize("input_map, message", [
+        ({"nosuch": {0: 0}}, "input map references unknown substructure 'nosuch'"),
+        ({"frame": {-1: 0}}, "input map of 'frame' must map DOFs below 200 to channel numbers, got -1: 0"),
+        ({"frame": {200: 0}}, "input map of 'frame' must map DOFs below 200 to channel numbers, got 200: 0"),
+        ({"frame": {2.5: 0}}, "input map of 'frame' must map DOFs below 200 to channel numbers, got 2.5: 0"),
+        ({"frame": {7: -1}}, "input map of 'frame' must map DOFs below 200 to channel numbers, got 7: -1"),
+    ], ids=["unknown_id", "negative_dof", "dof_past_end", "float_dof", "negative_channel"])
+    def test_api_map_held_to_the_file_rules(self, desk, input_map, message):
+        # before any indexing: numpy would drive the last DOF for -1 and the last channel for -1
+        with pytest.raises(ModelError, match=re.escape(message)):
+            input_tables(desk, input_map, np.ones((5, 4)))
 
     def test_missing_channel_reported(self, desk):
         with pytest.raises(ModelError, match="channel"):

@@ -23,12 +23,11 @@ from dynsub import (
     assemble_first_order,
     analytic_sdof,
     assemble_global,
-    effective_matrix,
-    free_step,
     simulate,
     tangent_at_zero,
 )
 from dynsub.coupling import _factorize
+from dynsub.solver import effective_matrix, free_step
 from dynsub.generators import chain_substructure, frame_analog, suspension_substructure
 from dynsub.reduction import reduce as cb_reduce, reduced_topology
 
