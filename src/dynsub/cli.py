@@ -22,7 +22,7 @@ from .experiment import ExperimentConfig, run_experiment
 from .generators import chain_substructure, frame_analog
 from .metrics import MetricsError, frequency_error_table, mac, trajectory_mse
 from .models import LinearSubstructure, ModelError, build_from_fields
-from .monolithic import assemble_global, solve_monolithic
+from .monolithic import _recording, assemble_global, solve_monolithic
 from .reduction import expanded_mode_shapes, full_frequencies, reduce as cb_reduce, reduced_frequencies
 from .signals import SignalError, SignalSpec, generate_signal, multisine_with_noise_channels
 from .solver import DivergenceError, SolverConfig, SolverError, simulate
@@ -127,6 +127,8 @@ def _cmd_simulate(args) -> int:
     if args.monolithic:
         # CSR if a member is, the storage rule of the partitioned solver's step groups
         asys = assemble_global(system.substructures, system.topology, sparse=_stores_csr(system.substructures))
+        if not args.all_dofs:  # record only the DOFs the CSV holds
+            asys = _recording(asys, dio._exported_dofs(system))
         traj = solve_monolithic(asys, config, inputs)
     else:
         traj = simulate(system, config, inputs)

@@ -122,7 +122,10 @@ class AssembledSystem:
     ``dof_map[sid]`` gives the global DOF of each DOF of substructure ``sid``;
     two DOFs of one substructure may share a global DOF.  ``mass``,
     ``damping`` and ``stiffness`` are dense arrays, or CSR arrays for a
-    sparse assembly.
+    sparse assembly.  ``_recorded`` maps a substructure id to the DOFs of
+    it that the monolithic reference records; ``None``, as
+    :func:`assemble_global` builds it, records every DOF
+    (:func:`~dynsub.monolithic._recording`).
     """
 
     mass: np.ndarray
@@ -130,6 +133,7 @@ class AssembledSystem:
     stiffness: np.ndarray
     dof_map: dict
     _form: FirstOrderForm
+    _recorded: Mapping | None = None
 
     @property
     def n_dofs(self) -> int:

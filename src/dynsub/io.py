@@ -19,6 +19,8 @@ Past the records :func:`load_system` only parses JSON.  ``coupling`` and
 :class:`~dynsub.solver.CoupledSystem`; an input map, read from a file or passed
 to :func:`input_tables`, by :func:`_check_input_map`: each id is a substructure,
 each DOF an integer in ``[0, n)`` and each channel a non-negative integer.
+A file's ``inputs`` key names a DOF only in the decimal form of that DOF
+(``str(dof)``): ``"05"`` or ``"٥"`` stays a string and is refused, quoted.
 A file's errors are ModelErrors led by the file and the field name.
 
 Every CSV table is written by :func:`_write_csv`: comma-separated, the
@@ -159,14 +161,24 @@ def load_system(path) -> tuple[CoupledSystem, dict]:
     except CouplingError as exc:
         raise ModelError(f"{where}: field 'coupling': {exc}") from None
     system = build_from_fields(CoupledSystem, dict(substructures=subs, topology=topology, physical=physical), where)
-    if isinstance(inputs, dict):  # JSON keys are strings: a decimal one is a DOF; a new map, never the default
+    if isinstance(inputs, dict):  # a new map, never the default
         inputs = {
-            sid: {int(dof) if dof.isdecimal() else dof: ch for dof, ch in chans.items()}
-            if isinstance(chans, dict) else chans
+            sid: {_dof_of_key(dof): ch for dof, ch in chans.items()} if isinstance(chans, dict) else chans
             for sid, chans in inputs.items()
         }
     _check_input_map(system, inputs, f"{where}: field 'inputs'")
     return system, inputs
+
+
+def _dof_of_key(key: str):
+    """The DOF of an ``inputs`` key: the integer whose decimal form it is, else the key, which the checks refuse.
+
+    So ``"05"`` or ``"٥"`` is never read as DOF 5 beside a ``"5"``.
+    """
+    try:
+        return int(key) if str(int(key)) == key else key
+    except ValueError:
+        return key
 
 
 # the npz record holds one array per field of CraigBamptonReduction, in field order
@@ -194,22 +206,30 @@ def load_reduction(path) -> CraigBamptonReduction:
     return CraigBamptonReduction(**record)
 
 
-def trajectory_columns(traj: Trajectory, system: CoupledSystem, all_dofs: bool = False):
-    """Column specification (label, sub_id, kind, dof) for CSV export.
+def _exported_dofs(system: CoupledSystem, all_dofs: bool = False) -> dict:
+    """``{sid: DOFs}`` that a trajectory CSV holds, in column order.
 
-    Defaults to boundary DOFs of every substructure plus all DOFs of
-    nonlinear substructures; ``all_dofs`` exports everything.
+    The boundary DOFs of every substructure, after every internal DOF of a
+    nonlinear one; ``all_dofs`` exports every DOF.  The reference records
+    only these (:func:`~dynsub.monolithic._recording`).
     """
+    dofs = {}
+    for sid, sub in system.substructures.items():
+        if all_dofs:
+            dofs[sid] = range(sub.n_dofs)
+        elif isinstance(sub, NonlinearSubstructure):
+            dofs[sid] = list(sub.internal_dofs) + list(sub.boundary_dofs)
+        else:
+            dofs[sid] = list(sub.boundary_dofs)
+    return dofs
+
+
+def trajectory_columns(traj: Trajectory, system: CoupledSystem, all_dofs: bool = False):
+    """Column specification (label, sub_id, kind, dof) for CSV export, by :func:`_exported_dofs`."""
+    exported = _exported_dofs(system, all_dofs)
     cols = []
     for sid in traj.states:
-        if all_dofs:
-            dofs = range(traj.dof_counts[sid])
-        else:
-            sub = system.substructures[sid]
-            dofs = list(sub.boundary_dofs)
-            if isinstance(sub, NonlinearSubstructure):
-                dofs = list(sub.internal_dofs) + dofs
-        for dof in dofs:
+        for dof in exported[sid]:
             cols.append((f"{sid}.u{dof}", sid, "u", dof))
             cols.append((f"{sid}.v{dof}", sid, "v", dof))
     return cols

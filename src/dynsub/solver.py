@@ -64,6 +64,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import numbers
 from collections.abc import Hashable
 from dataclasses import dataclass, field
 from typing import Mapping
@@ -185,7 +186,13 @@ class Trajectory:
     ``states[sub_id]`` has one row per coupled instant, columns ``[u; v]``.
     Sub-cycled substructures additionally record their inner samples in
     ``fine_states`` at spacing dt/ss (the last sample of each window holds the
-    coupled state).
+    coupled state).  ``dof_counts[sub_id]`` is the substructure's DOF count.
+    A record may hold only some of its DOFs: ``_recorded[sub_id]`` then maps
+    each recorded DOF to its column, and ``states[sub_id]`` holds ``[u; v]``
+    of those DOFs alone.  :meth:`displacement` and :meth:`velocity` find a
+    DOF's column in either record, and raise SolverError naming the
+    substructure and the DOF for one outside ``[0, dof_counts[sub_id])`` or
+    not recorded.
     """
 
     times: np.ndarray
@@ -194,16 +201,29 @@ class Trajectory:
     dof_counts: dict
     fine_times: dict = field(default_factory=dict)
     fine_states: dict = field(default_factory=dict)
+    _recorded: dict = field(default_factory=dict, repr=False)
 
     @property
     def n_steps(self) -> int:
         return len(self.times) - 1
 
+    def _column(self, sub_id, dof) -> int:
+        """Column of ``dof``'s displacement in ``states[sub_id]``; its velocity is half a row further on."""
+        recorded = self._recorded.get(sub_id)
+        if isinstance(dof, numbers.Integral) and 0 <= dof < self.dof_counts[sub_id]:
+            if recorded is None:
+                return dof
+            if dof in recorded:
+                return recorded[dof]
+        held = f"DOFs {sorted(recorded)}" if recorded is not None else f"{self.dof_counts[sub_id]} DOFs"
+        raise SolverError(f"substructure {sub_id!r} DOF {dof!r} is not in the trajectory, which holds {held}")
+
     def displacement(self, sub_id, dof: int) -> np.ndarray:
-        return self.states[sub_id][:, dof]
+        return self.states[sub_id][:, self._column(sub_id, dof)]
 
     def velocity(self, sub_id, dof: int) -> np.ndarray:
-        return self.states[sub_id][:, self.dof_counts[sub_id] + dof]
+        record = self.states[sub_id]
+        return record[:, record.shape[1] // 2 + self._column(sub_id, dof)]
 
 
 @dataclass(frozen=True)
@@ -388,15 +408,22 @@ class _Records:
     state: index arrays (``dof_counts`` then defaults to half their
     lengths), or ``slice(None)`` for a state that is one substructure's
     own.  ``records[row] = y`` copies each substructure's columns of ``y``
-    into that row of its own ``(rows, 2 n_s)`` record.  ``into`` takes the
-    same writes; for a lone substructure's state it is the one record,
-    which takes the state as it is, with no gather.
+    into that row of its own record, one column per selected entry.
+    ``into`` takes the same writes; for a lone substructure's state it is
+    the one record, which takes the state as it is, with no gather.
+    ``recorded[sid]``, when given, lists the DOFs whose ``[u; v]`` the
+    columns select, in order, for a record of only some DOFs.
     """
 
-    def __init__(self, columns: Mapping, rows: int, dof_counts: Mapping | None = None):
+    def __init__(self, columns: Mapping, rows: int, dof_counts: Mapping | None = None,
+                 recorded: Mapping | None = None):
         self.columns, self.rows = columns, rows
         self.dof_counts = dof_counts or {sid: len(cols) // 2 for sid, cols in columns.items()}
-        self.states = {sid: np.empty((rows, 2 * self.dof_counts[sid])) for sid in columns}
+        self.recorded = recorded or {}
+        self.states = {
+            sid: np.empty((rows, 2 * self.dof_counts[sid] if isinstance(cols, slice) else len(cols)))
+            for sid, cols in columns.items()
+        }
         (sid, cols), *others = columns.items()
         self.into = self.states[sid] if isinstance(cols, slice) and not others else self
 
@@ -407,7 +434,9 @@ class _Records:
     def trajectory(self, dt: float) -> Trajectory:
         """The records as a :class:`Trajectory` at spacing ``dt``, with no multipliers."""
         return Trajectory(times=np.arange(self.rows) * dt, states=self.states,
-                          multipliers=np.zeros((self.rows, 0)), dof_counts=self.dof_counts)
+                          multipliers=np.zeros((self.rows, 0)), dof_counts=self.dof_counts,
+                          _recorded={sid: {int(dof): i for i, dof in enumerate(dofs)}
+                                     for sid, dofs in self.recorded.items()})
 
 
 # Largest group, in DOFs, stepped through a precomputed propagator.  A

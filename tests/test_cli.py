@@ -197,6 +197,11 @@ def _setting(*keys, value):
     (["simulate", "--model", "{model}", "--config", "{tmp}/good.json", "--out", "{tmp}/t.csv"],
      ("substructure 'suspension' element 2", "k_1"),
      _setting("substructures", "suspension", "elements", 2, "k_1", value=35.0)),
+    # an inputs key names a DOF only in its decimal form, so "05" is not a second "5"
+    (["simulate", "--model", "{model}", "--config", "{tmp}/good.json", "--out", "{tmp}/t.csv"],
+     ("system file", "05"), _setting("inputs", value={"frame": {"5": 0, "05": 1}})),
+    (["simulate", "--model", "{model}", "--config", "{tmp}/good.json", "--out", "{tmp}/t.csv", "--monolithic"],
+     ("system file", "\u0665"), _setting("inputs", value={"frame": {"\u0665": 0}})),
 ], ids=["frame_params", "chain_params", "chain_float_n", "solver_config", "experiment_config",
           "experiment_model", "missing_mass", "system_relative_motion", "system_coupling",
           "solver_config_type", "solver_config_partial_step", "experiment_config_type",
@@ -207,7 +212,8 @@ def _setting(*keys, value):
           "compare_non_numeric_csv", "simulate_non_numeric_inputs", "signal_spec_sample_rate",
           "signal_spec_seed", "signal_spec_kind", "compare_traj_no_shared_channel", "compare_mac_zero_column",
           "system_singular_frame_mass", "system_unknown_top_level_key", "system_misspelled_damping",
-          "system_unknown_triplet_key", "system_misspelled_boundary_mass", "system_unknown_element_key"])
+          "system_unknown_triplet_key", "system_misspelled_boundary_mass", "system_unknown_element_key",
+          "system_input_key_with_leading_zero", "system_input_key_arabic_indic_digit"])
 def test_malformed_input_exits_1_naming_the_field(tmp_path, model_file, capsys, argv, key, edit):
     """``key`` is the name the message must quote, or (location, name) for a location it must also lead with."""
     write_config(tmp_path / "good.json")

@@ -3,10 +3,12 @@
 import filecmp
 import importlib
 import json
+import tracemalloc
 import types
 from pathlib import Path
 
 import pytest
+import scipy.sparse.linalg  # imported before any tracing, so its module objects are not counted
 
 from dynsub.experiment import ExperimentConfig, run_experiment
 from dynsub.models import ModelError
@@ -102,6 +104,21 @@ class TestRunExperiment:
         run_experiment(small_config(subcycles=1), tmp_path / "ss1")
         assert filecmp.cmp(tmp_path / "base" / "trajectory_partitioned.csv",
                            tmp_path / "ss1" / "trajectory_partitioned.csv", shallow=False)
+
+    def test_peak_memory_holds_no_record_of_every_dof(self, tmp_path):
+        # the default 1000-DOF desk run over 1 s: a reference record of every
+        # DOF would be 1001 x 2000 x 8 B = 16.0 MB on its own; the written
+        # DOFs' record is 0.2 MB and the whole run peaked at about 3 MB, so
+        # half of the whole record leaves that room and still fails with it
+        config = ExperimentConfig(run_monolithic=True)
+        whole_record = (config._solver.n_steps + 1) * 2 * config.model["n"] * 8
+        tracemalloc.start()
+        try:
+            run_experiment(config, tmp_path / "out")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < whole_record / 2, f"peak {peak / 1e6:.1f} MB"
 
     def test_subcycled_experiment_runs(self, tmp_path):
         report = run_experiment(small_config(subcycles=5, duration=0.02), tmp_path / "out")

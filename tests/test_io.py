@@ -141,6 +141,27 @@ class TestSystemRoundTrip:
         with pytest.raises(ModelError, match=re.escape(f"system file {model}: {message}")):
             load_system(model)
 
+    @pytest.mark.parametrize("inputs, key", [
+        ({"5": 0, "05": 1}, "05"), ({"05": 1, "5": 0}, "05"), ({"05": 0}, "05"), ({"\u0665": 0}, "\u0665"),
+        ({"+5": 0}, "+5"), ({" 5": 0}, " 5"), ({"5_0": 0}, "5_0"),
+    ], ids=["leading_zero_after", "leading_zero_before", "leading_zero_alone", "arabic_indic_digit",
+            "plus_sign", "space", "underscore"])
+    def test_input_key_must_be_the_decimal_form_of_its_dof(self, tmp_path, inputs, key):
+        # int() reads each of these keys as a DOF, so two of them could name one DOF silently
+        subs, topology = frame_analog(n=24, boundary_dofs=(5, 11, 17, 23))
+        model = tmp_path / "model.json"
+        save_system(model, subs, topology, physical=("suspension",))
+        set_json_entry(model, ("inputs",), {"frame": inputs})
+        message = f"system file {model}: field 'inputs' of 'frame' must map DOFs below 24 to channel numbers, got {key!r}"
+        with pytest.raises(ModelError, match=re.escape(message)):
+            load_system(model)
+
+    def test_input_keys_in_decimal_form_are_dofs(self, tmp_path):
+        subs, topology = frame_analog(n=24, boundary_dofs=(5, 11, 17, 23))
+        model = tmp_path / "model.json"
+        save_system(model, subs, topology, input_map={"frame": {0: 1, 5: 0, 23: 2}}, physical=("suspension",))
+        assert load_system(model)[1] == {"frame": {0: 1, 5: 0, 23: 2}}
+
     @pytest.mark.parametrize("n", [200, 1000])
     def test_a_loaded_frame_file_is_written_back_byte_for_byte(self, tmp_path, n):
         subs, topology = frame_analog(n=n)

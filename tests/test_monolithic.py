@@ -26,7 +26,9 @@ from dynsub import (
     solve_newmark,
 )
 from dynsub.generators import chain_substructure, frame_analog, suspension_substructure
-from dynsub.solver import _start, effective_matrix, free_step
+from dynsub.io import _exported_dofs, save_trajectory_csv
+from dynsub.monolithic import _recording
+from dynsub.solver import DivergenceError, _start, effective_matrix, free_step
 
 from conftest import linear_suspension_analog, run_python, scipy_sparse_check, wheel_forces
 
@@ -441,6 +443,69 @@ class TestSparseReference:
     def test_cli_import_leaves_scipy_sparse_out(self):
         proc = run_python(scipy_sparse_check("import dynsub.cli"))
         assert proc.returncode == 0, proc.stderr
+
+
+class TestRecordedDofs:
+    """The route of ``run_experiment`` and the CLI: a reference that records only the DOFs a CSV holds."""
+
+    @staticmethod
+    def desk(n):
+        subs, topo = frame_analog(n=n)
+        system = CoupledSystem(substructures=subs, topology=topo)
+        cfg = SolverConfig(dt=1e-3, duration=0.05)
+        inputs = {"suspension": wheel_forces(system, "suspension", np.arange(cfg.n_steps + 1) * cfg.dt)}
+        return system, assemble_global(subs, topo, sparse=n >= 400), cfg, inputs
+
+    @pytest.mark.parametrize("n", [200, 1000], ids=["dense_200", "csr_1000"])
+    def test_csv_equals_that_of_the_whole_record(self, tmp_path, n):
+        system, asys, cfg, inputs = self.desk(n)
+        assert isinstance(asys.mass, np.ndarray) == (n < 400)
+        whole = solve_monolithic(asys, cfg, inputs)
+        part = solve_monolithic(_recording(asys, _exported_dofs(system)), cfg, inputs)
+        # the frame's four boundary DOFs and the suspension's eight DOFs, u and v
+        assert {sid: record.shape for sid, record in part.states.items()} == {
+            "frame": (cfg.n_steps + 1, 8), "suspension": (cfg.n_steps + 1, 16),
+        }
+        assert part.dof_counts == whole.dof_counts
+        save_trajectory_csv(tmp_path / "whole.csv", whole, system)
+        save_trajectory_csv(tmp_path / "part.csv", part, system)
+        assert (tmp_path / "part.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
+
+    def test_unrecorded_dof_is_refused_naming_it(self):
+        system, asys, cfg, inputs = self.desk(200)
+        part = solve_monolithic(_recording(asys, _exported_dofs(system)), cfg, inputs)
+        internal = system.substructures["frame"].internal_dofs[0]
+        for read in (part.displacement, part.velocity):
+            with pytest.raises(SolverError, match=f"substructure 'frame' DOF {internal} is not in the trajectory"):
+                read("frame", internal)
+        # a substructure the selection leaves out is recorded with no DOF at all
+        bare = solve_monolithic(_recording(asys, {"suspension": [0]}), cfg, inputs)
+        assert bare.states["frame"].shape == (cfg.n_steps + 1, 0)
+        boundary = system.substructures["frame"].boundary_dofs[0]
+        with pytest.raises(SolverError, match=f"substructure 'frame' DOF {boundary} is not in the trajectory"):
+            bare.displacement("frame", boundary)
+        assert bare.velocity("suspension", 0).tobytes() == part.velocity("suspension", 0).tobytes()
+
+    @pytest.mark.parametrize("dof", [-1, 200, 2.0], ids=["negative", "past_end", "float"])
+    def test_dof_outside_a_whole_record_is_refused(self, dof):
+        # -1 used to read the last velocity column as a displacement
+        _, asys, cfg, inputs = self.desk(200)
+        whole = solve_monolithic(asys, cfg, inputs)
+        for read in (whole.displacement, whole.velocity):
+            with pytest.raises(SolverError, match=re.escape(f"substructure 'frame' DOF {dof!r} is not in the trajectory")):
+                read("frame", dof)
+
+    def test_divergence_of_an_unrecorded_dof_is_caught(self):
+        # a fast internal frame DOF breaks the limit while every recorded DOF stays far below it
+        system, asys, _, inputs = self.desk(200)
+        route = _recording(asys, _exported_dofs(system))
+        internal = system.substructures["frame"].internal_dofs[50]
+        initial = np.zeros(2 * asys.n_dofs)
+        initial[asys.n_dofs + asys.dof_map["frame"][internal]] = 1e3
+        one_step = solve_monolithic(route, SolverConfig(dt=1e-3, duration=1e-3), inputs={}, initial=initial)
+        assert max(np.abs(record).max() for record in one_step.states.values()) < 10.0
+        with pytest.raises(DivergenceError, match="'global' diverged at step 1"):
+            solve_monolithic(route, SolverConfig(dt=1e-3, duration=0.05, divergence_limit=100.0), inputs, initial)
 
 
 class TestNewmark:
