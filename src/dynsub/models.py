@@ -401,14 +401,17 @@ class NonlinearSubstructure:
 Substructure = Union[LinearSubstructure, NonlinearSubstructure]
 
 
-def friction_shape(xd: np.ndarray, c3: np.ndarray) -> np.ndarray:
+def friction_shape(xd: np.ndarray, c3: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """phi(xd, c3) = xd |xd| / (c3 + |xd|), so that ``rho = -(c2/c3) phi``.
 
     ``rho`` is what the friction force ``c2 xd / (c3 + |xd|)`` adds beyond
     its slope ``c2/c3`` at rest, without cancelling two quotients near 0.
+    ``out``, which may be ``xd`` itself, takes the result.
     """
     magnitude = np.abs(xd)
-    return xd * magnitude / (c3 + magnitude)
+    shaped = np.multiply(xd, magnitude, out=out)
+    magnitude += c3
+    return np.divide(shaped, magnitude, out=shaped)
 
 
 @dataclass(frozen=True)

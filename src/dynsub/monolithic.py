@@ -24,10 +24,11 @@ into that substructure's own record.  An assembly passed through
 ``dof_map[sid][dofs]`` and ``n + dof_map[sid][dofs]``; ``run_experiment``
 and ``dynsub simulate --monolithic`` (without ``--all-dofs``) so record
 only the DOFs they write (:func:`dynsub.io._exported_dofs`), while the
-divergence check still sees the whole state.  On the default desk run
-that record is 24 columns instead of 2000.  A Newmark
-average-acceleration variant (dense only) and the closed-form damped SDOF
-solution serve as independent cross-checks.
+divergence check still sees the whole state; it names the substructure
+and the DOF of the value that broke the limit through ``dof_map``.  On
+the default desk run that record is 24 columns instead of 2000.  A
+Newmark average-acceleration variant (dense only) and the closed-form
+damped SDOF solution serve as independent cross-checks.
 """
 
 from __future__ import annotations
@@ -98,7 +99,7 @@ def solve_monolithic(
     for step in range(1, config.n_steps + 1):
         y, ydot = free_step(form, d, y, ydot, _force(force_ids, forces[step], n), dt, gamma)
         records[step] = y
-        _check_divergence(step, "global", y, config.divergence_limit)
+        _check_divergence(step, y, config.divergence_limit, asys.dof_map)
 
     return records.trajectory(dt)
 
@@ -139,7 +140,7 @@ def solve_newmark(
         u, acc = u_new, acc_new
         y = np.concatenate([u, v])
         records[step] = y
-        _check_divergence(step, "global", y, config.divergence_limit)
+        _check_divergence(step, y, config.divergence_limit, asys.dof_map)
 
     return records.trajectory(dt)
 

@@ -32,20 +32,37 @@ gives both the group's link maps and its share ``L_v^T b`` of the
 interface operator ``H``, and the same factors drive its free steps and
 its propagator.
 
+A coupled step of a group is a window of its ``ss`` inner steps, stepped
+in one buffer of ``ss + 1`` rows: row 0 holds the coupled state and row j
+the state after inner step j.  The link correction turns the last row
+into the coupled state, which closes the window and opens the next.
+
 A group of at most ``_PROPAGATOR_MAX_DOFS`` DOFs steps through a
-precomputed affine propagator on ``z = [Y; Ydot]`` (4n entries)::
+precomputed affine propagator.  The force law is
+``g(u, v) = K u + C v + B^T (slope * phi(B v, c3))``
+(:mod:`dynsub.models`), so a step is linear in ``z = [Y; Ydot]`` (4n
+entries) and ``f`` except for ``phi`` of the element rates ``xd``::
 
-    xd = Q z;    z+ = Phi z + Psi phi(xd, c3) + Gamma f
+    z+ = Phi z + Psi phi(xd, c3) + Gamma f,    xd = Q z
 
-The force law is ``g(u, v) = K u + C v + B^T (slope * phi(B v, c3))``
-(:mod:`dynsub.models`), so a step is linear in ``z`` and ``f`` except for
-``phi`` of the element rates.  ``Phi`` and ``Gamma`` are :func:`free_step`
-of the linear part, called once at construction on a block of unit states
-and unit forces.  ``Q`` takes the element rates
-``B (v + (1-gamma) dts vdot)`` at the predicted velocity (``dts`` is the
-group's inner step), and ``Psi = -Gamma B^T diag(slope)`` folds each row's
-slope into the feedback.  This replaces about 25 small numpy calls per
-inner step by about 10.  Larger groups, such as an unreduced frame, call
+``Phi`` and ``Gamma`` are :func:`free_step` of the linear part, called once
+at construction on a block of unit states and unit forces.  ``Q`` takes
+the element rates ``B (v + (1-gamma) dts vdot)`` at the predicted velocity
+(``dts`` is the group's inner step), and ``Psi = -Gamma B^T diag(slope)``
+folds each row's slope into the feedback.  A row of the group's buffer
+carries the rates along, ``r = [z; xd]`` (4n + e entries for e elements),
+and steps through one stacked matrix::
+
+    r+ = [[Phi, Psi], [Q Phi, Q Psi]] [z; phi(xd, c3)] + [Gamma; Q Gamma] f
+
+An inner step applies ``phi`` in place on its row's ``xd`` (four ufuncs,
+none for a linear group), multiplies into the next row and adds that
+step's forcing row.  The forcing rows of a window are its driven force
+columns times the matching rows of ``[Gamma; Q Gamma]^T``, plus the ramped
+multipliers through ``[Gamma L_v; Q Gamma L_v]``, so a propagated group
+holds no force vector per DOF, and an undriven one none at all.  Its link
+map has the rows ``Q link`` too, so that ``xd`` stays ``Q z`` after the
+correction.  Larger groups, such as an unreduced frame, call
 :func:`free_step` at every inner step, because their dense ``Phi`` costs
 more than the solve; the monolithic reference does too.  Propagated groups
 agree with :func:`free_step` stepping to round-off, about 1e-14 of the
@@ -53,11 +70,11 @@ state scale.
 
 Both solvers share one force path, the driven rows of :func:`_global_forces`
 added onto zeroed DOFs in input order by :func:`_force`, and one record
-path, :class:`_Records`.  A step group scatters its rows once per run onto
-a force table on its own grid and records each member at every inner step;
-the monolithic reference scatters one row per step.  Neither keeps a
-whole-run record of its stepped state or a force table per undriven
-substructure.
+path, :class:`_Records`.  A free-step group scatters the rows of a window,
+and the monolithic reference those of a step, as they go; a step group
+writes each member's rows of a window into its record in one block.
+Neither keeps a whole-run record of its stepped state, nor scatters the
+driven columns into a whole-run force table with a column per DOF.
 """
 
 from __future__ import annotations
@@ -65,7 +82,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import numbers
-from collections.abc import Hashable
+from collections.abc import Callable, Hashable
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -97,13 +114,18 @@ class SolverError(RuntimeError):
 
 
 class DivergenceError(SolverError):
-    """Raised when a state norm exceeds the divergence bound."""
+    """Raised when a state norm exceeds the divergence bound.
 
-    def __init__(self, step: int, sub_id, norm: float, limit: float):
+    ``sub_id`` and ``dof`` name the substructure and its DOF that hold the
+    first non-finite entry of the state, or else its largest.
+    """
+
+    def __init__(self, step: int, sub_id, dof: int, norm: float, limit: float):
         self.step = step
         self.sub_id = sub_id
+        self.dof = dof
         super().__init__(
-            f"state of {sub_id!r} diverged at step {step} (|Y| = {norm:.3e} > {limit:.3e})"
+            f"state of {sub_id!r} diverged at step {step} in DOF {dof} (|Y| = {norm:.3e} > {limit:.3e})"
         )
 
 
@@ -329,10 +351,21 @@ def _start(form: FirstOrderForm, initial, force: np.ndarray, what: str) -> tuple
     return y, np.concatenate([y[n:], solve(force - form.momentum(y[:n], y[n:]))])
 
 
-def _check_divergence(step: int, sub_id, y: np.ndarray, limit: float) -> None:
+def _check_divergence(step: int, y: np.ndarray, limit: float, dof_map: Mapping) -> None:
+    """Raise :class:`DivergenceError` if the state ``y = [u; v]`` holds a non-finite value or one beyond ``limit``.
+
+    The error names the first non-finite entry, or else the largest, by its
+    owner in ``dof_map``: the first id, in the map's order, whose DOFs hold
+    that entry's DOF of ``y``, and the DOF's first place among them.  The
+    owner is looked up only on failure.
+    """
     norm = np.abs(y).max() if y.size else 0.0
-    if not np.isfinite(norm) or norm > limit:
-        raise DivergenceError(step, sub_id, float(norm), limit)
+    if np.isfinite(norm) and norm <= limit:
+        return
+    finite = np.isfinite(y)
+    dof = int(np.argmin(finite) if not finite.all() else np.argmax(np.abs(y))) % (len(y) // 2)
+    sid, ids = next((sid, ids) for sid, ids in dof_map.items() if dof in ids)
+    raise DivergenceError(step, sid, int(np.flatnonzero(ids == dof)[0]), float(norm), limit)
 
 
 def _input_table(sid, table, n_dofs: int, n_steps: int, ss: int, inner: bool) -> np.ndarray:
@@ -402,17 +435,17 @@ def _force(ids: np.ndarray, rows: np.ndarray, n: int) -> np.ndarray:
 
 
 class _Records:
-    """Per-substructure records of a stepped state, written row by row.
+    """Per-substructure records of a stepped state, written row by row or a block of rows at a time.
 
     ``columns[sid]`` selects a substructure's ``[u; v]`` from the stepped
     state: index arrays (``dof_counts`` then defaults to half their
     lengths), or ``slice(None)`` for a state that is one substructure's
-    own.  ``records[row] = y`` copies each substructure's columns of ``y``
-    into that row of its own record, one column per selected entry.
-    ``into`` takes the same writes; for a lone substructure's state it is
-    the one record, which takes the state as it is, with no gather.
-    ``recorded[sid]``, when given, lists the DOFs whose ``[u; v]`` the
-    columns select, in order, for a record of only some DOFs.
+    own.  ``records[rows] = y`` copies each substructure's columns
+    ``y[..., cols]`` of a state, or of a block of states, into those rows
+    of its own record.  ``into`` takes the same writes; for a lone
+    substructure's state it is the one record, which takes the state as it
+    is, with no gather.  ``recorded[sid]``, when given, lists the DOFs whose
+    ``[u; v]`` the columns select, in order, for a record of only some DOFs.
     """
 
     def __init__(self, columns: Mapping, rows: int, dof_counts: Mapping | None = None,
@@ -427,9 +460,9 @@ class _Records:
         (sid, cols), *others = columns.items()
         self.into = self.states[sid] if isinstance(cols, slice) and not others else self
 
-    def __setitem__(self, row: int, y: np.ndarray) -> None:
+    def __setitem__(self, rows, y: np.ndarray) -> None:
         for sid, cols in self.columns.items():
-            self.states[sid][row] = y[cols]
+            self.states[sid][rows] = y[..., cols]
 
     def trajectory(self, dt: float) -> Trajectory:
         """The records as a :class:`Trajectory` at spacing ``dt``, with no multipliers."""
@@ -440,34 +473,39 @@ class _Records:
 
 
 # Largest group, in DOFs, stepped through a precomputed propagator.  A
-# propagator step multiplies the state z = [y; ydot] (4n entries) by a dense
-# (4n + elements) x 4n matrix, while a free step solves with the n x n
-# factors, so the propagator wins on small groups only.  Per inner step with
-# serial OpenBLAS (free step against propagator), one 2-vCPU host measured
-# 34 DOFs 9.9 us / 3.9 us, 42 DOFs 11.8 / 5.6, 48 DOFs 10.9 / 10.0,
-# 56 DOFs 13.0 / 34.2 and 208 DOFs 36 / 685; a 2-vCPU Xeon with 4 MB of L2
-# measured 48 DOFs 7.8 / 4.8, 64 DOFs 8.0 / 7.1, 88 DOFs 10.5 / 11.9 and
-# 208 DOFs 18 / 125.  The limit is the largest size that won on both.
+# propagator step multiplies the row r = [z; xd] (4n + elements entries) by
+# a dense square matrix of that size, while a free step solves with the
+# n x n factors, so the propagator wins on small groups only.  Per inner
+# step with serial OpenBLAS (free step against propagator, one coupled
+# step of a driven group at ss = 1), a 2-vCPU Xeon with 4 MB of L2
+# measured 34 DOFs 12.9 us / 5.5 us, 42 DOFs 20.6 / 8.0, 48 DOFs 20.7 / 9.3,
+# 56 DOFs 21.6 / 11.4, 64 DOFs 22.5 / 13.2 and 88 DOFs 25.4 / 20.6.  Another
+# 2-vCPU host had the propagator behind from 56 DOFs on (13.0 / 34.2 us
+# there, and 208 DOFs 36 / 685), when its matrix had 4n columns.  The limit
+# is the largest size that won on both.
 _PROPAGATOR_MAX_DOFS = 48
 
 
 @dataclass(frozen=True)
 class _Propagator:
-    """One inner step of a group as ``z+ = Phi z + Psi phi(Q z, c3) + Gamma f``.
+    """One inner step of a group as ``r+ = M [z; phi(xd, c3)] + forced`` on ``r = [z; xd]``.
 
-    ``z = [y; ydot]`` stacks the state and its rate (4n entries).  ``Phi``
-    and ``Gamma`` are the free step of the group's linear part applied to
-    unit states and unit forces, ``Q`` maps ``z`` to the element rates at
-    the predicted velocity and ``Psi = -Gamma B^T diag(slope)`` feeds
-    ``phi`` back as a force.  ``step`` stacks ``[Phi; Q]``, so one product
-    gives both; ``forcing`` is ``Gamma^T`` for rows of forces, and
-    ``injected`` is ``Gamma L_v`` for the ramped multipliers.
+    ``z = [y; ydot]`` stacks the state and its rate (4n entries), and ``xd``
+    holds the element rates at the predicted velocity of the next step,
+    ``xd = Q z``.  ``Phi`` and ``Gamma`` are the free step of the group's
+    linear part applied to unit states and unit forces, and
+    ``Psi = -Gamma B^T diag(slope)`` feeds ``phi`` back as a force, so that
+    ``z+ = Phi z + Psi phi(xd, c3) + Gamma f``.  ``step`` is
+    ``M = [[Phi, Psi], [Q Phi, Q Psi]]``, whose last rows carry
+    ``xd+ = Q z+`` along.  ``forcing`` is ``[Gamma; Q Gamma]^T`` for rows of
+    forces, ``injected`` is ``[Gamma L_v; Q Gamma L_v]`` for the ramped
+    multipliers and ``rates`` is ``Q``.
     """
 
     step: np.ndarray
     forcing: np.ndarray
-    feedback: np.ndarray
     injected: np.ndarray
+    rates: np.ndarray
 
 
 def _propagator(form: FirstOrderForm, effective, dt: float, gamma: float, injector: np.ndarray) -> _Propagator:
@@ -484,11 +522,13 @@ def _propagator(form: FirstOrderForm, effective, dt: float, gamma: float, inject
     q = np.zeros((len(b), size))
     q[:, n:2 * n] = b  # B (v + (1 - gamma) dt vdot): the predicted element rates
     q[:, 3 * n:] = (1.0 - gamma) * dt * b
+    top = np.hstack([phi, -gam @ (b.T * form.slope)])
+    gam = np.concatenate([gam, q @ gam])
     return _Propagator(
-        step=np.ascontiguousarray(np.concatenate([phi, q])),
+        step=np.concatenate([top, q @ top]),
         forcing=np.ascontiguousarray(gam.T),
-        feedback=-gam @ (b.T * form.slope),
         injected=gam @ injector,
+        rates=q,
     )
 
 
@@ -497,17 +537,21 @@ class _Group:
     """Substructures with one inner-step count, stepped as one stacked form.
 
     The stacked form is the members' assembly without constraints, or a
-    single member's own form.  The group's state is ``z = [y; ydot]`` of
-    that form.  ``dofs[sid]`` gives a member's DOFs in the stacked form (its
-    ``dof_map``), and ``rows[sid]`` selects its own ``[u; v]`` from ``y``
-    (and its rate from ``ydot``): its assembled state columns, or all of
-    ``y`` for a single member.  ``effective`` factorizes the stacked ``S``
-    at the inner step.  ``ramp`` holds the weights
-    1 - j/ss of the inner steps j = 1..ss as a column, ``injector`` stacks
-    the members' ``L_v``, and ``link`` maps the multipliers to the change of
-    ``z`` by the link solutions.  A group of at most
-    ``_PROPAGATOR_MAX_DOFS`` DOFs steps through its ``propagator``; a larger
-    one calls :func:`free_step`.
+    single member's own form.  ``dofs[sid]`` gives a member's DOFs in the
+    stacked form (its ``dof_map``), and ``rows[sid]`` selects its own
+    ``[u; v]`` from the form's state ``y`` (and its rate from ``ydot``):
+    its assembled state columns, or all of ``y`` for a single member.
+    ``effective`` factorizes the stacked ``S`` at the inner step.  ``ramp``
+    holds the weights 1 - j/ss of the inner steps j = 1..ss as a column and
+    ``injector`` stacks the members' ``L_v``.
+
+    A coupled step of the group is a window of ``ss`` inner steps in a
+    buffer of ``ss + 1`` rows: row 0 holds the coupled state, and the
+    group's :meth:`stepper` writes the state after inner step j into row j.
+    A row is ``z = [y; ydot]``, followed by the element rates ``xd = Q z``
+    in a group of at most ``_PROPAGATOR_MAX_DOFS`` DOFs, which steps through
+    its ``propagator``; a larger one calls :func:`free_step`.  ``link`` maps
+    the multipliers to the change of a row by the link solutions.
     """
 
     subcycles: int
@@ -522,28 +566,55 @@ class _Group:
     link: np.ndarray
     propagator: _Propagator | None
 
-    def advance(self, z: np.ndarray, forces: np.ndarray, lam: np.ndarray, record, first: int) -> np.ndarray:
-        """The free inner steps of one coupled step; ``record[first + j]`` gets ``y`` after step j."""
-        m = self.form.state_size
-        prop = self.propagator
+    def stepper(self, window: np.ndarray, ids: np.ndarray | None,
+                driven: np.ndarray) -> Callable[[np.ndarray, np.ndarray], None]:
+        """``advance(lam, rows)``: the free inner steps of one coupled step, from row 0 of ``window`` into rows 1..ss.
+
+        ``rows`` are the window's rows of ``driven``, the force rows of the
+        DOFs ``ids`` (None: every DOF in order).  A free-step group scatters
+        them with :func:`_force`.  A propagated group projects them with the
+        rows of its ``forcing`` at ``ids``, adds the ramped multipliers, and
+        then steps each row ``r = [z; xd]`` with ``phi`` in place on its
+        ``xd``, one product with ``M`` into the next row and one add.
+        """
+        ss, prop = self.subcycles, self.propagator
         if prop is None:
-            if self.subcycles > 1:  # the ramp weight of the single inner step of ss = 1 is zero
-                forces = forces + self.ramp * (self.injector @ lam)
-            y, ydot = z[:m], z[m:]
-            for j, force in enumerate(forces, first):
-                y, ydot = free_step(self.form, self.effective, y, ydot, force, self.dt, self.gamma)
-                record[j] = y
-            return np.concatenate([y, ydot])
-        forced = forces.dot(prop.forcing)
-        if self.subcycles > 1:
-            forced += self.ramp * prop.injected.dot(lam)
-        size = 2 * m
-        step, feedback, smoothing = prop.step, prop.feedback, self.form.smoothing
-        for j, f in enumerate(forced, first):
-            w = step.dot(z)
-            z = w[:size] + f + feedback.dot(friction_shape(w[size:], smoothing))
-            record[j] = z[:m]
-        return z
+            form, effective, dt, gamma, m = self.form, self.effective, self.dt, self.gamma, self.form.state_size
+
+            def advance(lam: np.ndarray, rows: np.ndarray) -> None:
+                forces = rows if ids is None else _force(ids, rows, form.n_dofs)
+                if ss > 1:  # the ramp weight of the single inner step of ss = 1 is zero
+                    forces = forces + self.ramp * (self.injector @ lam)
+                y, ydot = window[0, :m], window[0, m:]
+                for j, force in enumerate(forces, 1):
+                    y, ydot = free_step(form, effective, y, ydot, force, dt, gamma)
+                    window[j, :m], window[j, m:] = y, ydot
+
+            return advance
+
+        forcing = None if not driven.shape[1] else prop.forcing if ids is None else prop.forcing[ids]
+        step, smoothing = prop.step, self.form.smoothing
+        states = list(window)
+        # each row's xd, on which phi acts in place; a linear group has none
+        rates = [state[2 * self.form.state_size:] if len(smoothing) else None for state in states]
+        steps = list(zip(states, states[1:], rates))
+
+        def advance(lam: np.ndarray, rows: np.ndarray) -> None:
+            forced = None if forcing is None else rows.dot(forcing)
+            if ss > 1:
+                ramped = self.ramp * prop.injected.dot(lam)
+                if forced is None:
+                    forced = ramped
+                else:
+                    forced += ramped
+            for j, (row, after, rates) in enumerate(steps):
+                if rates is not None:
+                    friction_shape(rates, smoothing, out=rates)
+                step.dot(row, out=after)
+                if forced is not None:
+                    after += forced[j]
+
+        return advance
 
 
 class PartitionedSolver:
@@ -577,27 +648,30 @@ class PartitionedSolver:
                 group = {sid: system.substructures[sid] for sid in sids}
                 asys = assemble_global(group, CouplingTopology(()), sparse=_stores_csr(group))
                 form, dofs, rows = asys.first_order(), asys.dof_map, asys.state_columns
-            n = form.n_dofs
             dts = config.dt / ss
             effective = effective_matrix(form, dts, config.gamma)
             injector = np.vstack([
                 locator_matrix(system.topology, sid, self.forms[sid].n_dofs) for sid in sids
             ])
+            propagator = (_propagator(form, effective, dts, config.gamma, injector)
+                          if form.n_dofs <= _PROPAGATOR_MAX_DOFS else None)
             # b = S^{-1} L_v at the group's own step dts gives the group's
             # share L_v^T b of H and its link rate D^{-1} [0; L_v] =
             # [gamma*dts b; b], shared by every coupled step; the link state
-            # is gamma*dt times the rate.  The link map is kept in C order
-            # (getrs returns Fortran order, and the layout sets the summation
-            # order of the products with it)
+            # is gamma*dt times the rate, and a propagated group's element
+            # rates change by Q times the link.  The link map is kept in C
+            # order (getrs returns Fortran order, and the layout sets the
+            # summation order of the products with it)
             b = effective.solve(injector)
             pairs.append((injector, b))
             link_rate = np.concatenate([config.gamma * dts * b, b])
-            link = np.ascontiguousarray(np.concatenate([config.gamma * config.dt * link_rate, link_rate]))
+            link = np.concatenate([config.gamma * config.dt * link_rate, link_rate])
+            if propagator is not None:
+                link = np.concatenate([link, propagator.rates @ link])
             self._plan.append(_Group(
                 subcycles=ss, dt=dts, gamma=config.gamma, form=form, effective=effective, dofs=dofs, rows=rows,
-                ramp=(1.0 - np.arange(1, ss + 1) / ss)[:, None], injector=injector, link=link,
-                propagator=_propagator(form, effective, dts, config.gamma, injector)
-                if n <= _PROPAGATOR_MAX_DOFS else None,
+                ramp=(1.0 - np.arange(1, ss + 1) / ss)[:, None], injector=injector,
+                link=np.ascontiguousarray(link), propagator=propagator,
             ))
         self.interface = steklov_poincare(pairs) if self.n_lam else None
 
@@ -618,53 +692,60 @@ class PartitionedSolver:
         initial = initial or {}
         dof_counts = {sid: form.n_dofs for sid, form in self.forms.items()}
 
-        # per group: a force table and a record per member on its own grid, and its state z = [y; ydot]
-        tables, z, records = [], [], []
+        # per group: its driven force rows on its own grid, its window of
+        # inner states, stepped by its stepper, and a record per member
+        drives, windows, records = [], [], []
         for group in groups:
             ss, n, m = group.subcycles, group.form.n_dofs, group.form.state_size
             ids, driven = _global_forces(group.dofs, inputs, cfg, ss > 1)
-            # rows that drive every DOF in order are the force table as they are, with no copy
-            tables.append(driven if np.array_equal(ids, np.arange(n)) else _force(ids, driven, n))
-            z.append(np.empty(2 * m))
+            if np.array_equal(ids, np.arange(n)):
+                ids = None  # rows that drive every DOF in order are force vectors as they are
+            window = np.empty((ss + 1, len(group.link)))
+            force = driven[0] if ids is None else _force(ids, driven[0], n)
             for sid, rows in group.rows.items():
-                z[-1][:m][rows], z[-1][m:][rows] = _start(
-                    self.forms[sid], initial.get(sid), tables[-1][0][group.dofs[sid]], f"substructure {sid!r}"
+                window[0, :m][rows], window[0, m:2 * m][rows] = _start(
+                    self.forms[sid], initial.get(sid), force[group.dofs[sid]], f"substructure {sid!r}"
                 )
+            if group.propagator is not None:
+                window[0, 2 * m:] = group.propagator.rates @ window[0, :2 * m]
+            drives.append((group.stepper(window, ids, driven), driven, ss))
+            windows.append(window)
             records.append(_Records(group.rows, n_steps * ss + 1, dof_counts))
-            records[-1][0] = z[-1][:m]
+            records[-1][0] = window[0, :m]
         multipliers = np.zeros((n_steps + 1, self.n_lam))
 
         keys = range(len(groups))
+        # views into the windows: the first and the last row, the [u; v] of
+        # the inner states and of the coupled state, and its velocities
+        first, last = [window[0] for window in windows], [window[-1] for window in windows]
+        inner = [windows[k][1:, :groups[k].form.state_size] for k in keys]
+        coupled = [last[k][:groups[k].form.state_size] for k in keys]
+        free_velocities = {k: coupled[k][groups[k].form.n_dofs:] for k in keys}
         compat = {k: groups[k].injector.T for k in keys}
         link = {k: groups[k].link for k in keys}
         lam = np.zeros(self.n_lam)
         for step in range(1, n_steps + 1):
-            for k, group in enumerate(groups):
-                ss = group.subcycles
-                first = (step - 1) * ss + 1
-                z[k] = group.advance(z[k], tables[k][first: first + ss], lam, records[k].into, first)
+            for advance, driven, ss in drives:
+                advance(lam, driven[(step - 1) * ss + 1: step * ss + 1])
             if self.n_lam:
-                lam, links = coupling_step(
-                    self.interface,
-                    {k: z[k][groups[k].form.n_dofs: groups[k].form.state_size] for k in keys},
-                    compat, link, cfg.gamma * cfg.dt,
-                )
-                for k, group in enumerate(groups):
-                    z[k] = z[k] + links[k]
-                    # the coupled state closes the window
-                    records[k].into[step * group.subcycles] = z[k][:group.form.state_size]
+                lam, links = coupling_step(self.interface, free_velocities, compat, link, cfg.gamma * cfg.dt)
+                for k in keys:
+                    last[k] += links[k]
             multipliers[step] = lam
-            for k in keys:
-                y = z[k][:groups[k].form.state_size]
-                norm = np.abs(y).max() if y.size else 0.0
-                if not np.isfinite(norm) or norm > cfg.divergence_limit:
-                    # name the first diverged substructure in system order
-                    now = {
-                        sid: z[i][:groups[i].form.state_size][rows]
-                        for i in keys for sid, rows in groups[i].rows.items()
-                    }
-                    for sid in self.sub_ids:
-                        _check_divergence(step, sid, now[sid], cfg.divergence_limit)
+            diverged = False
+            for k, (_, _, ss) in enumerate(drives):
+                # the window's states in one write; the coupled state closes
+                # it and opens the next
+                records[k].into[(step - 1) * ss + 1: step * ss + 1] = inner[k]
+                first[k][:] = last[k]
+                norm = np.abs(coupled[k]).max() if coupled[k].size else 0.0
+                diverged = diverged or not np.isfinite(norm) or norm > cfg.divergence_limit
+            if diverged:
+                # name the first diverged substructure in system order
+                for sid in self.sub_ids:
+                    k = next(k for k in keys if sid in groups[k].rows)
+                    y = coupled[k][groups[k].rows[sid]]
+                    _check_divergence(step, y, cfg.divergence_limit, {sid: np.arange(dof_counts[sid])})
 
         states, fine_states, fine_times = {}, {}, {}
         for group, record in zip(groups, records):
@@ -673,7 +754,8 @@ class PartitionedSolver:
                 states[sid] = fine[::ss]
                 if ss > 1:
                     fine_states[sid] = fine
-                    fine_times[sid] = np.arange(n_steps * ss + 1) * (cfg.dt / ss)
+                    fine_times[sid] = np.arange(n_steps * ss + 1, dtype=float)
+                    fine_times[sid] *= cfg.dt / ss  # in place: no second whole-run grid
         return Trajectory(
             times=np.arange(n_steps + 1) * cfg.dt,
             states=states,

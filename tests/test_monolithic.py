@@ -504,8 +504,9 @@ class TestRecordedDofs:
         initial[asys.n_dofs + asys.dof_map["frame"][internal]] = 1e3
         one_step = solve_monolithic(route, SolverConfig(dt=1e-3, duration=1e-3), inputs={}, initial=initial)
         assert max(np.abs(record).max() for record in one_step.states.values()) < 10.0
-        with pytest.raises(DivergenceError, match="'global' diverged at step 1"):
+        with pytest.raises(DivergenceError, match=f"'frame' diverged at step 1 in DOF {internal} ") as err:
             solve_monolithic(route, SolverConfig(dt=1e-3, duration=0.05, divergence_limit=100.0), inputs, initial)
+        assert (err.value.sub_id, err.value.dof) == ("frame", internal)
 
 
 class TestNewmark:

@@ -1,6 +1,8 @@
 """Partitioned trapezoidal solver: free steps, coupling, sub-cycling."""
 
 import dataclasses
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -27,6 +29,7 @@ from dynsub import (
     tangent_at_zero,
 )
 from dynsub.coupling import _factorize
+from dynsub.monolithic import solve_monolithic
 from dynsub.solver import effective_matrix, free_step
 from dynsub.generators import chain_substructure, frame_analog, suspension_substructure
 from dynsub.reduction import reduce as cb_reduce, reduced_topology
@@ -397,6 +400,49 @@ class TestSimulate:
         assert 0 < err.value.step <= cfg.n_steps
         assert "bad" in str(err.value)
 
+    @pytest.mark.parametrize("n, ss", [(40, 1), (40, 3), (200, 1)], ids=["propagated", "subcycled", "free_step"])
+    def test_divergence_names_the_substructure_and_the_dof(self, n, ss):
+        # a fast internal frame DOF breaks the limit at the first step
+        subs, topo = frame_analog(n=n, boundary_dofs=(9, 19, 29, 39))
+        system = CoupledSystem(substructures=subs, topology=topo, physical=("suspension",))
+        internal = subs["frame"].internal_dofs[20]
+        initial = np.zeros(2 * n)
+        initial[n + internal] = 1e3
+        cfg = SolverConfig(dt=1e-3, duration=0.05, subcycles=ss, divergence_limit=100.0)
+        with pytest.raises(DivergenceError, match=f"'frame' diverged at step 1 in DOF {internal} ") as err:
+            simulate(system, cfg, initial={"frame": initial})
+        assert (err.value.step, err.value.sub_id, err.value.dof) == (1, "frame", internal)
+
+    @pytest.mark.parametrize("solver", ["partitioned", "monolithic"])
+    def test_non_finite_state_diverges_under_an_infinite_limit(self, solver):
+        # the unstable oscillator overflows to inf and then nan after about 650
+        # steps; the overflow is expected here, so numpy's warnings are off
+        bad = LinearSubstructure(
+            mass=[[1.0]], damping=[[0.0]], stiffness=[[-100.0]],
+            internal_dofs=(), boundary_dofs=(0,),
+        )
+        system = CoupledSystem(substructures={"bad": bad}, topology=CouplingTopology(()))
+        cfg = SolverConfig(dt=0.1, duration=100.0, divergence_limit=np.inf)
+        initial = np.array([1.0, 0.0])
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(DivergenceError, match="'bad' diverged at step [0-9]+ in DOF 0 ") as err:
+            if solver == "partitioned":
+                simulate(system, cfg, initial={"bad": initial})
+            else:
+                solve_monolithic(assemble_global(system.substructures, system.topology), cfg, initial=initial)
+        # caught at the first infinite value, before it turns into nan
+        assert 600 < err.value.step < cfg.n_steps and "(|Y| = inf > inf)" in str(err.value)
+
+    @pytest.mark.parametrize("y, named", [
+        ([0.0, np.nan, np.inf, 0.0, 0.0, 0.0], ("a", 1)),  # the first non-finite entry
+        ([0.0, 0.0, -5.0, 0.0, 0.0, 2.0], ("b", 1)),  # the largest
+        ([0.0, 0.0, 0.0, 0.0, 3.0, 0.0], ("a", 1)),  # a velocity of a DOF that both share
+    ])
+    def test_divergence_names_the_first_owner_of_the_dof(self, y, named):
+        with pytest.raises(DivergenceError) as err:
+            dynsub.solver._check_divergence(7, np.array(y), 1.0, {"a": np.array([0, 1]), "b": np.array([1, 2])})
+        assert (err.value.step, err.value.sub_id, err.value.dof) == (7, *named)
+
     def test_divergence_limit_configurable(self):
         bad = LinearSubstructure(
             mass=[[1.0]], damping=[[0.0]], stiffness=[[-100.0]],
@@ -531,7 +577,8 @@ def small_coupled_runs(draw):
 
     Each bank draws its own coefficients and motion, and every bank is
     physical, so two banks share one stacked group.  Returns the system, a
-    sub-cycled config and force tables on each substructure's own grid.
+    sub-cycled config and force tables on each substructure's own grid,
+    none for a substructure left undriven.
     """
     n = draw(st.integers(1, 12))
     real = st.floats
@@ -560,9 +607,12 @@ def small_coupled_runs(draw):
                        gamma=draw(real(0.5, 1.0)), subcycles=draw(st.integers(1, 6)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     amplitude = draw(real(0.1, 10.0))
-    inputs = {"chain": amplitude * rng.standard_normal((cfg.n_steps + 1, n))}
-    for sid, bank in banks.items():
-        inputs[sid] = amplitude * rng.standard_normal((cfg.n_steps * cfg.subcycles + 1, bank.n_dofs))
+    # each table may be left out, so that its substructure is undriven
+    rows = {"chain": cfg.n_steps + 1, **{sid: cfg.n_steps * cfg.subcycles + 1 for sid in banks}}
+    inputs = {
+        sid: amplitude * rng.standard_normal((rows[sid], sub.n_dofs))
+        for sid, sub in system.substructures.items() if draw(st.booleans())
+    }
     return system, cfg, inputs
 
 
@@ -570,10 +620,15 @@ class TestPropagator:
     """Small groups step through a propagator built from ``free_step``; larger ones call it."""
 
     @settings(max_examples=100)
-    @given(small_coupled_runs())
-    def test_matches_the_hand_stepped_kernel(self, run):
+    @given(small_coupled_runs(), st.booleans())
+    def test_matches_the_hand_stepped_kernel(self, run, propagated):
+        # every group is small, so it steps through a propagator unless the limit is lowered to none
         system, cfg, inputs = run
-        traj = simulate(system, cfg, inputs)
+        limit = dynsub.solver._PROPAGATOR_MAX_DOFS if propagated else 0
+        with mock.patch.object(dynsub.solver, "_PROPAGATOR_MAX_DOFS", limit):
+            solver = PartitionedSolver(system, cfg)
+        assert all((group.propagator is not None) == propagated for group in solver._plan)
+        traj = solver.run(inputs)
         states, fine_states, multipliers = hand_stepped(system, cfg, inputs)
         for sid in system.substructures:
             TestSimulate.assert_rows_close(traj.states[sid], states[sid])
@@ -595,13 +650,18 @@ class TestPropagator:
         solver.run(inputs)
         return len(calls)
 
-    def test_reduced_desk_group_takes_no_free_step(self, monkeypatch):
+    @staticmethod
+    def reduced_desk():
+        """The 200-DOF desk frame reduced to 30 modes (34 DOFs) and the suspension bank (8 DOFs)."""
         subs, topology = frame_analog()
         red = cb_reduce(subs["frame"], 30)
-        system = CoupledSystem(
+        return CoupledSystem(
             substructures={"frame": red.as_substructure(), "suspension": subs["suspension"]},
             topology=reduced_topology(topology, "frame", red), physical=("suspension",),
         )
+
+    def test_reduced_desk_group_takes_no_free_step(self, monkeypatch):
+        system = self.reduced_desk()
         cfg = SolverConfig(dt=1e-3, duration=0.02)
         times = np.arange(cfg.n_steps + 1) * cfg.dt
         inputs = {"suspension": wheel_forces(system, "suspension", times)}
@@ -614,3 +674,24 @@ class TestPropagator:
         inputs = {"suspension": wheel_forces(desk, "suspension", times)}
         assert sum(sub.n_dofs for sub in desk.substructures.values()) == 208
         assert self.count_free_steps(monkeypatch, desk, cfg, inputs) == cfg.n_steps
+
+    def test_peak_memory_of_a_subcycled_run_is_its_records(self):
+        # the reduced frame, undriven, steps on the coupled grid and the bank,
+        # driven at the inner instants, sub-cycled: the run holds its records
+        # and a window of inner states per group, and no force table per DOF
+        system = self.reduced_desk()
+        cfg = SolverConfig(dt=1e-3, duration=0.5, subcycles=10)
+        fine_times = np.arange(cfg.n_steps * cfg.subcycles + 1) * (cfg.dt / cfg.subcycles)
+        inputs = {"suspension": wheel_forces(system, "suspension", fine_times)}
+        solver = PartitionedSolver(system, cfg)
+        tracemalloc.start()
+        try:
+            traj = solver.run(inputs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        returned = [traj.times, traj.multipliers, *traj.fine_times.values(), *traj.states.values(),
+                    *traj.fine_states.values()]
+        held = {id(a if a.base is None else a.base): (a if a.base is None else a.base).nbytes for a in returned}
+        frame_table = (cfg.n_steps + 1) * system.substructures["frame"].n_dofs * 8
+        assert peak - sum(held.values()) < frame_table, (peak, held)
