@@ -22,7 +22,7 @@ from .experiment import ExperimentConfig, run_experiment
 from .generators import chain_substructure, frame_analog
 from .metrics import MetricsError, frequency_error_table, mac, trajectory_mse
 from .models import LinearSubstructure, ModelError, build_from_fields
-from .monolithic import _recording, assemble_global, solve_monolithic
+from .monolithic import assemble_global, solve_monolithic
 from .reduction import expanded_mode_shapes, full_frequencies, reduce as cb_reduce, reduced_frequencies
 from .signals import SignalError, SignalSpec, generate_signal, multisine_with_noise_channels
 from .solver import DivergenceError, SolverConfig, SolverError, simulate
@@ -127,9 +127,8 @@ def _cmd_simulate(args) -> int:
     if args.monolithic:
         # CSR if a member is, the storage rule of the partitioned solver's step groups
         asys = assemble_global(system.substructures, system.topology, sparse=_stores_csr(system.substructures))
-        if not args.all_dofs:  # record only the DOFs the CSV holds
-            asys = _recording(asys, dio._exported_dofs(system))
-        traj = solve_monolithic(asys, config, inputs)
+        # record only the DOFs the CSV holds
+        traj = solve_monolithic(asys, config, inputs, dofs=dio._exported_dofs(system, args.all_dofs))
     else:
         traj = simulate(system, config, inputs)
     dio.save_trajectory_csv(args.out, traj, system, all_dofs=args.all_dofs)
@@ -165,7 +164,7 @@ def _cmd_compare(args) -> int:
         if not shared:
             raise MetricsError(f"options '--full' and '--reduced' share no channel: "
                                f"{args.full} and {args.reduced} have no common column besides 'time'")
-        rows = []
+        rows, relative = [], []
         for name in shared:
             a = data_a[:, header_a.index(name)]
             b = data_b[:, header_b.index(name)]
@@ -173,9 +172,9 @@ def _cmd_compare(args) -> int:
                 raise ModelError(f"column {name} lengths differ: {len(a)} vs {len(b)}")
             mse, rel = trajectory_mse(b, a)
             rows.append(f"{name},{mse:.17g},{rel:.17g}")
+            relative.append(rel)
         Path(args.out).write_text("channel,mse,relative_mse\n" + "\n".join(rows) + "\n")
-        worst = max(float(r.split(",")[2]) for r in rows)
-        print(f"wrote {args.out} ({len(shared)} shared channels, worst relative MSE {worst:.3e})")
+        print(f"wrote {args.out} ({len(shared)} shared channels, worst relative MSE {max(relative):.3e})")
     return 0
 
 

@@ -122,10 +122,7 @@ class AssembledSystem:
     ``dof_map[sid]`` gives the global DOF of each DOF of substructure ``sid``;
     two DOFs of one substructure may share a global DOF.  ``mass``,
     ``damping`` and ``stiffness`` are dense arrays, or CSR arrays for a
-    sparse assembly.  ``_recorded`` maps a substructure id to the DOFs of
-    it that the monolithic reference records; ``None``, as
-    :func:`assemble_global` builds it, records every DOF
-    (:func:`~dynsub.monolithic._recording`).
+    sparse assembly.
     """
 
     mass: np.ndarray
@@ -133,7 +130,6 @@ class AssembledSystem:
     stiffness: np.ndarray
     dof_map: dict
     _form: FirstOrderForm
-    _recorded: Mapping | None = None
 
     @property
     def n_dofs(self) -> int:

@@ -9,7 +9,7 @@ reference is the sparse assembly (``monolithic_sparse``: CSR matrices and
 one SuperLU factorization of ``S``), the fair full-order baseline for the
 banded frame, so ``online_time.speedup`` compares against it.  The
 reference records only the DOFs that ``trajectory_monolithic.csv`` holds
-(:func:`~dynsub.monolithic._recording` of :func:`dynsub.io._exported_dofs`):
+(``solve_monolithic(..., dofs=)`` of :func:`dynsub.io._exported_dofs`):
 the frame's boundary DOFs, which the fidelity check reads too, and every
 suspension DOF.  So the run holds no record of every frame DOF, which
 is 16 MB on the default 1000-DOF run over 1 s and 1.6 GB at 1e5 DOFs.
@@ -29,7 +29,7 @@ from . import io as dio
 from .generators import frame_analog
 from .metrics import trajectory_mse
 from .models import ModelError, build_from_fields, number_tuple, require_numbers
-from .monolithic import _recording, assemble_global, solve_monolithic
+from .monolithic import assemble_global, solve_monolithic
 from .reduction import reduce as cb_reduce, reduced_topology
 from .signals import multisine_with_noise_channels
 from .solver import CoupledSystem, PartitionedSolver, SolverConfig, SolverError
@@ -157,11 +157,11 @@ def run_experiment(config: ExperimentConfig, out_dir) -> dict:
     if config.run_monolithic:
         full_system = CoupledSystem(substructures=subs, topology=topology)
         t0 = time.perf_counter()
-        asys = _recording(assemble_global(subs, topology, sparse=True), dio._exported_dofs(full_system))
+        asys = assemble_global(subs, topology, sparse=True)
         report["offline_time"]["assembly"] = time.perf_counter() - t0
         report["model"]["reference"] = "monolithic_sparse"
         t0 = time.perf_counter()
-        traj_mono = solve_monolithic(asys, solver_cfg, inputs)
+        traj_mono = solve_monolithic(asys, solver_cfg, inputs, dofs=dio._exported_dofs(full_system))
         report["online_time"]["monolithic"] = time.perf_counter() - t0
         dio.save_trajectory_csv(out / "trajectory_monolithic.csv", traj_mono, full_system)
         if report["online_time"]["partitioned"] > 0:

@@ -34,6 +34,7 @@ import dataclasses
 import functools
 import json
 import numbers
+import warnings
 from collections.abc import Mapping
 from pathlib import Path
 
@@ -210,8 +211,9 @@ def _exported_dofs(system: CoupledSystem, all_dofs: bool = False) -> dict:
     """``{sid: DOFs}`` that a trajectory CSV holds, in column order.
 
     The boundary DOFs of every substructure, after every internal DOF of a
-    nonlinear one; ``all_dofs`` exports every DOF.  The reference records
-    only these (:func:`~dynsub.monolithic._recording`).
+    nonlinear one; ``all_dofs`` exports every DOF.  The monolithic
+    reference of ``run_experiment`` and ``dynsub simulate --monolithic``
+    records only these (``solve_monolithic(..., dofs=)``).
     """
     dofs = {}
     for sid, sub in system.substructures.items():
@@ -253,13 +255,22 @@ def save_trajectory_csv(path, traj: Trajectory, system: CoupledSystem, all_dofs:
 
 
 def load_csv_columns(path) -> tuple[list, np.ndarray]:
-    """Read a CSV written by this package; returns (header names, data)."""
+    """Read a CSV written by this package; returns (header names, data), one data column per header name.
+
+    A file without data rows, or whose rows hold another number of fields
+    than its header names, raises ModelError naming the file and both counts.
+    """
     with open(path) as fh:
         header = fh.readline().strip().split(",")
     try:
-        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # numpy's "no data", refused below
+            data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     except ValueError as exc:
         raise ModelError(f"CSV file {str(path)!r}: {exc}") from None
+    if not len(data) or data.shape[1] != len(header):
+        rows = f"data rows of {data.shape[1]} fields" if len(data) else "0 data rows"
+        raise ModelError(f"CSV file {str(path)!r}: header of {len(header)} fields, {rows}")
     return header, data
 
 

@@ -19,21 +19,20 @@ Forces and records take the partitioned solver's paths
 (:mod:`dynsub.solver`): of the forces only the driven DOFs' rows are held,
 scattered onto the global DOFs one step at a time in input order, and each
 step writes every substructure's ``[u; v]`` columns of the global state
-into that substructure's own record.  An assembly passed through
-:func:`_recording` records only the DOFs it names, at the columns
-``dof_map[sid][dofs]`` and ``n + dof_map[sid][dofs]``; ``run_experiment``
-and ``dynsub simulate --monolithic`` (without ``--all-dofs``) so record
-only the DOFs they write (:func:`dynsub.io._exported_dofs`), while the
-divergence check still sees the whole state; it names the substructure
-and the DOF of the value that broke the limit through ``dof_map``.  On
-the default desk run that record is 24 columns instead of 2000.  A
-Newmark average-acceleration variant (dense only) and the closed-form
-damped SDOF solution serve as independent cross-checks.
+into that substructure's own record.  ``solve_monolithic(..., dofs=)``
+records only the DOFs it names, at the columns ``dof_map[sid][dofs]`` and
+``n + dof_map[sid][dofs]``; ``run_experiment`` and ``dynsub simulate
+--monolithic`` pass the DOFs they write (:func:`dynsub.io._exported_dofs`),
+while the divergence check (:func:`~dynsub.solver._check_divergence`, the
+partitioned solver's too) still sees the whole state; it names the
+substructure and the DOF of the value that broke the limit through
+``dof_map``.  On the default desk run that record is 24 columns instead of
+2000.  A Newmark average-acceleration variant (dense only) and the
+closed-form damped SDOF solution serve as independent cross-checks.
 """
 
 from __future__ import annotations
 
-import dataclasses
 from typing import Mapping
 
 import numpy as np
@@ -57,18 +56,13 @@ from .solver import (
 )
 
 
-def _recording(asys: AssembledSystem, dofs: Mapping) -> AssembledSystem:
-    """``asys``, whose reference solves record only ``dofs[sid]`` of each substructure (none of a missing id)."""
-    return dataclasses.replace(asys, _recorded=dofs)
-
-
-def _records(asys: AssembledSystem, rows: int) -> _Records:
-    """One record per substructure, ``rows`` long, of the DOFs ``asys`` records."""
-    if asys._recorded is None:
+def _records(asys: AssembledSystem, rows: int, dofs: Mapping | None = None) -> _Records:
+    """One record per substructure, ``rows`` long, of every DOF, or of ``dofs[sid]`` (none of a missing id)."""
+    if dofs is None:
         return _Records(asys.state_columns, rows)
     n, columns, recorded = asys.n_dofs, {}, {}
     for sid, ids in asys.dof_map.items():
-        recorded[sid] = np.asarray(asys._recorded.get(sid, ()), dtype=np.intp)
+        recorded[sid] = np.asarray(dofs.get(sid, ()), dtype=np.intp)
         columns[sid] = np.concatenate([ids[recorded[sid]], n + ids[recorded[sid]]])
     return _Records(columns, rows, {sid: len(ids) for sid, ids in asys.dof_map.items()}, recorded)
 
@@ -78,6 +72,7 @@ def solve_monolithic(
     config: SolverConfig,
     inputs: Mapping | None = None,
     initial: np.ndarray | None = None,
+    dofs: Mapping | None = None,
 ) -> Trajectory:
     """Trapezoidal predictor-corrector on the assembled global system.
 
@@ -85,12 +80,12 @@ def solve_monolithic(
     merged DOF set; serves as the fidelity oracle for the coupled solvers.
     A sparse ``asys`` steps the same kernel on CSR products and one SuperLU
     factorization of ``S``; it agrees with the dense one to round-off.
-    The trajectory holds every DOF of every substructure, or those that
-    :func:`_recording` selected.
+    The trajectory holds every DOF of every substructure, or, given
+    ``dofs``, only ``dofs[sid]`` of each (none of an id it leaves out).
     """
     dt, gamma = config.dt, config.gamma
     force_ids, forces = _global_forces(asys.dof_map, _known_inputs(inputs, asys.dof_map), config, False)
-    records = _records(asys, config.n_steps + 1)
+    records = _records(asys, config.n_steps + 1, dofs)
     form = asys.first_order()
     n = form.n_dofs
     d = effective_matrix(form, dt, gamma)

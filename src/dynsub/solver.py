@@ -69,12 +69,14 @@ agree with :func:`free_step` stepping to round-off, about 1e-14 of the
 state scale.
 
 Both solvers share one force path, the driven rows of :func:`_global_forces`
-added onto zeroed DOFs in input order by :func:`_force`, and one record
-path, :class:`_Records`.  A free-step group scatters the rows of a window,
-and the monolithic reference those of a step, as they go; a step group
-writes each member's rows of a window into its record in one block.
-Neither keeps a whole-run record of its stepped state, nor scatters the
-driven columns into a whole-run force table with a column per DOF.
+added onto zeroed DOFs in input order by :func:`_force`, one record path,
+:class:`_Records`, and one divergence check, :func:`_check_divergence`,
+on each group's coupled state (the reference's global state).  A free-step
+group scatters the rows of a window, and the monolithic reference those
+of a step, as they go; a step group writes each member's rows of a window
+into its record in one block.  Neither keeps a whole-run record of its
+stepped state, nor scatters the driven columns into a whole-run force
+table with a column per DOF.
 """
 
 from __future__ import annotations
@@ -117,7 +119,10 @@ class DivergenceError(SolverError):
     """Raised when a state norm exceeds the divergence bound.
 
     ``sub_id`` and ``dof`` name the substructure and its DOF that hold the
-    first non-finite entry of the state, or else its largest.
+    first non-finite entry of the checked state, or else its largest
+    (:func:`_check_divergence`).  The monolithic reference checks its global
+    state after every step; the partitioned solver checks each step group's
+    coupled state, in plan order, after every coupled step.
     """
 
     def __init__(self, step: int, sub_id, dof: int, norm: float, limit: float):
@@ -213,8 +218,8 @@ class Trajectory:
     each recorded DOF to its column, and ``states[sub_id]`` holds ``[u; v]``
     of those DOFs alone.  :meth:`displacement` and :meth:`velocity` find a
     DOF's column in either record, and raise SolverError naming the
-    substructure and the DOF for one outside ``[0, dof_counts[sub_id])`` or
-    not recorded.
+    substructure and the DOF for one that is not an integer in
+    ``[0, dof_counts[sub_id])`` (a bool is refused) or not recorded.
     """
 
     times: np.ndarray
@@ -232,7 +237,7 @@ class Trajectory:
     def _column(self, sub_id, dof) -> int:
         """Column of ``dof``'s displacement in ``states[sub_id]``; its velocity is half a row further on."""
         recorded = self._recorded.get(sub_id)
-        if isinstance(dof, numbers.Integral) and 0 <= dof < self.dof_counts[sub_id]:
+        if isinstance(dof, numbers.Integral) and not isinstance(dof, bool) and 0 <= dof < self.dof_counts[sub_id]:
             if recorded is None:
                 return dof
             if dof in recorded:
@@ -566,12 +571,11 @@ class _Group:
     link: np.ndarray
     propagator: _Propagator | None
 
-    def stepper(self, window: np.ndarray, ids: np.ndarray | None,
-                driven: np.ndarray) -> Callable[[np.ndarray, np.ndarray], None]:
+    def stepper(self, window: np.ndarray, ids: np.ndarray) -> Callable[[np.ndarray, np.ndarray], None]:
         """``advance(lam, rows)``: the free inner steps of one coupled step, from row 0 of ``window`` into rows 1..ss.
 
-        ``rows`` are the window's rows of ``driven``, the force rows of the
-        DOFs ``ids`` (None: every DOF in order).  A free-step group scatters
+        ``rows`` are the window's force rows of the DOFs ``ids``, in the
+        order of :func:`_global_forces`.  A free-step group scatters
         them with :func:`_force`.  A propagated group projects them with the
         rows of its ``forcing`` at ``ids``, adds the ramped multipliers, and
         then steps each row ``r = [z; xd]`` with ``phi`` in place on its
@@ -582,7 +586,7 @@ class _Group:
             form, effective, dt, gamma, m = self.form, self.effective, self.dt, self.gamma, self.form.state_size
 
             def advance(lam: np.ndarray, rows: np.ndarray) -> None:
-                forces = rows if ids is None else _force(ids, rows, form.n_dofs)
+                forces = _force(ids, rows, form.n_dofs)
                 if ss > 1:  # the ramp weight of the single inner step of ss = 1 is zero
                     forces = forces + self.ramp * (self.injector @ lam)
                 y, ydot = window[0, :m], window[0, m:]
@@ -592,7 +596,7 @@ class _Group:
 
             return advance
 
-        forcing = None if not driven.shape[1] else prop.forcing if ids is None else prop.forcing[ids]
+        forcing = prop.forcing[ids] if len(ids) else None
         step, smoothing = prop.step, self.form.smoothing
         states = list(window)
         # each row's xd, on which phi acts in place; a linear group has none
@@ -698,17 +702,15 @@ class PartitionedSolver:
         for group in groups:
             ss, n, m = group.subcycles, group.form.n_dofs, group.form.state_size
             ids, driven = _global_forces(group.dofs, inputs, cfg, ss > 1)
-            if np.array_equal(ids, np.arange(n)):
-                ids = None  # rows that drive every DOF in order are force vectors as they are
             window = np.empty((ss + 1, len(group.link)))
-            force = driven[0] if ids is None else _force(ids, driven[0], n)
+            force = _force(ids, driven[0], n)
             for sid, rows in group.rows.items():
                 window[0, :m][rows], window[0, m:2 * m][rows] = _start(
                     self.forms[sid], initial.get(sid), force[group.dofs[sid]], f"substructure {sid!r}"
                 )
             if group.propagator is not None:
                 window[0, 2 * m:] = group.propagator.rates @ window[0, :2 * m]
-            drives.append((group.stepper(window, ids, driven), driven, ss))
+            drives.append((group.stepper(window, ids), driven, ss))
             windows.append(window)
             records.append(_Records(group.rows, n_steps * ss + 1, dof_counts))
             records[-1][0] = window[0, :m]
@@ -732,20 +734,12 @@ class PartitionedSolver:
                 for k in keys:
                     last[k] += links[k]
             multipliers[step] = lam
-            diverged = False
             for k, (_, _, ss) in enumerate(drives):
                 # the window's states in one write; the coupled state closes
                 # it and opens the next
                 records[k].into[(step - 1) * ss + 1: step * ss + 1] = inner[k]
                 first[k][:] = last[k]
-                norm = np.abs(coupled[k]).max() if coupled[k].size else 0.0
-                diverged = diverged or not np.isfinite(norm) or norm > cfg.divergence_limit
-            if diverged:
-                # name the first diverged substructure in system order
-                for sid in self.sub_ids:
-                    k = next(k for k in keys if sid in groups[k].rows)
-                    y = coupled[k][groups[k].rows[sid]]
-                    _check_divergence(step, y, cfg.divergence_limit, {sid: np.arange(dof_counts[sid])})
+                _check_divergence(step, coupled[k], cfg.divergence_limit, groups[k].dofs)
 
         states, fine_states, fine_times = {}, {}, {}
         for group, record in zip(groups, records):

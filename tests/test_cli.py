@@ -173,6 +173,13 @@ def _setting(*keys, value):
      "{tmp}/text.csv", None),
     (["simulate", "--model", "{model}", "--config", "{tmp}/good.json", "--inputs", "{tmp}/text.csv",
       "--out", "{tmp}/t.csv"], "{tmp}/text.csv", None),
+    # data rows of another width than the header, and a header without data rows
+    (["compare", "traj", "--full", "{tmp}/narrow.csv", "--reduced", "{tmp}/narrow.csv", "--out", "{tmp}/mse.csv"],
+     "{tmp}/narrow.csv", None),
+    (["compare", "traj", "--full", "{tmp}/header_only.csv", "--reduced", "{tmp}/traj_a.csv", "--out", "{tmp}/mse.csv"],
+     "{tmp}/header_only.csv", None),
+    (["simulate", "--model", "{model}", "--config", "{tmp}/good.json", "--inputs", "{tmp}/narrow_signals.csv",
+      "--out", "{tmp}/t.csv"], "{tmp}/narrow_signals.csv", None),
     (["generate-signal", "--kind", "multisine", "--samples", "10", "--out", "{tmp}/s.csv", "--spec",
       '{"frequencies": [2], "amplitudes": [1], "sample_rate": 100}'], "--rate", None),
     (["generate-signal", "--samples", "10", "--out", "{tmp}/s.csv", "--spec",
@@ -209,7 +216,8 @@ def _setting(*keys, value):
           "system_infinite_c3_monolithic", "system_nan_boundary_mass", "solver_config_nan_divergence_limit",
           "solver_config_negative_divergence_limit_monolithic", "reduce_unknown_sub", "reduce_nonlinear_sub",
           "signal_no_channels", "system_asymmetric_frame_mass", "reduce_no_report_modes", "compare_mac_sizes",
-          "compare_non_numeric_csv", "simulate_non_numeric_inputs", "signal_spec_sample_rate",
+          "compare_non_numeric_csv", "simulate_non_numeric_inputs", "compare_traj_narrow_rows",
+          "compare_traj_header_only", "simulate_narrow_inputs", "signal_spec_sample_rate",
           "signal_spec_seed", "signal_spec_kind", "compare_traj_no_shared_channel", "compare_mac_zero_column",
           "system_singular_frame_mass", "system_unknown_top_level_key", "system_misspelled_damping",
           "system_unknown_triplet_key", "system_misspelled_boundary_mass", "system_unknown_element_key",
@@ -230,6 +238,11 @@ def test_malformed_input_exits_1_naming_the_field(tmp_path, model_file, capsys, 
     (tmp_path / "modes3_zero.csv").write_text("m0,m1\n1,0\n0,0\n1,0\n")
     (tmp_path / "traj_a.csv").write_text("time,a.u0\n0,1\n0.001,2\n")
     (tmp_path / "traj_b.csv").write_text("time,b.u0\n0,1\n0.001,2\n")
+    (tmp_path / "narrow.csv").write_text("time,a.u0,a.u1\n0,1\n0.001,2\n")
+    (tmp_path / "header_only.csv").write_text("time,a.u0\n")
+    (tmp_path / "narrow_signals.csv").write_text(
+        "time,ch0,ch1,ch2,ch3\n" + "".join(f"{i * 1e-3},1,1,1\n" for i in range(51))
+    )
     if edit is not None:
         edit(model_file)
     argv = [a.replace("{tmp}", str(tmp_path)).replace("{model}", str(model_file)) for a in argv]

@@ -27,7 +27,6 @@ from dynsub import (
 )
 from dynsub.generators import chain_substructure, frame_analog, suspension_substructure
 from dynsub.io import _exported_dofs, save_trajectory_csv
-from dynsub.monolithic import _recording
 from dynsub.solver import DivergenceError, _start, effective_matrix, free_step
 
 from conftest import linear_suspension_analog, run_python, scipy_sparse_check, wheel_forces
@@ -461,7 +460,7 @@ class TestRecordedDofs:
         system, asys, cfg, inputs = self.desk(n)
         assert isinstance(asys.mass, np.ndarray) == (n < 400)
         whole = solve_monolithic(asys, cfg, inputs)
-        part = solve_monolithic(_recording(asys, _exported_dofs(system)), cfg, inputs)
+        part = solve_monolithic(asys, cfg, inputs, dofs=_exported_dofs(system))
         # the frame's four boundary DOFs and the suspension's eight DOFs, u and v
         assert {sid: record.shape for sid, record in part.states.items()} == {
             "frame": (cfg.n_steps + 1, 8), "suspension": (cfg.n_steps + 1, 16),
@@ -473,22 +472,23 @@ class TestRecordedDofs:
 
     def test_unrecorded_dof_is_refused_naming_it(self):
         system, asys, cfg, inputs = self.desk(200)
-        part = solve_monolithic(_recording(asys, _exported_dofs(system)), cfg, inputs)
+        part = solve_monolithic(asys, cfg, inputs, dofs=_exported_dofs(system))
         internal = system.substructures["frame"].internal_dofs[0]
         for read in (part.displacement, part.velocity):
             with pytest.raises(SolverError, match=f"substructure 'frame' DOF {internal} is not in the trajectory"):
                 read("frame", internal)
         # a substructure the selection leaves out is recorded with no DOF at all
-        bare = solve_monolithic(_recording(asys, {"suspension": [0]}), cfg, inputs)
+        bare = solve_monolithic(asys, cfg, inputs, dofs={"suspension": [0]})
         assert bare.states["frame"].shape == (cfg.n_steps + 1, 0)
         boundary = system.substructures["frame"].boundary_dofs[0]
         with pytest.raises(SolverError, match=f"substructure 'frame' DOF {boundary} is not in the trajectory"):
             bare.displacement("frame", boundary)
         assert bare.velocity("suspension", 0).tobytes() == part.velocity("suspension", 0).tobytes()
 
-    @pytest.mark.parametrize("dof", [-1, 200, 2.0], ids=["negative", "past_end", "float"])
+    @pytest.mark.parametrize("dof", [-1, 200, 2.0, True], ids=["negative", "past_end", "float", "bool"])
     def test_dof_outside_a_whole_record_is_refused(self, dof):
-        # -1 used to read the last velocity column as a displacement
+        # -1 used to read the last velocity column as a displacement, and True
+        # the whole record as a boolean index (or DOF 1 as a velocity)
         _, asys, cfg, inputs = self.desk(200)
         whole = solve_monolithic(asys, cfg, inputs)
         for read in (whole.displacement, whole.velocity):
@@ -498,14 +498,15 @@ class TestRecordedDofs:
     def test_divergence_of_an_unrecorded_dof_is_caught(self):
         # a fast internal frame DOF breaks the limit while every recorded DOF stays far below it
         system, asys, _, inputs = self.desk(200)
-        route = _recording(asys, _exported_dofs(system))
+        dofs = _exported_dofs(system)
         internal = system.substructures["frame"].internal_dofs[50]
         initial = np.zeros(2 * asys.n_dofs)
         initial[asys.n_dofs + asys.dof_map["frame"][internal]] = 1e3
-        one_step = solve_monolithic(route, SolverConfig(dt=1e-3, duration=1e-3), inputs={}, initial=initial)
+        one_step = solve_monolithic(asys, SolverConfig(dt=1e-3, duration=1e-3), inputs={}, initial=initial, dofs=dofs)
         assert max(np.abs(record).max() for record in one_step.states.values()) < 10.0
         with pytest.raises(DivergenceError, match=f"'frame' diverged at step 1 in DOF {internal} ") as err:
-            solve_monolithic(route, SolverConfig(dt=1e-3, duration=0.05, divergence_limit=100.0), inputs, initial)
+            solve_monolithic(asys, SolverConfig(dt=1e-3, duration=0.05, divergence_limit=100.0), inputs, initial,
+                             dofs=dofs)
         assert (err.value.sub_id, err.value.dof) == ("frame", internal)
 
 

@@ -413,6 +413,26 @@ class TestSimulate:
             simulate(system, cfg, initial={"frame": initial})
         assert (err.value.step, err.value.sub_id, err.value.dof) == (1, "frame", internal)
 
+    @pytest.mark.parametrize("n", [40, 200], ids=["propagated", "free_step"])
+    def test_both_solvers_name_the_largest_entry(self, n):
+        # the frame breaks the limit too, but wheel 0 holds the largest entry
+        subs, topo = frame_analog(n=n, boundary_dofs=(9, 19, 29, 39))
+        system = CoupledSystem(substructures=subs, topology=topo)
+        internal = subs["frame"].internal_dofs[20]
+        initial = {sid: np.zeros(2 * sub.n_dofs) for sid, sub in subs.items()}
+        initial["frame"][n + internal] = 500.0
+        initial["suspension"][subs["suspension"].n_dofs] = 2000.0
+        asys = assemble_global(subs, topo)
+        merged = np.zeros(2 * asys.n_dofs)
+        merged[asys.n_dofs + asys.dof_map["frame"][internal]] = 500.0
+        merged[asys.n_dofs + asys.dof_map["suspension"][0]] = 2000.0
+        cfg = SolverConfig(dt=1e-3, duration=0.05, divergence_limit=100.0)
+        for solve in (lambda: simulate(system, cfg, initial=initial),
+                      lambda: solve_monolithic(asys, cfg, initial=merged)):
+            with pytest.raises(DivergenceError, match="'suspension' diverged at step 1 in DOF 0 ") as err:
+                solve()
+            assert (err.value.step, err.value.sub_id, err.value.dof) == (1, "suspension", 0)
+
     @pytest.mark.parametrize("solver", ["partitioned", "monolithic"])
     def test_non_finite_state_diverges_under_an_infinite_limit(self, solver):
         # the unstable oscillator overflows to inf and then nan after about 650
