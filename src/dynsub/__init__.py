@@ -16,7 +16,6 @@ from .models import (
     assemble_first_order,
     finite_difference_tangent,
     rayleigh_damping,
-    restoring_force,
     tangent_at_zero,
 )
 from .monolithic import AssembledSystem, analytic_sdof, assemble_global, solve_monolithic, solve_newmark
@@ -74,7 +73,6 @@ __all__ = [
     "mac",
     "rayleigh_damping",
     "reduce",
-    "restoring_force",
     "simulate",
     "smoothness",
     "solve_monolithic",

@@ -28,7 +28,7 @@ import numpy as np
 from . import io as dio
 from .generators import frame_analog
 from .metrics import trajectory_mse
-from .models import ModelError, build_from_fields, number_tuple, require_numbers
+from .models import ModelError, build_from_fields, number_tuple, require_bools, require_numbers
 from .monolithic import assemble_global, solve_monolithic
 from .reduction import reduce as cb_reduce, reduced_topology
 from .signals import multisine_with_noise_channels
@@ -63,10 +63,9 @@ class ExperimentConfig:
     _solver: SolverConfig = field(init=False, repr=False, compare=False)  # built from dt, duration, gamma, subcycles
 
     def __post_init__(self):
-        require_numbers(ModelError, integers=True, modes=self.modes, subcycles=self.subcycles, seed=self.seed)
+        require_numbers(ModelError, integers=True, modes=self.modes, seed=self.seed)
         require_numbers(ModelError, noise_variance=self.noise_variance)
-        if not isinstance(self.run_monolithic, bool):
-            raise ModelError(f"field 'run_monolithic' must be true or false, got {self.run_monolithic!r}")
+        require_bools(ModelError, run_monolithic=self.run_monolithic)
         if not isinstance(self.model, Mapping):
             raise ModelError(f"field 'model' must be an object of frame parameters, got {self.model!r}")
         if self.modes < 1:

@@ -9,16 +9,22 @@ nonlinear suspension elements.
 Models of ``_SPARSE_MIN_DOFS`` DOFs or more are built as CSR arrays
 straight from their entries, smaller ones as dense arrays, both by the
 package's one scatter of entries (:func:`~dynsub.models.matrix_from_entries`);
-the two hold the same entries, bit for bit.
+the two hold the same entries, bit for bit.  Each parameter meets the check
+that owns its rule (:mod:`dynsub.models`' number and bool checks, and
+:class:`~dynsub.models.LinearSubstructure` for DOF lists), which names it.
 """
 
 from __future__ import annotations
+
+import dataclasses
+import functools
 
 import numpy as np
 
 from .coupling import CouplingTopology
 from .models import (
-    LinearSubstructure, ModelError, NonlinearSubstructure, SuspensionElement, matrix_from_entries, rayleigh_damping,
+    LinearSubstructure, ModelError, NonlinearSubstructure, SuspensionElement, build_from_fields, matrix_from_entries,
+    rayleigh_damping, require_bools, require_numbers,
 )
 
 # identified suspension coefficients used throughout the desk experiments
@@ -34,7 +40,10 @@ def chain_matrices(n: int, m: float, k: float, c: float = 0.0, grounded: bool = 
     matrices are dense arrays below ``_SPARSE_MIN_DOFS`` masses and CSR
     arrays from there on.
     """
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+    require_numbers(ModelError, True, n=n)
+    require_numbers(ModelError, m=m, k=k, c=c)
+    require_bools(ModelError, grounded=grounded)
+    if n < 1:
         raise ModelError(f"chain needs a positive integer mass count 'n', got {n!r}")
     i = np.arange(n)
     rows, cols = np.concatenate([i, i[:-1], i[1:]]), np.concatenate([i, i[1:], i[:-1]])
@@ -63,15 +72,7 @@ def chain_substructure(
 ) -> LinearSubstructure:
     """Uniform chain as a linear substructure with chosen boundary DOFs."""
     mass, damping, stiffness = chain_matrices(n, m, k, c, grounded)
-    boundary = tuple(int(b) for b in boundary_dofs)
-    internal = tuple(i for i in range(n) if i not in boundary)
-    return LinearSubstructure(
-        mass=mass,
-        damping=damping,
-        stiffness=stiffness,
-        internal_dofs=internal,
-        boundary_dofs=boundary,
-    )
+    return LinearSubstructure(mass=mass, damping=damping, stiffness=stiffness, boundary_dofs=boundary_dofs)
 
 
 def frame_substructure(
@@ -84,9 +85,14 @@ def frame_substructure(
     rayleigh_beta: float = 1e-5,
     boundary_dofs: tuple | None = None,
 ) -> LinearSubstructure:
-    """Grounded heavy/light chain with four attachment DOFs by default."""
+    """Grounded chain, every ``heavy_every``-th mass from DOF 0 heavy (0: none), four attachment DOFs by default."""
+    require_numbers(ModelError, True, n=n, heavy_every=heavy_every)
+    require_numbers(ModelError, k=k, m_light=m_light, m_heavy=m_heavy,
+                    rayleigh_alpha=rayleigh_alpha, rayleigh_beta=rayleigh_beta)
     if n < 8:
         raise ModelError(f"frame analog needs at least 8 DOFs, got {n}")
+    if heavy_every < 0:
+        raise ModelError(f"field 'heavy_every' must be a non-negative integer, got {heavy_every}")
     _, _, stiffness = chain_matrices(n, m_light, k, 0.0, grounded=True)
     masses = np.full(n, m_light, dtype=float)
     if heavy_every > 0:
@@ -97,15 +103,7 @@ def frame_substructure(
     if boundary_dofs is None:
         quarter = n // 4
         boundary_dofs = (quarter - 1, 2 * quarter - 1, 3 * quarter - 1, n - 1)
-    boundary = tuple(int(b) for b in boundary_dofs)
-    internal = tuple(i for i in range(n) if i not in boundary)
-    return LinearSubstructure(
-        mass=mass,
-        damping=damping,
-        stiffness=stiffness,
-        internal_dofs=internal,
-        boundary_dofs=boundary,
-    )
+    return LinearSubstructure(mass=mass, damping=damping, stiffness=stiffness, boundary_dofs=boundary_dofs)
 
 
 def suspension_substructure(
@@ -114,13 +112,16 @@ def suspension_substructure(
     relative_motion: bool = NonlinearSubstructure.relative_motion,
     coefficients: dict | None = None,
 ) -> NonlinearSubstructure:
-    """Suspension bank with one base-excitation channel per element."""
-    coeff = dict(SUSPENSION_DEFAULTS)
-    if coefficients:
-        coeff.update(coefficients)
-    elements = tuple(
-        SuspensionElement(base_excitation_channel=i, **coeff) for i in range(n_elements)
-    )
+    """Suspension bank; ``coefficients`` (:class:`SuspensionElement` fields) override ``SUSPENSION_DEFAULTS``.
+
+    Element i reads channel i, so ``coefficients`` may not set ``base_excitation_channel``.
+    """
+    require_numbers(ModelError, True, n_elements=n_elements)
+    element = build_from_fields(functools.partial(SuspensionElement, **SUSPENSION_DEFAULTS),
+                                {} if coefficients is None else coefficients, "suspension coefficients")
+    if "base_excitation_channel" in (coefficients or {}):
+        raise ModelError("suspension coefficients: element i reads channel i, got field 'base_excitation_channel'")
+    elements = tuple(dataclasses.replace(element, base_excitation_channel=i) for i in range(n_elements))
     return NonlinearSubstructure(
         elements=elements,
         boundary_mass=boundary_mass,
@@ -152,6 +153,7 @@ def frame_analog(
         rayleigh_alpha=rayleigh_alpha, rayleigh_beta=rayleigh_beta,
         boundary_dofs=boundary_dofs,
     )
+    require_numbers(ModelError, True, n_suspensions=n_suspensions)
     if n_suspensions != len(frame.boundary_dofs):
         raise ModelError(
             f"{n_suspensions} suspensions need {n_suspensions} frame boundary DOFs, "

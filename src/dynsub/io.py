@@ -33,7 +33,6 @@ from __future__ import annotations
 import dataclasses
 import functools
 import json
-import numbers
 import warnings
 from collections.abc import Mapping
 from pathlib import Path
@@ -42,7 +41,8 @@ import numpy as np
 
 from .coupling import CouplingError, CouplingTopology, _check_references
 from .models import (
-    LinearSubstructure, ModelError, NonlinearSubstructure, SuspensionElement, build_from_fields, matrix_from_entries,
+    LinearSubstructure, ModelError, NonlinearSubstructure, SuspensionElement, build_from_fields, is_number,
+    matrix_from_entries,
 )
 from .reduction import CraigBamptonReduction
 from .solver import CoupledSystem, Trajectory
@@ -71,11 +71,9 @@ def _from_triplets(n: int, rows, cols, values):
 
 def _linear_record(kind, n_dofs, mass, stiffness, damping={"rows": [], "cols": [], "values": []},
                    internal_dofs=None, boundary_dofs=[]):
-    """The fields of a linear substructure record; ``internal_dofs`` defaults to every other DOF."""
+    """The fields of a linear substructure record; ``LinearSubstructure`` defaults ``internal_dofs``."""
     if type(n_dofs) is not int or n_dofs < 1:  # a JSON true is no DOF count
         raise ModelError(f"n_dofs must be a positive integer, got {n_dofs!r}")
-    if internal_dofs is None:  # a boundary that is not a list fails in LinearSubstructure
-        internal_dofs = [i for i in range(n_dofs) if i not in boundary_dofs] if isinstance(boundary_dofs, list) else []
     return n_dofs, {"mass": mass, "damping": damping, "stiffness": stiffness}, internal_dofs, boundary_dofs
 
 
@@ -291,7 +289,7 @@ def _check_input_map(system: CoupledSystem, input_map, where: str) -> None:
     """Raise ModelError, led by ``where``, before any indexing, for an input map that breaks the module's rules."""
     if not isinstance(input_map, Mapping):
         raise ModelError(f"{where} must map substructure ids to channel maps, got {input_map!r}")
-    index = lambda x: isinstance(x, numbers.Integral) and not isinstance(x, bool) and x >= 0
+    index = lambda x: is_number(x, integers=True) and x >= 0
     for sid, chans in input_map.items():
         if sid not in system.substructures:
             raise ModelError(f"{where} references unknown substructure {sid!r}")

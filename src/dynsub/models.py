@@ -79,28 +79,43 @@ def build_from_fields(factory, fields: dict, what: str):
         raise ModelError(f"{what}: {exc}") from None
 
 
+def is_number(value, integers: bool = False) -> bool:
+    """Whether ``value`` is a real number (an integer if ``integers``) and not a bool, such as a JSON true."""
+    return not isinstance(value, bool) and isinstance(value, numbers.Integral if integers else numbers.Real)
+
+
 def require_numbers(error, integers: bool = False, **fields) -> None:
     """Raise ``error`` naming the first field that is not a real (or integer) number.
 
     Booleans and strings are rejected, so a JSON value of the wrong type
     fails here instead of in arithmetic further on.
     """
-    kind = numbers.Integral if integers else numbers.Real
     for name, value in fields.items():
-        if isinstance(value, bool) or not isinstance(value, kind):
-            what = "an integer" if integers else "a number"
-            raise error(f"field {name!r} must be {what}, got {value!r}")
+        if not is_number(value, integers):
+            raise error(f"field {name!r} must be {'an integer' if integers else 'a number'}, got {value!r}")
 
 
-def number_tuple(error, name: str, value) -> tuple:
-    """``value`` as a tuple of floats; a string, a mapping or a non-number entry raises ``error``."""
+def require_bools(error, **fields) -> None:
+    """Raise ``error`` naming the first field that is not a bool, such as a JSON ``"no"``."""
+    for name, value in fields.items():
+        if not isinstance(value, bool):
+            raise error(f"field {name!r} must be true or false, got {value!r}")
+
+
+def number_tuple(error, name: str, value, integers: bool = False) -> tuple:
+    """``value`` as a tuple of floats, or of ints if ``integers``; any other value or entry raises ``error``."""
+    what = "integers" if integers else "numbers"
     if isinstance(value, (str, bytes, Mapping)) or not isinstance(value, Iterable):
-        raise error(f"field {name!r} must be a list of numbers, got {value!r}")
-    items = tuple(value)
-    for item in items:
-        if isinstance(item, bool) or not isinstance(item, numbers.Real):
-            raise error(f"field {name!r} must be a list of numbers, got entry {item!r}")
-    return tuple(float(item) for item in items)
+        raise error(f"field {name!r} must be a list of {what}, got {value!r}")
+    kind = int if integers else float
+
+    def entry(item):
+        if not is_number(item, integers):
+            raise error(f"field {name!r} must be a list of {what}, got entry {item!r}")
+        return kind(item)
+
+    # an entry of the wanted type passes on a type test; any other is checked once, as it comes
+    return tuple(item if type(item) is kind else entry(item) for item in value)
 
 
 def is_sparse(matrix) -> bool:
@@ -167,6 +182,8 @@ class LinearSubstructure:
 
     ``internal_dofs`` and ``boundary_dofs`` must together cover every DOF
     exactly once; boundary DOFs are the ones exposed for coupling.
+    ``internal_dofs`` defaults to every DOF not on the boundary, for API
+    callers, the generators and system files alike.
 
     The matrices are stored read-only, in the storage they are given in: if
     any of the three is a ``scipy.sparse`` array, all three are held as
@@ -180,8 +197,8 @@ class LinearSubstructure:
     mass: np.ndarray
     damping: np.ndarray
     stiffness: np.ndarray
-    internal_dofs: tuple
-    boundary_dofs: tuple
+    internal_dofs: tuple | None = None
+    boundary_dofs: tuple = ()
 
     def __post_init__(self):
         sparse = any(is_sparse(x) for x in (self.mass, self.damping, self.stiffness))
@@ -197,14 +214,17 @@ class LinearSubstructure:
         if np.any(m.diagonal() <= 0):
             raise ModelError("mass matrix must have a strictly positive diagonal")
         n = m.shape[0]
-        internal = _dof_tuple("internal_dofs", self.internal_dofs)
-        boundary = _dof_tuple("boundary_dofs", self.boundary_dofs)
+        boundary = number_tuple(ModelError, "boundary_dofs", self.boundary_dofs, integers=True)
+        if self.internal_dofs is None:  # one pass; a boundary DOF out of range fails the cover check
+            free = np.ones(n, dtype=bool)
+            free[[b for b in boundary if 0 <= b < n]] = False
+            internal = tuple(np.flatnonzero(free).tolist())
+        else:
+            internal = number_tuple(ModelError, "internal_dofs", self.internal_dofs, integers=True)
         cover = sorted(internal + boundary)
         if cover != list(range(n)):
-            raise ModelError(
-                "internal and boundary DOFs must disjointly cover all "
-                f"{n} DOFs, got internal={internal} boundary={boundary}"
-            )
+            raise ModelError(f"internal and boundary DOFs must disjointly cover all {n} DOFs, "
+                             f"got internal={reprlib.repr(internal)} boundary={reprlib.repr(boundary)}")
         object.__setattr__(self, "mass", m)
         object.__setattr__(self, "damping", c)
         object.__setattr__(self, "stiffness", k)
@@ -235,20 +255,6 @@ class LinearSubstructure:
             return nonzero_entries(x)
 
         return {name: entries(getattr(self, name)) for name in ("mass", "damping", "stiffness")}
-
-
-def _dof_tuple(name: str, dofs) -> tuple:
-    """``dofs`` as a tuple of ints; anything but a collection of integers raises ModelError naming ``name``."""
-    if isinstance(dofs, (str, bytes, Mapping)) or not isinstance(dofs, Iterable):
-        raise ModelError(f"field {name!r} must be a list of integers, got {dofs!r}")
-    # an int passes on a type test; any other entry is checked once, as it comes
-    return tuple(i if type(i) is int else _dof_index(name, i) for i in dofs)
-
-
-def _dof_index(name: str, i) -> int:
-    if isinstance(i, bool) or not isinstance(i, numbers.Integral):
-        raise ModelError(f"field {name!r} must be a list of integers, got entry {i!r}")
-    return int(i)
 
 
 def matrix_from_entries(n: int, rows: np.ndarray, cols: np.ndarray, values: np.ndarray):
@@ -351,8 +357,7 @@ class NonlinearSubstructure:
             if not isinstance(e, SuspensionElement):
                 raise ModelError(f"expected SuspensionElement, got {type(e).__name__}")
         require_numbers(ModelError, boundary_mass=self.boundary_mass)
-        if not isinstance(self.relative_motion, bool):
-            raise ModelError(f"field 'relative_motion' must be true or false, got {self.relative_motion!r}")
+        require_bools(ModelError, relative_motion=self.relative_motion)
         _require_finite(boundary_mass=self.boundary_mass)
         if self.boundary_mass <= 0:
             raise ModelError(f"boundary (attachment) mass must be positive, got {self.boundary_mass}")

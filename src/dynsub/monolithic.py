@@ -94,7 +94,7 @@ def solve_monolithic(
     for step in range(1, config.n_steps + 1):
         y, ydot = free_step(form, d, y, ydot, _force(force_ids, forces[step], n), dt, gamma)
         records[step] = y
-        _check_divergence(step, y, config.divergence_limit, asys.dof_map)
+        _check_divergence(step, config.divergence_limit, (y, asys.dof_map))
 
     return records.trajectory(dt)
 
@@ -135,7 +135,7 @@ def solve_newmark(
         u, acc = u_new, acc_new
         y = np.concatenate([u, v])
         records[step] = y
-        _check_divergence(step, y, config.divergence_limit, asys.dof_map)
+        _check_divergence(step, config.divergence_limit, (y, asys.dof_map))
 
     return records.trajectory(dt)
 

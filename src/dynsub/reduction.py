@@ -110,7 +110,6 @@ class CraigBamptonReduction:
             mass=self.reduced_mass,
             damping=self.reduced_damping,
             stiffness=self.reduced_stiffness,
-            internal_dofs=tuple(range(r)),
             boundary_dofs=tuple(range(r, r + nb)),
         )
 
@@ -131,30 +130,24 @@ class CraigBamptonReduction:
 class _InternalProblem:
     """``M``, ``C`` and ``K`` of a substructure reordered internal-first.
 
-    A CSR substructure, or an internal block of at least
-    ``_SPARSE_MIN_DOFS`` DOFs, is held as CSR arrays that the package's one
-    scatter (:func:`~dynsub.models._scatter_entries`) builds from the
-    substructure's nonzero entries, renumbered internal-first.  A smaller
-    dense one is reordered by ``np.ix_``, which costs less than a scatter;
-    the two reorders give the same entries, byte for byte.  Either way
-    ``K_ii`` is factorized at most once (:attr:`stiffness_solve`).
+    The package's one scatter (:func:`~dynsub.models._scatter_entries`)
+    builds them from the substructure's nonzero entries, renumbered
+    internal-first: as CSR arrays for a CSR substructure or an internal
+    block of at least ``_SPARSE_MIN_DOFS`` DOFs, else as dense arrays.  The
+    two storages hold the same entries, byte for byte.  Either way ``K_ii``
+    is factorized at most once (:attr:`stiffness_solve`).
     """
 
     def __init__(self, sub: LinearSubstructure):
         self.n_internal = len(sub.internal_dofs)
         self.sparse = sub.sparse or self.n_internal >= _SPARSE_MIN_DOFS
         order = np.array(sub.internal_dofs + sub.boundary_dofs, dtype=int)
-        if self.sparse:
-            position = np.empty_like(order)
-            position[order] = np.arange(len(order))
-            self.mass, self.damping, self.stiffness = (
-                _scatter_entries(len(order), position[rows], position[cols], values, True)
-                for rows, cols, values in (sub.nonzeros[name] for name in ("mass", "damping", "stiffness"))
-            )
-        else:
-            self.mass, self.damping, self.stiffness = (
-                x[np.ix_(order, order)] for x in (sub.mass, sub.damping, sub.stiffness)
-            )
+        position = np.empty_like(order)
+        position[order] = np.arange(len(order))
+        self.mass, self.damping, self.stiffness = (
+            _scatter_entries(len(order), position[rows], position[cols], values, self.sparse)
+            for rows, cols, values in (sub.nonzeros[name] for name in ("mass", "damping", "stiffness"))
+        )
 
     def internal(self, x):
         """The internal block of one of the reordered matrices, in its own storage."""

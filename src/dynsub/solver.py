@@ -71,7 +71,7 @@ state scale.
 Both solvers share one force path, the driven rows of :func:`_global_forces`
 added onto zeroed DOFs in input order by :func:`_force`, one record path,
 :class:`_Records`, and one divergence check, :func:`_check_divergence`,
-on each group's coupled state (the reference's global state).  A free-step
+on all groups' coupled states at once (the reference's global state).  A free-step
 group scatters the rows of a window, and the monolithic reference those
 of a step, as they go; a step group writes each member's rows of a window
 into its record in one block.  Neither keeps a whole-run record of its
@@ -83,7 +83,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import numbers
 from collections.abc import Callable, Hashable
 from dataclasses import dataclass, field
 from typing import Mapping
@@ -107,6 +106,7 @@ from .models import (
     NonlinearSubstructure,
     assemble_first_order,
     friction_shape,
+    is_number,
     require_numbers,
 )
 
@@ -121,8 +121,9 @@ class DivergenceError(SolverError):
     ``sub_id`` and ``dof`` name the substructure and its DOF that hold the
     first non-finite entry of the checked state, or else its largest
     (:func:`_check_divergence`).  The monolithic reference checks its global
-    state after every step; the partitioned solver checks each step group's
-    coupled state, in plan order, after every coupled step.
+    state after every step; the partitioned solver checks the coupled states
+    of all its step groups together after every coupled step, so the
+    largest entry across the groups is named whatever the sub-cycling.
     """
 
     def __init__(self, step: int, sub_id, dof: int, norm: float, limit: float):
@@ -145,15 +146,14 @@ class SolverConfig:
     divergence_limit: float = 1e8
 
     def __post_init__(self):
-        require_numbers(
-            SolverError, dt=self.dt, duration=self.duration, gamma=self.gamma,
-            subcycles=self.subcycles, divergence_limit=self.divergence_limit,
-        )
+        require_numbers(SolverError, dt=self.dt, duration=self.duration, gamma=self.gamma,
+                        divergence_limit=self.divergence_limit)
+        require_numbers(SolverError, True, subcycles=self.subcycles)
         if self.dt <= 0:
             raise SolverError(f"dt must be positive, got {self.dt}")
         if not 0 < self.gamma <= 1:
             raise SolverError(f"gamma must be in (0, 1], got {self.gamma}")
-        if int(self.subcycles) != self.subcycles or self.subcycles < 1:
+        if self.subcycles < 1:
             raise SolverError(f"subcycles must be a positive integer, got {self.subcycles}")
         if self.duration <= 0:
             raise SolverError(f"duration must be positive, got {self.duration}")
@@ -165,7 +165,6 @@ class SolverConfig:
                 f"field 'duration' ({self.duration}) must be a whole number of steps of "
                 f"field 'dt' ({self.dt}), got duration/dt = {steps:.12g}"
             )
-        object.__setattr__(self, "subcycles", int(self.subcycles))
 
     @property
     def n_steps(self) -> int:
@@ -237,7 +236,7 @@ class Trajectory:
     def _column(self, sub_id, dof) -> int:
         """Column of ``dof``'s displacement in ``states[sub_id]``; its velocity is half a row further on."""
         recorded = self._recorded.get(sub_id)
-        if isinstance(dof, numbers.Integral) and not isinstance(dof, bool) and 0 <= dof < self.dof_counts[sub_id]:
+        if is_number(dof, integers=True) and 0 <= dof < self.dof_counts[sub_id]:
             if recorded is None:
                 return dof
             if dof in recorded:
@@ -356,17 +355,21 @@ def _start(form: FirstOrderForm, initial, force: np.ndarray, what: str) -> tuple
     return y, np.concatenate([y[n:], solve(force - form.momentum(y[:n], y[n:]))])
 
 
-def _check_divergence(step: int, y: np.ndarray, limit: float, dof_map: Mapping) -> None:
-    """Raise :class:`DivergenceError` if the state ``y = [u; v]`` holds a non-finite value or one beyond ``limit``.
+def _check_divergence(step: int, limit: float, *checked: tuple) -> None:
+    """Raise :class:`DivergenceError` if a checked state holds a non-finite value or one beyond ``limit``.
 
-    The error names the first non-finite entry, or else the largest, by its
-    owner in ``dof_map``: the first id, in the map's order, whose DOFs hold
-    that entry's DOF of ``y``, and the DOF's first place among them.  The
-    owner is looked up only on failure.
+    Each of ``checked`` is a state ``y = [u; v]`` and its ``dof_map``.  The
+    error names the first non-finite entry of the first state that holds
+    one, or else the largest entry of all, by its owner in that state's
+    ``dof_map``: the first id, in the map's order, whose DOFs hold that
+    entry's DOF of ``y``, and the DOF's first place among them.  Each state
+    is scanned once; the owner is looked up only on failure.
     """
-    norm = np.abs(y).max() if y.size else 0.0
-    if np.isfinite(norm) and norm <= limit:
+    norms = [np.abs(y).max() if y.size else 0.0 for y, _ in checked]
+    if all(math.isfinite(norm) and norm <= limit for norm in norms):
         return
+    k = next((k for k, norm in enumerate(norms) if not math.isfinite(norm)), int(np.argmax(norms)))
+    (y, dof_map), norm = checked[k], norms[k]
     finite = np.isfinite(y)
     dof = int(np.argmin(finite) if not finite.all() else np.argmax(np.abs(y))) % (len(y) // 2)
     sid, ids = next((sid, ids) for sid, ids in dof_map.items() if dof in ids)
@@ -723,6 +726,7 @@ class PartitionedSolver:
         inner = [windows[k][1:, :groups[k].form.state_size] for k in keys]
         coupled = [last[k][:groups[k].form.state_size] for k in keys]
         free_velocities = {k: coupled[k][groups[k].form.n_dofs:] for k in keys}
+        checked = [(coupled[k], groups[k].dofs) for k in keys]
         compat = {k: groups[k].injector.T for k in keys}
         link = {k: groups[k].link for k in keys}
         lam = np.zeros(self.n_lam)
@@ -739,7 +743,7 @@ class PartitionedSolver:
                 # it and opens the next
                 records[k].into[(step - 1) * ss + 1: step * ss + 1] = inner[k]
                 first[k][:] = last[k]
-                _check_divergence(step, coupled[k], cfg.divergence_limit, groups[k].dofs)
+            _check_divergence(step, cfg.divergence_limit, *checked)
 
         states, fine_states, fine_times = {}, {}, {}
         for group, record in zip(groups, records):

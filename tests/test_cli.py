@@ -1,5 +1,6 @@
 """End-to-end runs of the command-line driver."""
 
+import inspect
 import json
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 
 from dynsub import SolverConfig, assemble_global, solve_monolithic
 from dynsub.cli import main
+from dynsub.generators import chain_substructure, frame_analog
 from dynsub.io import (
     input_tables, load_csv_columns, load_reduction, load_signals_csv, load_system, save_signals_csv,
     save_trajectory_csv,
@@ -46,6 +48,20 @@ class TestGenerate:
         assert main(["generate-model", "--kind", "chain",
                      "--params", '{"n": 1}', "--out", str(out)]) == 0
         assert load_system(out)[0].substructures["chain"].mass.shape == (1, 1)
+
+    @pytest.mark.parametrize("whole", [float, int], ids=["floats", "ints"])
+    @pytest.mark.parametrize("kind, factory", [("frame_analog", frame_analog), ("chain", chain_substructure)])
+    def test_every_parameter_at_its_default_writes_the_same_file(self, tmp_path, kind, factory, whole):
+        # each parameter given explicitly, a whole float also as a JSON int ("k": 10000)
+        params = {name: p.default for name, p in inspect.signature(factory).parameters.items()}
+        params = {name: whole(v) if isinstance(v, float) and v.is_integer() else v for name, v in params.items()}
+        if kind == "chain":
+            params["n"] = 3  # the command's default: the signature has none
+        out = {"default": tmp_path / "default.json", "explicit": tmp_path / "explicit.json"}
+        assert main(["generate-model", "--kind", kind, "--out", str(out["default"])]) == 0
+        assert main(["generate-model", "--kind", kind, "--params", json.dumps(params),
+                     "--out", str(out["explicit"])]) == 0
+        assert out["explicit"].read_bytes() == out["default"].read_bytes()
 
     def test_frame_analog_interfaces(self, model_file):
         doc = json.loads(model_file.read_text())
@@ -118,6 +134,14 @@ def _misspelled_frame_damping(model):
 def _setting(*keys, value):
     """Edit of a model file that sets the entry at ``keys`` to ``value``."""
     return lambda model: set_json_entry(model, keys, value)
+
+
+def _generate(kind, params):
+    """``generate-model`` of ``kind`` with ``params`` as JSON."""
+    return ["generate-model", "--kind", kind, "--params", json.dumps(params), "--out", "{tmp}/m.json"]
+
+
+_COEFFICIENTS = "frame_analog parameters: suspension coefficients"
 
 
 @pytest.mark.parametrize("argv, key, edit", [
@@ -209,6 +233,21 @@ def _setting(*keys, value):
      ("system file", "05"), _setting("inputs", value={"frame": {"5": 0, "05": 1}})),
     (["simulate", "--model", "{model}", "--config", "{tmp}/good.json", "--out", "{tmp}/t.csv", "--monolithic"],
      ("system file", "\u0665"), _setting("inputs", value={"frame": {"\u0665": 0}})),
+    # generator parameters: each was truncated, misread or ended in a traceback
+    (_generate("frame_analog", {"heavy_every": 2.5}), "heavy_every", None),
+    (["run-experiment", "--config", "{tmp}/heavy_model.json", "--out-dir", "{tmp}/out"], "heavy_every", None),
+    (_generate("frame_analog", {"heavy_every": -1}), "heavy_every", None),
+    (_generate("frame_analog", {"boundary_dofs": [49.5, 99, 149, 199]}), "boundary_dofs", None),
+    (_generate("frame_analog", {"m_light": "x"}), "m_light", None),
+    (_generate("frame_analog", {"k": "1e4"}), "k", None),
+    (_generate("frame_analog", {"rayleigh_alpha": None}), "rayleigh_alpha", None),
+    (_generate("frame_analog", {"n_suspensions": 4.0}), "n_suspensions", None),
+    (_generate("frame_analog", {"suspension_coefficients": {"k_1": 3}}), (_COEFFICIENTS, "k_1"), None),
+    (_generate("frame_analog", {"suspension_coefficients": [1]}), (_COEFFICIENTS, "k1"), None),
+    (_generate("chain", {"boundary_dofs": [1.5]}), "boundary_dofs", None),
+    (_generate("chain", {"grounded": "no"}), "grounded", None),
+    (_generate("chain", {"m": "x"}), "m", None),
+    (_generate("chain", {"c": None}), "c", None),
 ], ids=["frame_params", "chain_params", "chain_float_n", "solver_config", "experiment_config",
           "experiment_model", "missing_mass", "system_relative_motion", "system_coupling",
           "solver_config_type", "solver_config_partial_step", "experiment_config_type",
@@ -221,7 +260,11 @@ def _setting(*keys, value):
           "signal_spec_seed", "signal_spec_kind", "compare_traj_no_shared_channel", "compare_mac_zero_column",
           "system_singular_frame_mass", "system_unknown_top_level_key", "system_misspelled_damping",
           "system_unknown_triplet_key", "system_misspelled_boundary_mass", "system_unknown_element_key",
-          "system_input_key_with_leading_zero", "system_input_key_arabic_indic_digit"])
+          "system_input_key_with_leading_zero", "system_input_key_arabic_indic_digit",
+          "frame_fractional_heavy_every", "experiment_fractional_heavy_every", "frame_negative_heavy_every",
+          "frame_fractional_boundary_dof", "frame_string_m_light", "frame_string_k", "frame_null_rayleigh_alpha",
+          "frame_float_n_suspensions", "frame_unknown_coefficient", "frame_coefficients_not_an_object",
+          "chain_fractional_boundary_dof", "chain_string_grounded", "chain_string_m", "chain_null_c"])
 def test_malformed_input_exits_1_naming_the_field(tmp_path, model_file, capsys, argv, key, edit):
     """``key`` is the name the message must quote, or (location, name) for a location it must also lead with."""
     write_config(tmp_path / "good.json")
@@ -232,6 +275,7 @@ def test_malformed_input_exits_1_naming_the_field(tmp_path, model_file, capsys, 
     write_config(tmp_path / "part_step.json", duration=0.0505)  # 50.5 steps of dt = 1e-3
     (tmp_path / "bad_model.json").write_text(json.dumps({"model": {"nn": 5}}))
     (tmp_path / "str_modes.json").write_text(json.dumps({"modes": "5"}))
+    (tmp_path / "heavy_model.json").write_text(json.dumps({"model": {"heavy_every": 2.5}}))
     (tmp_path / "modes3.csv").write_text("m0,m1\n1,0\n0,1\n1,1\n")
     (tmp_path / "modes4.csv").write_text("m0,m1\n1,0\n0,1\n1,1\n0,1\n")
     (tmp_path / "text.csv").write_text("time,ch0\n0,1\n0.001,one\n")

@@ -174,6 +174,6 @@ def test_package_exports_no_solver_internals():
     import dynsub
 
     for name in ("coupling_step", "locator_matrix", "steklov_poincare", "InterfaceOperator", "EffectiveMatrix",
-                 "effective_matrix", "free_step"):
+                 "effective_matrix", "free_step", "restoring_force"):
         assert name not in dynsub.__all__ and not hasattr(dynsub, name), name
     assert all(hasattr(dynsub, name) for name in dynsub.__all__)

@@ -7,9 +7,11 @@ import pytest
 import scipy.sparse.linalg  # imported before any tracing, so its module objects are not counted
 
 import dynsub.models
-from dynsub.generators import chain_matrices, frame_analog, frame_substructure
+from dynsub.generators import (
+    SUSPENSION_DEFAULTS, chain_matrices, frame_analog, frame_substructure, suspension_substructure,
+)
 from dynsub.io import save_system
-from dynsub.models import dense
+from dynsub.models import ModelError, dense
 from dynsub.monolithic import assemble_global
 from dynsub.reduction import reduce as cb_reduce
 
@@ -69,3 +71,27 @@ class TestSparseFrames:
         finally:
             tracemalloc.stop()
         assert peak < 8e6, f"peak {peak / 1e6:.1f} MB"
+
+
+class TestParameters:
+    """Each generator parameter meets the check that owns its rule."""
+
+    def test_coefficients_override_the_defaults_and_channels_follow_the_index(self):
+        susp = suspension_substructure(n_elements=3, coefficients={"k1": 30})
+        assert [(e.k1, e.c3, e.base_excitation_channel) for e in susp.elements] == [
+            (30, SUSPENSION_DEFAULTS["c3"], i) for i in range(3)
+        ]
+
+    def test_coefficients_may_not_set_the_channel(self):
+        with pytest.raises(ModelError, match="'base_excitation_channel'"):
+            suspension_substructure(coefficients={"base_excitation_channel": 2})
+
+    def test_the_frame_boundary_keeps_its_order_and_the_rest_is_internal(self):
+        frame = frame_substructure(n=40, boundary_dofs=(39, 9, 19, 29))
+        assert frame.boundary_dofs == (39, 9, 19, 29)
+        assert frame.internal_dofs == tuple(i for i in range(40) if i not in (9, 19, 29, 39))
+
+    @pytest.mark.parametrize("heavy_every, heavy", [(0, []), (8, [0, 8, 16, 24, 32]), (50, [0])])
+    def test_every_heavy_every_th_mass_is_heavy(self, heavy_every, heavy):
+        masses = np.diag(frame_substructure(n=40, heavy_every=heavy_every).mass)
+        assert np.flatnonzero(masses == 2.0).tolist() == heavy and np.all(masses[masses != 2.0] == 0.05)

@@ -16,13 +16,13 @@ from dynsub import (
     assemble_first_order,
     assemble_global,
     finite_difference_tangent,
-    restoring_force,
     tangent_at_zero,
 )
 
 from dynsub import reduce as cb_reduce
 from dynsub.generators import frame_analog, frame_substructure
 from dynsub.io import load_system, save_system
+from dynsub.models import restoring_force
 
 from conftest import FORCE_LAW_KINDS, first_order_forms, two_bank_forms
 
@@ -101,6 +101,20 @@ class TestValidation:
                 mass=np.eye(2), damping=np.zeros((2, 2)), stiffness=np.eye(2),
                 internal_dofs=(0, 1), boundary_dofs=(1,),
             )
+
+    def test_internal_dofs_default_to_every_dof_not_on_the_boundary(self):
+        for storage in STORAGES:
+            sub = LinearSubstructure(mass=stored(np.eye(4), storage), damping=np.zeros((4, 4)),
+                                     stiffness=np.eye(4), boundary_dofs=(np.int64(3), 1))
+            assert sub.internal_dofs == (0, 2) and sub.boundary_dofs == (3, 1)
+            assert all(type(i) is int for i in sub.internal_dofs + sub.boundary_dofs)
+        assert LinearSubstructure(mass=np.eye(2), damping=np.zeros((2, 2)), stiffness=np.eye(2)).internal_dofs == (0, 1)
+
+    @pytest.mark.parametrize("boundary", [(3,), (-1,), (1, 1), (10**30,)],
+                             ids=["out_of_range", "negative", "repeated", "huge"])
+    def test_default_internal_dofs_leave_a_bad_boundary_to_the_cover_check(self, boundary):
+        with pytest.raises(ModelError, match="disjointly cover all 3 DOFs"):
+            LinearSubstructure(mass=np.eye(3), damping=np.zeros((3, 3)), stiffness=np.eye(3), boundary_dofs=boundary)
 
     def test_dimension_mismatch_rejected(self):
         for storage in STORAGES:
@@ -391,8 +405,8 @@ class TestScatterEntries:
             assert made_by(lambda: load_system(tmp_path / "model.json")) == {(n, csr)}
             for sparse in (False, True):  # the frame and 8 suspension DOFs, 4 of them merged
                 assert made_by(lambda: assemble_global(subs, topology, sparse=sparse)) == {(n + 4, sparse)}
-            # a dense internal block below the size gate is reordered by np.ix_
-            assert made_by(lambda: cb_reduce(subs["frame"], 30)) == ({(n, True)} if csr else set())
+            # a dense internal block below the size gate is reordered into dense arrays
+            assert made_by(lambda: cb_reduce(subs["frame"], 30)) == {(n, csr)}
 
 
 class TestNonzeros:

@@ -20,13 +20,13 @@ from dynsub import (
     analytic_sdof,
     assemble_global,
     finite_difference_tangent,
-    restoring_force,
     simulate,
     solve_monolithic,
     solve_newmark,
 )
 from dynsub.generators import chain_substructure, frame_analog, suspension_substructure
 from dynsub.io import _exported_dofs, save_trajectory_csv
+from dynsub.models import restoring_force
 from dynsub.solver import DivergenceError, _start, effective_matrix, free_step
 
 from conftest import linear_suspension_analog, run_python, scipy_sparse_check, wheel_forces

@@ -81,6 +81,12 @@ class TestSolverConfig:
             SolverConfig(dt=1e-3, duration=1.0, gamma=1.5)
         with pytest.raises(SolverError):
             SolverConfig(dt=1e-3, duration=1.0, subcycles=0)
+
+    @pytest.mark.parametrize("subcycles", [2.0, 2.5, True, "2"])
+    def test_subcycles_must_be_an_integer(self, subcycles):
+        # 2.0 was accepted and coerced here, while ExperimentConfig refused it
+        with pytest.raises(SolverError, match=f"field 'subcycles' must be an integer, got {subcycles!r}"):
+            SolverConfig(dt=1e-3, duration=1.0, subcycles=subcycles)
         with pytest.raises(SolverError):
             SolverConfig(dt=1e-3, duration=0.0)
 
@@ -413,9 +419,10 @@ class TestSimulate:
             simulate(system, cfg, initial={"frame": initial})
         assert (err.value.step, err.value.sub_id, err.value.dof) == (1, "frame", internal)
 
-    @pytest.mark.parametrize("n", [40, 200], ids=["propagated", "free_step"])
-    def test_both_solvers_name_the_largest_entry(self, n):
-        # the frame breaks the limit too, but wheel 0 holds the largest entry
+    @pytest.mark.parametrize("n, ss", [(40, 1), (200, 1), (40, 3)], ids=["propagated", "free_step", "subcycled"])
+    def test_both_solvers_name_the_largest_entry(self, n, ss):
+        # the frame breaks the limit too, but wheel 0 holds the largest entry; at
+        # ss = 3 the frame and the suspension are two step groups, checked together
         subs, topo = frame_analog(n=n, boundary_dofs=(9, 19, 29, 39))
         system = CoupledSystem(substructures=subs, topology=topo)
         internal = subs["frame"].internal_dofs[20]
@@ -426,7 +433,7 @@ class TestSimulate:
         merged = np.zeros(2 * asys.n_dofs)
         merged[asys.n_dofs + asys.dof_map["frame"][internal]] = 500.0
         merged[asys.n_dofs + asys.dof_map["suspension"][0]] = 2000.0
-        cfg = SolverConfig(dt=1e-3, duration=0.05, divergence_limit=100.0)
+        cfg = SolverConfig(dt=1e-3, duration=0.05, subcycles=ss, divergence_limit=100.0)
         for solve in (lambda: simulate(system, cfg, initial=initial),
                       lambda: solve_monolithic(asys, cfg, initial=merged)):
             with pytest.raises(DivergenceError, match="'suspension' diverged at step 1 in DOF 0 ") as err:
@@ -460,8 +467,20 @@ class TestSimulate:
     ])
     def test_divergence_names_the_first_owner_of_the_dof(self, y, named):
         with pytest.raises(DivergenceError) as err:
-            dynsub.solver._check_divergence(7, np.array(y), 1.0, {"a": np.array([0, 1]), "b": np.array([1, 2])})
+            dynsub.solver._check_divergence(7, 1.0, (np.array(y), {"a": np.array([0, 1]), "b": np.array([1, 2])}))
         assert (err.value.step, err.value.sub_id, err.value.dof) == (7, *named)
+
+    @pytest.mark.parametrize("second, named", [
+        ([0.0, 0.0, 9.0, 0.0], ("b", 0)),  # the largest entry of all, in the second state
+        ([0.0, 0.0, 2.0, np.nan], ("b", 1)),  # a non-finite entry before any finite one
+        ([0.0, 0.0, 2.0, 0.0], ("a", 1)),  # the largest, in the first state
+        ([0.0, 0.0, 0.5, 0.0], ("a", 1)),  # the only state beyond the limit
+    ])
+    def test_divergence_names_the_worst_of_several_states(self, second, named):
+        first = (np.array([0.0, 0.0, 0.0, 5.0]), {"a": np.array([0, 1])})
+        with pytest.raises(DivergenceError) as err:
+            dynsub.solver._check_divergence(3, 1.0, first, (np.array(second), {"b": np.array([0, 1])}))
+        assert (err.value.step, err.value.sub_id, err.value.dof) == (3, *named)
 
     def test_divergence_limit_configurable(self):
         bad = LinearSubstructure(
