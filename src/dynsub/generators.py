@@ -10,7 +10,7 @@ Models of ``_SPARSE_MIN_DOFS`` DOFs or more are built as CSR arrays
 straight from their entries, smaller ones as dense arrays, both by the
 package's one scatter of entries (:func:`~dynsub.models.matrix_from_entries`);
 the two hold the same entries, bit for bit.  Each parameter meets the check
-that owns its rule (:mod:`dynsub.models`' number and bool checks, and
+that owns its rule (:mod:`dynsub.models`' number, range and bool checks, and
 :class:`~dynsub.models.LinearSubstructure` for DOF lists), which names it.
 """
 
@@ -24,11 +24,27 @@ import numpy as np
 from .coupling import CouplingTopology
 from .models import (
     LinearSubstructure, ModelError, NonlinearSubstructure, SuspensionElement, build_from_fields, matrix_from_entries,
-    rayleigh_damping, require_bools, require_numbers,
+    rayleigh_damping, require_bools, require_finite, require_numbers,
 )
 
 # identified suspension coefficients used throughout the desk experiments
 SUSPENSION_DEFAULTS = dict(mass=0.160, k1=35.0, c1=0.65, c2=10.0, c3=0.55)
+
+
+def _springs(n: int, value: float, grounded: bool):
+    """Springs (or dampers) of ``value`` between the neighbours of ``n`` masses; with ``grounded``, mass 0 to ground.
+
+    Spring j adds ``value`` at (j, j) and (j + 1, j + 1) and ``-value`` at (j, j + 1) and (j + 1, j), summed
+    as a spring-by-spring loop sums them, so the entries match it bit for bit.
+    """
+    i = np.arange(n)
+    diagonal = np.zeros(n)
+    diagonal[:-1] += value
+    diagonal[1:] += value
+    if grounded:
+        diagonal[0] += value
+    return matrix_from_entries(n, np.concatenate([i, i[:-1], i[1:]]), np.concatenate([i, i[1:], i[:-1]]),
+                               np.concatenate([diagonal, np.full(2 * (n - 1), 0.0 - value)]))
 
 
 def chain_matrices(n: int, m: float, k: float, c: float = 0.0, grounded: bool = True) -> tuple:
@@ -42,24 +58,13 @@ def chain_matrices(n: int, m: float, k: float, c: float = 0.0, grounded: bool = 
     """
     require_numbers(ModelError, True, n=n)
     require_numbers(ModelError, m=m, k=k, c=c)
+    require_finite(ModelError, "positive", m=m)
+    require_finite(ModelError, "non-negative", k=k, c=c)
     require_bools(ModelError, grounded=grounded)
     if n < 1:
         raise ModelError(f"chain needs a positive integer mass count 'n', got {n!r}")
     i = np.arange(n)
-    rows, cols = np.concatenate([i, i[:-1], i[1:]]), np.concatenate([i, i[1:], i[:-1]])
-
-    def springs(val):
-        # spring j adds val to the diagonal at j and j + 1 and subtracts it
-        # from (j, j + 1) and (j + 1, j); the sums below are the ones a
-        # spring-by-spring loop makes, so the entries match it bit for bit
-        diagonal = np.zeros(n)
-        diagonal[:-1] += val
-        diagonal[1:] += val
-        if grounded:
-            diagonal[0] += val
-        return matrix_from_entries(n, rows, cols, np.concatenate([diagonal, np.full(2 * (n - 1), 0.0 - val)]))
-
-    return matrix_from_entries(n, i, i, np.full(n, m, dtype=float)), springs(c), springs(k)
+    return matrix_from_entries(n, i, i, np.full(n, m, dtype=float)), _springs(n, c, grounded), _springs(n, k, grounded)
 
 
 def chain_substructure(
@@ -89,11 +94,13 @@ def frame_substructure(
     require_numbers(ModelError, True, n=n, heavy_every=heavy_every)
     require_numbers(ModelError, k=k, m_light=m_light, m_heavy=m_heavy,
                     rayleigh_alpha=rayleigh_alpha, rayleigh_beta=rayleigh_beta)
+    require_finite(ModelError, "positive", m_light=m_light, m_heavy=m_heavy)
+    require_finite(ModelError, "non-negative", k=k, rayleigh_alpha=rayleigh_alpha, rayleigh_beta=rayleigh_beta)
     if n < 8:
         raise ModelError(f"frame analog needs at least 8 DOFs, got {n}")
     if heavy_every < 0:
         raise ModelError(f"field 'heavy_every' must be a non-negative integer, got {heavy_every}")
-    _, _, stiffness = chain_matrices(n, m_light, k, 0.0, grounded=True)
+    stiffness = _springs(n, k, grounded=True)
     masses = np.full(n, m_light, dtype=float)
     if heavy_every > 0:
         masses[::heavy_every] = m_heavy

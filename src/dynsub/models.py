@@ -95,6 +95,13 @@ def require_numbers(error, integers: bool = False, **fields) -> None:
             raise error(f"field {name!r} must be {'an integer' if integers else 'a number'}, got {value!r}")
 
 
+def require_finite(error, sign: str = "", **fields) -> None:
+    """Raise ``error`` naming the first number field that is not finite, or not ``"positive"``/``"non-negative"``."""
+    for name, value in fields.items():
+        if not math.isfinite(value) or (sign == "positive" and value <= 0) or (sign == "non-negative" and value < 0):
+            raise error(f"field {name!r} must be a finite {sign + ' ' if sign else ''}number, got {value!r}")
+
+
 def require_bools(error, **fields) -> None:
     """Raise ``error`` naming the first field that is not a bool, such as a JSON ``"no"``."""
     for name, value in fields.items():
@@ -154,12 +161,6 @@ def _as_locked_matrix(a, name: str, sparse: bool):
     for array in (m.data, m.indices, m.indptr) if sparse else (m,):
         array.setflags(write=False)
     return m
-
-
-def _require_finite(**fields) -> None:
-    for name, value in fields.items():
-        if not math.isfinite(value):
-            raise ModelError(f"field {name!r} must be finite, got {value}")
 
 
 def _check_symmetric(m, name: str, rtol: float = 1e-10) -> None:
@@ -320,11 +321,8 @@ class SuspensionElement:
         coefficients = dict(mass=self.mass, k1=self.k1, c1=self.c1, c2=self.c2, c3=self.c3)
         require_numbers(ModelError, **coefficients)
         require_numbers(ModelError, True, base_excitation_channel=self.base_excitation_channel)
-        _require_finite(**coefficients)
-        if self.mass <= 0:
-            raise ModelError(f"element mass must be positive, got {self.mass}")
-        if self.c3 <= 0:
-            raise ModelError(f"velocity-smoothing constant c3 must be positive, got {self.c3}")
+        require_finite(ModelError, k1=self.k1, c1=self.c1, c2=self.c2)
+        require_finite(ModelError, "positive", mass=self.mass, c3=self.c3)
 
     @property
     def tangent_damping(self) -> float:
@@ -358,9 +356,7 @@ class NonlinearSubstructure:
                 raise ModelError(f"expected SuspensionElement, got {type(e).__name__}")
         require_numbers(ModelError, boundary_mass=self.boundary_mass)
         require_bools(ModelError, relative_motion=self.relative_motion)
-        _require_finite(boundary_mass=self.boundary_mass)
-        if self.boundary_mass <= 0:
-            raise ModelError(f"boundary (attachment) mass must be positive, got {self.boundary_mass}")
+        require_finite(ModelError, "positive", boundary_mass=self.boundary_mass)
         object.__setattr__(self, "elements", elements)
 
     @property

@@ -31,7 +31,9 @@ its sparse reference.
 
 Both paths return one canonical basis (see :func:`_canonical_modes`), so
 their modes agree to about 1e-11 and their reduced matrices to about 1e-12
-of their scale, even where the spectrum has repeated frequencies.
+of their scale, even where the spectrum has repeated frequencies.  Both
+write the modes and the constraint modes straight into the transform, the
+one copy of the basis.
 """
 
 from __future__ import annotations
@@ -47,6 +49,8 @@ from .models import _SPARSE_MIN_DOFS, LinearSubstructure, ModelError, _scatter_e
 
 # Fixed-interface frequencies equal to this relative tolerance form one cluster.
 _CLUSTER_RTOL = 1e-8
+# A fixed-interface eigenvalue w**2 below -_ROUNDOFF_RTOL * max|K_ii| / min diag(M_ii) is not round-off.
+_ROUNDOFF_RTOL = 1e-8
 
 
 class ReductionError(ModelError):
@@ -57,15 +61,14 @@ class ReductionError(ModelError):
 class CraigBamptonReduction:
     """Result of reducing a linear substructure.
 
-    The transform maps reduced coordinates ``[q; x_b]`` (modal amplitudes and
-    physical boundary displacements) to physical displacements ordered
-    internal-first: its lower-left block is zero and lower-right block is the
-    identity.  Reduced matrices are the congruence projections
-    ``X_hat = T.T @ X @ T`` on that ordering.
+    The transform ``T = [[phi, psi], [0, I]]`` maps reduced coordinates
+    ``[q; x_b]`` (modal amplitudes and physical boundary displacements) to
+    physical displacements ordered internal-first.  It is the one copy of
+    the basis: :attr:`retained_modes` (``phi``) and :attr:`constraint_modes`
+    (``psi``) are views of its upper blocks.  Reduced matrices are the
+    congruence projections ``X_hat = T.T @ X @ T`` on that ordering.
     """
 
-    retained_modes: np.ndarray
-    constraint_modes: np.ndarray
     transform: np.ndarray
     reduced_mass: np.ndarray
     reduced_stiffness: np.ndarray
@@ -77,7 +80,17 @@ class CraigBamptonReduction:
 
     @property
     def n_modes(self) -> int:
-        return self.retained_modes.shape[1]
+        return len(self.retained_frequencies)
+
+    @property
+    def retained_modes(self) -> np.ndarray:
+        """The mass-normalized fixed-interface modes ``phi``, a view of ``transform``."""
+        return self.transform[:len(self.internal_dofs), :self.n_modes]
+
+    @property
+    def constraint_modes(self) -> np.ndarray:
+        """The constraint modes ``psi = -K_ii^-1 K_ib``, a view of ``transform``."""
+        return self.transform[:len(self.internal_dofs), self.n_modes:]
 
     @property
     def n_boundary(self) -> int:
@@ -115,9 +128,8 @@ class CraigBamptonReduction:
 
     def project_force(self, f: np.ndarray) -> np.ndarray:
         """Project a physical force vector onto the reduced coordinates."""
-        f = np.asarray(f, dtype=float)
-        gathered = np.concatenate([f[list(self.internal_dofs)], f[list(self.boundary_dofs)]])
-        return self.transform.T @ gathered
+        order = np.array(self.internal_dofs + self.boundary_dofs, dtype=int)
+        return self.transform.T @ np.asarray(f, dtype=float)[order]
 
     def reduced_boundary_index(self, dof: int) -> int:
         """Reduced-coordinate index of an original boundary DOF."""
@@ -164,6 +176,13 @@ class _InternalProblem:
         return ReductionError(
             f"internal stiffness block is singular ({rank}); constrain the structure or move boundary DOFs"
         )
+
+    def check_stiffness(self, lowest: float) -> None:
+        """Reject a ``K_ii`` whose lowest fixed-interface eigenvalue ``lowest`` (``w**2``) is not round-off."""
+        scale = abs(self.internal(self.stiffness)).max() / self.internal(self.mass).diagonal().min()
+        if lowest < -_ROUNDOFF_RTOL * scale:
+            raise ReductionError(f"internal stiffness block is indefinite: a fixed-interface eigenvalue w^2 "
+                                 f"is {lowest:.6g} (rad/s)^2")
 
     @functools.cached_property
     def stiffness_solve(self):
@@ -270,6 +289,10 @@ def fixed_interface_modes(
     the members kept are the first of its canonical basis: those whose mass
     sits nearest internal DOF 0.  :func:`reduce` passes its own ``problem``
     so that ``K_ii`` is factorized once.
+
+    An eigenvalue below ``-1e-8 * max|K_ii| / min diag(M_ii)``
+    (``_ROUNDOFF_RTOL``) shows an indefinite ``K_ii`` and raises
+    ReductionError naming it; a negative one above that is round-off: 0 rad/s.
     """
     if problem is None:
         problem = _InternalProblem(sub)
@@ -282,6 +305,8 @@ def fixed_interface_modes(
     count = min(n_modes + 2, n_i)
     while True:
         phi, lam = problem.lowest_modes(count)
+        if lam[0] < 0:
+            problem.check_stiffness(lam[0])
         freqs = np.sqrt(np.clip(lam, 0.0, None))
         last_start = np.flatnonzero(_cluster_starts(freqs))[-1]
         if count == n_i or last_start >= n_modes:
@@ -320,30 +345,24 @@ def reduce(sub: LinearSubstructure, n_modes: int) -> CraigBamptonReduction:
     if not 0 <= n_modes <= n_i:
         raise ReductionError(f"requested {n_modes} modes but only {n_i} internal DOFs")
     probe = min(n_modes + 1, n_i)
-    phi_all, freqs_all = fixed_interface_modes(sub, probe, problem=problem)
-    phi_r, freqs = phi_all[:, :n_modes], freqs_all[:n_modes]
-    truncation = float(freqs_all[n_modes]) if probe > n_modes else None
-    psi = constraint_modes(sub, problem=problem)
-
+    phi, freqs = fixed_interface_modes(sub, probe, problem=problem)
     transform = np.zeros((n_i + n_b, n_modes + n_b))
-    transform[:n_i, :n_modes] = phi_r
-    transform[:n_i, n_modes:] = psi
+    transform[:n_i, :n_modes] = phi[:, :n_modes]
+    transform[:n_i, n_modes:] = constraint_modes(sub, problem=problem)
     transform[n_i:, n_modes:] = np.eye(n_b)
 
     def project(x) -> np.ndarray:
         return transform.T @ (x @ transform)
 
     return CraigBamptonReduction(
-        retained_modes=phi_r,
-        constraint_modes=psi,
         transform=transform,
         reduced_mass=project(problem.mass),
         reduced_stiffness=project(problem.stiffness),
         reduced_damping=project(problem.damping),
-        retained_frequencies=freqs,
+        retained_frequencies=freqs[:n_modes],
         internal_dofs=sub.internal_dofs,
         boundary_dofs=sub.boundary_dofs,
-        truncation_frequency=truncation,
+        truncation_frequency=float(freqs[n_modes]) if probe > n_modes else None,
     )
 
 
@@ -355,11 +374,8 @@ def expand(red: CraigBamptonReduction, reduced_state: np.ndarray) -> np.ndarray:
     q = np.asarray(reduced_state, dtype=float)
     if q.shape != (red.n_reduced,):
         raise ReductionError(f"reduced state must have length {red.n_reduced}, got {q.shape}")
-    ordered = red.transform @ q
-    n_i = len(red.internal_dofs)
-    out = np.empty(n_i + red.n_boundary)
-    out[list(red.internal_dofs)] = ordered[:n_i]
-    out[list(red.boundary_dofs)] = ordered[n_i:]
+    out = np.empty(red.transform.shape[0])
+    out[np.array(red.internal_dofs + red.boundary_dofs, dtype=int)] = red.transform @ q
     return out
 
 

@@ -248,6 +248,13 @@ _COEFFICIENTS = "frame_analog parameters: suspension coefficients"
     (_generate("chain", {"grounded": "no"}), "grounded", None),
     (_generate("chain", {"m": "x"}), "m", None),
     (_generate("chain", {"c": None}), "c", None),
+    # physical parameters out of range: each wrote a model, or failed naming a matrix
+    (_generate("frame_analog", {"k": -1e4}), "k", None),
+    (_generate("frame_analog", {"m_light": 0}), "m_light", None),
+    (_generate("frame_analog", {"m_heavy": -2}), "m_heavy", None),
+    (_generate("frame_analog", {"rayleigh_alpha": float("inf")}), "rayleigh_alpha", None),
+    (_generate("chain", {"k": -1}), "k", None),
+    (_generate("chain", {"m": 0}), "m", None),
 ], ids=["frame_params", "chain_params", "chain_float_n", "solver_config", "experiment_config",
           "experiment_model", "missing_mass", "system_relative_motion", "system_coupling",
           "solver_config_type", "solver_config_partial_step", "experiment_config_type",
@@ -264,7 +271,9 @@ _COEFFICIENTS = "frame_analog parameters: suspension coefficients"
           "frame_fractional_heavy_every", "experiment_fractional_heavy_every", "frame_negative_heavy_every",
           "frame_fractional_boundary_dof", "frame_string_m_light", "frame_string_k", "frame_null_rayleigh_alpha",
           "frame_float_n_suspensions", "frame_unknown_coefficient", "frame_coefficients_not_an_object",
-          "chain_fractional_boundary_dof", "chain_string_grounded", "chain_string_m", "chain_null_c"])
+          "chain_fractional_boundary_dof", "chain_string_grounded", "chain_string_m", "chain_null_c",
+          "frame_negative_k", "frame_zero_m_light", "frame_negative_m_heavy", "frame_infinite_rayleigh_alpha",
+          "chain_negative_k", "chain_zero_m"])
 def test_malformed_input_exits_1_naming_the_field(tmp_path, model_file, capsys, argv, key, edit):
     """``key`` is the name the message must quote, or (location, name) for a location it must also lead with."""
     write_config(tmp_path / "good.json")
@@ -293,7 +302,7 @@ def test_malformed_input_exits_1_naming_the_field(tmp_path, model_file, capsys, 
     where, key = key if isinstance(key, tuple) else ("", key.replace("{tmp}", str(tmp_path)))
     assert main(argv) == 1
     err = capsys.readouterr().err
-    assert err.startswith(f"error: {where}") and repr(key) in err
+    assert err.startswith(f"error: {where}") and repr(key) in err and "RuntimeWarning" not in err
 
 
 @pytest.mark.parametrize("extra", [[], ["--monolithic"], ["--subcycles", "10"]],
@@ -446,10 +455,13 @@ class TestSimulateCommand:
     def test_divergence_exit_code(self, tmp_path, capsys):
         model = tmp_path / "unstable.json"
         assert main(["generate-model", "--kind", "chain",
-                     "--params", '{"n": 1, "m": 1, "k": -100, "boundary_dofs": [0]}',
+                     "--params", '{"n": 1, "m": 1, "k": 100, "boundary_dofs": [0]}',
                      "--out", str(model)]) == 0
-        # route a constant force onto the single DOF
+        # the generator refuses a negative spring, a system file holds any matrix:
+        # turn the spring negative and route a constant force onto the single DOF
         doc = json.loads(model.read_text())
+        assert doc["substructures"]["chain"]["stiffness"]["values"] == [100.0]
+        doc["substructures"]["chain"]["stiffness"]["values"] = [-100.0]
         doc["inputs"] = {"chain": {"0": 0}}
         model.write_text(json.dumps(doc))
         sig = tmp_path / "step.csv"

@@ -216,6 +216,30 @@ class TestReductionRoundTrip:
             assert np.asarray(getattr(back, name)).tobytes() == np.asarray(getattr(red, name)).tobytes(), name
         assert type(back.internal_dofs) is tuple and type(back.internal_dofs[0]) is int
 
+    def test_writes_the_eight_field_arrays_and_no_copy_of_the_modes(self, tmp_path):
+        red = cb_reduce(chain_substructure(n=12, boundary_dofs=(3, 11)), 4)
+        save_reduction(tmp_path / "red.npz", red)
+        with np.load(tmp_path / "red.npz") as data:
+            assert list(data.keys()) == [
+                "transform", "reduced_mass", "reduced_stiffness", "reduced_damping",
+                "retained_frequencies", "internal_dofs", "boundary_dofs", "truncation_frequency",
+            ]
+
+    def test_a_file_that_also_holds_the_modes_loads(self, tmp_path):
+        # earlier files stored the modes beside the transform; the copies are ignored
+        red = cb_reduce(chain_substructure(n=12, boundary_dofs=(3, 11)), 4)
+        save_reduction(tmp_path / "red.npz", red)
+        with np.load(tmp_path / "red.npz") as data:
+            record = dict(data)
+        np.savez(tmp_path / "old.npz", retained_modes=red.retained_modes.copy(),
+                 constraint_modes=red.constraint_modes.copy(), **record)
+        back = load_reduction(tmp_path / "old.npz")
+        for field in dataclasses.fields(red):
+            a, b = getattr(back, field.name), getattr(red, field.name)
+            assert np.asarray(a).tobytes() == np.asarray(b).tobytes(), field.name
+        assert np.array_equal(back.retained_modes, red.retained_modes)
+        assert np.array_equal(back.constraint_modes, red.constraint_modes)
+
     def test_full_basis_truncation_none(self, tmp_path):
         sub = chain_substructure(n=6, boundary_dofs=(5,))
         red = cb_reduce(sub, 5)

@@ -381,6 +381,32 @@ class TestSparsePath:
             cb_reduce(indefinite, 30)
 
 
+class TestBasisHeldOnce:
+    """The transform is the one copy of the basis; the modes are views of its blocks."""
+
+    @pytest.mark.parametrize("n", [200, 1000])  # the dense and the sparse path
+    def test_modes_are_views_of_the_transform(self, counted_eigsh, n):
+        red = cb_reduce(frame_substructure(n=n), 30)
+        assert bool(counted_eigsh) == (n >= dynsub.reduction._SPARSE_MIN_DOFS)
+        assert np.shares_memory(red.retained_modes, red.transform)
+        assert np.shares_memory(red.constraint_modes, red.transform)
+        n_i = len(red.internal_dofs)
+        assert red.retained_modes.shape == (n_i, 30) and red.constraint_modes.shape == (n_i, 4)
+        names = [field.name for field in dataclasses.fields(red)]
+        assert len(names) == 8 and "retained_modes" not in names and "constraint_modes" not in names
+
+    @pytest.mark.parametrize("path", ["sparse", "dense"])
+    def test_indefinite_internal_stiffness_raises(self, monkeypatch, path):
+        # negative springs, as a frame of k = -1e4 has: every eigenvalue w^2 is negative
+        frame = frame_with_internal(dynsub.reduction._SPARSE_MIN_DOFS + 1)
+        indefinite = frame_with(frame, stiffness=-frame.stiffness)
+        if path == "dense":
+            indefinite = take_dense_path(monkeypatch, indefinite)
+        for call in (lambda: cb_reduce(indefinite, 30), lambda: fixed_interface_modes(indefinite, 30)):
+            with pytest.raises(ReductionError, match=r"internal stiffness block is indefinite: .* is -\d"):
+                call()
+
+
 class TestCanonicalModes:
     """One basis per eigenspace, whatever basis of a repeated-frequency cluster the solver returned."""
 
