@@ -25,8 +25,10 @@ solver steps as one form.  It sums the members' nonzero entries through
 the package's one scatter, :func:`~dynsub.models._scatter_entries`, into
 dense or CSR matrices.
 
-:func:`_factorize` is the package's one factorization (LAPACK LU or SuperLU,
-one singularity rule) for ``S``, ``H``, ``M``, ``K_ii`` and Newmark.
+:func:`_factorize` is the package's one general factorization (LAPACK LU or
+SuperLU) for ``S``, ``H``, ``M`` and Newmark, none of which need be
+symmetric.  :func:`_pivot_floor` is its singularity rule, which the
+symmetric factorization of a Craig-Bampton internal block shares.
 """
 
 from __future__ import annotations
@@ -234,6 +236,11 @@ def assemble_global(substructures: Mapping, topology: CouplingTopology, sparse: 
     )
 
 
+def _pivot_floor(scale: float) -> float:
+    """The smallest pivot a factorization accepts: 1e-14 of ``scale``, floor 1e-30."""
+    return 1e-14 * max(scale, 1e-30)
+
+
 def _factorize(matrix, singular, scale: float | None = None):
     """Factorize a square matrix once and return its ``solve(rhs)``: every linear solve of the package.
 
@@ -242,8 +249,8 @@ def _factorize(matrix, singular, scale: float | None = None):
     wrapper's per-call dispatch and finiteness check (callers check their
     inputs once).  A sparse array gets one SuperLU ``splu`` in CSC order.
     Both raise ``singular()`` when the matrix is exactly singular, a factor
-    is not finite or a pivot falls below 1e-14 of ``scale`` (default: the
-    largest entry, floor 1e-30).  A sum of terms passes its largest term,
+    is not finite or a pivot falls below :func:`_pivot_floor` of ``scale``
+    (default: the largest entry).  A sum of terms passes its largest term,
     so a sum that cancels to round-off is not judged against its remainder.
     ``singular`` is called only on failure, so its message may be costly.
     """
@@ -267,7 +274,7 @@ def _factorize(matrix, singular, scale: float | None = None):
         finite = np.isfinite(lu.L.data).all() and np.isfinite(lu.U.data).all()
         pivots = lu.U.diagonal()
         solve = lu.solve
-    if not finite or np.abs(pivots).min() < 1e-14 * max(scale, 1e-30):
+    if not finite or np.abs(pivots).min() < _pivot_floor(scale):
         raise singular()
     return solve
 

@@ -28,7 +28,7 @@ import numpy as np
 from . import io as dio
 from .generators import frame_analog
 from .metrics import trajectory_mse
-from .models import ModelError, build_from_fields, number_tuple, require_bools, require_numbers
+from .models import ModelError, build_from_fields, number_tuple, require_bools, require_finite, require_numbers
 from .monolithic import assemble_global, solve_monolithic
 from .reduction import reduce as cb_reduce, reduced_topology
 from .signals import multisine_with_noise_channels
@@ -65,6 +65,7 @@ class ExperimentConfig:
     def __post_init__(self):
         require_numbers(ModelError, integers=True, modes=self.modes, seed=self.seed)
         require_numbers(ModelError, noise_variance=self.noise_variance)
+        require_finite(ModelError, "non-negative", noise_variance=self.noise_variance)
         require_bools(ModelError, run_monolithic=self.run_monolithic)
         if not isinstance(self.model, Mapping):
             raise ModelError(f"field 'model' must be an object of frame parameters, got {self.model!r}")
@@ -76,6 +77,7 @@ class ExperimentConfig:
             raise ModelError(str(exc)) from None
         for name in ("sine_frequencies", "sine_amplitudes"):
             object.__setattr__(self, name, number_tuple(ModelError, name, getattr(self, name)))
+        require_finite(ModelError, sine_frequencies=self.sine_frequencies, sine_amplitudes=self.sine_amplitudes)
         object.__setattr__(self, "model", dict(self.model))
         object.__setattr__(self, "_solver", solver)
 

@@ -96,10 +96,17 @@ def require_numbers(error, integers: bool = False, **fields) -> None:
 
 
 def require_finite(error, sign: str = "", **fields) -> None:
-    """Raise ``error`` naming the first number field that is not finite, or not ``"positive"``/``"non-negative"``."""
+    """Raise ``error`` naming the first number field that is not finite, or not ``"positive"``/``"non-negative"``.
+
+    A tuple field, such as a list of frequencies, is checked entry by entry.
+    """
+    what = f"finite {sign + ' ' if sign else ''}number"
     for name, value in fields.items():
-        if not math.isfinite(value) or (sign == "positive" and value <= 0) or (sign == "non-negative" and value < 0):
-            raise error(f"field {name!r} must be a finite {sign + ' ' if sign else ''}number, got {value!r}")
+        many = isinstance(value, tuple)
+        for entry in value if many else (value,):
+            wrong_sign = (sign == "positive" and entry <= 0) or (sign == "non-negative" and entry < 0)
+            if not math.isfinite(entry) or wrong_sign:
+                raise error(f"field {name!r} must {f'hold only {what}s' if many else f'be a {what}'}, got {entry!r}")
 
 
 def require_bools(error, **fields) -> None:

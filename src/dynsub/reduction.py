@@ -17,8 +17,10 @@ the size of its internal block:
   Ericsson & Ruhe 1980) for the modes.  A request ARPACK cannot serve
   (``k >= n_i - 1``) falls back to ``eigh``.
 
-Either way :func:`~dynsub.coupling._factorize` factorizes ``K_ii`` once, by
-LU or SuperLU; that gives the constraint modes and the Lanczos ``OPinv``.
+Either way ``K_ii`` and ``M_ii`` are factorized once each, symmetrically
+(Cholesky or SuperLU ``L D L^T``), and each must be positive definite by
+its pivots (Sylvester's law of inertia).  The one factorization of ``K_ii``
+gives the constraint modes and the Lanczos ``OPinv``.
 
 The gate is the measured crossover.  On a 2-vCPU host with serial BLAS, a
 warm 30-mode reduction of the frame analog took, dense against sparse (the
@@ -44,13 +46,11 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .coupling import CouplingTopology, _factorize
-from .models import _SPARSE_MIN_DOFS, LinearSubstructure, ModelError, _scatter_entries, dense
+from .coupling import CouplingTopology, _pivot_floor
+from .models import _SPARSE_MIN_DOFS, LinearSubstructure, ModelError, _scatter_entries, dense, require_numbers
 
 # Fixed-interface frequencies equal to this relative tolerance form one cluster.
 _CLUSTER_RTOL = 1e-8
-# A fixed-interface eigenvalue w**2 below -_ROUNDOFF_RTOL * max|K_ii| / min diag(M_ii) is not round-off.
-_ROUNDOFF_RTOL = 1e-8
 
 
 class ReductionError(ModelError):
@@ -118,12 +118,9 @@ class CraigBamptonReduction:
         Modal coordinates become the internal DOFs (0..r-1); the physical
         boundary DOFs sit last and carry over their coupling role.
         """
-        r, nb = self.n_modes, self.n_boundary
         return LinearSubstructure(
-            mass=self.reduced_mass,
-            damping=self.reduced_damping,
-            stiffness=self.reduced_stiffness,
-            boundary_dofs=tuple(range(r, r + nb)),
+            mass=self.reduced_mass, damping=self.reduced_damping, stiffness=self.reduced_stiffness,
+            boundary_dofs=tuple(range(self.n_modes, self.n_reduced)),
         )
 
     def project_force(self, f: np.ndarray) -> np.ndarray:
@@ -147,10 +144,11 @@ class _InternalProblem:
     internal-first: as CSR arrays for a CSR substructure or an internal
     block of at least ``_SPARSE_MIN_DOFS`` DOFs, else as dense arrays.  The
     two storages hold the same entries, byte for byte.  Either way ``K_ii``
-    is factorized at most once (:attr:`stiffness_solve`).
+    and ``M_ii`` are factorized at most once (:attr:`stiffness_solve`).
     """
 
     def __init__(self, sub: LinearSubstructure):
+        self.internal_dofs = sub.internal_dofs
         self.n_internal = len(sub.internal_dofs)
         self.sparse = sub.sparse or self.n_internal >= _SPARSE_MIN_DOFS
         order = np.array(sub.internal_dofs + sub.boundary_dofs, dtype=int)
@@ -163,78 +161,91 @@ class _InternalProblem:
 
     def internal(self, x):
         """The internal block of one of the reordered matrices, in its own storage."""
-        n_i = self.n_internal
-        return x[:n_i, :n_i]
+        return x[:self.n_internal, :self.n_internal]
 
-    def singular_stiffness(self) -> ReductionError:
-        """The error for a singular ``K_ii``; only a dense block is given a rank (an SVD)."""
-        n_i = self.n_internal
+    def check_mode_count(self, n_modes) -> None:
+        """Refuse a mode count that is not an integer in ``[0, n_i]``."""
+        require_numbers(ReductionError, True, n_modes=n_modes)
+        if not 0 <= n_modes <= self.n_internal:
+            raise ReductionError(f"requested {n_modes} modes but only {self.n_internal} internal DOFs")
+
+    def factorize(self, name: str):
+        """Factorize the internal block of ``name`` (``"stiffness"`` or ``"mass"``) and return its solve.
+
+        A dense block gets LAPACK ``potrf``/``potrs``, a CSR block SuperLU
+        with a symmetric order and diagonal pivots (``perm_r == perm_c``;
+        SuperLU leaves the diagonal only where it is exactly zero), so U's
+        diagonal holds the pivots of ``L D L^T``.  By Sylvester's law of
+        inertia the block is positive definite exactly when every pivot is
+        at least :func:`_pivot_floor` of its largest entry, which
+        :func:`~dynsub.coupling._factorize` uses too; else this raises.
+        """
+        block, n_i = self.internal(getattr(self, name)), self.n_internal
+        if not n_i:
+            return np.copy
+        floor = _pivot_floor(abs(block).max())
         if self.sparse:
-            rank = f"rank deficient, {n_i} x {n_i}"
+            from scipy.sparse.linalg import splu
+
+            try:
+                lu = splu(block.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                          options={"SymmetricMode": True})
+            except RuntimeError:  # SuperLU's "Factor is exactly singular": a zero pivot
+                raise self.failed_pivot(name, None, 0.0, floor) from None
+            pivots, order, solve = lu.U.diagonal(), lu.perm_c, lu.solve  # order[j]: the step that eliminates j
+            pivots[lu.perm_c[lu.perm_r != lu.perm_c]] = 0.0  # a step that left the diagonal met a zero pivot
         else:
-            rank = f"rank {np.linalg.matrix_rank(self.internal(self.stiffness))} of {n_i}"
+            potrf, potrs = scipy.linalg.get_lapack_funcs(("potrf", "potrs"), (block,))
+            factor, info = potrf(block)
+            pivots, order = np.diag(factor)[:info or n_i] ** 2, np.arange(n_i)
+            if info:  # potrf stops at the failed pivot and leaves it in place, not rooted
+                pivots[-1] = factor[info - 1, info - 1]
+            solve = lambda rhs: potrs(factor, rhs)[0]
+        failed = np.flatnonzero(~(pivots >= floor))
+        if failed.size:
+            raise self.failed_pivot(name, np.flatnonzero(order == failed[0])[0], pivots[failed[0]], floor)
+        return solve
+
+    def failed_pivot(self, name: str, position, pivot: float, floor: float) -> ReductionError:
+        """The error for a pivot below ``floor`` at internal ``position``; a zero one of ``K_ii`` is singular."""
+        where = "a pivot" if position is None else f"the pivot of DOF {self.internal_dofs[position]}"
+        if name == "mass" or pivot < -floor:
+            what = "mass matrix is not positive definite" if name == "mass" else "stiffness block is indefinite"
+            return ReductionError(f"internal {what}: {where} is {pivot:.6g}")
+        n_i = self.n_internal  # only a dense block is given a rank: an SVD
+        rank = (f"rank deficient, {n_i} x {n_i}" if self.sparse
+                else f"rank {np.linalg.matrix_rank(self.internal(self.stiffness))} of {n_i}")
         return ReductionError(
             f"internal stiffness block is singular ({rank}); constrain the structure or move boundary DOFs"
         )
 
-    def check_stiffness(self, lowest: float) -> None:
-        """Reject a ``K_ii`` whose lowest fixed-interface eigenvalue ``lowest`` (``w**2``) is not round-off."""
-        scale = abs(self.internal(self.stiffness)).max() / self.internal(self.mass).diagonal().min()
-        if lowest < -_ROUNDOFF_RTOL * scale:
-            raise ReductionError(f"internal stiffness block is indefinite: a fixed-interface eigenvalue w^2 "
-                                 f"is {lowest:.6g} (rad/s)^2")
-
     @functools.cached_property
     def stiffness_solve(self):
-        """``K_ii^{-1}``, factorized once: the constraint-mode solve and the ``OPinv`` of Lanczos."""
-        return _factorize(self.internal(self.stiffness), self.singular_stiffness)
-
-    def check_mass(self) -> None:
-        """Reject a sparse ``M_ii`` that is not positive definite.
-
-        A symmetric matrix is positive definite exactly when its LU
-        factorization without pivoting exists with positive pivots.
-        """
-        from scipy.sparse.linalg import splu
-
-        try:
-            lu = splu(self.internal(self.mass).tocsc(), permc_spec="NATURAL", diag_pivot_thresh=0.0)
-        except RuntimeError as exc:  # SuperLU's "Factor is exactly singular"
-            raise ReductionError(f"internal mass matrix is not positive definite: {exc}") from None
-        if not (np.array_equal(lu.perm_r, np.arange(self.n_internal)) and np.all(lu.U.diagonal() > 0)):
-            raise ReductionError(
-                "internal mass matrix is not positive definite: "
-                "its LU factorization without pivoting has a pivot that is not positive"
-            )
+        """``K_ii^{-1}``, the constraint-mode solve and Lanczos' ``OPinv``, once ``K_ii`` and ``M_ii`` pass."""
+        self.factorize("mass")
+        return self.factorize("stiffness")
 
     def lowest_modes(self, count: int) -> tuple[np.ndarray, np.ndarray]:
         """The ``count`` lowest eigenpairs ``(phi, w**2)`` of ``K_ii phi = w**2 M_ii phi``, ascending.
 
-        A sparse problem uses shift-invert Lanczos about 0 (ARPACK) with the
-        factorization of ``K_ii`` as ``OPinv``, unless ARPACK cannot serve
-        the request (``count >= n_i - 1``).
+        A sparse problem uses shift-invert Lanczos about 0 unless ARPACK cannot serve ``count >= n_i - 1``.
         """
-        n_i = self.n_internal
+        n_i, solve = self.n_internal, self.stiffness_solve  # on either path, refuses a K_ii or M_ii that fails
         if self.sparse and count < n_i - 1:
             from scipy.sparse.linalg import LinearOperator, eigsh
 
-            self.check_mass()
             lam, phi = eigsh(
                 self.internal(self.stiffness), count, self.internal(self.mass), sigma=0.0,
-                OPinv=LinearOperator((n_i, n_i), matvec=self.stiffness_solve, dtype=float),
+                OPinv=LinearOperator((n_i, n_i), matvec=solve, dtype=float),
                 # fixed, so runs repeat bit for bit; not constant, which
                 # would miss the antisymmetric modes of a symmetric segment
                 v0=np.random.default_rng(0).standard_normal(n_i),
             )
             order = np.argsort(lam, kind="stable")
             return phi[:, order], lam[order]
-        try:
-            lam, phi = scipy.linalg.eigh(
-                dense(self.internal(self.stiffness)), dense(self.internal(self.mass)),
-                subset_by_index=[0, count - 1],
-            )
-        except scipy.linalg.LinAlgError as exc:
-            raise ReductionError(f"internal mass matrix is not positive definite: {exc}") from exc
+        lam, phi = scipy.linalg.eigh(
+            dense(self.internal(self.stiffness)), dense(self.internal(self.mass)), subset_by_index=[0, count - 1],
+        )
         return phi, lam
 
 
@@ -280,8 +291,9 @@ def fixed_interface_modes(
     (phi.T @ M_ii @ phi = I) and frequencies in rad/s, ascending.  An
     internal block of a CSR substructure, or of at least ``_SPARSE_MIN_DOFS``
     DOFs, is solved by shift-invert Lanczos on one SuperLU factorization of
-    ``K_ii``, a smaller dense one by dense LAPACK; their frequencies agree to about 1e-12
-    relative and their modes to about 1e-11.
+    ``K_ii``, a smaller dense one by dense LAPACK; their frequencies agree to
+    about 1e-12 relative and their modes to about 1e-11.  Either way a
+    ``K_ii`` or ``M_ii`` that is not positive definite raises ReductionError.
 
     The modes are canonical (see :func:`_canonical_modes`), so both solvers
     return one basis.  When the cut falls inside a cluster of equal
@@ -289,24 +301,17 @@ def fixed_interface_modes(
     the members kept are the first of its canonical basis: those whose mass
     sits nearest internal DOF 0.  :func:`reduce` passes its own ``problem``
     so that ``K_ii`` is factorized once.
-
-    An eigenvalue below ``-1e-8 * max|K_ii| / min diag(M_ii)``
-    (``_ROUNDOFF_RTOL``) shows an indefinite ``K_ii`` and raises
-    ReductionError naming it; a negative one above that is round-off: 0 rad/s.
     """
     if problem is None:
         problem = _InternalProblem(sub)
+    problem.check_mode_count(n_modes)
     n_i = problem.n_internal
-    if not 0 <= n_modes <= n_i:
-        raise ReductionError(f"requested {n_modes} modes but only {n_i} internal DOFs")
     if n_modes == 0:
         return np.zeros((n_i, 0)), np.zeros(0)
     # two past the cut, so that a pair of equal frequencies there is complete
     count = min(n_modes + 2, n_i)
     while True:
         phi, lam = problem.lowest_modes(count)
-        if lam[0] < 0:
-            problem.check_stiffness(lam[0])
         freqs = np.sqrt(np.clip(lam, 0.0, None))
         last_start = np.flatnonzero(_cluster_starts(freqs))[-1]
         if count == n_i or last_start >= n_modes:
@@ -321,8 +326,9 @@ def constraint_modes(sub: LinearSubstructure, *, problem: _InternalProblem | Non
     """Static deflection of the internal DOFs per unit boundary displacement.
 
     One column per boundary DOF: psi = -K_ii^{-1} @ K_ib, with the one
-    factorization of ``K_ii`` that ``problem`` keeps (LAPACK LU for a dense
-    block, SuperLU for a sparse one).
+    factorization of ``K_ii`` that ``problem`` keeps (LAPACK Cholesky for a
+    dense block, SuperLU for a sparse one), which refuses a ``K_ii`` or
+    ``M_ii`` that is not positive definite.
     """
     if problem is None:
         problem = _InternalProblem(sub)
@@ -335,15 +341,14 @@ def reduce(sub: LinearSubstructure, n_modes: int) -> CraigBamptonReduction:
 
     Matrices are projected in internal-first ordering, from CSR arrays for
     a CSR substructure or an internal block of at least ``_SPARSE_MIN_DOFS``
-    DOFs (whose ``K_ii`` is factorized once for the modes and the
-    constraint modes) and from dense arrays otherwise.  The frequency of the first discarded mode is
-    reported so callers can check that the retained band covers their
-    region of interest.
+    DOFs and from dense arrays otherwise; ``K_ii`` is factorized once for
+    the modes and the constraint modes.  The frequency of the first
+    discarded mode is reported so callers can check that the retained band
+    covers their region of interest.
     """
     problem = _InternalProblem(sub)
+    problem.check_mode_count(n_modes)
     n_i, n_b = problem.n_internal, len(sub.boundary_dofs)
-    if not 0 <= n_modes <= n_i:
-        raise ReductionError(f"requested {n_modes} modes but only {n_i} internal DOFs")
     probe = min(n_modes + 1, n_i)
     phi, freqs = fixed_interface_modes(sub, probe, problem=problem)
     transform = np.zeros((n_i + n_b, n_modes + n_b))
@@ -385,16 +390,10 @@ def reduced_topology(topology, sub_id, red: CraigBamptonReduction):
     Boundary DOFs survive reduction as the trailing physical coordinates, so
     constraints keep their meaning with remapped indices.
     """
-    constraints = []
-    for entry in topology.constraints:
-        new_entry = []
-        for sid, dof, sign in entry:
-            if sid == sub_id:
-                new_entry.append((sid, red.reduced_boundary_index(dof), sign))
-            else:
-                new_entry.append((sid, dof, sign))
-        constraints.append(tuple(new_entry))
-    return CouplingTopology(constraints=tuple(constraints))
+    return CouplingTopology(constraints=tuple(
+        tuple((sid, red.reduced_boundary_index(dof) if sid == sub_id else dof, sign) for sid, dof, sign in entry)
+        for entry in topology.constraints
+    ))
 
 
 def full_frequencies(sub: LinearSubstructure, n: int | None = None) -> np.ndarray:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import number_tuple, require_numbers
+from .models import number_tuple, require_finite, require_numbers
 
 
 class SignalError(ValueError):
@@ -47,13 +47,12 @@ class SignalSpec:
             noise_variance=self.noise_variance,
         )
         require_numbers(SignalError, integers=True, seed=self.seed)
-        if self.sample_rate <= 0:
-            raise SignalError(f"sample rate must be positive, got {self.sample_rate}")
-        if self.variance < 0 or self.noise_variance < 0:
-            raise SignalError("variance must be non-negative")
+        require_finite(SignalError, "positive", sample_rate=self.sample_rate)
+        require_finite(SignalError, "non-negative", variance=self.variance, noise_variance=self.noise_variance)
         if self.kind == "multisine":
             freqs = number_tuple(SignalError, "frequencies", self.frequencies)
             amps = number_tuple(SignalError, "amplitudes", self.amplitudes)
+            require_finite(SignalError, frequencies=freqs, amplitudes=amps)
             if len(freqs) != len(amps):
                 raise SignalError("frequencies and amplitudes must pair up")
             nyquist = self.sample_rate / 2
@@ -63,11 +62,13 @@ class SignalSpec:
             object.__setattr__(self, "amplitudes", amps)
             if self.phases is not None:
                 phases = number_tuple(SignalError, "phases", self.phases)
+                require_finite(SignalError, phases=phases)
                 if len(phases) != len(freqs):
                     raise SignalError("phases must pair up with frequencies")
                 object.__setattr__(self, "phases", phases)
         else:
             band = number_tuple(SignalError, "band", self.band)
+            require_finite(SignalError, band=band)
             if len(band) != 2:
                 raise SignalError(f"field 'band' must hold two frequencies, got {len(band)}")
             lo, hi = band

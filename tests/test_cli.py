@@ -255,6 +255,18 @@ _COEFFICIENTS = "frame_analog parameters: suspension coefficients"
     (_generate("frame_analog", {"rayleigh_alpha": float("inf")}), "rayleigh_alpha", None),
     (_generate("chain", {"k": -1}), "k", None),
     (_generate("chain", {"m": 0}), "m", None),
+    # signal and experiment ranges: each wrote nan or inf, ran noise-free, or failed naming an input row
+    (["generate-signal", "--kind", "multisine", "--samples", "10", "--out", "{tmp}/s.csv", "--spec",
+      '{"frequencies": [2, NaN], "amplitudes": [1, 1]}'], "frequencies", None),
+    (["generate-signal", "--kind", "multisine", "--samples", "10", "--out", "{tmp}/s.csv", "--spec",
+      '{"frequencies": [2], "amplitudes": [Infinity]}'], "amplitudes", None),
+    (["generate-signal", "--kind", "multisine", "--samples", "10", "--rate", "nan", "--out", "{tmp}/s.csv", "--spec",
+      '{"frequencies": [2], "amplitudes": [1]}'], "sample_rate", None),
+    (["generate-signal", "--kind", "multisine", "--samples", "10", "--out", "{tmp}/s.csv", "--spec",
+      '{"frequencies": [2], "amplitudes": [1], "noise_variance": NaN}'], "noise_variance", None),
+    (["run-experiment", "--config", "{tmp}/negative_noise.json", "--out-dir", "{tmp}/out"], "noise_variance", None),
+    (["run-experiment", "--config", "{tmp}/infinite_noise.json", "--out-dir", "{tmp}/out"], "noise_variance", None),
+    (["run-experiment", "--config", "{tmp}/nan_sine.json", "--out-dir", "{tmp}/out"], "sine_frequencies", None),
 ], ids=["frame_params", "chain_params", "chain_float_n", "solver_config", "experiment_config",
           "experiment_model", "missing_mass", "system_relative_motion", "system_coupling",
           "solver_config_type", "solver_config_partial_step", "experiment_config_type",
@@ -273,7 +285,9 @@ _COEFFICIENTS = "frame_analog parameters: suspension coefficients"
           "frame_float_n_suspensions", "frame_unknown_coefficient", "frame_coefficients_not_an_object",
           "chain_fractional_boundary_dof", "chain_string_grounded", "chain_string_m", "chain_null_c",
           "frame_negative_k", "frame_zero_m_light", "frame_negative_m_heavy", "frame_infinite_rayleigh_alpha",
-          "chain_negative_k", "chain_zero_m"])
+          "chain_negative_k", "chain_zero_m", "signal_nan_frequency", "signal_infinite_amplitude",
+          "signal_nan_rate", "signal_nan_noise_variance", "experiment_negative_noise_variance",
+          "experiment_infinite_noise_variance", "experiment_nan_sine_frequency"])
 def test_malformed_input_exits_1_naming_the_field(tmp_path, model_file, capsys, argv, key, edit):
     """``key`` is the name the message must quote, or (location, name) for a location it must also lead with."""
     write_config(tmp_path / "good.json")
@@ -285,6 +299,9 @@ def test_malformed_input_exits_1_naming_the_field(tmp_path, model_file, capsys, 
     (tmp_path / "bad_model.json").write_text(json.dumps({"model": {"nn": 5}}))
     (tmp_path / "str_modes.json").write_text(json.dumps({"modes": "5"}))
     (tmp_path / "heavy_model.json").write_text(json.dumps({"model": {"heavy_every": 2.5}}))
+    (tmp_path / "negative_noise.json").write_text(json.dumps({"noise_variance": -1}))
+    (tmp_path / "infinite_noise.json").write_text(json.dumps({"noise_variance": float("inf")}))
+    (tmp_path / "nan_sine.json").write_text(json.dumps({"sine_frequencies": [1.5, float("nan")]}))
     (tmp_path / "modes3.csv").write_text("m0,m1\n1,0\n0,1\n1,1\n")
     (tmp_path / "modes4.csv").write_text("m0,m1\n1,0\n0,1\n1,1\n0,1\n")
     (tmp_path / "text.csv").write_text("time,ch0\n0,1\n0.001,one\n")
@@ -360,6 +377,22 @@ class TestReduceCommand:
         args = ["reduce", "--model", str(model), "--modes", "30", "--out", str(tmp_path / "red.npz")]
         proc = run_python(scipy_sparse_check(f"from dynsub.cli import main; assert main({args!r}) == 0"))
         assert proc.returncode == 0, proc.stderr
+
+    def test_indefinite_internal_stiffness_exits_1(self, tmp_path, capsys):
+        # the 1000-DOF frame with 1e6 taken from K[500, 500]: the sparse path reduced it
+        # to a first mode of 0.369 Hz and exited 0
+        model = tmp_path / "model.json"
+        assert main(["generate-model", "--kind", "frame_analog", "--params", '{"n": 1000}',
+                     "--out", str(model)]) == 0
+        doc = json.loads(model.read_text())
+        stiffness = doc["substructures"]["frame"]["stiffness"]
+        entry = [i for i, rc in enumerate(zip(stiffness["rows"], stiffness["cols"])) if rc == (500, 500)]
+        assert len(entry) == 1
+        stiffness["values"][entry[0]] -= 1e6
+        model.write_text(json.dumps(doc))
+        assert main(["reduce", "--model", str(model), "--modes", "30", "--out", str(tmp_path / "red.npz")]) == 1
+        assert capsys.readouterr().err.startswith("error: internal stiffness block is indefinite: ")
+        assert not (tmp_path / "red.npz").exists()
 
     def test_bad_mode_count_fails_cleanly(self, tmp_path, model_file, capsys):
         rc = main(["reduce", "--model", str(model_file), "--modes", "99",

@@ -41,6 +41,15 @@ class TestConfig:
         with pytest.raises(ModelError, match=repr(field)):
             ExperimentConfig(**{field: value})
 
+    @pytest.mark.parametrize("field, value", [
+        ("noise_variance", -1.0), ("noise_variance", float("inf")), ("noise_variance", float("nan")),
+        ("sine_frequencies", (1.5, float("nan"))), ("sine_amplitudes", (2.0, float("-inf"))),
+    ])
+    def test_field_ranges_checked(self, field, value):
+        # a negative or nan noise variance ran noise-free; the others failed late, naming an input row
+        with pytest.raises(ModelError, match=repr(field)):
+            ExperimentConfig(**{field: value})
+
     def test_from_file(self, tmp_path):
         path = tmp_path / "exp.json"
         path.write_text(json.dumps({"modes": 5, "duration": 0.25}))

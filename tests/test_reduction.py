@@ -407,6 +407,53 @@ class TestBasisHeldOnce:
                 call()
 
 
+def frame_with_a_negative_pivot():
+    """The 1000-DOF frame with 1e6 taken from ``K[500, 500]``: ``K_ii`` has one negative eigenvalue, far from 0."""
+    frame = frame_substructure(n=1000)
+    stiffness = dense(frame.stiffness)
+    stiffness[500, 500] -= 1e6
+    return frame_with(frame, stiffness=scipy.sparse.csr_array(stiffness))
+
+
+class TestOneFactorizationPerBlock:
+    """``K_ii`` and ``M_ii`` are factorized once each, and their pivots decide positive definiteness."""
+
+    @pytest.mark.parametrize("path", ["sparse", "dense"])
+    def test_an_eigenvalue_far_from_zero_is_seen(self, monkeypatch, path):
+        # shift-invert Lanczos about 0 never sees it: the sparse path reduced this frame
+        # to a first mode of 0.369 Hz
+        indefinite = frame_with_a_negative_pivot()
+        if path == "dense":
+            indefinite = take_dense_path(monkeypatch, indefinite)
+        calls = (lambda: cb_reduce(indefinite, 30), lambda: fixed_interface_modes(indefinite, 30),
+                 lambda: constraint_modes(indefinite))
+        for call in calls:
+            with pytest.raises(ReductionError, match=r"internal stiffness block is indefinite: .* 500 is -\d"):
+                call()
+
+    @pytest.mark.parametrize("n", [200, 1000])  # the dense and the sparse path
+    def test_each_block_is_factorized_once_per_reduce(self, monkeypatch, n):
+        blocks = []
+        original = _InternalProblem.factorize
+
+        def counted(problem, name):
+            blocks.append((name, problem.sparse))
+            return original(problem, name)
+
+        monkeypatch.setattr(_InternalProblem, "factorize", counted)
+        cb_reduce(frame_substructure(n=n), 30)
+        sparse = n >= dynsub.reduction._SPARSE_MIN_DOFS
+        assert sorted(blocks) == [("mass", sparse), ("stiffness", sparse)]
+
+    @pytest.mark.parametrize("n", [200, 1000])
+    @pytest.mark.parametrize("n_modes", [2.5, True, "3"])
+    def test_mode_count_must_be_an_integer(self, n, n_modes):
+        # 2.5 ended in ARPACK's SystemError on the sparse path, True in a TypeError
+        for call in (cb_reduce, fixed_interface_modes):
+            with pytest.raises(ReductionError, match="'n_modes' must be an integer"):
+                call(frame_substructure(n=n), n_modes)
+
+
 class TestCanonicalModes:
     """One basis per eigenspace, whatever basis of a repeated-frequency cluster the solver returned."""
 

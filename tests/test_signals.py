@@ -101,6 +101,28 @@ def test_field_types_checked(field, fields):
         SignalSpec(**{"sample_rate": 1000.0, **fields})
 
 
+_NAN, _INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("field, fields", [
+    ("sample_rate", {"kind": "multisine", "sample_rate": _NAN}),
+    ("sample_rate", {"kind": "multisine", "sample_rate": _INF}),
+    ("sample_rate", {"kind": "multisine", "sample_rate": 0}),
+    ("frequencies", {"kind": "multisine", "frequencies": [2, _NAN], "amplitudes": [1, 1]}),
+    ("amplitudes", {"kind": "multisine", "frequencies": [2], "amplitudes": [_INF]}),
+    ("phases", {"kind": "multisine", "frequencies": [2], "amplitudes": [1], "phases": [-_INF]}),
+    ("noise_variance", {"kind": "multisine", "noise_variance": _NAN}),
+    ("noise_variance", {"kind": "multisine", "noise_variance": -0.1}),
+    ("band", {"kind": "bandlimited_noise", "band": [_NAN, 100]}),
+    ("variance", {"kind": "bandlimited_noise", "band": [0, 100], "variance": _INF}),
+    ("variance", {"kind": "bandlimited_noise", "band": [0, 100], "variance": -1}),
+])
+def test_field_ranges_checked(field, fields):
+    # each of these sampled a signal of nan or inf, or silently dropped the noise
+    with pytest.raises(SignalError, match=repr(field)):
+        SignalSpec(**{"sample_rate": 1000.0, **fields})
+
+
 def test_unknown_kind_rejected():
     with pytest.raises(SignalError, match="kind"):
         SignalSpec(kind="sawtooth", sample_rate=100.0)
