@@ -84,15 +84,15 @@ def solve_monolithic(
     ``dofs``, only ``dofs[sid]`` of each (none of an id it leaves out).
     """
     dt, gamma = config.dt, config.gamma
-    force_ids, forces = _global_forces(asys.dof_map, _known_inputs(inputs, asys.dof_map), config, False)
+    force_ids, first, forces = _global_forces(asys.dof_map, _known_inputs(inputs, asys.dof_map), config, False)
     records = _records(asys, config.n_steps + 1, dofs)
     form = asys.first_order()
     n = form.n_dofs
     d = effective_matrix(form, dt, gamma)
-    y, ydot = _start(form, initial, _force(force_ids, forces[0], n), "the assembled system")
+    y, ydot = _start(form, initial, _force(force_ids, first, n), "the assembled system")
     records[0] = y
     for step in range(1, config.n_steps + 1):
-        y, ydot = free_step(form, d, y, ydot, _force(force_ids, forces[step], n), dt, gamma)
+        y, ydot = free_step(form, d, y, ydot, _force(force_ids, forces(step)[0], n), dt, gamma)
         records[step] = y
         _check_divergence(step, config.divergence_limit, (y, asys.dof_map))
 
@@ -111,7 +111,7 @@ def solve_newmark(
     if not isinstance(asys.mass, np.ndarray):
         raise ModelError("the Newmark oracle needs a dense assembly (sparse=False)")
     n, dt = asys.n_dofs, config.dt
-    force_ids, forces = _global_forces(asys.dof_map, _known_inputs(inputs, asys.dof_map), config, False)
+    force_ids, first, forces = _global_forces(asys.dof_map, _known_inputs(inputs, asys.dof_map), config, False)
     records = _records(asys, config.n_steps + 1)
     m, c, k = asys.mass, asys.damping, asys.stiffness
 
@@ -123,11 +123,11 @@ def solve_newmark(
     k_eff = k + a0 * m + a1 * c
     solve = _factorize(k_eff, lambda: SolverError(f"Newmark effective stiffness singular for dt={dt}"))
 
-    y, ydot = _start(form, None, _force(force_ids, forces[0], n), "the assembled system")
+    y, ydot = _start(form, None, _force(force_ids, first, n), "the assembled system")
     u, v, acc = y[:n], y[n:], ydot[n:]
     records[0] = y
     for step in range(1, config.n_steps + 1):
-        f = _force(force_ids, forces[step], n)
+        f = _force(force_ids, forces(step)[0], n)
         f_eff = f + m @ (a0 * u + a2 * v + a3 * acc) + c @ (a1 * u + a4 * v + a5 * acc)
         u_new = solve(f_eff)
         acc_new = a0 * (u_new - u) - a2 * v - a3 * acc

@@ -207,17 +207,29 @@ class _InternalProblem:
         return solve
 
     def failed_pivot(self, name: str, position, pivot: float, floor: float) -> ReductionError:
-        """The error for a pivot below ``floor`` at internal ``position``; a zero one of ``K_ii`` is singular."""
+        """The error for a pivot below ``floor`` at internal ``position``.
+
+        A failed pivot of ``M_ii``, or a negative one of ``K_ii``, means the
+        block is not positive definite.  A zero or tiny pivot of a dense
+        ``K_ii`` is judged by the block's rank: below full rank the block is
+        singular, at full rank it is indefinite (or, for a positive pivot,
+        nearly singular).  A sparse block is not ranked, because the SVD
+        needs the dense block, so its error claims neither.
+        """
         where = "a pivot" if position is None else f"the pivot of DOF {self.internal_dofs[position]}"
         if name == "mass" or pivot < -floor:
             what = "mass matrix is not positive definite" if name == "mass" else "stiffness block is indefinite"
             return ReductionError(f"internal {what}: {where} is {pivot:.6g}")
-        n_i = self.n_internal  # only a dense block is given a rank: an SVD
-        rank = (f"rank deficient, {n_i} x {n_i}" if self.sparse
-                else f"rank {np.linalg.matrix_rank(self.internal(self.stiffness))} of {n_i}")
-        return ReductionError(
-            f"internal stiffness block is singular ({rank}); constrain the structure or move boundary DOFs"
-        )
+        n_i, advice = self.n_internal, "constrain the structure or move boundary DOFs"
+        if self.sparse:
+            return ReductionError(
+                f"internal stiffness block ({n_i} x {n_i}) is singular or indefinite: {where} is {pivot:.6g}; {advice}"
+            )
+        rank = np.linalg.matrix_rank(self.internal(self.stiffness))
+        if rank == n_i:
+            what = "indefinite" if pivot <= 0 else "nearly singular"
+            return ReductionError(f"internal stiffness block is {what}: {where} is {pivot:.6g}")
+        return ReductionError(f"internal stiffness block is singular (rank {rank} of {n_i}); {advice}")
 
     @functools.cached_property
     def stiffness_solve(self):

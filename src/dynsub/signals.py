@@ -146,8 +146,11 @@ def multisine_with_noise_channels(
 
     The sine content is drawn once from ``seed``, with random phases unless
     ``phases`` are given; channel ``i`` adds white noise from seed
-    ``seed + 1 + i``.
+    ``seed + 1 + i``.  ``noise_variance`` meets the rule of
+    :class:`SignalSpec`: a finite non-negative number.
     """
+    require_numbers(SignalError, noise_variance=noise_variance)
+    require_finite(SignalError, "non-negative", noise_variance=noise_variance)
     base_spec = SignalSpec(
         kind="multisine",
         sample_rate=sample_rate,

@@ -49,34 +49,38 @@ entries) and ``f`` except for ``phi`` of the element rates ``xd``::
 at construction on a block of unit states and unit forces.  ``Q`` takes
 the element rates ``B (v + (1-gamma) dts vdot)`` at the predicted velocity
 (``dts`` is the group's inner step), and ``Psi = -Gamma B^T diag(slope)``
-folds each row's slope into the feedback.  A row of the group's buffer
-carries the rates along, ``r = [z; xd]`` (4n + e entries for e elements),
-and steps through one stacked matrix::
+folds each row's slope into the feedback.  A row of the group's window
+carries the rates along, and the forcing of the inner step it starts:
+``r = [z; xd; f; w_j lam]``, where ``f`` is the force rows of the driven
+DOFs only and ``w_j lam`` the multipliers at the step's ramp weight (these
+columns only if ``ss > 1``).  One matrix, built once per run, steps it::
 
-    r+ = [[Phi, Psi], [Q Phi, Q Psi]] [z; phi(xd, c3)] + [Gamma; Q Gamma] f
+    [z+; xd+] = [[Phi, Psi, Gamma_f, Gamma L_v],
+                 [Q Phi, Q Psi, Q Gamma_f, Q Gamma L_v]] [z; phi(xd, c3); f; w_j lam]
 
-An inner step applies ``phi`` in place on its row's ``xd`` (four ufuncs,
-none for a linear group), multiplies into the next row and adds that
-step's forcing row.  The forcing rows of a window are its driven force
-columns times the matching rows of ``[Gamma; Q Gamma]^T``, plus the ramped
-multipliers through ``[Gamma L_v; Q Gamma L_v]``, so a propagated group
-holds no force vector per DOF, and an undriven one none at all.  Its link
-map has the rows ``Q link`` too, so that ``xd`` stays ``Q z`` after the
-correction.  Larger groups, such as an unreduced frame, call
-:func:`free_step` at every inner step, because their dense ``Phi`` costs
-more than the solve; the monolithic reference does too.  Propagated groups
-agree with :func:`free_step` stepping to round-off, about 1e-14 of the
-state scale.
+with ``Gamma_f`` the columns of ``Gamma`` at the driven DOFs.  An inner
+step applies ``phi`` in place on its row's ``xd`` (four ufuncs, none for a
+linear group) and is then one product into the next row's ``[z; xd]``.
+A window copies its force rows into the ``f`` columns and writes the
+ramped multipliers with one multiply, so a propagated group holds no force
+vector per DOF.  An undriven group at ``ss = 1`` has neither column block
+and steps with the square matrix itself.  Its link map has the rows
+``Q link`` too, so that ``xd`` stays ``Q z`` after the correction.  Larger
+groups, such as an unreduced frame, call :func:`free_step` at every inner
+step, because their dense ``Phi`` costs more than the solve; the
+monolithic reference does too.  Propagated groups agree with
+:func:`free_step` stepping to round-off, about 1e-14 of the state scale.
 
-Both solvers share one force path, the driven rows of :func:`_global_forces`
-added onto zeroed DOFs in input order by :func:`_force`, one record path,
+Both solvers share one force path, the driven rows of :func:`_global_forces`,
+one coupled step at a time, added onto zeroed DOFs in input order by
+:func:`_force` (a propagated group projects them instead), one record path,
 :class:`_Records`, and one divergence check, :func:`_check_divergence`,
 on all groups' coupled states at once (the reference's global state).  A free-step
 group scatters the rows of a window, and the monolithic reference those
 of a step, as they go; a step group writes each member's rows of a window
 into its record in one block.  Neither keeps a whole-run record of its
 stepped state, nor scatters the driven columns into a whole-run force
-table with a column per DOF.
+table with a column per DOF, nor resamples a table for the whole run.
 """
 
 from __future__ import annotations
@@ -88,6 +92,7 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 import numpy as np
+from scipy.linalg.blas import ddot
 
 from .coupling import (
     CouplingError,
@@ -358,13 +363,21 @@ def _start(form: FirstOrderForm, initial, force: np.ndarray, what: str) -> tuple
 def _check_divergence(step: int, limit: float, *checked: tuple) -> None:
     """Raise :class:`DivergenceError` if a checked state holds a non-finite value or one beyond ``limit``.
 
-    Each of ``checked`` is a state ``y = [u; v]`` and its ``dof_map``.  The
-    error names the first non-finite entry of the first state that holds
-    one, or else the largest entry of all, by its owner in that state's
+    Each of ``checked`` is a state ``y = [u; v]`` and its ``dof_map``.  A
+    state passes on one BLAS ``ddot`` if ``y.y <= (limit/2)**2``, because
+    ``max|y| <= |y|``; the factor of two leaves room for the rounding of the
+    sum.  ``ddot`` overflows to inf without numpy's warning, so a nan, an
+    overflowed product or a limit whose square is not finite leads to the
+    exact scan of ``max|y|``, and the outcome is the scan's.  The error
+    names the first non-finite entry of the first state that holds one, or
+    else the largest entry of all, by its owner in that state's
     ``dof_map``: the first id, in the map's order, whose DOFs hold that
-    entry's DOF of ``y``, and the DOF's first place among them.  Each state
-    is scanned once; the owner is looked up only on failure.
+    entry's DOF of ``y``, and the DOF's first place among them.  The owner
+    is looked up only on failure.
     """
+    bound = 0.25 * limit * limit
+    if math.isfinite(bound) and all(not y.size or ddot(y, y) <= bound for y, _ in checked):
+        return
     norms = [np.abs(y).max() if y.size else 0.0 for y, _ in checked]
     if all(math.isfinite(norm) and norm <= limit for norm in norms):
         return
@@ -377,15 +390,14 @@ def _check_divergence(step: int, limit: float, *checked: tuple) -> None:
 
 
 def _input_table(sid, table, n_dofs: int, n_steps: int, ss: int, inner: bool) -> np.ndarray:
-    """Check a force table and sample it on the inner grid if ``inner``, else on the coupled grid.
+    """Check a force table, and decimate one on the inner grid onto the coupled grid unless ``inner``.
 
     A table holds one row per coupled instant (``n_steps + 1`` rows) or one
     per inner instant of ``ss``-fold sub-cycling (``n_steps*ss + 1`` rows).
-    Inner samples are decimated with ``[::ss]`` onto the coupled grid, and
-    coupled samples are interpolated linearly onto the inner grid; a table
-    already on the wanted grid is returned as it is.  Raises
-    :class:`SolverError` for a wrong shape and names the first row that
-    holds a nan or inf.
+    Inner samples are decimated with ``[::ss]``; every other table is
+    returned as it is (:func:`_global_forces` interpolates coupled samples
+    one step at a time).  Raises :class:`SolverError` for a wrong shape and
+    names the first row that holds a nan or inf.
     """
     table = np.asarray(table, dtype=float)
     if table.ndim != 2 or table.shape[1] != n_dofs:
@@ -398,12 +410,7 @@ def _input_table(sid, table, n_dofs: int, n_steps: int, ss: int, inner: bool) ->
     if not finite.all():
         row = int(np.argmin(finite))
         raise SolverError(f"input table for {sid!r} holds a non-finite value in row {row}")
-    if table.shape[0] == (fine if inner else coupled):
-        return table
-    if not inner:
-        return table[::ss]
-    t_fine = np.arange(fine, dtype=float) / ss
-    return np.column_stack([np.interp(t_fine, np.arange(coupled, dtype=float), col) for col in table.T])
+    return table if inner or table.shape[0] == coupled else table[::ss]
 
 
 def _known_inputs(inputs: Mapping | None, known) -> dict:
@@ -415,20 +422,36 @@ def _known_inputs(inputs: Mapping | None, known) -> dict:
 
 
 def _global_forces(dof_map: Mapping, inputs: dict, config: SolverConfig, inner: bool) -> tuple:
-    """``(ids, table)``: the DOFs that ``inputs`` drive in ``dof_map``, in input order, and their force rows.
+    """``(ids, first, rows)``: the DOFs that ``inputs`` drive in ``dof_map``, in input order, and their force rows.
 
-    The rows are the inner instants of ``config.subcycles`` if ``inner``,
-    else the coupled ones (:func:`_input_table` checks and resamples each
-    table), with one column per id.
+    ``first`` is the row at the first instant, and ``rows(step)`` the rows
+    of the inner instants 1..ss of coupled step ``step``, one column per id,
+    with ``ss = config.subcycles`` if ``inner``, else 1
+    (:func:`_input_table` checks each table).  A table on that grid gives
+    its rows as they are, a view if it is the only one.  A table on the
+    coupled grid of a sub-cycled step is interpolated linearly across the
+    step, ``(1 - w) a + w b`` at ``w = j/ss``, so its last row is the
+    coupled sample itself; no table is resampled for the whole run.
     """
-    rows = config.n_steps * (config.subcycles if inner else 1) + 1
-    ids, tables = [np.zeros(0, dtype=np.intp)], [np.zeros((rows, 0))]
+    ss = config.subcycles if inner else 1
+    ids, tables = [np.zeros(0, dtype=np.intp)], []
     for sid, table in inputs.items():
         if sid in dof_map:
             ids.append(dof_map[sid])
             tables.append(_input_table(sid, table, len(ids[-1]), config.n_steps, config.subcycles, inner))
-    # one driven table is used as it is, with no copy
-    return np.concatenate(ids), tables[-1] if len(tables) == 2 else np.hstack(tables)
+    on_grid = config.n_steps * ss + 1
+    upper = np.arange(1, ss + 1)[:, None] / ss
+    lower, undriven = 1.0 - upper, np.zeros((ss, 0))
+
+    def rows(step: int) -> np.ndarray:
+        blocks = [
+            table[(step - 1) * ss + 1: step * ss + 1] if len(table) == on_grid
+            else lower * table[step - 1] + upper * table[step]
+            for table in tables
+        ]
+        return blocks[0] if len(blocks) == 1 else np.hstack([undriven, *blocks])
+
+    return np.concatenate(ids), np.concatenate([np.zeros(0), *(table[0] for table in tables)]), rows
 
 
 def _force(ids: np.ndarray, rows: np.ndarray, n: int) -> np.ndarray:
@@ -481,22 +504,27 @@ class _Records:
 
 
 # Largest group, in DOFs, stepped through a precomputed propagator.  A
-# propagator step multiplies the row r = [z; xd] (4n + elements entries) by
-# a dense square matrix of that size, while a free step solves with the
-# n x n factors, so the propagator wins on small groups only.  Per inner
-# step with serial OpenBLAS (free step against propagator, one coupled
-# step of a driven group at ss = 1), a 2-vCPU Xeon with 4 MB of L2
-# measured 34 DOFs 12.9 us / 5.5 us, 42 DOFs 20.6 / 8.0, 48 DOFs 20.7 / 9.3,
-# 56 DOFs 21.6 / 11.4, 64 DOFs 22.5 / 13.2 and 88 DOFs 25.4 / 20.6.  Another
-# 2-vCPU host had the propagator behind from 56 DOFs on (13.0 / 34.2 us
-# there, and 208 DOFs 36 / 685), when its matrix had 4n columns.  The limit
-# is the largest size that won on both.
-_PROPAGATOR_MAX_DOFS = 48
+# propagator step multiplies the row r = [z; xd; f; w lam] by a dense
+# matrix of 4n + elements rows, while a free step solves with the n x n
+# factors, so the propagator wins on small groups only.  Per inner step
+# with serial OpenBLAS (free step against propagator; one group of a
+# reduced 200-DOF frame and the driven suspension bank; medians of 10
+# alternating pairs), a 2-vCPU Xeon with 4 MB of L2 measured, at ss = 1
+# and at ss = 10: 34 DOFs 32.0 / 9.4 us and 26.4 / 8.1 us, 48 DOFs
+# 32.6 / 12.6 and 17.8 / 8.6, 56 DOFs 20.6 / 8.8 and 17.3 / 8.1, 64 DOFs
+# 22.2 / 10.9 and 29.5 / 16.7, 88 DOFs 38.7 / 28.3 and 30.6 / 19.3; the
+# propagator won all 10 pairs at every size.  Another 2-vCPU host had the
+# propagator behind from 56 DOFs on (13.0 / 34.2 us there, and 208 DOFs
+# 36 / 685) with an earlier layout whose matrix had 4n columns.  The limit
+# is the largest size at which the propagator took at most 0.57 of the
+# free step's time at both rates; at 88 DOFs it took up to 0.73, a margin
+# that a host with a slower matrix-vector product can lose.
+_PROPAGATOR_MAX_DOFS = 64
 
 
 @dataclass(frozen=True)
 class _Propagator:
-    """One inner step of a group as ``r+ = M [z; phi(xd, c3)] + forced`` on ``r = [z; xd]``.
+    """One inner step of a group as ``r+ = M [z; phi(xd, c3)] + forcing f + injected w lam`` on ``r = [z; xd]``.
 
     ``z = [y; ydot]`` stacks the state and its rate (4n entries), and ``xd``
     holds the element rates at the predicted velocity of the next step,
@@ -505,9 +533,11 @@ class _Propagator:
     ``Psi = -Gamma B^T diag(slope)`` feeds ``phi`` back as a force, so that
     ``z+ = Phi z + Psi phi(xd, c3) + Gamma f``.  ``step`` is
     ``M = [[Phi, Psi], [Q Phi, Q Psi]]``, whose last rows carry
-    ``xd+ = Q z+`` along.  ``forcing`` is ``[Gamma; Q Gamma]^T`` for rows of
-    forces, ``injected`` is ``[Gamma L_v; Q Gamma L_v]`` for the ramped
-    multipliers and ``rates`` is ``Q``.
+    ``xd+ = Q z+`` along.  ``forcing`` is ``[Gamma; Q Gamma]``, a column per
+    DOF, ``injected`` is ``[Gamma L_v; Q Gamma L_v]`` for the ramped
+    multipliers and ``rates`` is ``Q``.  :meth:`_Group.stepper` puts the
+    columns it needs beside ``M``, so that one product takes the row
+    ``[z; xd; f; w lam]`` whole.
     """
 
     step: np.ndarray
@@ -534,7 +564,7 @@ def _propagator(form: FirstOrderForm, effective, dt: float, gamma: float, inject
     gam = np.concatenate([gam, q @ gam])
     return _Propagator(
         step=np.concatenate([top, q @ top]),
-        forcing=np.ascontiguousarray(gam.T),
+        forcing=gam,
         injected=gam @ injector,
         rates=q,
     )
@@ -556,10 +586,13 @@ class _Group:
     A coupled step of the group is a window of ``ss`` inner steps in a
     buffer of ``ss + 1`` rows: row 0 holds the coupled state, and the
     group's :meth:`stepper` writes the state after inner step j into row j.
-    A row is ``z = [y; ydot]``, followed by the element rates ``xd = Q z``
-    in a group of at most ``_PROPAGATOR_MAX_DOFS`` DOFs, which steps through
-    its ``propagator``; a larger one calls :func:`free_step`.  ``link`` maps
-    the multipliers to the change of a row by the link solutions.
+    A row is ``z = [y; ydot]``, followed in a group of at most
+    ``_PROPAGATOR_MAX_DOFS`` DOFs, which steps through its ``propagator``,
+    by the element rates ``xd = Q z`` and the forcing of the inner step
+    that the row starts: the driven force rows and the ramped multipliers.
+    A larger group calls :func:`free_step`.  ``link`` maps the multipliers
+    to the change of a row's first ``len(link)`` entries, the state and
+    rates, by the link solutions.
     """
 
     subcycles: int
@@ -574,22 +607,28 @@ class _Group:
     link: np.ndarray
     propagator: _Propagator | None
 
-    def stepper(self, window: np.ndarray, ids: np.ndarray) -> Callable[[np.ndarray, np.ndarray], None]:
-        """``advance(lam, rows)``: the free inner steps of one coupled step, from row 0 of ``window`` into rows 1..ss.
+    def stepper(self, ids: np.ndarray, rows: Callable[[int], np.ndarray]) -> tuple:
+        """``(window, advance)``: the group's window and ``advance(lam, step)``, the free inner steps of a coupled step.
 
-        ``rows`` are the window's force rows of the DOFs ``ids``, in the
-        order of :func:`_global_forces`.  A free-step group scatters
-        them with :func:`_force`.  A propagated group projects them with the
-        rows of its ``forcing`` at ``ids``, adds the ramped multipliers, and
-        then steps each row ``r = [z; xd]`` with ``phi`` in place on its
-        ``xd``, one product with ``M`` into the next row and one add.
+        ``advance`` steps from row 0 of ``window`` into rows 1..ss on
+        ``rows(step)``, the window's force rows of the DOFs ``ids``
+        (:func:`_global_forces`).  A free-step group scatters them with
+        :func:`_force`, adds the ramped multipliers and calls
+        :func:`free_step`.  A propagated group copies them into the ``f``
+        columns of its rows ``[z; xd; f; w_j lam]`` and writes the ramped
+        multipliers after them (if ``ss > 1``).  Each inner step is then
+        ``phi`` in place on ``xd`` and one product with
+        ``[M | forcing[:, ids] | injected]`` into the next row's first
+        ``len(link)`` entries.  An undriven group at ``ss = 1`` steps with
+        ``M`` itself.
         """
-        ss, prop = self.subcycles, self.propagator
+        ss, prop, width = self.subcycles, self.propagator, len(self.link)
         if prop is None:
             form, effective, dt, gamma, m = self.form, self.effective, self.dt, self.gamma, self.form.state_size
+            window = np.empty((ss + 1, width))
 
-            def advance(lam: np.ndarray, rows: np.ndarray) -> None:
-                forces = _force(ids, rows, form.n_dofs)
+            def advance(lam: np.ndarray, step: int) -> None:
+                forces = _force(ids, rows(step), form.n_dofs)
                 if ss > 1:  # the ramp weight of the single inner step of ss = 1 is zero
                     forces = forces + self.ramp * (self.injector @ lam)
                 y, ydot = window[0, :m], window[0, m:]
@@ -597,31 +636,30 @@ class _Group:
                     y, ydot = free_step(form, effective, y, ydot, force, dt, gamma)
                     window[j, :m], window[j, m:] = y, ydot
 
-            return advance
+            return window, advance
 
-        forcing = prop.forcing[ids] if len(ids) else None
-        step, smoothing = prop.step, self.form.smoothing
-        states = list(window)
-        # each row's xd, on which phi acts in place; a linear group has none
-        rates = [state[2 * self.form.state_size:] if len(smoothing) else None for state in states]
-        steps = list(zip(states, states[1:], rates))
+        extra = ([prop.forcing[:, ids]] if len(ids) else []) + ([prop.injected] if ss > 1 else [])
+        matrix = np.hstack([prop.step, *extra]) if extra else prop.step
+        window = np.empty((ss + 1, matrix.shape[1]))
+        drive = window[:ss, width:width + len(ids)]
+        ramped = window[:ss, width + len(ids):]
+        smoothing, states = self.form.smoothing, list(window)
+        # each row's xd, on which phi acts in place (none in a linear group),
+        # and the next row's state and rates, which the product writes
+        steps = [(row, after[:width], row[2 * self.form.state_size:width] if len(smoothing) else None)
+                 for row, after in zip(states, states[1:])]
 
-        def advance(lam: np.ndarray, rows: np.ndarray) -> None:
-            forced = None if forcing is None else rows.dot(forcing)
+        def advance(lam: np.ndarray, step: int) -> None:
+            if len(ids):
+                drive[:] = rows(step)
             if ss > 1:
-                ramped = self.ramp * prop.injected.dot(lam)
-                if forced is None:
-                    forced = ramped
-                else:
-                    forced += ramped
-            for j, (row, after, rates) in enumerate(steps):
+                np.multiply(self.ramp, lam, out=ramped)
+            for row, after, rates in steps:
                 if rates is not None:
                     friction_shape(rates, smoothing, out=rates)
-                step.dot(row, out=after)
-                if forced is not None:
-                    after += forced[j]
+                np.dot(matrix, row, out=after)
 
-        return advance
+        return window, advance
 
 
 class PartitionedSolver:
@@ -689,8 +727,8 @@ class PartitionedSolver:
         per coupled instant (n_steps+1, n_dofs) or one per inner instant of
         ``config.subcycles`` (n_steps*ss+1 rows).  Each substructure gets
         them on its own grid: coarse samples are linearly interpolated onto
-        the inner grid of a sub-cycled one, and fine samples are decimated
-        onto the coupled grid of the others.
+        the inner grid of a sub-cycled one, a coupled step at a time, and
+        fine samples are decimated onto the coupled grid of the others.
         """
         cfg = self.config
         n_steps = cfg.n_steps
@@ -699,46 +737,49 @@ class PartitionedSolver:
         initial = initial or {}
         dof_counts = {sid: form.n_dofs for sid, form in self.forms.items()}
 
-        # per group: its driven force rows on its own grid, its window of
-        # inner states, stepped by its stepper, and a record per member
-        drives, windows, records = [], [], []
+        # per group: its window of inner states, stepped by its stepper on
+        # its driven force rows, and a record per member
+        advances, windows, records = [], [], []
         for group in groups:
             ss, n, m = group.subcycles, group.form.n_dofs, group.form.state_size
-            ids, driven = _global_forces(group.dofs, inputs, cfg, ss > 1)
-            window = np.empty((ss + 1, len(group.link)))
-            force = _force(ids, driven[0], n)
-            for sid, rows in group.rows.items():
-                window[0, :m][rows], window[0, m:2 * m][rows] = _start(
+            ids, first_row, rows = _global_forces(group.dofs, inputs, cfg, ss > 1)
+            window, advance = group.stepper(ids, rows)
+            force = _force(ids, first_row, n)
+            for sid, cols in group.rows.items():
+                window[0, :m][cols], window[0, m:2 * m][cols] = _start(
                     self.forms[sid], initial.get(sid), force[group.dofs[sid]], f"substructure {sid!r}"
                 )
             if group.propagator is not None:
-                window[0, 2 * m:] = group.propagator.rates @ window[0, :2 * m]
-            drives.append((group.stepper(window, ids), driven, ss))
+                window[0, 2 * m:len(group.link)] = group.propagator.rates @ window[0, :2 * m]
+            advances.append(advance)
             windows.append(window)
             records.append(_Records(group.rows, n_steps * ss + 1, dof_counts))
             records[-1][0] = window[0, :m]
         multipliers = np.zeros((n_steps + 1, self.n_lam))
 
         keys = range(len(groups))
-        # views into the windows: the first and the last row, the [u; v] of
-        # the inner states and of the coupled state, and its velocities
-        first, last = [window[0] for window in windows], [window[-1] for window in windows]
+        # views into the windows: the state and rates of the first and the
+        # last row, the [u; v] of the inner states and of the coupled state,
+        # and its velocities
+        first = [windows[k][0, :len(groups[k].link)] for k in keys]
+        last = [windows[k][-1, :len(groups[k].link)] for k in keys]
         inner = [windows[k][1:, :groups[k].form.state_size] for k in keys]
         coupled = [last[k][:groups[k].form.state_size] for k in keys]
         free_velocities = {k: coupled[k][groups[k].form.n_dofs:] for k in keys}
         checked = [(coupled[k], groups[k].dofs) for k in keys]
         compat = {k: groups[k].injector.T for k in keys}
         link = {k: groups[k].link for k in keys}
+        subcycles = [group.subcycles for group in groups]
         lam = np.zeros(self.n_lam)
         for step in range(1, n_steps + 1):
-            for advance, driven, ss in drives:
-                advance(lam, driven[(step - 1) * ss + 1: step * ss + 1])
+            for advance in advances:
+                advance(lam, step)
             if self.n_lam:
                 lam, links = coupling_step(self.interface, free_velocities, compat, link, cfg.gamma * cfg.dt)
                 for k in keys:
                     last[k] += links[k]
             multipliers[step] = lam
-            for k, (_, _, ss) in enumerate(drives):
+            for k, ss in enumerate(subcycles):
                 # the window's states in one write; the coupled state closes
                 # it and opens the next
                 records[k].into[(step - 1) * ss + 1: step * ss + 1] = inner[k]

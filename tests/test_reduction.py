@@ -118,6 +118,22 @@ class TestConstraintModes:
         with pytest.raises(ReductionError, match="rank"):
             constraint_modes(sub)
 
+    @pytest.mark.parametrize("block, message", [
+        # full rank, a zero first pivot and eigenvalues -1 and 1: indefinite, not singular
+        ([[0.0, 1.0], [1.0, 0.0]], "indefinite: the pivot of DOF 0 is 0"),
+        # full rank and positive definite, with a pivot below 1e-14 of the largest entry
+        ([[1.0, 1.0], [1.0, 1.0 + 5e-15]], "nearly singular: the pivot of DOF 1 is 5.10703e-15"),
+    ])
+    def test_full_rank_block_with_a_failed_pivot_is_not_called_singular(self, block, message):
+        stiffness = np.eye(3)
+        stiffness[:2, :2] = block
+        sub = LinearSubstructure(mass=np.eye(3), damping=np.zeros((3, 3)), stiffness=stiffness,
+                                 internal_dofs=(0, 1), boundary_dofs=(2,))
+        for call in (lambda: constraint_modes(sub), lambda: cb_reduce(sub, 1)):
+            with pytest.raises(ReductionError) as err:
+                call()
+            assert str(err.value) == f"internal stiffness block is {message}"
+
     def test_no_internal_dofs(self):
         # every DOF on the boundary: K_ii is empty and the basis is the identity
         sub = LinearSubstructure(
@@ -346,10 +362,13 @@ class TestSparsePath:
         stiffness = dense(frame.stiffness)
         stiffness[10, :] = stiffness[:, 10] = 0.0  # an internal DOF held by nothing
         singular = frame_with(frame, stiffness=stiffness)
+        # only the dense block is ranked, so only its error can say that it is singular
+        expected = r"internal stiffness block \(\d+ x \d+\) is singular or indefinite: "
         if path == "dense":
             singular = take_dense_path(monkeypatch, singular)
+            expected = r"internal stiffness block is singular \(rank"
         for call in (lambda: cb_reduce(singular, 30), lambda: constraint_modes(singular)):
-            with pytest.raises(ReductionError, match=r"internal stiffness block is singular \(rank"):
+            with pytest.raises(ReductionError, match=expected):
                 call()
 
     def test_sparse_singular_internal_stiffness_message_builds_no_dense_block(self, monkeypatch):
@@ -365,7 +384,7 @@ class TestSparsePath:
         monkeypatch.setattr(np.linalg, "matrix_rank", no_rank)
         n_i = len(frame.internal_dofs)
         for call in (lambda: cb_reduce(singular, 30), lambda: constraint_modes(singular)):
-            with pytest.raises(ReductionError, match=rf"singular \(rank deficient, {n_i} x {n_i}\)"):
+            with pytest.raises(ReductionError, match=rf"block \({n_i} x {n_i}\) is singular or indefinite"):
                 call()
 
     @pytest.mark.parametrize("path", ["sparse", "dense"])

@@ -48,6 +48,15 @@ class TestMultisine:
         off = corr[~np.eye(3, dtype=bool)]
         assert np.abs(off).max() < 0.1
 
+    @pytest.mark.parametrize("variance, rule", [
+        (np.nan, "finite non-negative number"), (-1.0, "finite non-negative number"),
+        (np.inf, "finite non-negative number"), ("0.1", "a number"),
+    ])
+    def test_channel_noise_variance_checked(self, variance, rule):
+        # the rule of SignalSpec: a nan or negative variance would give noise-free channels
+        with pytest.raises(SignalError, match=f"field 'noise_variance' must be .*{rule}"):
+            multisine_with_noise_channels(2, 5, 100.0, [1.0], [1.0], variance)
+
 
 class TestBandLimitedNoise:
     def test_variance_scaled_exactly(self):

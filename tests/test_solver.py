@@ -2,6 +2,7 @@
 
 import dataclasses
 import tracemalloc
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -35,7 +36,8 @@ from dynsub.generators import chain_substructure, frame_analog, suspension_subst
 from dynsub.reduction import reduce as cb_reduce, reduced_topology
 
 from conftest import (
-    FORCE_LAW_KINDS, first_order_forms, hand_stepped, linear_suspension_analog, multisine_table, wheel_forces,
+    FORCE_LAW_KINDS, first_order_forms, hand_stepped, linear_suspension_analog, multisine_table, two_banks,
+    wheel_forces,
 )
 
 
@@ -482,6 +484,28 @@ class TestSimulate:
             dynsub.solver._check_divergence(3, 1.0, first, (np.array(second), {"b": np.array([0, 1])}))
         assert (err.value.step, err.value.sub_id, err.value.dof) == (3, *named)
 
+    @pytest.mark.parametrize("y, limit, named", [
+        ([0.0, 1e160, 0.0, 0.0], 1e150, ("a", 1)),  # y.y overflows: the scan still names the entry
+        ([1e160, np.nan, 0.0, 0.0], 1e150, ("a", 1)),  # a nan is named before a larger entry
+        ([np.inf, 0.0, 0.0, 0.0], np.inf, ("a", 0)),  # an infinite limit still catches an inf
+    ])
+    def test_divergence_bound_falls_back_to_the_scan(self, y, limit, named):
+        # the product overflows or is nan without a warning, which would be an error here
+        with warnings.catch_warnings(), pytest.raises(DivergenceError) as err:
+            warnings.simplefilter("error")
+            dynsub.solver._check_divergence(5, limit, (np.array(y), {"a": np.array([0, 1])}))
+        assert (err.value.step, err.value.sub_id, err.value.dof) == (5, *named)
+
+    @pytest.mark.parametrize("y, limit", [
+        ([0.9, -0.9, 0.9, 0.9], 1.0),  # |y| = 1.8 is beyond the limit, every entry within it
+        ([1.3e154] * 4, 1.3e154),  # y.y overflows, every entry at the limit
+        ([1e300, -1e300, 0.0, 0.0], np.inf),  # an infinite limit, whose square is no bound
+    ])
+    def test_divergence_bound_passes_entries_within_the_limit(self, y, limit):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            dynsub.solver._check_divergence(5, limit, (np.array(y), {"a": np.array([0, 1])}))
+
     def test_divergence_limit_configurable(self):
         bad = LinearSubstructure(
             mass=[[1.0]], damping=[[0.0]], stiffness=[[-100.0]],
@@ -584,6 +608,46 @@ class TestSubcycling:
         err = np.abs(fine.states["suspension"] - interp.states["suspension"]).max()
         scale = np.abs(fine.states["suspension"]).max()
         assert err <= 0.05 * scale
+
+    @staticmethod
+    def two_bank_system():
+        """A chain and two physical banks of :func:`two_banks`, which form one sub-cycled group."""
+        topology = CouplingTopology(constraints=(
+            (("chain", 0, 1), ("bank_a", 3, -1)), (("chain", 3, 1), ("bank_b", 2, -1)),
+        ))
+        return CoupledSystem(substructures={"chain": chain_substructure(4, k=50.0, c=0.5), **two_banks()},
+                             topology=topology, physical=("bank_a", "bank_b"))
+
+    @pytest.mark.parametrize("propagated", [True, False])
+    @pytest.mark.parametrize("banks", [1, 2])
+    def test_coarse_inputs_equal_inputs_interpolated_beforehand(self, banks, propagated):
+        # a coupled-rate table of a sub-cycled group is interpolated one window
+        # at a time, alone or beside a table at the inner rate
+        ss = 5
+        cfg = SolverConfig(dt=1e-3, duration=0.05, subcycles=ss)
+        times = np.arange(cfg.n_steps + 1) * cfg.dt
+        fine_times = np.arange(cfg.n_steps * ss + 1) * (cfg.dt / ss)
+        if banks == 1:
+            system = subcycling_system()
+            coarse = {"suspension": subcycling_inputs(system, cfg)["suspension"]}
+            fine = {}
+        else:
+            system = self.two_bank_system()
+            coarse = {"bank_a": wheel_forces(system, "bank_a", times)}
+            fine = {"bank_b": wheel_forces(system, "bank_b", fine_times), "chain": np.ones((len(times), 4))}
+        interpolated = {sid: np.column_stack([np.interp(fine_times, times, col) for col in table.T])
+                        for sid, table in coarse.items()}
+        with mock.patch.object(dynsub.solver, "_PROPAGATOR_MAX_DOFS",
+                               dynsub.solver._PROPAGATOR_MAX_DOFS if propagated else 0):
+            solver = PartitionedSolver(system, cfg)
+        assert all((group.propagator is not None) == propagated for group in solver._plan)
+        traj = solver.run({**coarse, **fine})
+        ref = solver.run({**interpolated, **fine})
+        for sid in system.substructures:
+            TestSimulate.assert_rows_close(traj.states[sid], ref.states[sid])
+        for sid in system.physical:
+            TestSimulate.assert_rows_close(traj.fine_states[sid], ref.fine_states[sid])
+        TestSimulate.assert_rows_close(traj.multipliers, ref.multipliers)
 
     def test_velocity_compatibility_holds_when_subcycled(self):
         system = subcycling_system()
@@ -714,14 +778,14 @@ class TestPropagator:
         assert sum(sub.n_dofs for sub in desk.substructures.values()) == 208
         assert self.count_free_steps(monkeypatch, desk, cfg, inputs) == cfg.n_steps
 
-    def test_peak_memory_of_a_subcycled_run_is_its_records(self):
-        # the reduced frame, undriven, steps on the coupled grid and the bank,
-        # driven at the inner instants, sub-cycled: the run holds its records
-        # and a window of inner states per group, and no force table per DOF
+    def peak_beyond_the_records(self, sampling):
+        """The reduced desk run at ss = 10 with the bank driven at ``sampling`` ("inner" or "coupled"):
+        its tracemalloc peak beyond the arrays it returns, and the size of a whole-run frame table."""
         system = self.reduced_desk()
         cfg = SolverConfig(dt=1e-3, duration=0.5, subcycles=10)
-        fine_times = np.arange(cfg.n_steps * cfg.subcycles + 1) * (cfg.dt / cfg.subcycles)
-        inputs = {"suspension": wheel_forces(system, "suspension", fine_times)}
+        ss = cfg.subcycles if sampling == "inner" else 1
+        times = np.arange(cfg.n_steps * ss + 1) * (cfg.dt / ss)
+        inputs = {"suspension": wheel_forces(system, "suspension", times)}
         solver = PartitionedSolver(system, cfg)
         tracemalloc.start()
         try:
@@ -733,4 +797,17 @@ class TestPropagator:
                     *traj.fine_states.values()]
         held = {id(a if a.base is None else a.base): (a if a.base is None else a.base).nbytes for a in returned}
         frame_table = (cfg.n_steps + 1) * system.substructures["frame"].n_dofs * 8
-        assert peak - sum(held.values()) < frame_table, (peak, held)
+        return peak - sum(held.values()), frame_table
+
+    def test_peak_memory_of_a_subcycled_run_is_its_records(self):
+        # the reduced frame, undriven, steps on the coupled grid and the bank,
+        # driven at the inner instants, sub-cycled: the run holds its records
+        # and a window of inner states per group, and no force table per DOF
+        extra, frame_table = self.peak_beyond_the_records("inner")
+        assert extra < frame_table, (extra, frame_table)
+
+    def test_peak_memory_of_a_run_driven_at_the_coupled_rate_is_its_records(self):
+        # coupled-rate rows are interpolated a window at a time: no inner-grid
+        # table, which would be 5001 rows of the bank's 8 DOFs (320 KB)
+        extra, frame_table = self.peak_beyond_the_records("coupled")
+        assert extra < frame_table, (extra, frame_table)
