@@ -27,8 +27,9 @@ dense or CSR matrices.
 
 :func:`_factorize` is the package's one general factorization (LAPACK LU or
 SuperLU) for ``S``, ``H``, ``M`` and Newmark, none of which need be
-symmetric.  :func:`_pivot_floor` is its singularity rule, which the
-symmetric factorization of a Craig-Bampton internal block shares.
+symmetric.  :func:`_pivot_floor` is its singularity rule and
+``_SYMMETRIC_ORDER`` its SuperLU ordering, both of which the symmetric
+factorization of a Craig-Bampton internal block shares.
 """
 
 from __future__ import annotations
@@ -236,6 +237,11 @@ def assemble_global(substructures: Mapping, topology: CouplingTopology, sparse: 
     )
 
 
+# SuperLU's symmetric fill-reducing order: minimum degree on the pattern of
+# A^T + A, the same permutation for rows and columns.
+_SYMMETRIC_ORDER = {"permc_spec": "MMD_AT_PLUS_A", "options": {"SymmetricMode": True}}
+
+
 def _pivot_floor(scale: float) -> float:
     """The smallest pivot a factorization accepts: 1e-14 of ``scale``, floor 1e-30."""
     return 1e-14 * max(scale, 1e-30)
@@ -247,11 +253,13 @@ def _factorize(matrix, singular, scale: float | None = None):
     A dense array gets LAPACK ``getrf``, and ``solve`` is ``getrs`` on its
     factors: ``scipy.linalg.lu_solve``'s result, bit for bit, without that
     wrapper's per-call dispatch and finiteness check (callers check their
-    inputs once).  A sparse array gets one SuperLU ``splu`` in CSC order.
-    Both raise ``singular()`` when the matrix is exactly singular, a factor
-    is not finite or a pivot falls below :func:`_pivot_floor` of ``scale``
-    (default: the largest entry).  A sum of terms passes its largest term,
-    so a sum that cancels to round-off is not judged against its remainder.
+    inputs once).  A sparse array gets one SuperLU ``splu`` in CSC order,
+    ordered by ``_SYMMETRIC_ORDER`` with SuperLU's threshold pivoting, which
+    a nonsymmetric damping needs.  Both raise ``singular()`` when the matrix
+    is exactly singular, a factor is not finite or a pivot falls below
+    :func:`_pivot_floor` of ``scale`` (default: the largest entry).  A sum
+    of terms passes its largest term, so a sum that cancels to round-off is
+    not judged against its remainder.
     ``singular`` is called only on failure, so its message may be costly.
     """
     if not matrix.shape[0]:  # an empty block, such as a reduction without internal DOFs
@@ -268,7 +276,7 @@ def _factorize(matrix, singular, scale: float | None = None):
         from scipy.sparse.linalg import splu  # only sparse matrices pay for this import
 
         try:
-            lu = splu(matrix.tocsc())
+            lu = splu(matrix.tocsc(), **_SYMMETRIC_ORDER)
         except RuntimeError:  # SuperLU's "Factor is exactly singular"
             raise singular() from None
         finite = np.isfinite(lu.L.data).all() and np.isfinite(lu.U.data).all()

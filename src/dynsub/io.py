@@ -49,9 +49,36 @@ from .solver import CoupledSystem, Trajectory
 
 
 def _to_triplets(entries: tuple) -> dict:
-    """Triplet record of one of :attr:`LinearSubstructure.nonzeros`' entries."""
+    """Triplet record of one of :attr:`LinearSubstructure.nonzeros`' entries: its arrays, not copied."""
     rows, cols, values = entries
-    return {"rows": rows.tolist(), "cols": cols.tolist(), "values": values.tolist()}
+    return {"rows": rows, "cols": cols, "values": values}
+
+
+# Entries per json.dumps call when an array is written (see _write_json).
+_JSON_CHUNK = 1 << 14
+
+
+def _write_json(out, value) -> None:
+    """Write the text of ``json.dumps(value)`` to ``out``, with each numpy array written as a list.
+
+    An array goes out ``_JSON_CHUNK`` entries at a time, through the same
+    encoder, so the bytes are those of ``json.dumps`` with every array
+    turned into a list, but no list of a whole array (a Python object per
+    entry) and no text of the whole document is ever held.
+    """
+    if isinstance(value, np.ndarray):
+        out.write("[")
+        for start in range(0, len(value), _JSON_CHUNK):
+            out.write((", " if start else "") + json.dumps(value[start:start + _JSON_CHUNK].tolist())[1:-1])
+        out.write("]")
+    elif isinstance(value, dict):
+        out.write("{")
+        for i, (key, item) in enumerate(value.items()):
+            out.write((", " if i else "") + json.dumps({key: None})[1:-7] + ": ")  # the key as json.dumps writes it
+            _write_json(out, item)
+        out.write("}")
+    else:
+        out.write(json.dumps(value))
 
 
 def _from_triplets(n: int, rows, cols, values):
@@ -83,6 +110,7 @@ def _system_record(substructures, coupling=[], inputs={}, physical=[]):
 
 
 def substructure_to_dict(sub) -> dict:
+    """The system-file record of ``sub``; a linear one holds its triplets as numpy arrays (see :func:`_write_json`)."""
     if isinstance(sub, LinearSubstructure):
         return {
             "kind": "linear",
@@ -131,7 +159,7 @@ def save_system(
     input_map: dict | None = None,
     physical: tuple = (),
 ) -> None:
-    """Write a system file."""
+    """Write a system file: the text of ``json.dumps`` of its document, compact, streamed by :func:`_write_json`."""
     doc = {
         "substructures": {sid: substructure_to_dict(sub) for sid, sub in substructures.items()},
         "coupling": [
@@ -143,7 +171,8 @@ def save_system(
         },
         "physical": list(physical),
     }
-    Path(path).write_text(json.dumps(doc))  # compact: an indent runs the pure-Python encoder
+    with open(path, "w") as out:  # compact: an indent runs the pure-Python encoder
+        _write_json(out, doc)
 
 
 def load_system(path) -> tuple[CoupledSystem, dict]:

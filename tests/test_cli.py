@@ -5,6 +5,7 @@ import json
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from dynsub import SolverConfig, assemble_global, solve_monolithic
 from dynsub.cli import main
@@ -350,6 +351,21 @@ class TestReduceCommand:
         header, data = load_csv_columns(report)
         assert header == ["mode", "full_rad_s", "reduced_rad_s", "relative_error"]
         assert data.shape == (8, 4)
+
+    def test_report_on_a_free_chain(self, tmp_path):
+        # the free chain's singular K leaves a rigid mode, which the report lists at 0 rad/s
+        model, report = tmp_path / "chain.json", tmp_path / "freqs.csv"
+        assert main(["generate-model", "--kind", "chain", "--params",
+                     '{"n": 6, "grounded": false, "boundary_dofs": [5]}', "--out", str(model)]) == 0
+        args = ["reduce", "--model", str(model), "--modes", "3", "--out", str(tmp_path / "red.npz"),
+                "--report", str(report)]
+        proc = run_python(f"import sys; from dynsub.cli import main; sys.exit(main({args!r}))")
+        assert proc.returncode == 0 and "Traceback" not in proc.stderr, proc.stderr
+        _, data = load_csv_columns(report)
+        sub = load_system(model)[0].substructures["chain"]
+        expected = np.sqrt(np.clip(scipy.linalg.eigh(sub.stiffness, sub.mass, eigvals_only=True), 0.0, None))
+        assert data[0, 1] <= 1e-6
+        assert np.abs(data[1:, 1] / expected[1:len(data)] - 1).max() <= 1e-12
 
     @pytest.mark.parametrize("modes, splits", [(30, True), (31, False)])
     def test_a_cut_inside_a_repeated_frequency_is_reported(self, tmp_path, capsys, modes, splits):

@@ -7,6 +7,7 @@ from functools import partial
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse
 
 from dynsub import (
     CoupledSystem,
@@ -365,6 +366,28 @@ class TestSparseReference:
             scale = np.abs(dense.states[sid]).max()
             assert scale > 0
             assert np.abs(sparse.states[sid] - dense.states[sid]).max() <= 1e-12 * scale, sid
+
+    def test_nonsymmetric_damping_agrees_with_dense(self):
+        # a skew (gyroscopic) coupling of neighbouring frame DOFs, as large as the
+        # largest damping entry, makes S nonsymmetric: SuperLU's threshold pivoting
+        # under the symmetric order still gives the dense LU run to round-off
+        subs, topo = desk_1000()
+        frame = subs["frame"]
+        i = np.arange(frame.n_dofs - 1)
+        g = np.abs(frame.damping).max()
+        skew = scipy.sparse.csr_array((np.repeat([g, -g], len(i)), (np.r_[i, i + 1], np.r_[i + 1, i])),
+                                      shape=frame.mass.shape)
+        gyroscopic = LinearSubstructure(mass=frame.mass, damping=frame.damping + skew, stiffness=frame.stiffness,
+                                        internal_dofs=frame.internal_dofs, boundary_dofs=frame.boundary_dofs)
+        subs = {**subs, "frame": gyroscopic}
+        assert abs(gyroscopic.damping - gyroscopic.damping.T).max() == 2 * g
+        dense = self.desk_run(subs, topo, 0.2, sparse=False)
+        sparse = self.desk_run(subs, topo, 0.2, sparse=True)
+        symmetric = self.desk_run(desk_1000()[0], topo, 0.2, sparse=True)
+        for sid in subs:
+            scale = np.abs(dense.states[sid]).max()
+            assert np.abs(sparse.states[sid] - dense.states[sid]).max() <= 1e-12 * scale, sid
+            assert np.abs(sparse.states[sid] - symmetric.states[sid]).max() > 1e-6 * scale, sid
 
     def test_unreduced_csr_frame_partitioned_agrees(self):
         # the CSR frame and the suspension form one step group at ss = 1,

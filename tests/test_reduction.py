@@ -1,6 +1,7 @@
 """Craig-Bampton reduction: modes, constraint shapes, projection, expansion."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,7 +14,9 @@ from dynsub import LinearSubstructure, ReductionError, constraint_modes, expand,
 from dynsub import reduce as cb_reduce
 from dynsub.generators import chain_substructure, frame_substructure
 from dynsub.models import dense
-from dynsub.reduction import _InternalProblem, _canonical_modes, _cluster_starts, full_frequencies, reduced_frequencies
+from dynsub.reduction import (
+    _InternalProblem, _canonical_modes, _cluster_starts, full_frequencies, mode_shapes, reduced_frequencies,
+)
 
 
 def chain(n, boundary, m=1.0, k=1.0, grounded=True):
@@ -495,3 +498,59 @@ class TestCanonicalModes:
         mixed[:, second - 1:second + 1] = mixed[:, second - 1:second + 1] @ rotation
         expected = _canonical_modes(phi, freqs, mass)
         assert np.abs(_canonical_modes(mixed, freqs, mass) - expected).max() <= 1e-10 * np.abs(expected).max()
+
+
+def dense_eigh(sub, n):
+    """The ``n`` lowest frequencies and mass-normalized modes of ``sub``, by LAPACK on dense copies."""
+    lam, modes = scipy.linalg.eigh(dense(sub.stiffness), dense(sub.mass), subset_by_index=[0, n - 1])
+    return np.sqrt(np.clip(lam, 0.0, None)), modes
+
+
+class TestWholeSubstructure:
+    """``full_frequencies`` and ``mode_shapes`` are the reduction's solver with every DOF internal."""
+
+    @pytest.mark.parametrize("n", [6, 1000])  # the dense and the sparse path
+    def test_free_chain_has_a_rigid_mode(self, counted_eigsh, n):
+        # K is singular: its factorization is shifted, and the rigid mode comes out at 0
+        sub = chain(n, boundary=(n - 1,), grounded=False)
+        full, (expected, _) = full_frequencies(sub, 5), dense_eigh(sub, 5)
+        assert bool(counted_eigsh) == (n >= dynsub.reduction._SPARSE_MIN_DOFS)
+        assert full[0] <= 1e-6 * full[1]
+        assert np.abs(full[1:] / expected[1:] - 1).max() <= 1e-9
+
+    def test_sparse_frame_agrees_with_dense_eigh(self, counted_eigsh):
+        frame = frame_substructure(n=1000)
+        expected, modes = dense_eigh(frame, 20)
+        assert np.abs(full_frequencies(frame, 20) / expected - 1).max() <= 1e-9
+        shapes, mass = mode_shapes(frame, 10), dense(frame.mass)
+        assert len(counted_eigsh) == 2
+        mac = (shapes.T @ mass @ modes[:, :10]) ** 2  # both sets are mass-normalized
+        assert np.diag(mac).min() >= 1 - 1e-9
+
+    def test_sparse_frame_builds_no_dense_copy(self, monkeypatch):
+        # a dense copy of K of the 1000-DOF frame is 8 MB; at 1e4 DOFs it was 800 MB
+        frame = frame_substructure(n=1000)
+        monkeypatch.setattr(dynsub.reduction, "dense", None)  # neither solver expands a block
+        tracemalloc.start()
+        try:
+            full_frequencies(frame, 20)
+            mode_shapes(frame, 10)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < frame.n_dofs ** 2 * 8 / 4
+
+    def test_all_frequencies_by_default_and_more_than_the_dofs_refused(self):
+        sub = chain(12, boundary=(11,))
+        assert np.abs(full_frequencies(sub) / dense_eigh(sub, 12)[0] - 1).max() <= 1e-12
+        for call in (lambda: full_frequencies(sub, 13), lambda: mode_shapes(sub, 13)):
+            with pytest.raises(ReductionError, match="requested 13 modes but only 12 internal DOFs"):
+                call()
+
+    def test_canonical_shapes_follow_the_dof_numbering(self):
+        # the frame's boundary DOFs are rows of the shapes like any other DOF
+        frame = frame_substructure()
+        shapes = mode_shapes(frame, 10)
+        assert shapes.shape == (frame.n_dofs, 10)
+        assert np.abs(shapes.T @ frame.mass @ shapes - np.eye(10)).max() <= 1e-12
+        assert np.all(np.arange(1.0, frame.n_dofs + 1) @ shapes > 0)

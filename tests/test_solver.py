@@ -217,7 +217,9 @@ class TestSolveContract:
         if storage == "dense":
             reference = scipy.linalg.lu_solve(scipy.linalg.lu_factor(d.matrix), rhs)
         else:
-            reference = scipy.sparse.linalg.splu(scipy.sparse.csc_array(d.matrix)).solve(rhs)
+            reference = scipy.sparse.linalg.splu(
+                scipy.sparse.csc_array(d.matrix), permc_spec="MMD_AT_PLUS_A", options={"SymmetricMode": True},
+            ).solve(rhs)
         assert np.array_equal(solve(rhs), reference)
         assert np.array_equal(rhs, before)
 
