@@ -124,13 +124,13 @@ def _cmd_simulate(args) -> int:
     if args.inputs:
         _, channels = dio.load_signals_csv(args.inputs)
         inputs = dio.input_tables(system, input_map, channels)
+    dofs = dio._exported_dofs(system, args.all_dofs)  # record only the DOFs the CSV holds
     if args.monolithic:
         # CSR if a member is, the storage rule of the partitioned solver's step groups
         asys = assemble_global(system.substructures, system.topology, sparse=_stores_csr(system.substructures))
-        # record only the DOFs the CSV holds
-        traj = solve_monolithic(asys, config, inputs, dofs=dio._exported_dofs(system, args.all_dofs))
+        traj = solve_monolithic(asys, config, inputs, dofs=dofs)
     else:
-        traj = simulate(system, config, inputs)
+        traj = simulate(system, config, inputs, dofs=dofs)
     dio.save_trajectory_csv(args.out, traj, system, all_dofs=args.all_dofs)
     print(f"wrote {args.out} ({traj.n_steps} steps)")
     return 0

@@ -7,12 +7,12 @@ fidelity report.  Offline cost (reduction, tangent and interface
 factorizations) is accounted separately from online stepping cost.  The
 reference is the sparse assembly (``monolithic_sparse``: CSR matrices and
 one SuperLU factorization of ``S``), the fair full-order baseline for the
-banded frame, so ``online_time.speedup`` compares against it.  The
-reference records only the DOFs that ``trajectory_monolithic.csv`` holds
-(``solve_monolithic(..., dofs=)`` of :func:`dynsub.io._exported_dofs`):
-the frame's boundary DOFs, which the fidelity check reads too, and every
-suspension DOF.  So the run holds no record of every frame DOF, which
-is 16 MB on the default 1000-DOF run over 1 s and 1.6 GB at 1e5 DOFs.
+banded frame, so ``online_time.speedup`` compares against it.  Each
+solver records only the DOFs its trajectory CSV holds (``dofs=`` of
+:func:`dynsub.io._exported_dofs`): the frame's boundary DOFs, which the
+fidelity check reads too, and every suspension DOF.  So the run holds no
+record of every frame DOF, which is 16 MB on the default 1000-DOF run
+over 1 s and 1.6 GB at 1e5 DOFs.
 """
 
 from __future__ import annotations
@@ -151,7 +151,7 @@ def run_experiment(config: ExperimentConfig, out_dir) -> dict:
     solver = PartitionedSolver(reduced_system, solver_cfg)
     report["offline_time"]["factorization"] = time.perf_counter() - t0
     t0 = time.perf_counter()
-    traj_part = solver.run(inputs)
+    traj_part = solver.run(inputs, dofs=dio._exported_dofs(reduced_system))
     report["online_time"]["partitioned"] = time.perf_counter() - t0
     dio.save_trajectory_csv(out / "trajectory_partitioned.csv", traj_part, reduced_system)
 

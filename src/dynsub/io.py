@@ -238,9 +238,9 @@ def _exported_dofs(system: CoupledSystem, all_dofs: bool = False) -> dict:
     """``{sid: DOFs}`` that a trajectory CSV holds, in column order.
 
     The boundary DOFs of every substructure, after every internal DOF of a
-    nonlinear one; ``all_dofs`` exports every DOF.  The monolithic
-    reference of ``run_experiment`` and ``dynsub simulate --monolithic``
-    records only these (``solve_monolithic(..., dofs=)``).
+    nonlinear one; ``all_dofs`` exports every DOF.  Both solvers of
+    ``run_experiment`` and of ``dynsub simulate`` record only these
+    (``dofs=`` of ``PartitionedSolver.run`` and ``solve_monolithic``).
     """
     dofs = {}
     for sid, sub in system.substructures.items():

@@ -52,6 +52,14 @@ def mac(modes_a: np.ndarray, modes_b: np.ndarray, names: tuple = ("modes_a", "mo
     return MacMatrix(values=cross**2 / np.outer(norm_a, norm_b))
 
 
+# A compared frequency at or below this fraction of the largest compared
+# one counts as zero in the relative errors: a rigid mode's eigenvalue is
+# round-off, about eps |K| / |M|, so its frequency reads about
+# sqrt(eps) = 1.5e-8 of the highest one (the free 6-DOF chain's reads 1.53e-8
+# rad/s, 1.1e-8 of its fourth).
+_ZERO_FREQUENCY_FLOOR = 1e-6
+
+
 @dataclass(frozen=True)
 class FrequencyErrorTable:
     """Per-mode relative frequency errors plus their normalized MSE.
@@ -67,14 +75,23 @@ class FrequencyErrorTable:
 
 
 def frequency_error_table(full_freqs, reduced_freqs, n: int) -> FrequencyErrorTable:
-    """Compare the first ``n`` natural frequencies of two models."""
+    """Compare the first ``n`` natural frequencies of two models.
+
+    A frequency's relative error is against the full one, or the absolute
+    error where the full one is zero.  A frequency at or below
+    ``_ZERO_FREQUENCY_FLOOR`` of the largest compared one counts as zero
+    there, so two rigid modes compare as error 0; ``full``, ``reduced`` and
+    the NMSE keep the frequencies as they are.
+    """
     full = np.asarray(full_freqs, dtype=float)
     red = np.asarray(reduced_freqs, dtype=float)
     if n > len(full) or n > len(red):
         raise MetricsError(f"cannot compare {n} modes: have {len(full)} and {len(red)}")
     full, red = full[:n], red[:n]
+    floor = _ZERO_FREQUENCY_FLOOR * max(np.abs(full).max(initial=0.0), np.abs(red).max(initial=0.0))
+    full0, red0 = (np.where(np.abs(f) <= floor, 0.0, f) for f in (full, red))
     with np.errstate(divide="ignore", invalid="ignore"):
-        rel = np.where(full != 0, np.abs(red - full) / np.abs(full), np.abs(red - full))
+        rel = np.where(full0 != 0, np.abs(red0 - full0) / np.abs(full0), np.abs(red0 - full0))
     denom = float(np.mean(full**2))
     nmse = float(np.mean((red - full) ** 2) / denom) if denom > 0 else float(np.mean((red - full) ** 2))
     return FrequencyErrorTable(full=full, reduced=red, relative_errors=rel, nmse=nmse)

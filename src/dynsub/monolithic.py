@@ -20,15 +20,18 @@ Forces and records take the partitioned solver's paths
 scattered onto the global DOFs one step at a time in input order, and each
 step writes every substructure's ``[u; v]`` columns of the global state
 into that substructure's own record.  ``solve_monolithic(..., dofs=)``
-records only the DOFs it names, at the columns ``dof_map[sid][dofs]`` and
-``n + dof_map[sid][dofs]``; ``run_experiment`` and ``dynsub simulate
---monolithic`` pass the DOFs they write (:func:`dynsub.io._exported_dofs`),
-while the divergence check (:func:`~dynsub.solver._check_divergence`, the
-partitioned solver's too) still sees the whole state; it names the
-substructure and the DOF of the value that broke the limit through
-``dof_map``.  On the default desk run that record is 24 columns instead of
-2000.  A Newmark average-acceleration variant (dense only) and the
-closed-form damped SDOF solution serve as independent cross-checks.
+takes the ``dofs=`` of the partitioned solver, checked by the same
+:func:`~dynsub.solver._recorded_dofs`, and records, through the same
+:func:`~dynsub.solver._records`, only the DOFs it names, at the columns
+``dof_map[sid][dofs]`` and ``n + dof_map[sid][dofs]``; ``run_experiment``
+and both paths of ``dynsub simulate`` pass the DOFs they write
+(:func:`dynsub.io._exported_dofs`), while the divergence check
+(:func:`~dynsub.solver._check_divergence`, the partitioned solver's too)
+still sees the whole state; it names the substructure and the DOF of the
+value that broke the limit through ``dof_map``.  On the default desk run
+that record is 24 columns instead of 2000.  A Newmark
+average-acceleration variant (dense only) and the closed-form damped SDOF
+solution serve as independent cross-checks.
 """
 
 from __future__ import annotations
@@ -49,22 +52,12 @@ from .solver import (
     _force,
     _global_forces,
     _known_inputs,
-    _Records,
+    _recorded_dofs,
+    _records,
     _start,
     effective_matrix,
     free_step,
 )
-
-
-def _records(asys: AssembledSystem, rows: int, dofs: Mapping | None = None) -> _Records:
-    """One record per substructure, ``rows`` long, of every DOF, or of ``dofs[sid]`` (none of a missing id)."""
-    if dofs is None:
-        return _Records(asys.state_columns, rows)
-    n, columns, recorded = asys.n_dofs, {}, {}
-    for sid, ids in asys.dof_map.items():
-        recorded[sid] = np.asarray(dofs.get(sid, ()), dtype=np.intp)
-        columns[sid] = np.concatenate([ids[recorded[sid]], n + ids[recorded[sid]]])
-    return _Records(columns, rows, {sid: len(ids) for sid, ids in asys.dof_map.items()}, recorded)
 
 
 def solve_monolithic(
@@ -85,7 +78,8 @@ def solve_monolithic(
     """
     dt, gamma = config.dt, config.gamma
     force_ids, first, forces = _global_forces(asys.dof_map, _known_inputs(inputs, asys.dof_map), config, False)
-    records = _records(asys, config.n_steps + 1, dofs)
+    recorded = _recorded_dofs(dofs, {sid: len(ids) for sid, ids in asys.dof_map.items()})
+    records = _records(asys.dof_map, asys.state_columns, asys.n_dofs, config.n_steps + 1, recorded)
     form = asys.first_order()
     n = form.n_dofs
     d = effective_matrix(form, dt, gamma)
@@ -112,7 +106,7 @@ def solve_newmark(
         raise ModelError("the Newmark oracle needs a dense assembly (sparse=False)")
     n, dt = asys.n_dofs, config.dt
     force_ids, first, forces = _global_forces(asys.dof_map, _known_inputs(inputs, asys.dof_map), config, False)
-    records = _records(asys, config.n_steps + 1)
+    records = _records(asys.dof_map, asys.state_columns, n, config.n_steps + 1)
     m, c, k = asys.mass, asys.damping, asys.stiffness
 
     beta, gamma = 0.25, 0.5  # average acceleration

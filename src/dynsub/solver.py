@@ -74,13 +74,20 @@ monolithic reference does too.  Propagated groups agree with
 Both solvers share one force path, the driven rows of :func:`_global_forces`,
 one coupled step at a time, added onto zeroed DOFs in input order by
 :func:`_force` (a propagated group projects them instead), one record path,
-:class:`_Records`, and one divergence check, :func:`_check_divergence`,
+:func:`_records`, and one divergence check, :func:`_check_divergence`,
 on all groups' coupled states at once (the reference's global state).  A free-step
 group scatters the rows of a window, and the monolithic reference those
 of a step, as they go; a step group writes each member's rows of a window
 into its record in one block.  Neither keeps a whole-run record of its
 stepped state, nor scatters the driven columns into a whole-run force
 table with a column per DOF, nor resamples a table for the whole run.
+Both take ``dofs=`` (:meth:`PartitionedSolver.run`, :func:`simulate` and
+``solve_monolithic``), checked once by :func:`_recorded_dofs`: each
+record, coarse or fine, then holds only the ``[u; v]`` columns of the
+named DOFs, and the :class:`Trajectory` maps each to its column.  Both
+paths of ``dynsub simulate`` and ``run_experiment`` pass the DOFs they
+write (``dynsub.io._exported_dofs``), so the partitioned run of an
+unreduced frame holds no record of every frame DOF either.
 """
 
 from __future__ import annotations
@@ -218,9 +225,10 @@ class Trajectory:
     Sub-cycled substructures additionally record their inner samples in
     ``fine_states`` at spacing dt/ss (the last sample of each window holds the
     coupled state).  ``dof_counts[sub_id]`` is the substructure's DOF count.
-    A record may hold only some of its DOFs: ``_recorded[sub_id]`` then maps
-    each recorded DOF to its column, and ``states[sub_id]`` holds ``[u; v]``
-    of those DOFs alone.  :meth:`displacement` and :meth:`velocity` find a
+    A record may hold only some of its DOFs (a solver's ``dofs=``):
+    ``_recorded[sub_id]`` then maps each recorded DOF to its column, and
+    ``states[sub_id]`` and ``fine_states[sub_id]`` hold ``[u; v]`` of those
+    DOFs alone.  :meth:`displacement` and :meth:`velocity` find a
     DOF's column in either record, and raise SolverError naming the
     substructure and the DOF for one that is not an integer in
     ``[0, dof_counts[sub_id])`` (a bool is refused) or not recorded.
@@ -469,23 +477,22 @@ class _Records:
     """Per-substructure records of a stepped state, written row by row or a block of rows at a time.
 
     ``columns[sid]`` selects a substructure's ``[u; v]`` from the stepped
-    state: index arrays (``dof_counts`` then defaults to half their
-    lengths), or ``slice(None)`` for a state that is one substructure's
-    own.  ``records[rows] = y`` copies each substructure's columns
-    ``y[..., cols]`` of a state, or of a block of states, into those rows
-    of its own record.  ``into`` takes the same writes; for a lone
+    state: index arrays, or ``slice(None)`` for a state that is one
+    substructure's own.  ``records[rows] = y`` copies each substructure's
+    columns ``y[..., cols]`` of a state, or of a block of states, into those
+    rows of its own record.  ``into`` takes the same writes; for a lone
     substructure's state it is the one record, which takes the state as it
     is, with no gather.  ``recorded[sid]``, when given, lists the DOFs whose
-    ``[u; v]`` the columns select, in order, for a record of only some DOFs.
+    ``[u; v]`` the columns select, in order, for a record of only some DOFs;
+    ``dof_columns[sid]`` maps each to its column, as ``Trajectory._recorded``
+    does.  :func:`_records` builds them.
     """
 
-    def __init__(self, columns: Mapping, rows: int, dof_counts: Mapping | None = None,
-                 recorded: Mapping | None = None):
-        self.columns, self.rows = columns, rows
-        self.dof_counts = dof_counts or {sid: len(cols) // 2 for sid, cols in columns.items()}
-        self.recorded = recorded or {}
+    def __init__(self, columns: Mapping, rows: int, dof_counts: Mapping, recorded: Mapping | None = None):
+        self.columns, self.rows, self.dof_counts = columns, rows, dof_counts
+        self.dof_columns = {sid: {int(dof): i for i, dof in enumerate(dofs)} for sid, dofs in (recorded or {}).items()}
         self.states = {
-            sid: np.empty((rows, 2 * self.dof_counts[sid] if isinstance(cols, slice) else len(cols)))
+            sid: np.empty((rows, 2 * dof_counts[sid] if isinstance(cols, slice) else len(cols)))
             for sid, cols in columns.items()
         }
         (sid, cols), *others = columns.items()
@@ -499,8 +506,56 @@ class _Records:
         """The records as a :class:`Trajectory` at spacing ``dt``, with no multipliers."""
         return Trajectory(times=np.arange(self.rows) * dt, states=self.states,
                           multipliers=np.zeros((self.rows, 0)), dof_counts=self.dof_counts,
-                          _recorded={sid: {int(dof): i for i, dof in enumerate(dofs)}
-                                     for sid, dofs in self.recorded.items()})
+                          _recorded=self.dof_columns)
+
+
+def _recorded_dofs(dofs, dof_counts: Mapping) -> dict | None:
+    """``dofs`` checked, as ``{sid: DOFs}`` of every id of ``dof_counts`` (none of an id it leaves out), or None.
+
+    None records every DOF.  Otherwise ``dofs`` must be a mapping whose ids
+    name substructures and whose values list distinct integers in
+    ``[0, dof_counts[sid])`` (a bool is refused); anything else raises
+    :class:`SolverError` naming the substructure and the value.  Both
+    solvers check their ``dofs=`` here, once per run.
+    """
+    if dofs is None:
+        return None
+    if not isinstance(dofs, Mapping):
+        raise SolverError(f"the DOFs to record must map substructure ids to lists of DOFs, got {dofs!r}")
+    for sid in dofs:
+        if sid not in dof_counts:
+            raise SolverError(f"the DOFs to record name no substructure {sid!r}")
+    checked = {}
+    for sid, n in dof_counts.items():
+        try:
+            values, seen = list(dofs.get(sid, ())), set()
+        except TypeError:
+            raise SolverError(f"DOFs to record of substructure {sid!r} must be a list, got {dofs[sid]!r}") from None
+        for dof in values:
+            if not (is_number(dof, integers=True) and 0 <= dof < n):
+                raise SolverError(f"substructure {sid!r} has no DOF {dof!r} to record: its DOFs are 0 to {n - 1}")
+            if dof in seen:
+                raise SolverError(f"substructure {sid!r} DOF {dof!r} is named twice in the DOFs to record")
+            seen.add(dof)
+        checked[sid] = np.array(values, dtype=np.intp)
+    return checked
+
+
+def _records(dof_map: Mapping, columns: Mapping, n: int, rows: int, recorded: Mapping | None = None) -> _Records:
+    """A record, ``rows`` long, per member of a stepped state of ``n`` DOFs: every DOF, or ``recorded[sid]``.
+
+    ``dof_map[sid]`` places a member's DOFs in the state and ``columns[sid]``
+    selects its ``[u; v]``: a step group's or an assembled system's
+    ``dof_map`` and state columns.  ``recorded`` is :func:`_recorded_dofs`
+    of the caller's ``dofs``; the DOFs of ``recorded[sid]`` are recorded, in
+    that order, from the columns ``dof_map[sid][dofs]`` and
+    ``n + dof_map[sid][dofs]``.  Both solvers build every record here.
+    """
+    counts = {sid: len(ids) for sid, ids in dof_map.items()}
+    if recorded is None:
+        return _Records(columns, rows, counts)
+    columns = {sid: np.concatenate([ids[recorded[sid]], n + ids[recorded[sid]]]) for sid, ids in dof_map.items()}
+    return _Records(columns, rows, counts, {sid: recorded[sid] for sid in dof_map})
 
 
 # Largest group, in DOFs, stepped through a precomputed propagator.  A
@@ -720,7 +775,8 @@ class PartitionedSolver:
             ))
         self.interface = steklov_poincare(pairs) if self.n_lam else None
 
-    def run(self, inputs: Mapping | None = None, initial: Mapping | None = None) -> Trajectory:
+    def run(self, inputs: Mapping | None = None, initial: Mapping | None = None,
+            dofs: Mapping | None = None) -> Trajectory:
         """Step the coupled system over the configured horizon.
 
         ``inputs`` maps substructure id to physical force samples, one row
@@ -729,6 +785,9 @@ class PartitionedSolver:
         them on its own grid: coarse samples are linearly interpolated onto
         the inner grid of a sub-cycled one, a coupled step at a time, and
         fine samples are decimated onto the coupled grid of the others.
+        The trajectory holds every DOF of every substructure, or, given
+        ``dofs``, only ``dofs[sid]`` of each (none of an id it leaves out),
+        in ``states`` and ``fine_states`` alike, as ``solve_monolithic``'s.
         """
         cfg = self.config
         n_steps = cfg.n_steps
@@ -736,6 +795,7 @@ class PartitionedSolver:
         inputs = _known_inputs(inputs, self.forms)
         initial = initial or {}
         dof_counts = {sid: form.n_dofs for sid, form in self.forms.items()}
+        recorded = _recorded_dofs(dofs, dof_counts)
 
         # per group: its window of inner states, stepped by its stepper on
         # its driven force rows, and a record per member
@@ -753,7 +813,7 @@ class PartitionedSolver:
                 window[0, 2 * m:len(group.link)] = group.propagator.rates @ window[0, :2 * m]
             advances.append(advance)
             windows.append(window)
-            records.append(_Records(group.rows, n_steps * ss + 1, dof_counts))
+            records.append(_records(group.dofs, group.rows, n, n_steps * ss + 1, recorded))
             records[-1][0] = window[0, :m]
         multipliers = np.zeros((n_steps + 1, self.n_lam))
 
@@ -786,9 +846,10 @@ class PartitionedSolver:
                 first[k][:] = last[k]
             _check_divergence(step, cfg.divergence_limit, *checked)
 
-        states, fine_states, fine_times = {}, {}, {}
+        states, fine_states, fine_times, dof_columns = {}, {}, {}, {}
         for group, record in zip(groups, records):
             ss = group.subcycles
+            dof_columns.update(record.dof_columns)
             for sid, fine in record.states.items():
                 states[sid] = fine[::ss]
                 if ss > 1:
@@ -802,6 +863,7 @@ class PartitionedSolver:
             dof_counts=dof_counts,
             fine_times=fine_times,
             fine_states=fine_states,
+            _recorded=dof_columns,
         )
 
 
@@ -810,12 +872,14 @@ def simulate(
     config: SolverConfig,
     inputs: Mapping | None = None,
     initial: Mapping | None = None,
+    dofs: Mapping | None = None,
 ) -> Trajectory:
     """Co-simulate a coupled system over ``config.duration``.
 
     Convenience wrapper around :class:`PartitionedSolver`; with
     ``config.subcycles > 1`` the system's physical substructures run the
-    sub-cycled inner loop.
+    sub-cycled inner loop.  ``dofs`` selects the recorded DOFs, as in
+    :meth:`PartitionedSolver.run`.
     """
-    return PartitionedSolver(system, config).run(inputs, initial)
+    return PartitionedSolver(system, config).run(inputs, initial, dofs)
 

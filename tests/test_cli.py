@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from dynsub import SolverConfig, assemble_global, solve_monolithic
+from dynsub import SolverConfig, assemble_global, simulate, solve_monolithic
 from dynsub.cli import main
 from dynsub.generators import chain_substructure, frame_analog
 from dynsub.io import (
@@ -366,6 +366,8 @@ class TestReduceCommand:
         expected = np.sqrt(np.clip(scipy.linalg.eigh(sub.stiffness, sub.mass, eigvals_only=True), 0.0, None))
         assert data[0, 1] <= 1e-6
         assert np.abs(data[1:, 1] / expected[1:len(data)] - 1).max() <= 1e-12
+        # the rigid mode's round-off frequency and the reduced 0 compare as equal
+        assert data[0, 2] == 0.0 and data[0, 3] == 0.0
 
     @pytest.mark.parametrize("modes, splits", [(30, True), (31, False)])
     def test_a_cut_inside_a_repeated_frequency_is_reported(self, tmp_path, capsys, modes, splits):
@@ -461,6 +463,37 @@ class TestSimulateCommand:
         traj = solve_monolithic(asys, SolverConfig(**json.loads(cfg.read_text())), inputs)
         expected = tmp_path / "expected.csv"
         save_trajectory_csv(expected, traj, system)
+        assert out.read_bytes() == expected.read_bytes()
+
+    def test_partitioned_run_records_only_the_written_dofs(self, tmp_path, monkeypatch):
+        # the 1000-DOF CSR frame: the CSV holds its four boundary DOFs, so the
+        # writer gets a frame record of 8 columns, not 2000, and writes the
+        # bytes of a run that records every DOF
+        model, sig, out = tmp_path / "model_1000.json", tmp_path / "sig.csv", tmp_path / "part.csv"
+        assert main(["generate-model", "--kind", "frame_analog", "--params", '{"n": 1000}',
+                     "--out", str(model)]) == 0
+        assert main(["generate-signal", "--kind", "multisine",
+                     "--spec", '{"frequencies": [2, 5, 8], "amplitudes": [2, 2, 1], "noise_variance": 0.05}',
+                     "--samples", "51", "--rate", "1000", "--channels", "4", "--seed", "1",
+                     "--out", str(sig)]) == 0
+        cfg = write_config(tmp_path / "cfg.json")
+        written = []
+
+        def save(path, traj, *args, **kwargs):
+            written.append(traj)
+            save_trajectory_csv(path, traj, *args, **kwargs)
+
+        monkeypatch.setattr("dynsub.io.save_trajectory_csv", save)
+        assert main(["simulate", "--model", str(model), "--config", str(cfg),
+                     "--inputs", str(sig), "--out", str(out)]) == 0
+        (traj,) = written
+        assert {sid: record.shape for sid, record in traj.states.items()} == {"frame": (51, 8), "suspension": (51, 16)}
+        system, input_map = load_system(model)
+        whole = simulate(system, SolverConfig(**json.loads(cfg.read_text())),
+                         input_tables(system, input_map, load_signals_csv(sig)[1]))
+        assert whole.states["frame"].shape == (51, 2000)
+        expected = tmp_path / "expected.csv"
+        save_trajectory_csv(expected, whole, system)
         assert out.read_bytes() == expected.read_bytes()
 
     @pytest.mark.parametrize("extra", [[], ["--monolithic"]], ids=["partitioned", "monolithic"])

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from dynsub import frequency_error_table, mac, smoothness, trajectory_mse
+from dynsub.generators import chain_substructure
 from dynsub.metrics import MetricsError
+from dynsub.reduction import full_frequencies, reduce as cb_reduce, reduced_frequencies
 
 
 class TestMac:
@@ -68,6 +70,22 @@ class TestFrequencyErrorTable:
     def test_mode_count_checked(self):
         with pytest.raises(MetricsError):
             frequency_error_table([1.0], [1.0, 2.0], 2)
+
+    def test_a_rigid_mode_at_round_off_compares_as_zero(self):
+        # the free 6-DOF chain: full 1.53e-8 rad/s, reduced 0, which read as a relative error of 1
+        chain = chain_substructure(n=6, grounded=False, boundary_dofs=(5,))
+        full, red = full_frequencies(chain, 4), reduced_frequencies(cb_reduce(chain, 3), 4)
+        assert 0.0 < full[0] <= 1e-6 * full[3] and red[0] == 0.0
+        table = frequency_error_table(full, red, 4)
+        assert table.relative_errors[0] == 0.0
+        # the other modes and the NMSE are those of the unfloored formula, bit for bit
+        assert table.relative_errors[1:].tobytes() == (np.abs(red[1:] - full[1:]) / np.abs(full[1:])).tobytes()
+        assert table.nmse == float(np.mean((red - full) ** 2) / np.mean(full**2))
+        assert table.full.tobytes() == full.tobytes() and table.reduced.tobytes() == red.tobytes()
+
+    def test_a_zero_full_frequency_against_a_nonzero_one_is_their_difference(self):
+        table = frequency_error_table([0.0, 2.0], [1e-3, 2.0], 2)
+        assert table.relative_errors.tolist() == [1e-3, 0.0]
 
 
 class TestTrajectoryMse:

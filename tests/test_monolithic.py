@@ -518,6 +518,49 @@ class TestRecordedDofs:
             with pytest.raises(SolverError, match=re.escape(f"substructure 'frame' DOF {dof!r} is not in the trajectory")):
                 read("frame", dof)
 
+    @pytest.mark.parametrize("solver", ["monolithic", "partitioned"])
+    def test_peak_memory_is_far_below_a_record_of_every_dof(self, solver):
+        # the unreduced 1000-DOF desk system over 0.5 s: a record of every frame
+        # DOF would be 8 MB, the columns the CSV holds are 0.1 MB; the reference
+        # also builds its first-order form and factors inside the call (1.5 MB peak)
+        subs, topo = desk_1000()
+        system = CoupledSystem(substructures=subs, topology=topo)
+        cfg = SolverConfig(dt=1e-3, duration=0.5)
+        inputs = {"suspension": wheel_forces(system, "suspension", np.arange(cfg.n_steps + 1) * cfg.dt)}
+        run = (partial(solve_monolithic, assemble_global(subs, topo, sparse=True), cfg) if solver == "monolithic"
+               else PartitionedSolver(system, cfg).run)
+        tracemalloc.start()
+        try:
+            traj = run(inputs, dofs=_exported_dofs(system))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert {sid: record.shape[1] for sid, record in traj.states.items()} == {"frame": 8, "suspension": 16}
+        frame_record = (cfg.n_steps + 1) * 2 * subs["frame"].n_dofs * 8
+        assert peak < frame_record / 4, (peak, frame_record)
+
+    @pytest.mark.parametrize("solver", ["monolithic", "partitioned"])
+    @pytest.mark.parametrize("dofs, named", [
+        # -1 recorded DOF 199 and mapped it as -1, 500 raised a bare IndexError,
+        # an unknown id was ignored, 1.5 and True recorded DOF 1, and a repeated
+        # DOF recorded two columns
+        ({"frame": [-1]}, "'frame'.* -1 "),
+        ({"frame": [500]}, "'frame'.* 500 "),
+        ({"wheel": [0]}, "'wheel'"),
+        ({"frame": [1.5]}, "'frame'.* 1.5 "),
+        ({"frame": [True]}, "'frame'.* True "),
+        ({"frame": [3, 3]}, "'frame' DOF 3 is named twice"),
+        ({"frame": 3}, "'frame'.* got 3$"),
+        ([3], re.escape("got [3]")),
+    ], ids=["negative", "past_end", "unknown_id", "float", "bool", "repeated", "not_a_list", "not_a_mapping"])
+    def test_bad_dofs_are_refused_naming_them(self, solver, dofs, named):
+        system, asys, cfg, inputs = self.desk(200)
+        with pytest.raises(SolverError, match=named):
+            if solver == "monolithic":
+                solve_monolithic(asys, cfg, inputs, dofs=dofs)
+            else:
+                simulate(system, cfg, inputs, dofs=dofs)
+
     def test_divergence_of_an_unrecorded_dof_is_caught(self):
         # a fast internal frame DOF breaks the limit while every recorded DOF stays far below it
         system, asys, _, inputs = self.desk(200)

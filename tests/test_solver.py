@@ -813,3 +813,52 @@ class TestPropagator:
         # table, which would be 5001 rows of the bank's 8 DOFs (320 KB)
         extra, frame_table = self.peak_beyond_the_records("coupled")
         assert extra < frame_table, (extra, frame_table)
+
+
+class TestRecordedDofs:
+    """``run(..., dofs=)`` records only the named DOFs, the columns a record of every DOF holds."""
+
+    @staticmethod
+    def runs(system, ss, dofs):
+        cfg = SolverConfig(dt=1e-3, duration=0.05, subcycles=ss)
+        times = np.arange(cfg.n_steps * ss + 1) * (cfg.dt / ss)
+        solver = PartitionedSolver(system, cfg)
+        inputs = {"suspension": wheel_forces(system, "suspension", times)}
+        return solver, solver.run(inputs), solver.run(inputs, dofs=dofs)
+
+    @pytest.mark.parametrize("case, ss, groups", [
+        ("desk", 1, [2]),  # one stacked group of the frame and the bank, free steps
+        ("desk", 10, [1, 1]),  # a group of one member each, the bank sub-cycled
+        ("reduced", 10, [1, 1]),  # propagated groups of one member each
+    ])
+    def test_columns_equal_those_of_a_whole_record(self, desk, case, ss, groups):
+        system = desk if case == "desk" else TestPropagator.reduced_desk()
+        n_frame = system.substructures["frame"].n_dofs
+        dofs = {"frame": [n_frame - 1, 0, 7], "suspension": np.array([5, 1])}
+        solver, whole, part = self.runs(system, ss, dofs)
+        assert [len(group.rows) for group in solver._plan] == groups
+        assert part._recorded == {sid: {int(dof): i for i, dof in enumerate(ids)} for sid, ids in dofs.items()}
+        for sid, ids in dofs.items():
+            n = system.substructures[sid].n_dofs
+            columns = np.concatenate([ids, n + np.asarray(ids)])
+            assert part.states[sid].shape == (whole.states[sid].shape[0], 2 * len(ids))
+            assert part.states[sid].tobytes() == whole.states[sid][:, columns].tobytes(), sid
+            for dof in ids:
+                assert part.displacement(sid, dof).tobytes() == whole.displacement(sid, dof).tobytes()
+                assert part.velocity(sid, dof).tobytes() == whole.velocity(sid, dof).tobytes()
+        assert set(part.fine_states) == set(whole.fine_states) == ({"suspension"} if ss > 1 else set())
+        for sid, fine in whole.fine_states.items():
+            n = system.substructures[sid].n_dofs
+            columns = np.concatenate([dofs[sid], n + dofs[sid]])
+            assert part.fine_states[sid].tobytes() == fine[:, columns].tobytes()
+            assert part.fine_times[sid].tobytes() == whole.fine_times[sid].tobytes()
+        assert part.multipliers.tobytes() == whole.multipliers.tobytes()
+        assert part.dof_counts == whole.dof_counts
+
+    def test_unrecorded_dof_is_refused_naming_it(self, desk):
+        _, _, part = self.runs(desk, 10, {"suspension": [0]})
+        # a substructure the selection leaves out is recorded with no DOF at all
+        assert part.states["frame"].shape == (51, 0) and part.fine_states["suspension"].shape == (501, 2)
+        for read, sid, dof in ((part.displacement, "frame", 0), (part.velocity, "suspension", 1)):
+            with pytest.raises(SolverError, match=f"substructure '{sid}' DOF {dof} is not in the trajectory"):
+                read(sid, dof)
