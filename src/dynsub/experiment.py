@@ -28,7 +28,7 @@ import numpy as np
 from . import io as dio
 from .generators import frame_analog
 from .metrics import trajectory_mse
-from .models import ModelError, build_from_fields, number_tuple, require_bools, require_finite, require_numbers
+from .models import ModelError, build_from_fields, number_tuple, require_bools, require_numbers
 from .monolithic import assemble_global, solve_monolithic
 from .reduction import reduce as cb_reduce, reduced_topology
 from .signals import multisine_with_noise_channels
@@ -63,21 +63,18 @@ class ExperimentConfig:
     _solver: SolverConfig = field(init=False, repr=False, compare=False)  # built from dt, duration, gamma, subcycles
 
     def __post_init__(self):
-        require_numbers(ModelError, integers=True, modes=self.modes, seed=self.seed)
-        require_numbers(ModelError, noise_variance=self.noise_variance)
-        require_finite(ModelError, "non-negative", noise_variance=self.noise_variance)
+        require_numbers(ModelError, True, "positive", modes=self.modes)
+        require_numbers(ModelError, True, "non-negative", seed=self.seed)
+        require_numbers(ModelError, False, "non-negative", noise_variance=self.noise_variance)
         require_bools(ModelError, run_monolithic=self.run_monolithic)
         if not isinstance(self.model, Mapping):
             raise ModelError(f"field 'model' must be an object of frame parameters, got {self.model!r}")
-        if self.modes < 1:
-            raise ModelError(f"need at least one retained mode, got {self.modes}")
         try:  # the solver's own rules on dt, duration, gamma and subcycles
             solver = SolverConfig(dt=self.dt, duration=self.duration, gamma=self.gamma, subcycles=self.subcycles)
         except SolverError as exc:
             raise ModelError(str(exc)) from None
         for name in ("sine_frequencies", "sine_amplitudes"):
-            object.__setattr__(self, name, number_tuple(ModelError, name, getattr(self, name)))
-        require_finite(ModelError, sine_frequencies=self.sine_frequencies, sine_amplitudes=self.sine_amplitudes)
+            object.__setattr__(self, name, number_tuple(ModelError, name, getattr(self, name), sign="finite"))
         object.__setattr__(self, "model", dict(self.model))
         object.__setattr__(self, "_solver", solver)
 
@@ -172,7 +169,7 @@ def run_experiment(config: ExperimentConfig, out_dir) -> dict:
         fidelity = {}
         for e, bdof in enumerate(frame.boundary_dofs):
             mse, rel = trajectory_mse(
-                traj_part.displacement("frame", red.n_modes + e),
+                traj_part.displacement("frame", red.reduced_boundary_index(bdof)),
                 traj_mono.displacement("frame", bdof),
             )
             fidelity[f"boundary_{e}"] = {"mse": mse, "relative_mse": rel}

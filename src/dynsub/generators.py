@@ -24,7 +24,7 @@ import numpy as np
 from .coupling import CouplingTopology
 from .models import (
     LinearSubstructure, ModelError, NonlinearSubstructure, SuspensionElement, build_from_fields, matrix_from_entries,
-    rayleigh_damping, require_bools, require_finite, require_numbers,
+    rayleigh_damping, require_bools, require_numbers,
 )
 
 # identified suspension coefficients used throughout the desk experiments
@@ -56,13 +56,10 @@ def chain_matrices(n: int, m: float, k: float, c: float = 0.0, grounded: bool = 
     matrices are dense arrays below ``_SPARSE_MIN_DOFS`` masses and CSR
     arrays from there on.
     """
-    require_numbers(ModelError, True, n=n)
-    require_numbers(ModelError, m=m, k=k, c=c)
-    require_finite(ModelError, "positive", m=m)
-    require_finite(ModelError, "non-negative", k=k, c=c)
+    require_numbers(ModelError, True, "positive", n=n)
+    require_numbers(ModelError, False, "positive", m=m)
+    require_numbers(ModelError, False, "non-negative", k=k, c=c)
     require_bools(ModelError, grounded=grounded)
-    if n < 1:
-        raise ModelError(f"chain needs a positive integer mass count 'n', got {n!r}")
     i = np.arange(n)
     return matrix_from_entries(n, i, i, np.full(n, m, dtype=float)), _springs(n, c, grounded), _springs(n, k, grounded)
 
@@ -91,15 +88,12 @@ def frame_substructure(
     boundary_dofs: tuple | None = None,
 ) -> LinearSubstructure:
     """Grounded chain, every ``heavy_every``-th mass from DOF 0 heavy (0: none), four attachment DOFs by default."""
-    require_numbers(ModelError, True, n=n, heavy_every=heavy_every)
-    require_numbers(ModelError, k=k, m_light=m_light, m_heavy=m_heavy,
-                    rayleigh_alpha=rayleigh_alpha, rayleigh_beta=rayleigh_beta)
-    require_finite(ModelError, "positive", m_light=m_light, m_heavy=m_heavy)
-    require_finite(ModelError, "non-negative", k=k, rayleigh_alpha=rayleigh_alpha, rayleigh_beta=rayleigh_beta)
+    require_numbers(ModelError, True, n=n)
+    require_numbers(ModelError, True, "non-negative", heavy_every=heavy_every)
+    require_numbers(ModelError, False, "positive", m_light=m_light, m_heavy=m_heavy)
+    require_numbers(ModelError, False, "non-negative", k=k, rayleigh_alpha=rayleigh_alpha, rayleigh_beta=rayleigh_beta)
     if n < 8:
         raise ModelError(f"frame analog needs at least 8 DOFs, got {n}")
-    if heavy_every < 0:
-        raise ModelError(f"field 'heavy_every' must be a non-negative integer, got {heavy_every}")
     stiffness = _springs(n, k, grounded=True)
     masses = np.full(n, m_light, dtype=float)
     if heavy_every > 0:
@@ -145,11 +139,10 @@ def frame_analog(
     rayleigh_alpha: float = 0.5,
     rayleigh_beta: float = 1e-5,
     boundary_dofs: tuple | None = None,
-    n_suspensions: int = 4,
     boundary_mass: float = NonlinearSubstructure.boundary_mass,
     suspension_coefficients: dict | None = None,
 ) -> tuple[dict, CouplingTopology]:
-    """Frame plus suspensions plus the topology pairing their interfaces.
+    """Frame plus one suspension per frame boundary DOF plus the topology pairing their interfaces.
 
     Returns ({"frame": ..., "suspension": ...}, topology) with one interface
     constraint per attachment: frame boundary DOF (+) against the matching
@@ -160,20 +153,15 @@ def frame_analog(
         rayleigh_alpha=rayleigh_alpha, rayleigh_beta=rayleigh_beta,
         boundary_dofs=boundary_dofs,
     )
-    require_numbers(ModelError, True, n_suspensions=n_suspensions)
-    if n_suspensions != len(frame.boundary_dofs):
-        raise ModelError(
-            f"{n_suspensions} suspensions need {n_suspensions} frame boundary DOFs, "
-            f"got {len(frame.boundary_dofs)}"
-        )
+    if not frame.boundary_dofs:
+        raise ModelError(f"field 'boundary_dofs' must hold at least one DOF, one per suspension, got {boundary_dofs!r}")
     susp = suspension_substructure(
-        n_elements=n_suspensions,
+        n_elements=len(frame.boundary_dofs),
         boundary_mass=boundary_mass,
         coefficients=suspension_coefficients,
     )
     constraints = tuple(
-        (("frame", frame.boundary_dofs[e], +1), ("suspension", susp.boundary_dofs[e], -1))
-        for e in range(n_suspensions)
+        (("frame", fdof, +1), ("suspension", sdof, -1)) for fdof, sdof in zip(frame.boundary_dofs, susp.boundary_dofs)
     )
     topology = CouplingTopology(constraints=constraints)
     return {"frame": frame, "suspension": susp}, topology

@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import functools
 import inspect
-import math
 import numbers
 import reprlib
 import sys
@@ -84,29 +83,35 @@ def is_number(value, integers: bool = False) -> bool:
     return not isinstance(value, bool) and isinstance(value, numbers.Integral if integers else numbers.Real)
 
 
-def require_numbers(error, integers: bool = False, **fields) -> None:
-    """Raise ``error`` naming the first field that is not a real (or integer) number.
+# the signs a number field may be held to, each on top of being finite
+_SIGNS = {"finite": lambda x: True, "positive": lambda x: x > 0, "non-negative": lambda x: x >= 0}
+
+
+def _broken_rule(value, integers: bool, sign: str | None) -> str | None:
+    """The rule ``value`` breaks, in words such as "number" or "finite positive number"; None if it keeps it."""
+    kind = "integer" if integers else "number"
+    if not is_number(value, integers):
+        return kind
+    # an int is finite; a number field's value must fit a float (compared exactly, where math.isfinite overflows)
+    if sign is None or ((integers or abs(value) <= sys.float_info.max) and _SIGNS[sign](value)):
+        return None
+    return f"{'' if integers else 'finite '}{'' if sign == 'finite' else sign + ' '}{kind}"
+
+
+def require_numbers(error, integers: bool = False, sign: str | None = None, /, **fields) -> None:
+    """Raise ``error`` naming the first field that is not a real (or integer) number of ``sign``.
 
     Booleans and strings are rejected, so a JSON value of the wrong type
-    fails here instead of in arithmetic further on.
+    fails here instead of in arithmetic further on.  With ``sign`` set to
+    ``"finite"``, ``"positive"`` or ``"non-negative"``, the number must
+    also be finite and of that sign, as in ``field 'x' must be a finite
+    positive number, got -1``.  ``integers`` and ``sign`` are passed by
+    position, so that a field may be named ``sign``, as a coupling
+    constraint's is.
     """
     for name, value in fields.items():
-        if not is_number(value, integers):
-            raise error(f"field {name!r} must be {'an integer' if integers else 'a number'}, got {value!r}")
-
-
-def require_finite(error, sign: str = "", **fields) -> None:
-    """Raise ``error`` naming the first number field that is not finite, or not ``"positive"``/``"non-negative"``.
-
-    A tuple field, such as a list of frequencies, is checked entry by entry.
-    """
-    what = f"finite {sign + ' ' if sign else ''}number"
-    for name, value in fields.items():
-        many = isinstance(value, tuple)
-        for entry in value if many else (value,):
-            wrong_sign = (sign == "positive" and entry <= 0) or (sign == "non-negative" and entry < 0)
-            if not math.isfinite(entry) or wrong_sign:
-                raise error(f"field {name!r} must {f'hold only {what}s' if many else f'be a {what}'}, got {entry!r}")
+        if rule := _broken_rule(value, integers, sign):
+            raise error(f"field {name!r} must be {'an' if rule[0] == 'i' else 'a'} {rule}, got {value!r}")
 
 
 def require_bools(error, **fields) -> None:
@@ -116,20 +121,22 @@ def require_bools(error, **fields) -> None:
             raise error(f"field {name!r} must be true or false, got {value!r}")
 
 
-def number_tuple(error, name: str, value, integers: bool = False) -> tuple:
-    """``value`` as a tuple of floats, or of ints if ``integers``; any other value or entry raises ``error``."""
-    what = "integers" if integers else "numbers"
+def number_tuple(error, name: str, value, integers: bool = False, sign: str | None = None) -> tuple:
+    """``value`` as a tuple of floats, or of ints if ``integers``, each held to ``sign`` as in :func:`require_numbers`.
+
+    Any other value, or an entry of another type or sign, raises ``error``.
+    """
     if isinstance(value, (str, bytes, Mapping)) or not isinstance(value, Iterable):
-        raise error(f"field {name!r} must be a list of {what}, got {value!r}")
+        raise error(f"field {name!r} must be a list of {'integers' if integers else 'numbers'}, got {value!r}")
     kind = int if integers else float
 
     def entry(item):
-        if not is_number(item, integers):
-            raise error(f"field {name!r} must be a list of {what}, got entry {item!r}")
+        if rule := _broken_rule(item, integers, sign):
+            raise error(f"field {name!r} must be a list of {rule}s, got entry {item!r}")
         return kind(item)
 
-    # an entry of the wanted type passes on a type test; any other is checked once, as it comes
-    return tuple(item if type(item) is kind else entry(item) for item in value)
+    # without a sign, an entry of the wanted type passes on a type test; any other is checked once, as it comes
+    return tuple(item if sign is None and type(item) is kind else entry(item) for item in value)
 
 
 def is_sparse(matrix) -> bool:
@@ -325,11 +332,9 @@ class SuspensionElement:
     base_excitation_channel: int = 0
 
     def __post_init__(self):
-        coefficients = dict(mass=self.mass, k1=self.k1, c1=self.c1, c2=self.c2, c3=self.c3)
-        require_numbers(ModelError, **coefficients)
+        require_numbers(ModelError, False, "positive", mass=self.mass, c3=self.c3)
+        require_numbers(ModelError, False, "finite", k1=self.k1, c1=self.c1, c2=self.c2)
         require_numbers(ModelError, True, base_excitation_channel=self.base_excitation_channel)
-        require_finite(ModelError, k1=self.k1, c1=self.c1, c2=self.c2)
-        require_finite(ModelError, "positive", mass=self.mass, c3=self.c3)
 
     @property
     def tangent_damping(self) -> float:
@@ -361,9 +366,8 @@ class NonlinearSubstructure:
         for e in elements:
             if not isinstance(e, SuspensionElement):
                 raise ModelError(f"expected SuspensionElement, got {type(e).__name__}")
-        require_numbers(ModelError, boundary_mass=self.boundary_mass)
+        require_numbers(ModelError, False, "positive", boundary_mass=self.boundary_mass)
         require_bools(ModelError, relative_motion=self.relative_motion)
-        require_finite(ModelError, "positive", boundary_mass=self.boundary_mass)
         object.__setattr__(self, "elements", elements)
 
     @property

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import number_tuple, require_finite, require_numbers
+from .models import number_tuple, require_numbers
 
 
 class SignalError(ValueError):
@@ -42,17 +42,12 @@ class SignalSpec:
     def __post_init__(self):
         if self.kind not in ("multisine", "bandlimited_noise"):
             raise SignalError(f"unknown signal kind {self.kind!r}")
-        require_numbers(
-            SignalError, sample_rate=self.sample_rate, variance=self.variance,
-            noise_variance=self.noise_variance,
-        )
-        require_numbers(SignalError, integers=True, seed=self.seed)
-        require_finite(SignalError, "positive", sample_rate=self.sample_rate)
-        require_finite(SignalError, "non-negative", variance=self.variance, noise_variance=self.noise_variance)
+        require_numbers(SignalError, False, "positive", sample_rate=self.sample_rate)
+        require_numbers(SignalError, False, "non-negative", variance=self.variance, noise_variance=self.noise_variance)
+        require_numbers(SignalError, True, "non-negative", seed=self.seed)
         if self.kind == "multisine":
-            freqs = number_tuple(SignalError, "frequencies", self.frequencies)
-            amps = number_tuple(SignalError, "amplitudes", self.amplitudes)
-            require_finite(SignalError, frequencies=freqs, amplitudes=amps)
+            freqs = number_tuple(SignalError, "frequencies", self.frequencies, sign="finite")
+            amps = number_tuple(SignalError, "amplitudes", self.amplitudes, sign="finite")
             if len(freqs) != len(amps):
                 raise SignalError("frequencies and amplitudes must pair up")
             nyquist = self.sample_rate / 2
@@ -61,24 +56,17 @@ class SignalSpec:
             object.__setattr__(self, "frequencies", freqs)
             object.__setattr__(self, "amplitudes", amps)
             if self.phases is not None:
-                phases = number_tuple(SignalError, "phases", self.phases)
-                require_finite(SignalError, phases=phases)
+                phases = number_tuple(SignalError, "phases", self.phases, sign="finite")
                 if len(phases) != len(freqs):
                     raise SignalError("phases must pair up with frequencies")
                 object.__setattr__(self, "phases", phases)
         else:
-            band = number_tuple(SignalError, "band", self.band)
-            require_finite(SignalError, band=band)
-            if len(band) != 2:
-                raise SignalError(f"field 'band' must hold two frequencies, got {len(band)}")
-            lo, hi = band
-            if not 0 <= lo < hi:
-                raise SignalError(f"invalid band ({lo}, {hi})")
-            if hi >= self.sample_rate / 2:
-                raise SignalError(
-                    f"band upper edge {hi} Hz must lie below Nyquist ({self.sample_rate / 2} Hz)"
-                )
-            object.__setattr__(self, "band", (lo, hi))
+            band = number_tuple(SignalError, "band", self.band, sign="non-negative")
+            nyquist = self.sample_rate / 2
+            if len(band) != 2 or not band[0] < band[1] < nyquist:
+                raise SignalError(f"field 'band' must hold two frequencies with 0 <= low < high "
+                                  f"below Nyquist ({nyquist} Hz), got {band}")
+            object.__setattr__(self, "band", band)
 
 
 def generate_signal(spec: SignalSpec, n_samples: int) -> np.ndarray:
@@ -146,11 +134,10 @@ def multisine_with_noise_channels(
 
     The sine content is drawn once from ``seed``, with random phases unless
     ``phases`` are given; channel ``i`` adds white noise from seed
-    ``seed + 1 + i``.  ``noise_variance`` meets the rule of
-    :class:`SignalSpec`: a finite non-negative number.
+    ``seed + 1 + i``.  ``noise_variance`` and ``seed`` meet the rules of
+    :class:`SignalSpec`: a finite non-negative number and a non-negative integer.
     """
-    require_numbers(SignalError, noise_variance=noise_variance)
-    require_finite(SignalError, "non-negative", noise_variance=noise_variance)
+    require_numbers(SignalError, False, "non-negative", noise_variance=noise_variance)
     base_spec = SignalSpec(
         kind="multisine",
         sample_rate=sample_rate,

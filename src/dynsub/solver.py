@@ -158,20 +158,14 @@ class SolverConfig:
     divergence_limit: float = 1e8
 
     def __post_init__(self):
-        require_numbers(SolverError, dt=self.dt, duration=self.duration, gamma=self.gamma,
-                        divergence_limit=self.divergence_limit)
-        require_numbers(SolverError, True, subcycles=self.subcycles)
-        if self.dt <= 0:
-            raise SolverError(f"dt must be positive, got {self.dt}")
+        require_numbers(SolverError, False, "positive", dt=self.dt)
+        require_numbers(SolverError, duration=self.duration, gamma=self.gamma, divergence_limit=self.divergence_limit)
+        require_numbers(SolverError, True, "positive", subcycles=self.subcycles)
         if not 0 < self.gamma <= 1:
             raise SolverError(f"gamma must be in (0, 1], got {self.gamma}")
-        if self.subcycles < 1:
-            raise SolverError(f"subcycles must be a positive integer, got {self.subcycles}")
-        if self.duration <= 0:
-            raise SolverError(f"duration must be positive, got {self.duration}")
         if not self.divergence_limit > 0:  # also rejects nan, which would switch the bound off
             raise SolverError(f"field 'divergence_limit' must be positive, got {self.divergence_limit}")
-        steps = self.duration / self.dt
+        steps = self.duration / self.dt  # the one rule on duration: it also refuses a zero, negative or nan one
         if not math.isfinite(steps) or round(steps) < 1 or abs(steps - round(steps)) > 1e-9 * steps:
             raise SolverError(
                 f"field 'duration' ({self.duration}) must be a whole number of steps of "

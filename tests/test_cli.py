@@ -268,6 +268,12 @@ _COEFFICIENTS = "frame_analog parameters: suspension coefficients"
     (["run-experiment", "--config", "{tmp}/negative_noise.json", "--out-dir", "{tmp}/out"], "noise_variance", None),
     (["run-experiment", "--config", "{tmp}/infinite_noise.json", "--out-dir", "{tmp}/out"], "noise_variance", None),
     (["run-experiment", "--config", "{tmp}/nan_sine.json", "--out-dir", "{tmp}/out"], "sine_frequencies", None),
+    # a negative seed ended in numpy's traceback
+    (["generate-signal", "--samples", "10", "--seed", "-1", "--out", "{tmp}/s.csv", "--spec", '{"band": [0, 200]}'],
+     "seed", None),
+    (["generate-signal", "--kind", "multisine", "--samples", "10", "--seed", "-1", "--out", "{tmp}/s.csv", "--spec",
+      '{"frequencies": [2], "amplitudes": [1]}'], "seed", None),
+    (["run-experiment", "--config", "{tmp}/negative_seed.json", "--out-dir", "{tmp}/out"], "seed", None),
 ], ids=["frame_params", "chain_params", "chain_float_n", "solver_config", "experiment_config",
           "experiment_model", "missing_mass", "system_relative_motion", "system_coupling",
           "solver_config_type", "solver_config_partial_step", "experiment_config_type",
@@ -288,7 +294,8 @@ _COEFFICIENTS = "frame_analog parameters: suspension coefficients"
           "frame_negative_k", "frame_zero_m_light", "frame_negative_m_heavy", "frame_infinite_rayleigh_alpha",
           "chain_negative_k", "chain_zero_m", "signal_nan_frequency", "signal_infinite_amplitude",
           "signal_nan_rate", "signal_nan_noise_variance", "experiment_negative_noise_variance",
-          "experiment_infinite_noise_variance", "experiment_nan_sine_frequency"])
+          "experiment_infinite_noise_variance", "experiment_nan_sine_frequency", "signal_noise_negative_seed",
+          "signal_multisine_negative_seed", "experiment_negative_seed"])
 def test_malformed_input_exits_1_naming_the_field(tmp_path, model_file, capsys, argv, key, edit):
     """``key`` is the name the message must quote, or (location, name) for a location it must also lead with."""
     write_config(tmp_path / "good.json")
@@ -303,6 +310,7 @@ def test_malformed_input_exits_1_naming_the_field(tmp_path, model_file, capsys, 
     (tmp_path / "negative_noise.json").write_text(json.dumps({"noise_variance": -1}))
     (tmp_path / "infinite_noise.json").write_text(json.dumps({"noise_variance": float("inf")}))
     (tmp_path / "nan_sine.json").write_text(json.dumps({"sine_frequencies": [1.5, float("nan")]}))
+    (tmp_path / "negative_seed.json").write_text(json.dumps({"seed": -1}))
     (tmp_path / "modes3.csv").write_text("m0,m1\n1,0\n0,1\n1,1\n")
     (tmp_path / "modes4.csv").write_text("m0,m1\n1,0\n0,1\n1,1\n0,1\n")
     (tmp_path / "text.csv").write_text("time,ch0\n0,1\n0.001,one\n")
@@ -321,6 +329,13 @@ def test_malformed_input_exits_1_naming_the_field(tmp_path, model_file, capsys, 
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {where}") and repr(key) in err and "RuntimeWarning" not in err
+
+
+def test_default_band_error_states_the_rule(tmp_path, capsys):
+    # the default kind's default band (0, 0) used to fail as "invalid band (0.0, 0.0)"
+    assert main(["generate-signal", "--samples", "5", "--out", str(tmp_path / "s.csv")]) == 1
+    err = capsys.readouterr().err
+    assert "field 'band' must hold two frequencies with 0 <= low < high below Nyquist (500.0 Hz)" in err
 
 
 @pytest.mark.parametrize("extra", [[], ["--monolithic"], ["--subcycles", "10"]],

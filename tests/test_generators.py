@@ -91,6 +91,13 @@ class TestParameters:
         assert frame.boundary_dofs == (39, 9, 19, 29)
         assert frame.internal_dofs == tuple(i for i in range(40) if i not in (9, 19, 29, 39))
 
+    def test_one_suspension_per_frame_boundary_dof(self):
+        subs, topology = frame_analog(n=40, boundary_dofs=(39, 9, 19))
+        assert subs["suspension"].n_elements == 3
+        assert [(frame[1], susp[1]) for frame, susp in topology.constraints] == [(39, 3), (9, 4), (19, 5)]
+        with pytest.raises(ModelError, match="'boundary_dofs'"):
+            frame_analog(n=40, boundary_dofs=())
+
     @pytest.mark.parametrize("heavy_every, heavy", [(0, []), (8, [0, 8, 16, 24, 32]), (50, [0])])
     def test_every_heavy_every_th_mass_is_heavy(self, heavy_every, heavy):
         masses = np.diag(frame_substructure(n=40, heavy_every=heavy_every).mass)

@@ -20,9 +20,12 @@ from dynsub import (
 )
 
 from dynsub import reduce as cb_reduce
-from dynsub.generators import frame_analog, frame_substructure
+from dynsub.experiment import ExperimentConfig
+from dynsub.generators import chain_matrices, frame_analog, frame_substructure
 from dynsub.io import load_system, save_system
-from dynsub.models import restoring_force
+from dynsub.models import number_tuple, require_numbers, restoring_force
+from dynsub.signals import SignalError, SignalSpec, multisine_with_noise_channels
+from dynsub.solver import SolverConfig, SolverError
 
 from conftest import FORCE_LAW_KINDS, first_order_forms, two_bank_forms
 
@@ -451,3 +454,78 @@ class TestNonzeros:
             assemble_global(subs, topology, sparse=True)
             cb_reduce(subs["frame"], 30)
             assert scanned.count((n, n)) == scans, n
+
+
+_NAN, _INF = float("nan"), float("inf")
+_BAD = {
+    "positive": (0, -1, _NAN, _INF, True, "x"),
+    "non-negative": (-1, _NAN, _INF, True, "x"),
+    "finite": (_NAN, _INF, True, "x"),
+}
+_LIST_FIELDS = ("frequencies", "amplitudes", "phases", "band", "sine_frequencies", "sine_amplitudes")
+
+
+def _number_fields():
+    """One case per range-checked number field and bad value: (name, error, build, value)."""
+    multisine = dict(kind="multisine", sample_rate=100.0, frequencies=(2.0,), amplitudes=(1.0,))
+    noise = dict(kind="bandlimited_noise", sample_rate=100.0, band=(0.0, 20.0))
+    channels = dict(n_channels=2, n_samples=5, sample_rate=100.0, frequencies=[2.0], amplitudes=[1.0],
+                    noise_variance=0.1)
+    owners = {  # owner: (its error, a build from one field, {field: rule})
+        "SuspensionElement": (ModelError, lambda **f: SuspensionElement(**{**COEFF, **f}), dict(
+            mass="positive", c3="positive", k1="finite", c1="finite", c2="finite")),
+        "NonlinearSubstructure": (ModelError, lambda **f: NonlinearSubstructure((SuspensionElement(**COEFF),), **f),
+                                  dict(boundary_mass="positive")),
+        "chain_matrices": (ModelError, lambda **f: chain_matrices(**{"n": 3, "m": 1.0, "k": 1.0, **f}), dict(
+            n="positive", m="positive", k="non-negative", c="non-negative")),
+        "frame_substructure": (ModelError, lambda **f: frame_substructure(n=16, **f), dict(
+            heavy_every="non-negative", m_light="positive", m_heavy="positive", k="non-negative",
+            rayleigh_alpha="non-negative", rayleigh_beta="non-negative")),
+        "SignalSpec_multisine": (SignalError, lambda **f: SignalSpec(**{**multisine, **f}), dict(
+            sample_rate="positive", noise_variance="non-negative", seed="non-negative", frequencies="finite",
+            amplitudes="finite", phases="finite")),
+        "SignalSpec_noise": (SignalError, lambda **f: SignalSpec(**{**noise, **f}), dict(
+            variance="non-negative", band="non-negative")),
+        "multisine_with_noise_channels": (SignalError, lambda **f: multisine_with_noise_channels(**{**channels, **f}),
+                                          dict(noise_variance="non-negative", seed="non-negative")),
+        "ExperimentConfig": (ModelError, ExperimentConfig, dict(
+            modes="positive", seed="non-negative", noise_variance="non-negative", sine_frequencies="finite",
+            sine_amplitudes="finite")),
+        "SolverConfig": (SolverError, lambda **f: SolverConfig(**{"dt": 1e-3, "duration": 1.0, **f}), dict(
+            dt="positive", duration="positive", subcycles="positive")),
+    }
+    return [pytest.param(name, error, build, (bad, 20.0) if name in _LIST_FIELDS else bad, id=f"{owner}-{name}-{bad!r}")
+            for owner, (error, build, rules) in owners.items() for name, rule in rules.items() for bad in _BAD[rule]]
+
+
+class TestNumberFields:
+    """Each number field is checked once, for its type, finiteness and sign, and the error names it."""
+
+    @pytest.mark.parametrize("name, error, build, bad", _number_fields())
+    def test_bad_value_refused_naming_the_field(self, name, error, build, bad):
+        with pytest.raises(error, match=f"field {name!r}"):
+            build(**{name: bad})
+
+    @pytest.mark.parametrize("integers, sign, value, message", [
+        (False, "positive", -1, "field 'x' must be a finite positive number, got -1"),
+        (False, "non-negative", float("nan"), "field 'x' must be a finite non-negative number, got nan"),
+        (False, "finite", float("inf"), "field 'x' must be a finite number, got inf"),
+        (False, "positive", "1", "field 'x' must be a number, got '1'"),
+        (True, "positive", 0, "field 'x' must be a positive integer, got 0"),
+        (True, "non-negative", 1.0, "field 'x' must be an integer, got 1.0"),
+    ], ids=["negative", "nan", "infinite", "string", "zero_integer", "float_integer"])
+    def test_one_message_form(self, integers, sign, value, message):
+        with pytest.raises(ValueError) as raised:
+            require_numbers(ValueError, integers, sign, x=value)
+        assert str(raised.value) == message
+
+    def test_an_int_beyond_the_float_range(self):
+        # an integer field takes it, as numpy takes it for a seed; a number field has no float for it
+        require_numbers(ValueError, True, "non-negative", x=10**400)
+        with pytest.raises(ValueError, match="field 'x' must be a finite positive number, got 1000"):
+            require_numbers(ValueError, False, "positive", x=10**400)
+
+    def test_list_entries_meet_the_sign(self):
+        assert number_tuple(ValueError, "xs", [0, 2.5], sign="non-negative") == (0.0, 2.5)
+        with pytest.raises(ValueError, match="field 'xs' must be a list of finite non-negative numbers, got entry -1"):
+            number_tuple(ValueError, "xs", [0, -1], sign="non-negative")
