@@ -34,6 +34,7 @@ import dataclasses
 import functools
 import json
 import warnings
+import zipfile
 from collections.abc import Mapping
 from pathlib import Path
 
@@ -225,7 +226,16 @@ def save_reduction(path, red: CraigBamptonReduction) -> None:
 
 
 def load_reduction(path) -> CraigBamptonReduction:
-    with np.load(path) as data:
+    """Read a :func:`save_reduction` file; one that is no npz archive or lacks a field raises ModelError naming it."""
+    try:
+        data = np.load(path)  # refused pickled data: ValueError; an empty file: EOFError; a cut archive: BadZipFile
+    except (ValueError, EOFError, zipfile.BadZipFile):
+        data = None
+    if not isinstance(data, np.lib.npyio.NpzFile):
+        raise ModelError(f"reduction file {str(path)!r} is not an npz archive")
+    with data:
+        if missing := [name for name in _REDUCTION_FIELDS if name not in data.files]:
+            raise ModelError(f"reduction file {str(path)!r}: field {missing[0]!r} is missing")
         record = {name: data[name] for name in _REDUCTION_FIELDS}
     for name in _DOF_FIELDS:
         record[name] = tuple(int(x) for x in record[name])

@@ -93,7 +93,10 @@ def _broken_rule(value, integers: bool, sign: str | None) -> str | None:
     if not is_number(value, integers):
         return kind
     # an int is finite; a number field's value must fit a float (compared exactly, where math.isfinite overflows)
-    if sign is None or ((integers or abs(value) <= sys.float_info.max) and _SIGNS[sign](value)):
+    fits = integers or abs(value) <= sys.float_info.max
+    if sign is None:  # a float inf or nan passes, for the field's owner to judge
+        return None if fits or not isinstance(value, numbers.Integral) else "float-range number"
+    if fits and _SIGNS[sign](value):
         return None
     return f"{'' if integers else 'finite '}{'' if sign == 'finite' else sign + ' '}{kind}"
 
@@ -105,9 +108,11 @@ def require_numbers(error, integers: bool = False, sign: str | None = None, /, *
     fails here instead of in arithmetic further on.  With ``sign`` set to
     ``"finite"``, ``"positive"`` or ``"non-negative"``, the number must
     also be finite and of that sign, as in ``field 'x' must be a finite
-    positive number, got -1``.  ``integers`` and ``sign`` are passed by
-    position, so that a field may be named ``sign``, as a coupling
-    constraint's is.
+    positive number, got -1``.  Without a sign a number field still
+    refuses an int that no float holds, such as a JSON integer of 400
+    digits, while a float inf or nan passes.  ``integers`` and ``sign``
+    are passed by position, so that a field may be named ``sign``, as a
+    coupling constraint's is.
     """
     for name, value in fields.items():
         if rule := _broken_rule(value, integers, sign):

@@ -15,23 +15,17 @@ baseline for a banded frame, and the CLI follows the model's storage
 (``S``, the starting rate's ``M`` and the Newmark effective stiffness) is
 factorized once by :func:`~dynsub.coupling._factorize`: LAPACK LU for the
 dense assembly, SuperLU for the sparse one, under one singularity rule.
-Forces and records take the partitioned solver's paths
-(:mod:`dynsub.solver`): of the forces only the driven DOFs' rows are held,
-scattered onto the global DOFs one step at a time in input order, and each
-step writes every substructure's ``[u; v]`` columns of the global state
-into that substructure's own record.  ``solve_monolithic(..., dofs=)``
-takes the ``dofs=`` of the partitioned solver, checked by the same
-:func:`~dynsub.solver._recorded_dofs`, and records, through the same
-:func:`~dynsub.solver._records`, only the DOFs it names, at the columns
-``dof_map[sid][dofs]`` and ``n + dof_map[sid][dofs]``; ``run_experiment``
-and both paths of ``dynsub simulate`` pass the DOFs they write
-(:func:`dynsub.io._exported_dofs`), while the divergence check
-(:func:`~dynsub.solver._check_divergence`, the partitioned solver's too)
-still sees the whole state; it names the substructure and the DOF of the
-value that broke the limit through ``dof_map``.  On the default desk run
-that record is 24 columns instead of 2000.  A Newmark
-average-acceleration variant (dense only) and the closed-form damped SDOF
-solution serve as independent cross-checks.
+
+This module holds the kernels only.  Both references, ``solve_monolithic``
+and the Newmark average-acceleration variant (dense only), hand one loop,
+:func:`~dynsub.solver._step_assembled`, a step
+``(y, ydot, force) -> (y, ydot)`` on this module's own bindings.  The
+loop scatters the forces, starts, records and checks the state on the
+partitioned solver's paths.  ``solve_monolithic(..., dofs=)`` records
+only the DOFs it names, as ``run_experiment`` and ``dynsub simulate`` ask
+(:func:`dynsub.io._exported_dofs`): 24 columns instead of 2000 on the
+default desk run.  The closed-form damped SDOF solution is a third,
+independent cross-check.
 """
 
 from __future__ import annotations
@@ -44,20 +38,7 @@ import numpy as np
 # step groups with it too, and the reference's users import it from here
 from .coupling import AssembledSystem, _factorize, assemble_global
 from .models import ModelError
-from .solver import (
-    SolverConfig,
-    SolverError,
-    Trajectory,
-    _check_divergence,
-    _force,
-    _global_forces,
-    _known_inputs,
-    _recorded_dofs,
-    _records,
-    _start,
-    effective_matrix,
-    free_step,
-)
+from .solver import SolverConfig, SolverError, Trajectory, _step_assembled, effective_matrix, free_step
 
 
 def solve_monolithic(
@@ -76,21 +57,10 @@ def solve_monolithic(
     The trajectory holds every DOF of every substructure, or, given
     ``dofs``, only ``dofs[sid]`` of each (none of an id it leaves out).
     """
-    dt, gamma = config.dt, config.gamma
-    force_ids, first, forces = _global_forces(asys.dof_map, _known_inputs(inputs, asys.dof_map), config, False)
-    recorded = _recorded_dofs(dofs, {sid: len(ids) for sid, ids in asys.dof_map.items()})
-    records = _records(asys.dof_map, asys.state_columns, asys.n_dofs, config.n_steps + 1, recorded)
-    form = asys.first_order()
-    n = form.n_dofs
+    form, dt, gamma = asys.first_order(), config.dt, config.gamma
     d = effective_matrix(form, dt, gamma)
-    y, ydot = _start(form, initial, _force(force_ids, first, n), "the assembled system")
-    records[0] = y
-    for step in range(1, config.n_steps + 1):
-        y, ydot = free_step(form, d, y, ydot, _force(force_ids, forces(step)[0], n), dt, gamma)
-        records[step] = y
-        _check_divergence(step, config.divergence_limit, (y, asys.dof_map))
-
-    return records.trajectory(dt)
+    return _step_assembled(asys, config, inputs, initial, dofs,
+                           lambda y, ydot, force: free_step(form, d, y, ydot, force, dt, gamma))
 
 
 def solve_newmark(
@@ -98,15 +68,12 @@ def solve_newmark(
     config: SolverConfig,
     inputs: Mapping | None = None,
 ) -> Trajectory:
-    """Newmark average-acceleration oracle on a linear assembled system."""
-    form = asys.first_order()
-    if len(form.rates):
+    """Newmark average-acceleration oracle on a linear assembled system; its rate ``[v; a]`` carries ``a``."""
+    if len(asys.first_order().rates):
         raise ModelError("the Newmark oracle supports linear assembled systems only")
     if not isinstance(asys.mass, np.ndarray):
         raise ModelError("the Newmark oracle needs a dense assembly (sparse=False)")
     n, dt = asys.n_dofs, config.dt
-    force_ids, first, forces = _global_forces(asys.dof_map, _known_inputs(inputs, asys.dof_map), config, False)
-    records = _records(asys.dof_map, asys.state_columns, n, config.n_steps + 1)
     m, c, k = asys.mass, asys.damping, asys.stiffness
 
     beta, gamma = 0.25, 0.5  # average acceleration
@@ -117,21 +84,14 @@ def solve_newmark(
     k_eff = k + a0 * m + a1 * c
     solve = _factorize(k_eff, lambda: SolverError(f"Newmark effective stiffness singular for dt={dt}"))
 
-    y, ydot = _start(form, None, _force(force_ids, first, n), "the assembled system")
-    u, v, acc = y[:n], y[n:], ydot[n:]
-    records[0] = y
-    for step in range(1, config.n_steps + 1):
-        f = _force(force_ids, forces(step)[0], n)
-        f_eff = f + m @ (a0 * u + a2 * v + a3 * acc) + c @ (a1 * u + a4 * v + a5 * acc)
-        u_new = solve(f_eff)
+    def step(y, ydot, f):
+        u, v, acc = y[:n], y[n:], ydot[n:]
+        u_new = solve(f + m @ (a0 * u + a2 * v + a3 * acc) + c @ (a1 * u + a4 * v + a5 * acc))
         acc_new = a0 * (u_new - u) - a2 * v - a3 * acc
-        v = v + a6 * acc + a7 * acc_new
-        u, acc = u_new, acc_new
-        y = np.concatenate([u, v])
-        records[step] = y
-        _check_divergence(step, config.divergence_limit, (y, asys.dof_map))
+        v_new = v + a6 * acc + a7 * acc_new
+        return np.concatenate([u_new, v_new]), np.concatenate([v_new, acc_new])
 
-    return records.trajectory(dt)
+    return _step_assembled(asys, config, inputs, None, None, step)
 
 
 def analytic_sdof(

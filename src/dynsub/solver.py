@@ -71,22 +71,25 @@ step, because their dense ``Phi`` costs more than the solve; the
 monolithic reference does too.  Propagated groups agree with
 :func:`free_step` stepping to round-off, about 1e-14 of the state scale.
 
-Both solvers share one force path, the driven rows of :func:`_global_forces`,
-one coupled step at a time, added onto zeroed DOFs in input order by
-:func:`_force` (a propagated group projects them instead), one record path,
-:func:`_records`, and one divergence check, :func:`_check_divergence`,
-on all groups' coupled states at once (the reference's global state).  A free-step
-group scatters the rows of a window, and the monolithic reference those
-of a step, as they go; a step group writes each member's rows of a window
-into its record in one block.  Neither keeps a whole-run record of its
+Every solver shares one force path, the driven rows of
+:func:`_global_forces`, one coupled step at a time, added onto zeroed DOFs
+in input order by :func:`_force` (a propagated group projects them
+instead), one record path, :func:`_records`, one divergence check,
+:func:`_check_divergence`, on all groups' coupled states at once (a
+reference's global state), and one :class:`Trajectory` builder,
+:func:`_trajectory`.  Both references of :mod:`dynsub.monolithic` step
+through :func:`_step_assembled`, each with its own kernel.  A free-step
+group scatters the rows of a window, and a reference those of a step, as
+they go; a step group writes each member's rows of a window into its
+record in one block.  None keeps a whole-run record of its
 stepped state, nor scatters the driven columns into a whole-run force
 table with a column per DOF, nor resamples a table for the whole run.
-Both take ``dofs=`` (:meth:`PartitionedSolver.run`, :func:`simulate` and
-``solve_monolithic``), checked once by :func:`_recorded_dofs`: each
-record, coarse or fine, then holds only the ``[u; v]`` columns of the
-named DOFs, and the :class:`Trajectory` maps each to its column.  Both
-paths of ``dynsub simulate`` and ``run_experiment`` pass the DOFs they
-write (``dynsub.io._exported_dofs``), so the partitioned run of an
+The partitioned solver and ``solve_monolithic`` take ``dofs=``, checked
+once by :func:`_recorded_dofs`: each record, coarse or fine, then holds
+only the ``[u; v]`` columns of the named DOFs, and the
+:class:`Trajectory` maps each to its column.  Both paths of ``dynsub
+simulate`` and ``run_experiment`` pass the DOFs they write
+(``dynsub.io._exported_dofs``), so the partitioned run of an
 unreduced frame holds no record of every frame DOF either.
 """
 
@@ -223,9 +226,10 @@ class Trajectory:
     ``_recorded[sub_id]`` then maps each recorded DOF to its column, and
     ``states[sub_id]`` and ``fine_states[sub_id]`` hold ``[u; v]`` of those
     DOFs alone.  :meth:`displacement` and :meth:`velocity` find a
-    DOF's column in either record, and raise SolverError naming the
-    substructure and the DOF for one that is not an integer in
-    ``[0, dof_counts[sub_id])`` (a bool is refused) or not recorded.
+    DOF's column in either record.  They raise SolverError naming an id
+    that is not in the trajectory, or the substructure and the DOF for one
+    that is not an integer in ``[0, dof_counts[sub_id])`` (a bool is
+    refused) or not recorded.
     """
 
     times: np.ndarray
@@ -242,6 +246,8 @@ class Trajectory:
 
     def _column(self, sub_id, dof) -> int:
         """Column of ``dof``'s displacement in ``states[sub_id]``; its velocity is half a row further on."""
+        if sub_id not in self.states:
+            raise SolverError(f"substructure {sub_id!r} is not in the trajectory, which holds {list(self.states)}")
         recorded = self._recorded.get(sub_id)
         if is_number(dof, integers=True) and 0 <= dof < self.dof_counts[sub_id]:
             if recorded is None:
@@ -252,11 +258,13 @@ class Trajectory:
         raise SolverError(f"substructure {sub_id!r} DOF {dof!r} is not in the trajectory, which holds {held}")
 
     def displacement(self, sub_id, dof: int) -> np.ndarray:
-        return self.states[sub_id][:, self._column(sub_id, dof)]
+        column = self._column(sub_id, dof)
+        return self.states[sub_id][:, column]
 
     def velocity(self, sub_id, dof: int) -> np.ndarray:
+        column = self._column(sub_id, dof)
         record = self.states[sub_id]
-        return record[:, record.shape[1] // 2 + self._column(sub_id, dof)]
+        return record[:, record.shape[1] // 2 + column]
 
 
 @dataclass(frozen=True)
@@ -479,11 +487,12 @@ class _Records:
     is, with no gather.  ``recorded[sid]``, when given, lists the DOFs whose
     ``[u; v]`` the columns select, in order, for a record of only some DOFs;
     ``dof_columns[sid]`` maps each to its column, as ``Trajectory._recorded``
-    does.  :func:`_records` builds them.
+    does.  :func:`_records` builds them, and :func:`_trajectory` returns
+    them.
     """
 
     def __init__(self, columns: Mapping, rows: int, dof_counts: Mapping, recorded: Mapping | None = None):
-        self.columns, self.rows, self.dof_counts = columns, rows, dof_counts
+        self.columns, self.dof_counts = columns, dof_counts
         self.dof_columns = {sid: {int(dof): i for i, dof in enumerate(dofs)} for sid, dofs in (recorded or {}).items()}
         self.states = {
             sid: np.empty((rows, 2 * dof_counts[sid] if isinstance(cols, slice) else len(cols)))
@@ -495,12 +504,6 @@ class _Records:
     def __setitem__(self, rows, y: np.ndarray) -> None:
         for sid, cols in self.columns.items():
             self.states[sid][rows] = y[..., cols]
-
-    def trajectory(self, dt: float) -> Trajectory:
-        """The records as a :class:`Trajectory` at spacing ``dt``, with no multipliers."""
-        return Trajectory(times=np.arange(self.rows) * dt, states=self.states,
-                          multipliers=np.zeros((self.rows, 0)), dof_counts=self.dof_counts,
-                          _recorded=self.dof_columns)
 
 
 def _recorded_dofs(dofs, dof_counts: Mapping) -> dict | None:
@@ -550,6 +553,46 @@ def _records(dof_map: Mapping, columns: Mapping, n: int, rows: int, recorded: Ma
         return _Records(columns, rows, counts)
     columns = {sid: np.concatenate([ids[recorded[sid]], n + ids[recorded[sid]]]) for sid, ids in dof_map.items()}
     return _Records(columns, rows, counts, {sid: recorded[sid] for sid in dof_map})
+
+
+def _trajectory(config: SolverConfig, records, multipliers: np.ndarray) -> Trajectory:
+    """The :class:`Trajectory` of a run's multipliers and records, each ``(record, ss)`` of ``ss`` rows per step.
+
+    Every ``ss``-th row is a coupled state; a sub-cycled record is also
+    kept whole, as the fine record at spacing ``dt/ss``.  Every solver's
+    trajectory is built here, a reference's from one record at ``ss = 1``.
+    """
+    traj = Trajectory(np.arange(config.n_steps + 1) * config.dt, {}, multipliers, {})
+    for record, ss in records:
+        traj.dof_counts.update(record.dof_counts)
+        traj._recorded.update(record.dof_columns)
+        for sid, fine in record.states.items():
+            traj.states[sid] = fine[::ss]
+            if ss > 1:
+                traj.fine_states[sid] = fine
+                traj.fine_times[sid] = np.arange(len(fine), dtype=float)
+                traj.fine_times[sid] *= config.dt / ss  # in place: no second whole-run grid
+    return traj
+
+
+def _step_assembled(asys, config: SolverConfig, inputs, initial, dofs, step: Callable) -> Trajectory:
+    """Step an assembled system's state ``y = [u; v]`` with ``step(y, ydot, force) -> (y, ydot)``: the references' loop.
+
+    ``asys`` is an :class:`~dynsub.coupling.AssembledSystem`.  Forces,
+    start, records and divergence check take the partitioned solver's
+    paths; the check sees the whole state whatever ``dofs`` records.
+    """
+    n, dof_map = asys.n_dofs, asys.dof_map
+    force_ids, first, rows = _global_forces(dof_map, _known_inputs(inputs, dof_map), config, False)
+    recorded = _recorded_dofs(dofs, {sid: len(ids) for sid, ids in dof_map.items()})
+    records = _records(dof_map, asys.state_columns, n, config.n_steps + 1, recorded)
+    y, ydot = _start(asys.first_order(), initial, _force(force_ids, first, n), "the assembled system")
+    records[0] = y
+    for k in range(1, config.n_steps + 1):
+        y, ydot = step(y, ydot, _force(force_ids, rows(k)[0], n))
+        records[k] = y
+        _check_divergence(k, config.divergence_limit, (y, dof_map))
+    return _trajectory(config, [(records, 1)], np.zeros((config.n_steps + 1, 0)))
 
 
 # Largest group, in DOFs, stepped through a precomputed propagator.  A
@@ -788,8 +831,7 @@ class PartitionedSolver:
         groups = self._plan
         inputs = _known_inputs(inputs, self.forms)
         initial = initial or {}
-        dof_counts = {sid: form.n_dofs for sid, form in self.forms.items()}
-        recorded = _recorded_dofs(dofs, dof_counts)
+        recorded = _recorded_dofs(dofs, {sid: form.n_dofs for sid, form in self.forms.items()})
 
         # per group: its window of inner states, stepped by its stepper on
         # its driven force rows, and a record per member
@@ -840,25 +882,7 @@ class PartitionedSolver:
                 first[k][:] = last[k]
             _check_divergence(step, cfg.divergence_limit, *checked)
 
-        states, fine_states, fine_times, dof_columns = {}, {}, {}, {}
-        for group, record in zip(groups, records):
-            ss = group.subcycles
-            dof_columns.update(record.dof_columns)
-            for sid, fine in record.states.items():
-                states[sid] = fine[::ss]
-                if ss > 1:
-                    fine_states[sid] = fine
-                    fine_times[sid] = np.arange(n_steps * ss + 1, dtype=float)
-                    fine_times[sid] *= cfg.dt / ss  # in place: no second whole-run grid
-        return Trajectory(
-            times=np.arange(n_steps + 1) * cfg.dt,
-            states=states,
-            multipliers=multipliers,
-            dof_counts=dof_counts,
-            fine_times=fine_times,
-            fine_states=fine_states,
-            _recorded=dof_columns,
-        )
+        return _trajectory(cfg, zip(records, subcycles), multipliers)
 
 
 def simulate(

@@ -274,6 +274,16 @@ _COEFFICIENTS = "frame_analog parameters: suspension coefficients"
     (["generate-signal", "--kind", "multisine", "--samples", "10", "--seed", "-1", "--out", "{tmp}/s.csv", "--spec",
       '{"frequencies": [2], "amplitudes": [1]}'], "seed", None),
     (["run-experiment", "--config", "{tmp}/negative_seed.json", "--out-dir", "{tmp}/out"], "seed", None),
+    # an int that no float holds overflowed in duration/dt
+    (["simulate", "--model", "{model}", "--config", "{tmp}/huge_duration.json", "--out", "{tmp}/t.csv"],
+     "duration", None),
+    # a reduction that is no npz archive, or that lacks a field, ended in numpy's traceback
+    (["compare", "mac", "--full", "{tmp}/text.npz", "--reduced", "{tmp}/modes3.csv", "--out", "{tmp}/mac.csv"],
+     "{tmp}/text.npz", None),
+    (["compare", "mac", "--full", "{tmp}/cut.npz", "--reduced", "{tmp}/modes3.csv", "--out", "{tmp}/mac.csv"],
+     "{tmp}/cut.npz", None),
+    (["compare", "mac", "--full", "{tmp}/partial.npz", "--reduced", "{tmp}/modes3.csv", "--out", "{tmp}/mac.csv"],
+     ("reduction file '{tmp}/partial.npz'", "reduced_mass"), None),
 ], ids=["frame_params", "chain_params", "chain_float_n", "solver_config", "experiment_config",
           "experiment_model", "missing_mass", "system_relative_motion", "system_coupling",
           "solver_config_type", "solver_config_partial_step", "experiment_config_type",
@@ -295,9 +305,13 @@ _COEFFICIENTS = "frame_analog parameters: suspension coefficients"
           "chain_negative_k", "chain_zero_m", "signal_nan_frequency", "signal_infinite_amplitude",
           "signal_nan_rate", "signal_nan_noise_variance", "experiment_negative_noise_variance",
           "experiment_infinite_noise_variance", "experiment_nan_sine_frequency", "signal_noise_negative_seed",
-          "signal_multisine_negative_seed", "experiment_negative_seed"])
+          "signal_multisine_negative_seed", "experiment_negative_seed", "solver_config_huge_duration",
+          "compare_mac_not_an_npz", "compare_mac_cut_npz", "compare_mac_missing_field"])
 def test_malformed_input_exits_1_naming_the_field(tmp_path, model_file, capsys, argv, key, edit):
-    """``key`` is the name the message must quote, or (location, name) for a location it must also lead with."""
+    """``key`` is the name the message must quote, or (location, name) for a location it must also lead with.
+
+    ``{tmp}`` in either stands for the test's directory.
+    """
     write_config(tmp_path / "good.json")
     write_config(tmp_path / "nan_limit.json", divergence_limit=float("nan"))
     write_config(tmp_path / "negative_limit.json", divergence_limit=-1.0)
@@ -311,6 +325,10 @@ def test_malformed_input_exits_1_naming_the_field(tmp_path, model_file, capsys, 
     (tmp_path / "infinite_noise.json").write_text(json.dumps({"noise_variance": float("inf")}))
     (tmp_path / "nan_sine.json").write_text(json.dumps({"sine_frequencies": [1.5, float("nan")]}))
     (tmp_path / "negative_seed.json").write_text(json.dumps({"seed": -1}))
+    write_config(tmp_path / "huge_duration.json", duration=10**400)
+    (tmp_path / "text.npz").write_text("not an archive\n")
+    np.savez(tmp_path / "partial.npz", transform=np.eye(2))
+    (tmp_path / "cut.npz").write_bytes((tmp_path / "partial.npz").read_bytes()[:100])
     (tmp_path / "modes3.csv").write_text("m0,m1\n1,0\n0,1\n1,1\n")
     (tmp_path / "modes4.csv").write_text("m0,m1\n1,0\n0,1\n1,1\n0,1\n")
     (tmp_path / "text.csv").write_text("time,ch0\n0,1\n0.001,one\n")
@@ -325,7 +343,7 @@ def test_malformed_input_exits_1_naming_the_field(tmp_path, model_file, capsys, 
     if edit is not None:
         edit(model_file)
     argv = [a.replace("{tmp}", str(tmp_path)).replace("{model}", str(model_file)) for a in argv]
-    where, key = key if isinstance(key, tuple) else ("", key.replace("{tmp}", str(tmp_path)))
+    where, key = (part.replace("{tmp}", str(tmp_path)) for part in (key if isinstance(key, tuple) else ("", key)))
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {where}") and repr(key) in err and "RuntimeWarning" not in err

@@ -524,6 +524,9 @@ class TestNumberFields:
         require_numbers(ValueError, True, "non-negative", x=10**400)
         with pytest.raises(ValueError, match="field 'x' must be a finite positive number, got 1000"):
             require_numbers(ValueError, False, "positive", x=10**400)
+        with pytest.raises(ValueError, match="field 'x' must be a float-range number, got 1000"):
+            require_numbers(ValueError, x=10**400)
+        require_numbers(ValueError, x=float("inf"))
 
     def test_list_entries_meet_the_sign(self):
         assert number_tuple(ValueError, "xs", [0, 2.5], sign="non-negative") == (0.0, 2.5)

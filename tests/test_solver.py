@@ -92,9 +92,10 @@ class TestSolverConfig:
         with pytest.raises(SolverError):
             SolverConfig(dt=1e-3, duration=0.0)
 
-    @pytest.mark.parametrize("limit", [np.nan, 0.0, -1.0])
+    @pytest.mark.parametrize("limit", [np.nan, 0.0, -1.0, pytest.param(10**400, id="int_beyond_float")])
     def test_divergence_limit_must_be_positive(self, limit):
-        # nan used to switch the bound off, and -1 to report divergence at step 1
+        # nan used to switch the bound off, -1 to report divergence at step 1,
+        # and an int that no float holds to overflow in the first check of a run
         with pytest.raises(SolverError, match="'divergence_limit'"):
             SolverConfig(dt=1e-3, duration=1.0, divergence_limit=limit)
 
@@ -119,6 +120,8 @@ class TestSolverConfig:
     @pytest.mark.parametrize("field, value", [
         ("dt", "1e-3"), ("duration", None), ("gamma", [0.5]), ("subcycles", "10"),
         ("divergence_limit", True),
+        # an int that no float holds overflowed in duration/dt
+        pytest.param("duration", 10**400, id="duration-int_beyond_float"),
     ])
     def test_field_types_checked(self, field, value):
         kwargs = {"dt": 1e-3, "duration": 1.0, field: value}
@@ -862,3 +865,7 @@ class TestRecordedDofs:
         for read, sid, dof in ((part.displacement, "frame", 0), (part.velocity, "suspension", 1)):
             with pytest.raises(SolverError, match=f"substructure '{sid}' DOF {dof} is not in the trajectory"):
                 read(sid, dof)
+        held = r"which holds \['frame', 'suspension'\]$"
+        for read in (part.displacement, part.velocity):  # an unknown id ended in a bare KeyError
+            with pytest.raises(SolverError, match=f"substructure 'nosuch' is not in the trajectory, {held}"):
+                read("nosuch", 0)
