@@ -106,10 +106,9 @@ def _cmd_reduce(args) -> int:
         table = frequency_error_table(
             full_frequencies(sub, n), reduced_frequencies(red, n), n
         )
-        rows = np.column_stack([
-            np.arange(1, n + 1), table.full, table.reduced, table.relative_errors,
-        ])
-        dio._write_csv(args.report, ("mode", "full_rad_s", "reduced_rad_s", "relative_error"), rows)
+        columns = (np.arange(1, n + 1), table.full, table.reduced, table.relative_errors)
+        dio._write_csv(args.report, ("mode", "full_rad_s", "reduced_rad_s", "relative_error"),
+                       [(column[:, None], None) for column in columns])
         print(f"wrote {args.report} (NMSE {table.nmse:.3e})")
     return 0
 
@@ -154,7 +153,7 @@ def _cmd_compare(args) -> int:
                                f"{full.shape[0]} and {reduced.shape[0]} DOFs")
         n = min(full.shape[1], reduced.shape[1])
         result = mac(reduced[:, :n], full[:, :n], names=("option '--reduced'", "option '--full'"))
-        dio._write_csv(args.out, (), result.values)
+        dio._write_csv(args.out, (), [(result.values, None)])
         print(f"wrote {args.out}; diagonal min {result.diagonal.min():.6f}, "
               f"off-diagonal max {result.max_off_diagonal():.3e}")
     else:  # traj

@@ -7,12 +7,12 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from dynsub import SolverConfig, assemble_global, simulate, solve_monolithic
+from dynsub import SolverConfig, assemble_global, reduce as cb_reduce, simulate, solve_monolithic
 from dynsub.cli import main
 from dynsub.generators import chain_substructure, frame_analog
 from dynsub.io import (
-    input_tables, load_csv_columns, load_reduction, load_signals_csv, load_system, save_signals_csv,
-    save_trajectory_csv,
+    input_tables, load_csv_columns, load_reduction, load_signals_csv, load_system, save_reduction,
+    save_signals_csv, save_trajectory_csv,
 )
 from dynsub.signals import multisine_with_noise_channels
 
@@ -284,6 +284,11 @@ _COEFFICIENTS = "frame_analog parameters: suspension coefficients"
      "{tmp}/cut.npz", None),
     (["compare", "mac", "--full", "{tmp}/partial.npz", "--reduced", "{tmp}/modes3.csv", "--out", "{tmp}/mac.csv"],
      ("reduction file '{tmp}/partial.npz'", "reduced_mass"), None),
+    # and one whose field did not fit the others ended in scipy's or numpy's traceback
+    (["compare", "mac", "--full", "{tmp}/flat_mass.npz", "--reduced", "{tmp}/modes3.csv", "--out", "{tmp}/mac.csv"],
+     ("reduction file '{tmp}/flat_mass.npz'", "reduced_mass"), None),
+    (["compare", "mac", "--full", "{tmp}/float_dofs.npz", "--reduced", "{tmp}/modes3.csv", "--out", "{tmp}/mac.csv"],
+     ("reduction file '{tmp}/float_dofs.npz'", "internal_dofs"), None),
 ], ids=["frame_params", "chain_params", "chain_float_n", "solver_config", "experiment_config",
           "experiment_model", "missing_mass", "system_relative_motion", "system_coupling",
           "solver_config_type", "solver_config_partial_step", "experiment_config_type",
@@ -306,7 +311,8 @@ _COEFFICIENTS = "frame_analog parameters: suspension coefficients"
           "signal_nan_rate", "signal_nan_noise_variance", "experiment_negative_noise_variance",
           "experiment_infinite_noise_variance", "experiment_nan_sine_frequency", "signal_noise_negative_seed",
           "signal_multisine_negative_seed", "experiment_negative_seed", "solver_config_huge_duration",
-          "compare_mac_not_an_npz", "compare_mac_cut_npz", "compare_mac_missing_field"])
+          "compare_mac_not_an_npz", "compare_mac_cut_npz", "compare_mac_missing_field",
+          "compare_mac_flat_reduced_mass", "compare_mac_float_2d_internal_dofs"])
 def test_malformed_input_exits_1_naming_the_field(tmp_path, model_file, capsys, argv, key, edit):
     """``key`` is the name the message must quote, or (location, name) for a location it must also lead with.
 
@@ -329,6 +335,11 @@ def test_malformed_input_exits_1_naming_the_field(tmp_path, model_file, capsys, 
     (tmp_path / "text.npz").write_text("not an archive\n")
     np.savez(tmp_path / "partial.npz", transform=np.eye(2))
     (tmp_path / "cut.npz").write_bytes((tmp_path / "partial.npz").read_bytes()[:100])
+    save_reduction(tmp_path / "red.npz", cb_reduce(chain_substructure(n=6, boundary_dofs=(5,)), 3))
+    with np.load(tmp_path / "red.npz") as data:
+        record = dict(data)
+    np.savez(tmp_path / "flat_mass.npz", **dict(record, reduced_mass=np.zeros(3)))
+    np.savez(tmp_path / "float_dofs.npz", **dict(record, internal_dofs=np.zeros((2, 3))))
     (tmp_path / "modes3.csv").write_text("m0,m1\n1,0\n0,1\n1,1\n")
     (tmp_path / "modes4.csv").write_text("m0,m1\n1,0\n0,1\n1,1\n0,1\n")
     (tmp_path / "text.csv").write_text("time,ch0\n0,1\n0.001,one\n")
