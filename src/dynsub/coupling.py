@@ -34,7 +34,6 @@ factorization of a Craig-Bampton internal block shares.
 
 from __future__ import annotations
 
-import functools
 from collections.abc import Hashable, Mapping
 from dataclasses import dataclass
 
@@ -137,12 +136,6 @@ class AssembledSystem:
     @property
     def n_dofs(self) -> int:
         return self.mass.shape[0]
-
-    @functools.cached_property
-    def state_columns(self) -> dict:
-        """``{sid: columns}``: where each substructure's ``[u; v]`` sits in the assembled state ``[u; v]``."""
-        n = self.n_dofs
-        return {sid: np.concatenate([ids, n + ids]) for sid, ids in self.dof_map.items()}
 
     def first_order(self) -> FirstOrderForm:
         """First-order form of the assembled system, built by :func:`assemble_global`.

@@ -23,9 +23,11 @@ A file's ``inputs`` key names a DOF only in the decimal form of that DOF
 (``str(dof)``): ``"05"`` or ``"٥"`` stays a string and is refused, quoted.
 A file's errors are ModelErrors led by the file and the field name.
 
-Every CSV table is written by :func:`_write_csv`: comma-separated, the
-header line (if any) without a comment prefix, and every number as
-``%.17g``, so it reads back exactly.  It formats a block of at most
+Every numeric CSV table is written by :func:`_write_csv`: comma-separated,
+the header line (if any) without a comment prefix, and every number as
+``%.17g``, so it reads back exactly.  (``dynsub compare traj`` writes its
+``mse.csv``, whose first column holds channel names, itself, with its
+numbers as ``%.17g`` too.)  It formats a block of at most
 ``_CSV_BLOCK`` values (or one row) at a time, cut out of the arrays that
 hold the columns, such as a trajectory's records, so no copy of a whole
 table is made; the bytes are those ``np.savetxt`` wrote of the stacked table.
@@ -284,33 +286,23 @@ def load_reduction(path) -> CraigBamptonReduction:
 
 
 def _exported_dofs(system: CoupledSystem, all_dofs: bool = False) -> dict:
-    """``{sid: DOFs}`` that a trajectory CSV holds, in column order.
+    """``{sid: DOFs}`` that a trajectory CSV holds, in column order, an integer array per substructure.
 
-    The boundary DOFs of every substructure, after every internal DOF of a
-    nonlinear one; ``all_dofs`` exports every DOF.  Both solvers of
-    ``run_experiment`` and of ``dynsub simulate`` record only these
-    (``dofs=`` of ``PartitionedSolver.run`` and ``solve_monolithic``).
+    The substructures in the system's order; the boundary DOFs of each,
+    after every internal DOF of a nonlinear one; ``all_dofs`` exports every
+    DOF.  Both solvers of ``run_experiment`` and of ``dynsub simulate``
+    record only these (``dofs=`` of ``PartitionedSolver.run`` and
+    ``solve_monolithic``).
     """
     dofs = {}
     for sid, sub in system.substructures.items():
         if all_dofs:
-            dofs[sid] = range(sub.n_dofs)
+            dofs[sid] = np.arange(sub.n_dofs)
         elif isinstance(sub, NonlinearSubstructure):
-            dofs[sid] = list(sub.internal_dofs) + list(sub.boundary_dofs)
+            dofs[sid] = np.array(sub.internal_dofs + sub.boundary_dofs, dtype=np.intp)
         else:
-            dofs[sid] = list(sub.boundary_dofs)
+            dofs[sid] = np.array(sub.boundary_dofs, dtype=np.intp)
     return dofs
-
-
-def trajectory_columns(traj: Trajectory, system: CoupledSystem, all_dofs: bool = False):
-    """Column specification (label, sub_id, kind, dof) for CSV export, by :func:`_exported_dofs`."""
-    exported = _exported_dofs(system, all_dofs)
-    cols = []
-    for sid in traj.states:
-        for dof in exported[sid]:
-            cols.append((f"{sid}.u{dof}", sid, "u", dof))
-            cols.append((f"{sid}.v{dof}", sid, "v", dof))
-    return cols
 
 
 # Values per block of rows that _write_csv cuts and formats at once.  On the
@@ -348,19 +340,19 @@ def _write_csv(path, header, parts) -> None:
 
 
 def save_trajectory_csv(path, traj: Trajectory, system: CoupledSystem, all_dofs: bool = False) -> None:
-    """Trajectory CSV: time, selected displacements/velocities, multipliers.
+    """Trajectory CSV: time, the ``u`` and ``v`` of each exported DOF (:func:`_exported_dofs`), multipliers.
 
     The columns are read out of ``traj``'s records, one block of rows at a
-    time (:func:`_write_csv`), by one index array per substructure.
+    time (:func:`_write_csv`), by one index array per substructure, which
+    ``Trajectory._columns`` finds; a DOF the trajectory does not hold raises
+    SolverError before the file is opened.
     """
-    cols = trajectory_columns(traj, system, all_dofs)
-    header = ["time"] + [c[0] for c in cols] + [f"lambda{i}" for i in range(traj.multipliers.shape[1])]
-    indices = {sid: [] for sid in traj.states}
-    for _, sid, kind, dof in cols:
-        column = traj._column(sid, dof)  # a DOF's velocity is half a record row further on
-        indices[sid].append(column if kind == "u" else column + traj.states[sid].shape[1] // 2)
-    parts = [(traj.times[:, None], None)]
-    parts += [(traj.states[sid], np.array(index, dtype=np.intp)) for sid, index in indices.items()]
+    header, parts = ["time"], [(traj.times[:, None], None)]
+    for sid, dofs in _exported_dofs(system, all_dofs).items():
+        columns = traj._columns(sid, dofs).ravel()
+        header += [f"{sid}.{kind}{dof}" for dof in dofs.tolist() for kind in "uv"]
+        parts.append((traj.states[sid], columns))
+    header += [f"lambda{i}" for i in range(traj.multipliers.shape[1])]
     _write_csv(path, header, parts + [(traj.multipliers, None)])
 
 

@@ -74,7 +74,7 @@ monolithic reference does too.  Propagated groups agree with
 Every solver shares one force path, the driven rows of
 :func:`_global_forces`, one coupled step at a time, added onto zeroed DOFs
 in input order by :func:`_force` (a propagated group projects them
-instead), one record path, :func:`_records`, one divergence check,
+instead), one record path, :class:`_Records`, one divergence check,
 :func:`_check_divergence`, on all groups' coupled states at once (a
 reference's global state), and one :class:`Trajectory` builder,
 :func:`_trajectory`.  Both references of :mod:`dynsub.monolithic` step
@@ -85,10 +85,11 @@ record in one block.  None keeps a whole-run record of its
 stepped state, nor scatters the driven columns into a whole-run force
 table with a column per DOF, nor resamples a table for the whole run.
 The partitioned solver and ``solve_monolithic`` take ``dofs=``, checked
-once by :func:`_recorded_dofs`: each record, coarse or fine, then holds
-only the ``[u; v]`` columns of the named DOFs, and the
-:class:`Trajectory` maps each to its column.  Both paths of ``dynsub
-simulate`` and ``run_experiment`` pass the DOFs they write
+once by :func:`_recorded_dofs`, which lists every DOF when it is None.
+Every record, coarse or fine, holds the ``[u; v]`` columns of its listed
+DOFs, and the :class:`Trajectory` keeps each list and finds a DOF's
+columns in it.  Both paths of ``dynsub simulate`` and ``run_experiment``
+pass the DOFs they write
 (``dynsub.io._exported_dofs``), so the partitioned run of an
 unreduced frame holds no record of every frame DOF either.
 """
@@ -218,16 +219,16 @@ class CoupledSystem:
 class Trajectory:
     """Time histories of coupled states and interface-force intensities.
 
-    ``states[sub_id]`` has one row per coupled instant, columns ``[u; v]``.
-    Sub-cycled substructures additionally record their inner samples in
+    ``states[sub_id]`` has one row per coupled instant.  Sub-cycled
+    substructures additionally record their inner samples in
     ``fine_states`` at spacing dt/ss (the last sample of each window holds the
     coupled state).  ``dof_counts[sub_id]`` is the substructure's DOF count.
-    A record may hold only some of its DOFs (a solver's ``dofs=``):
-    ``_recorded[sub_id]`` then maps each recorded DOF to its column, and
-    ``states[sub_id]`` and ``fine_states[sub_id]`` hold ``[u; v]`` of those
-    DOFs alone.  :meth:`displacement` and :meth:`velocity` find a
-    DOF's column in either record.  They raise SolverError naming an id
-    that is not in the trajectory, or the substructure and the DOF for one
+    ``_dofs[sub_id]`` lists the DOFs a record holds, in column order: every
+    DOF, or those of a solver's ``dofs=``.  Both records of a substructure
+    hold the columns ``[u; v]`` of those DOFs.  :meth:`_columns` finds the
+    columns of DOFs in either record, for :meth:`displacement`,
+    :meth:`velocity` and the CSV export.  They raise SolverError naming an
+    id that is not in the trajectory, or the substructure and the first DOF
     that is not an integer in ``[0, dof_counts[sub_id])`` (a bool is
     refused) or not recorded.
     """
@@ -238,33 +239,37 @@ class Trajectory:
     dof_counts: dict
     fine_times: dict = field(default_factory=dict)
     fine_states: dict = field(default_factory=dict)
-    _recorded: dict = field(default_factory=dict, repr=False)
+    _dofs: dict = field(default_factory=dict, repr=False)
 
     @property
     def n_steps(self) -> int:
         return len(self.times) - 1
 
-    def _column(self, sub_id, dof) -> int:
-        """Column of ``dof``'s displacement in ``states[sub_id]``; its velocity is half a row further on."""
+    def _columns(self, sub_id, dofs) -> np.ndarray:
+        """``[[u, v], ...]``: the columns of each of ``dofs`` in ``states[sub_id]``, found through an inverse array."""
         if sub_id not in self.states:
             raise SolverError(f"substructure {sub_id!r} is not in the trajectory, which holds {list(self.states)}")
-        recorded = self._recorded.get(sub_id)
-        if is_number(dof, integers=True) and 0 <= dof < self.dof_counts[sub_id]:
-            if recorded is None:
-                return dof
-            if dof in recorded:
-                return recorded[dof]
-        held = f"DOFs {sorted(recorded)}" if recorded is not None else f"{self.dof_counts[sub_id]} DOFs"
-        raise SolverError(f"substructure {sub_id!r} DOF {dof!r} is not in the trajectory, which holds {held}")
+        recorded, n = self._dofs[sub_id], self.dof_counts[sub_id]
+        inverse = np.full(n + 1, -1)  # the last entry stands for every DOF out of range
+        inverse[recorded] = np.arange(len(recorded))
+        dofs = np.asarray(dofs)
+        if dofs.dtype.kind in "iu":
+            columns = inverse[np.where((dofs >= 0) & (dofs < n), dofs, n)]
+        else:  # a bool, a float or anything else is no DOF
+            columns = np.full(dofs.shape, -1)
+        if columns.size and columns.min() < 0:
+            held = f"{n} DOFs" if len(recorded) == n else f"DOFs {sorted(recorded.tolist())}"
+            dof = dofs.tolist()[int(np.argmin(columns))]
+            raise SolverError(f"substructure {sub_id!r} DOF {dof!r} is not in the trajectory, which holds {held}")
+        return np.stack([columns, len(recorded) + columns], axis=-1)
 
     def displacement(self, sub_id, dof: int) -> np.ndarray:
-        column = self._column(sub_id, dof)
-        return self.states[sub_id][:, column]
+        ((u, _),) = self._columns(sub_id, [dof])
+        return self.states[sub_id][:, u]
 
     def velocity(self, sub_id, dof: int) -> np.ndarray:
-        column = self._column(sub_id, dof)
-        record = self.states[sub_id]
-        return record[:, record.shape[1] // 2 + column]
+        ((_, v),) = self._columns(sub_id, [dof])
+        return self.states[sub_id][:, v]
 
 
 @dataclass(frozen=True)
@@ -476,47 +481,45 @@ def _force(ids: np.ndarray, rows: np.ndarray, n: int) -> np.ndarray:
 
 
 class _Records:
-    """Per-substructure records of a stepped state, written row by row or a block of rows at a time.
+    """Per-member records of a stepped state of ``n`` DOFs, written row by row or a block of rows at a time.
 
-    ``columns[sid]`` selects a substructure's ``[u; v]`` from the stepped
-    state: index arrays, or ``slice(None)`` for a state that is one
-    substructure's own.  ``records[rows] = y`` copies each substructure's
-    columns ``y[..., cols]`` of a state, or of a block of states, into those
-    rows of its own record.  ``into`` takes the same writes; for a lone
-    substructure's state it is the one record, which takes the state as it
-    is, with no gather.  ``recorded[sid]``, when given, lists the DOFs whose
-    ``[u; v]`` the columns select, in order, for a record of only some DOFs;
-    ``dof_columns[sid]`` maps each to its column, as ``Trajectory._recorded``
-    does.  :func:`_records` builds them, and :func:`_trajectory` returns
-    them.
+    ``dof_map[sid]`` places a member's DOFs in the state, a step group's or
+    an assembled system's, and ``dofs[sid]``, :func:`_recorded_dofs` of the
+    caller's ``dofs=``, lists the DOFs its record holds, in column order: the
+    state columns ``ids[d]`` and ``n + ids[d]``, the ``[u; v]`` of those
+    DOFs.  ``records[rows] = y`` copies each member's columns of a state, or
+    of a block of states, into those rows of its own record.  ``into`` takes
+    the same writes; where one member's record is the whole state in order,
+    it is that record, which takes the state as it is, with no gather.  Both
+    solvers build every record here, and :func:`_trajectory` returns them.
     """
 
-    def __init__(self, columns: Mapping, rows: int, dof_counts: Mapping, recorded: Mapping | None = None):
-        self.columns, self.dof_counts = columns, dof_counts
-        self.dof_columns = {sid: {int(dof): i for i, dof in enumerate(dofs)} for sid, dofs in (recorded or {}).items()}
-        self.states = {
-            sid: np.empty((rows, 2 * dof_counts[sid] if isinstance(cols, slice) else len(cols)))
-            for sid, cols in columns.items()
-        }
-        (sid, cols), *others = columns.items()
-        self.into = self.states[sid] if isinstance(cols, slice) and not others else self
+    def __init__(self, dof_map: Mapping, n: int, rows: int, dofs: Mapping):
+        self.dof_counts = {sid: len(ids) for sid, ids in dof_map.items()}
+        self.dofs = {sid: dofs[sid] for sid in dof_map}
+        self.columns = {sid: np.concatenate([ids[dofs[sid]], n + ids[dofs[sid]]]) for sid, ids in dof_map.items()}
+        self.states = {sid: np.empty((rows, len(cols))) for sid, cols in self.columns.items()}
+        (sid, cols), *others = self.columns.items()
+        whole = not others and np.array_equal(cols, np.arange(2 * n))
+        self.into = self.states[sid] if whole else self
 
     def __setitem__(self, rows, y: np.ndarray) -> None:
         for sid, cols in self.columns.items():
             self.states[sid][rows] = y[..., cols]
 
 
-def _recorded_dofs(dofs, dof_counts: Mapping) -> dict | None:
-    """``dofs`` checked, as ``{sid: DOFs}`` of every id of ``dof_counts`` (none of an id it leaves out), or None.
+def _recorded_dofs(dofs, dof_counts: Mapping) -> dict:
+    """``dofs`` checked, as ``{sid: DOFs}``, an integer array for every id of ``dof_counts``.
 
-    None records every DOF.  Otherwise ``dofs`` must be a mapping whose ids
-    name substructures and whose values list distinct integers in
-    ``[0, dof_counts[sid])`` (a bool is refused); anything else raises
-    :class:`SolverError` naming the substructure and the value.  Both
-    solvers check their ``dofs=`` here, once per run.
+    ``dofs=None`` records every DOF, ``np.arange(n)``.  Otherwise ``dofs``
+    must be a mapping whose ids name substructures and whose values list
+    distinct integers in ``[0, dof_counts[sid])`` (a bool is refused), none
+    for an id it leaves out; anything else raises :class:`SolverError`
+    naming the substructure and the value.  Both solvers check their
+    ``dofs=`` here, once per run.
     """
     if dofs is None:
-        return None
+        return {sid: np.arange(n) for sid, n in dof_counts.items()}
     if not isinstance(dofs, Mapping):
         raise SolverError(f"the DOFs to record must map substructure ids to lists of DOFs, got {dofs!r}")
     for sid in dofs:
@@ -538,23 +541,6 @@ def _recorded_dofs(dofs, dof_counts: Mapping) -> dict | None:
     return checked
 
 
-def _records(dof_map: Mapping, columns: Mapping, n: int, rows: int, recorded: Mapping | None = None) -> _Records:
-    """A record, ``rows`` long, per member of a stepped state of ``n`` DOFs: every DOF, or ``recorded[sid]``.
-
-    ``dof_map[sid]`` places a member's DOFs in the state and ``columns[sid]``
-    selects its ``[u; v]``: a step group's or an assembled system's
-    ``dof_map`` and state columns.  ``recorded`` is :func:`_recorded_dofs`
-    of the caller's ``dofs``; the DOFs of ``recorded[sid]`` are recorded, in
-    that order, from the columns ``dof_map[sid][dofs]`` and
-    ``n + dof_map[sid][dofs]``.  Both solvers build every record here.
-    """
-    counts = {sid: len(ids) for sid, ids in dof_map.items()}
-    if recorded is None:
-        return _Records(columns, rows, counts)
-    columns = {sid: np.concatenate([ids[recorded[sid]], n + ids[recorded[sid]]]) for sid, ids in dof_map.items()}
-    return _Records(columns, rows, counts, {sid: recorded[sid] for sid in dof_map})
-
-
 def _trajectory(config: SolverConfig, records, multipliers: np.ndarray) -> Trajectory:
     """The :class:`Trajectory` of a run's multipliers and records, each ``(record, ss)`` of ``ss`` rows per step.
 
@@ -565,7 +551,7 @@ def _trajectory(config: SolverConfig, records, multipliers: np.ndarray) -> Traje
     traj = Trajectory(np.arange(config.n_steps + 1) * config.dt, {}, multipliers, {})
     for record, ss in records:
         traj.dof_counts.update(record.dof_counts)
-        traj._recorded.update(record.dof_columns)
+        traj._dofs.update(record.dofs)
         for sid, fine in record.states.items():
             traj.states[sid] = fine[::ss]
             if ss > 1:
@@ -585,7 +571,7 @@ def _step_assembled(asys, config: SolverConfig, inputs, initial, dofs, step: Cal
     n, dof_map = asys.n_dofs, asys.dof_map
     force_ids, first, rows = _global_forces(dof_map, _known_inputs(inputs, dof_map), config, False)
     recorded = _recorded_dofs(dofs, {sid: len(ids) for sid, ids in dof_map.items()})
-    records = _records(dof_map, asys.state_columns, n, config.n_steps + 1, recorded)
+    records = _Records(dof_map, n, config.n_steps + 1, recorded)
     y, ydot = _start(asys.first_order(), initial, _force(force_ids, first, n), "the assembled system")
     records[0] = y
     for k in range(1, config.n_steps + 1):
@@ -668,12 +654,11 @@ class _Group:
 
     The stacked form is the members' assembly without constraints, or a
     single member's own form.  ``dofs[sid]`` gives a member's DOFs in the
-    stacked form (its ``dof_map``), and ``rows[sid]`` selects its own
-    ``[u; v]`` from the form's state ``y`` (and its rate from ``ydot``):
-    its assembled state columns, or all of ``y`` for a single member.
-    ``effective`` factorizes the stacked ``S`` at the inner step.  ``ramp``
-    holds the weights 1 - j/ss of the inner steps j = 1..ss as a column and
-    ``injector`` stacks the members' ``L_v``.
+    stacked form (its ``dof_map``), so its ``[u; v]`` are the columns
+    ``ids`` and ``n + ids`` of the form's state ``y`` (and its rate those
+    of ``ydot``).  ``effective`` factorizes the stacked ``S`` at the inner
+    step.  ``ramp`` holds the weights 1 - j/ss of the inner steps
+    j = 1..ss as a column and ``injector`` stacks the members' ``L_v``.
 
     A coupled step of the group is a window of ``ss`` inner steps in a
     buffer of ``ss + 1`` rows: row 0 holds the coupled state, and the
@@ -693,7 +678,6 @@ class _Group:
     form: FirstOrderForm
     effective: EffectiveMatrix
     dofs: dict
-    rows: dict
     ramp: np.ndarray
     injector: np.ndarray
     link: np.ndarray
@@ -779,12 +763,12 @@ class PartitionedSolver:
         for ss, sids in members.items():
             if len(sids) == 1:
                 form = self.forms[sids[0]]
-                dofs, rows = {sids[0]: np.arange(form.n_dofs)}, {sids[0]: slice(None)}
+                dofs = {sids[0]: np.arange(form.n_dofs)}
             else:
                 # the members side by side: a primal assembly without constraints
                 group = {sid: system.substructures[sid] for sid in sids}
                 asys = assemble_global(group, CouplingTopology(()), sparse=_stores_csr(group))
-                form, dofs, rows = asys.first_order(), asys.dof_map, asys.state_columns
+                form, dofs = asys.first_order(), asys.dof_map
             dts = config.dt / ss
             effective = effective_matrix(form, dts, config.gamma)
             injector = np.vstack([
@@ -806,7 +790,7 @@ class PartitionedSolver:
             if propagator is not None:
                 link = np.concatenate([link, propagator.rates @ link])
             self._plan.append(_Group(
-                subcycles=ss, dt=dts, gamma=config.gamma, form=form, effective=effective, dofs=dofs, rows=rows,
+                subcycles=ss, dt=dts, gamma=config.gamma, form=form, effective=effective, dofs=dofs,
                 ramp=(1.0 - np.arange(1, ss + 1) / ss)[:, None], injector=injector,
                 link=np.ascontiguousarray(link), propagator=propagator,
             ))
@@ -841,15 +825,16 @@ class PartitionedSolver:
             ids, first_row, rows = _global_forces(group.dofs, inputs, cfg, ss > 1)
             window, advance = group.stepper(ids, rows)
             force = _force(ids, first_row, n)
-            for sid, cols in group.rows.items():
-                window[0, :m][cols], window[0, m:2 * m][cols] = _start(
-                    self.forms[sid], initial.get(sid), force[group.dofs[sid]], f"substructure {sid!r}"
-                )
+            for sid, at in group.dofs.items():
+                # the member's start [u; v; udot; vdot] into the four blocks of the group's
+                window[0, :2 * m].reshape(4, n)[:, at] = np.reshape(_start(
+                    self.forms[sid], initial.get(sid), force[at], f"substructure {sid!r}"
+                ), (4, -1))
             if group.propagator is not None:
                 window[0, 2 * m:len(group.link)] = group.propagator.rates @ window[0, :2 * m]
             advances.append(advance)
             windows.append(window)
-            records.append(_records(group.dofs, group.rows, n, n_steps * ss + 1, recorded))
+            records.append(_Records(group.dofs, n, n_steps * ss + 1, recorded))
             records[-1][0] = window[0, :m]
         multipliers = np.zeros((n_steps + 1, self.n_lam))
 

@@ -9,8 +9,11 @@ import numpy as np
 import pytest
 
 import dynsub.io
-from dynsub import CouplingTopology, ModelError, SolverConfig, reduce as cb_reduce, simulate
-from dynsub.generators import chain_substructure, frame_analog
+from dynsub import (
+    CouplingTopology, ModelError, SolverConfig, SolverError, assemble_global, reduce as cb_reduce, simulate,
+    solve_monolithic,
+)
+from dynsub.generators import chain_substructure, frame_analog, suspension_substructure
 from dynsub.io import (
     input_tables,
     load_csv_columns,
@@ -349,6 +352,40 @@ class TestTrajectoryCsv:
         save_trajectory_csv(path, traj, desk, all_dofs=True)
         header, _ = load_csv_columns(path)
         assert "frame.u0" in header and "frame.v199" in header
+
+    def test_columns_follow_the_system_order(self, tmp_path):
+        # a chain between two sub-cycled banks: at ss = 5 the banks step as one group,
+        # whose records the trajectory holds before the chain's, as its states are ordered
+        bank = suspension_substructure(n_elements=1)
+        system = CoupledSystem(
+            substructures={"bank_a": bank, "chain": chain_substructure(4, boundary_dofs=(0, 3)), "bank_b": bank},
+            topology=CouplingTopology([[("bank_a", 1, 1), ("chain", 0, -1)], [("chain", 3, 1), ("bank_b", 1, -1)]]),
+        )
+        runs = {ss: simulate(system, SolverConfig(dt=1e-3, duration=0.01, subcycles=ss)) for ss in (1, 5)}
+        assert list(runs[5].states) != list(system.substructures)
+        runs["monolithic"] = solve_monolithic(
+            assemble_global(system.substructures, system.topology), SolverConfig(dt=1e-3, duration=0.01),
+        )
+        expected = ["time", "bank_a.u0", "bank_a.v0", "bank_a.u1", "bank_a.v1", "chain.u0", "chain.v0",
+                    "chain.u3", "chain.v3", "bank_b.u0", "bank_b.v0", "bank_b.u1", "bank_b.v1"]
+        for name, traj in runs.items():
+            save_trajectory_csv(tmp_path / f"{name}.csv", traj, system)
+            header, data = load_csv_columns(tmp_path / f"{name}.csv")
+            assert [h for h in header if not h.startswith("lambda")] == expected, name
+            assert np.array_equal(data[:, header.index("bank_b.v1")], traj.velocity("bank_b", 1)), name
+
+    def test_export_of_an_unrecorded_dof_is_refused_before_the_file_is_written(self, tmp_path, desk):
+        cfg = SolverConfig(dt=1e-3, duration=0.005)
+        traj = simulate(desk, cfg, dofs={"suspension": [0]})
+        path = tmp_path / "traj.csv"
+        with pytest.raises(SolverError, match="substructure 'frame' DOF 49 is not in the trajectory"):
+            save_trajectory_csv(path, traj, desk)
+        with pytest.raises(SolverError, match=r"substructure 'suspension' DOF 1 is not in the trajectory, "
+                                              r"which holds DOFs \[0\]$"):
+            save_trajectory_csv(path, traj, CoupledSystem(
+                substructures={"suspension": desk.substructures["suspension"]}, topology=CouplingTopology(()),
+            ))
+        assert not path.exists()
 
 
 def _stacked(parts):

@@ -578,14 +578,14 @@ class TestSubcycling:
         solver = PartitionedSolver(system, SolverConfig(dt=1e-3, duration=0.01, subcycles=ss))
         traj = solver.run(subcycling_inputs(system, solver.config, ss))
         for group in solver._plan:
-            if len(group.rows) > 1:
-                members = {sid: system.substructures[sid] for sid in group.rows}
+            if len(group.dofs) > 1:
+                members = {sid: system.substructures[sid] for sid in group.dofs}
                 expected = assemble_global(members, CouplingTopology(())).first_order()
                 for name in ("mass", "damping", "stiffness", "rates", "slope", "smoothing"):
                     assert np.array_equal(getattr(group.form, name), getattr(expected, name)), name
                 continue
-            ((sid, rows),) = group.rows.items()
-            assert group.form is solver.forms[sid] and rows == slice(None)
+            ((sid, ids),) = group.dofs.items()
+            assert group.form is solver.forms[sid] and np.array_equal(ids, np.arange(group.form.n_dofs))
             assert not traj.states[sid].flags.owndata
             if group.subcycles > 1:
                 assert np.shares_memory(traj.states[sid], traj.fine_states[sid])
@@ -829,6 +829,23 @@ class TestRecordedDofs:
         inputs = {"suspension": wheel_forces(system, "suspension", times)}
         return solver, solver.run(inputs), solver.run(inputs, dofs=dofs)
 
+    @pytest.mark.parametrize("dof_map, dofs, direct", [
+        ({"s": np.arange(3)}, None, True),
+        ({"s": np.arange(3)}, {"s": range(3)}, True),
+        ({"s": np.arange(3)}, {"s": [1, 0, 2]}, False),
+        ({"s": np.arange(3)}, {"s": [0, 1]}, False),
+        ({"a": np.arange(2), "b": np.arange(2, 3)}, None, False),
+    ], ids=["every_dof", "every_dof_named", "permuted", "some_dofs", "two_members"])
+    def test_only_a_record_of_the_whole_state_in_order_takes_it_ungathered(self, dof_map, dofs, direct):
+        records = dynsub.solver._Records(dof_map, 3, 4, dynsub.solver._recorded_dofs(
+            dofs, {sid: len(ids) for sid, ids in dof_map.items()}))
+        assert (records.into is records.states.get("s")) == direct
+        states = np.arange(24.0).reshape(4, 6)
+        records.into[:] = states
+        for sid, ids in dof_map.items():
+            held = records.dofs[sid]
+            assert np.array_equal(records.states[sid], states[:, np.concatenate([ids[held], 3 + ids[held]])])
+
     @pytest.mark.parametrize("case, ss, groups", [
         ("desk", 1, [2]),  # one stacked group of the frame and the bank, free steps
         ("desk", 10, [1, 1]),  # a group of one member each, the bank sub-cycled
@@ -839,8 +856,8 @@ class TestRecordedDofs:
         n_frame = system.substructures["frame"].n_dofs
         dofs = {"frame": [n_frame - 1, 0, 7], "suspension": np.array([5, 1])}
         solver, whole, part = self.runs(system, ss, dofs)
-        assert [len(group.rows) for group in solver._plan] == groups
-        assert part._recorded == {sid: {int(dof): i for i, dof in enumerate(ids)} for sid, ids in dofs.items()}
+        assert [len(group.dofs) for group in solver._plan] == groups
+        assert {sid: ids.tolist() for sid, ids in part._dofs.items()} == {sid: list(ids) for sid, ids in dofs.items()}
         for sid, ids in dofs.items():
             n = system.substructures[sid].n_dofs
             columns = np.concatenate([ids, n + np.asarray(ids)])
