@@ -18,7 +18,8 @@ Past the records :func:`load_system` only parses JSON.  ``coupling`` and
 ``physical`` are checked by their owners, :mod:`dynsub.coupling` and
 :class:`~dynsub.solver.CoupledSystem`; an input map, read from a file or passed
 to :func:`input_tables`, by :func:`_check_input_map`: each id is a substructure,
-each DOF an integer in ``[0, n)`` and each channel a non-negative integer.
+and its DOFs, like a triplet's rows and cols, and its channels (without a bound)
+meet the DOF-list rule of :func:`~dynsub.models._dof_array`.
 A file's ``inputs`` key names a DOF only in the decimal form of that DOF
 (``str(dof)``): ``"05"`` or ``"٥"`` stays a string and is refused, quoted.
 A file's errors are ModelErrors led by the file and the field name.
@@ -47,7 +48,7 @@ import numpy as np
 
 from .coupling import CouplingError, CouplingTopology, _check_references
 from .models import (
-    LinearSubstructure, ModelError, NonlinearSubstructure, SuspensionElement, build_from_fields, is_number,
+    LinearSubstructure, ModelError, NonlinearSubstructure, SuspensionElement, _dof_array, build_from_fields,
     matrix_from_entries,
 )
 from .reduction import CraigBamptonReduction
@@ -91,12 +92,14 @@ def _from_triplets(n: int, rows, cols, values):
     """``n``-by-``n`` matrix from a triplet record (:func:`~dynsub.models.matrix_from_entries`)."""
     if not all(isinstance(x, list) for x in (rows, cols, values)) or not len(rows) == len(cols) == len(values):
         raise ModelError("rows, cols and values must be lists of equal length")
-    if not (all(type(i) is int and 0 <= i < n for i in rows + cols)
-            and all(type(v) in (int, float) for v in values)):
+    (rows, broken_rows), (cols, broken_cols) = _dof_array(rows, n), _dof_array(cols, n)
+    try:  # one pass over the values' types; a JSON integer that no float holds overflows
+        values = np.asarray(values, dtype=float) if set(map(type, values)) <= {int, float} else None
+    except OverflowError:
+        values = None
+    if broken_rows or broken_cols or values is None:
         raise ModelError(f"rows and cols must be integers in [0, {n}) and values numbers")
-    return matrix_from_entries(
-        n, np.asarray(rows, dtype=np.intp), np.asarray(cols, dtype=np.intp), np.asarray(values, dtype=float)
-    )
+    return matrix_from_entries(n, rows, cols, values)
 
 
 # The record schemas below are signatures, bound by build_from_fields; their
@@ -251,7 +254,8 @@ def load_reduction(path) -> CraigBamptonReduction:
     and the field.  ``retained_frequencies`` (r values) and the two 1-D
     integer DOF fields (n_i and n_b values) fix the other shapes: ``transform``
     is (n_i + n_b) x (r + n_b), the reduced matrices are square of size
-    r + n_b, and ``truncation_frequency`` is 0-d.
+    r + n_b, and ``truncation_frequency`` is 0-d.  The DOF fields together
+    hold each of the n_i + n_b DOFs once (:func:`~dynsub.models._dof_array`).
     """
     where = f"reduction file {str(path)!r}"
     try:
@@ -278,8 +282,12 @@ def load_reduction(path) -> CraigBamptonReduction:
               "reduced_damping": square, "truncation_frequency": ()}
     for name, shape in shapes.items():
         _check_field(where, name, record[name], shape)
+    if _dof_array(np.concatenate([record[name] for name in _DOF_FIELDS]), n_i + n_b, distinct=True)[1]:
+        # else expand would leave a DOF's row unwritten
+        raise ModelError(f"{where}: fields 'internal_dofs' and 'boundary_dofs' must disjointly cover all "
+                         f"{n_i + n_b} DOFs")
     for name in _DOF_FIELDS:
-        record[name] = tuple(int(x) for x in record[name])
+        record[name] = tuple(record[name].tolist())
     trunc = float(record["truncation_frequency"])
     record["truncation_frequency"] = None if np.isnan(trunc) else trunc
     return CraigBamptonReduction(**record)
@@ -294,15 +302,8 @@ def _exported_dofs(system: CoupledSystem, all_dofs: bool = False) -> dict:
     record only these (``dofs=`` of ``PartitionedSolver.run`` and
     ``solve_monolithic``).
     """
-    dofs = {}
-    for sid, sub in system.substructures.items():
-        if all_dofs:
-            dofs[sid] = np.arange(sub.n_dofs)
-        elif isinstance(sub, NonlinearSubstructure):
-            dofs[sid] = np.array(sub.internal_dofs + sub.boundary_dofs, dtype=np.intp)
-        else:
-            dofs[sid] = np.array(sub.boundary_dofs, dtype=np.intp)
-    return dofs
+    return {sid: np.arange(sub.n_dofs) if all_dofs or isinstance(sub, NonlinearSubstructure)
+            else np.array(sub.boundary_dofs, dtype=np.intp) for sid, sub in system.substructures.items()}
 
 
 # Values per block of rows that _write_csv cuts and formats at once.  On the
@@ -393,16 +394,16 @@ def _check_input_map(system: CoupledSystem, input_map, where: str) -> None:
     """Raise ModelError, led by ``where``, before any indexing, for an input map that breaks the module's rules."""
     if not isinstance(input_map, Mapping):
         raise ModelError(f"{where} must map substructure ids to channel maps, got {input_map!r}")
-    index = lambda x: is_number(x, integers=True) and x >= 0
     for sid, chans in input_map.items():
         if sid not in system.substructures:
             raise ModelError(f"{where} references unknown substructure {sid!r}")
         n = system.substructures[sid].n_dofs
         if not isinstance(chans, Mapping):
             raise ModelError(f"{where} of {sid!r} must map DOFs to channels, got {chans!r}")
-        for dof, ch in chans.items():
-            if not (index(dof) and dof < n and index(ch)):
-                raise ModelError(f"{where} of {sid!r} must map DOFs below {n} to channel numbers, got {dof!r}: {ch!r}")
+        broken = [_dof_array(chans.keys(), n)[1], _dof_array(chans.values(), np.iinfo(np.intp).max)[1]]
+        if positions := [found[0] for found in broken if found]:
+            dof, ch = list(chans.items())[min(positions)]
+            raise ModelError(f"{where} of {sid!r} must map DOFs below {n} to channel numbers, got {dof!r}: {ch!r}")
 
 
 def input_tables(system: CoupledSystem, input_map: dict, channels: np.ndarray) -> dict:

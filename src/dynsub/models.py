@@ -26,6 +26,11 @@ trapezoidal step onto the momentum rows, and on the split into a linear
 part and ``phi`` to precompute the step of small substructures (see
 :mod:`dynsub.solver`).
 
+Every list of DOFs meets one rule, owned by :func:`_dof_array`: a DOF is
+an integer, not a bool, in ``[0, n)``, named once where that matters.  A
+substructure's partition, the solvers' ``dofs=``, a trajectory's lookups
+and the DOF lists of files each word their own errors.
+
 Every square matrix built from ``(rows, cols, values)`` entries comes from
 one scatter, :func:`_scatter_entries`, in the storage its caller picks:
 the generators and the system file reader (through
@@ -78,11 +83,6 @@ def build_from_fields(factory, fields: dict, what: str):
         raise ModelError(f"{what}: {exc}") from None
 
 
-def is_number(value, integers: bool = False) -> bool:
-    """Whether ``value`` is a real number (an integer if ``integers``) and not a bool, such as a JSON true."""
-    return not isinstance(value, bool) and isinstance(value, numbers.Integral if integers else numbers.Real)
-
-
 # the signs a number field may be held to, each on top of being finite
 _SIGNS = {"finite": lambda x: True, "positive": lambda x: x > 0, "non-negative": lambda x: x >= 0}
 
@@ -90,8 +90,8 @@ _SIGNS = {"finite": lambda x: True, "positive": lambda x: x > 0, "non-negative":
 def _broken_rule(value, integers: bool, sign: str | None) -> str | None:
     """The rule ``value`` breaks, in words such as "number" or "finite positive number"; None if it keeps it."""
     kind = "integer" if integers else "number"
-    if not is_number(value, integers):
-        return kind
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral if integers else numbers.Real):
+        return kind  # a bool, such as a JSON true, is no number
     # an int is finite; a number field's value must fit a float (compared exactly, where math.isfinite overflows)
     fits = integers or abs(value) <= sys.float_info.max
     if sign is None:  # a float inf or nan passes, for the field's owner to judge
@@ -116,7 +116,7 @@ def require_numbers(error, integers: bool = False, sign: str | None = None, /, *
     """
     for name, value in fields.items():
         if rule := _broken_rule(value, integers, sign):
-            raise error(f"field {name!r} must be {'an' if rule[0] == 'i' else 'a'} {rule}, got {value!r}")
+            raise error(f"field {name!r} must be {'an' if rule[0] == 'i' else 'a'} {rule}, got {reprlib.repr(value)}")
 
 
 def require_bools(error, **fields) -> None:
@@ -126,22 +126,56 @@ def require_bools(error, **fields) -> None:
             raise error(f"field {name!r} must be true or false, got {value!r}")
 
 
-def number_tuple(error, name: str, value, integers: bool = False, sign: str | None = None) -> tuple:
-    """``value`` as a tuple of floats, or of ints if ``integers``, each held to ``sign`` as in :func:`require_numbers`.
+def number_tuple(error, name: str, value, sign: str) -> tuple:
+    """``value`` as a tuple of floats, each held to ``sign`` as in :func:`require_numbers`.
 
     Any other value, or an entry of another type or sign, raises ``error``.
     """
     if isinstance(value, (str, bytes, Mapping)) or not isinstance(value, Iterable):
-        raise error(f"field {name!r} must be a list of {'integers' if integers else 'numbers'}, got {value!r}")
-    kind = int if integers else float
+        raise error(f"field {name!r} must be a list of numbers, got {reprlib.repr(value)}")
 
     def entry(item):
-        if rule := _broken_rule(item, integers, sign):
-            raise error(f"field {name!r} must be a list of {rule}s, got entry {item!r}")
-        return kind(item)
+        if rule := _broken_rule(item, False, sign):
+            raise error(f"field {name!r} must be a list of {rule}s, got entry {reprlib.repr(item)}")
+        return float(item)
 
-    # without a sign, an entry of the wanted type passes on a type test; any other is checked once, as it comes
-    return tuple(item if sign is None and type(item) is kind else entry(item) for item in value)
+    return tuple(map(entry, value))
+
+
+def _dof_array(values, n: int, distinct: bool = False) -> tuple:
+    """``(array, broken)``: a list of DOFs as an ``intp`` array, and the first entry that breaks the DOF-list rule.
+
+    A DOF is an integer, not a bool, in ``[0, n)``; with ``distinct`` it
+    repeats no earlier entry.  ``broken`` is None, or ``(position, entry,
+    reason)`` with the reason "not an integer", "out of range" or
+    "repeated", and the array None; a str, bytes, mapping or other
+    non-list is ``(None, values, "not a list")``.  An integer array is
+    checked by whole-array operations, anything else after one pass over
+    its entries' types, so ``[True, 2]``, which ``np.asarray`` reads as
+    ``[1, 2]``, is refused, and an int that no ``intp`` holds is out of
+    range.  Each caller words its own error.
+    """
+    if (isinstance(values, (str, bytes, Mapping)) or not isinstance(values, Iterable)
+            or getattr(values, "ndim", 1) == 0):  # a 0-d array is no list either
+        return None, (None, values, "not a list")
+    whole = isinstance(values, np.ndarray) and values.ndim == 1 and values.dtype.kind in "iu"
+    entries = values if whole else values.tolist() if isinstance(values, np.ndarray) else list(values)
+    refuse = lambda k, reason: (None, (k, values[k].item() if whole else entries[k], reason))
+    if not whole:
+        if not all(issubclass(kind, numbers.Integral) and kind is not bool for kind in set(map(type, entries))):
+            return refuse(next(k for k, x in enumerate(entries) if _broken_rule(x, True, None)), "not an integer")
+        try:
+            values = np.array(entries, dtype=np.intp)
+        except OverflowError:  # compared as Python ints, the entry that no intp holds is out of range
+            values = np.array(entries, dtype=object)
+    outside = (values < 0) | (values >= n)
+    if outside.any():
+        return refuse(int(np.argmax(outside)), "out of range")
+    array = values.astype(np.intp, copy=whole)  # never the caller's own array
+    if distinct and len(array) and np.bincount(array).max() > 1:  # the first place that is no value's first
+        firsts = np.unique(array, return_index=True)[1]
+        return refuse(int(np.setdiff1d(np.arange(len(array)), firsts)[0]), "repeated")
+    return array, None
 
 
 def is_sparse(matrix) -> bool:
@@ -200,8 +234,8 @@ def _check_symmetric(m, name: str, rtol: float = 1e-10) -> None:
 class LinearSubstructure:
     """Linear substructure defined by mass, damping and stiffness matrices.
 
-    ``internal_dofs`` and ``boundary_dofs`` must together cover every DOF
-    exactly once; boundary DOFs are the ones exposed for coupling.
+    ``internal_dofs`` and ``boundary_dofs``, tuples of ints, together cover
+    every DOF exactly once; boundary DOFs are the ones exposed for coupling.
     ``internal_dofs`` defaults to every DOF not on the boundary, for API
     callers, the generators and system files alike.
 
@@ -234,22 +268,28 @@ class LinearSubstructure:
         if np.any(m.diagonal() <= 0):
             raise ModelError("mass matrix must have a strictly positive diagonal")
         n = m.shape[0]
-        boundary = number_tuple(ModelError, "boundary_dofs", self.boundary_dofs, integers=True)
-        if self.internal_dofs is None:  # one pass; a boundary DOF out of range fails the cover check
-            free = np.ones(n, dtype=bool)
-            free[[b for b in boundary if 0 <= b < n]] = False
-            internal = tuple(np.flatnonzero(free).tolist())
-        else:
-            internal = number_tuple(ModelError, "internal_dofs", self.internal_dofs, integers=True)
-        cover = sorted(internal + boundary)
-        if cover != list(range(n)):
-            raise ModelError(f"internal and boundary DOFs must disjointly cover all {n} DOFs, "
-                             f"got internal={reprlib.repr(internal)} boundary={reprlib.repr(boundary)}")
+
+        def listed(name, values):  # an intp array, or None if an entry is out of range
+            array, broken = _dof_array(values, n)
+            if broken and broken[2] != "out of range":
+                got = reprlib.repr(values) if broken[0] is None else f"entry {reprlib.repr(broken[1])}"
+                raise ModelError(f"field {name!r} must be a list of integers, got {got}")
+            return array
+
+        boundary = listed("boundary_dofs", self.boundary_dofs)
+        if self.internal_dofs is not None:
+            internal = listed("internal_dofs", self.internal_dofs)
+        else:  # every DOF not on the boundary; a boundary DOF out of range fails the cover check
+            internal = None if boundary is None else np.flatnonzero(np.bincount(boundary, minlength=n) == 0)
+        if internal is None or boundary is None or np.any(np.bincount(np.concatenate([internal, boundary]),
+                                                                          minlength=n) != 1):
+            raise ModelError(f"internal and boundary DOFs must disjointly cover all {n} DOFs, got "
+                             f"internal={reprlib.repr(self.internal_dofs)} boundary={reprlib.repr(self.boundary_dofs)}")
         object.__setattr__(self, "mass", m)
         object.__setattr__(self, "damping", c)
         object.__setattr__(self, "stiffness", k)
-        object.__setattr__(self, "internal_dofs", internal)
-        object.__setattr__(self, "boundary_dofs", boundary)
+        object.__setattr__(self, "internal_dofs", tuple(internal.tolist()))
+        object.__setattr__(self, "boundary_dofs", tuple(boundary.tolist()))
 
     @property
     def n_dofs(self) -> int:

@@ -87,11 +87,10 @@ table with a column per DOF, nor resamples a table for the whole run.
 The partitioned solver and ``solve_monolithic`` take ``dofs=``, checked
 once by :func:`_recorded_dofs`, which lists every DOF when it is None.
 Every record, coarse or fine, holds the ``[u; v]`` columns of its listed
-DOFs, and the :class:`Trajectory` keeps each list and finds a DOF's
-columns in it.  Both paths of ``dynsub simulate`` and ``run_experiment``
-pass the DOFs they write
-(``dynsub.io._exported_dofs``), so the partitioned run of an
-unreduced frame holds no record of every frame DOF either.
+DOFs, and the :class:`Trajectory` keeps each list, in the system's order
+whatever the step groups, and finds a DOF's columns in it; both check
+DOFs by :func:`~dynsub.models._dof_array`.  ``dynsub simulate`` and
+``run_experiment`` record only the DOFs they write (``dynsub.io._exported_dofs``).
 """
 
 from __future__ import annotations
@@ -120,9 +119,9 @@ from .models import (
     FirstOrderForm,
     ModelError,
     NonlinearSubstructure,
+    _dof_array,
     assemble_first_order,
     friction_shape,
-    is_number,
     require_numbers,
 )
 
@@ -229,8 +228,8 @@ class Trajectory:
     columns of DOFs in either record, for :meth:`displacement`,
     :meth:`velocity` and the CSV export.  They raise SolverError naming an
     id that is not in the trajectory, or the substructure and the first DOF
-    that is not an integer in ``[0, dof_counts[sub_id])`` (a bool is
-    refused) or not recorded.
+    that breaks the DOF-list rule (:func:`~dynsub.models._dof_array`) or is
+    not recorded.  Every dict lists the ids in the system's order.
     """
 
     times: np.ndarray
@@ -250,16 +249,13 @@ class Trajectory:
         if sub_id not in self.states:
             raise SolverError(f"substructure {sub_id!r} is not in the trajectory, which holds {list(self.states)}")
         recorded, n = self._dofs[sub_id], self.dof_counts[sub_id]
-        inverse = np.full(n + 1, -1)  # the last entry stands for every DOF out of range
+        inverse = np.full(n, -1)
         inverse[recorded] = np.arange(len(recorded))
-        dofs = np.asarray(dofs)
-        if dofs.dtype.kind in "iu":
-            columns = inverse[np.where((dofs >= 0) & (dofs < n), dofs, n)]
-        else:  # a bool, a float or anything else is no DOF
-            columns = np.full(dofs.shape, -1)
+        dofs, broken = _dof_array(dofs, n)
+        columns = np.full(1, -1) if broken else inverse[dofs]
         if columns.size and columns.min() < 0:
             held = f"{n} DOFs" if len(recorded) == n else f"DOFs {sorted(recorded.tolist())}"
-            dof = dofs.tolist()[int(np.argmin(columns))]
+            dof = broken[1] if broken else dofs[np.argmin(columns)].item()
             raise SolverError(f"substructure {sub_id!r} DOF {dof!r} is not in the trajectory, which holds {held}")
         return np.stack([columns, len(recorded) + columns], axis=-1)
 
@@ -512,11 +508,10 @@ def _recorded_dofs(dofs, dof_counts: Mapping) -> dict:
     """``dofs`` checked, as ``{sid: DOFs}``, an integer array for every id of ``dof_counts``.
 
     ``dofs=None`` records every DOF, ``np.arange(n)``.  Otherwise ``dofs``
-    must be a mapping whose ids name substructures and whose values list
-    distinct integers in ``[0, dof_counts[sid])`` (a bool is refused), none
-    for an id it leaves out; anything else raises :class:`SolverError`
-    naming the substructure and the value.  Both solvers check their
-    ``dofs=`` here, once per run.
+    maps substructure ids to lists of distinct DOFs
+    (:func:`~dynsub.models._dof_array`), none for an id it leaves out;
+    anything else raises :class:`SolverError` naming the substructure and
+    the value.  Both solvers check their ``dofs=`` here, once per run.
     """
     if dofs is None:
         return {sid: np.arange(n) for sid, n in dof_counts.items()}
@@ -527,37 +522,34 @@ def _recorded_dofs(dofs, dof_counts: Mapping) -> dict:
             raise SolverError(f"the DOFs to record name no substructure {sid!r}")
     checked = {}
     for sid, n in dof_counts.items():
-        try:
-            values, seen = list(dofs.get(sid, ())), set()
-        except TypeError:
-            raise SolverError(f"DOFs to record of substructure {sid!r} must be a list, got {dofs[sid]!r}") from None
-        for dof in values:
-            if not (is_number(dof, integers=True) and 0 <= dof < n):
-                raise SolverError(f"substructure {sid!r} has no DOF {dof!r} to record: its DOFs are 0 to {n - 1}")
-            if dof in seen:
-                raise SolverError(f"substructure {sid!r} DOF {dof!r} is named twice in the DOFs to record")
-            seen.add(dof)
-        checked[sid] = np.array(values, dtype=np.intp)
+        checked[sid], broken = _dof_array(dofs.get(sid, ()), n, distinct=True)
+        if broken:
+            dof, reason = broken[1:]
+            raise SolverError({
+                "not a list": f"DOFs to record of substructure {sid!r} must be a list, got {dof!r}",
+                "repeated": f"substructure {sid!r} DOF {dof!r} is named twice in the DOFs to record",
+            }.get(reason, f"substructure {sid!r} has no DOF {dof!r} to record: its DOFs are 0 to {n - 1}"))
     return checked
 
 
-def _trajectory(config: SolverConfig, records, multipliers: np.ndarray) -> Trajectory:
+def _trajectory(config: SolverConfig, records, multipliers: np.ndarray, order) -> Trajectory:
     """The :class:`Trajectory` of a run's multipliers and records, each ``(record, ss)`` of ``ss`` rows per step.
 
     Every ``ss``-th row is a coupled state; a sub-cycled record is also
-    kept whole, as the fine record at spacing ``dt/ss``.  Every solver's
-    trajectory is built here, a reference's from one record at ``ss = 1``.
+    kept whole, as the fine record at spacing ``dt/ss``.  Each dict lists
+    the ids in ``order``, the system's.  Every solver's trajectory is built
+    here, a reference's from one record at ``ss = 1``.
     """
     traj = Trajectory(np.arange(config.n_steps + 1) * config.dt, {}, multipliers, {})
-    for record, ss in records:
-        traj.dof_counts.update(record.dof_counts)
-        traj._dofs.update(record.dofs)
-        for sid, fine in record.states.items():
-            traj.states[sid] = fine[::ss]
-            if ss > 1:
-                traj.fine_states[sid] = fine
-                traj.fine_times[sid] = np.arange(len(fine), dtype=float)
-                traj.fine_times[sid] *= config.dt / ss  # in place: no second whole-run grid
+    held = {sid: (record, ss) for record, ss in records for sid in record.states}
+    for sid in order:
+        record, ss = held[sid]
+        traj.dof_counts[sid], traj._dofs[sid], fine = record.dof_counts[sid], record.dofs[sid], record.states[sid]
+        traj.states[sid] = fine[::ss]
+        if ss > 1:
+            traj.fine_states[sid] = fine
+            traj.fine_times[sid] = np.arange(len(fine), dtype=float)
+            traj.fine_times[sid] *= config.dt / ss  # in place: no second whole-run grid
     return traj
 
 
@@ -578,7 +570,7 @@ def _step_assembled(asys, config: SolverConfig, inputs, initial, dofs, step: Cal
         y, ydot = step(y, ydot, _force(force_ids, rows(k)[0], n))
         records[k] = y
         _check_divergence(k, config.divergence_limit, (y, dof_map))
-    return _trajectory(config, [(records, 1)], np.zeros((config.n_steps + 1, 0)))
+    return _trajectory(config, [(records, 1)], np.zeros((config.n_steps + 1, 0)), dof_map)
 
 
 # Largest group, in DOFs, stepped through a precomputed propagator.  A
@@ -867,7 +859,7 @@ class PartitionedSolver:
                 first[k][:] = last[k]
             _check_divergence(step, cfg.divergence_limit, *checked)
 
-        return _trajectory(cfg, zip(records, subcycles), multipliers)
+        return _trajectory(cfg, zip(records, subcycles), multipliers, self.sub_ids)
 
 
 def simulate(

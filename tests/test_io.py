@@ -90,7 +90,17 @@ class TestSystemRoundTrip:
         ("n_dofs", None, "'chain'.*'n_dofs'"),
         ("mass", {"rows": [[0], [1, 2]], "cols": [0, 1], "values": [1.0, 1.0]}, r"'chain' mass.*integers in \[0, 3\)"),
         ("n_dofs", True, "'chain'.*n_dofs must be a positive integer, got True"),
-    ], ids=["out_of_range", "negative", "unequal_lengths", "dense_list", "missing_n_dofs", "ragged", "true_n_dofs"])
+        # what np.asarray would misread: a bool beside an int, a bool array's JSON, and an int no intp holds
+        ("stiffness", {"rows": [True, 2], "cols": [0, 2], "values": [1.0, 1.0]}, r"'chain' stiffness.*\[0, 3\)"),
+        ("stiffness", {"rows": np.array([True]).tolist(), "cols": [0], "values": [1.0]},
+         r"'chain' stiffness.*\[0, 3\)"),
+        ("stiffness", {"rows": [2.0], "cols": [2], "values": [1.0]}, r"'chain' stiffness.*\[0, 3\)"),
+        ("stiffness", {"rows": ["2"], "cols": [2], "values": [1.0]}, r"'chain' stiffness.*\[0, 3\)"),
+        ("stiffness", {"rows": [10**30], "cols": [2], "values": [1.0]}, r"'chain' stiffness.*\[0, 3\)"),
+        ("stiffness", {"rows": [0], "cols": [0], "values": [True]}, r"'chain' stiffness.*values numbers"),
+        ("stiffness", {"rows": [0], "cols": [0], "values": [10**400]}, r"'chain' stiffness.*values numbers"),
+    ], ids=["out_of_range", "negative", "unequal_lengths", "dense_list", "missing_n_dofs", "ragged", "true_n_dofs",
+            "bool_beside_an_int", "bool_array", "float_row", "string_row", "huge_row", "bool_value", "huge_value"])
     def test_malformed_record_rejected(self, tmp_path, field, value, message):
         path = tmp_path / "model.json"
         save_system(path, {"chain": chain_substructure(n=3)}, CouplingTopology(()))
@@ -281,6 +291,21 @@ class TestReductionRoundTrip:
                 "retained_frequencies", "internal_dofs", "boundary_dofs", "truncation_frequency",
             ]
 
+    @pytest.mark.parametrize("name, value", [
+        ("boundary_dofs", np.array([3, 7, 7])), ("boundary_dofs", np.array([3, 7, 12])),
+        ("internal_dofs", np.array([-1, 0, 1, 2, 4, 5, 6, 8, 9])),
+    ], ids=["repeated", "past_end", "negative"])
+    def test_dof_fields_that_do_not_cover_every_dof_once_are_refused(self, tmp_path, name, value):
+        # expand writes each DOF's row through these fields: a DOF they miss kept whatever np.empty held
+        red = cb_reduce(chain_substructure(n=12, boundary_dofs=(3, 7, 11)), 6)
+        save_reduction(tmp_path / "red.npz", red)
+        with np.load(tmp_path / "red.npz") as data:
+            np.savez(tmp_path / "bad.npz", **dict(data, **{name: value}))
+        message = (f"reduction file {str(tmp_path / 'bad.npz')!r}: fields 'internal_dofs' and 'boundary_dofs' "
+                   f"must disjointly cover all 12 DOFs")
+        with pytest.raises(ModelError, match=re.escape(message)):
+            load_reduction(tmp_path / "bad.npz")
+
     def test_a_file_that_also_holds_the_modes_loads(self, tmp_path):
         # earlier files stored the modes beside the transform; the copies are ignored
         red = cb_reduce(chain_substructure(n=12, boundary_dofs=(3, 11)), 4)
@@ -355,14 +380,16 @@ class TestTrajectoryCsv:
 
     def test_columns_follow_the_system_order(self, tmp_path):
         # a chain between two sub-cycled banks: at ss = 5 the banks step as one group,
-        # whose records the trajectory holds before the chain's, as its states are ordered
+        # yet the trajectory lists the substructures in the system's order, as its CSV does
         bank = suspension_substructure(n_elements=1)
         system = CoupledSystem(
             substructures={"bank_a": bank, "chain": chain_substructure(4, boundary_dofs=(0, 3)), "bank_b": bank},
             topology=CouplingTopology([[("bank_a", 1, 1), ("chain", 0, -1)], [("chain", 3, 1), ("bank_b", 1, -1)]]),
         )
         runs = {ss: simulate(system, SolverConfig(dt=1e-3, duration=0.01, subcycles=ss)) for ss in (1, 5)}
-        assert list(runs[5].states) != list(system.substructures)
+        assert list(runs[5].states) == list(system.substructures)
+        assert list(runs[5].dof_counts) == list(runs[5]._dofs) == list(system.substructures)
+        assert list(runs[5].fine_states) == list(runs[5].fine_times) == ["bank_a", "bank_b"]
         runs["monolithic"] = solve_monolithic(
             assemble_global(system.substructures, system.topology), SolverConfig(dt=1e-3, duration=0.01),
         )
@@ -499,7 +526,16 @@ class TestInputTables:
         ({"frame": {200: 0}}, "input map of 'frame' must map DOFs below 200 to channel numbers, got 200: 0"),
         ({"frame": {2.5: 0}}, "input map of 'frame' must map DOFs below 200 to channel numbers, got 2.5: 0"),
         ({"frame": {7: -1}}, "input map of 'frame' must map DOFs below 200 to channel numbers, got 7: -1"),
-    ], ids=["unknown_id", "negative_dof", "dof_past_end", "float_dof", "negative_channel"])
+        ({"frame": {True: 0, 2: 1}}, "input map of 'frame' must map DOFs below 200 to channel numbers, got True: 0"),
+        ({"frame": {np.True_: 0}},
+         f"input map of 'frame' must map DOFs below 200 to channel numbers, got {np.True_!r}: 0"),
+        ({"frame": {2.0: 0}}, "input map of 'frame' must map DOFs below 200 to channel numbers, got 2.0: 0"),
+        ({"frame": {"2": 0}}, "input map of 'frame' must map DOFs below 200 to channel numbers, got '2': 0"),
+        ({"frame": {10**30: 0}}, f"input map of 'frame' must map DOFs below 200 to channel numbers, got {10**30}: 0"),
+        ({"frame": {7: 0, 9: True}}, "input map of 'frame' must map DOFs below 200 to channel numbers, got 9: True"),
+        ({"frame": {7: -1, 300: 0}}, "input map of 'frame' must map DOFs below 200 to channel numbers, got 7: -1"),
+    ], ids=["unknown_id", "negative_dof", "dof_past_end", "float_dof", "negative_channel", "bool_beside_an_int",
+            "numpy_bool_dof", "whole_float_dof", "string_dof", "huge_dof", "bool_channel", "first_bad_pair"])
     def test_api_map_held_to_the_file_rules(self, desk, input_map, message):
         # before any indexing: numpy would drive the last DOF for -1 and the last channel for -1
         with pytest.raises(ModelError, match=re.escape(message)):

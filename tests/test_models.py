@@ -1,5 +1,7 @@
 """Model construction, restoring-force evaluation, and tangent linearization."""
 
+import re
+
 import numpy as np
 import pytest
 import scipy.sparse
@@ -113,11 +115,21 @@ class TestValidation:
             assert all(type(i) is int for i in sub.internal_dofs + sub.boundary_dofs)
         assert LinearSubstructure(mass=np.eye(2), damping=np.zeros((2, 2)), stiffness=np.eye(2)).internal_dofs == (0, 1)
 
-    @pytest.mark.parametrize("boundary", [(3,), (-1,), (1, 1), (10**30,)],
-                             ids=["out_of_range", "negative", "repeated", "huge"])
+    @pytest.mark.parametrize("boundary", [(3,), (-1,), (1, 1), (10**30,), [0, 10**30], np.array([2, 2])],
+                             ids=["out_of_range", "negative", "repeated", "huge", "huge_after_a_dof", "repeated_array"])
     def test_default_internal_dofs_leave_a_bad_boundary_to_the_cover_check(self, boundary):
         with pytest.raises(ModelError, match="disjointly cover all 3 DOFs"):
             LinearSubstructure(mass=np.eye(3), damping=np.zeros((3, 3)), stiffness=np.eye(3), boundary_dofs=boundary)
+
+    @pytest.mark.parametrize("field", ["boundary_dofs", "internal_dofs"])
+    @pytest.mark.parametrize("dofs, entry", [([True, 2], True), (np.array([True]), True), ([2.0], 2.0), (["2"], "2")],
+                             ids=["bool_beside_an_int", "bool_array", "float", "string"])
+    def test_a_dof_that_is_no_integer_is_refused_naming_it(self, field, dofs, entry):
+        # np.asarray reads [True, 2] as [1, 2]
+        message = f"field {field!r} must be a list of integers, got entry {entry!r}"
+        with pytest.raises(ModelError, match=re.escape(message)):
+            LinearSubstructure(mass=np.eye(3), damping=np.zeros((3, 3)), stiffness=np.eye(3),
+                               **{"internal_dofs": (0, 1), "boundary_dofs": (2,), field: dofs})
 
     def test_dimension_mismatch_rejected(self):
         for storage in STORAGES:

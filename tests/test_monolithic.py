@@ -508,7 +508,10 @@ class TestRecordedDofs:
             bare.displacement("frame", boundary)
         assert bare.velocity("suspension", 0).tobytes() == part.velocity("suspension", 0).tobytes()
 
-    @pytest.mark.parametrize("dof", [-1, 200, 2.0, True], ids=["negative", "past_end", "float", "bool"])
+    @pytest.mark.parametrize("dof", [-1, 200, 2.0, True, "2", 10**30, [True, 2], np.array([True]), [2.0], ["2"],
+                                     [10**30]],
+                             ids=["negative", "past_end", "float", "bool", "string", "huge", "list_with_a_bool",
+                                  "bool_array", "float_list", "string_list", "huge_list"])
     def test_dof_outside_a_whole_record_is_refused(self, dof):
         # -1 used to read the last velocity column as a displacement, and True
         # the whole record as a boolean index (or DOF 1 as a velocity)
@@ -552,7 +555,14 @@ class TestRecordedDofs:
         ({"frame": [3, 3]}, "'frame' DOF 3 is named twice"),
         ({"frame": 3}, "'frame'.* got 3$"),
         ([3], re.escape("got [3]")),
-    ], ids=["negative", "past_end", "unknown_id", "float", "bool", "repeated", "not_a_list", "not_a_mapping"])
+        # np.asarray reads [True, 2] as [1, 2] and [10**30] as an object array
+        ({"frame": [True, 2]}, "'frame'.* True "),
+        ({"frame": np.array([True])}, "'frame'.* True "),
+        ({"frame": [2.0]}, "'frame'.* 2.0 "),
+        ({"frame": ["2"]}, "'frame'.* '2' "),
+        ({"frame": [10**30]}, f"'frame'.* {10**30} "),
+    ], ids=["negative", "past_end", "unknown_id", "float", "bool", "repeated", "not_a_list", "not_a_mapping",
+            "bool_beside_an_int", "bool_array", "float_list", "string_list", "huge"])
     def test_bad_dofs_are_refused_naming_them(self, solver, dofs, named):
         system, asys, cfg, inputs = self.desk(200)
         with pytest.raises(SolverError, match=named):
