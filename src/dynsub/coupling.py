@@ -7,7 +7,9 @@ the matching momentum rows, and its transpose selects the boundary
 velocities.  Displacement rows are never coupled.  The interface operator
 ``H = sum L_v^T S^{-1} L_v`` is summed from solves ``S^{-1} L_v`` that its
 caller makes with its own factorizations of ``S``; this module only adds
-and factorizes them.
+and factorizes them.  The partitioned solver solves with ``H`` only at
+construction, for one multiplier map per step group, and none at a
+coupled step (:mod:`dynsub.solver`).
 
 Each topology rule has one owner, for system files and API callers alike.
 :class:`CouplingTopology` checks each constraint alone: two ``(id, dof, sign)``

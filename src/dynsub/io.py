@@ -39,6 +39,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import json
+import reprlib
 import warnings
 import zipfile
 from collections.abc import Mapping
@@ -48,8 +49,8 @@ import numpy as np
 
 from .coupling import CouplingError, CouplingTopology, _check_references
 from .models import (
-    LinearSubstructure, ModelError, NonlinearSubstructure, SuspensionElement, _dof_array, build_from_fields,
-    matrix_from_entries,
+    LinearSubstructure, ModelError, NonlinearSubstructure, SuspensionElement, _broken_rule, _dof_array,
+    build_from_fields, matrix_from_entries, require_numbers,
 )
 from .reduction import CraigBamptonReduction
 from .solver import CoupledSystem, Trajectory
@@ -89,17 +90,26 @@ def _write_json(out, value) -> None:
 
 
 def _from_triplets(n: int, rows, cols, values):
-    """``n``-by-``n`` matrix from a triplet record (:func:`~dynsub.models.matrix_from_entries`)."""
+    """``n``-by-``n`` matrix from a triplet record (:func:`~dynsub.models.matrix_from_entries`).
+
+    A bad entry is refused naming its list, its position and the entry: the
+    first that breaks the DOF-list rule in ``rows``, else in ``cols``, else
+    the first of ``values`` that is no number a float holds.
+    """
     if not all(isinstance(x, list) for x in (rows, cols, values)) or not len(rows) == len(cols) == len(values):
         raise ModelError("rows, cols and values must be lists of equal length")
-    (rows, broken_rows), (cols, broken_cols) = _dof_array(rows, n), _dof_array(cols, n)
+    dofs = {name: _dof_array(entries, n) for name, entries in (("rows", rows), ("cols", cols))}
+    for name, (_, bad) in dofs.items():
+        if bad:
+            raise ModelError(f"field {name!r} must hold integers in [0, {n}), got {bad[1]!r} at position {bad[0]}")
     try:  # one pass over the values' types; a JSON integer that no float holds overflows
-        values = np.asarray(values, dtype=float) if set(map(type, values)) <= {int, float} else None
+        array = np.asarray(values, dtype=float) if set(map(type, values)) <= {int, float} else None
     except OverflowError:
-        values = None
-    if broken_rows or broken_cols or values is None:
-        raise ModelError(f"rows and cols must be integers in [0, {n}) and values numbers")
-    return matrix_from_entries(n, rows, cols, values)
+        array = None
+    if array is None:  # one more pass, to the first entry that failed this one
+        k, x = next((k, x) for k, x in enumerate(values) if type(x) not in (int, float) or _broken_rule(x, False, None))
+        raise ModelError(f"field 'values' must hold float-range numbers, got {reprlib.repr(x)} at position {k}")
+    return matrix_from_entries(n, dofs["rows"][0], dofs["cols"][0], array)
 
 
 # The record schemas below are signatures, bound by build_from_fields; their
@@ -108,8 +118,7 @@ def _from_triplets(n: int, rows, cols, values):
 def _linear_record(kind, n_dofs, mass, stiffness, damping={"rows": [], "cols": [], "values": []},
                    internal_dofs=None, boundary_dofs=[]):
     """The fields of a linear substructure record; ``LinearSubstructure`` defaults ``internal_dofs``."""
-    if type(n_dofs) is not int or n_dofs < 1:  # a JSON true is no DOF count
-        raise ModelError(f"n_dofs must be a positive integer, got {n_dofs!r}")
+    require_numbers(ModelError, True, "positive", n_dofs=n_dofs)  # a JSON true is no DOF count
     return n_dofs, {"mass": mass, "damping": damping, "stiffness": stiffness}, internal_dofs, boundary_dofs
 
 
@@ -135,9 +144,8 @@ def substructure_to_dict(sub) -> dict:
     raise ModelError(f"cannot serialize {type(sub).__name__}")
 
 
-def substructure_from_dict(data: dict, sid: str = "substructure"):
-    """Substructure of a system-file record; an unknown or missing key raises ModelError naming it."""
-    where = f"substructure {sid!r}"
+def substructure_from_dict(data: dict, where: str = "substructure"):
+    """Substructure of a system-file record; an unknown or missing key raises ModelError led by ``where``, naming it."""
     kind = data.get("kind") if isinstance(data, dict) else None
     if kind == "linear":
         n, matrices, internal, boundary = build_from_fields(_linear_record, data, where)
@@ -191,7 +199,7 @@ def load_system(path) -> tuple[CoupledSystem, dict]:
     records, coupling, inputs, physical = build_from_fields(_system_record, doc, where)
     if not isinstance(records, dict):
         raise ModelError(f"{where}: field 'substructures' must map ids to substructure records")
-    subs = {sid: substructure_from_dict(d, sid) for sid, d in records.items()}
+    subs = {sid: substructure_from_dict(d, f"{where}: substructure {sid!r}") for sid, d in records.items()}
     try:  # CoupledSystem checks the references again, without the field's name
         topology = CouplingTopology(constraints=coupling)
         _check_references(topology, subs)

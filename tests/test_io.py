@@ -40,6 +40,9 @@ def assert_same_matrices(back, orig):
     assert back.boundary_dofs == orig.boundary_dofs
 
 
+_ROWS = r"'chain' stiffness: field 'rows' must hold integers in \[0, 3\), "
+
+
 class TestSystemRoundTrip:
     def test_dense_and_suspension_round_trip(self, tmp_path):
         subs, topology = frame_analog(n=24, boundary_dofs=(5, 11, 17, 23))
@@ -83,24 +86,33 @@ class TestSystemRoundTrip:
         assert np.array_equal(sub.damping, np.zeros((2, 2)))
 
     @pytest.mark.parametrize("field, value, message", [
-        ("stiffness", {"rows": [0, 3], "cols": [0, 0], "values": [1.0, 1.0]}, r"'chain' stiffness.*\[0, 3\)"),
-        ("stiffness", {"rows": [0, -1], "cols": [0, 2], "values": [1.0, 1.0]}, r"'chain' stiffness.*\[0, 3\)"),
+        ("stiffness", {"rows": [0, 3], "cols": [0, 0], "values": [1.0, 1.0]}, _ROWS + r"got 3 at position 1$"),
+        ("stiffness", {"rows": [0, -1], "cols": [0, 2], "values": [1.0, 1.0]}, _ROWS + r"got -1 at position 1$"),
         ("damping", {"rows": [0, 1], "cols": [0], "values": [1.0, 1.0]}, "'chain' damping.*equal length"),
         ("mass", [[1, 0, 0], [0, 1, 0], [0, 0, 1]], "'chain' mass.*'rows'"),
         ("n_dofs", None, "'chain'.*'n_dofs'"),
-        ("mass", {"rows": [[0], [1, 2]], "cols": [0, 1], "values": [1.0, 1.0]}, r"'chain' mass.*integers in \[0, 3\)"),
-        ("n_dofs", True, "'chain'.*n_dofs must be a positive integer, got True"),
+        ("mass", {"rows": [[0], [1, 2]], "cols": [0, 1], "values": [1.0, 1.0]},
+         r"'chain' mass: field 'rows' must hold integers in \[0, 3\), got \[0\] at position 0$"),
+        ("n_dofs", True, "'chain': field 'n_dofs' must be an integer, got True$"),
         # what np.asarray would misread: a bool beside an int, a bool array's JSON, and an int no intp holds
-        ("stiffness", {"rows": [True, 2], "cols": [0, 2], "values": [1.0, 1.0]}, r"'chain' stiffness.*\[0, 3\)"),
+        ("stiffness", {"rows": [True, 2], "cols": [0, 2], "values": [1.0, 1.0]}, _ROWS + r"got True at position 0$"),
         ("stiffness", {"rows": np.array([True]).tolist(), "cols": [0], "values": [1.0]},
-         r"'chain' stiffness.*\[0, 3\)"),
-        ("stiffness", {"rows": [2.0], "cols": [2], "values": [1.0]}, r"'chain' stiffness.*\[0, 3\)"),
-        ("stiffness", {"rows": ["2"], "cols": [2], "values": [1.0]}, r"'chain' stiffness.*\[0, 3\)"),
-        ("stiffness", {"rows": [10**30], "cols": [2], "values": [1.0]}, r"'chain' stiffness.*\[0, 3\)"),
-        ("stiffness", {"rows": [0], "cols": [0], "values": [True]}, r"'chain' stiffness.*values numbers"),
-        ("stiffness", {"rows": [0], "cols": [0], "values": [10**400]}, r"'chain' stiffness.*values numbers"),
+         _ROWS + r"got True at position 0$"),
+        ("stiffness", {"rows": [2.0], "cols": [2], "values": [1.0]}, _ROWS + r"got 2.0 at position 0$"),
+        ("stiffness", {"rows": ["2"], "cols": [2], "values": [1.0]}, _ROWS + r"got '2' at position 0$"),
+        ("stiffness", {"rows": [10**30], "cols": [2], "values": [1.0]}, _ROWS + rf"got {10**30} at position 0$"),
+        ("stiffness", {"rows": [0], "cols": [0], "values": [True]},
+         r"'chain' stiffness: field 'values' must hold float-range numbers, got True at position 0$"),
+        ("stiffness", {"rows": [0], "cols": [0], "values": [10**400]},
+         r"'chain' stiffness: field 'values' must hold float-range numbers, got 1000.*0000 at position 0$"),
+        # each list is named with the position and the entry of its first bad entry
+        ("stiffness", {"rows": [0, 1, 2, 0, 1, 2], "cols": [0, 1, 2, 0, 1, 999], "values": [1.0] * 6},
+         r"'chain' stiffness: field 'cols' must hold integers in \[0, 3\), got 999 at position 5$"),
+        ("mass", {"rows": [0, 1, 2], "cols": [0, 1, 2], "values": [1.0, 1.0, "x"]},
+         r"'chain' mass: field 'values' must hold float-range numbers, got 'x' at position 2$"),
     ], ids=["out_of_range", "negative", "unequal_lengths", "dense_list", "missing_n_dofs", "ragged", "true_n_dofs",
-            "bool_beside_an_int", "bool_array", "float_row", "string_row", "huge_row", "bool_value", "huge_value"])
+            "bool_beside_an_int", "bool_array", "float_row", "string_row", "huge_row", "bool_value", "huge_value",
+            "col_out_of_range", "string_value"])
     def test_malformed_record_rejected(self, tmp_path, field, value, message):
         path = tmp_path / "model.json"
         save_system(path, {"chain": chain_substructure(n=3)}, CouplingTopology(()))
@@ -111,8 +123,9 @@ class TestSystemRoundTrip:
         else:
             record[field] = value
         path.write_text(json.dumps(doc))
-        with pytest.raises(ModelError, match=message):
+        with pytest.raises(ModelError, match=message) as raised:
             load_system(path)
+        assert str(raised.value).startswith(f"system file {path}: substructure 'chain'")
 
     @pytest.mark.parametrize("path, value, field", [
         (("substructures", "suspension", "relative_motion"), "no", "relative_motion"),

@@ -29,7 +29,7 @@ from dynsub import (
     simulate,
     tangent_at_zero,
 )
-from dynsub.coupling import _factorize
+from dynsub.coupling import InterfaceOperator, _factorize
 from dynsub.monolithic import solve_monolithic
 from dynsub.solver import effective_matrix, free_step
 from dynsub.generators import chain_substructure, frame_analog, suspension_substructure
@@ -624,10 +624,11 @@ class TestSubcycling:
                              topology=topology, physical=("bank_a", "bank_b"))
 
     @pytest.mark.parametrize("propagated", [True, False])
-    @pytest.mark.parametrize("banks", [1, 2])
+    @pytest.mark.parametrize("banks", [1, 2, "2_uncoupled"])
     def test_coarse_inputs_equal_inputs_interpolated_beforehand(self, banks, propagated):
         # a coupled-rate table of a sub-cycled group is interpolated one window
-        # at a time, alone or beside a table at the inner rate
+        # at a time, alone or beside a table at the inner rate, also in a
+        # system without constraints, whose multiplier maps have no rows
         ss = 5
         cfg = SolverConfig(dt=1e-3, duration=0.05, subcycles=ss)
         times = np.arange(cfg.n_steps + 1) * cfg.dt
@@ -638,6 +639,8 @@ class TestSubcycling:
             fine = {}
         else:
             system = self.two_bank_system()
+            if banks == "2_uncoupled":
+                system = dataclasses.replace(system, topology=CouplingTopology(()))
             coarse = {"bank_a": wheel_forces(system, "bank_a", times)}
             fine = {"bank_b": wheel_forces(system, "bank_b", fine_times), "chain": np.ones((len(times), 4))}
         interpolated = {sid: np.column_stack([np.interp(fine_times, times, col) for col in table.T])
@@ -652,7 +655,10 @@ class TestSubcycling:
             TestSimulate.assert_rows_close(traj.states[sid], ref.states[sid])
         for sid in system.physical:
             TestSimulate.assert_rows_close(traj.fine_states[sid], ref.fine_states[sid])
-        TestSimulate.assert_rows_close(traj.multipliers, ref.multipliers)
+        if banks == "2_uncoupled":
+            assert traj.multipliers.shape == ref.multipliers.shape == (cfg.n_steps + 1, 0)
+        else:
+            TestSimulate.assert_rows_close(traj.multipliers, ref.multipliers)
 
     def test_velocity_compatibility_holds_when_subcycled(self):
         system = subcycling_system()
@@ -782,6 +788,30 @@ class TestPropagator:
         inputs = {"suspension": wheel_forces(desk, "suspension", times)}
         assert sum(sub.n_dofs for sub in desk.substructures.values()) == 208
         assert self.count_free_steps(monkeypatch, desk, cfg, inputs) == cfg.n_steps
+
+    @pytest.mark.parametrize("ss", [1, 3])
+    @pytest.mark.parametrize("reduced", [True, False], ids=["propagated", "free_step"])
+    def test_interface_is_solved_at_construction_only(self, monkeypatch, desk, reduced, ss):
+        # the multipliers are products with one map per group, built at
+        # construction, so a run of 20 coupled steps solves as often as one of 10
+        system = self.reduced_desk() if reduced else desk
+        solves, couplings = [], []
+        solve, coupling_step = InterfaceOperator.solve, dynsub.solver.coupling_step
+        monkeypatch.setattr(InterfaceOperator, "solve", lambda op, rhs: solves.append(1) or solve(op, rhs))
+        monkeypatch.setattr(dynsub.solver, "coupling_step", lambda *args: couplings.append(1) or coupling_step(*args))
+        counts = []
+        for n_steps in (10, 20):
+            cfg = SolverConfig(dt=1e-3, duration=n_steps * 1e-3, subcycles=ss)
+            inputs = {"suspension": wheel_forces(system, "suspension", np.arange(n_steps + 1) * cfg.dt)}
+            before = len(solves)
+            solver = PartitionedSolver(system, cfg)
+            assert all((group.propagator is None) == (group.form.n_dofs > dynsub.solver._PROPAGATOR_MAX_DOFS)
+                       for group in solver._plan)
+            assert any(group.propagator is None for group in solver._plan) != reduced
+            assert np.abs(solver.run(inputs).multipliers[1:]).min() > 0
+            counts.append(len(solves) - before)
+        assert counts[0] == counts[1] == len(solver._plan)
+        assert not couplings
 
     def peak_beyond_the_records(self, sampling):
         """The reduced desk run at ss = 10 with the bank driven at ``sampling`` ("inner" or "coupled"):
