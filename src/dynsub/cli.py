@@ -19,7 +19,7 @@ import numpy as np
 from . import io as dio
 from .coupling import CouplingError, CouplingTopology, _stores_csr
 from .experiment import ExperimentConfig, run_experiment
-from .generators import chain_substructure, frame_analog
+from .generators import chain_substructure, frame_analog, wheel_inputs
 from .metrics import MetricsError, frequency_error_table, mac, trajectory_mse
 from .models import LinearSubstructure, ModelError, build_from_fields
 from .monolithic import assemble_global, solve_monolithic
@@ -42,7 +42,7 @@ def _cmd_generate_model(args) -> int:
         dio.save_system(args.out, {"chain": sub}, CouplingTopology(()), input_map={})
     elif args.kind == "frame_analog":
         subs, topology = build_from_fields(frame_analog, params, "frame_analog parameters")
-        dio.save_system(args.out, subs, topology, input_map={}, physical=("suspension",))
+        dio.save_system(args.out, subs, topology, input_map=wheel_inputs(subs["suspension"]), physical=("suspension",))
     else:
         raise ModelError(f"unknown model kind {args.kind!r}")
     print(f"wrote {args.out}")

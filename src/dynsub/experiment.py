@@ -12,7 +12,9 @@ solver records only the DOFs its trajectory CSV holds (``dofs=`` of
 :func:`dynsub.io._exported_dofs`): the frame's boundary DOFs, which the
 fidelity check reads too, and every suspension DOF.  So the run holds no
 record of every frame DOF, which is 16 MB on the default 1000-DOF run
-over 1 s and 1.6 GB at 1e5 DOFs.
+over 1 s and 1.6 GB at 1e5 DOFs.  Channel i drives wheel i: the input map
+of :func:`dynsub.generators.wheel_inputs`, which ``model.json`` holds as its
+``inputs`` and which routes the channels of both solvers.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from . import io as dio
-from .generators import frame_analog
+from .generators import frame_analog, wheel_inputs
 from .metrics import trajectory_mse
 from .models import ModelError, build_from_fields, number_tuple, require_bools, require_numbers
 from .monolithic import assemble_global, solve_monolithic
@@ -100,7 +102,8 @@ def run_experiment(config: ExperimentConfig, out_dir) -> dict:
 
     subs, topology = build_from_fields(frame_analog, config.model, "experiment config model")
     frame, susp = subs["frame"], subs["suspension"]
-    dio.save_system(out / "model.json", subs, topology, input_map={}, physical=("suspension",))
+    input_map = wheel_inputs(susp)
+    dio.save_system(out / "model.json", subs, topology, input_map=input_map, physical=("suspension",))
 
     solver_cfg = config._solver
     n_steps = solver_cfg.n_steps
@@ -142,7 +145,7 @@ def run_experiment(config: ExperimentConfig, out_dir) -> dict:
         topology=reduced_topology(topology, "frame", red),
         physical=("suspension",),
     )
-    inputs = dio.input_tables(reduced_system, {}, channels_fine)  # channel i drives wheel i
+    inputs = dio.input_tables(reduced_system, input_map, channels_fine)
 
     t0 = time.perf_counter()
     solver = PartitionedSolver(reduced_system, solver_cfg)

@@ -12,11 +12,14 @@ package's one scatter of entries (:func:`~dynsub.models.matrix_from_entries`);
 the two hold the same entries, bit for bit.  Each parameter meets the check
 that owns its rule (:mod:`dynsub.models`' number, range and bool checks, and
 :class:`~dynsub.models.LinearSubstructure` for DOF lists), which names it.
+
+Which channel drives which DOF belongs to the test set-up, not to the
+model: the elements hold no channel, and :func:`wheel_inputs` gives the
+frame analog's input map, channel i onto wheel i.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 
 import numpy as np
@@ -113,18 +116,15 @@ def suspension_substructure(
     relative_motion: bool = NonlinearSubstructure.relative_motion,
     coefficients: dict | None = None,
 ) -> NonlinearSubstructure:
-    """Suspension bank; ``coefficients`` (:class:`SuspensionElement` fields) override ``SUSPENSION_DEFAULTS``.
+    """Suspension bank of ``n_elements`` equal elements.
 
-    Element i reads channel i, so ``coefficients`` may not set ``base_excitation_channel``.
+    ``coefficients`` (:class:`SuspensionElement` fields) override ``SUSPENSION_DEFAULTS``.
     """
     require_numbers(ModelError, True, n_elements=n_elements)
     element = build_from_fields(functools.partial(SuspensionElement, **SUSPENSION_DEFAULTS),
                                 {} if coefficients is None else coefficients, "suspension coefficients")
-    if "base_excitation_channel" in (coefficients or {}):
-        raise ModelError("suspension coefficients: element i reads channel i, got field 'base_excitation_channel'")
-    elements = tuple(dataclasses.replace(element, base_excitation_channel=i) for i in range(n_elements))
     return NonlinearSubstructure(
-        elements=elements,
+        elements=(element,) * n_elements,
         boundary_mass=boundary_mass,
         relative_motion=relative_motion,
     )
@@ -165,3 +165,13 @@ def frame_analog(
     )
     topology = CouplingTopology(constraints=constraints)
     return {"frame": frame, "suspension": susp}, topology
+
+
+def wheel_inputs(susp: NonlinearSubstructure) -> dict:
+    """Input map of :func:`frame_analog`'s bank: channel i drives wheel i, the bank's internal DOF i.
+
+    The one owner of that rule: ``dynsub generate-model`` and
+    :func:`~dynsub.experiment.run_experiment` write this map into the system
+    file's ``inputs``, and the experiment routes its channels by it.
+    """
+    return {"suspension": {dof: channel for channel, dof in enumerate(susp.internal_dofs)}}

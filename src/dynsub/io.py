@@ -11,8 +11,7 @@ record stores ``mass``, ``damping`` and ``stiffness`` as sparse triplets
 as in COO storage, and a missing ``damping`` reads as zero.  A record of
 ``_SPARSE_MIN_DOFS`` DOFs or more is read into CSR arrays, a smaller one
 into dense arrays (:func:`~dynsub.models.matrix_from_entries`).  A
-suspension record is the ``dataclasses.asdict`` of its substructure; an
-element's ``base_excitation_channel`` defaults to its index.
+suspension record is the ``dataclasses.asdict`` of its substructure.
 
 Past the records :func:`load_system` only parses JSON.  ``coupling`` and
 ``physical`` are checked by their owners, :mod:`dynsub.coupling` and
@@ -22,6 +21,10 @@ and its DOFs, like a triplet's rows and cols, and its channels (without a bound)
 meet the DOF-list rule of :func:`~dynsub.models._dof_array`.
 A file's ``inputs`` key names a DOF only in the decimal form of that DOF
 (``str(dof)``): ``"05"`` or ``"٥"`` stays a string and is refused, quoted.
+The input map is the only routing of channels onto DOFs: a suspension
+element record holds no channel, and the channel field of older files is
+refused, named, as any unknown key is.  :func:`save_system` makes the
+reader's checks before it opens the file.
 A file's errors are ModelErrors led by the file and the field name.
 
 Every numeric CSV table is written by :func:`_write_csv`: comma-separated,
@@ -158,13 +161,9 @@ def substructure_from_dict(data: dict, where: str = "substructure"):
         fields = {key: value for key, value in data.items() if key != "kind"}
         if not isinstance(fields.get("elements", []), list):
             raise ModelError(f"{where}: field 'elements' must be a list of element records")
-        if "elements" in fields:  # an element's channel defaults to its index
-            fields["elements"] = tuple(
-                build_from_fields(
-                    functools.partial(SuspensionElement, base_excitation_channel=i), e, f"{where} element {i}",
-                )
-                for i, e in enumerate(fields["elements"])
-            )
+        if "elements" in fields:
+            fields["elements"] = tuple(build_from_fields(SuspensionElement, e, f"{where} element {i}")
+                                       for i, e in enumerate(fields["elements"]))
         return build_from_fields(NonlinearSubstructure, fields, where)
     raise ModelError(f"{where}: field 'kind' must be 'linear' or 'suspension', got {kind!r}")
 
@@ -176,7 +175,16 @@ def save_system(
     input_map: dict | None = None,
     physical: tuple = (),
 ) -> None:
-    """Write a system file: the text of ``json.dumps`` of its document, compact, streamed by :func:`_write_json`."""
+    """Write a system file: the text of ``json.dumps`` of its document, compact, streamed by :func:`_write_json`.
+
+    Before the file is opened, the topology and ``physical`` meet
+    :class:`~dynsub.solver.CoupledSystem`'s checks and ``input_map`` meets
+    :func:`_check_input_map`, the checks :func:`load_system` makes, so no
+    file is written that its reader refuses or reads with another routing.
+    """
+    input_map = {} if input_map is None else input_map
+    system = CoupledSystem(substructures=substructures, topology=topology, physical=physical)
+    _check_input_map(system, input_map, "input map")
     doc = {
         "substructures": {sid: substructure_to_dict(sub) for sid, sub in substructures.items()},
         "coupling": [
@@ -184,7 +192,7 @@ def save_system(
         ],
         "inputs": {
             sid: {str(dof): int(ch) for dof, ch in chans.items()}
-            for sid, chans in (input_map or {}).items()
+            for sid, chans in input_map.items()
         },
         "physical": list(physical),
     }
@@ -415,33 +423,21 @@ def _check_input_map(system: CoupledSystem, input_map, where: str) -> None:
 
 
 def input_tables(system: CoupledSystem, input_map: dict, channels: np.ndarray) -> dict:
-    """Expand channel signals into per-substructure force tables.
+    """Expand channel signals into per-substructure force tables: the input map is the only routing.
 
     ``input_map`` maps substructure id to {dof: channel}, under the rules of
-    a system file's ``inputs``; suspension elements additionally pull their
-    ``base_excitation_channel`` onto the wheel DOF.
+    a system file's ``inputs``.  Each mapped substructure, in the system's
+    order, gets a table of one row per sample and one column per DOF, zero
+    but for its mapped DOFs, which hold their channels; an unmapped one gets
+    none.
     """
     _check_input_map(system, input_map, "input map")
-    n_samples = channels.shape[0]
     tables = {}
     for sid, sub in system.substructures.items():
-        table = np.zeros((n_samples, sub.n_dofs))
-        used = False
-        if isinstance(sub, NonlinearSubstructure):
-            for i, e in enumerate(sub.elements):
-                if e.base_excitation_channel >= 0:
-                    if e.base_excitation_channel >= channels.shape[1]:
-                        raise ModelError(
-                            f"element {i} of {sid!r} references channel "
-                            f"{e.base_excitation_channel}, have {channels.shape[1]}"
-                        )
-                    table[:, i] = channels[:, e.base_excitation_channel]
-                    used = True
-        for dof, ch in input_map.get(sid, {}).items():
-            if ch >= channels.shape[1]:
-                raise ModelError(f"{sid!r} DOF {dof} references channel {ch}, have {channels.shape[1]}")
-            table[:, dof] += channels[:, ch]
-            used = True
-        if used:
-            tables[sid] = table
+        if not (routes := input_map.get(sid)):
+            continue
+        if bad := next(((dof, ch) for dof, ch in routes.items() if ch >= channels.shape[1]), None):
+            raise ModelError(f"{sid!r} DOF {bad[0]} references channel {bad[1]}, have {channels.shape[1]}")
+        tables[sid] = np.zeros((channels.shape[0], sub.n_dofs))
+        tables[sid][:, list(routes)] = channels[:, list(routes.values())]
     return tables

@@ -374,12 +374,10 @@ class SuspensionElement:
     c1: float
     c2: float
     c3: float
-    base_excitation_channel: int = 0
 
     def __post_init__(self):
         require_numbers(ModelError, False, "positive", mass=self.mass, c3=self.c3)
         require_numbers(ModelError, False, "finite", k1=self.k1, c1=self.c1, c2=self.c2)
-        require_numbers(ModelError, True, base_excitation_channel=self.base_excitation_channel)
 
     @property
     def tangent_damping(self) -> float:

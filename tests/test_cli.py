@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from dynsub import SolverConfig, assemble_global, reduce as cb_reduce, simulate, solve_monolithic
+from dynsub import (
+    CoupledSystem, PartitionedSolver, SolverConfig, assemble_global, reduce as cb_reduce, simulate, solve_monolithic,
+)
 from dynsub.cli import main
 from dynsub.generators import chain_substructure, frame_analog
 from dynsub.io import (
@@ -16,7 +18,7 @@ from dynsub.io import (
 )
 from dynsub.signals import multisine_with_noise_channels
 
-from conftest import run_python, scipy_sparse_check, set_json_entry
+from conftest import multisine_table, run_python, scipy_sparse_check, set_json_entry
 
 
 def write_config(path, **overrides):
@@ -548,6 +550,28 @@ class TestSimulateCommand:
         save_trajectory_csv(expected, whole, system)
         assert out.read_bytes() == expected.read_bytes()
 
+    def test_generated_model_drives_channel_i_onto_wheel_i(self, tmp_path, model_file):
+        # the file's input map is the only routing: its run equals the API run on a table
+        # whose wheel columns hold the channels, as the acceptance tests build it
+        cfg_path, sig, out = write_config(tmp_path / "cfg.json"), tmp_path / "sig.csv", tmp_path / "part.csv"
+        cfg = SolverConfig(**json.loads(cfg_path.read_text()))
+        times = np.arange(cfg.n_steps + 1) * cfg.dt
+        channels = multisine_table(times, 4)
+        save_signals_csv(sig, times, channels)
+        assert main(["simulate", "--model", str(model_file), "--config", str(cfg_path),
+                     "--inputs", str(sig), "--out", str(out), "--all-dofs"]) == 0
+        assert json.loads(model_file.read_text())["inputs"] == {"suspension": {"0": 0, "1": 1, "2": 2, "3": 3}}
+        subs, topology = frame_analog(n=40, boundary_dofs=(9, 19, 29, 39))
+        system = CoupledSystem(substructures=subs, topology=topology, physical=("suspension",))
+        susp = subs["suspension"]
+        table = np.zeros((len(times), susp.n_dofs))
+        table[:, list(susp.internal_dofs)] = channels
+        traj = PartitionedSolver(system, cfg).run({"suspension": table})
+        expected = tmp_path / "expected.csv"
+        save_trajectory_csv(expected, traj, system, all_dofs=True)
+        (header, data), (want_header, want) = load_csv_columns(out), load_csv_columns(expected)
+        assert header == want_header and np.array_equal(data, want)
+
     @pytest.mark.parametrize("extra", [[], ["--monolithic"]], ids=["partitioned", "monolithic"])
     def test_empty_system_exits_1_naming_it(self, tmp_path, capsys, extra):
         model, out = tmp_path / "empty.json", tmp_path / "t.csv"
@@ -567,7 +591,7 @@ class TestSimulateCommand:
     def test_inner_rate_csv_decimated_onto_the_coupled_grid(self, tmp_path, model_file):
         # a 10 kHz CSV and its every-10th row drive the monolithic reference
         # alike, on the wheels and on a frame DOF
-        set_json_entry(model_file, ["inputs"], {"frame": {"10": 0}})
+        set_json_entry(model_file, ["inputs", "frame"], {"10": 0})
         fine = tmp_path / "fine.csv"
         assert main(["generate-signal", "--kind", "multisine",
                      "--spec", '{"frequencies": [5, 11], "amplitudes": [1, 1], "noise_variance": 0.01}',

@@ -8,7 +8,7 @@ import scipy.sparse.linalg  # imported before any tracing, so its module objects
 
 import dynsub.models
 from dynsub.generators import (
-    SUSPENSION_DEFAULTS, chain_matrices, frame_analog, frame_substructure, suspension_substructure,
+    SUSPENSION_DEFAULTS, chain_matrices, frame_analog, frame_substructure, suspension_substructure, wheel_inputs,
 )
 from dynsub.io import save_system
 from dynsub.models import ModelError, dense
@@ -76,13 +76,12 @@ class TestSparseFrames:
 class TestParameters:
     """Each generator parameter meets the check that owns its rule."""
 
-    def test_coefficients_override_the_defaults_and_channels_follow_the_index(self):
+    def test_coefficients_override_the_defaults(self):
         susp = suspension_substructure(n_elements=3, coefficients={"k1": 30})
-        assert [(e.k1, e.c3, e.base_excitation_channel) for e in susp.elements] == [
-            (30, SUSPENSION_DEFAULTS["c3"], i) for i in range(3)
-        ]
+        assert [(e.k1, e.c3) for e in susp.elements] == [(30, SUSPENSION_DEFAULTS["c3"])] * 3
 
     def test_coefficients_may_not_set_the_channel(self):
+        # an element holds no channel: the input map routes them (wheel_inputs)
         with pytest.raises(ModelError, match="'base_excitation_channel'"):
             suspension_substructure(coefficients={"base_excitation_channel": 2})
 
@@ -95,6 +94,7 @@ class TestParameters:
         subs, topology = frame_analog(n=40, boundary_dofs=(39, 9, 19))
         assert subs["suspension"].n_elements == 3
         assert [(frame[1], susp[1]) for frame, susp in topology.constraints] == [(39, 3), (9, 4), (19, 5)]
+        assert wheel_inputs(subs["suspension"]) == {"suspension": {0: 0, 1: 1, 2: 2}}  # channel i onto wheel i
         with pytest.raises(ModelError, match="'boundary_dofs'"):
             frame_analog(n=40, boundary_dofs=())
 

@@ -13,7 +13,10 @@ from dynsub import (
     CouplingTopology, ModelError, SolverConfig, SolverError, assemble_global, reduce as cb_reduce, simulate,
     solve_monolithic,
 )
-from dynsub.generators import chain_substructure, frame_analog, suspension_substructure
+from dynsub.coupling import CouplingError
+from dynsub.generators import (
+    SUSPENSION_DEFAULTS, chain_substructure, frame_analog, suspension_substructure, wheel_inputs,
+)
 from dynsub.io import (
     input_tables,
     load_csv_columns,
@@ -25,7 +28,7 @@ from dynsub.io import (
     save_system,
     save_trajectory_csv,
 )
-from dynsub.models import NonlinearSubstructure, dense
+from dynsub.models import NonlinearSubstructure, SuspensionElement, dense
 from dynsub.reduction import reduced_topology
 from dynsub.solver import CoupledSystem
 
@@ -200,17 +203,40 @@ class TestSystemRoundTrip:
         save_system(again, system.substructures, system.topology, input_map, system.physical)
         assert again.read_bytes() == path.read_bytes()
 
-    def test_element_channel_defaults_to_its_index(self, tmp_path):
+    def test_element_record_holding_a_channel_is_refused(self, tmp_path):
+        # the input map is the only routing: a file whose elements still hold their channel is refused, not misread
         subs, topology = frame_analog(n=24, boundary_dofs=(5, 11, 17, 23))
         path = tmp_path / "model.json"
-        save_system(path, subs, topology)
-        doc = json.loads(path.read_text())
-        for element in doc["substructures"]["suspension"]["elements"]:
-            del element["base_excitation_channel"]
-        path.write_text(json.dumps(doc))
-        susp = load_system(path)[0].substructures["suspension"]
-        assert [e.base_excitation_channel for e in susp.elements] == [0, 1, 2, 3]
-        assert susp.elements == subs["suspension"].elements
+        save_system(path, subs, topology, input_map=wheel_inputs(subs["suspension"]), physical=("suspension",))
+        set_json_entry(path, ("substructures", "suspension", "elements", 2, "base_excitation_channel"), 2)
+        with pytest.raises(ModelError) as refused:
+            load_system(path)
+        assert str(refused.value).startswith(f"system file {path}: substructure 'suspension' element 2: ")
+        assert "'base_excitation_channel'" in str(refused.value)
+
+    @pytest.mark.parametrize("arguments, error, message", [
+        ({"input_map": {"nosuch": {0: 0}}}, ModelError, "input map references unknown substructure 'nosuch'"),
+        ({"input_map": {"suspension": {8: 0}}}, ModelError,
+         "input map of 'suspension' must map DOFs below 8 to channel numbers, got 8: 0"),
+        ({"input_map": {"suspension": {0: -1}}}, ModelError,
+         "input map of 'suspension' must map DOFs below 8 to channel numbers, got 0: -1"),
+        ({"input_map": {"suspension": {0: 2.5}}}, ModelError,
+         "input map of 'suspension' must map DOFs below 8 to channel numbers, got 0: 2.5"),
+        ({"input_map": {"suspension": {0: True}}}, ModelError,
+         "input map of 'suspension' must map DOFs below 8 to channel numbers, got 0: True"),
+        ({"physical": ("nosuch",)}, ModelError,
+         "field 'physical' must be a list of ids of its substructures, got ('nosuch',)"),
+        ({"topology": CouplingTopology(((("frame", 24, 1), ("suspension", 4, -1)),))}, CouplingError,
+         "constraint 0 references DOF 24 of 'frame'"),
+    ], ids=["unknown_id", "dof_past_end", "negative_channel", "float_channel", "bool_channel", "unknown_physical",
+            "constraint_dof_past_end"])
+    def test_what_its_reader_refuses_is_not_written(self, tmp_path, arguments, error, message):
+        # each would make a file that its reader refuses, or reads back with 2.5 and True as channels 2 and 1
+        subs, topology = frame_analog(n=24, boundary_dofs=(5, 11, 17, 23))
+        path = tmp_path / "model.json"
+        with pytest.raises(error, match=re.escape(message)):
+            save_system(path, subs, **{"topology": topology, "physical": ("suspension",), **arguments})
+        assert not path.exists()
 
     def test_substructures_must_be_a_mapping(self, tmp_path):
         path = tmp_path / "model.json"
@@ -517,16 +543,19 @@ class TestSignalsCsv:
 
 
 class TestInputTables:
-    def test_suspension_channels_routed_to_wheels(self, desk):
-        channels = np.arange(30, dtype=float).reshape(10, 3)
-        # base_excitation_channel defaults to the element index: need 4 channels
-        channels = np.column_stack([channels, np.ones(10)])
-        tables = input_tables(desk, {}, channels)
-        susp = tables["suspension"]
-        assert susp.shape == (10, 8)
-        assert np.array_equal(susp[:, 0], channels[:, 0])
-        assert np.array_equal(susp[:, 3], channels[:, 3])
-        assert np.all(susp[:, 4:] == 0.0)
+    def test_an_api_bank_with_an_empty_map_gets_no_table(self):
+        # its elements hold no channel, so nothing drives the wheels but the map
+        bank = NonlinearSubstructure(elements=(SuspensionElement(**SUSPENSION_DEFAULTS),) * 4)
+        system = CoupledSystem(substructures={"suspension": bank}, topology=CouplingTopology(()))
+        assert input_tables(system, {}, np.arange(40, dtype=float).reshape(10, 4)) == {}
+
+    def test_the_wheel_map_routes_channel_i_to_wheel_i(self, desk):
+        channels = np.arange(40, dtype=float).reshape(10, 4)
+        tables = input_tables(desk, wheel_inputs(desk.substructures["suspension"]), channels)
+        assert list(tables) == ["suspension"]
+        assert tables["suspension"].shape == (10, 8)
+        assert np.array_equal(tables["suspension"][:, :4], channels)
+        assert np.all(tables["suspension"][:, 4:] == 0.0)
 
     def test_explicit_map_adds_forces(self, desk):
         channels = np.ones((5, 4))
@@ -555,5 +584,5 @@ class TestInputTables:
             input_tables(desk, input_map, np.ones((5, 4)))
 
     def test_missing_channel_reported(self, desk):
-        with pytest.raises(ModelError, match="channel"):
-            input_tables(desk, {}, np.ones((5, 2)))
+        with pytest.raises(ModelError, match=re.escape("'suspension' DOF 2 references channel 2, have 2")):
+            input_tables(desk, wheel_inputs(desk.substructures["suspension"]), np.ones((5, 2)))

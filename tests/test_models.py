@@ -54,7 +54,7 @@ def two_mass_chain(k=1.0, m=1.0):
 
 def suspension(n=1, **overrides):
     coeff = {**COEFF, **overrides}
-    elements = tuple(SuspensionElement(base_excitation_channel=i, **coeff) for i in range(n))
+    elements = (SuspensionElement(**coeff),) * n
     return NonlinearSubstructure(elements=elements)
 
 
@@ -172,13 +172,12 @@ class TestValidation:
 
     @pytest.mark.parametrize("field, build", [
         ("k1", lambda: SuspensionElement(**{**COEFF, "k1": "35"})),
-        ("base_excitation_channel", lambda: SuspensionElement(**COEFF, base_excitation_channel=1.0)),
         ("relative_motion", lambda: NonlinearSubstructure(elements=suspension().elements, relative_motion="no")),
         ("boundary_mass", lambda: NonlinearSubstructure(elements=suspension().elements, boundary_mass="0.016")),
         ("boundary_dofs", lambda: linear("dense", np.eye(2), np.zeros((2, 2)), np.eye(2), boundary_dofs=(1.5,))),
         ("boundary_dofs", lambda: linear("dense", np.eye(2), np.zeros((2, 2)), np.eye(2), boundary_dofs=(True,))),
         ("internal_dofs", lambda: linear("dense", np.eye(2), np.zeros((2, 2)), np.eye(2), internal_dofs=0)),
-    ], ids=["k1", "channel", "relative_motion", "boundary_mass", "fractional_dof", "bool_dof", "dofs_not_a_list"])
+    ], ids=["k1", "relative_motion", "boundary_mass", "fractional_dof", "bool_dof", "dofs_not_a_list"])
     def test_wrongly_typed_field_rejected_naming_it(self, field, build):
         with pytest.raises(ModelError, match=repr(field)):
             build()
