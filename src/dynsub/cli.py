@@ -25,7 +25,7 @@ from .models import LinearSubstructure, ModelError, build_from_fields
 from .monolithic import assemble_global, solve_monolithic
 from .reduction import expanded_mode_shapes, full_frequencies, reduce as cb_reduce, reduced_frequencies
 from .signals import SignalError, SignalSpec, generate_signal, multisine_with_noise_channels
-from .solver import DivergenceError, SolverConfig, SolverError, simulate
+from .solver import CoupledSystem, DivergenceError, SolverConfig, SolverError, simulate
 
 
 def _json_object(text: str | None, what: str) -> dict:
@@ -39,12 +39,14 @@ def _cmd_generate_model(args) -> int:
     params = _json_object(args.params, "--params")
     if args.kind == "chain":
         sub = build_from_fields(chain_substructure, {"n": 3, **params}, "chain parameters")
-        dio.save_system(args.out, {"chain": sub}, CouplingTopology(()), input_map={})
+        system = CoupledSystem(substructures={"chain": sub}, topology=CouplingTopology(()))
     elif args.kind == "frame_analog":
         subs, topology = build_from_fields(frame_analog, params, "frame_analog parameters")
-        dio.save_system(args.out, subs, topology, input_map=wheel_inputs(subs["suspension"]), physical=("suspension",))
+        system = CoupledSystem(substructures=subs, topology=topology, physical=("suspension",),
+                               input_map=wheel_inputs(subs["suspension"]))
     else:
         raise ModelError(f"unknown model kind {args.kind!r}")
+    dio.save_system(args.out, system)
     print(f"wrote {args.out}")
     return 0
 
@@ -80,7 +82,7 @@ def _cmd_generate_signal(args) -> int:
 def _cmd_reduce(args) -> int:
     if args.report_modes < 1:
         raise ModelError(f"option '--report-modes' must be a positive integer, got {args.report_modes}")
-    system, _ = dio.load_system(args.model)
+    system = dio.load_system(args.model)
     linear = [sid for sid, s in system.substructures.items() if isinstance(s, LinearSubstructure)]
     sid = args.sub
     if sid is None:
@@ -113,16 +115,33 @@ def _cmd_reduce(args) -> int:
     return 0
 
 
+def _check_time_column(path, times: np.ndarray, config: SolverConfig) -> None:
+    """Refuse a signals CSV whose ``time`` column does not step uniformly across the run.
+
+    Only a row count the solver accepts is checked (one row per coupled or
+    per inner instant, see :func:`dynsub.solver._input_table`; the solver
+    refuses any other, with its own message): the rows must then step by
+    ``duration / (rows - 1)``, ``dt`` or ``dt/ss``, within 1e-6 s.
+    """
+    if len(times) in (config.n_steps + 1, config.n_steps * config.subcycles + 1):
+        step, gaps = config.duration / (len(times) - 1), np.diff(times)
+        if (off := ~(np.abs(gaps - step) <= 1e-6)).any():  # a nan is off too
+            row = int(np.argmax(off)) + 1
+            raise ModelError(f"signals CSV {path}: column 'time' must step by {step:g} s, the duration over "
+                             f"{len(gaps)} steps, but row {row} is {gaps[row - 1]:g} s after row {row - 1}")
+
+
 def _cmd_simulate(args) -> int:
-    system, input_map = dio.load_system(args.model)
+    system = dio.load_system(args.model)
     cfg_doc = _json_object(Path(args.config).read_text(), f"solver config {args.config}")
     if args.subcycles is not None:
         cfg_doc["subcycles"] = args.subcycles
     config = build_from_fields(SolverConfig, cfg_doc, f"solver config {args.config}")
     inputs = None
     if args.inputs:
-        _, channels = dio.load_signals_csv(args.inputs)
-        inputs = dio.input_tables(system, input_map, channels)
+        times, channels = dio.load_signals_csv(args.inputs)
+        _check_time_column(args.inputs, times, config)
+        inputs = dio.input_tables(system, channels)
     dofs = dio._exported_dofs(system, args.all_dofs)  # record only the DOFs the CSV holds
     if args.monolithic:
         # CSR if a member is, the storage rule of the partitioned solver's step groups

@@ -12,9 +12,12 @@ solver records only the DOFs its trajectory CSV holds (``dofs=`` of
 :func:`dynsub.io._exported_dofs`): the frame's boundary DOFs, which the
 fidelity check reads too, and every suspension DOF.  So the run holds no
 record of every frame DOF, which is 16 MB on the default 1000-DOF run
-over 1 s and 1.6 GB at 1e5 DOFs.  Channel i drives wheel i: the input map
-of :func:`dynsub.generators.wheel_inputs`, which ``model.json`` holds as its
-``inputs`` and which routes the channels of both solvers.
+over 1 s and 1.6 GB at 1e5 DOFs.  One :class:`~dynsub.solver.CoupledSystem`
+describes the test set-up: the frame, the suspension, their topology, the
+suspension as the physical substructure, and channel i driving wheel i
+(:func:`dynsub.generators.wheel_inputs`).  ``model.json`` holds it, the
+reference exports its DOFs, and the reduced system takes its input map, which
+routes the channels of both solvers.
 """
 
 from __future__ import annotations
@@ -102,8 +105,9 @@ def run_experiment(config: ExperimentConfig, out_dir) -> dict:
 
     subs, topology = build_from_fields(frame_analog, config.model, "experiment config model")
     frame, susp = subs["frame"], subs["suspension"]
-    input_map = wheel_inputs(susp)
-    dio.save_system(out / "model.json", subs, topology, input_map=input_map, physical=("suspension",))
+    system = CoupledSystem(substructures=subs, topology=topology, physical=("suspension",),
+                           input_map=wheel_inputs(susp))
+    dio.save_system(out / "model.json", system)
 
     solver_cfg = config._solver
     n_steps = solver_cfg.n_steps
@@ -144,8 +148,9 @@ def run_experiment(config: ExperimentConfig, out_dir) -> dict:
         substructures={"frame": red.as_substructure(), "suspension": susp},
         topology=reduced_topology(topology, "frame", red),
         physical=("suspension",),
+        input_map=system.input_map,
     )
-    inputs = dio.input_tables(reduced_system, input_map, channels_fine)
+    inputs = dio.input_tables(reduced_system, channels_fine)
 
     t0 = time.perf_counter()
     solver = PartitionedSolver(reduced_system, solver_cfg)
@@ -156,15 +161,14 @@ def run_experiment(config: ExperimentConfig, out_dir) -> dict:
     dio.save_trajectory_csv(out / "trajectory_partitioned.csv", traj_part, reduced_system)
 
     if config.run_monolithic:
-        full_system = CoupledSystem(substructures=subs, topology=topology)
         t0 = time.perf_counter()
         asys = assemble_global(subs, topology, sparse=True)
         report["offline_time"]["assembly"] = time.perf_counter() - t0
         report["model"]["reference"] = "monolithic_sparse"
         t0 = time.perf_counter()
-        traj_mono = solve_monolithic(asys, solver_cfg, inputs, dofs=dio._exported_dofs(full_system))
+        traj_mono = solve_monolithic(asys, solver_cfg, inputs, dofs=dio._exported_dofs(system))
         report["online_time"]["monolithic"] = time.perf_counter() - t0
-        dio.save_trajectory_csv(out / "trajectory_monolithic.csv", traj_mono, full_system)
+        dio.save_trajectory_csv(out / "trajectory_monolithic.csv", traj_mono, system)
         if report["online_time"]["partitioned"] > 0:
             report["online_time"]["speedup"] = (
                 report["online_time"]["monolithic"] / report["online_time"]["partitioned"]

@@ -171,7 +171,8 @@ def wheel_inputs(susp: NonlinearSubstructure) -> dict:
     """Input map of :func:`frame_analog`'s bank: channel i drives wheel i, the bank's internal DOF i.
 
     The one owner of that rule: ``dynsub generate-model`` and
-    :func:`~dynsub.experiment.run_experiment` write this map into the system
-    file's ``inputs``, and the experiment routes its channels by it.
+    :func:`~dynsub.experiment.run_experiment` give it to the system they
+    build as its ``input_map``, which the system file holds as ``inputs``
+    and which routes the experiment's channels.
     """
     return {"suspension": {dof: channel for channel, dof in enumerate(susp.internal_dofs)}}

@@ -13,19 +13,20 @@ as in COO storage, and a missing ``damping`` reads as zero.  A record of
 into dense arrays (:func:`~dynsub.models.matrix_from_entries`).  A
 suspension record is the ``dataclasses.asdict`` of its substructure.
 
-Past the records :func:`load_system` only parses JSON.  ``coupling`` and
-``physical`` are checked by their owners, :mod:`dynsub.coupling` and
-:class:`~dynsub.solver.CoupledSystem`; an input map, read from a file or passed
-to :func:`input_tables`, by :func:`_check_input_map`: each id is a substructure,
-and its DOFs, like a triplet's rows and cols, and its channels (without a bound)
-meet the DOF-list rule of :func:`~dynsub.models._dof_array`.
-A file's ``inputs`` key names a DOF only in the decimal form of that DOF
-(``str(dof)``): ``"05"`` or ``"٥"`` stays a string and is refused, quoted.
-The input map is the only routing of channels onto DOFs: a suspension
-element record holds no channel, and the channel field of older files is
-refused, named, as any unknown key is.  :func:`save_system` makes the
-reader's checks before it opens the file.
-A file's errors are ModelErrors led by the file and the field name.
+A system file holds the four fields of a
+:class:`~dynsub.solver.CoupledSystem`: ``substructures``, ``coupling`` (its
+topology), ``inputs`` (its ``input_map``) and ``physical``.
+:func:`save_system` writes a system and :func:`load_system` returns one.
+Past the records the reader only parses JSON: ``coupling`` is checked by
+:mod:`dynsub.coupling`, and ``physical`` and ``inputs`` by
+``CoupledSystem`` itself, as for any system made in Python, so a system
+that exists can be written and its file read back.  An ``inputs`` key
+names a DOF only in the decimal form of that DOF (``str(dof)``): ``"05"``
+or ``"٥"`` stays a string and is refused, quoted.  The input map is the
+only routing of channels onto DOFs: a suspension element record holds no
+channel, and the channel field of older files is refused, named, as any
+unknown key is.  A file's errors are ModelErrors led by the file and the
+field name.
 
 Every numeric CSV table is written by :func:`_write_csv`: comma-separated,
 the header line (if any) without a comment prefix, and every number as
@@ -45,7 +46,6 @@ import json
 import reprlib
 import warnings
 import zipfile
-from collections.abc import Mapping
 from pathlib import Path
 
 import numpy as np
@@ -168,40 +168,24 @@ def substructure_from_dict(data: dict, where: str = "substructure"):
     raise ModelError(f"{where}: field 'kind' must be 'linear' or 'suspension', got {kind!r}")
 
 
-def save_system(
-    path,
-    substructures: dict,
-    topology: CouplingTopology,
-    input_map: dict | None = None,
-    physical: tuple = (),
-) -> None:
-    """Write a system file: the text of ``json.dumps`` of its document, compact, streamed by :func:`_write_json`.
+def save_system(path, system: CoupledSystem) -> None:
+    """Write ``system`` to a system file: ``json.dumps`` of its document, compact, streamed by :func:`_write_json`.
 
-    Before the file is opened, the topology and ``physical`` meet
-    :class:`~dynsub.solver.CoupledSystem`'s checks and ``input_map`` meets
-    :func:`_check_input_map`, the checks :func:`load_system` makes, so no
-    file is written that its reader refuses or reads with another routing.
+    ``system`` met its own checks when it was made, the checks
+    :func:`load_system` makes, so its file reads back as the same system.
     """
-    input_map = {} if input_map is None else input_map
-    system = CoupledSystem(substructures=substructures, topology=topology, physical=physical)
-    _check_input_map(system, input_map, "input map")
     doc = {
-        "substructures": {sid: substructure_to_dict(sub) for sid, sub in substructures.items()},
-        "coupling": [
-            [[sa, da, ga], [sb, db, gb]] for (sa, da, ga), (sb, db, gb) in topology.constraints
-        ],
-        "inputs": {
-            sid: {str(dof): int(ch) for dof, ch in chans.items()}
-            for sid, chans in input_map.items()
-        },
-        "physical": list(physical),
+        "substructures": {sid: substructure_to_dict(sub) for sid, sub in system.substructures.items()},
+        "coupling": [[list(a), list(b)] for a, b in system.topology.constraints],
+        "inputs": {sid: {str(dof): int(ch) for dof, ch in chans.items()} for sid, chans in system.input_map.items()},
+        "physical": list(system.physical),
     }
     with open(path, "w") as out:  # compact: an indent runs the pure-Python encoder
         _write_json(out, doc)
 
 
-def load_system(path) -> tuple[CoupledSystem, dict]:
-    """Read a system file; returns (system, input channel map)."""
+def load_system(path) -> CoupledSystem:
+    """Read a system file into the :class:`~dynsub.solver.CoupledSystem` it holds."""
     doc = json.loads(Path(path).read_text())
     where = f"system file {path}"
     records, coupling, inputs, physical = build_from_fields(_system_record, doc, where)
@@ -215,12 +199,12 @@ def load_system(path) -> tuple[CoupledSystem, dict]:
         raise ModelError(f"{where}: field 'coupling': {exc}") from None
     system = build_from_fields(CoupledSystem, dict(substructures=subs, topology=topology, physical=physical), where)
     if isinstance(inputs, dict):  # a new map, never the default
-        inputs = {
-            sid: {_dof_of_key(dof): ch for dof, ch in chans.items()} if isinstance(chans, dict) else chans
-            for sid, chans in inputs.items()
-        }
-    _check_input_map(system, inputs, f"{where}: field 'inputs'")
-    return system, inputs
+        inputs = {sid: {_dof_of_key(dof): ch for dof, ch in chans.items()} if isinstance(chans, dict) else chans
+                  for sid, chans in inputs.items()}
+    try:  # the system with its map, whose errors are led by the field's name
+        return dataclasses.replace(system, input_map=inputs)
+    except ModelError as exc:
+        raise ModelError(f"{where}: field 'inputs': {exc}") from None
 
 
 def _dof_of_key(key: str):
@@ -406,35 +390,17 @@ def load_signals_csv(path) -> tuple[np.ndarray, np.ndarray]:
     return data[:, 0], data[:, 1:]
 
 
-def _check_input_map(system: CoupledSystem, input_map, where: str) -> None:
-    """Raise ModelError, led by ``where``, before any indexing, for an input map that breaks the module's rules."""
-    if not isinstance(input_map, Mapping):
-        raise ModelError(f"{where} must map substructure ids to channel maps, got {input_map!r}")
-    for sid, chans in input_map.items():
-        if sid not in system.substructures:
-            raise ModelError(f"{where} references unknown substructure {sid!r}")
-        n = system.substructures[sid].n_dofs
-        if not isinstance(chans, Mapping):
-            raise ModelError(f"{where} of {sid!r} must map DOFs to channels, got {chans!r}")
-        broken = [_dof_array(chans.keys(), n)[1], _dof_array(chans.values(), np.iinfo(np.intp).max)[1]]
-        if positions := [found[0] for found in broken if found]:
-            dof, ch = list(chans.items())[min(positions)]
-            raise ModelError(f"{where} of {sid!r} must map DOFs below {n} to channel numbers, got {dof!r}: {ch!r}")
+def input_tables(system: CoupledSystem, channels: np.ndarray) -> dict:
+    """Expand channel signals into per-substructure force tables, routed by ``system.input_map``, the only routing.
 
-
-def input_tables(system: CoupledSystem, input_map: dict, channels: np.ndarray) -> dict:
-    """Expand channel signals into per-substructure force tables: the input map is the only routing.
-
-    ``input_map`` maps substructure id to {dof: channel}, under the rules of
-    a system file's ``inputs``.  Each mapped substructure, in the system's
-    order, gets a table of one row per sample and one column per DOF, zero
-    but for its mapped DOFs, which hold their channels; an unmapped one gets
-    none.
+    Each substructure the map names, in the system's order, gets a table of
+    one row per sample and one column per DOF, zero but for its mapped DOFs,
+    which hold their channels; an unmapped one gets none.  A channel past
+    the last column of ``channels`` raises ModelError naming it.
     """
-    _check_input_map(system, input_map, "input map")
     tables = {}
     for sid, sub in system.substructures.items():
-        if not (routes := input_map.get(sid)):
+        if not (routes := system.input_map.get(sid)):
             continue
         if bad := next(((dof, ch) for dof, ch in routes.items() if ch >= channels.shape[1]), None):
             raise ModelError(f"{sid!r} DOF {bad[0]} references channel {bad[1]}, have {channels.shape[1]}")

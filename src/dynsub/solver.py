@@ -108,6 +108,7 @@ import dataclasses
 import math
 from collections.abc import Callable, Hashable
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Mapping
 
 import numpy as np
@@ -191,28 +192,54 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class CoupledSystem:
-    """Substructures plus the interface topology that couples them.
+    """Substructures, the interface topology that couples them, and the routing of input channels.
 
     ``physical`` lists the substructure ids that run at the finer inner time
     step when sub-cycling is enabled; by default every nonlinear substructure
-    is treated as physical, and must name substructures.  The topology's
-    references are checked by :func:`~dynsub.coupling._check_references`.
+    is treated as physical, and must name substructures.  ``input_map`` maps
+    a substructure id to ``{dof: channel}``: which channel of a signals
+    table drives which DOF (:func:`dynsub.io.input_tables`), kept in the
+    caller's order; a substructure it does not name is not driven.
+    Its ids are substructures, and its DOFs and its channels (without a
+    bound) meet the DOF-list rule of :func:`~dynsub.models._dof_array`; a
+    map that breaks this raises ModelError naming the first bad pair.  The
+    topology's references are checked by
+    :func:`~dynsub.coupling._check_references`.  A system file holds all
+    four fields (:mod:`dynsub.io`).  ``substructures`` and ``input_map`` are
+    read-only views, so a system holds what its checks passed, and
+    :func:`dynsub.io.save_system` writes it without checking it again.
     """
 
     substructures: Mapping
     topology: CouplingTopology
     physical: tuple = ()
+    input_map: Mapping = field(default_factory=dict)
 
     def __post_init__(self):
         subs = dict(self.substructures)
         if not subs:
             raise CouplingError("the system has no substructures")
-        object.__setattr__(self, "substructures", subs)
+        object.__setattr__(self, "substructures", MappingProxyType(subs))
         _check_references(self.topology, subs)
         if not (isinstance(self.physical, (tuple, list))
                 and all(isinstance(sid, Hashable) and sid in subs for sid in self.physical)):
             raise ModelError(f"field 'physical' must be a list of ids of its substructures, got {self.physical!r}")
         object.__setattr__(self, "physical", tuple(self.physical))
+        if not isinstance(self.input_map, Mapping):  # before input_tables indexes by it: numpy reads -1 as the last
+            raise ModelError(f"input map must map substructure ids to channel maps, got {self.input_map!r}")
+        for sid, chans in self.input_map.items():
+            if sid not in subs:
+                raise ModelError(f"input map references unknown substructure {sid!r}")
+            n = subs[sid].n_dofs
+            if not isinstance(chans, Mapping):
+                raise ModelError(f"input map of {sid!r} must map DOFs to channels, got {chans!r}")
+            broken = [_dof_array(chans.keys(), n)[1], _dof_array(chans.values(), np.iinfo(np.intp).max)[1]]
+            if positions := [found[0] for found in broken if found]:
+                dof, ch = list(chans.items())[min(positions)]
+                raise ModelError(f"input map of {sid!r} must map DOFs below {n} to channel numbers, "
+                                 f"got {dof!r}: {ch!r}")
+        object.__setattr__(self, "input_map", MappingProxyType(
+            {sid: MappingProxyType(dict(chans)) for sid, chans in self.input_map.items()}))
 
     def physical_ids(self) -> tuple:
         if self.physical:

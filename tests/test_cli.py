@@ -43,14 +43,14 @@ class TestGenerate:
         rc = main(["generate-model", "--kind", "chain",
                    "--params", '{"n": 3, "m": 1, "k": 1}', "--out", str(out)])
         assert rc == 0
-        chain = load_system(out)[0].substructures["chain"]
+        chain = load_system(out).substructures["chain"]
         assert np.array_equal(chain.stiffness, [[2, -1, 0], [-1, 2, -1], [0, -1, 1]])
 
     def test_single_mass_chain(self, tmp_path):
         out = tmp_path / "chain1.json"
         assert main(["generate-model", "--kind", "chain",
                      "--params", '{"n": 1}', "--out", str(out)]) == 0
-        assert load_system(out)[0].substructures["chain"].mass.shape == (1, 1)
+        assert load_system(out).substructures["chain"].mass.shape == (1, 1)
 
     @pytest.mark.parametrize("whole", [float, int], ids=["floats", "ints"])
     @pytest.mark.parametrize("kind, factory", [("frame_analog", frame_analog), ("chain", chain_substructure)])
@@ -392,6 +392,48 @@ def test_non_finite_inputs_exit_1_naming_the_row(tmp_path, model_file, capsys, e
     assert err.startswith("error: ") and "'suspension'" in err and "row 7" in err
 
 
+@pytest.mark.parametrize("extra", [[], ["--monolithic"], ["--subcycles", "10"]],
+                         ids=["partitioned", "monolithic", "subcycled"])
+def test_signals_at_another_rate_exit_1_naming_time_and_the_row(tmp_path, model_file, capsys, extra):
+    # a 500 Hz record of 1001 rows has the row count of a 1 s run at dt = 1 ms, which played it at 1 kHz
+    sig, out = tmp_path / "sig.csv", tmp_path / "t.csv"
+    assert main(["generate-signal", "--kind", "multisine", "--spec", '{"frequencies": [2, 5], "amplitudes": [2, 1]}',
+                 "--samples", "1001", "--rate", "500", "--channels", "4", "--out", str(sig)]) == 0
+    capsys.readouterr()
+    cfg = write_config(tmp_path / "cfg.json", duration=1.0)
+    assert main(["simulate", "--model", str(model_file), "--config", str(cfg),
+                 "--inputs", str(sig), "--out", str(out), *extra]) == 1
+    assert capsys.readouterr().err == (f"error: signals CSV {sig}: column 'time' must step by 0.001 s, the duration "
+                                       f"over 1000 steps, but row 1 is 0.002 s after row 0\n")
+    assert not out.exists()
+
+
+def test_time_column_is_held_to_the_inner_step_within_a_microsecond(tmp_path, model_file, capsys):
+    # the 501 inner rows of a 0.05 s run at dt = 1 ms and ss = 10 step by 0.1 ms
+    cfg = write_config(tmp_path / "cfg.json")
+    times = np.arange(501) * 1e-4
+    channels = multisine_table(times, 4)
+    argv = ["simulate", "--model", str(model_file), "--config", str(cfg), "--subcycles", "10", "--inputs"]
+    for name, shift, code in (("jitter", 0.9e-6, 0), ("late", 1.1e-6, 1), ("nan", np.nan, 1)):
+        sig = tmp_path / f"{name}.csv"
+        save_signals_csv(sig, np.where(np.arange(501) == 123, times + shift, times), channels)
+        assert main([*argv, str(sig), "--out", str(tmp_path / f"{name}_traj.csv")]) == code, name
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2 and all("column 'time' must step by 0.0001 s" in line for line in err), err
+    assert all(line.endswith("after row 122") and "but row 123 is" in line for line in err), err
+
+
+def test_row_count_is_checked_before_the_time_column(tmp_path, model_file, capsys):
+    # 52 rows at 500 Hz: the solver's row-count rule speaks first, with its own message
+    sig = tmp_path / "sig.csv"
+    times = np.arange(52) * 2e-3
+    save_signals_csv(sig, times, multisine_table(times, 4))
+    cfg = write_config(tmp_path / "cfg.json")
+    assert main(["simulate", "--model", str(model_file), "--config", str(cfg),
+                 "--inputs", str(sig), "--out", str(tmp_path / "t.csv")]) == 1
+    assert capsys.readouterr().err == "error: input table for 'suspension' must have 51 rows, got 52\n"
+
+
 class TestReduceCommand:
     def test_reduce_with_report(self, tmp_path, model_file):
         red_path = tmp_path / "red.npz"
@@ -416,7 +458,7 @@ class TestReduceCommand:
         proc = run_python(f"import sys; from dynsub.cli import main; sys.exit(main({args!r}))")
         assert proc.returncode == 0 and "Traceback" not in proc.stderr, proc.stderr
         _, data = load_csv_columns(report)
-        sub = load_system(model)[0].substructures["chain"]
+        sub = load_system(model).substructures["chain"]
         expected = np.sqrt(np.clip(scipy.linalg.eigh(sub.stiffness, sub.mass, eigvals_only=True), 0.0, None))
         assert data[0, 1] <= 1e-6
         assert np.abs(data[1:, 1] / expected[1:len(data)] - 1).max() <= 1e-12
@@ -511,8 +553,8 @@ class TestSimulateCommand:
         cfg = write_config(tmp_path / "cfg.json")
         assert main(["simulate", "--model", str(model), "--config", str(cfg),
                      "--inputs", str(sig), "--out", str(out), "--monolithic"]) == 0
-        system, input_map = load_system(model)
-        inputs = input_tables(system, input_map, load_signals_csv(sig)[1])
+        system = load_system(model)
+        inputs = input_tables(system, load_signals_csv(sig)[1])
         asys = assemble_global(system.substructures, system.topology, sparse=True)
         traj = solve_monolithic(asys, SolverConfig(**json.loads(cfg.read_text())), inputs)
         expected = tmp_path / "expected.csv"
@@ -542,9 +584,9 @@ class TestSimulateCommand:
                      "--inputs", str(sig), "--out", str(out)]) == 0
         (traj,) = written
         assert {sid: record.shape for sid, record in traj.states.items()} == {"frame": (51, 8), "suspension": (51, 16)}
-        system, input_map = load_system(model)
+        system = load_system(model)
         whole = simulate(system, SolverConfig(**json.loads(cfg.read_text())),
-                         input_tables(system, input_map, load_signals_csv(sig)[1]))
+                         input_tables(system, load_signals_csv(sig)[1]))
         assert whole.states["frame"].shape == (51, 2000)
         expected = tmp_path / "expected.csv"
         save_trajectory_csv(expected, whole, system)
@@ -640,7 +682,7 @@ class TestSimulateCommand:
         # full-model shapes written as a CSV matrix (one shape per column)
         from dynsub.reduction import mode_shapes
 
-        system, _ = load_system(model_file)
+        system = load_system(model_file)
         shapes = mode_shapes(system.substructures["frame"], 10)
         full_csv = tmp_path / "full_modes.csv"
         np.savetxt(full_csv, shapes, delimiter=",", header=",".join(f"m{i}" for i in range(10)), comments="")

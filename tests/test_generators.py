@@ -14,6 +14,7 @@ from dynsub.io import save_system
 from dynsub.models import ModelError, dense
 from dynsub.monolithic import assemble_global
 from dynsub.reduction import reduce as cb_reduce
+from dynsub.solver import CoupledSystem
 
 
 def loop_chain(n, m, k, c, grounded):
@@ -64,7 +65,7 @@ class TestSparseFrames:
         tracemalloc.start()
         try:
             subs, topology = frame_analog(n=1000, k=2.5e5)
-            save_system(tmp_path / "model.json", subs, topology)
+            save_system(tmp_path / "model.json", CoupledSystem(substructures=subs, topology=topology))
             cb_reduce(subs["frame"], 30)
             assemble_global(subs, topology, sparse=True)
             _, peak = tracemalloc.get_traced_memory()

@@ -46,34 +46,45 @@ def assert_same_matrices(back, orig):
 _ROWS = r"'chain' stiffness: field 'rows' must hold integers in \[0, 3\), "
 
 
+def small_desk(**fields) -> CoupledSystem:
+    """The 24-DOF frame analog and its suspension bank, the bank physical, with ``fields`` of CoupledSystem set."""
+    subs, topology = frame_analog(n=24, boundary_dofs=(5, 11, 17, 23))
+    return CoupledSystem(**{"substructures": subs, "topology": topology, "physical": ("suspension",), **fields})
+
+
 class TestSystemRoundTrip:
     def test_dense_and_suspension_round_trip(self, tmp_path):
-        subs, topology = frame_analog(n=24, boundary_dofs=(5, 11, 17, 23))
+        written = small_desk(input_map={"suspension": {3: 1, 0: 0}, "frame": {3: 2}})
+        subs = written.substructures
         path = tmp_path / "model.json"
-        save_system(path, subs, topology, input_map={"frame": {3: 0}}, physical=("suspension",))
-        system, input_map = load_system(path)
+        save_system(path, written)
+        system = load_system(path)
         assert set(system.substructures) == {"frame", "suspension"}
         assert_same_matrices(system.substructures["frame"], subs["frame"])
         susp = system.substructures["suspension"]
         assert isinstance(susp, NonlinearSubstructure)
         assert susp.elements == subs["suspension"].elements
-        assert system.topology.constraints == topology.constraints
+        assert system.topology.constraints == written.topology.constraints
         assert system.physical_ids() == ("suspension",)
-        assert input_map == {"frame": {3: 0}}
-        # a Craig-Bampton reduced frame (dense matrices) and a damped chain
+        # the map reads back in the writer's order, of ids and of DOFs
+        assert system.input_map == {"suspension": {3: 1, 0: 0}, "frame": {3: 2}}
+        assert [list(chans) for chans in system.input_map.values()] == [[3, 0], [3]]
+        assert list(system.input_map) == ["suspension", "frame"]
+        # a Craig-Bampton reduced frame (dense matrices) and a damped chain, with the default empty map
         red = cb_reduce(subs["frame"], 6).as_substructure()
         chain = chain_substructure(n=5, m=2.0, k=3.0, c=0.25, boundary_dofs=(4,))
-        save_system(path, {"reduced": red, "chain": chain}, CouplingTopology(()))
-        system, _ = load_system(path)
+        save_system(path, CoupledSystem(substructures={"reduced": red, "chain": chain}, topology=CouplingTopology(())))
+        system = load_system(path)
+        assert system.input_map == {}
         assert_same_matrices(system.substructures["reduced"], red)
         assert_same_matrices(system.substructures["chain"], chain)
 
     def test_default_frame_file_is_compact(self, tmp_path):
         subs, topology = frame_analog(n=1000, k=2.5e5)
         path = tmp_path / "model.json"
-        save_system(path, subs, topology, physical=("suspension",))
+        save_system(path, CoupledSystem(substructures=subs, topology=topology, physical=("suspension",)))
         assert path.stat().st_size < 1_000_000
-        system, _ = load_system(path)
+        system = load_system(path)
         assert_same_matrices(system.substructures["frame"], subs["frame"])
 
     def test_duplicate_triplets_sum_and_damping_defaults_to_zero(self, tmp_path):
@@ -83,7 +94,7 @@ class TestSystemRoundTrip:
             "mass": {"rows": [0, 1, 1], "cols": [0, 1, 1], "values": [1.0, 0.5, 0.5]},
             "stiffness": {"rows": [0, 0, 1, 1], "cols": [0, 1, 0, 1], "values": [2, -1, -1, 1]},
         }}}))
-        sub = load_system(path)[0].substructures["s"]
+        sub = load_system(path).substructures["s"]
         assert np.array_equal(sub.mass, np.eye(2))
         assert np.array_equal(sub.stiffness, [[2, -1], [-1, 1]])
         assert np.array_equal(sub.damping, np.zeros((2, 2)))
@@ -118,7 +129,7 @@ class TestSystemRoundTrip:
             "col_out_of_range", "string_value"])
     def test_malformed_record_rejected(self, tmp_path, field, value, message):
         path = tmp_path / "model.json"
-        save_system(path, {"chain": chain_substructure(n=3)}, CouplingTopology(()))
+        save_system(path, CoupledSystem(substructures={"chain": chain_substructure(3)}, topology=CouplingTopology(())))
         doc = json.loads(path.read_text())
         record = doc["substructures"]["chain"]
         if value is None:
@@ -149,9 +160,8 @@ class TestSystemRoundTrip:
             "boundary_dofs", "physical", "unknown_top_level_key", "unknown_linear_key", "unknown_triplet_key",
             "unknown_suspension_key", "unknown_element_key"])
     def test_wrongly_typed_field_rejected_naming_it(self, tmp_path, path, value, field):
-        subs, topology = frame_analog(n=24, boundary_dofs=(5, 11, 17, 23))
         model = tmp_path / "model.json"
-        save_system(model, subs, topology, physical=("suspension",))
+        save_system(model, small_desk())
         set_json_entry(model, path, value)
         with pytest.raises(ModelError, match=repr(field)):
             load_system(model)
@@ -160,15 +170,16 @@ class TestSystemRoundTrip:
         (("coupling", 0, 0), ["frame", 5.9, 1], "field 'coupling': constraint 0: field 'dof' must be an integer"),
         (("coupling", 0, 0), ["frame", 39, 1], "field 'coupling': constraint 0 references DOF 39 of 'frame'"),
         (("physical",), ["nosuch"], "field 'physical' must be a list of ids of its substructures, got ['nosuch']"),
-        (("inputs",), {"frame": {"-1": 0}}, "field 'inputs' of 'frame' must map DOFs below 24 to channel numbers"),
-        (("inputs",), {"nosuch": {"0": 0}}, "field 'inputs' references unknown substructure 'nosuch'"),
+        (("inputs",), {"frame": {"-1": 0}},
+         "field 'inputs': input map of 'frame' must map DOFs below 24 to channel numbers"),
+        (("inputs",), {"nosuch": {"0": 0}}, "field 'inputs': input map references unknown substructure 'nosuch'"),
+        (("inputs",), [["frame", 0, 0]], "field 'inputs': input map must map substructure ids to channel maps"),
     ], ids=["float_coupling_dof", "coupling_dof_past_end", "unknown_physical_id", "negative_input_dof",
-            "unknown_input_id"])
+            "unknown_input_id", "inputs_list"])
     def test_file_held_to_the_api_rules(self, tmp_path, path, value, message):
-        # the system and input-map checks that API callers meet, led by the file and the field
-        subs, topology = frame_analog(n=24, boundary_dofs=(5, 11, 17, 23))
+        # CoupledSystem's checks, which API callers meet, led by the file and the field
         model = tmp_path / "model.json"
-        save_system(model, subs, topology, physical=("suspension",))
+        save_system(model, small_desk())
         set_json_entry(model, path, value)
         with pytest.raises(ModelError, match=re.escape(f"system file {model}: {message}")):
             load_system(model)
@@ -180,34 +191,33 @@ class TestSystemRoundTrip:
             "plus_sign", "space", "underscore"])
     def test_input_key_must_be_the_decimal_form_of_its_dof(self, tmp_path, inputs, key):
         # int() reads each of these keys as a DOF, so two of them could name one DOF silently
-        subs, topology = frame_analog(n=24, boundary_dofs=(5, 11, 17, 23))
         model = tmp_path / "model.json"
-        save_system(model, subs, topology, physical=("suspension",))
+        save_system(model, small_desk())
         set_json_entry(model, ("inputs",), {"frame": inputs})
-        message = f"system file {model}: field 'inputs' of 'frame' must map DOFs below 24 to channel numbers, got {key!r}"
+        message = (f"system file {model}: field 'inputs': input map of 'frame' must map DOFs below 24 "
+                   f"to channel numbers, got {key!r}")
         with pytest.raises(ModelError, match=re.escape(message)):
             load_system(model)
 
     def test_input_keys_in_decimal_form_are_dofs(self, tmp_path):
-        subs, topology = frame_analog(n=24, boundary_dofs=(5, 11, 17, 23))
         model = tmp_path / "model.json"
-        save_system(model, subs, topology, input_map={"frame": {0: 1, 5: 0, 23: 2}}, physical=("suspension",))
-        assert load_system(model)[1] == {"frame": {0: 1, 5: 0, 23: 2}}
+        save_system(model, small_desk(input_map={"frame": {0: 1, 5: 0, 23: 2}}))
+        assert load_system(model).input_map == {"frame": {0: 1, 5: 0, 23: 2}}
 
     @pytest.mark.parametrize("n", [200, 1000])
     def test_a_loaded_frame_file_is_written_back_byte_for_byte(self, tmp_path, n):
         subs, topology = frame_analog(n=n)
         path, again = tmp_path / "model.json", tmp_path / "again.json"
-        save_system(path, subs, topology, input_map={"frame": {3: 0}}, physical=("suspension",))
-        system, input_map = load_system(path)
-        save_system(again, system.substructures, system.topology, input_map, system.physical)
+        save_system(path, CoupledSystem(substructures=subs, topology=topology, physical=("suspension",),
+                                        input_map={"frame": {3: 0}}))
+        save_system(again, load_system(path))
         assert again.read_bytes() == path.read_bytes()
 
     def test_element_record_holding_a_channel_is_refused(self, tmp_path):
         # the input map is the only routing: a file whose elements still hold their channel is refused, not misread
-        subs, topology = frame_analog(n=24, boundary_dofs=(5, 11, 17, 23))
         path = tmp_path / "model.json"
-        save_system(path, subs, topology, input_map=wheel_inputs(subs["suspension"]), physical=("suspension",))
+        system = small_desk()
+        save_system(path, dataclasses.replace(system, input_map=wheel_inputs(system.substructures["suspension"])))
         set_json_entry(path, ("substructures", "suspension", "elements", 2, "base_excitation_channel"), 2)
         with pytest.raises(ModelError) as refused:
             load_system(path)
@@ -231,12 +241,22 @@ class TestSystemRoundTrip:
     ], ids=["unknown_id", "dof_past_end", "negative_channel", "float_channel", "bool_channel", "unknown_physical",
             "constraint_dof_past_end"])
     def test_what_its_reader_refuses_is_not_written(self, tmp_path, arguments, error, message):
-        # each would make a file that its reader refuses, or reads back with 2.5 and True as channels 2 and 1
-        subs, topology = frame_analog(n=24, boundary_dofs=(5, 11, 17, 23))
+        # each would make a file that its reader refuses, or reads back with 2.5 and True as channels 2 and 1:
+        # the system that would hold it is refused when it is made
         path = tmp_path / "model.json"
         with pytest.raises(error, match=re.escape(message)):
-            save_system(path, subs, **{"topology": topology, "physical": ("suspension",), **arguments})
+            save_system(path, small_desk(**arguments))
         assert not path.exists()
+
+    def test_a_system_is_written_as_it_was_checked(self, desk):
+        # save_system checks nothing more: neither a DOF past the map's substructure nor a smaller
+        # frame under the coupling can be put into a system once it is made
+        system = dataclasses.replace(desk, input_map={"suspension": {0: 0}})
+        for mapping, key in ((system.input_map, "frame"), (system.input_map["suspension"], 99),
+                             (system.substructures, "frame")):
+            with pytest.raises(TypeError):
+                mapping[key] = chain_substructure(3)
+        assert system.input_map == {"suspension": {0: 0}} and system.substructures == desk.substructures
 
     def test_substructures_must_be_a_mapping(self, tmp_path):
         path = tmp_path / "model.json"
@@ -245,7 +265,7 @@ class TestSystemRoundTrip:
             load_system(path)
 
 
-def list_writer(path, substructures, topology, input_map=None, physical=()):
+def list_writer(path, system):
     """The system-file writer that turned every triplet into a Python list and dumped the whole text at once."""
     def record(sub):
         if isinstance(sub, NonlinearSubstructure):
@@ -256,10 +276,10 @@ def list_writer(path, substructures, topology, input_map=None, physical=()):
                 "internal_dofs": list(sub.internal_dofs), "boundary_dofs": list(sub.boundary_dofs)}
 
     doc = {
-        "substructures": {sid: record(sub) for sid, sub in substructures.items()},
-        "coupling": [[list(a), list(b)] for a, b in topology.constraints],
-        "inputs": {sid: {str(dof): int(ch) for dof, ch in chans.items()} for sid, chans in (input_map or {}).items()},
-        "physical": list(physical),
+        "substructures": {sid: record(sub) for sid, sub in system.substructures.items()},
+        "coupling": [[list(a), list(b)] for a, b in system.topology.constraints],
+        "inputs": {sid: {str(dof): int(ch) for dof, ch in chans.items()} for sid, chans in system.input_map.items()},
+        "physical": list(system.physical),
     }
     path.write_text(json.dumps(doc))
 
@@ -275,20 +295,22 @@ class TestStreamedSystemFile:
         subs, topology = frame_analog(n=n)
         assert subs["frame"].sparse == (n == 1000)
         streamed, listed = tmp_path / "streamed.json", tmp_path / "listed.json"
-        args = (subs, topology, {"frame": {3: 0, 17: 1}, "suspension": {0: 2}}, ("suspension",))
-        save_system(streamed, *args)
-        list_writer(listed, *args)
+        system = CoupledSystem(substructures=subs, topology=topology, physical=("suspension",),
+                               input_map={"frame": {3: 0, 17: 1}, "suspension": {0: 2}})
+        save_system(streamed, system)
+        list_writer(listed, system)
         assert streamed.read_bytes() == listed.read_bytes()
 
     def test_peak_memory_is_a_fraction_of_the_list_writer(self, tmp_path):
         # 2e4 DOFs: the lists of about 6e4 entries per array held 22 MB at the peak
         subs, topology = frame_analog(n=20_000)
         subs["frame"].nonzeros  # the entries both writers read, found before either is measured
+        system = CoupledSystem(substructures=subs, topology=topology, physical=("suspension",))
         peaks = {}
         for name, writer in (("streamed", save_system), ("listed", list_writer)):
             tracemalloc.start()
             try:
-                writer(tmp_path / f"{name}.json", subs, topology, physical=("suspension",))
+                writer(tmp_path / f"{name}.json", system)
                 peaks[name] = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -547,11 +569,13 @@ class TestInputTables:
         # its elements hold no channel, so nothing drives the wheels but the map
         bank = NonlinearSubstructure(elements=(SuspensionElement(**SUSPENSION_DEFAULTS),) * 4)
         system = CoupledSystem(substructures={"suspension": bank}, topology=CouplingTopology(()))
-        assert input_tables(system, {}, np.arange(40, dtype=float).reshape(10, 4)) == {}
+        assert system.input_map == {}
+        assert input_tables(system, np.arange(40, dtype=float).reshape(10, 4)) == {}
 
     def test_the_wheel_map_routes_channel_i_to_wheel_i(self, desk):
         channels = np.arange(40, dtype=float).reshape(10, 4)
-        tables = input_tables(desk, wheel_inputs(desk.substructures["suspension"]), channels)
+        tables = input_tables(dataclasses.replace(desk, input_map=wheel_inputs(desk.substructures["suspension"])),
+                              channels)
         assert list(tables) == ["suspension"]
         assert tables["suspension"].shape == (10, 8)
         assert np.array_equal(tables["suspension"][:, :4], channels)
@@ -559,7 +583,7 @@ class TestInputTables:
 
     def test_explicit_map_adds_forces(self, desk):
         channels = np.ones((5, 4))
-        tables = input_tables(desk, {"frame": {7: 2}}, channels)
+        tables = input_tables(dataclasses.replace(desk, input_map={"frame": {7: 2}}), channels)
         assert np.array_equal(tables["frame"][:, 7], channels[:, 2])
 
     @pytest.mark.parametrize("input_map, message", [
@@ -579,10 +603,11 @@ class TestInputTables:
     ], ids=["unknown_id", "negative_dof", "dof_past_end", "float_dof", "negative_channel", "bool_beside_an_int",
             "numpy_bool_dof", "whole_float_dof", "string_dof", "huge_dof", "bool_channel", "first_bad_pair"])
     def test_api_map_held_to_the_file_rules(self, desk, input_map, message):
-        # before any indexing: numpy would drive the last DOF for -1 and the last channel for -1
+        # refused when the system is made, before any indexing: numpy reads -1 as the last DOF or channel
         with pytest.raises(ModelError, match=re.escape(message)):
-            input_tables(desk, input_map, np.ones((5, 4)))
+            CoupledSystem(substructures=desk.substructures, topology=desk.topology, input_map=input_map)
 
     def test_missing_channel_reported(self, desk):
         with pytest.raises(ModelError, match=re.escape("'suspension' DOF 2 references channel 2, have 2")):
-            input_tables(desk, wheel_inputs(desk.substructures["suspension"]), np.ones((5, 2)))
+            input_tables(dataclasses.replace(desk, input_map=wheel_inputs(desk.substructures["suspension"])),
+                         np.ones((5, 2)))

@@ -10,6 +10,7 @@ import dynsub.models
 import dynsub.coupling
 import dynsub.reduction
 from dynsub import (
+    CoupledSystem,
     CouplingTopology,
     LinearSubstructure,
     ModelError,
@@ -416,7 +417,7 @@ class TestScatterEntries:
             subs, topology = frame_analog(n=n)
             # the frame's mass and stiffness; its damping is their Rayleigh sum
             assert made_by(lambda: frame_analog(n=n)) == [(n, csr)] * 2
-            save_system(tmp_path / "model.json", subs, topology, input_map={})
+            save_system(tmp_path / "model.json", CoupledSystem(substructures=subs, topology=topology))
             assert made_by(lambda: load_system(tmp_path / "model.json")) == [(n, csr)] * 3
             for sparse in (False, True):  # the frame and 8 suspension DOFs, 4 of them merged
                 assert made_by(lambda: assemble_global(subs, topology, sparse=sparse)) == [(n + 4, sparse)] * 3
@@ -461,7 +462,7 @@ class TestNonzeros:
         monkeypatch.setattr(dynsub.coupling, "nonzero_entries", counted)
         for n, scans in ((200, 3), (1000, 0)):
             subs, topology = frame_analog(n=n)
-            save_system(tmp_path / "model.json", subs, topology, input_map={})
+            save_system(tmp_path / "model.json", CoupledSystem(substructures=subs, topology=topology))
             assemble_global(subs, topology, sparse=True)
             cb_reduce(subs["frame"], 30)
             assert scanned.count((n, n)) == scans, n
