@@ -141,7 +141,9 @@ def _cmd_simulate(args) -> int:
     if args.inputs:
         times, channels = dio.load_signals_csv(args.inputs)
         _check_time_column(args.inputs, times, config)
-        inputs = dio.input_tables(system, channels)
+        if not (inputs := dio.input_tables(system, channels)):
+            raise ModelError(f"signals CSV {args.inputs} drives nothing: field 'inputs' of system file "
+                             f"{args.model} routes no channel to a DOF")
     dofs = dio._exported_dofs(system, args.all_dofs)  # record only the DOFs the CSV holds
     if args.monolithic:
         # CSR if a member is, the storage rule of the partitioned solver's step groups

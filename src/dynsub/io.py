@@ -28,6 +28,18 @@ channel, and the channel field of older files is refused, named, as any
 unknown key is.  A file's errors are ModelErrors led by the file and the
 field name.
 
+A reduction file (:func:`save_reduction`) holds one array per field of a
+:class:`~dynsub.reduction.CraigBamptonReduction`.  :func:`load_reduction`
+checks each field's dtype and shape against the others, then builds the
+reduced model (:meth:`~dynsub.reduction.CraigBamptonReduction.as_substructure`)
+once, so its matrices meet the rules of any linear substructure (finite,
+symmetric mass and stiffness, positive mass diagonal); its errors are
+ModelErrors led by the file.
+
+A trajectory CSV holds, per substructure, the DOFs of
+:func:`_exported_dofs`: the boundary DOFs of a linear substructure, or
+every DOF of one without any, and every DOF of a nonlinear one.
+
 Every numeric CSV table is written by :func:`_write_csv`: comma-separated,
 the header line (if any) without a comment prefix, and every number as
 ``%.17g``, so it reads back exactly.  (``dynsub compare traj`` writes its
@@ -256,6 +268,13 @@ def load_reduction(path) -> CraigBamptonReduction:
     is (n_i + n_b) x (r + n_b), the reduced matrices are square of size
     r + n_b, and ``truncation_frequency`` is 0-d.  The DOF fields together
     hold each of the n_i + n_b DOFs once (:func:`~dynsub.models._dof_array`).
+    The reduced matrices then meet the rules of any
+    :class:`~dynsub.models.LinearSubstructure` (finite, symmetric mass and
+    stiffness, positive mass diagonal), checked on
+    :meth:`~dynsub.reduction.CraigBamptonReduction.as_substructure`; a
+    breach raises ModelError led by the file.  A mass that keeps them but is
+    not positive definite is refused later, by the eigensolver's pivot rule
+    (:func:`~dynsub.reduction.expanded_mode_shapes` raises ReductionError).
     """
     where = f"reduction file {str(path)!r}"
     try:
@@ -290,19 +309,25 @@ def load_reduction(path) -> CraigBamptonReduction:
         record[name] = tuple(record[name].tolist())
     trunc = float(record["truncation_frequency"])
     record["truncation_frequency"] = None if np.isnan(trunc) else trunc
-    return CraigBamptonReduction(**record)
+    red = CraigBamptonReduction(**record)
+    try:
+        red.as_substructure()
+    except ModelError as exc:
+        raise ModelError(f"{where}: reduced matrices: {exc}") from None
+    return red
 
 
 def _exported_dofs(system: CoupledSystem, all_dofs: bool = False) -> dict:
     """``{sid: DOFs}`` that a trajectory CSV holds, in column order, an integer array per substructure.
 
     The substructures in the system's order; the boundary DOFs of each,
-    after every internal DOF of a nonlinear one; ``all_dofs`` exports every
-    DOF.  Both solvers of ``run_experiment`` and of ``dynsub simulate``
-    record only these (``dofs=`` of ``PartitionedSolver.run`` and
+    after every internal DOF of a nonlinear one; every DOF of a linear one
+    without boundary DOFs, which would else export nothing; ``all_dofs``
+    exports every DOF.  Both solvers of ``run_experiment`` and of ``dynsub
+    simulate`` record only these (``dofs=`` of ``PartitionedSolver.run`` and
     ``solve_monolithic``).
     """
-    return {sid: np.arange(sub.n_dofs) if all_dofs or isinstance(sub, NonlinearSubstructure)
+    return {sid: np.arange(sub.n_dofs) if all_dofs or isinstance(sub, NonlinearSubstructure) or not sub.boundary_dofs
             else np.array(sub.boundary_dofs, dtype=np.intp) for sid, sub in system.substructures.items()}
 
 

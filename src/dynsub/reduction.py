@@ -39,7 +39,10 @@ one copy of the basis.
 
 The same solver, with every DOF internal, gives the unreduced
 substructure's frequencies and mode shapes (:func:`full_frequencies`,
-:func:`mode_shapes`), so a CSR substructure is never copied dense.
+:func:`mode_shapes`), so a CSR substructure is never copied dense, and,
+run on :meth:`CraigBamptonReduction.as_substructure`, the reduced model's
+(:func:`reduced_frequencies`, :func:`expanded_mode_shapes`): both sides of
+a comparison get the same checks and one canonical basis.
 """
 
 from __future__ import annotations
@@ -416,12 +419,14 @@ def reduce(sub: LinearSubstructure, n_modes: int) -> CraigBamptonReduction:
 def expand(red: CraigBamptonReduction, reduced_state: np.ndarray) -> np.ndarray:
     """Reconstruct physical displacements from reduced coordinates ``[q; x_b]``.
 
-    The result is indexed by the original substructure DOF numbering.
+    ``reduced_state`` is one vector of ``n_reduced`` coordinates or a block
+    of them, one per column; the result has the same columns, each indexed
+    by the original substructure DOF numbering.
     """
     q = np.asarray(reduced_state, dtype=float)
-    if q.shape != (red.n_reduced,):
+    if q.ndim not in (1, 2) or len(q) != red.n_reduced:
         raise ReductionError(f"reduced state must have length {red.n_reduced}, got {q.shape}")
-    out = np.empty(red.transform.shape[0])
+    out = np.empty((red.transform.shape[0], *q.shape[1:]))
     out[np.array(red.internal_dofs + red.boundary_dofs, dtype=int)] = red.transform @ q
     return out
 
@@ -455,20 +460,20 @@ def full_frequencies(sub: LinearSubstructure, n: int | None = None) -> np.ndarra
 
 
 def reduced_frequencies(red: CraigBamptonReduction, n: int | None = None) -> np.ndarray:
-    """Natural frequencies (rad/s) of the reduced model, ascending."""
-    lam = scipy.linalg.eigh(red.reduced_stiffness, red.reduced_mass, eigvals_only=True)
-    freqs = np.sqrt(np.clip(lam, 0.0, None))
-    return freqs if n is None else freqs[:n]
+    """The ``n`` lowest natural frequencies (rad/s) of the reduced model, ascending; all by default.
+
+    :func:`full_frequencies` of :meth:`CraigBamptonReduction.as_substructure`.
+    """
+    return full_frequencies(red.as_substructure(), n)
 
 
 def expanded_mode_shapes(red: CraigBamptonReduction, n: int) -> np.ndarray:
-    """First ``n`` reduced mode shapes expanded to physical coordinates.
+    """The first ``n`` reduced mode shapes, expanded to physical coordinates (:func:`expand`).
 
-    Columns are mass-normalized with respect to the reduced mass matrix
-    before expansion.
+    :func:`mode_shapes` of :meth:`CraigBamptonReduction.as_substructure`:
+    mass-normalized with respect to the reduced mass matrix, and canonical.
     """
-    _, vecs = scipy.linalg.eigh(red.reduced_stiffness, red.reduced_mass)
-    return np.column_stack([expand(red, vecs[:, j]) for j in range(n)])
+    return expand(red, mode_shapes(red.as_substructure(), n))
 
 
 def mode_shapes(sub: LinearSubstructure, n: int) -> np.ndarray:

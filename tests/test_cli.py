@@ -298,6 +298,16 @@ _RECORD = "system file {tmp}/model.json: substructure "
      ("reduction file '{tmp}/flat_mass.npz'", "reduced_mass"), None),
     (["compare", "mac", "--full", "{tmp}/float_dofs.npz", "--reduced", "{tmp}/modes3.csv", "--out", "{tmp}/mac.csv"],
      ("reduction file '{tmp}/float_dofs.npz'", "internal_dofs"), None),
+    # and one whose reduced matrices broke a substructure's rules ended in scipy's traceback, or gave a MAC
+    (["compare", "mac", "--full", "{tmp}/negative_mass.npz", "--reduced", "{tmp}/modes6.csv", "--out", "{tmp}/mac.csv"],
+     ("reduction file '{tmp}/negative_mass.npz': reduced matrices: mass matrix must have a strictly positive "
+      "diagonal", "{tmp}/negative_mass.npz"), None),
+    (["compare", "mac", "--full", "{tmp}/nan_mass.npz", "--reduced", "{tmp}/modes6.csv", "--out", "{tmp}/mac.csv"],
+     ("reduction file '{tmp}/nan_mass.npz': reduced matrices: ", "mass"), None),
+    (["compare", "mac", "--full", "{tmp}/asymmetric_stiffness.npz", "--reduced", "{tmp}/modes6.csv",
+      "--out", "{tmp}/mac.csv"],
+     ("reduction file '{tmp}/asymmetric_stiffness.npz': reduced matrices: stiffness matrix is not symmetric",
+      "{tmp}/asymmetric_stiffness.npz"), None),
 ], ids=["frame_params", "chain_params", "chain_float_n", "solver_config", "experiment_config",
           "experiment_model", "missing_mass", "system_relative_motion", "system_coupling",
           "solver_config_type", "solver_config_partial_step", "experiment_config_type",
@@ -322,7 +332,8 @@ _RECORD = "system file {tmp}/model.json: substructure "
           "experiment_infinite_noise_variance", "experiment_nan_sine_frequency", "signal_noise_negative_seed",
           "signal_multisine_negative_seed", "experiment_negative_seed", "solver_config_huge_duration",
           "compare_mac_not_an_npz", "compare_mac_cut_npz", "compare_mac_missing_field",
-          "compare_mac_flat_reduced_mass", "compare_mac_float_2d_internal_dofs"])
+          "compare_mac_flat_reduced_mass", "compare_mac_float_2d_internal_dofs", "compare_mac_negative_reduced_mass",
+          "compare_mac_nan_reduced_mass", "compare_mac_asymmetric_reduced_stiffness"])
 def test_malformed_input_exits_1_naming_the_field(tmp_path, model_file, capsys, argv, key, edit):
     """``key`` is the name the message must quote, or (location, name) for a location it must also lead with.
 
@@ -350,6 +361,13 @@ def test_malformed_input_exits_1_naming_the_field(tmp_path, model_file, capsys, 
         record = dict(data)
     np.savez(tmp_path / "flat_mass.npz", **dict(record, reduced_mass=np.zeros(3)))
     np.savez(tmp_path / "float_dofs.npz", **dict(record, internal_dofs=np.zeros((2, 3))))
+    nan_mass, asymmetric = record["reduced_mass"].copy(), record["reduced_stiffness"].copy()
+    nan_mass[1, 2] = np.nan
+    asymmetric[0, 1] += 1e3 * np.abs(asymmetric).max()
+    np.savez(tmp_path / "negative_mass.npz", **dict(record, reduced_mass=-record["reduced_mass"]))
+    np.savez(tmp_path / "nan_mass.npz", **dict(record, reduced_mass=nan_mass))
+    np.savez(tmp_path / "asymmetric_stiffness.npz", **dict(record, reduced_stiffness=asymmetric))
+    (tmp_path / "modes6.csv").write_text("m0,m1\n" + "".join(f"{i},{i * i + 1}\n" for i in range(6)))
     (tmp_path / "modes3.csv").write_text("m0,m1\n1,0\n0,1\n1,1\n")
     (tmp_path / "modes4.csv").write_text("m0,m1\n1,0\n0,1\n1,1\n0,1\n")
     (tmp_path / "text.csv").write_text("time,ch0\n0,1\n0.001,one\n")
@@ -622,6 +640,37 @@ class TestSimulateCommand:
         assert main(["simulate", "--model", str(model), "--config", str(cfg), "--out", str(out), *extra]) == 1
         assert capsys.readouterr().err == "error: the system has no substructures\n"
         assert not out.exists()
+
+    def test_signals_for_a_system_without_an_input_map_exit_1_naming_its_inputs(self, tmp_path, capsys):
+        # the chain's file routes no channel: its signals drove nothing, with exit 0
+        model, sig, out = tmp_path / "chain.json", tmp_path / "sig.csv", tmp_path / "t.csv"
+        assert main(["generate-model", "--kind", "chain", "--out", str(model)]) == 0
+        assert json.loads(model.read_text())["inputs"] == {}
+        save_signals_csv(sig, np.arange(51) * 1e-3, np.ones((51, 1)))
+        cfg = write_config(tmp_path / "cfg.json")
+        capsys.readouterr()
+        for extra in ([], ["--monolithic"]):
+            assert main(["simulate", "--model", str(model), "--config", str(cfg), "--inputs", str(sig),
+                         "--out", str(out), *extra]) == 1
+            assert capsys.readouterr().err == (f"error: signals CSV {sig} drives nothing: field 'inputs' of "
+                                               f"system file {model} routes no channel to a DOF\n")
+            assert not out.exists()
+
+    def test_a_linear_substructure_without_boundary_dofs_exports_every_dof(self, tmp_path):
+        # the chain has no boundary DOF: its CSV held only the time column
+        model, sig = tmp_path / "chain.json", tmp_path / "sig.csv"
+        assert main(["generate-model", "--kind", "chain", "--out", str(model)]) == 0
+        set_json_entry(model, ["inputs"], {"chain": {"0": 0}})
+        save_signals_csv(sig, np.arange(51) * 1e-3, np.ones((51, 1)))
+        cfg = write_config(tmp_path / "cfg.json")
+        for extra in ([], ["--monolithic"]):
+            outs = [tmp_path / f"t{len(extra)}{len(dofs)}.csv" for dofs in ([], ["--all-dofs"])]
+            for out, dofs in zip(outs, ([], ["--all-dofs"])):
+                assert main(["simulate", "--model", str(model), "--config", str(cfg), "--inputs", str(sig),
+                             "--out", str(out), *extra, *dofs]) == 0
+            assert outs[0].read_text().splitlines()[0] == "time," + ",".join(
+                f"chain.{kind}{dof}" for dof in range(3) for kind in "uv")
+            assert outs[0].read_bytes() == outs[1].read_bytes()
 
     def test_subcycles_flag(self, tmp_path, model_file):
         cfg = write_config(tmp_path / "cfg.json")

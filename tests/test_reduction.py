@@ -15,7 +15,8 @@ from dynsub import reduce as cb_reduce
 from dynsub.generators import chain_substructure, frame_substructure
 from dynsub.models import dense
 from dynsub.reduction import (
-    _InternalProblem, _canonical_modes, _cluster_starts, full_frequencies, mode_shapes, reduced_frequencies,
+    _InternalProblem, _canonical_modes, _cluster_starts, expanded_mode_shapes, full_frequencies, mode_shapes,
+    reduced_frequencies,
 )
 
 
@@ -249,6 +250,14 @@ class TestExpand:
         red = cb_reduce(chain(6, boundary=(5,)), 2)
         with pytest.raises(ReductionError, match="length"):
             expand(red, np.zeros(red.n_reduced + 1))
+
+    def test_a_block_expands_column_by_column(self):
+        red = cb_reduce(chain(10, boundary=(4, 9)), 3)
+        block = np.random.default_rng(3).standard_normal((red.n_reduced, 4))
+        columns = np.column_stack([expand(red, column) for column in block.T])
+        assert np.abs(expand(red, block) - columns).max() <= 1e-14 * np.abs(columns).max()  # gemm against gemv
+        with pytest.raises(ReductionError, match="length"):
+            expand(red, np.zeros((red.n_reduced + 1, 2)))
 
     def test_project_force_boundary_passthrough(self):
         sub = chain(10, boundary=(4, 9))
@@ -554,3 +563,29 @@ class TestWholeSubstructure:
         assert shapes.shape == (frame.n_dofs, 10)
         assert np.abs(shapes.T @ frame.mass @ shapes - np.eye(10)).max() <= 1e-12
         assert np.all(np.arange(1.0, frame.n_dofs + 1) @ shapes > 0)
+
+
+class TestReducedModel:
+    """``reduced_frequencies`` and ``expanded_mode_shapes`` are the same solver on the reduced model."""
+
+    def test_more_modes_than_reduced_coordinates_refused(self):
+        red = cb_reduce(chain(12, boundary=(5, 11)), 4)
+        for call in (reduced_frequencies, expanded_mode_shapes):
+            with pytest.raises(ReductionError, match="requested 7 modes but only 6 internal DOFs"):
+                call(red, red.n_reduced + 1)
+
+    def test_shapes_are_mass_normalized_by_the_reduced_mass(self):
+        sub = chain(12, boundary=(5, 11))
+        red = cb_reduce(sub, 4)
+        shapes = expanded_mode_shapes(red, 5)
+        reduced = np.linalg.lstsq(red.transform, shapes[list(sub.internal_dofs + sub.boundary_dofs)], rcond=None)[0]
+        assert np.abs(reduced.T @ red.reduced_mass @ reduced - np.eye(5)).max() <= 1e-12
+
+    def test_a_mass_that_is_not_positive_definite_is_refused_by_its_pivots(self):
+        red = cb_reduce(chain(12, boundary=(11,)), 4)
+        mass = red.reduced_mass.copy()
+        mass[0, 1] = mass[1, 0] = 10.0  # the diagonal stays positive
+        bad = dataclasses.replace(red, reduced_mass=mass)
+        for call in (reduced_frequencies, expanded_mode_shapes):
+            with pytest.raises(ReductionError, match="mass matrix is not positive definite"):
+                call(bad, 2)
