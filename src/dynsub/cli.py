@@ -23,7 +23,7 @@ from .generators import chain_substructure, frame_analog, wheel_inputs
 from .metrics import MetricsError, frequency_error_table, mac, trajectory_mse
 from .models import LinearSubstructure, ModelError, build_from_fields
 from .monolithic import assemble_global, solve_monolithic
-from .reduction import expanded_mode_shapes, full_frequencies, reduce as cb_reduce, reduced_frequencies
+from .reduction import ReductionError, expanded_mode_shapes, full_frequencies, reduce as cb_reduce, reduced_frequencies
 from .signals import SignalError, SignalSpec, generate_signal, multisine_with_noise_channels
 from .solver import CoupledSystem, DivergenceError, SolverConfig, SolverError, simulate
 
@@ -160,7 +160,10 @@ def _load_modes(path) -> np.ndarray:
     path = Path(path)
     if path.suffix == ".npz":
         red = dio.load_reduction(path)
-        return expanded_mode_shapes(red, min(10, red.n_reduced))
+        try:  # a mass that keeps the substructure rules may still fail the eigensolver's pivot rule
+            return expanded_mode_shapes(red, min(10, red.n_reduced))
+        except ReductionError as exc:
+            raise ReductionError(f"reduction file {str(path)!r}: reduced matrices: {exc}") from None
     _, data = dio.load_csv_columns(path)
     return data
 

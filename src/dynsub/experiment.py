@@ -3,7 +3,9 @@
 Reproduces the desk-scale workflow: build the frame analog and suspensions,
 reduce the frame, co-simulate the reduced system, optionally run the
 monolithic full-order reference, and write trajectories plus a timing and
-fidelity report.  Offline cost (reduction, tangent and interface
+fidelity report.  Both solvers step by the trapezoidal rule, which the
+config does not choose: it sets only ``dt``, ``duration`` and
+``subcycles``.  Offline cost (reduction, tangent and interface
 factorizations) is accounted separately from online stepping cost.  The
 reference is the sparse assembly (``monolithic_sparse``: CSR matrices and
 one SuperLU factorization of ``S``), the fair full-order baseline for the
@@ -51,13 +53,13 @@ class ExperimentConfig:
 
     ``model`` holds the frame-analog generator parameters; ``modes`` is the
     retained fixed-interface mode count; the remaining fields set the solver
-    and the wheel excitation (shared multisine, per-channel noise).
+    (step, horizon and sub-cycling of the trapezoidal rule) and the wheel
+    excitation (shared multisine, per-channel noise).
     """
 
     modes: int = 30
     dt: float = 1e-3
     duration: float = 1.0
-    gamma: float = 0.5
     subcycles: int = 1
     run_monolithic: bool = True
     seed: int = 0
@@ -65,7 +67,7 @@ class ExperimentConfig:
     sine_frequencies: tuple = DEFAULT_SINE_FREQUENCIES
     sine_amplitudes: tuple = DEFAULT_SINE_AMPLITUDES
     model: dict = field(default_factory=lambda: {"n": 1000, "k": 2.5e5})
-    _solver: SolverConfig = field(init=False, repr=False, compare=False)  # built from dt, duration, gamma, subcycles
+    _solver: SolverConfig = field(init=False, repr=False, compare=False)  # built from dt, duration, subcycles
 
     def __post_init__(self):
         require_numbers(ModelError, True, "positive", modes=self.modes)
@@ -74,8 +76,8 @@ class ExperimentConfig:
         require_bools(ModelError, run_monolithic=self.run_monolithic)
         if not isinstance(self.model, Mapping):
             raise ModelError(f"field 'model' must be an object of frame parameters, got {self.model!r}")
-        try:  # the solver's own rules on dt, duration, gamma and subcycles
-            solver = SolverConfig(dt=self.dt, duration=self.duration, gamma=self.gamma, subcycles=self.subcycles)
+        try:  # the solver's own rules on dt, duration and subcycles
+            solver = SolverConfig(dt=self.dt, duration=self.duration, subcycles=self.subcycles)
         except SolverError as exc:
             raise ModelError(str(exc)) from None
         for name in ("sine_frequencies", "sine_amplitudes"):

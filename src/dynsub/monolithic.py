@@ -3,7 +3,8 @@
 The monolithic solver merges all coupled interface DOFs into shared global
 DOFs (hard compatibility) and steps the assembled first-order form with the
 same trapezoidal kernel (:func:`~dynsub.solver.effective_matrix` and
-:func:`~dynsub.solver.free_step`) as the partitioned solver, so the gap
+:func:`~dynsub.solver.free_step`, the trapezoidal rule at the half step
+``dt/2``) as the partitioned solver, so the gap
 between the two is coupling and reduction error, not an integrator
 difference.  :func:`~dynsub.coupling.assemble_global` builds the assembly
 and is re-exported here.  It is dense by default, which the acceptance
@@ -57,10 +58,10 @@ def solve_monolithic(
     The trajectory holds every DOF of every substructure, or, given
     ``dofs``, only ``dofs[sid]`` of each (none of an id it leaves out).
     """
-    form, dt, gamma = asys.first_order(), config.dt, config.gamma
-    d = effective_matrix(form, dt, gamma)
+    form, dt = asys.first_order(), config.dt
+    d = effective_matrix(form, dt)
     return _step_assembled(asys, config, inputs, initial, dofs,
-                           lambda y, ydot, force: free_step(form, d, y, ydot, force, dt, gamma))
+                           lambda y, ydot, force: free_step(form, d, y, ydot, force, dt))
 
 
 def solve_newmark(

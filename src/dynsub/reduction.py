@@ -176,8 +176,8 @@ class _InternalProblem:
 
     def check_mode_count(self, n_modes) -> None:
         """Refuse a mode count that is not an integer in ``[0, n_i]``."""
-        require_numbers(ReductionError, True, n_modes=n_modes)
-        if not 0 <= n_modes <= self.n_internal:
+        require_numbers(ReductionError, True, "non-negative", n_modes=n_modes)
+        if n_modes > self.n_internal:
             raise ReductionError(f"requested {n_modes} modes but only {self.n_internal} internal DOFs")
 
     def factorize(self, name: str):
@@ -228,22 +228,26 @@ class _InternalProblem:
         ``K_ii`` is judged by the block's rank: below full rank the block is
         singular, at full rank it is indefinite (or, for a positive pivot,
         nearly singular).  A sparse block is not ranked, because the SVD
-        needs the dense block, so its error claims neither.
+        needs the dense block, so its error claims neither.  The message
+        says "internal" only for a problem with a boundary: a whole-model
+        problem has no internal block, so it names the matrix itself.
         """
         where = "a pivot" if position is None else f"the pivot of DOF {self.internal_dofs[position]}"
+        mass, stiffness = (("internal mass matrix", "internal stiffness block") if self.n_boundary
+                           else ("mass matrix", "stiffness matrix"))
         if name == "mass" or pivot < -floor:
-            what = "mass matrix is not positive definite" if name == "mass" else "stiffness block is indefinite"
-            return ReductionError(f"internal {what}: {where} is {pivot:.6g}")
+            what = f"{mass} is not positive definite" if name == "mass" else f"{stiffness} is indefinite"
+            return ReductionError(f"{what}: {where} is {pivot:.6g}")
         n_i, advice = self.n_internal, "constrain the structure or move boundary DOFs"
         if self.sparse:
             return ReductionError(
-                f"internal stiffness block ({n_i} x {n_i}) is singular or indefinite: {where} is {pivot:.6g}; {advice}"
+                f"{stiffness} ({n_i} x {n_i}) is singular or indefinite: {where} is {pivot:.6g}; {advice}"
             )
         rank = np.linalg.matrix_rank(self.internal(self.stiffness))
         if rank == n_i:
             what = "indefinite" if pivot <= 0 else "nearly singular"
-            return ReductionError(f"internal stiffness block is {what}: {where} is {pivot:.6g}")
-        return ReductionError(f"internal stiffness block is singular (rank {rank} of {n_i}); {advice}")
+            return ReductionError(f"{stiffness} is {what}: {where} is {pivot:.6g}")
+        return ReductionError(f"{stiffness} is singular (rank {rank} of {n_i}); {advice}")
 
     @functools.cached_property
     def shift(self) -> float:

@@ -8,20 +8,21 @@ boundary-velocity compatibility exactly at every step; displacements are
 coupled softly through the link corrections.  At a fixed dt the interface
 solve is a fixed linear map of the step groups' free velocities ``v_k``::
 
-    lam = -(gamma*dt*H)^{-1} sum_k L_v,k^T v_k = sum_k C_k v_k,
-    C_k = -(gamma*dt*H)^{-1} L_v,k^T
+    lam = -(dt/2*H)^{-1} sum_k L_v,k^T v_k = sum_k C_k v_k,
+    C_k = -(dt/2*H)^{-1} L_v,k^T
 
 so the solver solves with ``H`` only at construction, once per group for
 its map ``C_k`` (``n_lam x n_k``, no rows without constraints), and a
 coupled step writes ``lam`` into its row of the multipliers by one product
 per group.
 
-The trapezoidal step of the first-order form ``A Ydot + R(Y) = F`` solves
-``D = A + gamma*dt*R0 = [[I, -gamma*dt I], [gamma*dt K, M + gamma*dt C]]``.
+The integrator is the trapezoidal rule, with the half step ``dt/2`` in
+every stage.  Its step of the first-order form ``A Ydot + R(Y) = F`` solves
+``D = A + dt/2*R0 = [[I, -dt/2 I], [dt/2 K, M + dt/2 C]]``.
 Its displacement rows eliminate exactly, so every solve is with the
-condensed matrix ``S = M + gamma*dt C + (gamma*dt)^2 K`` of half the size,
+condensed matrix ``S = M + dt/2 C + (dt/2)^2 K`` of half the size,
 applied to momentum-row right-hand sides.  The elimination moves
-``gamma*dt K v`` into the force law's displacement argument, which is exact
+``dt/2 K v`` into the force law's displacement argument, which is exact
 because every force law is affine in ``u`` with slope ``K``
 (:mod:`dynsub.models`).
 
@@ -56,7 +57,7 @@ entries) and ``f`` except for ``phi`` of the element rates ``xd``::
 
 ``Phi`` and ``Gamma`` are :func:`free_step` of the linear part, called once
 at construction on a block of unit states and unit forces.  ``Q`` takes
-the element rates ``B (v + (1-gamma) dts vdot)`` at the predicted velocity
+the element rates ``B (v + dts/2 vdot)`` at the predicted velocity
 (``dts`` is the group's inner step), and ``Psi = -Gamma B^T diag(slope)``
 folds each row's slope into the feedback.  A row of the group's window
 carries the rates along, and the forcing of the inner step it starts:
@@ -166,16 +167,13 @@ class SolverConfig:
 
     dt: float
     duration: float
-    gamma: float = 0.5
     subcycles: int = 1
     divergence_limit: float = 1e8
 
     def __post_init__(self):
         require_numbers(SolverError, False, "positive", dt=self.dt)
-        require_numbers(SolverError, duration=self.duration, gamma=self.gamma, divergence_limit=self.divergence_limit)
+        require_numbers(SolverError, duration=self.duration, divergence_limit=self.divergence_limit)
         require_numbers(SolverError, True, "positive", subcycles=self.subcycles)
-        if not 0 < self.gamma <= 1:
-            raise SolverError(f"gamma must be in (0, 1], got {self.gamma}")
         if not self.divergence_limit > 0:  # also rejects nan, which would switch the bound off
             raise SolverError(f"field 'divergence_limit' must be positive, got {self.divergence_limit}")
         steps = self.duration / self.dt  # the one rule on duration: it also refuses a zero, negative or nan one
@@ -306,7 +304,7 @@ class Trajectory:
 
 @dataclass(frozen=True)
 class EffectiveMatrix:
-    """Factorized condensed effective matrix S = M + gamma*dt*C + (gamma*dt)^2*K.
+    """Factorized condensed effective matrix S = M + dt/2*C + (dt/2)^2*K.
 
     ``solve`` applies ``S^{-1}`` to momentum-row right-hand sides (n rows).
     ``matrix`` is a dense array or, for a sparse form, a CSR array.
@@ -319,8 +317,8 @@ class EffectiveMatrix:
         return self._solve(rhs)
 
 
-def effective_matrix(form: FirstOrderForm, dt: float, gamma: float) -> EffectiveMatrix:
-    """Assemble and factorize S = M + gamma*dt*C + (gamma*dt)^2*K for repeated solves.
+def effective_matrix(form: FirstOrderForm, dt: float) -> EffectiveMatrix:
+    """Assemble and factorize S = M + dt/2*C + (dt/2)^2*K for repeated solves.
 
     The tangent blocks are state-independent, so S is assembled once per
     simulation; the solver calls this once per step group, on the group's
@@ -330,11 +328,11 @@ def effective_matrix(form: FirstOrderForm, dt: float, gamma: float) -> Effective
     The pivots are judged against the largest of the three terms, so a
     stiffness that cancels the mass is reported as singular.
     """
-    gdt = gamma * dt
-    terms = (form.mass, gdt * form.damping, gdt * gdt * form.stiffness)
+    half = dt / 2
+    terms = (form.mass, half * form.damping, half * half * form.stiffness)
     s = terms[0] + terms[1] + terms[2]
     return EffectiveMatrix(matrix=s, _solve=_factorize(
-        s, lambda: SolverError(f"effective matrix singular for dt={dt}, gamma={gamma}"),
+        s, lambda: SolverError(f"effective matrix singular for dt={dt}"),
         scale=max(abs(t).max() for t in terms),
     ))
 
@@ -346,23 +344,22 @@ def free_step(
     ydot: np.ndarray,
     force: np.ndarray,
     dt: float,
-    gamma: float,
 ) -> tuple[np.ndarray, np.ndarray]:
     """One trapezoidal predictor-corrector step without interface forces.
 
-    Predict Y~ = [u~; v~] = Y + (1-gamma)*dt*Ydot, solve
-    S @ a = f - g(u~ + gamma*dt*v~, v~) for the acceleration, and correct
-    with Ydot+ = [v~ + gamma*dt*a; a], Y+ = Y~ + gamma*dt*Ydot+.  This is
+    Predict Y~ = [u~; v~] = Y + dt/2*Ydot, solve
+    S @ a = f - g(u~ + dt/2*v~, v~) for the acceleration, and correct
+    with Ydot+ = [v~ + dt/2*a; a], Y+ = Y~ + dt/2*Ydot+.  This is
     the solve D @ Ydot+ = F - R(Y~) of the first-order form, condensed onto
     the momentum rows.  ``force`` is the physical force f (n entries).
     """
     n = form.n_dofs
-    gdt = gamma * dt
-    y_pred = y + (1.0 - gamma) * dt * ydot
+    half = dt / 2
+    y_pred = y + half * ydot
     u_pred, v_pred = y_pred[:n], y_pred[n:]
-    acc = d.solve(force - form.momentum(u_pred + gdt * v_pred, v_pred))
-    ydot_new = np.concatenate([v_pred + gdt * acc, acc])
-    return y_pred + gdt * ydot_new, ydot_new
+    acc = d.solve(force - form.momentum(u_pred + half * v_pred, v_pred))
+    ydot_new = np.concatenate([v_pred + half * acc, acc])
+    return y_pred + half * ydot_new, ydot_new
 
 
 def coupling_step(
@@ -370,14 +367,14 @@ def coupling_step(
     free_velocities: Mapping,
     compat: Mapping,
     link_maps: Mapping,
-    gamma_dt: float,
+    dt: float,
 ) -> tuple[np.ndarray, dict]:
     """Identify the interface-force intensities and the link states by one interface solve.
 
     The intensities annihilate the signed velocity gap of the free
-    solutions: lam = -(gamma*dt*H)^{-1} sum_s L_v,s^T @ v_s^free, with
-    ``compat[s] = L_v,s^T``.  The link state of ``s`` is
-    ``link_maps[s] @ lam``, where ``link_maps[s] = gamma*dt * D_s^{-1} L_s``.
+    solutions: lam = -(dt/2*H)^{-1} sum_s L_v,s^T @ v_s^free, with
+    ``compat[s] = L_v,s^T`` and ``dt`` the coupled step.  The link state of
+    ``s`` is ``link_maps[s] @ lam``, where ``link_maps[s] = dt/2 * D_s^{-1} L_s``.
     A key may stand for one substructure or for a stack of them.
 
     This is the coupling of the hand-stepped test reference, and a name
@@ -389,7 +386,7 @@ def coupling_step(
     for key, g in compat.items():
         contrib = g @ free_velocities[key]
         residual = contrib if residual is None else residual + contrib
-    lam = -interface.solve(residual) / gamma_dt
+    lam = -interface.solve(residual) / (dt / 2)
     links = {key: link_maps[key] @ lam for key in compat}
     return lam, links
 
@@ -657,20 +654,20 @@ class _Propagator:
     rates: np.ndarray
 
 
-def _propagator(form: FirstOrderForm, effective, dt: float, gamma: float, injector: np.ndarray) -> _Propagator:
+def _propagator(form: FirstOrderForm, effective, dt: float, injector: np.ndarray) -> _Propagator:
     """Build a group's propagator from :func:`free_step`, called once on unit blocks."""
     n = form.n_dofs
     size = 4 * n
     linear = dataclasses.replace(form, rates=form.rates[:0], slope=form.slope[:0], smoothing=form.smoothing[:0])
     # columns: each unit state z under zero force, then each unit force from rest
     unit = np.eye(size + n)
-    y, ydot = free_step(linear, effective, unit[:2 * n], unit[2 * n:size], unit[size:], dt, gamma)
+    y, ydot = free_step(linear, effective, unit[:2 * n], unit[2 * n:size], unit[size:], dt)
     response = np.concatenate([y, ydot])
     phi, gam = response[:, :size], response[:, size:]
     b = form.rates
     q = np.zeros((len(b), size))
-    q[:, n:2 * n] = b  # B (v + (1 - gamma) dt vdot): the predicted element rates
-    q[:, 3 * n:] = (1.0 - gamma) * dt * b
+    q[:, n:2 * n] = b  # B (v + dt/2 vdot): the predicted element rates
+    q[:, 3 * n:] = dt / 2 * b
     top = np.hstack([phi, -gam @ (b.T * form.slope)])
     gam = np.concatenate([gam, q @ gam])
     return _Propagator(
@@ -707,7 +704,6 @@ class _Group:
 
     subcycles: int
     dt: float  # of an inner step
-    gamma: float
     form: FirstOrderForm
     effective: EffectiveMatrix
     dofs: dict
@@ -733,7 +729,7 @@ class _Group:
         """
         ss, prop, width = self.subcycles, self.propagator, len(self.link)
         if prop is None:
-            form, effective, dt, gamma, m = self.form, self.effective, self.dt, self.gamma, self.form.state_size
+            form, effective, dt, m = self.form, self.effective, self.dt, self.form.state_size
             window = np.empty((ss + 1, width))
 
             def advance(lam: np.ndarray, step: int) -> None:
@@ -742,7 +738,7 @@ class _Group:
                     forces = forces + self.ramp * (self.injector @ lam)
                 y, ydot = window[0, :m], window[0, m:]
                 for j, force in enumerate(forces, 1):
-                    y, ydot = free_step(form, effective, y, ydot, force, dt, gamma)
+                    y, ydot = free_step(form, effective, y, ydot, force, dt)
                     window[j, :m], window[j, m:] = y, ydot
 
             return window, advance
@@ -804,35 +800,35 @@ class PartitionedSolver:
                 asys = assemble_global(group, CouplingTopology(()), sparse=_stores_csr(group))
                 form, dofs = asys.first_order(), asys.dof_map
             dts = config.dt / ss
-            effective = effective_matrix(form, dts, config.gamma)
+            effective = effective_matrix(form, dts)
             injector = np.vstack([
                 locator_matrix(system.topology, sid, self.forms[sid].n_dofs) for sid in sids
             ])
-            propagator = (_propagator(form, effective, dts, config.gamma, injector)
+            propagator = (_propagator(form, effective, dts, injector)
                           if form.n_dofs <= _PROPAGATOR_MAX_DOFS else None)
             # b = S^{-1} L_v at the group's own step dts gives the group's
             # share L_v^T b of H and its link rate D^{-1} [0; L_v] =
-            # [gamma*dts b; b], shared by every coupled step; the link state
-            # is gamma*dt times the rate, and a propagated group's element
+            # [dts/2 b; b], shared by every coupled step; the link state
+            # is dt/2 times the rate, and a propagated group's element
             # rates change by Q times the link.  The link map is kept in C
             # order (getrs returns Fortran order, and the layout sets the
             # summation order of the products with it)
             b = effective.solve(injector)
             pairs.append((injector, b))
-            link_rate = np.concatenate([config.gamma * dts * b, b])
-            link = np.concatenate([config.gamma * config.dt * link_rate, link_rate])
+            link_rate = np.concatenate([dts / 2 * b, b])
+            link = np.concatenate([config.dt / 2 * link_rate, link_rate])
             if propagator is not None:
                 link = np.concatenate([link, propagator.rates @ link])
             self._plan.append(_Group(
-                subcycles=ss, dt=dts, gamma=config.gamma, form=form, effective=effective, dofs=dofs,
+                subcycles=ss, dt=dts, form=form, effective=effective, dofs=dofs,
                 ramp=(1.0 - np.arange(1, ss + 1) / ss)[:, None], injector=injector,
                 link=np.ascontiguousarray(link), propagator=propagator,
             ))
         self.interface = steklov_poincare(pairs) if self.n_lam else None
-        # C_k = -(gamma*dt H)^{-1} L_v,k^T per group, so that a coupled step
+        # C_k = -(dt/2 H)^{-1} L_v,k^T per group, so that a coupled step
         # computes lam = sum_k C_k v_k by products (see the module docstring)
         self._multiplier_maps = [-(self.interface.solve(g.injector.T) if self.n_lam else g.injector.T)
-                                 / (config.gamma * config.dt) for g in self._plan]
+                                 / (config.dt / 2) for g in self._plan]
 
     def run(self, inputs: Mapping | None = None, initial: Mapping | None = None,
             dofs: Mapping | None = None) -> Trajectory:

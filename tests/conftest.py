@@ -159,17 +159,15 @@ def hand_stepped(system, cfg, inputs):
     the states, the fine states of the sub-cycled substructures and the
     multipliers, one row per instant, from a zero start.
     """
-    topo, gdt, ss = system.topology, cfg.gamma * cfg.dt, cfg.subcycles
+    topo, ss = system.topology, cfg.subcycles
     forms = {sid: assemble_first_order(sub) for sid, sub in system.substructures.items()}
     inner = {sid: ss if sid in system.physical_ids() else 1 for sid in forms}
-    eff = {sid: effective_matrix(form, cfg.dt / inner[sid], cfg.gamma) for sid, form in forms.items()}
+    eff = {sid: effective_matrix(form, cfg.dt / inner[sid]) for sid, form in forms.items()}
     locators = {sid: locator_matrix(topo, sid, form.n_dofs) for sid, form in forms.items()}
     solved = {sid: eff[sid].solve(l_v) for sid, l_v in locators.items()}
     interface = steklov_poincare([(locators[sid], b) for sid, b in solved.items()])
-    link_rate = {
-        sid: np.concatenate([cfg.gamma * (cfg.dt / inner[sid]) * b, b]) for sid, b in solved.items()
-    }
-    link_state = {sid: gdt * rate for sid, rate in link_rate.items()}
+    link_rate = {sid: np.concatenate([cfg.dt / inner[sid] / 2 * b, b]) for sid, b in solved.items()}
+    link_state = {sid: cfg.dt / 2 * rate for sid, rate in link_rate.items()}
     forces = {sid: inputs.get(sid, np.zeros((cfg.n_steps * inner[sid] + 1, form.n_dofs)))
               for sid, form in forms.items()}
     y = {sid: np.zeros(form.state_size) for sid, form in forms.items()}
@@ -187,13 +185,13 @@ def hand_stepped(system, cfg, inputs):
             n_in, yy, yd = inner[sid], y[sid], ydot[sid]
             for j in range(1, n_in + 1):
                 force = forces[sid][(step - 1) * n_in + j] + (1 - j / n_in) * (locators[sid] @ lam)
-                yy, yd = free_step(form, eff[sid], yy, yd, force, cfg.dt / n_in, cfg.gamma)
+                yy, yd = free_step(form, eff[sid], yy, yd, force, cfg.dt / n_in)
                 if n_in > 1:
                     fine_states[sid].append(yy)
             free[sid] = yy, yd
         lam, links = coupling_step(
             interface, {sid: free[sid][0][form.n_dofs:] for sid, form in forms.items()},
-            {sid: l_v.T for sid, l_v in locators.items()}, link_state, gdt,
+            {sid: l_v.T for sid, l_v in locators.items()}, link_state, cfg.dt,
         )
         multipliers.append(lam)
         for sid in forms:

@@ -22,7 +22,7 @@ from conftest import multisine_table, run_python, scipy_sparse_check, set_json_e
 
 
 def write_config(path, **overrides):
-    cfg = {"dt": 1e-3, "duration": 0.05, "gamma": 0.5}
+    cfg = {"dt": 1e-3, "duration": 0.05}
     cfg.update(overrides)
     path.write_text(json.dumps(cfg))
     return path
@@ -308,6 +308,17 @@ _RECORD = "system file {tmp}/model.json: substructure "
       "--out", "{tmp}/mac.csv"],
      ("reduction file '{tmp}/asymmetric_stiffness.npz': reduced matrices: stiffness matrix is not symmetric",
       "{tmp}/asymmetric_stiffness.npz"), None),
+    # and one whose reduced mass kept those rules but was not positive definite named no file
+    (["compare", "mac", "--full", "{tmp}/red.npz", "--reduced", "{tmp}/indefinite_mass.npz", "--out", "{tmp}/mac.csv"],
+     ("reduction file '{tmp}/indefinite_mass.npz': reduced matrices: mass matrix is not positive definite: "
+      "the pivot of DOF 1 is -99", "{tmp}/indefinite_mass.npz"), None),
+    # a negative mode count was refused as more modes than the internal DOFs hold
+    (["reduce", "--model", "{model}", "--modes", "-1", "--out", "{tmp}/r.npz"], "n_modes", None),
+    # the integrator is the trapezoidal rule: a config that still picks gamma is refused
+    (["simulate", "--model", "{model}", "--config", "{tmp}/gamma.json", "--out", "{tmp}/t.csv"],
+     ("solver config {tmp}/gamma.json", "gamma"), None),
+    (["run-experiment", "--config", "{tmp}/gamma_experiment.json", "--out-dir", "{tmp}/out"],
+     ("experiment config {tmp}/gamma_experiment.json", "gamma"), None),
 ], ids=["frame_params", "chain_params", "chain_float_n", "solver_config", "experiment_config",
           "experiment_model", "missing_mass", "system_relative_motion", "system_coupling",
           "solver_config_type", "solver_config_partial_step", "experiment_config_type",
@@ -333,7 +344,9 @@ _RECORD = "system file {tmp}/model.json: substructure "
           "signal_multisine_negative_seed", "experiment_negative_seed", "solver_config_huge_duration",
           "compare_mac_not_an_npz", "compare_mac_cut_npz", "compare_mac_missing_field",
           "compare_mac_flat_reduced_mass", "compare_mac_float_2d_internal_dofs", "compare_mac_negative_reduced_mass",
-          "compare_mac_nan_reduced_mass", "compare_mac_asymmetric_reduced_stiffness"])
+          "compare_mac_nan_reduced_mass", "compare_mac_asymmetric_reduced_stiffness",
+          "compare_mac_indefinite_reduced_mass", "reduce_negative_modes", "solver_config_gamma",
+          "experiment_config_gamma"])
 def test_malformed_input_exits_1_naming_the_field(tmp_path, model_file, capsys, argv, key, edit):
     """``key`` is the name the message must quote, or (location, name) for a location it must also lead with.
 
@@ -353,6 +366,8 @@ def test_malformed_input_exits_1_naming_the_field(tmp_path, model_file, capsys, 
     (tmp_path / "nan_sine.json").write_text(json.dumps({"sine_frequencies": [1.5, float("nan")]}))
     (tmp_path / "negative_seed.json").write_text(json.dumps({"seed": -1}))
     write_config(tmp_path / "huge_duration.json", duration=10**400)
+    write_config(tmp_path / "gamma.json", gamma=0.5)
+    (tmp_path / "gamma_experiment.json").write_text(json.dumps({"gamma": 0.5}))
     (tmp_path / "text.npz").write_text("not an archive\n")
     np.savez(tmp_path / "partial.npz", transform=np.eye(2))
     (tmp_path / "cut.npz").write_bytes((tmp_path / "partial.npz").read_bytes()[:100])
@@ -362,11 +377,14 @@ def test_malformed_input_exits_1_naming_the_field(tmp_path, model_file, capsys, 
     np.savez(tmp_path / "flat_mass.npz", **dict(record, reduced_mass=np.zeros(3)))
     np.savez(tmp_path / "float_dofs.npz", **dict(record, internal_dofs=np.zeros((2, 3))))
     nan_mass, asymmetric = record["reduced_mass"].copy(), record["reduced_stiffness"].copy()
+    indefinite_mass = record["reduced_mass"].copy()
     nan_mass[1, 2] = np.nan
+    indefinite_mass[0, 1] = indefinite_mass[1, 0] = 10.0  # the diagonal stays positive
     asymmetric[0, 1] += 1e3 * np.abs(asymmetric).max()
     np.savez(tmp_path / "negative_mass.npz", **dict(record, reduced_mass=-record["reduced_mass"]))
     np.savez(tmp_path / "nan_mass.npz", **dict(record, reduced_mass=nan_mass))
     np.savez(tmp_path / "asymmetric_stiffness.npz", **dict(record, reduced_stiffness=asymmetric))
+    np.savez(tmp_path / "indefinite_mass.npz", **dict(record, reduced_mass=indefinite_mass))
     (tmp_path / "modes6.csv").write_text("m0,m1\n" + "".join(f"{i},{i * i + 1}\n" for i in range(6)))
     (tmp_path / "modes3.csv").write_text("m0,m1\n1,0\n0,1\n1,1\n")
     (tmp_path / "modes4.csv").write_text("m0,m1\n1,0\n0,1\n1,1\n0,1\n")

@@ -116,9 +116,9 @@ class TestSteklovPoincare:
     def test_two_identical_sdof_hand_value(self):
         sub = sdof(m=1.0, k=1.0)
         form = assemble_first_order(sub)
-        d = effective_matrix(form, dt=0.1, gamma=0.5)
+        d = effective_matrix(form, dt=0.1)
         op = steklov_poincare([(l_v, d.solve(l_v)) for l_v in locators(pair_topology(), "ab")])
-        # G D^-1 L of the first-order D = A + gamma*dt*R0 picks its
+        # G D^-1 L of the first-order D = A + dt/2*R0 picks its
         # velocity-row, velocity-column entry; two sides add
         d_inv = np.linalg.inv(form.A + 0.05 * form.tangent)
         expected = 2.0 * d_inv[1, 1]
@@ -138,7 +138,7 @@ class TestSteklovPoincare:
 
     def test_singular_operator_rejected(self):
         # a closed loop a-b-c-a: the three constraint rows sum to zero
-        d = effective_matrix(assemble_first_order(sdof()), 0.1, 0.5)
+        d = effective_matrix(assemble_first_order(sdof()), 0.1)
         loop = CouplingTopology(constraints=(
             (("a", 0, 1), ("b", 0, -1)),
             (("b", 0, 1), ("c", 0, -1)),

@@ -296,11 +296,11 @@ class TestSolveMonolithic:
         # the order shows in the bytes, so the comparison below pins it
         assert forces.tobytes() != table(("b", "a")).tobytes()
         form = asys.first_order()
-        d = effective_matrix(form, cfg.dt, cfg.gamma)
+        d = effective_matrix(form, cfg.dt)
         y, ydot = _start(form, None, forces[0], "the assembled system")
         states = [y]
         for step in range(1, cfg.n_steps + 1):
-            y, ydot = free_step(form, d, y, ydot, forces[step], cfg.dt, cfg.gamma)
+            y, ydot = free_step(form, d, y, ydot, forces[step], cfg.dt)
             states.append(y)
         states = np.array(states)
         for sid, ids in asys.dof_map.items():
@@ -436,7 +436,7 @@ class TestSparseReference:
 
     @pytest.mark.parametrize("k", [-100.0, np.nextafter(-100.0, -200.0)], ids=["exact", "round_off"])
     def test_singular_effective_matrix_names_dt(self, k):
-        # S = m + (gamma dt)^2 k = 1 - 0.1^2 * 100 = 0: SuperLU finds it exactly
+        # S = m + (dt/2)^2 k = 1 - 0.1^2 * 100 = 0: SuperLU finds it exactly
         # singular; one ulp more leaves a pivot of 2e-16, below the 1e-14 rule
         for sparse in (False, True):
             asys = assemble_global({"osc": sdof(k=k)}, CouplingTopology(()), sparse=sparse)
@@ -445,7 +445,7 @@ class TestSparseReference:
 
     @pytest.mark.parametrize("path", ["partitioned", "dense_monolithic", "sparse_monolithic"])
     def test_singular_mass_named(self, path):
-        # symmetric with a positive diagonal, so the model is accepted; S = M + (gamma dt)^2 K is
+        # symmetric with a positive diagonal, so the model is accepted; S = M + (dt/2)^2 K is
         # regular, but the starting rate solves with M itself
         sub = LinearSubstructure(mass=[[1.0, 1.0], [1.0, 1.0]], damping=np.zeros((2, 2)), stiffness=np.eye(2),
                                  internal_dofs=(0,), boundary_dofs=(1,))

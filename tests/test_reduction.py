@@ -484,6 +484,12 @@ class TestOneFactorizationPerBlock:
             with pytest.raises(ReductionError, match="'n_modes' must be an integer"):
                 call(frame_substructure(n=n), n_modes)
 
+    def test_mode_count_must_not_be_negative(self):
+        # -1 was refused as more modes than the internal DOFs hold
+        for call in (cb_reduce, fixed_interface_modes):
+            with pytest.raises(ReductionError, match="^field 'n_modes' must be a non-negative integer, got -1$"):
+                call(frame_substructure(), -1)
+
 
 class TestCanonicalModes:
     """One basis per eigenspace, whatever basis of a repeated-frequency cluster the solver returned."""
@@ -548,6 +554,20 @@ class TestWholeSubstructure:
         finally:
             tracemalloc.stop()
         assert peak < frame.n_dofs ** 2 * 8 / 4
+
+    @pytest.mark.parametrize("name, message", [
+        ("mass", "mass matrix is not positive definite: the pivot of DOF 1 is -99"),
+        ("stiffness", "stiffness matrix is indefinite: the pivot of DOF 1 is -"),
+    ])
+    def test_errors_name_no_internal_block(self, name, message):
+        # every DOF is internal, so the block is the whole matrix
+        sub = chain(3, boundary=(2,))
+        matrix = dense(getattr(sub, name)).copy()
+        matrix[0, 1] = matrix[1, 0] = 10.0 * matrix[0, 0]
+        whole = LinearSubstructure(**{"mass": sub.mass, "damping": sub.damping, "stiffness": sub.stiffness,
+                                      name: matrix})
+        with pytest.raises(ReductionError, match=f"^{message}"):
+            full_frequencies(whole, 2)
 
     def test_all_frequencies_by_default_and_more_than_the_dofs_refused(self):
         sub = chain(12, boundary=(11,))

@@ -78,10 +78,6 @@ class TestSolverConfig:
         with pytest.raises(SolverError):
             SolverConfig(dt=-1.0, duration=1.0)
         with pytest.raises(SolverError):
-            SolverConfig(dt=1e-3, duration=1.0, gamma=0.0)
-        with pytest.raises(SolverError):
-            SolverConfig(dt=1e-3, duration=1.0, gamma=1.5)
-        with pytest.raises(SolverError):
             SolverConfig(dt=1e-3, duration=1.0, subcycles=0)
 
     @pytest.mark.parametrize("subcycles", [2.0, 2.5, True, "2"])
@@ -102,6 +98,11 @@ class TestSolverConfig:
     def test_step_count(self):
         assert SolverConfig(dt=1e-3, duration=1.0).n_steps == 1000
 
+    def test_gamma_is_not_a_field(self):
+        # the integrator is the trapezoidal rule, which no config chooses
+        with pytest.raises(TypeError, match="'gamma'"):
+            SolverConfig(dt=1e-3, duration=1.0, gamma=0.5)
+
     @pytest.mark.parametrize("dt, duration, n_steps", [
         (1e-4, 5.0, 50000), (1e-3 / 7, 1.0, 7000), (0.05, 500.0, 10000),
     ])
@@ -118,7 +119,7 @@ class TestSolverConfig:
             SolverConfig(dt=dt, duration=duration)
 
     @pytest.mark.parametrize("field, value", [
-        ("dt", "1e-3"), ("duration", None), ("gamma", [0.5]), ("subcycles", "10"),
+        ("dt", "1e-3"), ("duration", None), ("subcycles", "10"),
         ("divergence_limit", True),
         # an int that no float holds overflowed in duration/dt
         pytest.param("duration", 10**400, id="duration-int_beyond_float"),
@@ -131,17 +132,17 @@ class TestSolverConfig:
 
 class TestEffectiveMatrix:
     def test_hand_assembled_sdof(self):
-        # m=1, k=1, c=0, gamma=0.5, dt=0.1: D = [[1, -0.05], [0.05, 1]]
+        # m=1, k=1, c=0, dt=0.1: D = [[1, -0.05], [0.05, 1]]
         # condenses to S = m + 0.05 c + 0.05^2 k = 1.0025
-        d = effective_matrix(assemble_first_order(sdof()), dt=0.1, gamma=0.5)
+        d = effective_matrix(assemble_first_order(sdof()), dt=0.1)
         assert d.matrix.shape == (1, 1)
         assert np.allclose(d.matrix, [[1.0025]], rtol=1e-15, atol=0.0)
 
-    def test_gamma_zero_limit_is_mass_operator(self):
-        # gamma -> 0: S -> M (probe with a tiny gamma; config forbids exactly 0)
-        form = assemble_first_order(sdof(m=2.0, k=5.0))
-        d = effective_matrix(form, dt=0.1, gamma=1e-300)
-        assert np.allclose(d.matrix, form.mass)
+    def test_zero_step_limit_is_mass_operator(self):
+        # dt -> 0: S -> M (probe with a tiny dt; config forbids exactly 0)
+        form = assemble_first_order(sdof(m=2.0, k=5.0, c=0.3))
+        d = effective_matrix(form, dt=1e-300)
+        assert np.array_equal(d.matrix, form.mass)
 
     def test_constant_over_simulation(self):
         # tangent-based S never changes: the solver factorizes each group once
@@ -158,7 +159,7 @@ class TestEffectiveMatrix:
             internal_dofs=(), boundary_dofs=(0,),
         )
         with pytest.raises(SolverError, match="dt=0.2"):
-            effective_matrix(assemble_first_order(bad), dt=0.2, gamma=0.5)
+            effective_matrix(assemble_first_order(bad), dt=0.2)
 
     def test_singular_member_of_a_group_reported(self):
         # both take one inner step, so they share one stacked factorization,
@@ -196,7 +197,7 @@ class TestSolveContract:
 
     @pytest.fixture()
     def d(self, desk_suspension):
-        return effective_matrix(assemble_first_order(desk_suspension), 1e-4, 0.5)
+        return effective_matrix(assemble_first_order(desk_suspension), 1e-4)
 
     # right-hand sides hold the 8 momentum rows of the 8-DOF bank
     @pytest.mark.parametrize("shape", [(8,), (8, 4)])
@@ -250,8 +251,8 @@ class TestSolveContract:
 class TestFreeStep:
     def test_zero_state_zero_force(self):
         form = assemble_first_order(sdof())
-        d = effective_matrix(form, 0.01, 0.5)
-        y, ydot = free_step(form, d, np.zeros(2), np.zeros(2), np.zeros(1), 0.01, 0.5)
+        d = effective_matrix(form, 0.01)
+        y, ydot = free_step(form, d, np.zeros(2), np.zeros(2), np.zeros(1), 0.01)
         assert np.array_equal(y, np.zeros(2))
         assert np.array_equal(ydot, np.zeros(2))
 
@@ -259,10 +260,10 @@ class TestFreeStep:
         # undamped oscillator from [1, 0]: after one step u ~ cos(dt) + O(dt^3)
         form = assemble_first_order(sdof())
         dt = 0.01
-        d = effective_matrix(form, dt, 0.5)
+        d = effective_matrix(form, dt)
         y0 = np.array([1.0, 0.0])
         ydot0 = np.array([0.0, -1.0])  # consistent rate: udot=v=0, vdot=-k/m u
-        y1, _ = free_step(form, d, y0, ydot0, np.zeros(1), dt, 0.5)
+        y1, _ = free_step(form, d, y0, ydot0, np.zeros(1), dt)
         assert abs(y1[0] - np.cos(dt)) < dt**3
 
     def test_global_second_order_convergence(self):
@@ -294,15 +295,15 @@ class TestFreeStep:
     def test_condensed_step_equals_first_order_solve(self, kind):
         # the 2n solve D @ Ydot+ = F - R(Y~) on the derived A and tangent
         form = first_order_forms()[kind]
-        n, dt, gamma = form.n_dofs, 1e-3, 0.5
+        n, dt = form.n_dofs, 1e-3
         rng = np.random.default_rng(5)
         y, ydot, f = rng.standard_normal(2 * n), rng.standard_normal(2 * n), rng.standard_normal(n)
-        y_new, ydot_new = free_step(form, effective_matrix(form, dt, gamma), y, ydot, f, dt, gamma)
+        y_new, ydot_new = free_step(form, effective_matrix(form, dt), y, ydot, f, dt)
 
-        y_pred = y + (1 - gamma) * dt * ydot
+        y_pred = y + dt / 2 * ydot
         rhs = np.concatenate([np.zeros(n), f]) - form.restoring(y_pred)
-        ydot_ref = np.linalg.solve(form.A + gamma * dt * form.tangent, rhs)
-        y_ref = y_pred + gamma * dt * ydot_ref
+        ydot_ref = np.linalg.solve(form.A + dt / 2 * form.tangent, rhs)
+        y_ref = y_pred + dt / 2 * ydot_ref
         assert np.abs(ydot_new - ydot_ref).max() <= 1e-12 * np.abs(ydot_ref).max()
         assert np.abs(y_new - y_ref).max() <= 1e-12 * np.abs(y_ref).max()
 
@@ -323,11 +324,11 @@ class TestSimulate:
         traj = simulate(system, cfg, {"osc": forces})
 
         form = assemble_first_order(sub)
-        d = effective_matrix(form, cfg.dt, cfg.gamma)
+        d = effective_matrix(form, cfg.dt)
         y = np.zeros(2)
         ydot = np.array([0.0, forces[0, 0]])  # consistent start
         for step in range(1, cfg.n_steps + 1):
-            y, ydot = free_step(form, d, y, ydot, forces[step], cfg.dt, cfg.gamma)
+            y, ydot = free_step(form, d, y, ydot, forces[step], cfg.dt)
             assert np.allclose(traj.states["osc"][step], y, atol=1e-15)
 
     @staticmethod
@@ -717,8 +718,7 @@ def small_coupled_runs(draw):
         (("chain", a, sign), (sid, dof, -sign)) for a, (sid, dof), sign in zip(chain_dofs, tied, signs)
     ))
     system = CoupledSystem(substructures={"chain": chain, **banks}, topology=topology, physical=tuple(banks))
-    cfg = SolverConfig(dt=1e-3, duration=draw(st.integers(1, 20)) * 1e-3,
-                       gamma=draw(real(0.5, 1.0)), subcycles=draw(st.integers(1, 6)))
+    cfg = SolverConfig(dt=1e-3, duration=draw(st.integers(1, 20)) * 1e-3, subcycles=draw(st.integers(1, 6)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     amplitude = draw(real(0.1, 10.0))
     # each table may be left out, so that its substructure is undriven
